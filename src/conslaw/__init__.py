@@ -6,6 +6,7 @@ from .errors import (
     ConslawError,
     DegenerateBand,
     GapViolation,
+    InvariantViolation,
     NoConvergence,
     OutOfRange,
     StepReject,
@@ -39,6 +40,7 @@ from .bloch import (
     critical_curve_array,
     critical_curves,
     critical_modes,
+    critical_triples,
 )
 
 __version__ = "0.1.0"

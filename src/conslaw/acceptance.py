@@ -16,7 +16,7 @@ import numpy as np
 from . import dispersion as dsp
 from . import evolution as ev
 from . import mgl
-from .bloch import assemble_bloch, bloch_spectrum, critical_modes
+from .bloch import assemble_bloch, bloch_spectrum, critical_triples
 from .fourier import SpectralGrid, l2_norm
 from .rolls import RollParameters, asymptotic_roll, solve_roll
 
@@ -102,10 +102,7 @@ def small_sigma_curvatures() -> CriterionResult:
         p = RollParameters(e, w, s)
         roll = _roll(e, w, s)
         sigmas = np.linspace(-0.1 * e, 0.1 * e, 9)
-        trip = np.empty((3, sigmas.size))
-        for i, sig in enumerate(sigmas):
-            vals, _ = critical_modes(assemble_bloch(roll, float(sig)))
-            trip[:, i] = np.sort(vals.real)
+        trip = critical_triples(roll, sigmas).T
         fits = [_quadratic_coefficient(sigmas, trip[j], 0.1 * e) for j in range(3)]
         curv, lam_minus, lam_plus = dsp.small_sigma_expansion(p)
         for got, want, tag in zip(fits, (curv, lam_minus, lam_plus), ("curv", "lam-", "lam+")):

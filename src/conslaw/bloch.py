@@ -13,13 +13,24 @@ eigensolved.  The three critical eigenvalues are then polished by inverse
 iteration plus Rayleigh-Ritz, which restores absolute accuracy near zero that
 a dense solve of a matrix with ``O(M^6)`` entries cannot deliver on its own.
 
+A sigma sweep is solved as one batch: the symmetric factors of every Bloch
+number are gathered into one ``(n_sigma, N, N)`` stack (``S`` differs between
+Bloch numbers only on its diagonal), and the eigensolve, the inverse
+iterations and the Rayleigh-Ritz step each run once on the whole stack.  A
+single operator is a batch of one.  Stacked LAPACK calls give the same bits
+as one call per matrix, so a sweep's values do not depend on how it is
+batched.
+
 At ``sigma = 0`` the ``m = 0`` row vanishes identically (conservation law);
-that zero eigenvalue is deflated exactly before the symmetric solve.
+that zero eigenvalue is deflated exactly before the symmetric solve.  The
+Bloch numbers of a sweep that are zero therefore form their own batch, of
+dimension ``N - 1`` with two critical values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -34,12 +45,16 @@ __all__ = [
     "assemble_bloch",
     "bloch_spectrum",
     "critical_modes",
+    "critical_triples",
     "critical_curves",
     "critical_curve_array",
 ]
 
 _SIGMA_ZERO_TOL = 1e-13
 _REFINE_STEPS = 2
+#: Reorderings of a critical triple, in ``itertools.permutations`` order so
+#: that the first minimum of a matching cost breaks ties as ``min`` would.
+_PERMUTATIONS = np.array(list(permutations(range(3))))
 
 
 def constant_symbol(m: int, sigma: float) -> float:
@@ -83,6 +98,49 @@ class BlochSpectrum:
         return self.eigenvalues[list(self.critical)]
 
 
+def _checked_sigmas(sigmas) -> np.ndarray:
+    """Bloch numbers as a float array, all inside one Brillouin zone."""
+    sigmas = np.asarray(sigmas, dtype=np.float64).reshape(-1)
+    outside = np.flatnonzero(np.abs(sigmas) > 0.5)
+    if outside.size:
+        raise OutOfRange(f"sigma must lie in [-1/2, 1/2], got {float(sigmas[outside[0]])}")
+    return sigmas
+
+
+def _reaction_coefficients(roll: RollSolution, M: int) -> np.ndarray:
+    """Coefficients of ``df(u) = eps^2 - 2 s u - 3 u^2`` up to mode ``2M``.
+
+    Computed by exact convolution of the roll's cosine coefficients, so no
+    transform error enters.
+    """
+    params = roll.params
+    c = np.zeros(2 * M + 1)
+    src = roll.profile.coeffs.real
+    src_M = roll.profile.grid.n_modes
+    take = min(M, src_M)
+    c[M - take : M + take + 1] = src[src_M - take : src_M + take + 1]
+    df = -2.0 * params.s * np.concatenate([np.zeros(M), c, np.zeros(M)]) - 3.0 * np.convolve(c, c)
+    df[2 * M] += params.eps**2
+    return df
+
+
+def _symmetric_factors(df: np.ndarray, k2: float, sigmas: np.ndarray):
+    """Prefactors ``p`` ``(n, N)`` and symmetric factors ``S`` ``(n, N, N)``.
+
+    The Toeplitz multiplication part is the same at every Bloch number, so it
+    is gathered and symmetrized once; only the diagonal symbol varies.
+    """
+    N = (df.size + 1) // 2
+    M = N // 2
+    idx = np.subtract.outer(np.arange(N), np.arange(N)) + 2 * M
+    T = df[idx]
+    T = 0.5 * (T + T.T)
+    kt2 = k2 * (np.arange(-M, M + 1) + sigmas[:, None]) ** 2
+    S = np.repeat(T[None], sigmas.size, axis=0)
+    S.reshape(sigmas.size, N * N)[:, :: N + 1] += -((1.0 - kt2) ** 2)
+    return kt2, S
+
+
 def assemble_bloch(roll: RollSolution, sigma: float, grid: SpectralGrid | None = None) -> BlochOperator:
     """Assemble the dense Bloch matrix about a converged roll.
 
@@ -90,111 +148,204 @@ def assemble_bloch(roll: RollSolution, sigma: float, grid: SpectralGrid | None =
     linearized reaction term is a Toeplitz block built from the exact
     convolution of the roll's coefficients, so no transform error enters.
     """
-    if abs(sigma) > 0.5:
-        raise OutOfRange(f"sigma must lie in [-1/2, 1/2], got {sigma}")
-    params = roll.params
+    sigmas = _checked_sigmas(float(sigma))
     grid = grid or roll.profile.grid
     M = grid.n_modes
-    k2 = params.k**2
-
-    c = np.zeros(2 * M + 1)
-    src = roll.profile.coeffs.real
-    src_M = roll.profile.grid.n_modes
-    take = min(M, src_M)
-    c[M - take : M + take + 1] = src[src_M - take : src_M + take + 1]
-
-    # df(u) = eps^2 - 2 s u - 3 u^2 up to mode 2M, by exact convolution.
-    df = -2.0 * params.s * np.concatenate([np.zeros(M), c, np.zeros(M)]) - 3.0 * np.convolve(c, c)
-    df[2 * M] += params.eps**2
-    df_grid = SpectralGrid(2 * M)
-    df_field = PeriodicField(df_grid, df.astype(np.complex128), even=True)
-
-    theta = (np.arange(-M, M + 1) + sigma).astype(np.float64)
-    p = k2 * theta**2
-    diag_inner = -((1.0 - k2 * theta**2) ** 2)
-    idx = np.subtract.outer(np.arange(2 * M + 1), np.arange(2 * M + 1)) + 2 * M
-    S = df[idx]
-    S[np.diag_indices(2 * M + 1)] += diag_inner
-    S = 0.5 * (S + S.T)
-    matrix = p[:, None] * S
+    df = _reaction_coefficients(roll, M)
+    df_field = PeriodicField(SpectralGrid(2 * M), df.astype(np.complex128), even=True)
+    p, S = _symmetric_factors(df, roll.params.k**2, sigmas)
     return BlochOperator(
-        params=params,
+        params=roll.params,
         sigma=float(sigma),
-        matrix=matrix,
+        matrix=p[0][:, None] * S[0],
         df_field=df_field,
         grid=grid,
-        prefactor=p,
-        symmetric_factor=S,
+        prefactor=p[0],
+        symmetric_factor=S[0],
     )
 
 
-def _refine_critical(H: np.ndarray, V: np.ndarray, crit: np.ndarray):
-    """Polish the near-zero Ritz pairs of symmetric ``H`` by inverse iteration.
+def _solve(A: np.ndarray, B: np.ndarray, fallback) -> np.ndarray:
+    """Stacked ``A^{-1} B``; only singular members go to ``fallback(a, b)``.
 
-    The critical eigenvectors decay spectrally, so matvecs with the huge-norm
-    ``H`` are accurate in absolute terms and the final 3x3 Rayleigh-Ritz
-    values come out near machine precision.
+    A stacked solve fails as a whole when one member is singular, so on
+    failure every member is solved on its own.
     """
-    Y = V[:, crit]
+    try:
+        return np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:
+        X = np.empty_like(B)
+        for i, (a, b) in enumerate(zip(A, B)):
+            try:
+                X[i] = np.linalg.solve(a, b)
+            except np.linalg.LinAlgError:
+                X[i] = fallback(a, b)
+        return X
+
+
+def _shifted_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.linalg.solve(a + 1e-10 * np.eye(a.shape[0]), b)
+
+
+def _least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def _refine_critical(H: np.ndarray, Y: np.ndarray):
+    """Polish the near-zero Ritz pairs of a stack of symmetric ``H``.
+
+    Inverse iteration on the Ritz vectors ``Y`` ``(n, N, k)``.  The critical
+    eigenvectors decay spectrally, so matvecs with the huge-norm ``H`` are
+    accurate in absolute terms and the final ``k x k`` Rayleigh-Ritz values
+    come out near machine precision.
+    """
     for _ in range(_REFINE_STEPS):
-        try:
-            Z = np.linalg.solve(H, Y)
-        except np.linalg.LinAlgError:
-            Z = np.linalg.solve(H + 1e-10 * np.eye(H.shape[0]), Y)
-        Y, _ = np.linalg.qr(Z)
-    G = Y.T @ (H @ Y)
-    G = 0.5 * (G + G.T)
+        Y, _ = np.linalg.qr(_solve(H, Y, _shifted_solve))
+    G = Y.swapaxes(1, 2) @ (H @ Y)
+    G = 0.5 * (G + G.swapaxes(1, 2))
     ritz, R = np.linalg.eigh(G)
     return ritz, Y @ R
 
 
 def _eig_symmetric(p: np.ndarray, S: np.ndarray, n_critical: int):
-    """Spectrum of ``diag(p) S`` (p > 0) via the symmetric similarity.
+    """Spectra of the stack ``diag(p) S`` (p > 0) via the symmetric similarity.
 
-    Returns the refined critical eigenvalues (ascending), the matching
-    eigenvectors of ``diag(p) S``, and the remaining eigenvalues.
+    Returns the refined critical eigenvalues (ascending) ``(n, k)``, the
+    matching unit eigenvectors of ``diag(p) S`` ``(n, N, k)``, and the
+    remaining eigenvalues ``(n, N - k)``.  ``S`` is overwritten.
     """
+    n, N = p.shape
     sq = np.sqrt(p)
-    H = sq[:, None] * S * sq[None, :]
-    H = 0.5 * (H + H.T)
+    H = S
+    H *= sq[:, :, None]
+    H *= sq[:, None, :]
+    # Symmetrized one matrix at a time, so the temporary is one N x N matrix.
+    for h in H:
+        h += h.T
+    H *= 0.5
     w, V = np.linalg.eigh(H)
-    crit = np.argsort(np.abs(w))[:n_critical]
-    ritz, Yr = _refine_critical(H, V, crit)
-    others = np.delete(w, crit)
+    crit = np.argsort(np.abs(w), axis=1)[:, :n_critical]
+    Y = np.take_along_axis(V, crit[:, None, :], axis=2)
+    del V
+    ritz, Yr = _refine_critical(H, Y)
+    rest = np.ones((n, N), dtype=bool)
+    np.put_along_axis(rest, crit, False, axis=1)
+    others = w[rest].reshape(n, N - n_critical)
     # Map eigenvectors of H back to eigenvectors of diag(p) S.
-    vecs = sq[:, None] * Yr
-    norms = np.linalg.norm(vecs, axis=0)
+    vecs = sq[:, :, None] * Yr
+    norms = np.linalg.norm(vecs, axis=1)
     norms[norms == 0.0] = 1.0
-    vecs = vecs / norms
+    vecs /= norms[:, None, :]
     return ritz, vecs, others
 
 
+def _eig_deflated(p: np.ndarray, S: np.ndarray):
+    """Critical pairs of a stack at ``sigma = 0``, with the exact zero deflated.
+
+    The ``m = 0`` row and column are dropped before the symmetric solve,
+    which leaves two critical values; the zero's right eigenvector solves
+    ``S v = e_0``.
+    """
+    n, N = p.shape
+    M = N // 2
+    keep = np.arange(N) != M
+    e0 = np.zeros((n, N, 1))
+    e0[:, M] = 1.0
+    v0 = _solve(S, e0, _least_squares)[:, :, 0]
+    # Boolean indexing leaves the stack non-contiguous; matmul on the
+    # contiguous copy rounds exactly as it does on a single matrix.
+    sub = np.ascontiguousarray(S[:, keep][:, :, keep])
+    ritz, vecs_sub, others = _eig_symmetric(p[:, keep], sub, 2)
+    vals = np.concatenate([np.zeros((n, 1)), ritz], axis=1)
+    vecs = np.zeros((n, N, 3))
+    # Normalized one vector at a time, with the rounding of a single solve.
+    vecs[:, :, 0] = v0 / np.array([[np.linalg.norm(v)] for v in v0])
+    vecs[:, keep, 1:] = vecs_sub
+    return vals, vecs, others
+
+
+def _critical_stack(p: np.ndarray, S: np.ndarray, at_zero: bool):
+    """Critical triples (ascending), their vectors and the rest, for a stack.
+
+    ``at_zero`` selects the deflated solve for a stack at ``sigma = 0``.
+    ``S`` may be overwritten.
+    """
+    vals, vecs, others = _eig_deflated(p, S) if at_zero else _eig_symmetric(p, S, 3)
+    order = np.argsort(vals, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    return vals, vecs, others
+
+
+def _solve_sweep(roll: RollSolution, sigmas, grid: SpectralGrid | None):
+    """Batched solve of a sweep; results are in sweep order.
+
+    Returns the checked Bloch numbers ``(n,)``, critical triples ``(n, 3)``,
+    critical vectors ``(n, N, 3)`` and remaining eigenvalues ``(n, N - 3)``.
+    """
+    sigmas = _checked_sigmas(sigmas)
+    grid = grid or roll.profile.grid
+    df = _reaction_coefficients(roll, grid.n_modes)
+    n, N = sigmas.size, 2 * grid.n_modes + 1
+    vals = np.empty((n, 3))
+    vecs = np.empty((n, N, 3))
+    others = np.empty((n, N - 3))
+    zero = np.abs(sigmas) < _SIGMA_ZERO_TOL
+    for members, at_zero in ((zero, True), (~zero, False)):
+        if members.any():
+            p, S = _symmetric_factors(df, roll.params.k**2, sigmas[members])
+            vals[members], vecs[members], others[members] = _critical_stack(p, S, at_zero)
+    return sigmas, vals, vecs, others
+
+
+def _certified_gaps(others: np.ndarray, delta: float) -> np.ndarray:
+    """``-max`` of each row of ``others``; the first gap ``<= delta`` raises."""
+    gaps = -np.max(others, axis=1)
+    failed = np.flatnonzero(gaps <= delta)
+    if failed.size:
+        raise GapViolation(float(gaps[failed[0]]), delta)
+    return gaps
+
+
+def _check_delta(delta: float) -> None:
+    if delta <= 0.0:
+        raise OutOfRange(f"delta must be positive, got {delta}")
+
+
+def _spectra(sigmas, vals, vecs, others, gaps) -> list[BlochSpectrum]:
+    """Per-sigma spectra, triples matched as :func:`critical_curves` describes.
+
+    On ties the first permutation in ``_PERMUTATIONS`` order wins.
+    """
+    allvals = np.concatenate([vals, others], axis=1).astype(np.complex128)
+    order = np.argsort(-allvals.real, axis=1, kind="stable")
+    eigenvalues = np.take_along_axis(allvals, order, axis=1)
+    pos = np.empty_like(order)
+    np.put_along_axis(pos, order, np.arange(order.shape[1])[None, :], axis=1)
+    critical = pos[:, :3]
+    cvals = allvals[:, :3]
+    spectra: list[BlochSpectrum] = []
+    perm = _PERMUTATIONS[0]
+    for i, sigma in enumerate(sigmas):
+        if i > 0:
+            cost = np.abs(cvals[i][_PERMUTATIONS] - cvals[i - 1][perm]).sum(axis=1)
+            perm = _PERMUTATIONS[np.argmin(cost)]
+        spectra.append(
+            BlochSpectrum(
+                sigma=float(sigma),
+                eigenvalues=eigenvalues[i],
+                critical=tuple(int(j) for j in critical[i][perm]),
+                gap=float(gaps[i]),
+                critical_vectors=vecs[i][:, perm].astype(np.complex128),
+            )
+        )
+    return spectra
+
+
 def _solve_operator(op: BlochOperator):
-    """Refined critical triple plus the rest, handling the sigma = 0 deflation."""
-    p, S = op.prefactor, op.symmetric_factor
-    n = p.size
-    M = op.grid.n_modes
-
-    if abs(op.sigma) < _SIGMA_ZERO_TOL:
-        keep = np.arange(n) != M
-        ritz, vecs_sub, others = _eig_symmetric(p[keep], S[np.ix_(keep, keep)], 2)
-        crit_vals = np.concatenate([[0.0], ritz])
-        # Right eigenvector of the exact zero: S v in span(e_0), i.e. v = S^{-1} e_0.
-        e0 = np.zeros(n)
-        e0[M] = 1.0
-        try:
-            v0 = np.linalg.solve(S, e0)
-        except np.linalg.LinAlgError:
-            v0 = np.linalg.lstsq(S, e0, rcond=None)[0]
-        v0 = v0 / np.linalg.norm(v0)
-        vecs = np.zeros((n, 3))
-        vecs[:, 0] = v0
-        vecs[keep, 1:] = vecs_sub
-    else:
-        crit_vals, vecs, others = _eig_symmetric(p, S, 3)
-
-    order = np.argsort(crit_vals)
-    return crit_vals[order], vecs[:, order], others
+    """Batch-of-one solve of an assembled operator."""
+    S = op.symmetric_factor[None].copy()
+    return _critical_stack(op.prefactor[None], S, abs(op.sigma) < _SIGMA_ZERO_TOL)
 
 
 def bloch_spectrum(op: BlochOperator, delta: float = 1.0) -> BlochSpectrum:
@@ -203,25 +354,10 @@ def bloch_spectrum(op: BlochOperator, delta: float = 1.0) -> BlochSpectrum:
     Raises :class:`GapViolation` when the non-critical spectrum does not stay
     below ``-delta``, i.e. when the three-eigenvalue decomposition breaks.
     """
-    if delta <= 0.0:
-        raise OutOfRange(f"delta must be positive, got {delta}")
-    crit_vals, crit_vecs, others = _solve_operator(op)
-    gap = float(-np.max(others)) if others.size else np.inf
-    if gap <= delta:
-        raise GapViolation(gap, delta)
-    allvals = np.concatenate([crit_vals, others]).astype(np.complex128)
-    order = np.argsort(-allvals.real, kind="stable")
-    allvals = allvals[order]
-    pos = np.empty(order.size, dtype=int)
-    pos[order] = np.arange(order.size)
-    critical = tuple(int(pos[i]) for i in range(3))
-    return BlochSpectrum(
-        sigma=op.sigma,
-        eigenvalues=allvals,
-        critical=critical,
-        gap=gap,
-        critical_vectors=crit_vecs.astype(np.complex128),
-    )
+    _check_delta(delta)
+    vals, vecs, others = _solve_operator(op)
+    gaps = _certified_gaps(others, delta)
+    return _spectra([op.sigma], vals, vecs, others, gaps)[0]
 
 
 def critical_modes(op: BlochOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -230,8 +366,26 @@ def critical_modes(op: BlochOperator) -> tuple[np.ndarray, np.ndarray]:
     Column ``j`` of the vector array holds coefficients ``V_m`` of the Bloch
     eigenfunction ``e^{i sigma xi} sum_m V_m e^{i m xi}``.
     """
-    crit_vals, crit_vecs, _ = _solve_operator(op)
-    return crit_vals.astype(np.complex128), crit_vecs.astype(np.complex128)
+    vals, vecs, _ = _solve_operator(op)
+    return vals[0].astype(np.complex128), vecs[0].astype(np.complex128)
+
+
+def critical_triples(
+    roll: RollSolution,
+    sigmas,
+    delta: float = 1.0,
+    grid: SpectralGrid | None = None,
+) -> np.ndarray:
+    """Critical eigenvalues over a sigma sweep, ascending per sigma.
+
+    Returns a real ``(n_sigma, 3)`` array.  The gap is certified as in
+    :func:`bloch_spectrum`, for the first offending sigma in sweep order;
+    no per-sigma spectra are built and no curves are matched.
+    """
+    _check_delta(delta)
+    _, vals, _, others = _solve_sweep(roll, sigmas, grid)
+    _certified_gaps(others, delta)
+    return vals
 
 
 def critical_curves(
@@ -247,32 +401,10 @@ def critical_curves(
     is chosen, so the returned ``critical`` index triples trace three
     continuous curves.
     """
-    from itertools import permutations
-
-    spectra: list[BlochSpectrum] = []
-    prev: np.ndarray | None = None
-    for sigma in sigmas:
-        spec = bloch_spectrum(assemble_bloch(roll, float(sigma), grid=grid), delta=delta)
-        vals = spec.critical_values()
-        if prev is not None:
-            best = min(
-                permutations(range(3)),
-                key=lambda perm: float(np.sum(np.abs(vals[list(perm)] - prev))),
-            )
-            spec = BlochSpectrum(
-                sigma=spec.sigma,
-                eigenvalues=spec.eigenvalues,
-                critical=tuple(spec.critical[i] for i in best),
-                gap=spec.gap,
-                critical_vectors=(
-                    spec.critical_vectors[:, list(best)]
-                    if spec.critical_vectors is not None
-                    else None
-                ),
-            )
-        prev = spec.critical_values()
-        spectra.append(spec)
-    return spectra
+    _check_delta(delta)
+    sigmas, vals, vecs, others = _solve_sweep(roll, sigmas, grid)
+    gaps = _certified_gaps(others, delta)
+    return _spectra(sigmas, vals, vecs, others, gaps)
 
 
 def critical_curve_array(spectra: list[BlochSpectrum]) -> np.ndarray:

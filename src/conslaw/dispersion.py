@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBand, OutOfRange
+from .errors import DegenerateBand, InvariantViolation, OutOfRange
 from .rolls import RollParameters, RollSolution
 
 __all__ = [
@@ -235,7 +235,8 @@ def stability_predicate(omega: float, s: float) -> Stability:
     if abs(Pi) < _BOUNDARY_BAND:
         return Stability.BOUNDARY
     if Pi > 0.0:
-        assert T < 0.0, "trace must be negative inside the stable band"
+        if not T < 0.0:
+            raise InvariantViolation(f"trace {T!r} must be negative inside the stable band (Pi = {Pi!r})")
         return Stability.STABLE
     return Stability.UNSTABLE
 
@@ -268,15 +269,14 @@ def classify_numerically(
     stay below and the fitted sigma^2 coefficients of the two neutral curves
     are negative (diffusive decay); boundary otherwise.
     """
-    from .bloch import critical_curve_array, critical_curves
+    from .bloch import critical_triples
 
     eps = roll.params.eps
     sigmas = _default_sigma_grid(eps) if sigma_grid is None else np.asarray(sigma_grid, dtype=float)
-    spectra = critical_curves(roll, sigmas, delta=delta)
     # All critical eigenvalues are real (the operator is similar to a real
-    # symmetric matrix), so per-sigma ascending sort is the exact curve
+    # symmetric matrix), so per-sigma ascending order is the exact curve
     # assignment; continuation matching can swap branches at collisions.
-    curves = np.sort(critical_curve_array(spectra).real, axis=0)
+    curves = critical_triples(roll, sigmas, delta=delta).T
 
     worst = np.unravel_index(np.argmax(curves), curves.shape)
     if curves[worst] > margin:

@@ -47,6 +47,10 @@ class DegenerateBand(ConslawError):
     """Closed-form sideband expansions are singular at the band endpoints."""
 
 
+class InvariantViolation(ConslawError):
+    """An identity that holds analytically failed in floating point."""
+
+
 class BlowUp(ConslawError):
     """Time integration left the linear regime catastrophically."""
 

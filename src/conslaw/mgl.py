@@ -133,24 +133,26 @@ def compare_exact_vs_mgl(
     Triples on both sides are sorted by real part before pairing, which for
     real spectra is the minimal-distance matching.
     """
-    from .bloch import assemble_bloch, critical_modes
+    from .bloch import critical_triples
 
     eps = roll.params.eps
     if eps <= 0.0:
         raise OutOfRange("comparison requires eps > 0")
     mglp = MglParameters(roll.params.omega, roll.params.s)
+    sigma_hats = [float(sh) for sh in sigma_hat_grid]
+    sigmas = eps * np.array(sigma_hats)
+    outside = np.flatnonzero(np.abs(sigmas) > 0.5)
+    if outside.size:
+        raise OutOfRange(f"eps * sigma_hat = {float(sigmas[outside[0]])} leaves the Brillouin zone")
+    triples = critical_triples(roll, sigmas, delta=delta, grid=grid).astype(np.complex128)
     rows: list[ComparisonRow] = []
-    for sh in sigma_hat_grid:
-        sigma = eps * float(sh)
-        if abs(sigma) > 0.5:
-            raise OutOfRange(f"eps * sigma_hat = {sigma} leaves the Brillouin zone")
-        vals, _ = critical_modes(assemble_bloch(roll, sigma, grid=grid))
-        exact = vals[np.argsort(vals.real)] / eps**2
-        mgl_vals = mgl_dispersion_matrix(mglp, float(sh)).eigenvalues
+    for sh, vals in zip(sigma_hats, triples):
+        exact = vals / eps**2
+        mgl_vals = mgl_dispersion_matrix(mglp, sh).eigenvalues
         deviation = float(np.max(np.abs(exact - mgl_vals)))
         rows.append(
             ComparisonRow(
-                sigma_hat=float(sh),
+                sigma_hat=sh,
                 lambda_exact=exact,
                 lambda_mgl=mgl_vals,
                 deviation=deviation,

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conslaw import bloch
 from conslaw.bloch import (
     assemble_bloch,
     bloch_spectrum,
@@ -8,6 +11,7 @@ from conslaw.bloch import (
     critical_curve_array,
     critical_curves,
     critical_modes,
+    critical_triples,
 )
 from conslaw.errors import GapViolation, OutOfRange
 from conslaw.fourier import SpectralGrid, derivative
@@ -151,3 +155,66 @@ class TestCurves:
         curves = critical_curve_array(critical_curves(roll, sigmas)).real
         jumps = np.max(np.abs(np.diff(curves, axis=1)))
         assert jumps < 0.1
+
+
+class TestBatchedSweep:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        eps=st.floats(0.01, 0.08),
+        omega=st.floats(-0.4, 0.4),
+        s=st.floats(-1.4, 1.4),
+        sigmas=st.lists(st.floats(0.0, 0.5, exclude_min=True), min_size=1, max_size=5),
+    )
+    def test_sweep_equals_single_sigma_loop(self, eps, omega, s, sigmas):
+        roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(8))
+        sweep = np.array(sigmas + [0.0] + [-x for x in sigmas])
+        triples = critical_triples(roll, sweep)
+        loop = np.array([critical_modes(assemble_bloch(roll, x))[0].real for x in sweep])
+        assert np.array_equal(triples, loop)
+        assert np.all(np.diff(triples, axis=1) >= 0.0)
+
+        spectra = critical_curves(roll, sweep)
+        singles = [bloch_spectrum(assemble_bloch(roll, x)) for x in sweep]
+        assert np.array_equal([sp.gap for sp in spectra], [sp.gap for sp in singles])
+        for curve, single in zip(spectra, singles):
+            assert np.array_equal(curve.eigenvalues, single.eigenvalues)
+            assert np.array_equal(np.sort(curve.critical_values().real), single.critical_values().real)
+
+        n = len(sigmas)
+        for plus, minus in zip(spectra[:n], spectra[n + 1 :]):
+            assert np.max(np.abs(np.sort_complex(plus.eigenvalues) - np.sort_complex(minus.eigenvalues))) < 1e-9
+
+    def test_gap_violation_reports_first_sigma_in_sweep_order(self):
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), GRID)
+        # Both 0.3 and 0.45 violate; 0.45 has the smaller gap but comes later.
+        sweep = [0.1, 0.3, 0.0, 0.45]
+        gaps = [bloch_spectrum(assemble_bloch(roll, x)).gap for x in sweep]
+        delta = 0.5 * (gaps[0] + gaps[1])
+        assert gaps[3] < gaps[1] <= delta < min(gaps[0], gaps[2])
+        for fn in (critical_triples, critical_curves):
+            with pytest.raises(GapViolation) as info:
+                fn(roll, sweep, delta=delta)
+            assert info.value.gap == gaps[1]
+
+    def test_out_of_range_sigma_rejected_before_any_solve(self, monkeypatch):
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), GRID)
+
+        def no_assembly(*args):
+            raise AssertionError("assembled before the range check")
+
+        monkeypatch.setattr(bloch, "_symmetric_factors", no_assembly)
+        for fn in (critical_triples, critical_curves):
+            with pytest.raises(OutOfRange, match="got 0.6$"):
+                fn(roll, [0.1, 0.6, -0.7])
+
+    def test_singular_member_alone_takes_the_fallback(self):
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((3, 5, 5))
+        A[1, 2] = 0.0  # a zero row: exactly singular
+        B = rng.standard_normal((3, 5, 2))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(A, B)
+        X = bloch._solve(A, B, lambda a, b: np.full_like(b, 7.0))
+        for i in (0, 2):
+            assert np.array_equal(X[i], np.linalg.solve(A[i], B[i]))
+        assert np.all(X[1] == 7.0)

@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from conslaw.cli import main
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -152,3 +156,31 @@ class TestCompareAndEvolve:
         )
         assert code == 0
         assert "rounded" in err
+
+
+class TestGoldenBytes:
+    """Stdout bytes at fixed arguments, as written before the batched Bloch sweep."""
+
+    @pytest.mark.parametrize(
+        "fixture,argv",
+        [
+            (
+                # M = 32 through sigma = 0, with curve crossings on the positive side
+                "spectrum_m32.csv",
+                ("spectrum", "--eps", "0.04", "--omega", "0.1", "--s", "0.5", "--sigma-min", "-0.3",
+                 "--sigma-max", "0.3", "--sigma-steps", "13", "--modes", "32"),
+            ),
+            (
+                "map_both_steps4_m12.csv",
+                ("map", "--eps", "0.02", "--mode", "both", "--steps", "4", "--modes", "12", "--jobs", "1"),
+            ),
+            (
+                "compare_m32.csv",
+                ("compare", "--eps", "0.04", "--omega", "0.25", "--s", "1", "--modes", "32", "--steps", "11"),
+            ),
+        ],
+    )
+    def test_stdout_matches_fixture(self, capsys, fixture, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (DATA / fixture).read_text()

@@ -3,7 +3,7 @@ import pytest
 
 from conslaw import dispersion as dsp
 from conslaw.bloch import assemble_bloch, critical_modes
-from conslaw.errors import DegenerateBand, OutOfRange
+from conslaw.errors import DegenerateBand, InvariantViolation, OutOfRange
 from conslaw.fourier import SpectralGrid
 from conslaw.rolls import RollParameters, solve_roll
 
@@ -183,6 +183,12 @@ class TestPredicate:
             dsp.stability_predicate(0.5, 0.0)
         with pytest.raises(OutOfRange):
             dsp.stability_predicate(0.0, 3.7)
+
+    @pytest.mark.parametrize("trace", [0.0, 0.5])
+    def test_nonnegative_trace_in_stable_band_raises(self, monkeypatch, trace):
+        monkeypatch.setattr(dsp, "_sideband_terms", lambda omega, s: (trace, 1.0))
+        with pytest.raises(InvariantViolation):
+            dsp.stability_predicate(0.0, 0.0)
 
     def test_band_identity(self):
         # sign(Pi) agrees with the closed-form band membership
