@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conslaw.cli import main
@@ -184,3 +185,22 @@ class TestGoldenBytes:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == (DATA / fixture).read_text()
+
+
+class TestGoldenEvolve:
+    """``evolve`` output as written before the in-place ETDRK4 step."""
+
+    def test_stdout_matches_fixture(self, capsys):
+        code, out, _ = run(
+            capsys, "evolve", "--eps", "0.05", "--omega", "0", "--s", "1.2", "--sigma", "0.125",
+            "--periods", "8", "--dt", "0.05", "--t-final", "50", "--modes", "12",
+        )
+        assert code == 0
+        got = [line.split(",") for line in out.splitlines()]
+        want = [line.split(",") for line in (DATA / "evolve_m12.csv").read_text().splitlines()]
+        assert got[0] == want[0] == ["t", "perturbation_norm", "mass"]
+        assert len(got) == len(want)
+        assert [(r[0], r[2]) for r in got] == [(r[0], r[2]) for r in want]
+        norms_got = np.array([float(r[1]) for r in got[1:]])
+        norms_want = np.array([float(r[1]) for r in want[1:]])
+        np.testing.assert_allclose(norms_got, norms_want, rtol=1e-10, atol=0.0)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 import conslaw.evolution as ev
 from conslaw.errors import BlowUp, OutOfRange, StepReject
@@ -105,3 +108,71 @@ class TestEvolve:
         cfg = ev.EvolutionConfig(n_periods=16, dt=0.2, seed_sigma=1.0 / 16.0, t_final=600.0)
         with pytest.raises(BlowUp):
             ev.evolve(roll, cfg)
+
+
+class TestStepper:
+    """The in-place stepper against a textbook, out-of-place ETDRK4 step."""
+
+    def test_two_steps_match_out_of_place_oracle(self):
+        k2, eps, s, n_periods, n_modes, dt = 1.1, 0.1, 1.2, 4, 6, 0.1
+        K = n_periods * (n_modes + 1)
+        n_points = next_fast_len(4 * K + 1)
+        n_idx = np.arange(n_points // 2 + 1)
+        keep = n_idx <= K
+        theta2 = (n_idx / n_periods) ** 2
+        lin = np.where(keep, k2 * theta2 * (eps**2 - (1.0 - k2 * theta2) ** 2), 0.0)
+        stepper = ev._Etdrk4(lin, dt)
+        f2 = stepper.f2x2 / 2.0
+
+        def oracle_nonlin(spec):
+            u = np.fft.irfft(spec, n_points)
+            w = np.fft.rfft(s * u**2 + u**3)
+            out = -k2 * theta2 * w
+            out[~keep] = 0.0
+            return out
+
+        def oracle_step(v):
+            n0 = oracle_nonlin(v)
+            a = stepper.e_half * v + stepper.f0 * n0
+            n1 = oracle_nonlin(a)
+            b = stepper.e_half * v + stepper.f0 * n1
+            n2 = oracle_nonlin(b)
+            c = stepper.e_half * a + stepper.f0 * (2.0 * n2 - n0)
+            n3 = oracle_nonlin(c)
+            return stepper.e_full * v + stepper.f1 * n0 + 2.0 * f2 * (n1 + n2) + stepper.f3 * n3
+
+        rng = np.random.default_rng(3)
+        v0 = np.zeros(n_idx.size, dtype=np.complex128)
+        v0[1 : K + 1] = (rng.standard_normal(K) + 1j * rng.standard_normal(K)) * n_points / K
+        u0 = np.fft.irfft(v0, n_points)
+        assert u0.min() < -0.1 and u0.max() > 0.1  # mixed signs, O(1) cubic
+
+        expected = oracle_step(oracle_step(v0))
+        nonlin = ev._cubic_flux(np.where(keep, -k2 * theta2, 0.0), s, n_points)
+        got = v0.copy()
+        stepper.step(got, nonlin)
+        stepper.step(got, nonlin)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert np.max(np.abs(expected - v0)) > 1e-3 * np.max(np.abs(v0))  # the steps moved it
+        assert np.all(got[~keep] == 0.0)
+
+
+class TestMassProperty:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        omega=st.floats(-0.45, 0.45),
+        s=st.floats(-1.5, 1.5),
+        n_periods=st.sampled_from([4, 8]),
+        data=st.data(),
+    )
+    def test_mass_drift_is_exactly_zero(self, omega, s, n_periods, data):
+        # j = 0 seeds the neutral mean mode, so the conserved mass is nonzero
+        j = data.draw(st.integers(-n_periods // 2, n_periods // 2), label="j")
+        roll = solve_roll(RollParameters(0.05, omega, s), GRID)
+        cfg = ev.EvolutionConfig(
+            n_periods=n_periods, dt=0.1, seed_sigma=j / n_periods, t_final=5.0
+        )
+        res = ev.evolve(roll, cfg)
+        assert res.times.size == 51
+        assert res.mass_drift == 0.0
+        assert np.all(np.isfinite(res.norms))
