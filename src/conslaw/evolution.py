@@ -156,14 +156,14 @@ def _cubic_flux(mult: np.ndarray, s: float, n_points: int):
     """
     u = np.empty(n_points)
     cube = np.empty(n_points)
-    u3 = np.empty(n_points)
 
     def nonlin(spec: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.fft.irfft(spec, n_points, out=u)
-        np.square(u, out=cube)
-        np.multiply(s, cube, out=cube)
-        np.power(u, 3, out=u3)
-        np.add(cube, u3, out=cube)
+        # u * u * (s + u), not s*u**2 + u**3: libm pow takes a slow path for
+        # negative bases, ~150 ns a point against ~2 ns for the products.
+        np.add(s, u, out=cube)
+        np.multiply(cube, u, out=cube)
+        np.multiply(cube, u, out=cube)
         np.fft.rfft(cube, out=out)
         return np.multiply(mult, out, out=out)
 
