@@ -188,16 +188,29 @@ class TestGoldenBytes:
 
 
 class TestGoldenEvolve:
-    """``evolve`` output as written before the in-place ETDRK4 step."""
+    """``evolve`` output as written by the complex-spectrum integrator."""
 
-    def test_stdout_matches_fixture(self, capsys):
-        code, out, _ = run(
-            capsys, "evolve", "--eps", "0.05", "--omega", "0", "--s", "1.2", "--sigma", "0.125",
-            "--periods", "8", "--dt", "0.05", "--t-final", "50", "--modes", "12",
-        )
+    @pytest.mark.parametrize(
+        "fixture,argv",
+        [
+            (
+                "evolve_m12.csv",
+                ("--eps", "0.05", "--omega", "0", "--s", "1.2", "--sigma", "0.125",
+                 "--periods", "8", "--dt", "0.05", "--t-final", "50", "--modes", "12"),
+            ),
+            (
+                # negative, decaying Bloch number on another domain
+                "evolve_p12_m12.csv",
+                ("--eps", "0.05", "--omega", "0.1", "--s", "0.5", "--sigma", "-0.25",
+                 "--periods", "12", "--dt", "0.1", "--t-final", "60", "--modes", "12"),
+            ),
+        ],
+    )
+    def test_stdout_matches_fixture(self, capsys, fixture, argv):
+        code, out, _ = run(capsys, "evolve", *argv)
         assert code == 0
         got = [line.split(",") for line in out.splitlines()]
-        want = [line.split(",") for line in (DATA / "evolve_m12.csv").read_text().splitlines()]
+        want = [line.split(",") for line in (DATA / fixture).read_text().splitlines()]
         assert got[0] == want[0] == ["t", "perturbation_norm", "mass"]
         assert len(got) == len(want)
         assert [(r[0], r[2]) for r in got] == [(r[0], r[2]) for r in want]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 import conslaw.evolution as ev
+from conslaw.bloch import assemble_bloch, critical_modes
 from conslaw.errors import BlowUp, OutOfRange, StepReject
 from conslaw.fourier import PeriodicField, SpectralGrid
 from conslaw.rolls import RollParameters, solve_roll, zero_roll
@@ -111,18 +114,24 @@ class TestEvolve:
 
 
 class TestStepper:
-    """The in-place stepper against a textbook, out-of-place ETDRK4 step."""
+    """The in-place cosine-layout stepper against a textbook, out-of-place
+    ETDRK4 step in the full rfft layout."""
 
     def test_two_steps_match_out_of_place_oracle(self):
         k2, eps, s, n_periods, n_modes, dt = 1.1, 0.1, 1.2, 4, 6, 0.1
         K = n_periods * (n_modes + 1)
+
+        def symbols(n_idx):
+            theta2 = (n_idx / n_periods) ** 2
+            keep = n_idx <= K
+            lin = np.where(keep, k2 * theta2 * (eps**2 - (1.0 - k2 * theta2) ** 2), 0.0)
+            return theta2, keep, lin
+
+        # oracle: full rfft spectrum on 4K+1 points
         n_points = next_fast_len(4 * K + 1)
-        n_idx = np.arange(n_points // 2 + 1)
-        keep = n_idx <= K
-        theta2 = (n_idx / n_periods) ** 2
-        lin = np.where(keep, k2 * theta2 * (eps**2 - (1.0 - k2 * theta2) ** 2), 0.0)
-        stepper = ev._Etdrk4(lin, dt)
-        f2 = stepper.f2x2 / 2.0
+        theta2, keep, lin = symbols(np.arange(n_points // 2 + 1))
+        oracle = ev._Etdrk4(lin, dt)
+        f2 = oracle.f2x2 / 2.0
 
         def oracle_nonlin(spec):
             u = np.fft.irfft(spec, n_points)
@@ -133,28 +142,62 @@ class TestStepper:
 
         def oracle_step(v):
             n0 = oracle_nonlin(v)
-            a = stepper.e_half * v + stepper.f0 * n0
+            a = oracle.e_half * v + oracle.f0 * n0
             n1 = oracle_nonlin(a)
-            b = stepper.e_half * v + stepper.f0 * n1
+            b = oracle.e_half * v + oracle.f0 * n1
             n2 = oracle_nonlin(b)
-            c = stepper.e_half * a + stepper.f0 * (2.0 * n2 - n0)
+            c = oracle.e_half * a + oracle.f0 * (2.0 * n2 - n0)
             n3 = oracle_nonlin(c)
-            return stepper.e_full * v + stepper.f1 * n0 + 2.0 * f2 * (n1 + n2) + stepper.f3 * n3
+            return oracle.e_full * v + oracle.f1 * n0 + 2.0 * f2 * (n1 + n2) + oracle.f3 * n3
 
+        # an even field: real rfft coefficients
         rng = np.random.default_rng(3)
-        v0 = np.zeros(n_idx.size, dtype=np.complex128)
-        v0[1 : K + 1] = (rng.standard_normal(K) + 1j * rng.standard_normal(K)) * n_points / K
+        v0 = np.zeros(n_points // 2 + 1, dtype=np.complex128)
+        v0[1 : K + 1] = rng.standard_normal(K) * n_points / K
         u0 = np.fft.irfft(v0, n_points)
         assert u0.min() < -0.1 and u0.max() > 0.1  # mixed signs, O(1) cubic
+        expected = oracle_step(oracle_step(v0))[: K + 1] / n_points
 
-        expected = oracle_step(oracle_step(v0))
-        nonlin = ev._cubic_flux(np.where(keep, -k2 * theta2, 0.0), s, n_points)
-        got = v0.copy()
+        # cosine layout: y_n = U_n / N on 2K+1 midpoints
+        n_cos = next_fast_len(2 * K + 1, real=True)
+        theta2, keep, lin = symbols(np.arange(n_cos))
+        stepper = ev._Etdrk4(lin, dt)
+        nonlin = ev._cubic_flux(np.where(keep, -k2 * theta2 / (2 * n_cos), 0.0), s)
+        got = np.zeros(n_cos)
+        got[: K + 1] = v0[: K + 1].real / n_points
         stepper.step(got, nonlin)
         stepper.step(got, nonlin)
-        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
-        assert np.max(np.abs(expected - v0)) > 1e-3 * np.max(np.abs(v0))  # the steps moved it
+        assert got.dtype == stepper._a.dtype == np.float64
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(got[: K + 1] - expected)) <= 1e-13 * scale
+        assert np.max(np.abs(expected[1:] - v0[1 : K + 1] / n_points)) > 1e-3 * scale  # moved
         assert np.all(got[~keep] == 0.0)
+
+
+class TestSeed:
+    def test_non_even_roll_rejected(self):
+        roll = solve_roll(RollParameters(0.05, 0.0, 0.8), GRID)
+        skewed = dataclasses.replace(
+            roll, profile=roll.profile + PeriodicField.sine(GRID, 2, 1e-3)
+        )
+        assert not skewed.profile.even
+        cfg = ev.EvolutionConfig(n_periods=4, dt=0.1, seed_sigma=0.25, t_final=1.0)
+        with pytest.raises(OutOfRange, match="even"):
+            ev.evolve(skewed, cfg)
+
+    def test_sigma_zero_seed_keeps_full_mean(self):
+        # at sigma = 0 the seed Re(V) keeps its full mean V_0
+        roll = solve_roll(RollParameters(0.05, 0.2, 1.0), GRID)
+        vals, vecs = critical_modes(assemble_bloch(roll, 0.0))
+        lead = int(np.argmax(vals.real))
+        v = vecs[:, lead].real
+        xi = GRID.nodes()
+        u = np.cos(np.outer(xi, GRID.modes)) @ v
+        assert abs(np.mean(u)) > 0.01 * np.sqrt(np.mean(u**2))  # a mass-carrying mode
+        cfg = ev.EvolutionConfig(n_periods=4, dt=0.1, seed_sigma=0.0, t_final=1.0)
+        res = ev.evolve(roll, cfg)
+        want = cfg.perturbation_amplitude * np.mean(u) / np.sqrt(np.mean(u**2))
+        assert res.masses[0] == pytest.approx(want, rel=1e-12)
 
 
 class TestMassProperty:
