@@ -4,13 +4,20 @@
 Under the scaling sigma = eps sigma_hat, lambda = eps^2 lambda_hat the
 critical Bloch eigenvalues converge, at first order in eps, to the
 eigenvalues of the 3x3 dispersion matrix of the modified Ginzburg-Landau
-system linearized about its explicit roll.
+system linearized about its explicit roll, whose amplitude times eps is the
+computed roll's cos(xi) coordinate at leading order.
 """
 
 import numpy as np
 
-from conslaw import RollParameters, SpectralGrid, solve_roll
-from conslaw.mgl import MglParameters, compare_exact_vs_mgl, mgl_dispersion_matrix, mgl_small_sigma
+from conslaw import RollParameters, SpectralGrid, measured_alpha, solve_roll
+from conslaw.mgl import (
+    MglParameters,
+    compare_exact_vs_mgl,
+    mgl_dispersion_matrix,
+    mgl_roll_amplitude,
+    mgl_small_sigma,
+)
 
 grid = SpectralGrid(16)
 omega, s = -0.3, 0.8
@@ -30,6 +37,15 @@ for eps in (0.02, 0.04, 0.08):
     roll = solve_roll(RollParameters(eps, omega, s), grid)
     dev = max(r.deviation for r in compare_exact_vs_mgl(roll, np.linspace(-1, 1, 9)))
     print(f"  eps={eps:5.2f}  max deviation {dev:8.4f}  deviation/eps {dev/eps:8.3f}")
+
+print()
+amplitude = mgl_roll_amplitude(omega, s)
+print(f"Explicit amplitude-system roll A = {amplitude:.6f}; eps * A against the")
+print("computed roll's cos(xi) coordinate:")
+for eps in (0.02, 0.04, 0.08):
+    alpha = measured_alpha(solve_roll(RollParameters(eps, omega, s), grid))
+    print(f"  eps={eps:5.2f}  eps*A {eps * amplitude:.6f}  measured {alpha:.6f}  "
+          f"difference/eps^2 {(alpha - eps * amplitude) / eps**2:8.3f}")
 
 print()
 curv, lam_minus, lam_plus = mgl_small_sigma(MglParameters(omega, s))

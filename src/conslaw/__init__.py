@@ -12,19 +12,10 @@ from .errors import (
     StepReject,
     TrivialCollapse,
 )
-from .fourier import (
-    PeriodicField,
-    SpectralGrid,
-    apply_linear_symbol,
-    inner_product,
-    l2_norm,
-    nonlinear_rhs,
-    project_kernel,
-)
+from .fourier import PeriodicField, SpectralGrid, l2_norm
 from .rolls import (
     RollParameters,
     RollSolution,
-    amplitude_A,
     amplitude_alpha,
     asymptotic_roll,
     measured_alpha,
@@ -36,7 +27,6 @@ from .bloch import (
     BlochSpectrum,
     assemble_bloch,
     bloch_spectrum,
-    constant_symbol,
     critical_curve_array,
     critical_curves,
     critical_modes,

@@ -2,12 +2,13 @@
 
 In the shifted basis ``e^{i m xi}`` the operator acts as
 
-    B[m, n] = k^2 (m + sigma)^2 * [ (-(1 - k^2 (m + sigma)^2)^2 + eps^2) d_{mn}
-                                    + g_{m - n} ],
+    B[m, n] = p_m * [ (eps^2 + sh(p_m)) d_{mn} + g_{m - n} ],
+    p_m = k^2 (m + sigma)^2,
 
-where ``g`` are the Fourier coefficients of ``-2 s u - 3 u^2``.  The matrix
-factors as ``B = diag(p) S`` with ``p_m = k^2 (m + sigma)^2 >= 0`` and ``S``
-real symmetric, so ``B`` is similar to the symmetric ``sqrt(p) S sqrt(p)``.
+where ``sh`` is :func:`conslaw.model.swift_hohenberg` and ``g`` are the
+Fourier coefficients of ``-2 s u - 3 u^2``.  The matrix factors as
+``B = diag(p) S`` with ``p >= 0`` and ``S`` real symmetric, so ``B`` is
+similar to the symmetric ``sqrt(p) S sqrt(p)``.
 All eigenvalues are therefore real; the symmetric form is what gets
 eigensolved.  The three critical eigenvalues are then polished by inverse
 iteration plus Rayleigh-Ritz, which restores absolute accuracy near zero that
@@ -35,11 +36,11 @@ from itertools import permutations
 import numpy as np
 
 from .errors import GapViolation, OutOfRange
-from .fourier import PeriodicField, SpectralGrid
+from .fourier import SpectralGrid
+from .model import swift_hohenberg
 from .rolls import RollParameters, RollSolution
 
 __all__ = [
-    "constant_symbol",
     "BlochOperator",
     "BlochSpectrum",
     "assemble_bloch",
@@ -57,15 +58,6 @@ _REFINE_STEPS = 2
 _PERMUTATIONS = np.array(list(permutations(range(3))))
 
 
-def constant_symbol(m: int, sigma: float) -> float:
-    """Eigenvalue of the zero-amplitude operator on ``e^{i m xi}`` at ``k = 1``.
-
-    ``mu_m = -(m + sigma)^2 (1 - (m + sigma)^2)^2``.
-    """
-    t = (m + sigma) ** 2
-    return float(-t * (1.0 - t) ** 2)
-
-
 @dataclass(frozen=True)
 class BlochOperator:
     """Dense Bloch matrix at one Bloch number, plus its symmetric factorization."""
@@ -73,7 +65,6 @@ class BlochOperator:
     params: RollParameters
     sigma: float
     matrix: np.ndarray
-    df_field: PeriodicField
     grid: SpectralGrid
     prefactor: np.ndarray = field(repr=False)
     symmetric_factor: np.ndarray = field(repr=False)
@@ -137,7 +128,7 @@ def _symmetric_factors(df: np.ndarray, k2: float, sigmas: np.ndarray):
     T = 0.5 * (T + T.T)
     kt2 = k2 * (np.arange(-M, M + 1) + sigmas[:, None]) ** 2
     S = np.repeat(T[None], sigmas.size, axis=0)
-    S.reshape(sigmas.size, N * N)[:, :: N + 1] += -((1.0 - kt2) ** 2)
+    S.reshape(sigmas.size, N * N)[:, :: N + 1] += swift_hohenberg(kt2)
     return kt2, S
 
 
@@ -151,14 +142,11 @@ def assemble_bloch(roll: RollSolution, sigma: float, grid: SpectralGrid | None =
     sigmas = _checked_sigmas(float(sigma))
     grid = grid or roll.profile.grid
     M = grid.n_modes
-    df = _reaction_coefficients(roll, M)
-    df_field = PeriodicField(SpectralGrid(2 * M), df.astype(np.complex128), even=True)
-    p, S = _symmetric_factors(df, roll.params.k**2, sigmas)
+    p, S = _symmetric_factors(_reaction_coefficients(roll, M), roll.params.k**2, sigmas)
     return BlochOperator(
         params=roll.params,
         sigma=float(sigma),
         matrix=p[0][:, None] * S[0],
-        df_field=df_field,
         grid=grid,
         prefactor=p[0],
         symmetric_factor=S[0],

@@ -196,12 +196,12 @@ def _cmd_spectrum(opt: _Options) -> int:
 
 
 def _map_cell(task):
-    (eps, w, s, mode, modes, delta) = task
+    (eps, w, s, mode, grid, delta) = task
     pi = dsp.sideband_product(w, s)
     pred = dsp.stability_predicate(w, s).value if mode in ("predicate", "both") else ""
     num, wit_sigma, wit_lambda = "", None, None
     if mode in ("numeric", "both"):
-        roll = solve_roll(RollParameters(eps, w, s), SpectralGrid(modes))
+        roll = solve_roll(RollParameters(eps, w, s), grid)
         verdict = dsp.classify_numerically(roll, delta=delta)
         num = verdict.verdict.value
         wit_sigma = verdict.witness_sigma
@@ -217,9 +217,11 @@ def _cmd_map(opt: _Options) -> int:
     w_min, w_max = opt.get("omega_min"), opt.get("omega_max")
     steps = opt.get("steps", int)
     mode = opt.get("mode", str)
-    modes = opt.get("modes", int)
+    grid = _validated_grid(opt)
     delta = opt.get("delta")
     jobs = opt.get("jobs", int)
+    if jobs < 0:
+        raise OutOfRange(f"--jobs must be >= 0, got {jobs}")
     if mode not in ("predicate", "numeric", "both"):
         raise OutOfRange(f"--mode must be predicate, numeric, or both, got {mode}")
     if steps < 2:
@@ -232,7 +234,7 @@ def _cmd_map(opt: _Options) -> int:
             raise OutOfRange(f"{name} must lie strictly inside (-1/2, 1/2), got {val}")
 
     tasks = [
-        (eps, float(w), float(s), mode, modes, delta)
+        (eps, float(w), float(s), mode, grid, delta)
         for s in np.linspace(s_min, s_max, steps)
         for w in np.linspace(w_min, w_max, steps)
     ]

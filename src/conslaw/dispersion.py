@@ -52,10 +52,6 @@ class ReducedMatrix:
     entries: np.ndarray
     params: tuple[float, float, float, float]  # (eps, omega, s, sigma)
 
-    def eigenvalues(self) -> np.ndarray:
-        vals = np.linalg.eigvals(self.entries)
-        return vals[np.argsort(vals.real)]
-
 
 @dataclass(frozen=True)
 class ReducedCubic:
@@ -102,25 +98,36 @@ def leading_reduced_matrix(params: RollParameters, sigma: float) -> ReducedMatri
     return ReducedMatrix(entries=m, params=(eps, w, s, float(sigma)))
 
 
-def cubic_coefficients(params: RollParameters, sigma: float) -> ReducedCubic:
-    """Characteristic cubic of the leading reduced matrix (leading orders).
+def p_symbols(params: RollParameters) -> tuple[float, float, float, float, float]:
+    """Leading coefficients of the cubic in powers of sigma.
 
-    ``a2 = -c + 9 s^2``-type closed forms; they coincide exactly with the
-    expanded determinant of :func:`leading_reduced_matrix`.
+    Returns ``(P04, P12, P14, P20, P22)`` with ``a0 = P04 s^4 + 16 s^6``,
+    ``a1 = P12 s^2 + P14 s^4`` and ``a2 = P20 + P22 s^2``.
     """
     eps, w, s = params.eps, params.omega, params.s
     c = growth_prefactor(eps, w)
     A = _band_ratio(w, s)
+    P04 = -4.0 * c - 64.0 * w**2 * eps**2 - 288.0 * s**2 * A * eps**2
+    P12 = -5.0 * c - 72.0 * s**2 * A * eps**2 - 64.0 * w**2 * eps**2
+    P14 = 24.0
+    P20 = -c
+    P22 = 9.0
+    return (float(P04), float(P12), float(P14), float(P20), float(P22))
+
+
+def cubic_coefficients(params: RollParameters, sigma: float) -> ReducedCubic:
+    """Characteristic cubic of the leading reduced matrix (leading orders).
+
+    Built from :func:`p_symbols`; it coincides with the expanded determinant
+    of :func:`leading_reduced_matrix` up to rounding.
+    """
+    P04, P12, P14, P20, P22 = p_symbols(params)
     s2 = sigma**2
-    a2 = -c + 9.0 * s2
-    a1 = 24.0 * s2**2 - 5.0 * c * s2 - 72.0 * s**2 * A * s2 * eps**2 - 64.0 * w**2 * s2 * eps**2
-    a0 = (
-        16.0 * s2**3
-        - 4.0 * c * s2**2
-        - 64.0 * w**2 * s2**2 * eps**2
-        - 288.0 * s**2 * A * s2**2 * eps**2
+    return ReducedCubic(
+        a2=float(P20 + P22 * s2),
+        a1=float(P12 * s2 + P14 * s2**2),
+        a0=float(P04 * s2**2 + 16.0 * s2**3),
     )
-    return ReducedCubic(a2=float(a2), a1=float(a1), a0=float(a0))
 
 
 def _real_cbrt(x: float) -> float:
@@ -161,26 +168,6 @@ def cardano_roots(a2: float, a1: float, a0: float) -> ReducedCubic:
 def companion_roots(a2: float, a1: float, a0: float) -> np.ndarray:
     """Companion-matrix roots of the same cubic (the authoritative path)."""
     return np.roots([1.0, a2, a1, a0]).astype(np.complex128)
-
-
-def p_symbols(params: RollParameters, sigma: float = 0.0) -> tuple[float, float, float, float, float]:
-    """Leading coefficients of the cubic in powers of sigma.
-
-    Returns ``(P04, P12, P14, P20, P22)`` with ``a0 = P04 s^4 + 16 s^6``,
-    ``a1 = P12 s^2 + P14 s^4`` and ``a2 = P20 + P22 s^2``.  At leading order
-    they do not depend on sigma; the argument is kept for interface symmetry
-    with the sigma-dependent operations.
-    """
-    del sigma
-    eps, w, s = params.eps, params.omega, params.s
-    c = growth_prefactor(eps, w)
-    A = _band_ratio(w, s)
-    P04 = -4.0 * c - 64.0 * w**2 * eps**2 - 288.0 * s**2 * A * eps**2
-    P12 = -5.0 * c - 72.0 * s**2 * A * eps**2 - 64.0 * w**2 * eps**2
-    P14 = 24.0
-    P20 = -c
-    P22 = 9.0
-    return (float(P04), float(P12), float(P14), float(P20), float(P22))
 
 
 def _sideband_terms(omega: float, s: float) -> tuple[float, float]:

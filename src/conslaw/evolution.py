@@ -29,12 +29,16 @@ from scipy.fftpack import dct
 
 from .bloch import assemble_bloch, critical_modes
 from .errors import BlowUp, OutOfRange, StepReject
+from .model import swift_hohenberg
 from .rolls import RollSolution
 
-__all__ = ["EvolutionConfig", "EvolutionResult", "evolve", "mass", "mass_of_values"]
+__all__ = ["EvolutionConfig", "EvolutionResult", "evolve"]
 
 _T_FINAL_CAP = 1e4
 _BLOWUP_FACTOR = 1e6
+#: A critical mode is seeded only if its seed keeps this fraction of the
+#: eigenvector's norm; below it the seed is the roundoff of an odd mode.
+_SEED_RMS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -91,16 +95,6 @@ class EvolutionResult:
     @property
     def mass_drift(self) -> float:
         return float(np.max(np.abs(self.masses - self.masses[0])))
-
-
-def mass(u) -> float:
-    """Spatial mean of a periodic field (the conserved quantity)."""
-    return float(u.coefficient(0).real)
-
-
-def mass_of_values(values: np.ndarray) -> float:
-    """Spatial mean of point samples on a uniform periodic grid."""
-    return float(np.mean(np.asarray(values, dtype=np.float64)))
 
 
 class _Etdrk4:
@@ -182,20 +176,37 @@ def _rms(y: np.ndarray) -> float:
     return float(np.sqrt(y[0] ** 2 + 2.0 * np.dot(y[1:], y[1:])))
 
 
+def _even_seed(eigvec: np.ndarray, n_periods: int, j: int, n_points: int) -> np.ndarray:
+    """Cosine coefficients of ``Re(e^{i sigma xi} V)`` with ``sigma = j / n_periods``.
+
+    ``Re(e^{i sigma xi} V) = sum_m V_m cos(n xi / n_periods)`` with
+    ``n = m n_periods + j``; each cosine splits evenly between the modes
+    ``+-n``, except ``n = 0``.  At ``sigma = 0`` and ``|sigma| = 1/2`` two
+    ``m`` share one ``|n|``, so the odd part of ``V`` cancels.
+    """
+    M = eigvec.size // 2
+    n = np.arange(-M, M + 1) * n_periods + j
+    y = np.zeros(n_points)
+    np.add.at(y, np.abs(n), np.where(n == 0, 1.0, 0.5) * eigvec)
+    return y
+
+
 def evolve(roll: RollSolution, config: EvolutionConfig) -> EvolutionResult:
     """Integrate roll + Bloch-eigenfunction perturbation and track its norm.
 
     The perturbation seeds the most critical eigenvalue (largest real part of
     the critical triple) at ``seed_sigma``, realized as the real field
     ``Re(e^{i sigma xi} V)``, with the given amplitude relative to a unit-rms
-    eigenfunction.  Returns sampled ``||u(t) - roll||`` (rms over the domain),
-    the conserved mass, and the log-norm slope fitted over the second half of
-    the run.
+    eigenfunction.  Only modes whose field keeps a ``1e-8`` fraction of the
+    eigenvector's norm compete: at ``sigma = 0`` and ``|sigma| = 1/2`` the
+    field of an odd eigenvector (the translation mode) is pure roundoff.
+    Returns sampled ``||u(t) - roll||`` (rms over the domain), the conserved
+    mass, and the log-norm slope fitted over the second half of the run.
 
-    Raises :class:`OutOfRange` for a roll profile that is not even,
-    :class:`BlowUp` when the norm exceeds ``1e6`` times its initial value and
-    :class:`StepReject` when ``dt`` cannot resolve the fastest linear growth
-    rate.
+    Raises :class:`OutOfRange` for a roll profile that is not even or when no
+    critical mode has an even field, :class:`BlowUp` when the norm exceeds
+    ``1e6`` times its initial value and :class:`StepReject` when ``dt`` cannot
+    resolve the fastest linear growth rate.
     """
     if not roll.profile.even:
         raise OutOfRange("evolve integrates the cosine subspace; the roll profile must be even")
@@ -209,17 +220,25 @@ def evolve(roll: RollSolution, config: EvolutionConfig) -> EvolutionResult:
     if abs(sigma) > 0.5:
         raise OutOfRange(f"seed_sigma = {sigma} lies outside [-1/2, 1/2]")
     vals, vecs = critical_modes(assemble_bloch(roll, sigma))
-    lead = int(np.argmax(vals.real))
-    lam = complex(vals[lead])
-    eigvec = vecs[:, lead].real  # real: the Bloch matrix is similar to a symmetric one
 
     # Retained big-lattice cosine modes n <= K, collocation at L >= 2K+1
     # midpoints (exact cubics).
     K = Mper * (Mmodes + 1)
     n_points = next_fast_len(2 * K + 1, real=True)
+
+    # real vectors: the Bloch matrix is similar to a symmetric one
+    seeds = [_even_seed(v, Mper, config.seed_index, n_points) for v in vecs.real.T]
+    rms = np.array([_rms(y) for y in seeds])
+    live = np.flatnonzero(rms > _SEED_RMS_TOL * np.linalg.norm(vecs.real, axis=0))
+    if live.size == 0:
+        raise OutOfRange(f"no critical mode at sigma = {sigma} has an even part on the domain")
+    lead = int(live[np.argmax(vals.real[live])])
+    lam = complex(vals[lead])
+    y_pert = seeds[lead] * (config.perturbation_amplitude / rms[lead])
+
     n_idx = np.arange(n_points)
-    theta2 = (n_idx / Mper) ** 2
-    lin = k2 * theta2 * (params.eps**2 - (1.0 - k2 * theta2) ** 2)
+    kt2 = k2 * (n_idx / Mper) ** 2
+    lin = kt2 * (params.eps**2 + swift_hohenberg(kt2))
     keep = n_idx <= K
     lin = np.where(keep, lin, 0.0)
     lin[0] = 0.0
@@ -231,28 +250,15 @@ def evolve(roll: RollSolution, config: EvolutionConfig) -> EvolutionResult:
         )
 
     # Roll extended over the domain: modes at multiples of n_periods.
-    mid = Mmodes
     y_roll = np.zeros(n_points)
-    y_roll[: (Mmodes + 1) * Mper : Mper] = roll.profile.coeffs[mid:].real
-
-    # Real perturbation Re(e^{i sigma xi} V) = sum_m V_m cos(n xi / M) with
-    # n = m*Mper + j: cos splits evenly between the modes +-n, except n = 0.
-    y_pert = np.zeros(n_points)
-    j0 = config.seed_index
-    for m in range(-Mmodes, Mmodes + 1):
-        n = m * Mper + j0
-        y_pert[abs(n)] += eigvec[mid + m] if n == 0 else 0.5 * eigvec[mid + m]
-    rms = _rms(y_pert)
-    if rms == 0.0:
-        raise OutOfRange("seed eigenfunction vanished on the domain")
-    y_pert *= config.perturbation_amplitude / rms
+    y_roll[: (Mmodes + 1) * Mper : Mper] = roll.profile.coeffs[Mmodes:].real
 
     t_final = config.t_final
     if t_final is None:
         rate = abs(lam.real)
         t_final = min(_T_FINAL_CAP, 10.0 / rate) if rate > 0.0 else _T_FINAL_CAP
 
-    nonlin = _cubic_flux(np.where(keep, -k2 * theta2 / (2 * n_points), 0.0), params.s)
+    nonlin = _cubic_flux(np.where(keep, -kt2 / (2 * n_points), 0.0), params.s)
 
     stepper = _Etdrk4(lin, config.dt)
     state = y_roll + y_pert

@@ -2,11 +2,11 @@
 
 A field is stored as its full complex spectrum ``c_m`` for ``|m| <= M`` with
 the reality constraint ``c_{-m} = conj(c_m)`` enforced at construction.
-Products are evaluated pointwise on at least ``4M + 1`` collocation points and
-truncated back to ``|m| <= M``, which is alias-free for products of up to
-three fields (the model nonlinearity is cubic).
+:attr:`SpectralGrid.n_points` has at least ``4M + 1`` collocation points, so
+a product of up to three fields sampled there and truncated back to
+``|m| <= M`` is alias-free (the model nonlinearity is cubic).
 
-The inner product is ``<u, v> = (1/pi) * integral_0^{2pi} u v dxi``, the
+The norm is induced by ``<u, v> = (1/pi) * integral_0^{2pi} u v dxi``, the
 normalization under which ``<cos, cos> = <sin, sin> = 1`` and ``<1, 1> = 2``.
 """
 
@@ -19,16 +19,7 @@ from scipy.fft import next_fast_len
 
 from .errors import OutOfRange
 
-__all__ = [
-    "SpectralGrid",
-    "PeriodicField",
-    "apply_linear_symbol",
-    "nonlinear_rhs",
-    "inner_product",
-    "l2_norm",
-    "project_kernel",
-    "derivative",
-]
+__all__ = ["SpectralGrid", "PeriodicField", "l2_norm"]
 
 #: Tolerance accepted for reality/evenness defects in input coefficients.
 _SYMMETRY_TOL = 1e-9
@@ -49,7 +40,7 @@ class SpectralGrid:
 
     def __post_init__(self) -> None:
         if int(self.n_modes) != self.n_modes or self.n_modes < 8:
-            raise ValueError(f"n_modes must be an integer >= 8, got {self.n_modes}")
+            raise OutOfRange(f"n_modes must be an integer >= 8, got {self.n_modes}")
         object.__setattr__(self, "n_modes", int(self.n_modes))
 
     @property
@@ -62,10 +53,6 @@ class SpectralGrid:
         """Integer mode numbers ``-M .. M`` in storage order."""
         return np.arange(-self.n_modes, self.n_modes + 1)
 
-    def nodes(self) -> np.ndarray:
-        """Collocation points ``xi_j = 2 pi j / n_points``."""
-        return 2.0 * np.pi * np.arange(self.n_points) / self.n_points
-
 
 @dataclass(frozen=True)
 class PeriodicField:
@@ -74,7 +61,7 @@ class PeriodicField:
     ``coeffs[i]`` is ``c_m`` with ``m = i - M``.  Construction symmetrizes the
     spectrum so that ``c_{-m} == conj(c_m)`` holds exactly; setting ``even``
     additionally forces a pure cosine series (all coefficients real).
-    Instances are immutable; every operation returns a new field.
+    Instances are immutable.
     """
 
     grid: SpectralGrid
@@ -107,17 +94,6 @@ class PeriodicField:
         return cls(grid, np.zeros(2 * grid.n_modes + 1, dtype=np.complex128), even=even)
 
     @classmethod
-    def from_values(cls, grid: SpectralGrid, values: np.ndarray, even: bool = False) -> "PeriodicField":
-        """Project point values on ``grid.nodes()`` onto modes ``|m| <= M``."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (grid.n_points,):
-            raise ValueError(f"expected {grid.n_points} point values, got shape {values.shape}")
-        spec = np.fft.fft(values) / grid.n_points
-        m = grid.n_modes
-        c = np.concatenate([spec[-m:], spec[: m + 1]])
-        return cls(grid, c, even=even)
-
-    @classmethod
     def from_cosines(cls, grid: SpectralGrid, cosine_coeffs: np.ndarray) -> "PeriodicField":
         """Build an even field from ``a_0 + sum_m a_m cos(m xi)`` coefficients."""
         a = np.asarray(cosine_coeffs, dtype=np.float64)
@@ -130,35 +106,6 @@ class PeriodicField:
             c[mid + m] = 0.5 * a[m]
             c[mid - m] = 0.5 * a[m]
         return cls(grid, c, even=True)
-
-    @classmethod
-    def cosine(cls, grid: SpectralGrid, m: int, amplitude: float = 1.0) -> "PeriodicField":
-        """The field ``amplitude * cos(m xi)`` (a constant for ``m = 0``)."""
-        a = np.zeros(abs(m) + 1)
-        a[abs(m)] = amplitude
-        return cls.from_cosines(grid, a)
-
-    @classmethod
-    def sine(cls, grid: SpectralGrid, m: int, amplitude: float = 1.0) -> "PeriodicField":
-        """The field ``amplitude * sin(m xi)``."""
-        if m == 0:
-            return cls.zeros(grid)
-        c = np.zeros(2 * grid.n_modes + 1, dtype=np.complex128)
-        mid = grid.n_modes
-        c[mid + m] = amplitude / 2j
-        c[mid - m] = -amplitude / 2j
-        return cls(grid, c)
-
-    @classmethod
-    def from_triples(cls, grid: SpectralGrid, triples) -> "PeriodicField":
-        """Inverse of :meth:`to_triples`; missing modes are zero."""
-        c = np.zeros(2 * grid.n_modes + 1, dtype=np.complex128)
-        for m, re, im in triples:
-            m = int(m)
-            if abs(m) > grid.n_modes:
-                raise ValueError(f"mode {m} outside |m| <= {grid.n_modes}")
-            c[grid.n_modes + m] = complex(re, im)
-        return cls(grid, c)
 
     # ------------------------------------------------------------------
     # accessors
@@ -177,11 +124,9 @@ class PeriodicField:
         a[0] = self.coeffs[mid].real
         return a
 
-    def values(self, n_points: int | None = None) -> np.ndarray:
-        """Evaluate on ``n_points`` (default ``grid.n_points``) uniform nodes."""
-        n = self.grid.n_points if n_points is None else int(n_points)
-        if n < 2 * self.grid.n_modes + 1:
-            raise ValueError("too few points to represent the spectrum")
+    def values(self) -> np.ndarray:
+        """Evaluate on the ``grid.n_points`` uniform nodes ``xi_j = 2 pi j / n_points``."""
+        n = self.grid.n_points
         spec = np.zeros(n, dtype=np.complex128)
         m = self.grid.n_modes
         spec[: m + 1] = self.coeffs[m:]
@@ -195,92 +140,12 @@ class PeriodicField:
             for m, c in zip(self.grid.modes, self.coeffs)
         ]
 
-    # ------------------------------------------------------------------
-    # arithmetic (dealiased)
-    # ------------------------------------------------------------------
-
-    def _binary(self, other: "PeriodicField", op) -> "PeriodicField":
+    def __sub__(self, other: "PeriodicField") -> "PeriodicField":
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")
-        return PeriodicField(self.grid, op(self.coeffs, other.coeffs), even=self.even and other.even)
-
-    def __add__(self, other: "PeriodicField") -> "PeriodicField":
-        return self._binary(other, np.add)
-
-    def __sub__(self, other: "PeriodicField") -> "PeriodicField":
-        return self._binary(other, np.subtract)
-
-    def __neg__(self) -> "PeriodicField":
-        return PeriodicField(self.grid, -self.coeffs, even=self.even)
-
-    def __mul__(self, other):
-        if isinstance(other, PeriodicField):
-            if self.grid != other.grid:
-                raise ValueError("fields live on different grids")
-            vals = self.values() * other.values()
-            return PeriodicField.from_values(self.grid, vals, even=self.even and other.even)
-        return PeriodicField(self.grid, self.coeffs * float(other), even=self.even)
-
-    __rmul__ = __mul__
-
-
-def derivative(u: PeriodicField, order: int = 1) -> PeriodicField:
-    """Spectral derivative ``d^order u / dxi^order``."""
-    factor = (1j * u.grid.modes) ** order
-    return PeriodicField(u.grid, u.coeffs * factor)
-
-
-def apply_linear_symbol(u: PeriodicField, k: float, eps: float) -> PeriodicField:
-    """Apply the linearization about zero, ``-k^2 d^2/dxi^2 (-(1 + k^2 d^2/dxi^2)^2 + eps^2)``.
-
-    Mode ``m`` is multiplied by ``k^2 m^2 (-(1 - k^2 m^2)^2 + eps^2)``; the
-    conserved mode ``m = 0`` is zeroed exactly rather than left to rounding.
-    """
-    if k <= 0:
-        raise OutOfRange("wavenumber k must be positive")
-    m = u.grid.modes.astype(np.float64)
-    symbol = k**2 * m**2 * (-((1.0 - k**2 * m**2) ** 2) + eps**2)
-    symbol[u.grid.n_modes] = 0.0
-    return PeriodicField(u.grid, u.coeffs * symbol, even=u.even)
-
-
-def nonlinear_rhs(u: PeriodicField, s: float, eps: float, k: float) -> PeriodicField:
-    """Full stationary operator ``-k^2 d^2 [-(1 + k^2 d^2)^2 u + eps^2 u - s u^2 - u^3]``.
-
-    The quadratic and cubic terms are evaluated pointwise on the dealiased
-    collocation grid, so the retained modes are exact.  The conserved mode of
-    the output is exactly zero.
-    """
-    if k <= 0:
-        raise OutOfRange("wavenumber k must be positive")
-    vals = u.values()
-    g = PeriodicField.from_values(u.grid, -s * vals**2 - vals**3, even=u.even)
-    m = u.grid.modes.astype(np.float64)
-    inner = (-((1.0 - k**2 * m**2) ** 2) + eps**2) * u.coeffs + g.coeffs
-    out = k**2 * m**2 * inner
-    out[u.grid.n_modes] = 0.0
-    return PeriodicField(u.grid, out, even=u.even)
-
-
-def inner_product(u: PeriodicField, v: PeriodicField) -> float:
-    """``(1/pi) * integral_0^{2pi} u v dxi`` evaluated exactly from coefficients."""
-    if u.grid != v.grid:
-        raise ValueError("fields live on different grids")
-    return float(2.0 * np.sum(u.coeffs * np.conj(v.coeffs)).real)
+        return PeriodicField(self.grid, self.coeffs - other.coeffs, even=self.even and other.even)
 
 
 def l2_norm(u: PeriodicField) -> float:
-    """Norm induced by :func:`inner_product`."""
-    return float(np.sqrt(max(inner_product(u, u), 0.0)))
-
-
-def project_kernel(u: PeriodicField) -> tuple[float, float, float]:
-    """Coordinates of ``u`` on the kernel basis ``(cos xi, sin xi, 1)``.
-
-    Returns ``(<cos, u>, <sin, u>, (1/2) <1, u>)``, the vector form of the
-    projection onto the three neutral modes.
-    """
-    c1 = u.coefficient(1)
-    c0 = u.coefficient(0)
-    return (2.0 * c1.real, -2.0 * c1.imag, c0.real)
-
+    """Norm induced by ``<u, v> = (1/pi) * integral_0^{2pi} u v dxi``, exact from coefficients."""
+    return float(np.sqrt(max(float(2.0 * np.sum(u.coeffs * np.conj(u.coeffs)).real), 0.0)))

@@ -12,6 +12,9 @@ compared against the exact Bloch computation under the scaling
 
 The small-sigma closed forms deliberately duplicate the reduced-dispersion
 formulas instead of importing them: their agreement is a cross-module test.
+The system's right-hand side is not needed here; ``tests/test_mgl.py`` keeps
+it as the oracle that the explicit roll is stationary and that the matrix
+is its linearization.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ __all__ = [
     "mgl_dispersion_matrix",
     "mgl_small_sigma",
     "compare_exact_vs_mgl",
-    "mgl_rhs",
 ]
 
 
@@ -48,11 +50,6 @@ class MglParameters:
             raise OutOfRange(f"|omega| must be <= 1/2, got {self.omega}")
         if abs(self.s) >= np.sqrt(13.5):
             raise OutOfRange(f"|s| must be < sqrt(27/2), got {self.s}")
-
-    @property
-    def amplitude(self) -> float:
-        """Roll amplitude ``6 sqrt((1 - 4 omega^2)/(27 - 2 s^2))``."""
-        return mgl_roll_amplitude(self.omega, self.s)
 
 
 @dataclass(frozen=True)
@@ -160,32 +157,3 @@ def compare_exact_vs_mgl(
         )
     return rows
 
-
-def mgl_rhs(
-    params: MglParameters,
-    A: np.ndarray,
-    B: np.ndarray,
-    length: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side of the amplitude system on a periodic slow domain.
-
-    ``A`` (complex) and ``B`` (real) are point values on a uniform grid over
-    ``[0, length)``; derivatives are spectral.  The mean-mode equation is a
-    full second derivative, so the spatial mean of ``dB/dt`` vanishes exactly.
-    """
-    A = np.asarray(A, dtype=np.complex128)
-    B = np.asarray(B, dtype=np.float64)
-    if A.shape != B.shape or A.ndim != 1:
-        raise ValueError("A and B must be 1-d arrays of equal length")
-    n = A.size
-    kappa = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
-    lap = -(kappa**2)
-
-    def d2(f: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(lap * np.fft.fft(f))
-
-    s = params.s
-    cubic = (27.0 - 2.0 * s**2) / 36.0
-    dA = 4.0 * d2(A) + A - cubic * np.abs(A) ** 2 * A - 2.0 * s * A * B
-    dB = d2(B).real + 0.5 * s * d2(np.abs(A) ** 2).real
-    return dA, dB

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import NoConvergence, OutOfRange, TrivialCollapse
 from .fourier import PeriodicField, SpectralGrid
+from .model import swift_hohenberg
 
 __all__ = [
     "RollParameters",
@@ -26,7 +27,6 @@ __all__ = [
     "asymptotic_roll",
     "solve_roll",
     "zero_roll",
-    "amplitude_A",
     "amplitude_alpha",
     "measured_alpha",
 ]
@@ -38,8 +38,9 @@ _OMEGA_EDGE_TOL = 1e-14
 class RollParameters:
     """Bifurcation parameter ``eps``, band coordinate ``omega``, quadratic ``s``.
 
-    Requires ``0 <= eps``, ``|omega| <= 1/2`` and ``27 - 2 s^2 > 0``; the roll
-    wavenumber ``k = sqrt(1 + 2 omega eps)`` is derived.
+    Requires ``0 <= eps``, ``|omega| <= 1/2``, ``27 - 2 s^2 > 0`` and
+    ``1 + 2 omega eps > 0``; the roll wavenumber ``k = sqrt(1 + 2 omega eps)``
+    is derived.
     """
 
     eps: float
@@ -53,6 +54,11 @@ class RollParameters:
             raise OutOfRange(f"omega must lie in [-1/2, 1/2], got {self.omega}")
         if 27.0 - 2.0 * self.s**2 <= 0.0:
             raise OutOfRange(f"need 27 - 2 s^2 > 0, got s = {self.s}")
+        if 1.0 + 2.0 * self.omega * self.eps <= 0.0:
+            raise OutOfRange(
+                f"wavenumber k = sqrt(1 + 2 omega eps) must be positive, got eps = {self.eps}, "
+                f"omega = {self.omega}"
+            )
 
     @property
     def k(self) -> float:
@@ -80,9 +86,6 @@ class RollSolution:
     residual_norm: float
     newton_iters: int
 
-    def is_zero(self) -> bool:
-        return float(np.max(np.abs(self.profile.coeffs))) == 0.0
-
 
 def _expansion_cosines(params: RollParameters) -> np.ndarray:
     """Cosine coefficients of the two-term small-amplitude expansion."""
@@ -102,20 +105,9 @@ def asymptotic_roll(params: RollParameters, grid: SpectralGrid) -> PeriodicField
     return PeriodicField.from_cosines(grid, _expansion_cosines(params))
 
 
-def amplitude_A(params: RollParameters) -> float:
-    """Squared-amplitude bifurcation quantity through third order in eps."""
-    eps, w, s = params.eps, params.omega, params.s
-    denom = 27.0 - 2.0 * s**2
-    band = 1.0 - 4.0 * w**2
-    return 36.0 * band / denom * eps**2 - 384.0 * w * s**2 * band / denom**2 * eps**3
-
-
 def amplitude_alpha(params: RollParameters) -> float:
     """Closed-form amplitude of the cos(xi) component through second order."""
-    eps, w, s = params.eps, params.omega, params.s
-    denom = 27.0 - 2.0 * s**2
-    band = 1.0 - 4.0 * w**2
-    return 6.0 * np.sqrt(band / denom) * eps - 32.0 * w * s**2 * np.sqrt(band / denom**3) * eps**2
+    return float(_expansion_cosines(params)[1])
 
 
 def measured_alpha(roll: RollSolution) -> float:
@@ -154,7 +146,7 @@ def _residual_and_multiplier(a: np.ndarray, params: RollParameters, grid: Spectr
     vals = u.values()
     g = _cosine_spectrum(-params.s * vals**2 - vals**3, M)
     m = np.arange(1, M + 1, dtype=np.float64)
-    lin = params.eps**2 - (1.0 - k2 * m**2) ** 2
+    lin = params.eps**2 + swift_hohenberg(k2 * m**2)
     F = -k2 * (lin * a + g[1:])
     q = -k2 * g[0]
     return F, q, u, vals
@@ -174,7 +166,7 @@ def _jacobian(a: np.ndarray, vals: np.ndarray, params: RollParameters, grid: Spe
     plus = h[np.add.outer(m, m)]
     minus = h[np.abs(np.subtract.outer(m, m))]
     J_nl = 0.5 * (plus + minus) + 0.5 * h[0] * np.eye(M)
-    lin = params.eps**2 - (1.0 - k2 * m.astype(np.float64) ** 2) ** 2
+    lin = params.eps**2 + swift_hohenberg(k2 * m.astype(np.float64) ** 2)
     return -k2 * (np.diag(lin) + J_nl)
 
 

@@ -7,17 +7,23 @@ from conslaw import bloch
 from conslaw.bloch import (
     assemble_bloch,
     bloch_spectrum,
-    constant_symbol,
     critical_curve_array,
     critical_curves,
     critical_modes,
     critical_triples,
 )
 from conslaw.errors import GapViolation, OutOfRange
-from conslaw.fourier import SpectralGrid, derivative
+from conslaw.fourier import SpectralGrid
+from conslaw.model import swift_hohenberg
 from conslaw.rolls import RollParameters, solve_roll, zero_roll
 
 GRID = SpectralGrid(16)
+
+
+def constant_symbol(m, sigma):
+    """Eigenvalue ``t * sh(t)``, ``t = (m + sigma)^2``, of the zero-amplitude operator at k = 1."""
+    t = (m + sigma) ** 2
+    return t * swift_hohenberg(t)
 
 
 class TestConstantSymbol:
@@ -57,14 +63,17 @@ class TestAssembly:
         # d/dxi of the stationary profile is annihilated at sigma = 0
         roll = solve_roll(RollParameters(0.08, 0.2, 1.0), GRID)
         op = assemble_bloch(roll, 0.0)
-        v = derivative(roll.profile).coeffs
+        v = 1j * GRID.modes * roll.profile.coeffs
         assert np.max(np.abs(op.matrix @ v)) < 1e-9
 
     def test_df_field_content(self):
+        # the reaction coefficients (modes -2M..2M) against df(u) pointwise
         roll = solve_roll(RollParameters(0.05, 0.0, 1.0), GRID)
-        op = assemble_bloch(roll, 0.1)
-        vals = op.df_field.values()
-        u = roll.profile.values(op.df_field.grid.n_points)
+        M = GRID.n_modes
+        df = bloch._reaction_coefficients(roll, M)
+        xi = 2.0 * np.pi * np.arange(4 * M + 1) / (4 * M + 1)
+        vals = (np.exp(1j * np.outer(xi, np.arange(-2 * M, 2 * M + 1))) @ df).real
+        u = (np.exp(1j * np.outer(xi, GRID.modes)) @ roll.profile.coeffs).real
         expect = roll.params.eps**2 - 2.0 * roll.params.s * u - 3.0 * u**2
         assert np.max(np.abs(vals - expect)) < 1e-13
 

@@ -44,6 +44,9 @@ class TestValidation:
             (("solve", "--eps", "0.05", "--omega", "0", "--s", "4"), "--s"),
             (("spectrum", "--eps", "0.05", "--omega", "0", "--s", "0", "--sigma-max", "0.8"), "--sigma-max"),
             (("solve", "--eps", "0.05", "--omega", "0"), "--s"),
+            # checked before any cell is solved, so no pool worker sees it
+            (("map", "--eps", "0.02", "--steps", "2", "--modes", "6", "--jobs", "2"), "--modes"),
+            (("map", "--eps", "0.02", "--steps", "2", "--mode", "predicate", "--jobs", "-1"), "--jobs"),
         ],
     )
     def test_rejects_bad_flags(self, capsys, argv, needle):

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from conslaw.errors import OutOfRange
-from conslaw.fourier import PeriodicField, SpectralGrid, inner_product, l2_norm
+from conslaw.fourier import SpectralGrid, l2_norm
 from conslaw.rolls import (
     RollParameters,
-    amplitude_A,
     amplitude_alpha,
     asymptotic_roll,
     measured_alpha,
@@ -50,11 +49,6 @@ class TestClosedForms:
         assert a[1] == pytest.approx(0.06)
         assert a[2] == pytest.approx(-2.0e-4)
 
-    def test_amplitude_A(self):
-        assert amplitude_A(RollParameters(0.1, 0.0, 0.0)) == pytest.approx(36.0 / 27.0 * 0.01)
-        assert amplitude_A(RollParameters(0.3, 0.5, 1.2)) == 0.0
-        assert amplitude_A(RollParameters(0.1, 0.25, 1.0)) == pytest.approx(0.0106848)
-
     def test_amplitude_alpha(self):
         assert amplitude_alpha(RollParameters(0.1, 0.0, 0.0)) == pytest.approx(6.0 / np.sqrt(27.0) * 0.1)
         assert amplitude_alpha(RollParameters(0.1, 0.5, 2.0)) == 0.0
@@ -70,7 +64,7 @@ class TestSolveRoll:
 
     def test_band_edge_returns_equilibrium(self):
         roll = solve_roll(RollParameters(0.05, 0.5, 0.0), GRID)
-        assert roll.is_zero()
+        assert np.all(roll.profile.coeffs == 0.0)
         assert roll.q == 0.0
 
     def test_converged_diagnostics(self):
@@ -81,7 +75,7 @@ class TestSolveRoll:
     def test_profile_even_and_mean_free(self):
         roll = solve_roll(RollParameters(0.08, -0.3, 0.8), GRID)
         assert np.max(np.abs(roll.profile.coeffs.imag)) == 0.0  # pure cosine
-        assert abs(inner_product(PeriodicField.cosine(GRID, 0), roll.profile)) < 1e-13
+        assert abs(roll.profile.coefficient(0)) < 1e-13
 
     def test_positive_at_origin(self):
         roll = solve_roll(RollParameters(0.05, 0.25, 1.0), GRID)
