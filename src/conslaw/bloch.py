@@ -94,7 +94,7 @@ def _checked_sigmas(sigmas) -> np.ndarray:
     sigmas = np.asarray(sigmas, dtype=np.float64).reshape(-1)
     outside = np.flatnonzero(np.abs(sigmas) > 0.5)
     if outside.size:
-        raise OutOfRange(f"sigma must lie in [-1/2, 1/2], got {float(sigmas[outside[0]])}")
+        raise OutOfRange(f"sigma must lie in [-1/2, 1/2], got {float(sigmas[outside[0]])}", param="sigma")
     return sigmas
 
 
@@ -240,6 +240,9 @@ def _eig_deflated(p: np.ndarray, S: np.ndarray):
     e0 = np.zeros((n, N, 1))
     e0[:, M] = 1.0
     v0 = _solve(S, e0, _least_squares)[:, :, 0]
+    # S is singular, so the solve leaves a roundoff-dependent odd part; S
+    # commutes with m -> -m and e_0 is even, so the even part solves S v = e_0.
+    v0 = 0.5 * (v0 + v0[:, ::-1])
     # Boolean indexing leaves the stack non-contiguous; matmul on the
     # contiguous copy rounds exactly as it does on a single matrix.
     sub = np.ascontiguousarray(S[:, keep][:, :, keep])
@@ -295,9 +298,10 @@ def _certified_gaps(others: np.ndarray, delta: float) -> np.ndarray:
     return gaps
 
 
-def _check_delta(delta: float) -> None:
+def check_delta(delta: float) -> None:
+    """Raise :class:`OutOfRange` unless the required gap ``delta`` is positive."""
     if delta <= 0.0:
-        raise OutOfRange(f"delta must be positive, got {delta}")
+        raise OutOfRange(f"delta must be positive, got {delta}", param="delta")
 
 
 def _spectra(sigmas, vals, vecs, others, gaps) -> list[BlochSpectrum]:
@@ -342,7 +346,7 @@ def bloch_spectrum(op: BlochOperator, delta: float = 1.0) -> BlochSpectrum:
     Raises :class:`GapViolation` when the non-critical spectrum does not stay
     below ``-delta``, i.e. when the three-eigenvalue decomposition breaks.
     """
-    _check_delta(delta)
+    check_delta(delta)
     vals, vecs, others = _solve_operator(op)
     gaps = _certified_gaps(others, delta)
     return _spectra([op.sigma], vals, vecs, others, gaps)[0]
@@ -370,7 +374,7 @@ def critical_triples(
     :func:`bloch_spectrum`, for the first offending sigma in sweep order;
     no per-sigma spectra are built and no curves are matched.
     """
-    _check_delta(delta)
+    check_delta(delta)
     _, vals, _, others = _solve_sweep(roll, sigmas, grid)
     _certified_gaps(others, delta)
     return vals
@@ -389,7 +393,7 @@ def critical_curves(
     is chosen, so the returned ``critical`` index triples trace three
     continuous curves.
     """
-    _check_delta(delta)
+    check_delta(delta)
     sigmas, vals, vecs, others = _solve_sweep(roll, sigmas, grid)
     gaps = _certified_gaps(others, delta)
     return _spectra(sigmas, vals, vecs, others, gaps)

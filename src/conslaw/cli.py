@@ -1,19 +1,25 @@
 """Command-line front end.
 
 Subcommands: ``solve``, ``spectrum``, ``map``, ``compare``, ``evolve``,
-``verify``.  Option values resolve as flags > ``CONSLAW_<NAME>`` environment
-variables > ``--config`` JSON file > built-in defaults, and every parameter
-is validated before any computation starts.  Exit codes: 0 success, 2
-validation error, 3 numerical failure.
+``verify``.  Each subcommand declares its options once, in ``_COMMANDS``, and
+the parser is generated from that table.  Option values resolve as flags >
+``CONSLAW_<NAME>`` environment variables > ``--config`` JSON file > built-in
+defaults; every source goes through the same cast and choice or bound check.
+Parameter ranges are the library's: its :class:`OutOfRange` names the
+parameter, and :func:`main` reports the flag that feeds it.  Exit codes: 0
+success, 2 validation error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,36 +27,74 @@ from . import acceptance
 from . import dispersion as dsp
 from . import evolution as ev
 from . import mgl
-from .bloch import critical_curve_array, critical_curves
+from .bloch import check_delta, critical_curve_array, critical_curves
 from .errors import ConslawError, OutOfRange
 from .fourier import SpectralGrid
-from .rolls import RollParameters, solve_roll
+from .rolls import RollParameters, check_solvable, solve_roll
 
 _EXIT_OK = 0
 _EXIT_USAGE = 2
 _EXIT_NUMERICAL = 3
 
-_DEFAULTS = {
-    "modes": 32,
-    "delta": 1.0,
-    "tol": 1e-12,
-    "format": "csv",
-    "jobs": 0,  # 0 = all cores
-    "sigma_min": 0.0,
-    "sigma_max": 0.45,
-    "sigma_steps": 19,
-    "sigma_hat_max": 1.0,
-    "steps": 11,
-    "mode": "both",
-    "s_min": -1.5,
-    "s_max": 1.5,
-    "omega_min": -0.45,
-    "omega_max": 0.45,
-    "periods": 4,
-    "dt": 0.1,
-    "t_final": None,
-    "amp": 1e-6,
-}
+_BOUNDS = {">=": operator.ge, ">": operator.gt}
+
+
+@dataclass(frozen=True)
+class _Opt:
+    """One option: flag ``--name``, variable ``CONSLAW_NAME``, config key ``name``.
+
+    ``param`` names the library parameter the option feeds when it is spelt
+    differently; ``bound`` is ``(">=" or ">", limit)`` for the checks that
+    no library object makes.
+    """
+
+    name: str
+    type: type = float
+    default: object = None
+    required: bool = False
+    choices: tuple = ()
+    bound: tuple | None = None
+    param: str | None = None
+    help: str = ""
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+def _resolve(opt: _Opt, args: argparse.Namespace, config: dict):
+    """flags > CONSLAW_* env > config file > default, every source cast alike."""
+    env = f"CONSLAW_{opt.name.upper()}"
+    given = [(src, raw) for src, raw in ((opt.flag, getattr(args, opt.name)), (env, os.environ.get(env)))
+             if raw is not None]
+    if opt.name in config:
+        given.append(("--config", config[opt.name]))
+    if not given:
+        if opt.required:
+            raise OutOfRange(f"{opt.flag} is required")
+        return opt.default
+    source, raw = given[0]
+    try:
+        if not isinstance(raw, (str, int, float)):
+            raise ValueError
+        value = opt.type(str(raw))
+    except ValueError:
+        raise OutOfRange(f"{opt.flag} expects {opt.type.__name__}, got {raw!r} from {source}") from None
+    if opt.choices and value not in opt.choices:
+        raise OutOfRange(f"{opt.flag} must be one of {', '.join(opt.choices)}, got {value!r}")
+    if opt.bound and not _BOUNDS[opt.bound[0]](value, opt.bound[1]):
+        raise OutOfRange(f"{opt.flag} must be {opt.bound[0]} {opt.bound[1]}, got {value}")
+    return value
+
+
+def _options(args: argparse.Namespace, options: tuple[_Opt, ...]) -> SimpleNamespace:
+    config = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise OutOfRange("--config: file must contain a JSON object")
+    return SimpleNamespace(**{opt.name: _resolve(opt, args, config) for opt in options})
 
 
 def _fmt(x) -> str:
@@ -62,74 +106,15 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _resolve(args: argparse.Namespace, key: str, cast, config: dict):
-    """flags > CONSLAW_* env > config file > defaults."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    env = os.environ.get(f"CONSLAW_{key.upper()}")
-    if env is not None:
-        try:
-            return cast(env)
-        except ValueError as exc:
-            raise OutOfRange(f"environment CONSLAW_{key.upper()}: {exc}") from exc
-    if key in config:
-        return cast(config[key])
-    return _DEFAULTS.get(key)
-
-
-class _Options:
-    """Resolved option values for one invocation."""
-
-    def __init__(self, args: argparse.Namespace):
-        config = {}
-        if getattr(args, "config", None):
-            with open(args.config, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
-            if not isinstance(config, dict):
-                raise OutOfRange("--config: file must contain a JSON object")
-        self._args = args
-        self._config = config
-
-    def get(self, key: str, cast=float):
-        return _resolve(self._args, key, cast, self._config)
-
-
-def _validated_params(opt: _Options) -> RollParameters:
-    eps = opt.get("eps")
-    omega = opt.get("omega")
-    s = opt.get("s")
-    for name, val in (("--eps", eps), ("--omega", omega), ("--s", s)):
-        if val is None:
-            raise OutOfRange(f"{name} is required")
-    if eps < 0.0 or eps > 0.2:
-        raise OutOfRange(f"--eps must lie in [0, 0.2], got {eps}")
-    if abs(omega) > 0.5:
-        raise OutOfRange(f"--omega must lie in [-1/2, 1/2], got {omega}")
-    if 27.0 - 2.0 * s * s <= 0.0:
-        raise OutOfRange(f"--s must satisfy 27 - 2 s^2 > 0, got {s}")
-    return RollParameters(eps, omega, s)
-
-
-def _validated_grid(opt: _Options) -> SpectralGrid:
-    modes = opt.get("modes", int)
-    if modes < 8:
-        raise OutOfRange(f"--modes must be >= 8, got {modes}")
-    return SpectralGrid(modes)
-
-
-def _emit(opt: _Options, header: list[str], rows: list[list], out_path):
-    fmt = opt.get("format", str)
-    if fmt not in ("csv", "json"):
-        raise OutOfRange(f"--format must be csv or json, got {fmt}")
-    if fmt == "csv":
+def _emit(o: SimpleNamespace, header: list[str], rows: list[list]) -> None:
+    if o.format == "csv":
         lines = [",".join(header)]
         lines += [",".join(_fmt(x) for x in row) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
         records = [dict(zip(header, row)) for row in rows]
         text = json.dumps(records, indent=2) + "\n"
-    _write(text, out_path)
+    _write(text, o.output)
 
 
 def _write(text: str, out_path) -> None:
@@ -145,13 +130,13 @@ def _write(text: str, out_path) -> None:
 # ----------------------------------------------------------------------
 
 
-def _cmd_solve(opt: _Options) -> int:
-    params = _validated_params(opt)
-    grid = _validated_grid(opt)
-    tol = opt.get("tol")
-    if tol < 1e-13:
-        raise OutOfRange(f"--tol must be >= 1e-13, got {tol}")
-    roll = solve_roll(params, grid, tol=tol)
+def _roll(o: SimpleNamespace, **kwargs):
+    return solve_roll(RollParameters(o.eps, o.omega, o.s), SpectralGrid(o.modes), **kwargs)
+
+
+def _cmd_solve(o: SimpleNamespace) -> int:
+    roll = _roll(o, tol=o.tol)
+    params = roll.params
     payload = {
         "eps": params.eps,
         "omega": params.omega,
@@ -162,26 +147,13 @@ def _cmd_solve(opt: _Options) -> int:
         "newton_iters": roll.newton_iters,
         "coefficients": roll.profile.to_triples(),
     }
-    _write(json.dumps(payload, indent=2) + "\n", opt.get("output", str))
+    _write(json.dumps(payload, indent=2) + "\n", o.output)
     return _EXIT_OK
 
 
-def _cmd_spectrum(opt: _Options) -> int:
-    params = _validated_params(opt)
-    grid = _validated_grid(opt)
-    lo, hi = opt.get("sigma_min"), opt.get("sigma_max")
-    steps = opt.get("sigma_steps", int)
-    delta = opt.get("delta")
-    for name, val in (("--sigma-min", lo), ("--sigma-max", hi)):
-        if not -0.5 <= val <= 0.5:
-            raise OutOfRange(f"{name} must lie in [-1/2, 1/2], got {val}")
-    if steps < 1:
-        raise OutOfRange(f"--sigma-steps must be >= 1, got {steps}")
-    if delta <= 0:
-        raise OutOfRange(f"--delta must be positive, got {delta}")
-    roll = solve_roll(params, grid)
-    sigmas = np.linspace(lo, hi, steps)
-    spectra = critical_curves(roll, sigmas, delta=delta)
+def _cmd_spectrum(o: SimpleNamespace) -> int:
+    roll = _roll(o)
+    spectra = critical_curves(roll, np.linspace(o.sigma_min, o.sigma_max, o.sigma_steps), delta=o.delta)
     curves = critical_curve_array(spectra)
     header = ["sigma", "re_lambda1", "im_lambda1", "re_lambda2", "im_lambda2", "re_lambda3", "im_lambda3", "gap"]
     rows = []
@@ -191,78 +163,53 @@ def _cmd_spectrum(opt: _Options) -> int:
             row += [curves[j, i].real, curves[j, i].imag]
         row.append(spec.gap)
         rows.append(row)
-    _emit(opt, header, rows, opt.get("output", str))
+    _emit(o, header, rows)
     return _EXIT_OK
 
 
-def _map_cell(task):
-    (eps, w, s, mode, grid, delta) = task
-    pi = dsp.sideband_product(w, s)
-    pred = dsp.stability_predicate(w, s).value if mode in ("predicate", "both") else ""
-    num, wit_sigma, wit_lambda = "", None, None
-    if mode in ("numeric", "both"):
-        roll = solve_roll(RollParameters(eps, w, s), grid)
-        verdict = dsp.classify_numerically(roll, delta=delta)
-        num = verdict.verdict.value
-        wit_sigma = verdict.witness_sigma
-        wit_lambda = verdict.witness_lambda.real if verdict.witness_lambda is not None else None
-    return [s, w, pred, num, pi, wit_sigma, wit_lambda]
+def _numeric_cell(task):
+    params, grid, delta = task
+    verdict = dsp.classify_numerically(solve_roll(params, grid), delta=delta)
+    lam = verdict.witness_lambda
+    return verdict.verdict.value, verdict.witness_sigma, None if lam is None else lam.real
 
 
-def _cmd_map(opt: _Options) -> int:
-    eps = opt.get("eps")
-    if eps is None or not 0.0 < eps <= 0.2:
-        raise OutOfRange(f"--eps must lie in (0, 0.2], got {eps}")
-    s_min, s_max = opt.get("s_min"), opt.get("s_max")
-    w_min, w_max = opt.get("omega_min"), opt.get("omega_max")
-    steps = opt.get("steps", int)
-    mode = opt.get("mode", str)
-    grid = _validated_grid(opt)
-    delta = opt.get("delta")
-    jobs = opt.get("jobs", int)
-    if jobs < 0:
-        raise OutOfRange(f"--jobs must be >= 0, got {jobs}")
-    if mode not in ("predicate", "numeric", "both"):
-        raise OutOfRange(f"--mode must be predicate, numeric, or both, got {mode}")
-    if steps < 2:
-        raise OutOfRange(f"--steps must be >= 2, got {steps}")
-    for name, val in (("--s-min", s_min), ("--s-max", s_max)):
-        if val is None or 27.0 - 2.0 * val * val <= 0.0:
-            raise OutOfRange(f"{name} must satisfy 27 - 2 s^2 > 0, got {val}")
-    for name, val in (("--omega-min", w_min), ("--omega-max", w_max)):
-        if val is None or abs(val) >= 0.5:
-            raise OutOfRange(f"{name} must lie strictly inside (-1/2, 1/2), got {val}")
-
-    tasks = [
-        (eps, float(w), float(s), mode, grid, delta)
-        for s in np.linspace(s_min, s_max, steps)
-        for w in np.linspace(w_min, w_max, steps)
+def _cmd_map(o: SimpleNamespace) -> int:
+    grid = SpectralGrid(o.modes)
+    cells = [
+        RollParameters(o.eps, float(w), float(s))
+        for s in np.linspace(o.s_min, o.s_max, o.steps)
+        for w in np.linspace(o.omega_min, o.omega_max, o.steps)
     ]
-    if jobs == 1 or mode == "predicate":
-        rows = [_map_cell(t) for t in tasks]
-    else:
-        workers = jobs if jobs > 0 else os.cpu_count() or 1
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_map_cell, tasks, chunksize=8))
+    # Every cell is checked here, before a worker starts: eps (shared by all
+    # cells) against solve_roll, and omega against the closed forms, which
+    # unlike RollParameters reject |omega| = 1/2.
+    check_solvable(cells[0])
+    closed = [
+        (dsp.stability_predicate(p.omega, p.s).value, dsp.sideband_product(p.omega, p.s)) for p in cells
+    ]
+    numeric = [("", None, None)] * len(cells)
+    if o.mode != "predicate":
+        check_delta(o.delta)
+        tasks = [(p, grid, o.delta) for p in cells]
+        if o.jobs == 1:
+            numeric = [_numeric_cell(t) for t in tasks]
+        else:
+            with ProcessPoolExecutor(max_workers=o.jobs or os.cpu_count() or 1) as pool:
+                numeric = list(pool.map(_numeric_cell, tasks, chunksize=8))
+    rows = [
+        [p.s, p.omega, pred if o.mode != "numeric" else "", verdict, pi, wit_sigma, wit_lambda]
+        for p, (pred, pi), (verdict, wit_sigma, wit_lambda) in zip(cells, closed, numeric)
+    ]
     header = ["s", "omega", "predicate_verdict", "numeric_verdict", "Pi", "witness_sigma", "witness_relambda"]
-    _emit(opt, header, rows, opt.get("output", str))
+    _emit(o, header, rows)
     return _EXIT_OK
 
 
-def _cmd_compare(opt: _Options) -> int:
-    params = _validated_params(opt)
-    grid = _validated_grid(opt)
-    sh_max = opt.get("sigma_hat_max")
-    steps = opt.get("steps", int)
-    if steps < 2:
-        raise OutOfRange(f"--steps must be >= 2, got {steps}")
-    if sh_max <= 0 or params.eps * sh_max > 0.5:
-        raise OutOfRange(
-            f"--sigma-hat-max must be positive with eps*sigma_hat_max <= 1/2, got {sh_max}"
-        )
-    roll = solve_roll(params, grid)
+def _cmd_compare(o: SimpleNamespace) -> int:
+    roll = _roll(o)
     rows_out = []
-    for row in mgl.compare_exact_vs_mgl(roll, np.linspace(-sh_max, sh_max, steps)):
+    for row in mgl.compare_exact_vs_mgl(roll, np.linspace(-o.sigma_hat_max, o.sigma_hat_max, o.steps)):
         rows_out.append(
             [row.sigma_hat]
             + [v.real for v in row.lambda_exact]
@@ -275,50 +222,35 @@ def _cmd_compare(opt: _Options) -> int:
         "re_mgl_1", "re_mgl_2", "re_mgl_3",
         "max_deviation",
     ]
-    _emit(opt, header, rows_out, opt.get("output", str))
+    _emit(o, header, rows_out)
     return _EXIT_OK
 
 
-def _cmd_evolve(opt: _Options) -> int:
-    params = _validated_params(opt)
-    grid = _validated_grid(opt)
-    sigma = opt.get("sigma")
-    periods = opt.get("periods", int)
-    dt = opt.get("dt")
-    t_final = opt.get("t_final")
-    amp = opt.get("amp")
-    if sigma is None or not -0.5 <= sigma <= 0.5:
-        raise OutOfRange(f"--sigma must lie in [-1/2, 1/2], got {sigma}")
-    if periods < 1:
-        raise OutOfRange(f"--periods must be >= 1, got {periods}")
-    if dt is not None and dt <= 0:
-        raise OutOfRange(f"--dt must be positive, got {dt}")
-    if amp <= 0:
-        raise OutOfRange(f"--amp must be positive, got {amp}")
-    # Round sigma to the nearest realizable j/periods and report it.
-    j = round(sigma * periods)
-    realized = j / periods
-    if abs(realized - sigma) > 1e-12:
-        sys.stderr.write(f"note: sigma rounded to {realized} = {j}/{periods}\n")
-    roll = solve_roll(params, grid)
+def _cmd_evolve(o: SimpleNamespace) -> int:
+    # Round sigma to the nearest realizable j/periods and report it; with
+    # periods = 0 the config rejects the domain before any sigma is used.
+    j = round(o.sigma * o.periods)
+    realized = j / o.periods if o.periods else o.sigma
+    if abs(realized - o.sigma) > 1e-12:
+        sys.stderr.write(f"note: sigma rounded to {realized} = {j}/{o.periods}\n")
     cfg = ev.EvolutionConfig(
-        n_periods=periods,
-        dt=dt,
+        n_periods=o.periods,
+        dt=o.dt,
         seed_sigma=realized,
-        t_final=t_final,
-        perturbation_amplitude=amp,
+        t_final=o.t_final,
+        perturbation_amplitude=o.amp,
     )
-    res = ev.evolve(roll, cfg)
+    res = ev.evolve(_roll(o), cfg)
     header = ["t", "perturbation_norm", "mass"]
     rows = [[t, n, m] for t, n, m in zip(res.times, res.norms, res.masses)]
-    _emit(opt, header, rows, opt.get("output", str))
+    _emit(o, header, rows)
     sys.stderr.write(
         f"measured_rate={_fmt(res.measured_rate)} expected_rate={_fmt(res.expected_rate)}\n"
     )
     return _EXIT_OK
 
 
-def _cmd_verify(opt: _Options) -> int:
+def _cmd_verify(o: SimpleNamespace) -> int:
     results = acceptance.run_all()
     width = max(len(name) for name, _ in acceptance.CRITERIA)
     lines = []
@@ -327,28 +259,58 @@ def _cmd_verify(opt: _Options) -> int:
         lines.append(f"{status}  {name:<{width}}  {res.detail}")
     ok = all(r.passed for r in results)
     lines.append(f"{'PASS' if ok else 'FAIL'}  {sum(r.passed for r in results)}/{len(results)} criteria")
-    _write("\n".join(lines) + "\n", opt.get("output", str))
+    _write("\n".join(lines) + "\n", o.output)
     return _EXIT_OK if ok else _EXIT_NUMERICAL
 
 
 # ----------------------------------------------------------------------
-# argument parsing
+# option tables and argument parsing
 # ----------------------------------------------------------------------
 
+_MODES = _Opt("modes", int, 32, param="n_modes", help="Fourier modes M")
+_ROLL = (*(_Opt(name, required=True) for name in ("eps", "omega", "s")), _MODES)
+_DELTA = _Opt("delta", float, 1.0, help="required spectral gap")
+_STEPS = _Opt("steps", int, 11, bound=(">=", 2))
+_OUTPUT = _Opt("output", str, help="output path (default stdout)")
+_TABULAR = (_OUTPUT, _Opt("format", str, "csv", choices=("csv", "json")))
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--modes", type=int, default=None, help="Fourier modes M (default 32)")
-    p.add_argument("--delta", type=float, default=None, help="required spectral gap (default 1.0)")
-    p.add_argument("--output", type=str, default=None, help="output path (default stdout)")
-    p.add_argument("--format", type=str, default=None, choices=("csv", "json"))
-    p.add_argument("--config", type=str, default=None, help="JSON config file merged under flags")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes for sweeps (0 = all cores)")
-
-
-def _add_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--s", type=float, default=None)
+_COMMANDS = {
+    "solve": (_cmd_solve, "compute one roll, emit JSON", (*_ROLL, _Opt("tol", float, 1e-12), _OUTPUT)),
+    "spectrum": (_cmd_spectrum, "critical Bloch curves over a sigma range", (
+        *_ROLL,
+        _Opt("sigma_min", float, 0.0, param="sigma"),
+        _Opt("sigma_max", float, 0.45, param="sigma"),
+        _Opt("sigma_steps", int, 19, bound=(">=", 1)),
+        _DELTA,
+        *_TABULAR,
+    )),
+    "map": (_cmd_map, "stability verdicts over an (omega, s) grid", (
+        _Opt("eps", required=True, bound=(">", 0.0)),
+        _Opt("s_min", float, -1.5, param="s"),
+        _Opt("s_max", float, 1.5, param="s"),
+        _Opt("omega_min", float, -0.45, param="omega"),
+        _Opt("omega_max", float, 0.45, param="omega"),
+        _STEPS,
+        _Opt("mode", str, "both", choices=("predicate", "numeric", "both")),
+        _MODES,
+        _DELTA,
+        _Opt("jobs", int, 0, bound=(">=", 0), help="worker processes (0 = all cores)"),
+        *_TABULAR,
+    )),
+    "compare": (_cmd_compare, "exact vs amplitude-system dispersion", (
+        *_ROLL, _Opt("sigma_hat_max", float, 1.0, bound=(">", 0.0), param="sigma_hat"), _STEPS, *_TABULAR,
+    )),
+    "evolve": (_cmd_evolve, "time-integrate a Bloch-seeded perturbation", (
+        *_ROLL,
+        _Opt("sigma", required=True, param="seed_sigma"),
+        _Opt("periods", int, 4, param="n_periods"),
+        _Opt("dt", float, 0.1),
+        _Opt("t_final", help="default 10 / |rate|, at most 1e4"),
+        _Opt("amp", float, 1e-6, param="perturbation_amplitude"),
+        *_TABULAR,
+    )),
+    "verify": (_cmd_verify, "run the acceptance suite", (_OUTPUT,)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,58 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
         "for a pattern-forming model with a conservation law.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="compute one roll, emit JSON")
-    _add_params(p)
-    p.add_argument("--tol", type=float, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("spectrum", help="critical Bloch curves over a sigma range")
-    _add_params(p)
-    p.add_argument("--sigma-min", dest="sigma_min", type=float, default=None)
-    p.add_argument("--sigma-max", dest="sigma_max", type=float, default=None)
-    p.add_argument("--sigma-steps", dest="sigma_steps", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("map", help="stability verdicts over an (omega, s) grid")
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--s-min", dest="s_min", type=float, default=None)
-    p.add_argument("--s-max", dest="s_max", type=float, default=None)
-    p.add_argument("--omega-min", dest="omega_min", type=float, default=None)
-    p.add_argument("--omega-max", dest="omega_max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--mode", type=str, default=None, choices=("predicate", "numeric", "both"))
-    _add_common(p)
-
-    p = sub.add_parser("compare", help="exact vs amplitude-system dispersion")
-    _add_params(p)
-    p.add_argument("--sigma-hat-max", dest="sigma_hat_max", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("evolve", help="time-integrate a Bloch-seeded perturbation")
-    _add_params(p)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--periods", type=int, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--t-final", dest="t_final", type=float, default=None)
-    p.add_argument("--amp", type=float, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="run the acceptance suite")
-    _add_common(p)
-
+    for name, (_, summary, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for opt in options:
+            detail = "required" if opt.required else "" if opt.default is None else f"default {opt.default}"
+            choices = f"{{{','.join(opt.choices)}}}" if opt.choices else None
+            p.add_argument(opt.flag, dest=opt.name, metavar=choices,
+                           help=f"{opt.help} ({detail})".strip() if detail else opt.help)
+        p.add_argument("--config", help="JSON config file merged under flags")
     return parser
-
-
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "spectrum": _cmd_spectrum,
-    "map": _cmd_map,
-    "compare": _cmd_compare,
-    "evolve": _cmd_evolve,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -418,10 +337,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return _EXIT_USAGE if exc.code not in (0, None) else 0
+    run, _, options = _COMMANDS[args.command]
     try:
-        opt = _Options(args)
-        return _COMMANDS[args.command](opt)
-    except (OutOfRange, OSError, json.JSONDecodeError) as exc:
+        return run(_options(args, options))
+    except OutOfRange as exc:
+        flags = "/".join(opt.flag for opt in options if (opt.param or opt.name) == exc.param)
+        sys.stderr.write(f"error: {flags + ': ' if flags else ''}{exc}\n")
+        return _EXIT_USAGE
+    except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _EXIT_USAGE
     except ConslawError as exc:

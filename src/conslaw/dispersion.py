@@ -215,9 +215,9 @@ def stability_predicate(omega: float, s: float) -> Stability:
     ``27 - 38 s^2 > 0``, and to instability for every ``omega`` beyond.
     """
     if abs(omega) >= 0.5:
-        raise OutOfRange(f"predicate requires |omega| < 1/2, got {omega}")
+        raise OutOfRange(f"predicate requires |omega| < 1/2, got {omega}", param="omega")
     if abs(s) >= np.sqrt(13.5):
-        raise OutOfRange(f"predicate requires |s| < sqrt(27/2), got {s}")
+        raise OutOfRange(f"predicate requires |s| < sqrt(27/2), got {s}", param="s")
     T, Pi = _sideband_terms(omega, s)
     if abs(Pi) < _BOUNDARY_BAND:
         return Stability.BOUNDARY

@@ -1,7 +1,11 @@
 """Exception types shared across the package.
 
 ``OutOfRange`` signals a violated precondition (bad parameters); everything
-else reports a numerical failure discovered mid-computation.
+else reports a numerical failure discovered mid-computation.  An
+``OutOfRange`` raised by a parameter check carries the parameter's name as
+the library spells it (``param="eps"``, ``"n_modes"``, ``"seed_sigma"``, ...),
+so a front end can name its own option for it; the name survives pickling,
+as it must for errors raised in worker processes.
 """
 
 from __future__ import annotations
@@ -13,6 +17,10 @@ class ConslawError(Exception):
 
 class OutOfRange(ConslawError, ValueError):
     """A parameter violates a documented precondition."""
+
+    def __init__(self, message: str, param: str | None = None):
+        super().__init__(message)
+        self.param = param
 
 
 class NoConvergence(ConslawError):

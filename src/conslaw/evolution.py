@@ -46,8 +46,8 @@ class EvolutionConfig:
     """Run settings for one Bloch-seeded evolution.
 
     ``seed_sigma * n_periods`` must be an integer so the perturbation fits
-    the domain; ``t_final = None`` selects ``10 / |expected rate|`` capped at
-    ``1e4`` time units.
+    the domain, and ``|seed_sigma| <= 1/2``; ``t_final = None`` selects
+    ``10 / |expected rate|`` capped at ``1e4`` time units.
     """
 
     n_periods: int
@@ -58,18 +58,21 @@ class EvolutionConfig:
 
     def __post_init__(self) -> None:
         if self.n_periods < 1 or int(self.n_periods) != self.n_periods:
-            raise OutOfRange(f"n_periods must be a positive integer, got {self.n_periods}")
+            raise OutOfRange(f"n_periods must be a positive integer, got {self.n_periods}", param="n_periods")
         if self.dt <= 0.0:
-            raise OutOfRange(f"dt must be positive, got {self.dt}")
+            raise OutOfRange(f"dt must be positive, got {self.dt}", param="dt")
         if self.t_final is not None and self.t_final <= 0.0:
-            raise OutOfRange(f"t_final must be positive, got {self.t_final}")
+            raise OutOfRange(f"t_final must be positive, got {self.t_final}", param="t_final")
         if self.perturbation_amplitude <= 0.0:
-            raise OutOfRange("perturbation_amplitude must be positive")
+            raise OutOfRange("perturbation_amplitude must be positive", param="perturbation_amplitude")
         j = self.seed_sigma * self.n_periods
         if abs(j - round(j)) > 1e-9:
             raise OutOfRange(
-                f"seed_sigma = {self.seed_sigma} is not a multiple of 1/{self.n_periods}"
+                f"seed_sigma = {self.seed_sigma} is not a multiple of 1/{self.n_periods}", param="seed_sigma"
             )
+        sigma = self.seed_index / self.n_periods
+        if abs(sigma) > 0.5:
+            raise OutOfRange(f"seed_sigma = {sigma} lies outside [-1/2, 1/2]", param="seed_sigma")
 
     @property
     def seed_index(self) -> int:
@@ -217,8 +220,6 @@ def evolve(roll: RollSolution, config: EvolutionConfig) -> EvolutionResult:
 
     # Seed eigenpair at the realizable Bloch number.
     sigma = config.seed_index / Mper
-    if abs(sigma) > 0.5:
-        raise OutOfRange(f"seed_sigma = {sigma} lies outside [-1/2, 1/2]")
     vals, vecs = critical_modes(assemble_bloch(roll, sigma))
 
     # Retained big-lattice cosine modes n <= K, collocation at L >= 2K+1

@@ -40,7 +40,7 @@ class SpectralGrid:
 
     def __post_init__(self) -> None:
         if int(self.n_modes) != self.n_modes or self.n_modes < 8:
-            raise OutOfRange(f"n_modes must be an integer >= 8, got {self.n_modes}")
+            raise OutOfRange(f"n_modes must be an integer >= 8, got {self.n_modes}", param="n_modes")
         object.__setattr__(self, "n_modes", int(self.n_modes))
 
     @property

@@ -47,9 +47,9 @@ class MglParameters:
 
     def __post_init__(self) -> None:
         if abs(self.omega) > 0.5:
-            raise OutOfRange(f"|omega| must be <= 1/2, got {self.omega}")
+            raise OutOfRange(f"|omega| must be <= 1/2, got {self.omega}", param="omega")
         if abs(self.s) >= np.sqrt(13.5):
-            raise OutOfRange(f"|s| must be < sqrt(27/2), got {self.s}")
+            raise OutOfRange(f"|s| must be < sqrt(27/2), got {self.s}", param="s")
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class ComparisonRow:
 def mgl_roll_amplitude(omega: float, s: float) -> float:
     """Positive root of the reduced amplitude equation; 0 at ``|omega| = 1/2``."""
     if abs(omega) > 0.5:
-        raise OutOfRange(f"|omega| must be <= 1/2, got {omega}")
+        raise OutOfRange(f"|omega| must be <= 1/2, got {omega}", param="omega")
     band = 1.0 - 4.0 * omega**2
     if band <= 0.0:
         return 0.0
@@ -134,13 +134,15 @@ def compare_exact_vs_mgl(
 
     eps = roll.params.eps
     if eps <= 0.0:
-        raise OutOfRange("comparison requires eps > 0")
+        raise OutOfRange("comparison requires eps > 0", param="eps")
     mglp = MglParameters(roll.params.omega, roll.params.s)
     sigma_hats = [float(sh) for sh in sigma_hat_grid]
     sigmas = eps * np.array(sigma_hats)
     outside = np.flatnonzero(np.abs(sigmas) > 0.5)
     if outside.size:
-        raise OutOfRange(f"eps * sigma_hat = {float(sigmas[outside[0]])} leaves the Brillouin zone")
+        raise OutOfRange(
+            f"eps * sigma_hat = {float(sigmas[outside[0]])} leaves the Brillouin zone", param="sigma_hat"
+        )
     triples = critical_triples(roll, sigmas, delta=delta, grid=grid).astype(np.complex128)
     rows: list[ComparisonRow] = []
     for sh, vals in zip(sigma_hats, triples):

@@ -49,15 +49,16 @@ class RollParameters:
 
     def __post_init__(self) -> None:
         if self.eps < 0.0:
-            raise OutOfRange(f"eps must be >= 0, got {self.eps}")
+            raise OutOfRange(f"eps must be >= 0, got {self.eps}", param="eps")
         if abs(self.omega) > 0.5 + _OMEGA_EDGE_TOL:
-            raise OutOfRange(f"omega must lie in [-1/2, 1/2], got {self.omega}")
+            raise OutOfRange(f"omega must lie in [-1/2, 1/2], got {self.omega}", param="omega")
         if 27.0 - 2.0 * self.s**2 <= 0.0:
-            raise OutOfRange(f"need 27 - 2 s^2 > 0, got s = {self.s}")
+            raise OutOfRange(f"need 27 - 2 s^2 > 0, got s = {self.s}", param="s")
         if 1.0 + 2.0 * self.omega * self.eps <= 0.0:
             raise OutOfRange(
                 f"wavenumber k = sqrt(1 + 2 omega eps) must be positive, got eps = {self.eps}, "
-                f"omega = {self.omega}"
+                f"omega = {self.omega}",
+                param="eps",
             )
 
     @property
@@ -184,6 +185,14 @@ def _newton(a: np.ndarray, params: RollParameters, grid: SpectralGrid, tol: floa
     raise NoConvergence(max_iters, residual)
 
 
+def check_solvable(params: RollParameters, tol: float = 1e-12) -> None:
+    """Raise :class:`OutOfRange` for inputs :func:`solve_roll` rejects."""
+    if params.eps > 0.2:
+        raise OutOfRange(f"solve_roll requires eps <= 0.2, got {params.eps}", param="eps")
+    if tol < 1e-13:
+        raise OutOfRange(f"tol must be >= 1e-13, got {tol}", param="tol")
+
+
 def solve_roll(
     params: RollParameters,
     grid: SpectralGrid,
@@ -208,10 +217,7 @@ def solve_roll(
     TrivialCollapse
         The iteration fell into the zero solution away from ``omega = +-1/2``.
     """
-    if params.eps > 0.2:
-        raise OutOfRange(f"solve_roll requires eps <= 0.2, got {params.eps}")
-    if tol < 1e-13:
-        raise OutOfRange(f"tol must be >= 1e-13, got {tol}")
+    check_solvable(params, tol)
     # a converged RollSolution always certifies residual_norm < 1e-10,
     # whatever looser tolerance was requested
     tol = min(tol, 1e-10)

@@ -142,6 +142,15 @@ class TestSpectrum:
             resid = op.matrix @ vecs[:, j] - vals[j] * vecs[:, j]
             assert np.max(np.abs(resid)) < 1e-8
 
+    def test_conserved_mode_vector_is_even(self):
+        # S is singular at sigma = 0, so a plain solve of S v = e_0 leaves an
+        # odd part of a few percent here; only the even part is kept
+        M = 12
+        roll = solve_roll(RollParameters(0.05, 0.1, -0.7), SpectralGrid(M))
+        _, vecs = critical_modes(assemble_bloch(roll, 0.0))
+        v = vecs[:, np.argmax(np.abs(vecs[M]))]  # the mode with a mean
+        assert np.linalg.norm(v - v[::-1]) <= 1e-14 * np.linalg.norm(v)
+
 
 class TestCurves:
     def test_zero_roll_branches_match_symbol(self):

@@ -1,10 +1,13 @@
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conslaw import cli
 from conslaw.cli import main
+from conslaw.errors import OutOfRange
 
 
 DATA = Path(__file__).parent / "data"
@@ -35,24 +38,85 @@ class TestSolve:
         assert json.loads(target.read_text())["eps"] == 0.02
 
 
+ROLL = ("--eps", "0.05", "--omega", "0", "--s", "0")
+EVOLVE = ("evolve", *ROLL, "--modes", "10", "--sigma", "0.25", "--periods", "4", "--t-final", "5")
+
+
+def forbidden_pool(*args, **kwargs):
+    raise AssertionError("a pool started for a rejected invocation")
+
+
 class TestValidation:
+    """Rows name an env variable as ``CONSLAW_X=v`` and a config file by its contents."""
+
     @pytest.mark.parametrize(
         "argv,needle",
         [
             (("solve", "--eps", "0.5", "--omega", "0", "--s", "0"), "--eps"),
             (("solve", "--eps", "0.05", "--omega", "0.7", "--s", "0"), "--omega"),
             (("solve", "--eps", "0.05", "--omega", "0", "--s", "4"), "--s"),
-            (("spectrum", "--eps", "0.05", "--omega", "0", "--s", "0", "--sigma-max", "0.8"), "--sigma-max"),
+            (("spectrum", *ROLL, "--sigma-max", "0.8"), "--sigma-max"),
             (("solve", "--eps", "0.05", "--omega", "0"), "--s"),
             # checked before any cell is solved, so no pool worker sees it
             (("map", "--eps", "0.02", "--steps", "2", "--modes", "6", "--jobs", "2"), "--modes"),
             (("map", "--eps", "0.02", "--steps", "2", "--mode", "predicate", "--jobs", "-1"), "--jobs"),
+            # each range the library checks, reported under the flag that feeds it
+            (("solve", *ROLL, "--tol", "1e-14"), "--tol"),
+            (("spectrum", *ROLL, "--modes", "7"), "--modes"),
+            (("spectrum", *ROLL, "--delta", "0"), "--delta"),
+            (("spectrum", *ROLL, "--sigma-steps", "0"), "--sigma-steps"),
+            (("compare", "--eps", "0.04", "--omega", "0.25", "--s", "1", "--sigma-hat-max", "40"), "--sigma-hat-max"),
+            (("compare", *ROLL, "--sigma-hat-max", "0"), "--sigma-hat-max"),
+            ((*EVOLVE, "--t-final", "-1"), "--t-final"),
+            ((*EVOLVE, "--dt", "0"), "--dt"),
+            ((*EVOLVE, "--amp", "0"), "--amp"),
+            ((*EVOLVE, "--periods", "0"), "--periods"),
+            ((*EVOLVE, "--sigma", "0.8"), "--sigma"),
+            (("map", "--eps", "0.02", "--steps", "2", "--delta", "0", "--jobs", "2"), "--delta"),
+            (("map", "--eps", "0.02", "--steps", "2", "--omega-min", "-0.5", "--jobs", "2"), "--omega-min"),
+            (("map", "--eps", "0.02", "--steps", "2", "--s-max", "4", "--jobs", "2"), "--s-max"),
+            (("map", "--eps", "0.5", "--steps", "2", "--jobs", "2"), "--eps"),
+            (("map", "--eps", "0", "--steps", "2", "--jobs", "2"), "--eps"),
+            (("map", "--eps", "0.02", "--steps", "1", "--jobs", "2"), "--steps"),
+            (("map", "--eps", "0.02", "--steps", "2", "--mode", "all"), "--mode"),
+            (("CONSLAW_DT=0", *EVOLVE), "--dt"),
+            (("CONSLAW_FORMAT=xml", "spectrum", *ROLL, "--modes", "12"), "--format"),
+            (("map", "--eps", "0.02", "--jobs", "2", "--config", {"steps": 1}), "--steps"),
+            # flags a subcommand never reads are not accepted
+            (("solve", *ROLL, "--delta", "1"), "--delta"),
+            (("solve", *ROLL, "--format", "csv"), "--format"),
+            (("solve", *ROLL, "--jobs", "1"), "--jobs"),
+            (("spectrum", *ROLL, "--jobs", "1"), "--jobs"),
+            (("compare", *ROLL, "--delta", "1"), "--delta"),
+            (("compare", *ROLL, "--jobs", "1"), "--jobs"),
+            ((*EVOLVE, "--delta", "1"), "--delta"),
+            ((*EVOLVE, "--jobs", "1"), "--jobs"),
+            (("verify", "--modes", "12"), "--modes"),
+            (("verify", "--delta", "1"), "--delta"),
+            (("verify", "--format", "csv"), "--format"),
+            (("verify", "--jobs", "1"), "--jobs"),
         ],
     )
-    def test_rejects_bad_flags(self, capsys, argv, needle):
-        code, _, err = run(capsys, *argv)
+    def test_rejects_bad_flags(self, capsys, monkeypatch, tmp_path, argv, needle):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", forbidden_pool)
+        args = []
+        for item in argv:
+            if isinstance(item, dict):
+                cfg = tmp_path / "cfg.json"
+                cfg.write_text(json.dumps(item))
+                args.append(str(cfg))
+            elif item.startswith("CONSLAW_"):
+                monkeypatch.setenv(*item.split("=", 1))
+            else:
+                args.append(item)
+        code, out, err = run(capsys, *args)
         assert code == 2
+        assert out == ""
         assert needle in err
+
+    def test_out_of_range_pickles_with_its_parameter(self):
+        exc = pickle.loads(pickle.dumps(OutOfRange("n_modes must be >= 8", param="n_modes")))
+        assert exc.param == "n_modes" and str(exc) == "n_modes must be >= 8"
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
@@ -108,6 +172,14 @@ class TestOverrides:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")
         assert run(capsys, "solve", "--config", str(cfg))[0] == 2
+
+    @pytest.mark.parametrize("modes", ["abc", None, 12.9])
+    def test_bad_config_types_exit_2(self, tmp_path, capsys, modes):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"modes": modes}))
+        code, out, err = run(capsys, "solve", *ROLL, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "--modes" in err
 
 
 class TestMap:

@@ -20,6 +20,11 @@ class TestConfig:
         with pytest.raises(OutOfRange):
             ev.EvolutionConfig(n_periods=4, dt=0.1, seed_sigma=0.3)
 
+    def test_sigma_must_lie_in_the_zone(self):
+        with pytest.raises(OutOfRange, match="outside") as info:
+            ev.EvolutionConfig(n_periods=4, dt=0.1, seed_sigma=-0.75)
+        assert info.value.param == "seed_sigma"
+
     def test_positive_steps(self):
         with pytest.raises(OutOfRange):
             ev.EvolutionConfig(n_periods=4, dt=-0.1, seed_sigma=0.25)
