@@ -42,6 +42,6 @@ for w, s in [(0.0, 0.0), (0.2, 0.5), (0.0, 1.0), (0.35, 0.0), (-0.25, 0.82)]:
     pi = sideband_product(w, s)
     witness = ""
     if verdict.witness_sigma is not None:
-        witness = f"  witness sigma={verdict.witness_sigma:.4f} Re lambda={verdict.witness_lambda.real:.2e}"
+        witness = f"  witness sigma={verdict.witness_sigma:.4f} lambda={verdict.witness_lambda:.2e}"
     print(f"  (omega={w:5.2f}, s={s:5.2f})  Pi={pi:7.3f}  predicate={pred.value:8s} "
           f"numeric={verdict.verdict.value:8s}{witness}")

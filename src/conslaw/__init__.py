@@ -23,10 +23,7 @@ from .rolls import (
     zero_roll,
 )
 from .bloch import (
-    BlochOperator,
     BlochSpectrum,
-    assemble_bloch,
-    bloch_spectrum,
     critical_curve_array,
     critical_curves,
     critical_modes,

@@ -16,7 +16,7 @@ import numpy as np
 from . import dispersion as dsp
 from . import evolution as ev
 from . import mgl
-from .bloch import assemble_bloch, bloch_spectrum, critical_triples
+from .bloch import critical_curves, critical_triples
 from .fourier import SpectralGrid, l2_norm
 from .rolls import RollParameters, asymptotic_roll, solve_roll
 
@@ -72,11 +72,11 @@ def co_periodic_triple() -> CriterionResult:
     checks = []
     for w, s in PARAM_SETS:
         for e in EPS_SWEEP:
-            spec = bloch_spectrum(assemble_bloch(_roll(e, w, s), 0.0))
-            cv = np.sort(spec.critical_values().real)
+            spec = critical_curves(_roll(e, w, s), [0.0])[0]
+            cv = np.sort(spec.critical_values())
             r = cv[0] + 2.0 * (1.0 - 4.0 * w * w) * e * e
             zmax = float(np.max(np.abs(cv[1:])))
-            others = np.delete(spec.eigenvalues.real, list(spec.critical))
+            others = np.delete(spec.eigenvalues, list(spec.critical))
             checks.append((abs(r) <= 5.0 * e**3, f"(w={w},s={s},eps={e}) |r|={abs(r):.2e} > 5eps^3"))
             checks.append((zmax < 1e-9, f"(w={w},s={s},eps={e}) zero modes at {zmax:.2e}"))
             checks.append((float(others.max()) < -3.0, f"(w={w},s={s},eps={e}) gap violated"))
@@ -189,7 +189,7 @@ def cubic_machinery() -> CriterionResult:
             continue
         n += 1
         p = RollParameters(e, w, s)
-        m = dsp.leading_reduced_matrix(p, sig).entries
+        m = dsp.leading_reduced_matrix(p, sig)
         cub = dsp.cubic_coefficients(p, sig)
         minors = sum(
             np.linalg.det(m[np.ix_([i for i in range(3) if i != j], [i for i in range(3) if i != j])])
@@ -220,15 +220,14 @@ def symmetry_properties() -> CriterionResult:
     roll = solve_roll(RollParameters(0.03, 0.25, 1.0), grid)
     worst = 0.0
     for sig in (0.05, 0.17, 0.31, 0.47):
-        plus = np.sort_complex(bloch_spectrum(assemble_bloch(roll, sig)).eigenvalues)
-        minus = np.sort_complex(bloch_spectrum(assemble_bloch(roll, -sig)).eigenvalues)
-        worst = max(worst, float(np.max(np.abs(minus - np.conj(plus)))))
+        plus, minus = (np.sort(spec.eigenvalues) for spec in critical_curves(roll, [sig, -sig]))
+        worst = max(worst, float(np.max(np.abs(minus - plus))))
 
     p = RollParameters(0.05, 0.3, 0.9)
     parity_ok = True
     for sig in (0.05, 0.2, 0.4):
-        a = dsp.leading_reduced_matrix(p, sig).entries
-        b = dsp.leading_reduced_matrix(p, -sig).entries
+        a = dsp.leading_reduced_matrix(p, sig)
+        b = dsp.leading_reduced_matrix(p, -sig)
         even = [(0, 0), (1, 1), (2, 2), (0, 2), (2, 0)]
         odd = [(0, 1), (1, 0)]
         parity_ok &= all(a[i, j] == b[i, j] for i, j in even)

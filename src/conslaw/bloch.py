@@ -1,4 +1,4 @@
-"""Bloch operators about a roll and their spectra.
+"""Bloch spectra about a roll.
 
 In the shifted basis ``e^{i m xi}`` the operator acts as
 
@@ -9,17 +9,18 @@ where ``sh`` is :func:`conslaw.model.swift_hohenberg` and ``g`` are the
 Fourier coefficients of ``-2 s u - 3 u^2``.  The matrix factors as
 ``B = diag(p) S`` with ``p >= 0`` and ``S`` real symmetric, so ``B`` is
 similar to the symmetric ``sqrt(p) S sqrt(p)``.
-All eigenvalues are therefore real; the symmetric form is what gets
-eigensolved.  The three critical eigenvalues are then polished by inverse
-iteration plus Rayleigh-Ritz, which restores absolute accuracy near zero that
-a dense solve of a matrix with ``O(M^6)`` entries cannot deliver on its own.
+All eigenvalues are therefore real and are returned as real arrays; the
+symmetric form is what gets eigensolved.  The three critical eigenvalues are
+then polished by inverse iteration plus Rayleigh-Ritz, which restores absolute
+accuracy near zero that a dense solve of a matrix with ``O(M^6)`` entries
+cannot deliver on its own.
 
 A sigma sweep is solved as one batch: the symmetric factors of every Bloch
 number are gathered into one ``(n_sigma, N, N)`` stack (``S`` differs between
 Bloch numbers only on its diagonal), and the eigensolve, the inverse
 iterations and the Rayleigh-Ritz step each run once on the whole stack.  A
-single operator is a batch of one.  Stacked LAPACK calls give the same bits
-as one call per matrix, so a sweep's values do not depend on how it is
+single Bloch number is a sweep of one.  Stacked LAPACK calls give the same
+bits as one call per matrix, so a sweep's values do not depend on how it is
 batched.
 
 At ``sigma = 0`` the ``m = 0`` row vanishes identically (conservation law);
@@ -30,21 +31,17 @@ dimension ``N - 1`` with two critical values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
 from .errors import GapViolation, OutOfRange
-from .fourier import SpectralGrid
 from .model import swift_hohenberg
-from .rolls import RollParameters, RollSolution
+from .rolls import RollSolution
 
 __all__ = [
-    "BlochOperator",
     "BlochSpectrum",
-    "assemble_bloch",
-    "bloch_spectrum",
     "critical_modes",
     "critical_triples",
     "critical_curves",
@@ -59,31 +56,18 @@ _PERMUTATIONS = np.array(list(permutations(range(3))))
 
 
 @dataclass(frozen=True)
-class BlochOperator:
-    """Dense Bloch matrix at one Bloch number, plus its symmetric factorization."""
-
-    params: RollParameters
-    sigma: float
-    matrix: np.ndarray
-    grid: SpectralGrid
-    prefactor: np.ndarray = field(repr=False)
-    symmetric_factor: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
 class BlochSpectrum:
-    """Full spectrum at one Bloch number with the critical triple flagged.
+    """Full real spectrum at one Bloch number with the critical triple flagged.
 
-    ``eigenvalues`` are sorted by descending real part; ``critical`` holds the
-    indices of the three eigenvalues nearest zero, ordered by ascending real
-    part (curve order).  ``gap`` is ``-max Re`` over the non-critical rest.
+    ``eigenvalues`` are sorted descending; ``critical`` holds the indices of
+    the three eigenvalues nearest zero, in curve order (ascending at a
+    sweep's first Bloch number).  ``gap`` is ``-max`` over the non-critical rest.
     """
 
     sigma: float
     eigenvalues: np.ndarray
     critical: tuple[int, int, int]
     gap: float
-    critical_vectors: np.ndarray | None = field(default=None, repr=False)
 
     def critical_values(self) -> np.ndarray:
         return self.eigenvalues[list(self.critical)]
@@ -98,18 +82,15 @@ def _checked_sigmas(sigmas) -> np.ndarray:
     return sigmas
 
 
-def _reaction_coefficients(roll: RollSolution, M: int) -> np.ndarray:
+def _reaction_coefficients(roll: RollSolution) -> np.ndarray:
     """Coefficients of ``df(u) = eps^2 - 2 s u - 3 u^2`` up to mode ``2M``.
 
     Computed by exact convolution of the roll's cosine coefficients, so no
     transform error enters.
     """
     params = roll.params
-    c = np.zeros(2 * M + 1)
-    src = roll.profile.coeffs.real
-    src_M = roll.profile.grid.n_modes
-    take = min(M, src_M)
-    c[M - take : M + take + 1] = src[src_M - take : src_M + take + 1]
+    M = roll.profile.grid.n_modes
+    c = roll.profile.coeffs.real
     df = -2.0 * params.s * np.concatenate([np.zeros(M), c, np.zeros(M)]) - 3.0 * np.convolve(c, c)
     df[2 * M] += params.eps**2
     return df
@@ -130,27 +111,6 @@ def _symmetric_factors(df: np.ndarray, k2: float, sigmas: np.ndarray):
     S = np.repeat(T[None], sigmas.size, axis=0)
     S.reshape(sigmas.size, N * N)[:, :: N + 1] += swift_hohenberg(kt2)
     return kt2, S
-
-
-def assemble_bloch(roll: RollSolution, sigma: float, grid: SpectralGrid | None = None) -> BlochOperator:
-    """Assemble the dense Bloch matrix about a converged roll.
-
-    ``|sigma| <= 1/2`` (one Brillouin zone).  The multiplication part of the
-    linearized reaction term is a Toeplitz block built from the exact
-    convolution of the roll's coefficients, so no transform error enters.
-    """
-    sigmas = _checked_sigmas(float(sigma))
-    grid = grid or roll.profile.grid
-    M = grid.n_modes
-    p, S = _symmetric_factors(_reaction_coefficients(roll, M), roll.params.k**2, sigmas)
-    return BlochOperator(
-        params=roll.params,
-        sigma=float(sigma),
-        matrix=p[0][:, None] * S[0],
-        grid=grid,
-        prefactor=p[0],
-        symmetric_factor=S[0],
-    )
 
 
 def _solve(A: np.ndarray, B: np.ndarray, fallback) -> np.ndarray:
@@ -268,16 +228,15 @@ def _critical_stack(p: np.ndarray, S: np.ndarray, at_zero: bool):
     return vals, vecs, others
 
 
-def _solve_sweep(roll: RollSolution, sigmas, grid: SpectralGrid | None):
-    """Batched solve of a sweep; results are in sweep order.
+def _solve_sweep(roll: RollSolution, sigmas):
+    """Batched solve of a sweep at the roll's resolution, in sweep order.
 
     Returns the checked Bloch numbers ``(n,)``, critical triples ``(n, 3)``,
     critical vectors ``(n, N, 3)`` and remaining eigenvalues ``(n, N - 3)``.
     """
     sigmas = _checked_sigmas(sigmas)
-    grid = grid or roll.profile.grid
-    df = _reaction_coefficients(roll, grid.n_modes)
-    n, N = sigmas.size, 2 * grid.n_modes + 1
+    df = _reaction_coefficients(roll)
+    n, N = sigmas.size, 2 * roll.profile.grid.n_modes + 1
     vals = np.empty((n, 3))
     vecs = np.empty((n, N, 3))
     others = np.empty((n, N - 3))
@@ -304,13 +263,13 @@ def check_delta(delta: float) -> None:
         raise OutOfRange(f"delta must be positive, got {delta}", param="delta")
 
 
-def _spectra(sigmas, vals, vecs, others, gaps) -> list[BlochSpectrum]:
+def _spectra(sigmas, vals, others, gaps) -> list[BlochSpectrum]:
     """Per-sigma spectra, triples matched as :func:`critical_curves` describes.
 
     On ties the first permutation in ``_PERMUTATIONS`` order wins.
     """
-    allvals = np.concatenate([vals, others], axis=1).astype(np.complex128)
-    order = np.argsort(-allvals.real, axis=1, kind="stable")
+    allvals = np.concatenate([vals, others], axis=1)
+    order = np.argsort(-allvals, axis=1, kind="stable")
     eigenvalues = np.take_along_axis(allvals, order, axis=1)
     pos = np.empty_like(order)
     np.put_along_axis(pos, order, np.arange(order.shape[1])[None, :], axis=1)
@@ -328,77 +287,50 @@ def _spectra(sigmas, vals, vecs, others, gaps) -> list[BlochSpectrum]:
                 eigenvalues=eigenvalues[i],
                 critical=tuple(int(j) for j in critical[i][perm]),
                 gap=float(gaps[i]),
-                critical_vectors=vecs[i][:, perm].astype(np.complex128),
             )
         )
     return spectra
 
 
-def _solve_operator(op: BlochOperator):
-    """Batch-of-one solve of an assembled operator."""
-    S = op.symmetric_factor[None].copy()
-    return _critical_stack(op.prefactor[None], S, abs(op.sigma) < _SIGMA_ZERO_TOL)
-
-
-def bloch_spectrum(op: BlochOperator, delta: float = 1.0) -> BlochSpectrum:
-    """Full spectrum with the critical triple flagged and the gap certified.
-
-    Raises :class:`GapViolation` when the non-critical spectrum does not stay
-    below ``-delta``, i.e. when the three-eigenvalue decomposition breaks.
-    """
-    check_delta(delta)
-    vals, vecs, others = _solve_operator(op)
-    gaps = _certified_gaps(others, delta)
-    return _spectra([op.sigma], vals, vecs, others, gaps)[0]
-
-
-def critical_modes(op: BlochOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Critical eigenvalues (ascending) and eigenvectors in the shifted basis.
+def critical_modes(roll: RollSolution, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Critical eigenvalues (ascending) and real eigenvectors in the shifted basis.
 
     Column ``j`` of the vector array holds coefficients ``V_m`` of the Bloch
-    eigenfunction ``e^{i sigma xi} sum_m V_m e^{i m xi}``.
+    eigenfunction ``e^{i sigma xi} sum_m V_m e^{i m xi}``.  No gap is certified.
     """
-    vals, vecs, _ = _solve_operator(op)
-    return vals[0].astype(np.complex128), vecs[0].astype(np.complex128)
+    _, vals, vecs, _ = _solve_sweep(roll, [sigma])
+    return vals[0], vecs[0]
 
 
-def critical_triples(
-    roll: RollSolution,
-    sigmas,
-    delta: float = 1.0,
-    grid: SpectralGrid | None = None,
-) -> np.ndarray:
+def critical_triples(roll: RollSolution, sigmas, delta: float = 1.0) -> np.ndarray:
     """Critical eigenvalues over a sigma sweep, ascending per sigma.
 
     Returns a real ``(n_sigma, 3)`` array.  The gap is certified as in
-    :func:`bloch_spectrum`, for the first offending sigma in sweep order;
-    no per-sigma spectra are built and no curves are matched.
+    :func:`critical_curves`; no per-sigma spectra are built and no curves are
+    matched.
     """
     check_delta(delta)
-    _, vals, _, others = _solve_sweep(roll, sigmas, grid)
+    _, vals, _, others = _solve_sweep(roll, sigmas)
     _certified_gaps(others, delta)
     return vals
 
 
-def critical_curves(
-    roll: RollSolution,
-    sigmas,
-    delta: float = 1.0,
-    grid: SpectralGrid | None = None,
-) -> list[BlochSpectrum]:
+def critical_curves(roll: RollSolution, sigmas, delta: float = 1.0) -> list[BlochSpectrum]:
     """Spectra over a sigma sweep with the critical triple matched into curves.
 
     Matching is greedy nearest-continuation: at each sigma the permutation of
     the critical triple minimizing the total distance to the previous triple
     is chosen, so the returned ``critical`` index triples trace three
-    continuous curves.
+    continuous curves.  Raises :class:`GapViolation`, for the first offending
+    sigma in sweep order, when the non-critical spectrum does not stay below
+    ``-delta``, i.e. when the three-eigenvalue decomposition breaks.
     """
     check_delta(delta)
-    sigmas, vals, vecs, others = _solve_sweep(roll, sigmas, grid)
+    sigmas, vals, _, others = _solve_sweep(roll, sigmas)
     gaps = _certified_gaps(others, delta)
-    return _spectra(sigmas, vals, vecs, others, gaps)
+    return _spectra(sigmas, vals, others, gaps)
 
 
 def critical_curve_array(spectra: list[BlochSpectrum]) -> np.ndarray:
-    """Stack matched critical curves as a (3, n_sigma) complex array."""
+    """Stack matched critical curves as a real (3, n_sigma) array."""
     return np.column_stack([s.critical_values() for s in spectra])

@@ -160,7 +160,7 @@ def _cmd_spectrum(o: SimpleNamespace) -> int:
     for i, spec in enumerate(spectra):
         row = [spec.sigma]
         for j in range(3):
-            row += [curves[j, i].real, curves[j, i].imag]
+            row += [curves[j, i], 0.0]  # real spectra; the im columns keep the format
         row.append(spec.gap)
         rows.append(row)
     _emit(o, header, rows)
@@ -170,8 +170,7 @@ def _cmd_spectrum(o: SimpleNamespace) -> int:
 def _numeric_cell(task):
     params, grid, delta = task
     verdict = dsp.classify_numerically(solve_roll(params, grid), delta=delta)
-    lam = verdict.witness_lambda
-    return verdict.verdict.value, verdict.witness_sigma, None if lam is None else lam.real
+    return verdict.verdict.value, verdict.witness_sigma, verdict.witness_lambda
 
 
 def _cmd_map(o: SimpleNamespace) -> int:

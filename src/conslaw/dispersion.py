@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBand, InvariantViolation, OutOfRange
-from .rolls import RollParameters, RollSolution
+from .rolls import _OMEGA_EDGE_TOL, RollParameters, RollSolution
 
 __all__ = [
     "Stability",
-    "ReducedMatrix",
     "ReducedCubic",
     "StabilityVerdict",
     "growth_prefactor",
@@ -46,14 +45,6 @@ class Stability(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class ReducedMatrix:
-    """Lambda-independent leading 3x3 matrix of the reduced spectral problem."""
-
-    entries: np.ndarray
-    params: tuple[float, float, float, float]  # (eps, omega, s, sigma)
-
-
-@dataclass(frozen=True)
 class ReducedCubic:
     """Monic cubic ``lambda^3 + a2 lambda^2 + a1 lambda + a0`` and its roots."""
 
@@ -70,7 +61,7 @@ class StabilityVerdict:
     params: tuple[float, float, float]  # (eps, omega, s)
     verdict: Stability
     witness_sigma: float | None = None
-    witness_lambda: complex | None = None
+    witness_lambda: float | None = None
 
 
 def growth_prefactor(eps: float, omega: float) -> float:
@@ -82,12 +73,15 @@ def _band_ratio(omega: float, s: float) -> float:
     return (1.0 - 4.0 * omega**2) / (27.0 - 2.0 * s**2)
 
 
-def leading_reduced_matrix(params: RollParameters, sigma: float) -> ReducedMatrix:
-    """Leading reduced matrix; eigenvalues solve ``det(m - lambda I) = 0``."""
+def leading_reduced_matrix(params: RollParameters, sigma: float) -> np.ndarray:
+    """Lambda-independent leading 3x3 matrix of the reduced spectral problem.
+
+    Its eigenvalues solve ``det(m - lambda I) = 0``.
+    """
     eps, w, s = params.eps, params.omega, params.s
     c = growth_prefactor(eps, w)
     rootA = np.sqrt(_band_ratio(w, s))
-    m = np.array(
+    return np.array(
         [
             [-4.0 * sigma**2 + c, 8j * w * sigma * eps, -12.0 * s * rootA * eps],
             [-8j * w * sigma * eps, -4.0 * sigma**2, 0.0],
@@ -95,7 +89,6 @@ def leading_reduced_matrix(params: RollParameters, sigma: float) -> ReducedMatri
         ],
         dtype=np.complex128,
     )
-    return ReducedMatrix(entries=m, params=(eps, w, s, float(sigma)))
 
 
 def p_symbols(params: RollParameters) -> tuple[float, float, float, float, float]:
@@ -171,7 +164,7 @@ def companion_roots(a2: float, a1: float, a0: float) -> np.ndarray:
 
 
 def _sideband_terms(omega: float, s: float) -> tuple[float, float]:
-    if abs(abs(omega) - 0.5) < 1e-14 or abs(omega) > 0.5:
+    if abs(omega) >= 0.5 - _OMEGA_EDGE_TOL:
         raise DegenerateBand(f"sideband expansion is singular at |omega| = 1/2 (got {omega})")
     u = 36.0 * s**2 / (27.0 - 2.0 * s**2)
     wterm = 32.0 * omega**2 / (1.0 - 4.0 * omega**2)
@@ -214,8 +207,8 @@ def stability_predicate(omega: float, s: float) -> Stability:
     of ``omega^2`` below ``(27 - 38 s^2) / (12 (27 - 14 s^2))`` while
     ``27 - 38 s^2 > 0``, and to instability for every ``omega`` beyond.
     """
-    if abs(omega) >= 0.5:
-        raise OutOfRange(f"predicate requires |omega| < 1/2, got {omega}", param="omega")
+    if abs(omega) >= 0.5 - _OMEGA_EDGE_TOL:
+        raise OutOfRange(f"predicate requires |omega| < 1/2 - {_OMEGA_EDGE_TOL:g}, got {omega}", param="omega")
     if abs(s) >= np.sqrt(13.5):
         raise OutOfRange(f"predicate requires |s| < sqrt(27/2), got {s}", param="s")
     T, Pi = _sideband_terms(omega, s)
@@ -271,7 +264,7 @@ def classify_numerically(
             params=(eps, roll.params.omega, roll.params.s),
             verdict=Stability.UNSTABLE,
             witness_sigma=float(sigmas[worst[1]]),
-            witness_lambda=complex(curves[worst]),
+            witness_lambda=float(curves[worst]),
         )
 
     fit_mask = (sigmas > 0.0) & (sigmas <= 0.75 * eps)

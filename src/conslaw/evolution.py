@@ -27,7 +27,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.fftpack import dct
 
-from .bloch import assemble_bloch, critical_modes
+from .bloch import critical_modes
 from .errors import BlowUp, OutOfRange, StepReject
 from .model import swift_hohenberg
 from .rolls import RollSolution
@@ -87,13 +87,13 @@ class EvolutionResult:
     norms: np.ndarray
     masses: np.ndarray
     seed_sigma: float
-    seed_eigenvalue: complex
+    seed_eigenvalue: float
     measured_rate: float
     config: EvolutionConfig = field(repr=False)
 
     @property
     def expected_rate(self) -> float:
-        return float(self.seed_eigenvalue.real)
+        return self.seed_eigenvalue
 
     @property
     def mass_drift(self) -> float:
@@ -220,21 +220,20 @@ def evolve(roll: RollSolution, config: EvolutionConfig) -> EvolutionResult:
 
     # Seed eigenpair at the realizable Bloch number.
     sigma = config.seed_index / Mper
-    vals, vecs = critical_modes(assemble_bloch(roll, sigma))
+    vals, vecs = critical_modes(roll, sigma)
 
     # Retained big-lattice cosine modes n <= K, collocation at L >= 2K+1
     # midpoints (exact cubics).
     K = Mper * (Mmodes + 1)
     n_points = next_fast_len(2 * K + 1, real=True)
 
-    # real vectors: the Bloch matrix is similar to a symmetric one
-    seeds = [_even_seed(v, Mper, config.seed_index, n_points) for v in vecs.real.T]
+    seeds = [_even_seed(v, Mper, config.seed_index, n_points) for v in vecs.T]
     rms = np.array([_rms(y) for y in seeds])
-    live = np.flatnonzero(rms > _SEED_RMS_TOL * np.linalg.norm(vecs.real, axis=0))
+    live = np.flatnonzero(rms > _SEED_RMS_TOL * np.linalg.norm(vecs, axis=0))
     if live.size == 0:
         raise OutOfRange(f"no critical mode at sigma = {sigma} has an even part on the domain")
-    lead = int(live[np.argmax(vals.real[live])])
-    lam = complex(vals[lead])
+    lead = int(live[np.argmax(vals[live])])
+    lam = float(vals[lead])
     y_pert = seeds[lead] * (config.perturbation_amplitude / rms[lead])
 
     n_idx = np.arange(n_points)
@@ -256,7 +255,7 @@ def evolve(roll: RollSolution, config: EvolutionConfig) -> EvolutionResult:
 
     t_final = config.t_final
     if t_final is None:
-        rate = abs(lam.real)
+        rate = abs(lam)
         t_final = min(_T_FINAL_CAP, 10.0 / rate) if rate > 0.0 else _T_FINAL_CAP
 
     nonlin = _cubic_flux(np.where(keep, -kt2 / (2 * n_points), 0.0), params.s)

@@ -95,6 +95,13 @@ class TestValidation:
             (("verify", "--delta", "1"), "--delta"),
             (("verify", "--format", "csv"), "--format"),
             (("verify", "--jobs", "1"), "--jobs"),
+            # within the band-edge tolerance of |omega| = 1/2, where the
+            # sideband expansion is singular
+            (
+                ("map", "--eps", "0.02", "--steps", "2", "--mode", "predicate",
+                 "--omega-min", "-0.4", "--omega-max", "0.4999999999999999"),
+                "--omega-min/--omega-max",
+            ),
         ],
     )
     def test_rejects_bad_flags(self, capsys, monkeypatch, tmp_path, argv, needle):

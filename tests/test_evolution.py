@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 import conslaw.evolution as ev
-from conslaw.bloch import assemble_bloch, critical_modes
+from conslaw.bloch import critical_modes
 from conslaw.errors import BlowUp, OutOfRange, StepReject
 from conslaw.fourier import PeriodicField, SpectralGrid
 from conslaw.rolls import RollParameters, solve_roll, zero_roll
@@ -188,9 +188,9 @@ class TestSeed:
     def test_sigma_zero_seed_keeps_full_mean(self):
         # at sigma = 0 the seed Re(V) keeps its full mean V_0
         roll = solve_roll(RollParameters(0.05, 0.2, 1.0), GRID)
-        vals, vecs = critical_modes(assemble_bloch(roll, 0.0))
-        lead = int(np.argmax(vals.real))
-        v = vecs[:, lead].real
+        vals, vecs = critical_modes(roll, 0.0)
+        lead = int(np.argmax(vals))
+        v = vecs[:, lead]
         xi = 2.0 * np.pi * np.arange(GRID.n_points) / GRID.n_points
         u = np.cos(np.outer(xi, GRID.modes)) @ v
         assert abs(np.mean(u)) > 0.01 * np.sqrt(np.mean(u**2))  # a mass-carrying mode
@@ -204,10 +204,10 @@ class TestSeed:
         # but its eigenvector is odd, so Re(V) is roundoff (~5e-21).  Scaled
         # up to the seed amplitude, that roundoff decayed at -4.8e-3.
         roll = solve_roll(RollParameters(0.05, 0.1, -0.7), GRID)
-        vals, vecs = critical_modes(assemble_bloch(roll, 0.0))
-        odd = int(np.argmax(vals.real))
-        assert vals[odd].real > 0.0
-        assert np.linalg.norm(vecs[:, odd].real + vecs[::-1, odd].real) < 1e-12
+        vals, vecs = critical_modes(roll, 0.0)
+        odd = int(np.argmax(vals))
+        assert vals[odd] > 0.0
+        assert np.linalg.norm(vecs[:, odd] + vecs[::-1, odd]) < 1e-12
         cfg = ev.EvolutionConfig(n_periods=4, dt=0.1, seed_sigma=0.0, t_final=50.0)
         res = ev.evolve(roll, cfg)
         assert res.seed_eigenvalue == 0.0  # the conserved mode leads the even ones
@@ -216,9 +216,8 @@ class TestSeed:
     @pytest.mark.parametrize("n_periods,j", [(4, 0), (4, 2), (4, -2)])
     def test_no_even_critical_mode_rejected(self, monkeypatch, n_periods, j):
         # make every critical vector odd under the fold that the seed applies
-        def odd_modes(op):
-            vals, vecs = critical_modes(op)
-            v = vecs.real
+        def odd_modes(roll, sigma):
+            vals, v = critical_modes(roll, sigma)
             w = np.zeros_like(v)
             if j == 0:  # sigma = 0: m <-> -m
                 w = v - v[::-1]
@@ -226,7 +225,7 @@ class TestSeed:
                 w[:-1] = v[:-1] - v[-2::-1]
             else:  # sigma = -1/2: m <-> 1-m; m = -M has no partner
                 w[1:] = v[1:] - v[:0:-1]
-            return vals, w.astype(complex)
+            return vals, w
 
         monkeypatch.setattr(ev, "critical_modes", odd_modes)
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), GRID)
