@@ -40,7 +40,7 @@ for eps in (0.01, 0.02, 0.04, 0.08):
 print()
 print("A profile at eps = 0.1 (first cosine coefficients):")
 roll = solve_roll(RollParameters(0.1, omega, s), grid)
-a = roll.profile.cosine_coefficients()
+a = roll.profile.cosines
 for m in range(5):
     print(f"  cos({m} xi): {a[m]: .8f}")
 print("Higher harmonics decay geometrically in eps, as the reduction predicts.")

@@ -90,7 +90,7 @@ def _reaction_coefficients(roll: RollSolution) -> np.ndarray:
     """
     params = roll.params
     M = roll.profile.grid.n_modes
-    c = roll.profile.coeffs.real
+    c = roll.profile.coeffs
     df = -2.0 * params.s * np.concatenate([np.zeros(M), c, np.zeros(M)]) - 3.0 * np.convolve(c, c)
     df[2 * M] += params.eps**2
     return df

@@ -247,12 +247,16 @@ def classify_numerically(
 
     Unstable when any critical curve rises above ``margin``; stable when all
     stay below and the fitted sigma^2 coefficients of the two neutral curves
-    are negative (diffusive decay); boundary otherwise.
+    are negative (diffusive decay); boundary otherwise.  Raises
+    :class:`OutOfRange` for a ``sigma_grid`` with fewer than three positive
+    Bloch numbers, too few for that fit.
     """
     from .bloch import critical_triples
 
     eps = roll.params.eps
     sigmas = _default_sigma_grid(eps) if sigma_grid is None else np.asarray(sigma_grid, dtype=float)
+    if np.count_nonzero(sigmas > 0.0) < 3:
+        raise OutOfRange("sigma_grid needs at least three positive Bloch numbers", param="sigma_grid")
     # All critical eigenvalues are real (the operator is similar to a real
     # symmetric matrix), so per-sigma ascending order is the exact curve
     # assignment; continuation matching can swap branches at collisions.

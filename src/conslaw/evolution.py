@@ -206,13 +206,11 @@ def evolve(roll: RollSolution, config: EvolutionConfig) -> EvolutionResult:
     Returns sampled ``||u(t) - roll||`` (rms over the domain), the conserved
     mass, and the log-norm slope fitted over the second half of the run.
 
-    Raises :class:`OutOfRange` for a roll profile that is not even or when no
-    critical mode has an even field, :class:`BlowUp` when the norm exceeds
+    Raises :class:`OutOfRange` when no critical mode has an even field or the
+    run is shorter than two steps, :class:`BlowUp` when the norm exceeds
     ``1e6`` times its initial value and :class:`StepReject` when ``dt`` cannot
     resolve the fastest linear growth rate.
     """
-    if not roll.profile.even:
-        raise OutOfRange("evolve integrates the cosine subspace; the roll profile must be even")
     params = roll.params
     Mper = config.n_periods
     Mmodes = roll.profile.grid.n_modes
@@ -251,18 +249,21 @@ def evolve(roll: RollSolution, config: EvolutionConfig) -> EvolutionResult:
 
     # Roll extended over the domain: modes at multiples of n_periods.
     y_roll = np.zeros(n_points)
-    y_roll[: (Mmodes + 1) * Mper : Mper] = roll.profile.coeffs[Mmodes:].real
+    y_roll[: (Mmodes + 1) * Mper : Mper] = roll.profile.coeffs[Mmodes:]
 
     t_final = config.t_final
     if t_final is None:
         rate = abs(lam)
         t_final = min(_T_FINAL_CAP, 10.0 / rate) if rate > 0.0 else _T_FINAL_CAP
+    n_steps = int(round(t_final / config.dt))
+    if n_steps < 2:
+        # the rate is fitted over the second half of the run, which needs two samples
+        raise OutOfRange(f"t_final = {t_final} is under two steps of dt = {config.dt}", param="t_final")
 
     nonlin = _cubic_flux(np.where(keep, -kt2 / (2 * n_points), 0.0), params.s)
 
     stepper = _Etdrk4(lin, config.dt)
     state = y_roll + y_pert
-    n_steps = max(1, int(round(t_final / config.dt)))
     sample_every = max(1, n_steps // 400)
 
     times = [0.0]

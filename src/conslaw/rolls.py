@@ -102,8 +102,8 @@ def _expansion_cosines(params: RollParameters) -> np.ndarray:
 def asymptotic_roll(params: RollParameters, grid: SpectralGrid) -> PeriodicField:
     """Two-term expansion of the roll: O(eps) in cos(xi), O(eps^2) in cos(2 xi)."""
     if params.at_band_edge:
-        return PeriodicField.zeros(grid, even=True)
-    return PeriodicField.from_cosines(grid, _expansion_cosines(params))
+        return PeriodicField(grid, [])
+    return PeriodicField(grid, _expansion_cosines(params))
 
 
 def amplitude_alpha(params: RollParameters) -> float:
@@ -113,14 +113,14 @@ def amplitude_alpha(params: RollParameters) -> float:
 
 def measured_alpha(roll: RollSolution) -> float:
     """Exact cos(xi) coordinate ``<cos, profile>`` of a computed roll."""
-    return float(2.0 * roll.profile.coefficient(1).real)
+    return float(roll.profile.cosines[1])
 
 
 def zero_roll(params: RollParameters, grid: SpectralGrid) -> RollSolution:
     """The equilibrium branch as a RollSolution (used at the band endpoints)."""
     return RollSolution(
         params=params,
-        profile=PeriodicField.zeros(grid, even=True),
+        profile=PeriodicField(grid, []),
         q=0.0,
         residual_norm=0.0,
         newton_iters=0,
@@ -143,14 +143,13 @@ def _residual_and_multiplier(a: np.ndarray, params: RollParameters, grid: Spectr
     """
     M = grid.n_modes
     k2 = params.k**2
-    u = PeriodicField.from_cosines(grid, np.concatenate([[0.0], a]))
-    vals = u.values()
+    vals = PeriodicField(grid, np.concatenate([[0.0], a])).values()
     g = _cosine_spectrum(-params.s * vals**2 - vals**3, M)
     m = np.arange(1, M + 1, dtype=np.float64)
     lin = params.eps**2 + swift_hohenberg(k2 * m**2)
     F = -k2 * (lin * a + g[1:])
     q = -k2 * g[0]
-    return F, q, u, vals
+    return F, q, vals
 
 
 def _jacobian(a: np.ndarray, vals: np.ndarray, params: RollParameters, grid: SpectralGrid) -> np.ndarray:
@@ -174,7 +173,7 @@ def _jacobian(a: np.ndarray, vals: np.ndarray, params: RollParameters, grid: Spe
 def _newton(a: np.ndarray, params: RollParameters, grid: SpectralGrid, tol: float, max_iters: int):
     residual = np.inf
     for it in range(max_iters):
-        F, q, u, vals = _residual_and_multiplier(a, params, grid)
+        F, q, vals = _residual_and_multiplier(a, params, grid)
         residual = float(np.max(np.abs(F)))
         if not np.isfinite(residual):
             raise NoConvergence(it, residual)
@@ -224,9 +223,8 @@ def solve_roll(
     if params.at_band_edge or params.eps == 0.0:
         return zero_roll(params, grid)
 
-    predictor = _expansion_cosines(params)[1:]
-    a0 = np.zeros(grid.n_modes)
-    a0[: predictor.size] = predictor
+    # modes 1..M of the two-term expansion, zero-padded by the field
+    a0 = PeriodicField(grid, _expansion_cosines(params)).cosines[1:]
     try:
         a, q, residual, iters = _newton(a0, params, grid, tol, max_iters)
     except NoConvergence:
@@ -236,7 +234,7 @@ def solve_roll(
     # sign of every odd cosine mode.
     if np.sum(a) < 0.0:
         a = a * (-1.0) ** np.arange(1, grid.n_modes + 1)
-        F, q, _, _ = _residual_and_multiplier(a, params, grid)
+        F, q, _ = _residual_and_multiplier(a, params, grid)
         residual = float(np.max(np.abs(F)))
 
     alpha_pred = abs(amplitude_alpha(params))
@@ -245,7 +243,7 @@ def solve_roll(
             f"Newton collapsed to the zero profile at eps={params.eps}, omega={params.omega}"
         )
 
-    profile = PeriodicField.from_cosines(grid, np.concatenate([[0.0], a]))
+    profile = PeriodicField(grid, np.concatenate([[0.0], a]))
     return RollSolution(params=params, profile=profile, q=float(q), residual_norm=residual, newton_iters=iters)
 
 
@@ -254,11 +252,7 @@ def _continuation_restart(params: RollParameters, grid: SpectralGrid, tol: float
     anchors = []
     for frac in (0.5, 0.75):
         sub = RollParameters(frac * params.eps, params.omega, params.s)
-        pred = _expansion_cosines(sub)[1:]
-        a0 = np.zeros(grid.n_modes)
-        a0[: pred.size] = pred
-        if anchors:
-            a0 = anchors[-1]
+        a0 = anchors[-1] if anchors else PeriodicField(grid, _expansion_cosines(sub)).cosines[1:]
         a, _, _, _ = _newton(a0, sub, grid, tol, max_iters)
         anchors.append(a)
     secant = anchors[1] + (anchors[1] - anchors[0])

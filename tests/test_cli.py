@@ -102,6 +102,12 @@ class TestValidation:
                  "--omega-min", "-0.4", "--omega-max", "0.4999999999999999"),
                 "--omega-min/--omega-max",
             ),
+            # one step leaves a single sample in the second-half rate fit
+            (
+                ("evolve", "--eps", "0.05", "--omega", "0.1", "--s", "0.5", "--sigma", "0.25",
+                 "--periods", "4", "--dt", "0.1", "--t-final", "0.1", "--modes", "12"),
+                "--t-final",
+            ),
         ],
     )
     def test_rejects_bad_flags(self, capsys, monkeypatch, tmp_path, argv, needle):
@@ -260,6 +266,12 @@ class TestGoldenBytes:
             (
                 "compare_m32.csv",
                 ("compare", "--eps", "0.04", "--omega", "0.25", "--s", "1", "--modes", "32", "--steps", "11"),
+            ),
+            (
+                # the only output that serializes a field, written by the
+                # complex-spectrum PeriodicField
+                "solve_m16.json",
+                ("solve", "--eps", "0.1", "--omega", "0.2", "--s", "0.8", "--modes", "16"),
             ),
         ],
     )

@@ -18,9 +18,10 @@ SRC = DEMOS.parent / "src"
     ["01_roll_existence.py", "02_bloch_spectra.py", "03_stability_map.py", "04_amplitude_system.py"],
 )
 def test_demo_runs(name):
+    # -W error: the demos meet the same warning policy as the test suite
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, str(DEMOS / name)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(DEMOS / name)], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout

@@ -242,3 +242,11 @@ class TestNumericalClassifier:
             got = np.sort(vals)
             want = np.sort([-4.0 * sig**2, -4.0 * sig**2, -(sig**2)])
             assert np.max(np.abs(got - want) / np.abs(want)) < 0.2
+
+    @pytest.mark.parametrize("sigmas", [[0.0, 0.01, 0.02], [0.01, 0.02], [-0.1, 0.0]])
+    def test_short_sigma_grid_rejected(self, sigmas):
+        # the sigma^2 fit needs three positive Bloch numbers
+        roll = solve_roll(RollParameters(0.02, 0.0, 0.0), SpectralGrid(12))
+        with pytest.raises(OutOfRange) as info:
+            dsp.classify_numerically(roll, sigma_grid=np.array(sigmas))
+        assert info.value.param == "sigma_grid"

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +7,7 @@ from scipy.fft import next_fast_len
 import conslaw.evolution as ev
 from conslaw.bloch import critical_modes
 from conslaw.errors import BlowUp, OutOfRange, StepReject
-from conslaw.fourier import PeriodicField, SpectralGrid
+from conslaw.fourier import SpectralGrid
 from conslaw.rolls import RollParameters, solve_roll, zero_roll
 
 GRID = SpectralGrid(12)
@@ -38,7 +36,7 @@ class TestMass:
     def test_zero_mean_roll(self):
         # a zero-mean roll seeded off sigma = 0 carries no mass at all
         roll = solve_roll(RollParameters(0.05, 0.0, 0.8), GRID)
-        assert roll.profile.coefficient(0) == 0.0
+        assert roll.profile.cosines[0] == 0.0
         cfg = ev.EvolutionConfig(n_periods=4, dt=0.1, seed_sigma=0.25, t_final=1.0)
         assert np.all(ev.evolve(roll, cfg).masses == 0.0)
 
@@ -104,6 +102,21 @@ class TestEvolve:
         cfg = ev.EvolutionConfig(n_periods=4, dt=500.0, seed_sigma=0.25, t_final=1000.0)
         with pytest.raises(StepReject):
             ev.evolve(roll, cfg)
+
+    @pytest.mark.parametrize("t_final", [0.1, 0.14, None])
+    def test_single_step_run_rejected(self, monkeypatch, t_final):
+        # one step leaves a single sample in the second-half rate fit; with
+        # t_final = None a rate of -100 gives 10 / |rate| = dt
+        def fast_modes(roll, sigma):
+            vals, vecs = critical_modes(roll, sigma)
+            return np.full_like(vals, -100.0), vecs
+
+        monkeypatch.setattr(ev, "critical_modes", fast_modes)
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.5), GRID)
+        cfg = ev.EvolutionConfig(n_periods=4, dt=0.1, seed_sigma=0.25, t_final=t_final)
+        with pytest.raises(OutOfRange) as info:
+            ev.evolve(roll, cfg)
+        assert info.value.param == "t_final"
 
     def test_blow_up_detection(self, monkeypatch):
         monkeypatch.setattr(ev, "_BLOWUP_FACTOR", 1.01)
@@ -175,16 +188,6 @@ class TestStepper:
 
 
 class TestSeed:
-    def test_non_even_roll_rejected(self):
-        roll = solve_roll(RollParameters(0.05, 0.0, 0.8), GRID)
-        sine = np.zeros(2 * GRID.n_modes + 1, dtype=np.complex128)
-        sine[GRID.n_modes + 2], sine[GRID.n_modes - 2] = 1e-3 / 2j, -1e-3 / 2j
-        skewed = dataclasses.replace(roll, profile=PeriodicField(GRID, roll.profile.coeffs + sine))
-        assert not skewed.profile.even
-        cfg = ev.EvolutionConfig(n_periods=4, dt=0.1, seed_sigma=0.25, t_final=1.0)
-        with pytest.raises(OutOfRange, match="even"):
-            ev.evolve(skewed, cfg)
-
     def test_sigma_zero_seed_keeps_full_mean(self):
         # at sigma = 0 the seed Re(V) keeps its full mean V_0
         roll = solve_roll(RollParameters(0.05, 0.2, 1.0), GRID)

@@ -11,29 +11,18 @@ from conslaw.rolls import RollParameters, _cosine_spectrum, _residual_and_multip
 GRID = SpectralGrid(12)
 
 
-def random_field(grid, rng, scale=1.0, even=False):
-    c = np.zeros(2 * grid.n_modes + 1, dtype=np.complex128)
-    mid = grid.n_modes
-    c[mid] = rng.normal() * scale
+def random_field(grid, rng, scale=1.0):
+    a = np.zeros(grid.n_modes + 1)
+    a[0] = rng.normal() * scale
     for m in range(1, grid.n_modes + 1):
-        z = (rng.normal() + (0.0 if even else 1j * rng.normal())) * scale / (1 + m) ** 2
-        c[mid + m] = z
-        c[mid - m] = np.conj(z)
-    return PeriodicField(grid, c, even=even)
-
-
-def sine(grid, m):
-    """Coefficients of ``sin(m xi)``."""
-    c = np.zeros(2 * grid.n_modes + 1, dtype=np.complex128)
-    c[grid.n_modes + m] = 1.0 / 2j
-    c[grid.n_modes - m] = -1.0 / 2j
-    return c
+        a[m] = 2.0 * rng.normal() * scale / (1 + m) ** 2
+    return PeriodicField(grid, a)
 
 
 def cosine(grid, m, amplitude=1.0):
     a = np.zeros(m + 1)
     a[m] = amplitude
-    return PeriodicField.from_cosines(grid, a)
+    return PeriodicField(grid, a)
 
 
 def linear_symbol(kt2, eps):
@@ -49,35 +38,27 @@ class TestGridAndField:
     def test_collocation_count_supports_cubic_dealiasing(self):
         assert GRID.n_points >= 4 * GRID.n_modes + 1
 
-    def test_reality_violation_rejected(self):
-        c = np.zeros(2 * GRID.n_modes + 1, dtype=np.complex128)
-        c[GRID.n_modes + 1] = 1.0  # missing conjugate partner
-        with pytest.raises(ValueError):
-            PeriodicField(GRID, c)
-
-    def test_even_flag_rejects_sine_content(self):
-        with pytest.raises(ValueError):
-            PeriodicField(GRID, sine(GRID, 1), even=True)
-
     def test_values_roundtrip(self):
         # the roll solver's cosine transform inverts values() on even fields
         rng = np.random.default_rng(0)
-        u = random_field(GRID, rng, even=True)
+        u = random_field(GRID, rng)
         a = _cosine_spectrum(u.values(), GRID.n_modes)
-        assert np.max(np.abs(a - u.cosine_coefficients())) < 1e-14
+        assert np.max(np.abs(a - u.cosines)) < 1e-14
 
     def test_triples_roundtrip(self):
         rng = np.random.default_rng(1)
         u = random_field(GRID, rng)
         triples = u.to_triples()
         assert [m for m, _, _ in triples] == list(GRID.modes)
-        v = PeriodicField(GRID, np.array([complex(re, im) for _, re, im in triples]))
-        assert np.max(np.abs(u.coeffs - v.coeffs)) == 0.0
+        assert all(im == 0.0 for _, _, im in triples)
+        c = np.array([re for _, re, _ in triples])[GRID.n_modes :]
+        v = PeriodicField(GRID, np.concatenate([c[:1], 2.0 * c[1:]]))
+        assert np.max(np.abs(u.cosines - v.cosines)) == 0.0
 
     def test_coefficients_immutable(self):
         u = cosine(GRID, 1)
         with pytest.raises(ValueError):
-            u.coeffs[0] = 1.0
+            u.cosines[0] = 1.0
 
 
 class TestLinearSymbol:
@@ -119,7 +100,7 @@ class TestNonlinearRhs:
     """The roll solver's flux-form residual and the integrator's cubic flux."""
 
     def test_zero_is_fixed_point(self):
-        F, q, _, _ = _residual_and_multiplier(np.zeros(GRID.n_modes), RollParameters(0.1, 0.1, 0.7), GRID)
+        F, q, _ = _residual_and_multiplier(np.zeros(GRID.n_modes), RollParameters(0.1, 0.1, 0.7), GRID)
         assert np.all(F == 0.0) and q == 0.0
 
     def test_cubic_of_small_cosine(self):
@@ -129,7 +110,7 @@ class TestNonlinearRhs:
         delta = 1e-3
         a = np.zeros(GRID.n_modes)
         a[0] = delta
-        F, q, _, _ = _residual_and_multiplier(a, RollParameters(0.0, 0.0, 0.0), GRID)
+        F, q, _ = _residual_and_multiplier(a, RollParameters(0.0, 0.0, 0.0), GRID)
         assert F[0] == pytest.approx(0.75 * delta**3, rel=1e-12)
         assert F[2] == pytest.approx(0.25 * delta**3, rel=1e-12)
         assert np.max(np.abs(np.delete(F, [0, 2]))) < 1e-22
@@ -155,8 +136,8 @@ class TestInnerProduct:
         assert l2_norm(cosine(GRID, 1)) == pytest.approx(1.0)
 
     def test_orthogonality(self):
-        # |cos + sin|^2 = |cos|^2 + |sin|^2
-        u = PeriodicField(GRID, cosine(GRID, 1).coeffs + sine(GRID, 1))
+        # |cos + cos 2|^2 = |cos|^2 + |cos 2|^2
+        u = PeriodicField(GRID, [0.0, 1.0, 1.0])
         assert l2_norm(u) ** 2 == pytest.approx(2.0)
 
     def test_constant_norm(self):
@@ -175,53 +156,36 @@ class TestInnerProduct:
 
 
 class TestProjectKernel:
-    """Kernel coordinates ``(<cos, u>, <sin, u>, <1, u>/2)`` read with ``coefficient``."""
+    """Even kernel coordinates ``(<cos, u>, <1, u>/2)`` read from ``cosines``."""
 
     @staticmethod
     def kernel_coordinates(u):
-        c1 = u.coefficient(1)
-        return (2.0 * c1.real, -2.0 * c1.imag, u.coefficient(0).real)
+        return (u.cosines[1], u.cosines[0])
 
     def test_mixed_field(self):
-        u = PeriodicField.from_cosines(GRID, [2.0, 3.0])
-        assert self.kernel_coordinates(u) == pytest.approx((3.0, 0.0, 2.0))
+        # shorter input is zero-padded up to mode M
+        u = PeriodicField(GRID, [2.0, 3.0])
+        assert self.kernel_coordinates(u) == pytest.approx((3.0, 2.0))
+        assert u.cosines.shape == (GRID.n_modes + 1,) and np.all(u.cosines[2:] == 0.0)
 
     def test_orthogonal_harmonic(self):
-        assert self.kernel_coordinates(cosine(GRID, 2)) == pytest.approx((0.0, 0.0, 0.0))
-        assert cosine(GRID, 2).coefficient(GRID.n_modes + 1) == 0.0
-
-    def test_sine_component(self):
-        u = PeriodicField(GRID, sine(GRID, 1))
-        assert self.kernel_coordinates(u) == pytest.approx((0.0, 1.0, 0.0))
+        assert self.kernel_coordinates(cosine(GRID, 2)) == pytest.approx((0.0, 0.0))
+        # a harmonic above M does not fit the grid
+        with pytest.raises(ValueError):
+            cosine(GRID, GRID.n_modes + 1)
 
 
 class TestProducts:
-    def test_reality_closure(self):
-        rng = np.random.default_rng(5)
-        u, v = random_field(GRID, rng), random_field(GRID, rng)
-        for w in (u - v, random_field(GRID, rng, even=True)):
-            # reconstruct with the full complex transform: collocation values
-            # of the result must be real to rounding
-            n = GRID.n_points
-            spec = np.zeros(n, dtype=np.complex128)
-            M = GRID.n_modes
-            spec[: M + 1] = w.coeffs[M:]
-            spec[-M:] = w.coeffs[:M]
-            vals = np.fft.ifft(spec) * n
-            assert np.max(np.abs(vals.imag)) < 1e-13 * max(1.0, np.max(np.abs(vals.real)))
-
     def test_cubic_dealiasing_exact(self):
         # the roll solver's cubic: samples on n_points, cosine spectrum back;
         # modes <= M/3 so u^3 stays representable, and the oracle is a
         # brute-force convolution of the centered spectra.
         rng = np.random.default_rng(6)
         M = GRID.n_modes
-        c = np.zeros(2 * M + 1, dtype=np.complex128)
-        for m in range(M // 3 + 1):
-            c[M + m] = c[M - m] = rng.normal()
-        u = PeriodicField(GRID, c, even=True)
+        u = PeriodicField(GRID, rng.normal(size=M // 3 + 1))
+        c = u.coeffs
         cubed = _cosine_spectrum(u.values() ** 3, M)
-        full = np.convolve(np.convolve(c, c), c)[3 * M : 4 * M + 1].real
+        full = np.convolve(np.convolve(c, c), c)[3 * M : 4 * M + 1]
         oracle = np.concatenate([[full[0]], 2.0 * full[1:]])
         assert np.max(np.abs(cubed - oracle)) < 1e-12
 
@@ -229,6 +193,6 @@ class TestProducts:
         # the roll solver keeps only the cosine part of its products, which
         # is all there is for a product of even fields
         rng = np.random.default_rng(7)
-        u, v = random_field(GRID, rng, even=True), random_field(GRID, rng, even=True)
+        u, v = random_field(GRID, rng), random_field(GRID, rng)
         spec = np.fft.rfft(u.values() * v.values())
         assert np.max(np.abs(spec.imag)) < 1e-13 * np.max(np.abs(spec))
