@@ -4,7 +4,6 @@ dispersion in a pattern-forming model with a conservation law."""
 from .errors import (
     BlowUp,
     ConslawError,
-    DegenerateBand,
     GapViolation,
     InvariantViolation,
     NoConvergence,

@@ -45,8 +45,8 @@ def _result(name: str, checks: list[tuple[bool, str]]) -> CriterionResult:
 
 
 @functools.lru_cache(maxsize=None)
-def _roll(eps: float, omega: float, s: float, n_modes: int = 16):
-    return solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
+def _roll(eps: float, omega: float, s: float):
+    return solve_roll(RollParameters(eps, omega, s), _GRID)
 
 
 def existence_order() -> CriterionResult:

@@ -73,12 +73,12 @@ class BlochSpectrum:
         return self.eigenvalues[list(self.critical)]
 
 
-def _checked_sigmas(sigmas) -> np.ndarray:
-    """Bloch numbers as a float array, all inside one Brillouin zone."""
+def _checked_sigmas(sigmas, param: str) -> np.ndarray:
+    """Bloch numbers as a float array; :class:`OutOfRange` unless all lie in ``[-1/2, 1/2]``."""
     sigmas = np.asarray(sigmas, dtype=np.float64).reshape(-1)
-    outside = np.flatnonzero(np.abs(sigmas) > 0.5)
+    outside = np.flatnonzero(~(np.abs(sigmas) <= 0.5))
     if outside.size:
-        raise OutOfRange(f"sigma must lie in [-1/2, 1/2], got {float(sigmas[outside[0]])}", param="sigma")
+        raise OutOfRange(f"Bloch number {float(sigmas[outside[0]])} lies outside [-1/2, 1/2]", param=param)
     return sigmas
 
 
@@ -234,7 +234,7 @@ def _solve_sweep(roll: RollSolution, sigmas):
     Returns the checked Bloch numbers ``(n,)``, critical triples ``(n, 3)``,
     critical vectors ``(n, N, 3)`` and remaining eigenvalues ``(n, N - 3)``.
     """
-    sigmas = _checked_sigmas(sigmas)
+    sigmas = _checked_sigmas(sigmas, "sigma")
     df = _reaction_coefficients(roll)
     n, N = sigmas.size, 2 * roll.profile.grid.n_modes + 1
     vals = np.empty((n, 3))
@@ -259,7 +259,7 @@ def _certified_gaps(others: np.ndarray, delta: float) -> np.ndarray:
 
 def check_delta(delta: float) -> None:
     """Raise :class:`OutOfRange` unless the required gap ``delta`` is positive."""
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise OutOfRange(f"delta must be positive, got {delta}", param="delta")
 
 

@@ -227,11 +227,12 @@ def _cmd_compare(o: SimpleNamespace) -> int:
 
 def _cmd_evolve(o: SimpleNamespace) -> int:
     # Round sigma to the nearest realizable j/periods and report it; with
-    # periods = 0 the config rejects the domain before any sigma is used.
-    j = round(o.sigma * o.periods)
-    realized = j / o.periods if o.periods else o.sigma
+    # periods = 0 or a sigma that is not finite, the config gets sigma as
+    # given and rejects it.
+    j = o.sigma * o.periods
+    realized = round(j) / o.periods if o.periods and np.isfinite(j) else o.sigma
     if abs(realized - o.sigma) > 1e-12:
-        sys.stderr.write(f"note: sigma rounded to {realized} = {j}/{o.periods}\n")
+        sys.stderr.write(f"note: sigma rounded to {realized} = {round(j)}/{o.periods}\n")
     cfg = ev.EvolutionConfig(
         n_periods=o.periods,
         dt=o.dt,

@@ -2,9 +2,10 @@
 
 The leading reduced matrix, its characteristic cubic, the Cardano
 factorization, the small-sigma eigenvalue expansions, and the sideband
-product criterion all live here.  Production root-finding goes through the
-companion matrix; the Cardano path is kept as an independent closed-form
-route and cross-checked against it.
+product criterion all live here.  No computation needs the roots of the
+cubic: the Cardano factorization and the companion-matrix roots are two
+independent routes to them, kept so that acceptance criterion 6 can
+cross-check one against the other.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBand, InvariantViolation, OutOfRange
-from .rolls import _OMEGA_EDGE_TOL, RollParameters, RollSolution
+from .errors import InvariantViolation
+from .rolls import RollParameters, RollSolution, check_open_band, check_s
 
 __all__ = [
     "Stability",
@@ -159,13 +160,14 @@ def cardano_roots(a2: float, a1: float, a0: float) -> ReducedCubic:
 
 
 def companion_roots(a2: float, a1: float, a0: float) -> np.ndarray:
-    """Companion-matrix roots of the same cubic (the authoritative path)."""
+    """Companion-matrix roots of the same cubic (the oracle for :func:`cardano_roots`)."""
     return np.roots([1.0, a2, a1, a0]).astype(np.complex128)
 
 
 def _sideband_terms(omega: float, s: float) -> tuple[float, float]:
-    if abs(omega) >= 0.5 - _OMEGA_EDGE_TOL:
-        raise DegenerateBand(f"sideband expansion is singular at |omega| = 1/2 (got {omega})")
+    """Trace ``T`` and product ``Pi`` of the sideband curvatures, inside the open band."""
+    check_open_band(omega, "omega")
+    check_s(s, "s")
     u = 36.0 * s**2 / (27.0 - 2.0 * s**2)
     wterm = 32.0 * omega**2 / (1.0 - 4.0 * omega**2)
     T = -5.0 + u + wterm
@@ -207,10 +209,6 @@ def stability_predicate(omega: float, s: float) -> Stability:
     of ``omega^2`` below ``(27 - 38 s^2) / (12 (27 - 14 s^2))`` while
     ``27 - 38 s^2 > 0``, and to instability for every ``omega`` beyond.
     """
-    if abs(omega) >= 0.5 - _OMEGA_EDGE_TOL:
-        raise OutOfRange(f"predicate requires |omega| < 1/2 - {_OMEGA_EDGE_TOL:g}, got {omega}", param="omega")
-    if abs(s) >= np.sqrt(13.5):
-        raise OutOfRange(f"predicate requires |s| < sqrt(27/2), got {s}", param="s")
     T, Pi = _sideband_terms(omega, s)
     if abs(Pi) < _BOUNDARY_BAND:
         return Stability.BOUNDARY
@@ -223,6 +221,7 @@ def stability_predicate(omega: float, s: float) -> Stability:
 
 def band_edge_omega(s: float) -> float:
     """Half-width of the stable band in omega at fixed ``s`` (0 when empty)."""
+    check_s(s, "s")
     num = 27.0 - 38.0 * s**2
     if num <= 0.0:
         return 0.0
@@ -237,33 +236,24 @@ def _default_sigma_grid(eps: float) -> np.ndarray:
     return np.unique(np.concatenate([[0.0], small, coarse[coarse > small[-1]]]))
 
 
-def classify_numerically(
-    roll: RollSolution,
-    sigma_grid: np.ndarray | None = None,
-    delta: float = 1.0,
-    margin: float = 1e-10,
-) -> StabilityVerdict:
+def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVerdict:
     """Verdict from the computed critical curves over a sigma sweep.
 
-    Unstable when any critical curve rises above ``margin``; stable when all
+    Unstable when any critical curve rises above ``1e-10``; stable when all
     stay below and the fitted sigma^2 coefficients of the two neutral curves
-    are negative (diffusive decay); boundary otherwise.  Raises
-    :class:`OutOfRange` for a ``sigma_grid`` with fewer than three positive
-    Bloch numbers, too few for that fit.
+    are negative (diffusive decay); boundary otherwise.
     """
     from .bloch import critical_triples
 
     eps = roll.params.eps
-    sigmas = _default_sigma_grid(eps) if sigma_grid is None else np.asarray(sigma_grid, dtype=float)
-    if np.count_nonzero(sigmas > 0.0) < 3:
-        raise OutOfRange("sigma_grid needs at least three positive Bloch numbers", param="sigma_grid")
+    sigmas = _default_sigma_grid(eps)
     # All critical eigenvalues are real (the operator is similar to a real
     # symmetric matrix), so per-sigma ascending order is the exact curve
     # assignment; continuation matching can swap branches at collisions.
     curves = critical_triples(roll, sigmas, delta=delta).T
 
     worst = np.unravel_index(np.argmax(curves), curves.shape)
-    if curves[worst] > margin:
+    if curves[worst] > 1e-10:
         return StabilityVerdict(
             params=(eps, roll.params.omega, roll.params.s),
             verdict=Stability.UNSTABLE,

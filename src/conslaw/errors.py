@@ -6,6 +6,13 @@ else reports a numerical failure discovered mid-computation.  An
 the library spells it (``param="eps"``, ``"n_modes"``, ``"seed_sigma"``, ...),
 so a front end can name its own option for it; the name survives pickling,
 as it must for errors raised in worker processes.
+
+Four domain rules are each checked in one function: ``27 - 2 s^2 > 0``
+(``rolls.check_s``), ``|omega| <= 1/2`` with an exact edge
+(``rolls.check_band``), ``|omega| < 1/2 - 1e-14`` for the sideband formulas
+(``rolls.check_open_band``) and ``|sigma| <= 1/2`` (``bloch._checked_sigmas``).
+An ``omega`` on the band edge is a violated precondition like any other.
+Every check states the condition that must hold, so a NaN fails it.
 """
 
 from __future__ import annotations
@@ -49,10 +56,6 @@ class GapViolation(ConslawError):
             f"spectral gap {gap:.6g} does not exceed the required {required:.6g}; "
             "parameters are outside the small-amplitude regime"
         )
-
-
-class DegenerateBand(ConslawError):
-    """Closed-form sideband expansions are singular at the band endpoints."""
 
 
 class InvariantViolation(ConslawError):

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.fftpack import dct
 
-from .bloch import critical_modes
+from .bloch import _checked_sigmas, critical_modes
 from .errors import BlowUp, OutOfRange, StepReject
 from .model import swift_hohenberg
 from .rolls import RollSolution
@@ -57,22 +57,20 @@ class EvolutionConfig:
     perturbation_amplitude: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.n_periods < 1 or int(self.n_periods) != self.n_periods:
+        if not (self.n_periods >= 1 and float(self.n_periods).is_integer()):
             raise OutOfRange(f"n_periods must be a positive integer, got {self.n_periods}", param="n_periods")
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise OutOfRange(f"dt must be positive, got {self.dt}", param="dt")
-        if self.t_final is not None and self.t_final <= 0.0:
-            raise OutOfRange(f"t_final must be positive, got {self.t_final}", param="t_final")
-        if self.perturbation_amplitude <= 0.0:
+        if self.t_final is not None and not 0.0 < self.t_final < np.inf:
+            raise OutOfRange(f"t_final must be positive and finite, got {self.t_final}", param="t_final")
+        if not self.perturbation_amplitude > 0.0:
             raise OutOfRange("perturbation_amplitude must be positive", param="perturbation_amplitude")
         j = self.seed_sigma * self.n_periods
-        if abs(j - round(j)) > 1e-9:
+        if not abs(j - np.round(j)) <= 1e-9:
             raise OutOfRange(
                 f"seed_sigma = {self.seed_sigma} is not a multiple of 1/{self.n_periods}", param="seed_sigma"
             )
-        sigma = self.seed_index / self.n_periods
-        if abs(sigma) > 0.5:
-            raise OutOfRange(f"seed_sigma = {sigma} lies outside [-1/2, 1/2]", param="seed_sigma")
+        _checked_sigmas(self.seed_index / self.n_periods, "seed_sigma")
 
     @property
     def seed_index(self) -> int:
@@ -108,12 +106,12 @@ class _Etdrk4:
     step, term by term.
     """
 
-    def __init__(self, lin: np.ndarray, dt: float, n_quad: int = 32):
+    def __init__(self, lin: np.ndarray, dt: float):
         self.e_full = np.exp(dt * lin)
         self.e_half = np.exp(0.5 * dt * lin)
-        # Contour quadrature on the upper half circle; exact mean-value
+        # 32-node contour quadrature on the upper half circle; exact mean-value
         # evaluation of the entire phi-functions for real symbols.
-        roots = np.exp(1j * np.pi * (np.arange(n_quad) + 0.5) / n_quad)
+        roots = np.exp(1j * np.pi * (np.arange(32) + 0.5) / 32)
         lr = dt * lin[:, None] + roots[None, :]
         elr = np.exp(lr)
         self.f0 = dt * ((np.exp(lr / 2.0) - 1.0) / lr).mean(1).real

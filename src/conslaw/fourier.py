@@ -39,7 +39,7 @@ class SpectralGrid:
     n_modes: int
 
     def __post_init__(self) -> None:
-        if int(self.n_modes) != self.n_modes or self.n_modes < 8:
+        if not (self.n_modes >= 8 and float(self.n_modes).is_integer()):
             raise OutOfRange(f"n_modes must be an integer >= 8, got {self.n_modes}", param="n_modes")
         object.__setattr__(self, "n_modes", int(self.n_modes))
 
@@ -54,12 +54,13 @@ class SpectralGrid:
         return np.arange(-self.n_modes, self.n_modes + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicField:
     """Even real 2π-periodic function ``a_0 + sum_m a_m cos(m xi)``.
 
     ``cosines[m]`` is ``a_m`` for ``m = 0 .. M``; shorter input is padded
-    with zeros and the stored array is read-only float64.
+    with zeros and the stored array is read-only float64.  Fields compare and
+    hash by identity; compare values with ``np.array_equal(u.cosines, v.cosines)``.
     """
 
     grid: SpectralGrid

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBand, OutOfRange
-from .rolls import RollSolution
+from .bloch import _checked_sigmas
+from .errors import OutOfRange
+from .rolls import RollSolution, check_band, check_open_band, check_s
 
 __all__ = [
     "MglParameters",
@@ -45,10 +46,8 @@ class MglParameters:
     s: float
 
     def __post_init__(self) -> None:
-        if abs(self.omega) > 0.5:
-            raise OutOfRange(f"|omega| must be <= 1/2, got {self.omega}", param="omega")
-        if abs(self.s) >= np.sqrt(13.5):
-            raise OutOfRange(f"|s| must be < sqrt(27/2), got {self.s}", param="s")
+        check_band(self.omega, "omega")
+        check_s(self.s, "s")
 
 
 @dataclass(frozen=True)
@@ -72,12 +71,9 @@ class ComparisonRow:
 
 def mgl_roll_amplitude(omega: float, s: float) -> float:
     """Positive root of the reduced amplitude equation; 0 at ``|omega| = 1/2``."""
-    if abs(omega) > 0.5:
-        raise OutOfRange(f"|omega| must be <= 1/2, got {omega}", param="omega")
-    band = 1.0 - 4.0 * omega**2
-    if band <= 0.0:
-        return 0.0
-    return float(6.0 * np.sqrt(band / (27.0 - 2.0 * s**2)))
+    check_band(omega, "omega")
+    check_s(s, "s")
+    return float(6.0 * np.sqrt((1.0 - 4.0 * omega**2) / (27.0 - 2.0 * s**2)))
 
 
 def mgl_dispersion_matrix(params: MglParameters, sigma_hat: float) -> MglDispersion:
@@ -105,9 +101,8 @@ def mgl_small_sigma(params: MglParameters) -> tuple[float, float, float]:
     implementation so the agreement is a genuine cross-check.
     """
     w, s = params.omega, params.s
+    check_open_band(w, "omega")
     band = 1.0 - 4.0 * w**2
-    if band <= 0.0:
-        raise DegenerateBand(f"expansion singular at |omega| = 1/2 (got {w})")
     u = 36.0 * s**2 / (27.0 - 2.0 * s**2)
     wt = 32.0 * w**2 / band
     curvature = -u - 4.0 * (1.0 + 4.0 * w**2) / band
@@ -127,16 +122,11 @@ def compare_exact_vs_mgl(roll: RollSolution, sigma_hat_grid, delta: float = 1.0)
     from .bloch import critical_triples
 
     eps = roll.params.eps
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise OutOfRange("comparison requires eps > 0", param="eps")
     mglp = MglParameters(roll.params.omega, roll.params.s)
     sigma_hats = [float(sh) for sh in sigma_hat_grid]
-    sigmas = eps * np.array(sigma_hats)
-    outside = np.flatnonzero(np.abs(sigmas) > 0.5)
-    if outside.size:
-        raise OutOfRange(
-            f"eps * sigma_hat = {float(sigmas[outside[0]])} leaves the Brillouin zone", param="sigma_hat"
-        )
+    sigmas = _checked_sigmas(eps * np.array(sigma_hats), "sigma_hat")
     # Complex on purpose: ``/ eps**2`` then takes numpy's complex division,
     # whose rounding differs from real division in the last digit, and the
     # golden compare output pins those digits.

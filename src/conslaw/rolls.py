@@ -32,6 +32,25 @@ __all__ = [
 ]
 
 _OMEGA_EDGE_TOL = 1e-14
+_MAX_ITERS = 30
+
+
+def check_s(s: float, param: str) -> None:
+    """Raise :class:`OutOfRange` unless ``27 - 2 s^2 > 0``, where the closed forms exist."""
+    if not 27.0 - 2.0 * s**2 > 0.0:
+        raise OutOfRange(f"need 27 - 2 s^2 > 0, got s = {s}", param=param)
+
+
+def check_band(omega: float, param: str) -> None:
+    """Raise :class:`OutOfRange` unless ``|omega| <= 1/2``, the closed band of rolls."""
+    if not abs(omega) <= 0.5:
+        raise OutOfRange(f"omega must lie in [-1/2, 1/2], got {omega}", param=param)
+
+
+def check_open_band(omega: float, param: str) -> None:
+    """Raise :class:`OutOfRange` unless ``|omega| < 1/2 - 1e-14``, where ``1 - 4 omega^2`` is safely nonzero."""
+    if not abs(omega) < 0.5 - _OMEGA_EDGE_TOL:
+        raise OutOfRange(f"sideband formulas require |omega| < 1/2 - {_OMEGA_EDGE_TOL:g}, got {omega}", param=param)
 
 
 @dataclass(frozen=True)
@@ -48,13 +67,11 @@ class RollParameters:
     s: float
 
     def __post_init__(self) -> None:
-        if self.eps < 0.0:
+        if not self.eps >= 0.0:
             raise OutOfRange(f"eps must be >= 0, got {self.eps}", param="eps")
-        if abs(self.omega) > 0.5 + _OMEGA_EDGE_TOL:
-            raise OutOfRange(f"omega must lie in [-1/2, 1/2], got {self.omega}", param="omega")
-        if 27.0 - 2.0 * self.s**2 <= 0.0:
-            raise OutOfRange(f"need 27 - 2 s^2 > 0, got s = {self.s}", param="s")
-        if 1.0 + 2.0 * self.omega * self.eps <= 0.0:
+        check_band(self.omega, "omega")
+        check_s(self.s, "s")
+        if not 1.0 + 2.0 * self.omega * self.eps > 0.0:
             raise OutOfRange(
                 f"wavenumber k = sqrt(1 + 2 omega eps) must be positive, got eps = {self.eps}, "
                 f"omega = {self.omega}",
@@ -170,9 +187,9 @@ def _jacobian(a: np.ndarray, vals: np.ndarray, params: RollParameters, grid: Spe
     return -k2 * (np.diag(lin) + J_nl)
 
 
-def _newton(a: np.ndarray, params: RollParameters, grid: SpectralGrid, tol: float, max_iters: int):
+def _newton(a: np.ndarray, params: RollParameters, grid: SpectralGrid, tol: float):
     residual = np.inf
-    for it in range(max_iters):
+    for it in range(_MAX_ITERS):
         F, q, vals = _residual_and_multiplier(a, params, grid)
         residual = float(np.max(np.abs(F)))
         if not np.isfinite(residual):
@@ -181,23 +198,18 @@ def _newton(a: np.ndarray, params: RollParameters, grid: SpectralGrid, tol: floa
             return a, q, residual, it
         J = _jacobian(a, vals, params, grid)
         a = a + np.linalg.solve(J, -F)
-    raise NoConvergence(max_iters, residual)
+    raise NoConvergence(_MAX_ITERS, residual)
 
 
 def check_solvable(params: RollParameters, tol: float = 1e-12) -> None:
     """Raise :class:`OutOfRange` for inputs :func:`solve_roll` rejects."""
-    if params.eps > 0.2:
+    if not params.eps <= 0.2:
         raise OutOfRange(f"solve_roll requires eps <= 0.2, got {params.eps}", param="eps")
-    if tol < 1e-13:
+    if not tol >= 1e-13:
         raise OutOfRange(f"tol must be >= 1e-13, got {tol}", param="tol")
 
 
-def solve_roll(
-    params: RollParameters,
-    grid: SpectralGrid,
-    tol: float = 1e-12,
-    max_iters: int = 30,
-) -> RollSolution:
+def solve_roll(params: RollParameters, grid: SpectralGrid, tol: float = 1e-12) -> RollSolution:
     """Newton iteration from the asymptotic predictor.
 
     Parameters
@@ -226,9 +238,9 @@ def solve_roll(
     # modes 1..M of the two-term expansion, zero-padded by the field
     a0 = PeriodicField(grid, _expansion_cosines(params)).cosines[1:]
     try:
-        a, q, residual, iters = _newton(a0, params, grid, tol, max_iters)
+        a, q, residual, iters = _newton(a0, params, grid, tol)
     except NoConvergence:
-        a, q, residual, iters = _continuation_restart(params, grid, tol, max_iters)
+        a, q, residual, iters = _continuation_restart(params, grid, tol)
 
     # Phase convention: positive at xi = 0; the shift xi -> xi + pi flips the
     # sign of every odd cosine mode.
@@ -247,13 +259,13 @@ def solve_roll(
     return RollSolution(params=params, profile=profile, q=float(q), residual_norm=residual, newton_iters=iters)
 
 
-def _continuation_restart(params: RollParameters, grid: SpectralGrid, tol: float, max_iters: int):
+def _continuation_restart(params: RollParameters, grid: SpectralGrid, tol: float):
     """Secant continuation in eps when the direct predictor fails."""
     anchors = []
     for frac in (0.5, 0.75):
         sub = RollParameters(frac * params.eps, params.omega, params.s)
         a0 = anchors[-1] if anchors else PeriodicField(grid, _expansion_cosines(sub)).cosines[1:]
-        a, _, _, _ = _newton(a0, sub, grid, tol, max_iters)
+        a, _, _, _ = _newton(a0, sub, grid, tol)
         anchors.append(a)
     secant = anchors[1] + (anchors[1] - anchors[0])
-    return _newton(secant, params, grid, tol, max_iters)
+    return _newton(secant, params, grid, tol)

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing its pass/fail line.
 
 Criteria and tolerances live in conslaw.acceptance; these tests only assert
-and report.  Runtime is a few minutes, dominated by the stability-band map
-and the dynamic-rate integrations.
+and report.  The module takes about 20 s on a 2-core machine, most of it in
+the dynamic-rate integrations (criterion 8, about 12 s) and the
+stability-band map (criterion 5, about 5 s).
 """
 
 import pytest

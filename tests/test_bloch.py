@@ -230,7 +230,7 @@ class TestBatchedSweep:
 
         monkeypatch.setattr(bloch, "_symmetric_factors", no_assembly)
         for fn in (critical_triples, critical_curves):
-            with pytest.raises(OutOfRange, match="got 0.6$"):
+            with pytest.raises(OutOfRange, match="Bloch number 0.6 lies"):
                 fn(roll, [0.1, 0.6, -0.7])
 
     def test_singular_member_alone_takes_the_fallback(self):

@@ -108,6 +108,14 @@ class TestValidation:
                  "--periods", "4", "--dt", "0.1", "--t-final", "0.1", "--modes", "12"),
                 "--t-final",
             ),
+            # NaN fails every check, which states the condition that must hold
+            (("spectrum", *ROLL, "--modes", "12", "--sigma-min", "nan"), "--sigma-min"),
+            (("solve", "--eps", "nan", "--omega", "0", "--s", "0"), "--eps"),
+            ((*EVOLVE, "--sigma", "nan"), "--sigma"),
+            ((*EVOLVE, "--dt", "nan"), "--dt"),
+            (("map", "--eps", "0.02", "--steps", "2", "--mode", "predicate", "--s-min", "nan"), "--s-min"),
+            (("spectrum", *ROLL, "--modes", "12", "--delta", "nan"), "--delta"),
+            ((*EVOLVE, "--t-final", "inf"), "--t-final"),
         ],
     )
     def test_rejects_bad_flags(self, capsys, monkeypatch, tmp_path, argv, needle):

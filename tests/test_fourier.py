@@ -6,7 +6,7 @@ from conslaw import evolution as ev
 from conslaw.errors import OutOfRange
 from conslaw.fourier import PeriodicField, SpectralGrid, l2_norm
 from conslaw.model import swift_hohenberg
-from conslaw.rolls import RollParameters, _cosine_spectrum, _residual_and_multiplier
+from conslaw.rolls import RollParameters, _cosine_spectrum, _residual_and_multiplier, zero_roll
 
 GRID = SpectralGrid(12)
 
@@ -54,6 +54,14 @@ class TestGridAndField:
         c = np.array([re for _, re, _ in triples])[GRID.n_modes :]
         v = PeriodicField(GRID, np.concatenate([c[:1], 2.0 * c[1:]]))
         assert np.max(np.abs(u.cosines - v.cosines)) == 0.0
+
+    def test_equality_and_hash_do_not_raise(self):
+        # fields compare by identity; their values compare with np.array_equal
+        u, v = PeriodicField(GRID, [1.0]), PeriodicField(GRID, [1.0])
+        assert u == u and u != v
+        assert np.array_equal(u.cosines, v.cosines)
+        roll = zero_roll(RollParameters(0.05, 0.5, 0.0), GRID)
+        assert roll == roll and hash(roll) == hash(roll) and hash(u) != hash(v)
 
     def test_coefficients_immutable(self):
         u = cosine(GRID, 1)

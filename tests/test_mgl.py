@@ -223,5 +223,5 @@ class TestComparison:
             raise AssertionError("solved before the range check")
 
         monkeypatch.setattr(bloch, "critical_triples", no_solve)
-        with pytest.raises(OutOfRange, match=f"= {0.1 * 6.0} leaves"):
+        with pytest.raises(OutOfRange, match=f"Bloch number {0.1 * 6.0} lies"):
             mgl.compare_exact_vs_mgl(roll, [0.0, 6.0, -7.0])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conslaw import rolls
 from conslaw.errors import OutOfRange
 from conslaw.fourier import SpectralGrid, l2_norm
 from conslaw.rolls import (
@@ -23,7 +24,7 @@ class TestParameters:
 
     @pytest.mark.parametrize(
         "eps,omega,s",
-        [(-0.1, 0.0, 0.0), (0.1, 0.6, 0.0), (0.1, 0.0, 3.8)],
+        [(-0.1, 0.0, 0.0), (0.1, 0.6, 0.0), (0.1, 0.0, 3.8), (0.1, 0.5 + 1e-14, 0.0)],
     )
     def test_invalid_parameters(self, eps, omega, s):
         with pytest.raises(OutOfRange):
@@ -71,6 +72,21 @@ class TestSolveRoll:
         roll = solve_roll(RollParameters(0.05, 0.25, 1.0), GRID)
         assert roll.residual_norm < 1e-10
         assert roll.params.k == pytest.approx(np.sqrt(1.025))
+
+    def test_continuation_restart_recovers_the_roll(self, monkeypatch):
+        # near the edge of the domain the direct predictor stalls, and only the
+        # secant continuation in eps reaches the roll
+        restart, calls = rolls._continuation_restart, []
+
+        def spy(*args):
+            calls.append(args)
+            return restart(*args)
+
+        monkeypatch.setattr(rolls, "_continuation_restart", spy)
+        params = RollParameters(0.15445027383466858, 0.4081507589604108, 3.2651846456007703)
+        roll = solve_roll(params, SpectralGrid(8))
+        assert len(calls) == 1
+        assert roll.residual_norm < 1e-10
 
     def test_profile_even_and_mean_free(self):
         roll = solve_roll(RollParameters(0.08, -0.3, 0.8), GRID)
