@@ -2,9 +2,9 @@
 
 Subcommands: ``solve``, ``spectrum``, ``map``, ``compare``, ``evolve``,
 ``verify``.  Each subcommand declares its options once, in ``_COMMANDS``, and
-the parser is generated from that table.  Option values resolve as flags >
-``CONSLAW_<NAME>`` environment variables > ``--config`` JSON file > built-in
-defaults; every source goes through the same cast and choice or bound check.
+the parser is generated from that table.  Option values come from flags and
+built-in defaults only; argparse casts them and checks choices and required
+flags, and :func:`main` checks the few bounds that no library object makes.
 Parameter ranges are the library's: its :class:`OutOfRange` names the
 parameter, and :func:`main` reports the flag that feeds it.  Exit codes: 0
 success, 2 validation error, 3 numerical failure.
@@ -19,7 +19,6 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,7 +40,7 @@ _BOUNDS = {">=": operator.ge, ">": operator.gt}
 
 @dataclass(frozen=True)
 class _Opt:
-    """One option: flag ``--name``, variable ``CONSLAW_NAME``, config key ``name``.
+    """One option, the flag ``--name``, handed to argparse as declared.
 
     ``param`` names the library parameter the option feeds when it is spelt
     differently; ``bound`` is ``(">=" or ">", limit)`` for the checks that
@@ -62,41 +61,6 @@ class _Opt:
         return "--" + self.name.replace("_", "-")
 
 
-def _resolve(opt: _Opt, args: argparse.Namespace, config: dict):
-    """flags > CONSLAW_* env > config file > default, every source cast alike."""
-    env = f"CONSLAW_{opt.name.upper()}"
-    given = [(src, raw) for src, raw in ((opt.flag, getattr(args, opt.name)), (env, os.environ.get(env)))
-             if raw is not None]
-    if opt.name in config:
-        given.append(("--config", config[opt.name]))
-    if not given:
-        if opt.required:
-            raise OutOfRange(f"{opt.flag} is required")
-        return opt.default
-    source, raw = given[0]
-    try:
-        if not isinstance(raw, (str, int, float)):
-            raise ValueError
-        value = opt.type(str(raw))
-    except ValueError:
-        raise OutOfRange(f"{opt.flag} expects {opt.type.__name__}, got {raw!r} from {source}") from None
-    if opt.choices and value not in opt.choices:
-        raise OutOfRange(f"{opt.flag} must be one of {', '.join(opt.choices)}, got {value!r}")
-    if opt.bound and not _BOUNDS[opt.bound[0]](value, opt.bound[1]):
-        raise OutOfRange(f"{opt.flag} must be {opt.bound[0]} {opt.bound[1]}, got {value}")
-    return value
-
-
-def _options(args: argparse.Namespace, options: tuple[_Opt, ...]) -> SimpleNamespace:
-    config = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            raise OutOfRange("--config: file must contain a JSON object")
-    return SimpleNamespace(**{opt.name: _resolve(opt, args, config) for opt in options})
-
-
 def _fmt(x) -> str:
     """Deterministic, locale-independent float formatting."""
     if x is None:
@@ -106,7 +70,7 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _emit(o: SimpleNamespace, header: list[str], rows: list[list]) -> None:
+def _emit(o: argparse.Namespace, header: list[str], rows: list[list]) -> None:
     if o.format == "csv":
         lines = [",".join(header)]
         lines += [",".join(_fmt(x) for x in row) for row in rows]
@@ -130,12 +94,12 @@ def _write(text: str, out_path) -> None:
 # ----------------------------------------------------------------------
 
 
-def _roll(o: SimpleNamespace, **kwargs):
-    return solve_roll(RollParameters(o.eps, o.omega, o.s), SpectralGrid(o.modes), **kwargs)
+def _roll(o: argparse.Namespace):
+    return solve_roll(RollParameters(o.eps, o.omega, o.s), SpectralGrid(o.modes))
 
 
-def _cmd_solve(o: SimpleNamespace) -> int:
-    roll = _roll(o, tol=o.tol)
+def _cmd_solve(o: argparse.Namespace) -> int:
+    roll = _roll(o)
     params = roll.params
     payload = {
         "eps": params.eps,
@@ -151,7 +115,7 @@ def _cmd_solve(o: SimpleNamespace) -> int:
     return _EXIT_OK
 
 
-def _cmd_spectrum(o: SimpleNamespace) -> int:
+def _cmd_spectrum(o: argparse.Namespace) -> int:
     roll = _roll(o)
     spectra = critical_curves(roll, np.linspace(o.sigma_min, o.sigma_max, o.sigma_steps), delta=o.delta)
     curves = critical_curve_array(spectra)
@@ -173,7 +137,7 @@ def _numeric_cell(task):
     return verdict.verdict.value, verdict.witness_sigma, verdict.witness_lambda
 
 
-def _cmd_map(o: SimpleNamespace) -> int:
+def _cmd_map(o: argparse.Namespace) -> int:
     grid = SpectralGrid(o.modes)
     cells = [
         RollParameters(o.eps, float(w), float(s))
@@ -205,7 +169,7 @@ def _cmd_map(o: SimpleNamespace) -> int:
     return _EXIT_OK
 
 
-def _cmd_compare(o: SimpleNamespace) -> int:
+def _cmd_compare(o: argparse.Namespace) -> int:
     roll = _roll(o)
     rows_out = []
     for row in mgl.compare_exact_vs_mgl(roll, np.linspace(-o.sigma_hat_max, o.sigma_hat_max, o.steps)):
@@ -225,7 +189,7 @@ def _cmd_compare(o: SimpleNamespace) -> int:
     return _EXIT_OK
 
 
-def _cmd_evolve(o: SimpleNamespace) -> int:
+def _cmd_evolve(o: argparse.Namespace) -> int:
     # Round sigma to the nearest realizable j/periods and report it; with
     # periods = 0 or a sigma that is not finite, the config gets sigma as
     # given and rejects it.
@@ -250,7 +214,7 @@ def _cmd_evolve(o: SimpleNamespace) -> int:
     return _EXIT_OK
 
 
-def _cmd_verify(o: SimpleNamespace) -> int:
+def _cmd_verify(o: argparse.Namespace) -> int:
     results = acceptance.run_all()
     width = max(len(name) for name, _ in acceptance.CRITERIA)
     lines = []
@@ -275,7 +239,7 @@ _OUTPUT = _Opt("output", str, help="output path (default stdout)")
 _TABULAR = (_OUTPUT, _Opt("format", str, "csv", choices=("csv", "json")))
 
 _COMMANDS = {
-    "solve": (_cmd_solve, "compute one roll, emit JSON", (*_ROLL, _Opt("tol", float, 1e-12), _OUTPUT)),
+    "solve": (_cmd_solve, "compute one roll, emit JSON", (*_ROLL, _OUTPUT)),
     "spectrum": (_cmd_spectrum, "critical Bloch curves over a sigma range", (
         *_ROLL,
         _Opt("sigma_min", float, 0.0, param="sigma"),
@@ -324,27 +288,29 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         for opt in options:
             detail = "required" if opt.required else "" if opt.default is None else f"default {opt.default}"
-            choices = f"{{{','.join(opt.choices)}}}" if opt.choices else None
-            p.add_argument(opt.flag, dest=opt.name, metavar=choices,
+            p.add_argument(opt.flag, dest=opt.name, type=opt.type, default=opt.default, required=opt.required,
+                           choices=opt.choices or None,
                            help=f"{opt.help} ({detail})".strip() if detail else opt.help)
-        p.add_argument("--config", help="JSON config file merged under flags")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return _EXIT_USAGE if exc.code not in (0, None) else 0
     run, _, options = _COMMANDS[args.command]
     try:
-        return run(_options(args, options))
+        for opt in options:
+            value = getattr(args, opt.name)
+            if opt.bound and not _BOUNDS[opt.bound[0]](value, opt.bound[1]):
+                raise OutOfRange(f"{opt.flag} must be {opt.bound[0]} {opt.bound[1]}, got {value}")
+        return run(args)
     except OutOfRange as exc:
         flags = "/".join(opt.flag for opt in options if (opt.param or opt.name) == exc.param)
         sys.stderr.write(f"error: {flags + ': ' if flags else ''}{exc}\n")
         return _EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _EXIT_USAGE
     except ConslawError as exc:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bloch import critical_triples
 from .errors import InvariantViolation
 from .rolls import RollParameters, RollSolution, check_open_band, check_s
 
@@ -243,8 +244,6 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
     stay below and the fitted sigma^2 coefficients of the two neutral curves
     are negative (diffusive decay); boundary otherwise.
     """
-    from .bloch import critical_triples
-
     eps = roll.params.eps
     sigmas = _default_sigma_grid(eps)
     # All critical eigenvalues are real (the operator is similar to a real

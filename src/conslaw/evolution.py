@@ -21,7 +21,7 @@ dispatch per call, which at these sizes is as much as the transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -47,7 +47,10 @@ class EvolutionConfig:
 
     ``seed_sigma * n_periods`` must be an integer so the perturbation fits
     the domain, and ``|seed_sigma| <= 1/2``; ``t_final = None`` selects
-    ``10 / |expected rate|`` capped at ``1e4`` time units.
+    ``10 / |expected rate|`` capped at ``1e4`` time units.  The amplitude of
+    the perturbation, relative to a unit-rms eigenfunction, lies in
+    ``(0, 1)``: a unit-rms seed already outweighs any roll that
+    :func:`~conslaw.rolls.solve_roll` accepts.
     """
 
     n_periods: int
@@ -63,8 +66,11 @@ class EvolutionConfig:
             raise OutOfRange(f"dt must be positive, got {self.dt}", param="dt")
         if self.t_final is not None and not 0.0 < self.t_final < np.inf:
             raise OutOfRange(f"t_final must be positive and finite, got {self.t_final}", param="t_final")
-        if not self.perturbation_amplitude > 0.0:
-            raise OutOfRange("perturbation_amplitude must be positive", param="perturbation_amplitude")
+        if not 0.0 < self.perturbation_amplitude < 1.0:
+            raise OutOfRange(
+                f"perturbation_amplitude must lie in (0, 1), got {self.perturbation_amplitude}",
+                param="perturbation_amplitude",
+            )
         j = self.seed_sigma * self.n_periods
         if not abs(j - np.round(j)) <= 1e-9:
             raise OutOfRange(
@@ -79,19 +85,18 @@ class EvolutionConfig:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Sampled perturbation norms, conserved mass, and the fitted growth rate."""
+    """Sampled perturbation norms, conserved mass, and the fitted growth rate.
+
+    ``expected_rate`` is the seeded Bloch eigenvalue, the rate the fit is
+    checked against.
+    """
 
     times: np.ndarray
     norms: np.ndarray
     masses: np.ndarray
     seed_sigma: float
-    seed_eigenvalue: float
+    expected_rate: float
     measured_rate: float
-    config: EvolutionConfig = field(repr=False)
-
-    @property
-    def expected_rate(self) -> float:
-        return self.seed_eigenvalue
 
     @property
     def mass_drift(self) -> float:
@@ -289,7 +294,6 @@ def evolve(roll: RollSolution, config: EvolutionConfig) -> EvolutionResult:
         norms=norms_arr,
         masses=np.asarray(masses),
         seed_sigma=sigma,
-        seed_eigenvalue=lam,
+        expected_rate=lam,
         measured_rate=slope,
-        config=config,
     )

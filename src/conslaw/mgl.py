@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _checked_sigmas
+from .bloch import _checked_sigmas, critical_triples
 from .errors import OutOfRange
 from .rolls import RollSolution, check_band, check_open_band, check_s
 
@@ -119,8 +119,6 @@ def compare_exact_vs_mgl(roll: RollSolution, sigma_hat_grid, delta: float = 1.0)
     Triples on both sides are sorted by real part before pairing, which for
     real spectra is the minimal-distance matching.
     """
-    from .bloch import critical_triples
-
     eps = roll.params.eps
     if not eps > 0.0:
         raise OutOfRange("comparison requires eps > 0", param="eps")

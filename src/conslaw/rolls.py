@@ -33,6 +33,8 @@ __all__ = [
 
 _OMEGA_EDGE_TOL = 1e-14
 _MAX_ITERS = 30
+#: Max-norm tolerance on the spectral residual of a converged roll.
+_TOL = 1e-12
 
 
 def check_s(s: float, param: str) -> None:
@@ -187,30 +189,28 @@ def _jacobian(a: np.ndarray, vals: np.ndarray, params: RollParameters, grid: Spe
     return -k2 * (np.diag(lin) + J_nl)
 
 
-def _newton(a: np.ndarray, params: RollParameters, grid: SpectralGrid, tol: float):
+def _newton(a: np.ndarray, params: RollParameters, grid: SpectralGrid):
     residual = np.inf
     for it in range(_MAX_ITERS):
         F, q, vals = _residual_and_multiplier(a, params, grid)
         residual = float(np.max(np.abs(F)))
         if not np.isfinite(residual):
             raise NoConvergence(it, residual)
-        if residual < tol:
+        if residual < _TOL:
             return a, q, residual, it
         J = _jacobian(a, vals, params, grid)
         a = a + np.linalg.solve(J, -F)
     raise NoConvergence(_MAX_ITERS, residual)
 
 
-def check_solvable(params: RollParameters, tol: float = 1e-12) -> None:
+def check_solvable(params: RollParameters) -> None:
     """Raise :class:`OutOfRange` for inputs :func:`solve_roll` rejects."""
     if not params.eps <= 0.2:
         raise OutOfRange(f"solve_roll requires eps <= 0.2, got {params.eps}", param="eps")
-    if not tol >= 1e-13:
-        raise OutOfRange(f"tol must be >= 1e-13, got {tol}", param="tol")
 
 
-def solve_roll(params: RollParameters, grid: SpectralGrid, tol: float = 1e-12) -> RollSolution:
-    """Newton iteration from the asymptotic predictor.
+def solve_roll(params: RollParameters, grid: SpectralGrid) -> RollSolution:
+    """Newton iteration from the asymptotic predictor to a max-norm residual below 1e-12.
 
     Parameters
     ----------
@@ -218,8 +218,6 @@ def solve_roll(params: RollParameters, grid: SpectralGrid, tol: float = 1e-12) -
         Roll parameters with ``eps <= 0.2`` (small-amplitude regime).
     grid:
         Cosine-Galerkin resolution.
-    tol:
-        Max-norm tolerance on the spectral residual, at least 1e-13.
 
     Raises
     ------
@@ -228,19 +226,16 @@ def solve_roll(params: RollParameters, grid: SpectralGrid, tol: float = 1e-12) -
     TrivialCollapse
         The iteration fell into the zero solution away from ``omega = +-1/2``.
     """
-    check_solvable(params, tol)
-    # a converged RollSolution always certifies residual_norm < 1e-10,
-    # whatever looser tolerance was requested
-    tol = min(tol, 1e-10)
+    check_solvable(params)
     if params.at_band_edge or params.eps == 0.0:
         return zero_roll(params, grid)
 
     # modes 1..M of the two-term expansion, zero-padded by the field
     a0 = PeriodicField(grid, _expansion_cosines(params)).cosines[1:]
     try:
-        a, q, residual, iters = _newton(a0, params, grid, tol)
+        a, q, residual, iters = _newton(a0, params, grid)
     except NoConvergence:
-        a, q, residual, iters = _continuation_restart(params, grid, tol)
+        a, q, residual, iters = _continuation_restart(params, grid)
 
     # Phase convention: positive at xi = 0; the shift xi -> xi + pi flips the
     # sign of every odd cosine mode.
@@ -259,13 +254,13 @@ def solve_roll(params: RollParameters, grid: SpectralGrid, tol: float = 1e-12) -
     return RollSolution(params=params, profile=profile, q=float(q), residual_norm=residual, newton_iters=iters)
 
 
-def _continuation_restart(params: RollParameters, grid: SpectralGrid, tol: float):
+def _continuation_restart(params: RollParameters, grid: SpectralGrid):
     """Secant continuation in eps when the direct predictor fails."""
     anchors = []
     for frac in (0.5, 0.75):
         sub = RollParameters(frac * params.eps, params.omega, params.s)
         a0 = anchors[-1] if anchors else PeriodicField(grid, _expansion_cosines(sub)).cosines[1:]
-        a, _, _, _ = _newton(a0, sub, grid, tol)
+        a, _, _, _ = _newton(a0, sub, grid)
         anchors.append(a)
     secant = anchors[1] + (anchors[1] - anchors[0])
-    return _newton(secant, params, grid, tol)
+    return _newton(secant, params, grid)

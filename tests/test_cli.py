@@ -47,8 +47,6 @@ def forbidden_pool(*args, **kwargs):
 
 
 class TestValidation:
-    """Rows name an env variable as ``CONSLAW_X=v`` and a config file by its contents."""
-
     @pytest.mark.parametrize(
         "argv,needle",
         [
@@ -61,7 +59,7 @@ class TestValidation:
             (("map", "--eps", "0.02", "--steps", "2", "--modes", "6", "--jobs", "2"), "--modes"),
             (("map", "--eps", "0.02", "--steps", "2", "--mode", "predicate", "--jobs", "-1"), "--jobs"),
             # each range the library checks, reported under the flag that feeds it
-            (("solve", *ROLL, "--tol", "1e-14"), "--tol"),
+            (("solve", *ROLL, "--tol", "1e-12"), "--tol"),  # the dropped tolerance flag
             (("spectrum", *ROLL, "--modes", "7"), "--modes"),
             (("spectrum", *ROLL, "--delta", "0"), "--delta"),
             (("spectrum", *ROLL, "--sigma-steps", "0"), "--sigma-steps"),
@@ -79,9 +77,10 @@ class TestValidation:
             (("map", "--eps", "0", "--steps", "2", "--jobs", "2"), "--eps"),
             (("map", "--eps", "0.02", "--steps", "1", "--jobs", "2"), "--steps"),
             (("map", "--eps", "0.02", "--steps", "2", "--mode", "all"), "--mode"),
-            (("CONSLAW_DT=0", *EVOLVE), "--dt"),
-            (("CONSLAW_FORMAT=xml", "spectrum", *ROLL, "--modes", "12"), "--format"),
-            (("map", "--eps", "0.02", "--jobs", "2", "--config", {"steps": 1}), "--steps"),
+            # argparse's own type and choice checks
+            ((*EVOLVE, "--dt", "abc"), "--dt"),
+            (("spectrum", *ROLL, "--modes", "12", "--format", "xml"), "--format"),
+            (("map", "--eps", "0.02", "--steps", "1.5", "--jobs", "2"), "--steps"),
             # flags a subcommand never reads are not accepted
             (("solve", *ROLL, "--delta", "1"), "--delta"),
             (("solve", *ROLL, "--format", "csv"), "--format"),
@@ -116,24 +115,42 @@ class TestValidation:
             (("map", "--eps", "0.02", "--steps", "2", "--mode", "predicate", "--s-min", "nan"), "--s-min"),
             (("spectrum", *ROLL, "--modes", "12", "--delta", "nan"), "--delta"),
             ((*EVOLVE, "--t-final", "inf"), "--t-final"),
+            # a seed amplitude whose norm overflows
+            ((*EVOLVE, "--amp", "inf"), "--amp"),
+            ((*EVOLVE, "--amp", "1e300"), "--amp"),
         ],
     )
-    def test_rejects_bad_flags(self, capsys, monkeypatch, tmp_path, argv, needle):
+    def test_rejects_bad_flags(self, capsys, monkeypatch, argv, needle):
         monkeypatch.setattr(cli, "ProcessPoolExecutor", forbidden_pool)
-        args = []
-        for item in argv:
-            if isinstance(item, dict):
-                cfg = tmp_path / "cfg.json"
-                cfg.write_text(json.dumps(item))
-                args.append(str(cfg))
-            elif item.startswith("CONSLAW_"):
-                monkeypatch.setenv(*item.split("=", 1))
-            else:
-                args.append(item)
-        code, out, err = run(capsys, *args)
+        code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert needle in err
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_config_flag_rejected(self, capsys, tmp_path, command):
+        valid = {
+            "solve": ("solve", *ROLL, "--modes", "12"),
+            "spectrum": ("spectrum", *ROLL, "--modes", "12", "--sigma-steps", "1"),
+            "map": ("map", "--eps", "0.02", "--steps", "2", "--mode", "predicate"),
+            "compare": ("compare", *ROLL, "--modes", "12", "--steps", "2"),
+            "evolve": EVOLVE,
+            "verify": ("verify",),
+        }[command]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        code, out, err = run(capsys, *valid, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "--config" in err
+
+    def test_environment_leaves_output_unchanged(self, capsys, monkeypatch):
+        argv = ("solve", "--eps", "0.02", "--omega", "0", "--s", "0")
+        code, plain, _ = run(capsys, *argv)
+        assert code == 0 and len(json.loads(plain)["coefficients"]) == 65  # default M = 32
+        monkeypatch.setenv("CONSLAW_MODES", "12")
+        monkeypatch.setenv("CONSLAW_EPS", "0.03")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == plain
 
     def test_out_of_range_pickles_with_its_parameter(self):
         exc = pickle.loads(pickle.dumps(OutOfRange("n_modes must be >= 8", param="n_modes")))
@@ -166,41 +183,6 @@ class TestSpectrum:
         assert code == 0
         rows = json.loads(out)
         assert len(rows) == 2 and "gap" in rows[0]
-
-
-class TestOverrides:
-    def test_env_fills_missing_flag(self, capsys, monkeypatch):
-        monkeypatch.setenv("CONSLAW_MODES", "12")
-        code, out, _ = run(capsys, "solve", "--eps", "0.02", "--omega", "0", "--s", "0")
-        assert code == 0
-        assert len(json.loads(out)["coefficients"]) == 25
-
-    def test_config_file_and_flag_precedence(self, tmp_path, capsys, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"modes": 12, "eps": 0.02, "omega": 0.0, "s": 0.0}))
-        code, out, _ = run(capsys, "solve", "--config", str(cfg))
-        assert code == 0
-        assert json.loads(out)["eps"] == 0.02
-        # explicit flag wins over the config value
-        code, out, _ = run(capsys, "solve", "--config", str(cfg), "--eps", "0.04")
-        assert json.loads(out)["eps"] == 0.04
-        # env wins over config but loses to flags
-        monkeypatch.setenv("CONSLAW_EPS", "0.03")
-        code, out, _ = run(capsys, "solve", "--config", str(cfg))
-        assert json.loads(out)["eps"] == 0.03
-
-    def test_bad_config_file(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("[1, 2]")
-        assert run(capsys, "solve", "--config", str(cfg))[0] == 2
-
-    @pytest.mark.parametrize("modes", ["abc", None, 12.9])
-    def test_bad_config_types_exit_2(self, tmp_path, capsys, modes):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"modes": modes}))
-        code, out, err = run(capsys, "solve", *ROLL, "--config", str(cfg))
-        assert code == 2 and out == ""
-        assert "--modes" in err
 
 
 class TestMap:

@@ -17,7 +17,7 @@ from conslaw.bloch import check_delta, critical_modes
 from conslaw.errors import OutOfRange
 from conslaw.evolution import EvolutionConfig
 from conslaw.fourier import SpectralGrid
-from conslaw.rolls import RollParameters, check_solvable, zero_roll
+from conslaw.rolls import RollParameters, zero_roll
 
 NAN = math.nan
 OPEN_EDGE = 0.5 - 1e-14
@@ -74,13 +74,13 @@ NON_FINITE = [
     ("eps", lambda: RollParameters(NAN, 0.0, 0.0), "eps"),
     ("omega", lambda: RollParameters(0.05, NAN, 0.0), "omega"),
     ("s", lambda: RollParameters(0.05, 0.0, NAN), "s"),
-    ("tol", lambda: check_solvable(ROLL.params, tol=NAN), "tol"),
     ("n_modes", lambda: SpectralGrid(NAN), "n_modes"),
     ("n_periods", lambda: EvolutionConfig(**{**CONFIG, "n_periods": NAN}), "n_periods"),
     ("dt", lambda: EvolutionConfig(**{**CONFIG, "dt": NAN}), "dt"),
     ("t_final", lambda: EvolutionConfig(**CONFIG, t_final=NAN), "t_final"),
     ("t_final-inf", lambda: EvolutionConfig(**CONFIG, t_final=math.inf), "t_final"),
     ("amplitude", lambda: EvolutionConfig(**CONFIG, perturbation_amplitude=NAN), "perturbation_amplitude"),
+    ("amplitude-inf", lambda: EvolutionConfig(**CONFIG, perturbation_amplitude=math.inf), "perturbation_amplitude"),
     ("seed_sigma", lambda: EvolutionConfig(**{**CONFIG, "seed_sigma": NAN}), "seed_sigma"),
     ("delta", lambda: check_delta(NAN), "delta"),
     ("sigma", lambda: critical_modes(ROLL, NAN), "sigma"),

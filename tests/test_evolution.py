@@ -213,7 +213,7 @@ class TestSeed:
         assert np.linalg.norm(vecs[:, odd] + vecs[::-1, odd]) < 1e-12
         cfg = ev.EvolutionConfig(n_periods=4, dt=0.1, seed_sigma=0.0, t_final=50.0)
         res = ev.evolve(roll, cfg)
-        assert res.seed_eigenvalue == 0.0  # the conserved mode leads the even ones
+        assert res.expected_rate == 0.0  # the conserved mode leads the even ones
         assert abs(res.measured_rate) < 1e-6
 
     @pytest.mark.parametrize("n_periods,j", [(4, 0), (4, 2), (4, -2)])

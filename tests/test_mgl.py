@@ -215,13 +215,11 @@ class TestComparison:
             mgl.compare_exact_vs_mgl(roll, [6.0])
 
     def test_zone_checked_for_every_sigma_hat_before_any_solve(self, monkeypatch):
-        from conslaw import bloch
-
         roll = solve_roll(RollParameters(0.1, 0.0, 0.5), GRID)
 
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the range check")
 
-        monkeypatch.setattr(bloch, "critical_triples", no_solve)
+        monkeypatch.setattr(mgl, "critical_triples", no_solve)
         with pytest.raises(OutOfRange, match=f"Bloch number {0.1 * 6.0} lies"):
             mgl.compare_exact_vs_mgl(roll, [0.0, 6.0, -7.0])
