@@ -23,6 +23,14 @@ single Bloch number is a sweep of one.  Stacked LAPACK calls give the same
 bits as one call per matrix, so a sweep's values do not depend on how it is
 batched.
 
+The stability classifier needs only the triple and the gap below it, so it
+takes a second path with no full eigensolve: the same inverse iteration and
+Rayleigh-Ritz step start from a fixed block of unit vectors, and one stacked
+Cholesky factorization certifies by inertia that the rest of the spectrum
+lies below ``-delta``; each value also gets a residual enclosure.  Bloch
+numbers whose certificate fails are solved again by the eigensolve path.  The
+spectra, curves and modes reported elsewhere all come from the eigensolve.
+
 At ``sigma = 0`` the ``m = 0`` row vanishes identically (conservation law);
 that zero eigenvalue is deflated exactly before the symmetric solve.  The
 Bloch numbers of a sweep that are zero therefore form their own batch, of
@@ -50,6 +58,11 @@ __all__ = [
 
 _SIGMA_ZERO_TOL = 1e-13
 _REFINE_STEPS = 2
+#: Bloch modes whose unit vectors start the classifier's inverse iteration.
+#: A small roll's critical triple lives at m = -1, 0, 1 (at m = -2, -1, 0
+#: near sigma = -1/2); the neighbours at |m| = 2 widen the block, so that
+#: Rayleigh-Ritz resolves the triple apart from them.
+_START_MODES = np.arange(-2, 3)
 #: Reorderings of a critical triple, in ``itertools.permutations`` order so
 #: that the first minimum of a matching cost breaks ties as ``min`` would.
 _PERMUTATIONS = np.array(list(permutations(range(3))))
@@ -142,7 +155,8 @@ def _least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _refine_critical(H: np.ndarray, Y: np.ndarray):
     """Polish the near-zero Ritz pairs of a stack of symmetric ``H``.
 
-    Inverse iteration on the Ritz vectors ``Y`` ``(n, N, k)``.  The critical
+    Inverse iteration from the columns of ``Y`` ``(n, N, k)``: eigensolver
+    vectors, or the classifier's fixed start block.  The critical
     eigenvectors decay spectrally, so matvecs with the huge-norm ``H`` are
     accurate in absolute terms and the final ``k x k`` Rayleigh-Ritz values
     come out near machine precision.
@@ -155,14 +169,8 @@ def _refine_critical(H: np.ndarray, Y: np.ndarray):
     return ritz, Y @ R
 
 
-def _eig_symmetric(p: np.ndarray, S: np.ndarray, n_critical: int):
-    """Spectra of the stack ``diag(p) S`` (p > 0) via the symmetric similarity.
-
-    Returns the refined critical eigenvalues (ascending) ``(n, k)``, the
-    matching unit eigenvectors of ``diag(p) S`` ``(n, N, k)``, and the
-    remaining eigenvalues ``(n, N - k)``.  ``S`` is overwritten.
-    """
-    n, N = p.shape
+def _symmetric_stack(p: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The symmetric ``sqrt(p) S sqrt(p)`` of each member, built in place of ``S``."""
     sq = np.sqrt(p)
     H = S
     H *= sq[:, :, None]
@@ -171,6 +179,26 @@ def _eig_symmetric(p: np.ndarray, S: np.ndarray, n_critical: int):
     for h in H:
         h += h.T
     H *= 0.5
+    return H
+
+
+def _deflate(p: np.ndarray, S: np.ndarray):
+    """``p`` and ``S`` of a stack at ``sigma = 0`` without the ``m = 0`` row and column."""
+    keep = np.arange(p.shape[1]) != p.shape[1] // 2
+    # Boolean indexing leaves the stack non-contiguous; matmul on the
+    # contiguous copy rounds exactly as it does on a single matrix.
+    return p[:, keep], np.ascontiguousarray(S[:, keep][:, :, keep])
+
+
+def _eig_symmetric(p: np.ndarray, S: np.ndarray, n_critical: int):
+    """Spectra of the stack ``diag(p) S`` (p > 0) via the symmetric similarity.
+
+    Returns the refined critical eigenvalues (ascending) ``(n, k)``, the
+    matching unit eigenvectors of ``diag(p) S`` ``(n, N, k)``, and the
+    remaining eigenvalues ``(n, N - k)``.  ``S`` is overwritten.
+    """
+    n, N = p.shape
+    H = _symmetric_stack(p, S)
     w, V = np.linalg.eigh(H)
     crit = np.argsort(np.abs(w), axis=1)[:, :n_critical]
     Y = np.take_along_axis(V, crit[:, None, :], axis=2)
@@ -180,7 +208,7 @@ def _eig_symmetric(p: np.ndarray, S: np.ndarray, n_critical: int):
     np.put_along_axis(rest, crit, False, axis=1)
     others = w[rest].reshape(n, N - n_critical)
     # Map eigenvectors of H back to eigenvectors of diag(p) S.
-    vecs = sq[:, :, None] * Yr
+    vecs = np.sqrt(p)[:, :, None] * Yr
     norms = np.linalg.norm(vecs, axis=1)
     norms[norms == 0.0] = 1.0
     vecs /= norms[:, None, :]
@@ -203,10 +231,7 @@ def _eig_deflated(p: np.ndarray, S: np.ndarray):
     # S is singular, so the solve leaves a roundoff-dependent odd part; S
     # commutes with m -> -m and e_0 is even, so the even part solves S v = e_0.
     v0 = 0.5 * (v0 + v0[:, ::-1])
-    # Boolean indexing leaves the stack non-contiguous; matmul on the
-    # contiguous copy rounds exactly as it does on a single matrix.
-    sub = np.ascontiguousarray(S[:, keep][:, :, keep])
-    ritz, vecs_sub, others = _eig_symmetric(p[:, keep], sub, 2)
+    ritz, vecs_sub, others = _eig_symmetric(*_deflate(p, S), 2)
     vals = np.concatenate([np.zeros((n, 1)), ritz], axis=1)
     vecs = np.zeros((n, N, 3))
     # Normalized one vector at a time, with the rounding of a single solve.
@@ -228,6 +253,19 @@ def _critical_stack(p: np.ndarray, S: np.ndarray, at_zero: bool):
     return vals, vecs, others
 
 
+def _batches(roll: RollSolution, sigmas: np.ndarray):
+    """Symmetric factors of a checked sweep in two batches: ``sigma = 0``, then the rest.
+
+    Yields ``(members, at_zero, p, S)`` for each non-empty batch, where
+    ``members`` masks the batch's Bloch numbers in the sweep.
+    """
+    df = _reaction_coefficients(roll)
+    zero = np.abs(sigmas) < _SIGMA_ZERO_TOL
+    for members, at_zero in ((zero, True), (~zero, False)):
+        if members.any():
+            yield (members, at_zero, *_symmetric_factors(df, roll.params.k**2, sigmas[members]))
+
+
 def _solve_sweep(roll: RollSolution, sigmas):
     """Batched solve of a sweep at the roll's resolution, in sweep order.
 
@@ -235,26 +273,101 @@ def _solve_sweep(roll: RollSolution, sigmas):
     critical vectors ``(n, N, 3)`` and remaining eigenvalues ``(n, N - 3)``.
     """
     sigmas = _checked_sigmas(sigmas, "sigma")
-    df = _reaction_coefficients(roll)
     n, N = sigmas.size, 2 * roll.profile.grid.n_modes + 1
     vals = np.empty((n, 3))
     vecs = np.empty((n, N, 3))
     others = np.empty((n, N - 3))
-    zero = np.abs(sigmas) < _SIGMA_ZERO_TOL
-    for members, at_zero in ((zero, True), (~zero, False)):
-        if members.any():
-            p, S = _symmetric_factors(df, roll.params.k**2, sigmas[members])
-            vals[members], vecs[members], others[members] = _critical_stack(p, S, at_zero)
+    for members, at_zero, p, S in _batches(roll, sigmas):
+        vals[members], vecs[members], others[members] = _critical_stack(p, S, at_zero)
     return sigmas, vals, vecs, others
 
 
 def _certified_gaps(others: np.ndarray, delta: float) -> np.ndarray:
-    """``-max`` of each row of ``others``; the first gap ``<= delta`` raises."""
+    """``-max`` of each row of ``others``; the first gap ``<= delta`` raises.
+
+    The gap is read off the eigenvalues of the eigensolve.  The classifier's
+    path certifies its gap by inertia instead (:func:`_fixed_block_triples`)
+    and comes here only for the Bloch numbers where that certificate fails.
+    """
     gaps = -np.max(others, axis=1)
     failed = np.flatnonzero(gaps <= delta)
     if failed.size:
         raise GapViolation(float(gaps[failed[0]]), delta)
     return gaps
+
+
+def _positive_definite(A: np.ndarray) -> np.ndarray:
+    """Whether each member of a symmetric stack has a Cholesky factor.
+
+    A stacked Cholesky fails as a whole when one member is not positive
+    definite, so on failure every member is factored on its own.
+    """
+    try:
+        np.linalg.cholesky(A)
+        return np.ones(len(A), dtype=bool)
+    except np.linalg.LinAlgError:
+        ok = np.ones(len(A), dtype=bool)
+        for i, a in enumerate(A):
+            try:
+                np.linalg.cholesky(a)
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return ok
+
+
+def _fixed_block_triples(roll: RollSolution, sigmas, delta: float):
+    """Critical triples of a sweep, ascending, without a full eigensolve.
+
+    Inverse iteration and Rayleigh-Ritz (:func:`_refine_critical`) start
+    from unit vectors at the Bloch modes ``_START_MODES`` (less ``m = 0`` in
+    the deflated stack at ``sigma = 0``), and the ``k`` largest Ritz pairs
+    ``(rho, Y)`` of the symmetric ``H`` are kept: three, or two beside the
+    exact zero.  With ``r = ||H Y - Y diag(rho)||_F`` and
+    ``tau = min(-delta, min rho - r)``, one stacked Cholesky of
+    ``A = c Y Y^T + tau I - H``, ``c = 2 (max rho - tau)``, certifies each
+    member by inertia (Sylvester's law).  When ``A`` is positive definite:
+
+    - ``H - c Y Y^T < tau I``, so the ``(k + 1)``-th eigenvalue of ``H`` lies
+      below ``tau <= -delta`` (interlacing for a rank-``k`` update);
+    - ``H`` compressed to the complement of ``Y`` lies below ``min rho``, so
+      the ``i``-th largest eigenvalue of ``H`` lies within ``||R||_2 <= r``
+      of the ``i``-th largest ``rho`` (Weyl, Parlett ch. 11);
+    - with ``max rho + r < -tau``, also checked, those ``k`` eigenvalues are
+      the ones nearest zero, which :func:`critical_triples` selects.
+
+    These are floating-point certificates, not interval arithmetic.
+    Members whose certificate fails are solved again by :func:`_solve_sweep`
+    and checked by :func:`_certified_gaps`, which raises
+    :class:`GapViolation` for the first failing sigma in sweep order.
+    Returns the triples ``(n, 3)`` and the enclosure radius ``r`` of each
+    member ``(n,)``, NaN where the values come from that fallback.
+    """
+    check_delta(delta)
+    sigmas = _checked_sigmas(sigmas, "sigma")
+    M = roll.profile.grid.n_modes
+    vals = np.empty((sigmas.size, 3))
+    radius = np.empty(sigmas.size)
+    for members, at_zero, p, S in _batches(roll, sigmas):
+        start = np.eye(2 * M + 1)[:, M + _START_MODES]
+        if at_zero:
+            p, S = _deflate(p, S)
+            start = np.delete(start[:, _START_MODES != 0], M, axis=0)
+        H = _symmetric_stack(p, S)
+        k = 2 if at_zero else 3
+        ritz, Y = _refine_critical(H, np.repeat(start[None], len(H), axis=0))
+        rho, Y = ritz[:, -k:], Y[:, :, -k:]
+        r = np.linalg.norm(H @ Y - Y * rho[:, None, :], axis=(1, 2))
+        tau = np.minimum(-delta, rho[:, 0] - r)
+        A = (2.0 * (rho[:, -1] - tau))[:, None, None] * (Y @ Y.swapaxes(1, 2)) - H
+        A.reshape(len(A), -1)[:, :: A.shape[1] + 1] += tau[:, None]
+        certified = _positive_definite(A) & (rho[:, -1] + r < -tau)
+        vals[members] = np.sort(np.concatenate([np.zeros((len(H), 1)), rho], axis=1)) if at_zero else rho
+        radius[members] = np.where(certified, r, np.nan)
+    redo = np.isnan(radius)
+    if redo.any():
+        _, vals[redo], _, others = _solve_sweep(roll, sigmas[redo])
+        _certified_gaps(others, delta)
+    return vals, radius
 
 
 def check_delta(delta: float) -> None:

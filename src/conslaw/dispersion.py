@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import critical_triples
+from .bloch import _fixed_block_triples
 from .errors import InvariantViolation
 from .rolls import RollParameters, RollSolution, check_open_band, check_s
 
@@ -243,13 +243,20 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
     Unstable when any critical curve rises above ``1e-10``; stable when all
     stay below and the fitted sigma^2 coefficients of the two neutral curves
     are negative (diffusive decay); boundary otherwise.
+
+    The triples come from ``bloch._fixed_block_triples``: inverse iteration
+    from a fixed block, with the gap below ``-delta`` certified by a Cholesky
+    factorization rather than read off a full eigensolve.  Where that
+    certificate fails, the Bloch number is solved as
+    ``bloch.critical_triples`` solves it, and ``GapViolation`` reports the
+    same gap.
     """
     eps = roll.params.eps
     sigmas = _default_sigma_grid(eps)
     # All critical eigenvalues are real (the operator is similar to a real
     # symmetric matrix), so per-sigma ascending order is the exact curve
     # assignment; continuation matching can swap branches at collisions.
-    curves = critical_triples(roll, sigmas, delta=delta).T
+    curves = _fixed_block_triples(roll, sigmas, delta)[0].T
 
     worst = np.unravel_index(np.argmax(curves), curves.shape)
     if curves[worst] > 1e-10:

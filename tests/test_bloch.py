@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from conslaw import bloch
 from conslaw.bloch import critical_curve_array, critical_curves, critical_modes, critical_triples
+from conslaw.dispersion import _default_sigma_grid, classify_numerically
 from conslaw.errors import GapViolation, OutOfRange
 from conslaw.fourier import SpectralGrid
 from conslaw.model import swift_hohenberg
@@ -217,7 +220,7 @@ class TestBatchedSweep:
         gaps = [spectrum(roll, x).gap for x in sweep]
         delta = 0.5 * (gaps[0] + gaps[1])
         assert gaps[3] < gaps[1] <= delta < min(gaps[0], gaps[2])
-        for fn in (critical_triples, critical_curves):
+        for fn in (critical_triples, critical_curves, bloch._fixed_block_triples):
             with pytest.raises(GapViolation) as info:
                 fn(roll, sweep, delta=delta)
             assert info.value.gap == gaps[1]
@@ -229,7 +232,7 @@ class TestBatchedSweep:
             raise AssertionError("assembled before the range check")
 
         monkeypatch.setattr(bloch, "_symmetric_factors", no_assembly)
-        for fn in (critical_triples, critical_curves):
+        for fn in (critical_triples, critical_curves, partial(bloch._fixed_block_triples, delta=1.0)):
             with pytest.raises(OutOfRange, match="Bloch number 0.6 lies"):
                 fn(roll, [0.1, 0.6, -0.7])
 
@@ -244,3 +247,63 @@ class TestBatchedSweep:
         for i in (0, 2):
             assert np.array_equal(X[i], np.linalg.solve(A[i], B[i]))
         assert np.all(X[1] == 7.0)
+
+
+class TestFixedBlockTriples:
+    """The classifier's triples: fixed-block inverse iteration and a Cholesky gap certificate."""
+
+    cells = dict(
+        eps=st.floats(0.01, 0.08),
+        omega=st.floats(-0.45, 0.45, exclude_min=True, exclude_max=True),
+        s=st.floats(-1.4, 1.4, exclude_min=True, exclude_max=True),
+        n_modes=st.sampled_from([8, 12]),
+    )
+
+    @staticmethod
+    def sweep(eps):
+        return np.concatenate([_default_sigma_grid(eps), [0.5, -0.5]])
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(**cells)
+    def test_triples_lie_within_their_enclosures(self, eps, omega, s, n_modes):
+        roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
+        sweep = self.sweep(eps)
+        vals, radius = bloch._fixed_block_triples(roll, sweep, 1.0)
+        want = critical_triples(roll, sweep)
+        certified = np.isfinite(radius)
+        assert np.all(np.abs(vals - want)[certified] <= radius[certified, None])
+        # Uncertified members are the eigh path's own values.
+        assert np.array_equal(vals[~certified], want[~certified])
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(**cells, delta=st.floats(0.5, 40.0))
+    def test_certificate_passes_exactly_when_the_eigh_gap_does(self, eps, omega, s, n_modes, delta):
+        roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
+        sweep = self.sweep(eps)
+        gaps = -bloch._solve_sweep(roll, sweep)[3].max(axis=1)
+        for sigma, gap in zip(sweep, gaps):
+            try:
+                certified = np.isfinite(bloch._fixed_block_triples(roll, [sigma], delta)[1][0])
+            except GapViolation as info:
+                assert info.gap == gap
+                certified = False
+            if abs(sigma) < 0.5:
+                assert certified == (gap > delta)
+            else:
+                # At the zone edge the third and fourth eigenvalues nearly
+                # coincide; the certificate may fall back but never overclaims.
+                assert gap > delta or not certified
+
+    def test_classifier_runs_no_full_eigensolve(self, monkeypatch):
+        roll = solve_roll(RollParameters(0.02, 0.1, 0.5), SpectralGrid(12))
+        eigh = np.linalg.eigh
+        shapes = []
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a)[1:])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(bloch.np.linalg, "eigh", spy)
+        classify_numerically(roll)
+        # Only the Rayleigh-Ritz steps on the start block, one per batch.
+        assert shapes == [(4, 4), (5, 5)]
