@@ -14,9 +14,22 @@ The roll and the seed ``Re(e^{i sigma xi} V)`` (real ``V``) are even in
 integrated: the state holds the real coefficients ``y_n`` of
 ``u = y_0 + 2 sum_n y_n cos(n xi / M)``, ``n <= K``.  The cubic is evaluated
 at ``L >= 2K + 1`` midpoints of the half domain, reached by DCT-III and left
-by DCT-II, which is alias-free for modes up to ``3K``.  The DCTs come from
-``scipy.fftpack``: the ``scipy.fft`` front end adds a few microseconds of
-dispatch per call, which at these sizes is as much as the transform.
+by DCT-II, which is alias-free for modes up to ``3K``.
+
+The DCTs call scipy's pocketfft kernel (``scipy.fft._pocketfft.pypocketfft``)
+directly, bound once at import, with the arguments ``scipy.fftpack.dct``
+passes it for a real, contiguous 1-D float64 array (unnormalized, one
+thread), except that the output goes into a buffer of the caller's.  A step
+makes eight transforms, and at the rate checks' sizes the wrapper chain
+(array coercion, copy and normalization checks, worker lookup) costs as much
+as the arithmetic.  Per DCT-III call, wrapper against kernel, on one thread
+of a shared 2-core host: 6.6 against 3.6 us at ``L = 216``, 9.6 against
+3.7 us at 320, 11.4 against 5.8 us at 432, 13.2 against 7.5 us at 625 and
+15.2 against 9.3 us at 960.  The kernel sits in a private scipy module; the
+binding was verified on scipy 1.17.1, and
+``tests/test_evolution.py::TestKernel`` requires it to equal
+``scipy.fftpack.dct`` bit for bit, so a scipy that moves or changes it fails
+there first.
 """
 
 from __future__ import annotations
@@ -25,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len
-from scipy.fftpack import dct
+from scipy.fft._pocketfft.pypocketfft import dct
 
 from .bloch import _checked_sigmas, critical_modes
 from .errors import BlowUp, OutOfRange, StepReject
@@ -161,18 +174,23 @@ def _cubic_flux(mult: np.ndarray, s: float):
 
     ``y`` holds cosine coefficients and ``u`` its samples at the midpoints of
     the half domain.  ``mult`` is the masked ``-k^2 theta^2`` multiplier of
-    the outer second derivative with DCT-II's ``1 / (2L)`` folded in.
+    the outer second derivative with DCT-II's ``1 / (2L)`` folded in.  The
+    samples and the cubic live in two buffers of their own, so a call
+    allocates nothing.
     """
+    u = np.empty(mult.size)
     cube = np.empty(mult.size)
 
     def nonlin(y: np.ndarray, out: np.ndarray) -> None:
-        u = dct(y, 3)
+        # (input, type, axes, inorm = 0: unnormalized, out, nthreads)
+        dct(y, 3, (0,), 0, u, 1)
         # u * u * (s + u), not s*u**2 + u**3: libm pow takes a slow path for
         # negative bases, ~150 ns a point against ~2 ns for the products.
         np.add(s, u, out=cube)
         np.multiply(cube, u, out=cube)
         np.multiply(cube, u, out=cube)
-        np.multiply(mult, dct(cube, 2, overwrite_x=True), out=out)
+        dct(cube, 2, (0,), 0, cube, 1)
+        np.multiply(mult, cube, out=out)
 
     return nonlin
 

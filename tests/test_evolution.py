@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fftpack
 from scipy.fft import next_fast_len
 
 import conslaw.evolution as ev
@@ -185,6 +186,103 @@ class TestStepper:
         assert np.max(np.abs(got[: K + 1] - expected)) <= 1e-13 * scale
         assert np.max(np.abs(expected[1:] - v0[1 : K + 1] / n_points)) > 1e-3 * scale  # moved
         assert np.all(got[~keep] == 0.0)
+
+
+#: The DCT lengths of the dynamic checks, next_fast_len(2K + 1, real=True):
+#: 4 to 36 periods at M = 12, and 36 periods at M = 16.
+KERNEL_SIZES = (108, 216, 320, 432, 625, 960, 1250)
+
+
+class TestKernel:
+    """The pocketfft kernel that ``evolution`` binds must be the transform
+    ``scipy.fftpack.dct`` computes, bit for bit, on every size the rate
+    checks run."""
+
+    @pytest.mark.parametrize("kind", [2, 3])
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_kernel_matches_fftpack(self, n, kind):
+        x = np.random.default_rng(n + kind).standard_normal(n)
+        keep = x.copy()
+        want = fftpack.dct(x, kind)
+        out = np.empty(n)
+        assert ev.dct(x, kind, (0,), 0, out, 1) is out
+        assert out.tobytes() == want.tobytes()
+        assert x.tobytes() == keep.tobytes()
+        # in place, as the nonlinearity's DCT-II runs
+        assert ev.dct(x, kind, (0,), 0, x, 1) is x
+        assert x.tobytes() == want.tobytes()
+
+
+def _flux(n_periods: int, n_modes: int, s: float):
+    """A nonlinearity as ``evolve`` builds it, on an ``n_periods`` domain."""
+    K = n_periods * (n_modes + 1)
+    n_cos = next_fast_len(2 * K + 1, real=True)
+    n_idx = np.arange(n_cos)
+    kt2 = 0.9 * (n_idx / n_periods) ** 2
+    mult = np.where(n_idx <= K, -kt2 / (2 * n_cos), 0.0)
+    return mult, ev._cubic_flux(mult, s)
+
+
+class TestNonlinBuffers:
+    """``nonlin(y, out)`` shares its sample and cubic buffers across calls."""
+
+    def test_reads_y_and_writes_out_only(self):
+        mult, nonlin = _flux(8, 12, 1.2)
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal(mult.size) * 0.1
+        y_keep, mult_keep = y.copy(), mult.copy()
+        out = np.full(mult.size, np.nan)
+        nonlin(y, out)
+        assert y.tobytes() == y_keep.tobytes()
+        assert mult.tobytes() == mult_keep.tobytes()
+        # the out-of-place form of the same operations, with scipy.fftpack
+        u = fftpack.dct(y, 3)
+        cube = np.add(1.2, u)
+        cube *= u
+        cube *= u
+        want = (mult * fftpack.dct(cube, 2)).tobytes()
+        assert out.tobytes() == want
+        # a later call on other input leaves the earlier result alone
+        nonlin(rng.standard_normal(mult.size), np.empty_like(out))
+        assert out.tobytes() == want
+
+    def test_repeated_calls_are_bitwise_identical(self):
+        mult, nonlin = _flux(36, 12, -0.7)
+        rng = np.random.default_rng(6)
+        y, z = rng.standard_normal((2, mult.size)) * 0.1
+        first, again, between = (np.empty(mult.size) for _ in range(3))
+        nonlin(y, first)
+        nonlin(z, between)
+        nonlin(y, again)
+        assert again.tobytes() == first.tobytes()
+        assert between.tobytes() != first.tobytes()
+
+
+class TestKernelEndToEnd:
+    """``evolve`` through the bound kernel and through ``scipy.fftpack``
+    gives the same bits on the large domains the golden fixtures miss."""
+
+    @pytest.mark.parametrize("n_periods", [8, 36])
+    def test_evolve_bits_match_fftpack(self, monkeypatch, n_periods):
+        roll = solve_roll(RollParameters(0.05, 0.0, 1.5), GRID)
+        cfg = ev.EvolutionConfig(n_periods=n_periods, dt=0.2, seed_sigma=1.0 / n_periods, t_final=10.0)
+        fast = ev.evolve(roll, cfg)
+
+        calls = []
+
+        def via_fftpack(x, kind, axes, inorm, out, nthreads):
+            assert (axes, inorm, nthreads) == ((0,), 0, 1)
+            calls.append(kind)
+            out[...] = fftpack.dct(x, kind, overwrite_x=x is out)
+            return out
+
+        monkeypatch.setattr(ev, "dct", via_fftpack)
+        slow = ev.evolve(roll, cfg)
+        assert len(calls) == 8 * 50
+        assert fast.norms.tobytes() == slow.norms.tobytes()
+        assert fast.masses.tobytes() == slow.masses.tobytes()
+        assert np.float64(fast.measured_rate).tobytes() == np.float64(slow.measured_rate).tobytes()
+        assert fast.norms[-1] != fast.norms[0]
 
 
 class TestSeed:
