@@ -174,7 +174,7 @@ def cubic_machinery() -> CriterionResult:
     worst_roots = 0.0
     for _ in range(1000):
         a2, a1, a0 = rng.uniform(-10.0, 10.0, 3)
-        ours = np.sort_complex(dsp.cardano_roots(a2, a1, a0).roots)
+        ours = np.sort_complex(dsp.cardano_roots(a2, a1, a0))
         ref = np.sort_complex(dsp.companion_roots(a2, a1, a0))
         worst_roots = max(worst_roots, float(np.max(np.abs(ours - ref))))
 
@@ -190,16 +190,16 @@ def cubic_machinery() -> CriterionResult:
         n += 1
         p = RollParameters(e, w, s)
         m = dsp.leading_reduced_matrix(p, sig)
-        cub = dsp.cubic_coefficients(p, sig)
+        c2, c1, c0 = dsp.cubic_coefficients(p, sig)
         minors = sum(
             np.linalg.det(m[np.ix_([i for i in range(3) if i != j], [i for i in range(3) if i != j])])
             for j in range(3)
         )
         worst_det = max(
             worst_det,
-            abs(cub.a2 + np.trace(m).real),
-            abs(cub.a1 - minors.real),
-            abs(cub.a0 + np.linalg.det(m).real),
+            abs(c2 + np.trace(m).real),
+            abs(c1 - minors.real),
+            abs(c0 + np.linalg.det(m).real),
         )
 
     checks = [

@@ -15,13 +15,13 @@ then polished by inverse iteration plus Rayleigh-Ritz, which restores absolute
 accuracy near zero that a dense solve of a matrix with ``O(M^6)`` entries
 cannot deliver on its own.
 
-A sigma sweep is solved as one batch: the symmetric factors of every Bloch
-number are gathered into one ``(n_sigma, N, N)`` stack (``S`` differs between
-Bloch numbers only on its diagonal), and the eigensolve, the inverse
-iterations and the Rayleigh-Ritz step each run once on the whole stack.  A
-single Bloch number is a sweep of one.  Stacked LAPACK calls give the same
-bits as one call per matrix, so a sweep's values do not depend on how it is
-batched.
+A sigma sweep is solved in batches: :func:`_stacks` gathers the symmetric
+matrices of a batch's Bloch numbers into one ``(n_sigma, N, N)`` stack
+(``S`` differs between Bloch numbers only on its diagonal), and the
+eigensolve, the inverse iterations and the Rayleigh-Ritz step each run once
+on the whole stack.  A single Bloch number is a sweep of one.  Stacked
+LAPACK calls give the same bits as one call per matrix, so a sweep's values
+do not depend on how it is batched.
 
 The stability classifier needs only the triple and the gap below it, so it
 takes a second path with no full eigensolve: the same inverse iteration and
@@ -31,10 +31,10 @@ lies below ``-delta``; each value also gets a residual enclosure.  Bloch
 numbers whose certificate fails are solved again by the eigensolve path.  The
 spectra, curves and modes reported elsewhere all come from the eigensolve.
 
-At ``sigma = 0`` the ``m = 0`` row vanishes identically (conservation law);
-that zero eigenvalue is deflated exactly before the symmetric solve.  The
-Bloch numbers of a sweep that are zero therefore form their own batch, of
-dimension ``N - 1`` with two critical values.
+At ``sigma = 0`` the ``m = 0`` row vanishes identically (conservation law).
+:func:`_stacks` alone decides which Bloch numbers count as zero; they form
+their own batch, whose ``m = 0`` row and column are deflated before ``H`` is
+built, so both paths solve for two critical values beside the exact zero.
 """
 
 from __future__ import annotations
@@ -169,116 +169,90 @@ def _refine_critical(H: np.ndarray, Y: np.ndarray):
     return ritz, Y @ R
 
 
-def _symmetric_stack(p: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """The symmetric ``sqrt(p) S sqrt(p)`` of each member, built in place of ``S``."""
-    sq = np.sqrt(p)
-    H = S
-    H *= sq[:, :, None]
-    H *= sq[:, None, :]
-    # Symmetrized one matrix at a time, so the temporary is one N x N matrix.
-    for h in H:
-        h += h.T
-    H *= 0.5
-    return H
+def _stacks(roll: RollSolution, sigmas: np.ndarray):
+    """Symmetric stacks of a checked sweep in two batches: ``sigma = 0``, then the rest.
 
-
-def _deflate(p: np.ndarray, S: np.ndarray):
-    """``p`` and ``S`` of a stack at ``sigma = 0`` without the ``m = 0`` row and column."""
-    keep = np.arange(p.shape[1]) != p.shape[1] // 2
-    # Boolean indexing leaves the stack non-contiguous; matmul on the
-    # contiguous copy rounds exactly as it does on a single matrix.
-    return p[:, keep], np.ascontiguousarray(S[:, keep][:, :, keep])
-
-
-def _eig_symmetric(p: np.ndarray, S: np.ndarray, n_critical: int):
-    """Spectra of the stack ``diag(p) S`` (p > 0) via the symmetric similarity.
-
-    Returns the refined critical eigenvalues (ascending) ``(n, k)``, the
-    matching unit eigenvectors of ``diag(p) S`` ``(n, N, k)``, and the
-    remaining eigenvalues ``(n, N - k)``.  ``S`` is overwritten.
-    """
-    n, N = p.shape
-    H = _symmetric_stack(p, S)
-    w, V = np.linalg.eigh(H)
-    crit = np.argsort(np.abs(w), axis=1)[:, :n_critical]
-    Y = np.take_along_axis(V, crit[:, None, :], axis=2)
-    del V
-    ritz, Yr = _refine_critical(H, Y)
-    rest = np.ones((n, N), dtype=bool)
-    np.put_along_axis(rest, crit, False, axis=1)
-    others = w[rest].reshape(n, N - n_critical)
-    # Map eigenvectors of H back to eigenvectors of diag(p) S.
-    vecs = np.sqrt(p)[:, :, None] * Yr
-    norms = np.linalg.norm(vecs, axis=1)
-    norms[norms == 0.0] = 1.0
-    vecs /= norms[:, None, :]
-    return ritz, vecs, others
-
-
-def _eig_deflated(p: np.ndarray, S: np.ndarray):
-    """Critical pairs of a stack at ``sigma = 0``, with the exact zero deflated.
-
-    The ``m = 0`` row and column are dropped before the symmetric solve,
-    which leaves two critical values; the zero's right eigenvector solves
-    ``S v = e_0``.
-    """
-    n, N = p.shape
-    M = N // 2
-    keep = np.arange(N) != M
-    e0 = np.zeros((n, N, 1))
-    e0[:, M] = 1.0
-    v0 = _solve(S, e0, _least_squares)[:, :, 0]
-    # S is singular, so the solve leaves a roundoff-dependent odd part; S
-    # commutes with m -> -m and e_0 is even, so the even part solves S v = e_0.
-    v0 = 0.5 * (v0 + v0[:, ::-1])
-    ritz, vecs_sub, others = _eig_symmetric(*_deflate(p, S), 2)
-    vals = np.concatenate([np.zeros((n, 1)), ritz], axis=1)
-    vecs = np.zeros((n, N, 3))
-    # Normalized one vector at a time, with the rounding of a single solve.
-    vecs[:, :, 0] = v0 / np.array([[np.linalg.norm(v)] for v in v0])
-    vecs[:, keep, 1:] = vecs_sub
-    return vals, vecs, others
-
-
-def _critical_stack(p: np.ndarray, S: np.ndarray, at_zero: bool):
-    """Critical triples (ascending), their vectors and the rest, for a stack.
-
-    ``at_zero`` selects the deflated solve for a stack at ``sigma = 0``.
-    ``S`` may be overwritten.
-    """
-    vals, vecs, others = _eig_deflated(p, S) if at_zero else _eig_symmetric(p, S, 3)
-    order = np.argsort(vals, axis=1)
-    vals = np.take_along_axis(vals, order, axis=1)
-    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
-    return vals, vecs, others
-
-
-def _batches(roll: RollSolution, sigmas: np.ndarray):
-    """Symmetric factors of a checked sweep in two batches: ``sigma = 0``, then the rest.
-
-    Yields ``(members, at_zero, p, S)`` for each non-empty batch, where
-    ``members`` masks the batch's Bloch numbers in the sweep.
+    Yields ``(members, sq, H, S0)`` for each non-empty batch, where
+    ``members`` masks the batch's Bloch numbers in the sweep, ``sq = sqrt(p)``
+    and ``H = diag(sq) S diag(sq)`` is built in place of ``S``.  The ``sigma = 0``
+    batch drops the ``m = 0`` row and column of ``p`` and ``S`` first, and
+    ``S0`` is its undeflated ``S``; the other batch has ``S0 = None``.
     """
     df = _reaction_coefficients(roll)
     zero = np.abs(sigmas) < _SIGMA_ZERO_TOL
     for members, at_zero in ((zero, True), (~zero, False)):
-        if members.any():
-            yield (members, at_zero, *_symmetric_factors(df, roll.params.k**2, sigmas[members]))
+        if not members.any():
+            continue
+        p, S = _symmetric_factors(df, roll.params.k**2, sigmas[members])
+        S0 = None
+        if at_zero:
+            S0 = S
+            keep = np.arange(p.shape[1]) != p.shape[1] // 2
+            # Boolean indexing leaves the stack non-contiguous; matmul on the
+            # contiguous copy rounds exactly as it does on a single matrix.
+            p, S = p[:, keep], np.ascontiguousarray(S[:, keep][:, :, keep])
+        sq = np.sqrt(p)
+        H = S
+        H *= sq[:, :, None]
+        H *= sq[:, None, :]
+        # Symmetrized one matrix at a time, so the temporary is one N x N matrix.
+        for h in H:
+            h += h.T
+        H *= 0.5
+        yield members, sq, H, S0
+
+
+def _conserved_vectors(S0: np.ndarray) -> np.ndarray:
+    """Unit right eigenvectors ``(n, N)`` of the exact zero at ``sigma = 0``: ``S0 v = e_0``."""
+    n, N = S0.shape[:2]
+    e0 = np.zeros((n, N, 1))
+    e0[:, N // 2] = 1.0
+    v0 = _solve(S0, e0, _least_squares)[:, :, 0]
+    # S0 is singular, so the solve leaves a roundoff-dependent odd part; S0
+    # commutes with m -> -m and e_0 is even, so the even part solves S0 v = e_0.
+    v0 = 0.5 * (v0 + v0[:, ::-1])
+    # Normalized one vector at a time, with the rounding of a single solve.
+    return v0 / np.array([[np.linalg.norm(v)] for v in v0])
 
 
 def _solve_sweep(roll: RollSolution, sigmas):
     """Batched solve of a sweep at the roll's resolution, in sweep order.
 
-    Returns the checked Bloch numbers ``(n,)``, critical triples ``(n, 3)``,
-    critical vectors ``(n, N, 3)`` and remaining eigenvalues ``(n, N - 3)``.
+    Returns the checked Bloch numbers ``(n,)``, critical triples ``(n, 3)``
+    (ascending), critical unit eigenvectors of ``diag(p) S`` ``(n, N, 3)``
+    and remaining eigenvalues ``(n, N - 3)``.  Each batch's eigensolve keeps
+    the three values nearest zero, or two beside the deflated exact zero.
     """
     sigmas = _checked_sigmas(sigmas, "sigma")
     n, N = sigmas.size, 2 * roll.profile.grid.n_modes + 1
     vals = np.empty((n, 3))
     vecs = np.empty((n, N, 3))
     others = np.empty((n, N - 3))
-    for members, at_zero, p, S in _batches(roll, sigmas):
-        vals[members], vecs[members], others[members] = _critical_stack(p, S, at_zero)
+    for members, sq, H, S0 in _stacks(roll, sigmas):
+        nb = len(H)
+        k = 3 if S0 is None else 2
+        w, V = np.linalg.eigh(H)
+        crit = np.argsort(np.abs(w), axis=1)[:, :k]
+        Y = np.take_along_axis(V, crit[:, None, :], axis=2)
+        del V
+        ritz, Yr = _refine_critical(H, Y)
+        rest = np.ones(w.shape, dtype=bool)
+        np.put_along_axis(rest, crit, False, axis=1)
+        others[members] = w[rest].reshape(nb, N - 3)
+        # Map eigenvectors of H back to eigenvectors of diag(p) S.
+        v = sq[:, :, None] * Yr
+        norms = np.linalg.norm(v, axis=1)
+        norms[norms == 0.0] = 1.0
+        v /= norms[:, None, :]
+        if S0 is not None:
+            ritz = np.concatenate([np.zeros((nb, 1)), ritz], axis=1)
+            full = np.zeros((nb, N, 3))
+            full[:, :, 0] = _conserved_vectors(S0)
+            full[:, np.arange(N) != N // 2, 1:] = v
+            v = full
+        order = np.argsort(ritz, axis=1)
+        vals[members] = np.take_along_axis(ritz, order, axis=1)
+        vecs[members] = np.take_along_axis(v, order[:, None, :], axis=2)
     return sigmas, vals, vecs, others
 
 
@@ -347,14 +321,12 @@ def _fixed_block_triples(roll: RollSolution, sigmas, delta: float):
     M = roll.profile.grid.n_modes
     vals = np.empty((sigmas.size, 3))
     radius = np.empty(sigmas.size)
-    for members, at_zero, p, S in _batches(roll, sigmas):
-        start = np.eye(2 * M + 1)[:, M + _START_MODES]
-        if at_zero:
-            p, S = _deflate(p, S)
-            start = np.delete(start[:, _START_MODES != 0], M, axis=0)
-        H = _symmetric_stack(p, S)
+    start = np.eye(2 * M + 1)[:, M + _START_MODES]
+    for members, _, H, S0 in _stacks(roll, sigmas):
+        at_zero = S0 is not None
+        block = np.delete(start[:, _START_MODES != 0], M, axis=0) if at_zero else start
         k = 2 if at_zero else 3
-        ritz, Y = _refine_critical(H, np.repeat(start[None], len(H), axis=0))
+        ritz, Y = _refine_critical(H, np.repeat(block[None], len(H), axis=0))
         rho, Y = ritz[:, -k:], Y[:, :, -k:]
         r = np.linalg.norm(H @ Y - Y * rho[:, None, :], axis=(1, 2))
         tau = np.minimum(-delta, rho[:, 0] - r)

@@ -155,10 +155,12 @@ def _cmd_map(o: argparse.Namespace) -> int:
     if o.mode != "predicate":
         check_delta(o.delta)
         tasks = [(p, grid, o.delta) for p in cells]
-        if o.jobs == 1:
+        # The pool forks all its workers up front, so never more than there are cells.
+        workers = min(len(tasks), o.jobs or os.cpu_count() or 1)
+        if workers == 1:
             numeric = [_numeric_cell(t) for t in tasks]
         else:
-            with ProcessPoolExecutor(max_workers=o.jobs or os.cpu_count() or 1) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 numeric = list(pool.map(_numeric_cell, tasks, chunksize=8))
     rows = [
         [p.s, p.omega, pred if o.mode != "numeric" else "", verdict, pi, wit_sigma, wit_lambda]

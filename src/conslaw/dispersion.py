@@ -21,7 +21,6 @@ from .rolls import RollParameters, RollSolution, check_open_band, check_s
 
 __all__ = [
     "Stability",
-    "ReducedCubic",
     "StabilityVerdict",
     "growth_prefactor",
     "leading_reduced_matrix",
@@ -47,20 +46,7 @@ class Stability(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class ReducedCubic:
-    """Monic cubic ``lambda^3 + a2 lambda^2 + a1 lambda + a0`` and its roots."""
-
-    a2: float
-    a1: float
-    a0: float
-    Q: float | None = None
-    R: float | None = None
-    roots: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class StabilityVerdict:
-    params: tuple[float, float, float]  # (eps, omega, s)
     verdict: Stability
     witness_sigma: float | None = None
     witness_lambda: float | None = None
@@ -110,18 +96,19 @@ def p_symbols(params: RollParameters) -> tuple[float, float, float, float, float
     return (float(P04), float(P12), float(P14), float(P20), float(P22))
 
 
-def cubic_coefficients(params: RollParameters, sigma: float) -> ReducedCubic:
-    """Characteristic cubic of the leading reduced matrix (leading orders).
+def cubic_coefficients(params: RollParameters, sigma: float) -> tuple[float, float, float]:
+    """Characteristic cubic ``lambda^3 + a2 lambda^2 + a1 lambda + a0`` of the
+    leading reduced matrix (leading orders), as ``(a2, a1, a0)``.
 
     Built from :func:`p_symbols`; it coincides with the expanded determinant
     of :func:`leading_reduced_matrix` up to rounding.
     """
     P04, P12, P14, P20, P22 = p_symbols(params)
     s2 = sigma**2
-    return ReducedCubic(
-        a2=float(P20 + P22 * s2),
-        a1=float(P12 * s2 + P14 * s2**2),
-        a0=float(P04 * s2**2 + 16.0 * s2**3),
+    return (
+        float(P20 + P22 * s2),
+        float(P12 * s2 + P14 * s2**2),
+        float(P04 * s2**2 + 16.0 * s2**3),
     )
 
 
@@ -129,7 +116,7 @@ def _real_cbrt(x: float) -> float:
     return float(np.copysign(np.abs(x) ** (1.0 / 3.0), x))
 
 
-def cardano_roots(a2: float, a1: float, a0: float) -> ReducedCubic:
+def cardano_roots(a2: float, a1: float, a0: float) -> np.ndarray:
     """Roots of a real monic cubic by the explicit depressed-cubic factorization.
 
     With ``mu = lambda + a2/3`` the cubic becomes ``mu^3 + 3Q mu - 2R = 0``,
@@ -156,8 +143,7 @@ def cardano_roots(a2: float, a1: float, a0: float) -> ReducedCubic:
     sq2 = np.sqrt(inner)
     lam2 = (-2.0 * a2 / 3.0 - B + sq2) / 2.0
     lam3 = (-2.0 * a2 / 3.0 - B - sq2) / 2.0
-    roots = np.array([lam1, lam2, lam3], dtype=np.complex128)
-    return ReducedCubic(a2=a2, a1=a1, a0=a0, Q=float(Q), R=float(R), roots=roots)
+    return np.array([lam1, lam2, lam3], dtype=np.complex128)
 
 
 def companion_roots(a2: float, a1: float, a0: float) -> np.ndarray:
@@ -261,7 +247,6 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
     worst = np.unravel_index(np.argmax(curves), curves.shape)
     if curves[worst] > 1e-10:
         return StabilityVerdict(
-            params=(eps, roll.params.omega, roll.params.s),
             verdict=Stability.UNSTABLE,
             witness_sigma=float(sigmas[worst[1]]),
             witness_lambda=float(curves[worst]),
@@ -273,11 +258,5 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
     X = np.column_stack([np.ones(np.count_nonzero(fit_mask)), sigmas[fit_mask] ** 2])
     coefs = [np.linalg.lstsq(X, curves[j, fit_mask], rcond=None)[0][1] for j in (1, 2)]
     if all(cj <= -1e-6 * eps**2 for cj in coefs):
-        return StabilityVerdict(
-            params=(eps, roll.params.omega, roll.params.s),
-            verdict=Stability.STABLE,
-        )
-    return StabilityVerdict(
-        params=(eps, roll.params.omega, roll.params.s),
-        verdict=Stability.BOUNDARY,
-    )
+        return StabilityVerdict(Stability.STABLE)
+    return StabilityVerdict(Stability.BOUNDARY)

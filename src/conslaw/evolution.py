@@ -75,6 +75,7 @@ class EvolutionConfig:
     def __post_init__(self) -> None:
         if not (self.n_periods >= 1 and float(self.n_periods).is_integer()):
             raise OutOfRange(f"n_periods must be a positive integer, got {self.n_periods}", param="n_periods")
+        object.__setattr__(self, "n_periods", int(self.n_periods))
         if not self.dt > 0.0:
             raise OutOfRange(f"dt must be positive, got {self.dt}", param="dt")
         if self.t_final is not None and not 0.0 < self.t_final < np.inf:

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing its pass/fail line.
 
 Criteria and tolerances live in conslaw.acceptance; these tests only assert
-and report.  The module takes about 20 s on a 2-core machine, most of it in
-the dynamic-rate integrations (criterion 8, about 12 s) and the
-stability-band map (criterion 5, about 5 s).
+and report.  The module takes about 15 s on a 2-core machine with one BLAS
+thread, most of it in the dynamic-rate integrations (criterion 8, 10 to
+12 s) and the stability-band map (criterion 5, about 3 s).
 """
 
 import pytest

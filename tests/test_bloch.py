@@ -249,6 +249,42 @@ class TestBatchedSweep:
         assert np.all(X[1] == 7.0)
 
 
+class TestZeroBatch:
+    """A sweep through sigma = 0 splits into a deflated batch and the rest."""
+
+    params = RollParameters(0.05, 0.1, 0.8)
+    sweep = [0.1, 0.0, 0.2, -0.0, 5e-14, -0.3]
+
+    def test_one_eigensolve_and_one_rayleigh_ritz_step_per_batch(self, monkeypatch):
+        roll = solve_roll(self.params, SpectralGrid(12))
+        eigh = np.linalg.eigh
+        shapes = []
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(bloch.np.linalg, "eigh", spy)
+        critical_curves(roll, self.sweep)
+        # The three zero members, deflated to N - 1 with two critical values,
+        # then the three others.
+        assert shapes == [(3, 24, 24), (3, 2, 2), (3, 25, 25), (3, 3, 3)]
+
+    @pytest.mark.parametrize(
+        "triples",
+        [critical_triples, lambda roll, sigmas: bloch._fixed_block_triples(roll, sigmas, 1.0)[0]],
+        ids=["eigensolve", "fixed_block"],
+    )
+    def test_zero_members_solve_as_zero_alone(self, triples):
+        roll = solve_roll(self.params, SpectralGrid(12))
+        vals = triples(roll, self.sweep)
+        alone = triples(roll, [0.0])[0]
+        for i in (1, 3):
+            assert np.array_equal(vals[i], alone)
+        # Within _SIGMA_ZERO_TOL of zero: deflated, so the conserved zero is exact.
+        assert 0.0 in vals[4]
+
+
 class TestFixedBlockTriples:
     """The classifier's triples: fixed-block inverse iteration and a Cholesky gap certificate."""
 

@@ -198,6 +198,35 @@ class TestMap:
         for row in rows:
             assert row[2] == row[3]  # predicate vs numeric
 
+    @pytest.mark.parametrize(
+        "jobs,cpus,workers",
+        [("4096", 2, 4), ("3", 2, 3), ("0", 2, 2), ("0", None, None), ("1", 8, None)],
+    )
+    def test_pool_never_outnumbers_the_cells(self, capsys, monkeypatch, jobs, cpus, workers):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        argv = ("map", "--eps", "0.02", "--steps", "2", "--modes", "8")
+        code, out, _ = run(capsys, *argv, "--jobs", jobs)
+        assert code == 0
+        # No pool at all when one worker would do.
+        assert sizes == ([] if workers is None else [workers])
+        assert out == run(capsys, *argv, "--jobs", "1")[1]
+
     def test_predicate_only_is_fast_path(self, capsys):
         code, out, _ = run(capsys, "map", "--eps", "0.02", "--steps", "2", "--mode", "predicate")
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]

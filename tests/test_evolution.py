@@ -32,6 +32,16 @@ class TestConfig:
         cfg = ev.EvolutionConfig(n_periods=8, dt=0.1, seed_sigma=0.375)
         assert cfg.seed_index == 3
 
+    @pytest.mark.parametrize("n_periods", [4.0, np.float64(4.0)], ids=["float", "float64"])
+    def test_integral_float_periods_run_as_the_integer(self, n_periods):
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), GRID)
+        cfg = ev.EvolutionConfig(n_periods=n_periods, dt=0.1, seed_sigma=0.25, t_final=1.0)
+        assert type(cfg.n_periods) is int
+        want = ev.evolve(roll, ev.EvolutionConfig(n_periods=4, dt=0.1, seed_sigma=0.25, t_final=1.0))
+        got = ev.evolve(roll, cfg)
+        for field in ("times", "norms", "masses", "seed_sigma", "expected_rate", "measured_rate"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
 
 class TestMass:
     def test_zero_mean_roll(self):
