@@ -27,14 +27,14 @@ The stability classifier needs only the triple and the gap below it, so it
 takes a second path with no full eigensolve: the same inverse iteration and
 Rayleigh-Ritz step start from a fixed block of unit vectors, and one stacked
 Cholesky factorization certifies by inertia that the rest of the spectrum
-lies below ``-delta``; each value also gets a residual enclosure.  Bloch
-numbers whose certificate fails are solved again by the eigensolve path.  The
-spectra, curves and modes reported elsewhere all come from the eigensolve.
+lies below ``-delta``; each value also gets a residual enclosure.  Failed
+certificates and ``sigma = 0`` go to the eigensolve path.  The spectra,
+curves and modes reported elsewhere all come from the eigensolve.
 
 At ``sigma = 0`` the ``m = 0`` row vanishes identically (conservation law).
 :func:`_stacks` alone decides which Bloch numbers count as zero; they form
 their own batch, whose ``m = 0`` row and column are deflated before ``H`` is
-built, so both paths solve for two critical values beside the exact zero.
+built; only the eigensolve path solves it, for two values beside the zero.
 """
 
 from __future__ import annotations
@@ -58,10 +58,10 @@ __all__ = [
 
 _SIGMA_ZERO_TOL = 1e-13
 _REFINE_STEPS = 2
-#: Bloch modes whose unit vectors start the classifier's inverse iteration.
-#: A small roll's critical triple lives at m = -1, 0, 1 (at m = -2, -1, 0
-#: near sigma = -1/2); the neighbours at |m| = 2 widen the block, so that
-#: Rayleigh-Ritz resolves the triple apart from them.
+#: Bloch modes whose unit vectors start the classifier's inverse iteration
+#: (whole, as it never solves sigma = 0).  A small roll's critical triple
+#: lives at m = -1, 0, 1 (at m = -2, -1, 0 near sigma = -1/2); the |m| = 2
+#: neighbours widen the block, so Rayleigh-Ritz resolves the triple apart.
 _START_MODES = np.arange(-2, 3)
 #: Reorderings of a critical triple, in ``itertools.permutations`` order so
 #: that the first minimum of a matching cost breaks ties as ``min`` would.
@@ -259,9 +259,8 @@ def _solve_sweep(roll: RollSolution, sigmas):
 def _certified_gaps(others: np.ndarray, delta: float) -> np.ndarray:
     """``-max`` of each row of ``others``; the first gap ``<= delta`` raises.
 
-    The gap is read off the eigenvalues of the eigensolve.  The classifier's
-    path certifies its gap by inertia instead (:func:`_fixed_block_triples`)
-    and comes here only for the Bloch numbers where that certificate fails.
+    The gap is read off the eigenvalues of the eigensolve; the classifier's
+    path certifies it by inertia instead (:func:`_fixed_block_triples`).
     """
     gaps = -np.max(others, axis=1)
     failed = np.flatnonzero(gaps <= delta)
@@ -293,25 +292,24 @@ def _fixed_block_triples(roll: RollSolution, sigmas, delta: float):
     """Critical triples of a sweep, ascending, without a full eigensolve.
 
     Inverse iteration and Rayleigh-Ritz (:func:`_refine_critical`) start
-    from unit vectors at the Bloch modes ``_START_MODES`` (less ``m = 0`` in
-    the deflated stack at ``sigma = 0``), and the ``k`` largest Ritz pairs
-    ``(rho, Y)`` of the symmetric ``H`` are kept: three, or two beside the
-    exact zero.  With ``r = ||H Y - Y diag(rho)||_F`` and
+    from unit vectors at the Bloch modes ``_START_MODES``, and the three
+    largest Ritz pairs ``(rho, Y)`` of the symmetric ``H`` are kept.  With
+    ``r = ||H Y - Y diag(rho)||_F`` and
     ``tau = min(-delta, min rho - r)``, one stacked Cholesky of
     ``A = c Y Y^T + tau I - H``, ``c = 2 (max rho - tau)``, certifies each
     member by inertia (Sylvester's law).  When ``A`` is positive definite:
 
-    - ``H - c Y Y^T < tau I``, so the ``(k + 1)``-th eigenvalue of ``H`` lies
-      below ``tau <= -delta`` (interlacing for a rank-``k`` update);
+    - ``H - c Y Y^T < tau I``, so the fourth eigenvalue of ``H`` lies below
+      ``tau <= -delta`` (interlacing for a rank-3 update);
     - ``H`` compressed to the complement of ``Y`` lies below ``min rho``, so
       the ``i``-th largest eigenvalue of ``H`` lies within ``||R||_2 <= r``
       of the ``i``-th largest ``rho`` (Weyl, Parlett ch. 11);
-    - with ``max rho + r < -tau``, also checked, those ``k`` eigenvalues are
+    - with ``max rho + r < -tau``, also checked, those three eigenvalues are
       the ones nearest zero, which :func:`critical_triples` selects.
 
     These are floating-point certificates, not interval arithmetic.
-    Members whose certificate fails are solved again by :func:`_solve_sweep`
-    and checked by :func:`_certified_gaps`, which raises
+    Members whose certificate fails, and the ``sigma = 0`` batch of
+    :func:`_stacks`, are solved by :func:`critical_triples`, which raises
     :class:`GapViolation` for the first failing sigma in sweep order.
     Returns the triples ``(n, 3)`` and the enclosure radius ``r`` of each
     member ``(n,)``, NaN where the values come from that fallback.
@@ -320,25 +318,23 @@ def _fixed_block_triples(roll: RollSolution, sigmas, delta: float):
     sigmas = _checked_sigmas(sigmas, "sigma")
     M = roll.profile.grid.n_modes
     vals = np.empty((sigmas.size, 3))
-    radius = np.empty(sigmas.size)
+    radius = np.full(sigmas.size, np.nan)
     start = np.eye(2 * M + 1)[:, M + _START_MODES]
     for members, _, H, S0 in _stacks(roll, sigmas):
-        at_zero = S0 is not None
-        block = np.delete(start[:, _START_MODES != 0], M, axis=0) if at_zero else start
-        k = 2 if at_zero else 3
-        ritz, Y = _refine_critical(H, np.repeat(block[None], len(H), axis=0))
-        rho, Y = ritz[:, -k:], Y[:, :, -k:]
+        if S0 is not None:
+            continue
+        ritz, Y = _refine_critical(H, np.repeat(start[None], len(H), axis=0))
+        rho, Y = ritz[:, -3:], Y[:, :, -3:]
         r = np.linalg.norm(H @ Y - Y * rho[:, None, :], axis=(1, 2))
         tau = np.minimum(-delta, rho[:, 0] - r)
         A = (2.0 * (rho[:, -1] - tau))[:, None, None] * (Y @ Y.swapaxes(1, 2)) - H
         A.reshape(len(A), -1)[:, :: A.shape[1] + 1] += tau[:, None]
         certified = _positive_definite(A) & (rho[:, -1] + r < -tau)
-        vals[members] = np.sort(np.concatenate([np.zeros((len(H), 1)), rho], axis=1)) if at_zero else rho
+        vals[members] = rho
         radius[members] = np.where(certified, r, np.nan)
     redo = np.isnan(radius)
     if redo.any():
-        _, vals[redo], _, others = _solve_sweep(roll, sigmas[redo])
-        _certified_gaps(others, delta)
+        vals[redo] = critical_triples(roll, sigmas[redo], delta)
     return vals, radius
 
 
@@ -418,4 +414,6 @@ def critical_curves(roll: RollSolution, sigmas, delta: float = 1.0) -> list[Bloc
 
 def critical_curve_array(spectra: list[BlochSpectrum]) -> np.ndarray:
     """Stack matched critical curves as a real (3, n_sigma) array."""
+    if not spectra:
+        return np.empty((3, 0))
     return np.column_stack([s.critical_values() for s in spectra])

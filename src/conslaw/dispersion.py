@@ -220,7 +220,7 @@ def _default_sigma_grid(eps: float) -> np.ndarray:
     # shrinks to zero at the band boundary.
     small = eps * np.geomspace(0.01, 2.0, 28)
     coarse = np.linspace(0.05, 0.45, 9)
-    return np.unique(np.concatenate([[0.0], small, coarse[coarse > small[-1]]]))
+    return np.unique(np.concatenate([small, coarse[coarse > small[-1]]]))
 
 
 def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVerdict:
@@ -232,10 +232,12 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
 
     The triples come from ``bloch._fixed_block_triples``: inverse iteration
     from a fixed block, with the gap below ``-delta`` certified by a Cholesky
-    factorization rather than read off a full eigensolve.  Where that
-    certificate fails, the Bloch number is solved as
-    ``bloch.critical_triples`` solves it, and ``GapViolation`` reports the
-    same gap.
+    factorization rather than read off a full eigensolve; where that
+    certificate fails, ``bloch.critical_triples`` solves the Bloch number.
+    The sweep has no ``sigma = 0`` for ``eps > 0``: there the conservation
+    law and translation fix two zeros beside an amplitude mode near
+    ``-2 (1 - 4 omega^2) eps^2 < 0``, so instability enters only at
+    ``sigma != 0``.
     """
     eps = roll.params.eps
     sigmas = _default_sigma_grid(eps)

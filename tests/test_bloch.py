@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conslaw import bloch
 from conslaw.bloch import critical_curve_array, critical_curves, critical_modes, critical_triples
-from conslaw.dispersion import _default_sigma_grid, classify_numerically
+from conslaw.dispersion import _default_sigma_grid, classify_numerically, growth_prefactor
 from conslaw.errors import GapViolation, OutOfRange
 from conslaw.fourier import SpectralGrid
 from conslaw.model import swift_hohenberg
@@ -178,6 +178,11 @@ class TestCurves:
         cv = np.sort(np.abs(spec.critical_values()))
         assert cv[1] < 1e-9  # conservation + translation modes
 
+    def test_empty_sweep_gives_empty_curves(self):
+        roll = solve_roll(RollParameters(0.05, 0.2, 0.8), GRID)
+        curves = critical_curve_array(critical_curves(roll, []))
+        assert curves.shape == (3, 0) and curves.dtype == np.float64
+
     def test_matched_curves_are_continuous(self):
         roll = solve_roll(RollParameters(0.05, 0.2, 0.8), GRID)
         sigmas = np.linspace(0.05, 0.3, 26)
@@ -272,17 +277,25 @@ class TestZeroBatch:
 
     @pytest.mark.parametrize(
         "triples",
-        [critical_triples, lambda roll, sigmas: bloch._fixed_block_triples(roll, sigmas, 1.0)[0]],
+        [
+            lambda roll, sigmas: (critical_triples(roll, sigmas), None),
+            partial(bloch._fixed_block_triples, delta=1.0),
+        ],
         ids=["eigensolve", "fixed_block"],
     )
     def test_zero_members_solve_as_zero_alone(self, triples):
         roll = solve_roll(self.params, SpectralGrid(12))
-        vals = triples(roll, self.sweep)
-        alone = triples(roll, [0.0])[0]
+        vals, radius = triples(roll, self.sweep)
+        alone = triples(roll, [0.0])[0][0]
         for i in (1, 3):
             assert np.array_equal(vals[i], alone)
         # Within _SIGMA_ZERO_TOL of zero: deflated, so the conserved zero is exact.
         assert 0.0 in vals[4]
+        if radius is not None:
+            # The classifier's path leaves the zero batch to the eigensolve.
+            zero = np.array([False, True, False, True, True, False])
+            assert np.all(np.isnan(radius[zero])) and np.all(np.isfinite(radius[~zero]))
+            assert np.array_equal(vals[zero], critical_triples(roll, self.sweep)[zero])
 
 
 class TestFixedBlockTriples:
@@ -341,5 +354,19 @@ class TestFixedBlockTriples:
 
         monkeypatch.setattr(bloch.np.linalg, "eigh", spy)
         classify_numerically(roll)
-        # Only the Rayleigh-Ritz steps on the start block, one per batch.
-        assert shapes == [(4, 4), (5, 5)]
+        # Only the Rayleigh-Ritz step on the start block: the grid has no
+        # sigma = 0, so there is a single batch.
+        assert shapes == [(5, 5)]
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(**cells)
+    def test_sigma_zero_holds_no_instability(self, eps, omega, s, n_modes):
+        # Why the classifier's grid may leave sigma = 0 out: the conserved
+        # zero is exact, the translation value vanishes and the amplitude
+        # mode decays at about c = -2 (1 - 4 omega^2) eps^2.
+        assert np.all(_default_sigma_grid(eps) > 0.0)
+        roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
+        triple = np.sort(critical_triples(roll, [0.0])[0])
+        assert 0.0 in triple
+        assert abs(triple[1]) <= 1e-9
+        assert triple[0] <= growth_prefactor(eps, omega) / 2.0
