@@ -23,13 +23,14 @@ on the whole stack.  A single Bloch number is a sweep of one.  Stacked
 LAPACK calls give the same bits as one call per matrix, so a sweep's values
 do not depend on how it is batched.
 
-The stability classifier needs only the triple and the gap below it, so it
-takes a second path with no full eigensolve: the same inverse iteration and
-Rayleigh-Ritz step start from a fixed block of unit vectors, and one stacked
-Cholesky factorization certifies by inertia that the rest of the spectrum
-lies below ``-delta``; each value also gets a residual enclosure.  Failed
-certificates and ``sigma = 0`` go to the eigensolve path.  The spectra,
-curves and modes reported elsewhere all come from the eigensolve.
+Critical triples need only the three values and the gap below them, so
+:func:`critical_triples` (and through it the stability classifier and the
+amplitude-system comparison) takes a second path with no full eigensolve:
+the same inverse iteration and Rayleigh-Ritz step start from a fixed block
+of unit vectors, and one stacked Cholesky factorization certifies by inertia
+that the rest of the spectrum lies below ``-delta``; each value also gets a
+residual enclosure.  Failed certificates and ``sigma = 0`` go to the
+eigensolve path.  Spectra, matched curves and modes come from the eigensolve.
 
 At ``sigma = 0`` the ``m = 0`` row vanishes identically (conservation law).
 :func:`_stacks` alone decides which Bloch numbers count as zero; they form
@@ -259,8 +260,8 @@ def _solve_sweep(roll: RollSolution, sigmas):
 def _certified_gaps(others: np.ndarray, delta: float) -> np.ndarray:
     """``-max`` of each row of ``others``; the first gap ``<= delta`` raises.
 
-    The gap is read off the eigenvalues of the eigensolve; the classifier's
-    path certifies it by inertia instead (:func:`_fixed_block_triples`).
+    The gap is read off the eigenvalues of the eigensolve;
+    :func:`_fixed_block_triples` certifies it by inertia instead.
     """
     gaps = -np.max(others, axis=1)
     failed = np.flatnonzero(gaps <= delta)
@@ -305,12 +306,12 @@ def _fixed_block_triples(roll: RollSolution, sigmas, delta: float):
       the ``i``-th largest eigenvalue of ``H`` lies within ``||R||_2 <= r``
       of the ``i``-th largest ``rho`` (Weyl, Parlett ch. 11);
     - with ``max rho + r < -tau``, also checked, those three eigenvalues are
-      the ones nearest zero, which :func:`critical_triples` selects.
+      the ones nearest zero, which the eigensolve path selects.
 
     These are floating-point certificates, not interval arithmetic.
     Members whose certificate fails, and the ``sigma = 0`` batch of
-    :func:`_stacks`, are solved by :func:`critical_triples`, which raises
-    :class:`GapViolation` for the first failing sigma in sweep order.
+    :func:`_stacks`, are solved by the eigensolve path, whose gap check
+    raises :class:`GapViolation` for the first failing sigma in sweep order.
     Returns the triples ``(n, 3)`` and the enclosure radius ``r`` of each
     member ``(n,)``, NaN where the values come from that fallback.
     """
@@ -334,7 +335,8 @@ def _fixed_block_triples(roll: RollSolution, sigmas, delta: float):
         radius[members] = np.where(certified, r, np.nan)
     redo = np.isnan(radius)
     if redo.any():
-        vals[redo] = critical_triples(roll, sigmas[redo], delta)
+        _, vals[redo], _, others = _solve_sweep(roll, sigmas[redo])
+        _certified_gaps(others, delta)
     return vals, radius
 
 
@@ -386,14 +388,15 @@ def critical_modes(roll: RollSolution, sigma: float) -> tuple[np.ndarray, np.nda
 def critical_triples(roll: RollSolution, sigmas, delta: float = 1.0) -> np.ndarray:
     """Critical eigenvalues over a sigma sweep, ascending per sigma.
 
-    Returns a real ``(n_sigma, 3)`` array.  The gap is certified as in
-    :func:`critical_curves`; no per-sigma spectra are built and no curves are
-    matched.
+    Returns a real ``(n_sigma, 3)`` array without a full eigensolve: the
+    triples and the gap below ``-delta`` are certified as described in
+    :func:`_fixed_block_triples`, each value within its residual radius of
+    the eigensolve's.  ``sigma = 0`` and members whose certificate fails are
+    solved as in :func:`critical_curves`, bitwise, and raise
+    :class:`GapViolation` as it does.  No spectra are built and no curves
+    are matched.
     """
-    check_delta(delta)
-    _, vals, _, others = _solve_sweep(roll, sigmas)
-    _certified_gaps(others, delta)
-    return vals
+    return _fixed_block_triples(roll, sigmas, delta)[0]
 
 
 def critical_curves(roll: RollSolution, sigmas, delta: float = 1.0) -> list[BlochSpectrum]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _fixed_block_triples
+from .bloch import critical_triples
 from .errors import InvariantViolation
 from .rolls import RollParameters, RollSolution, check_open_band, check_s
 
@@ -230,10 +230,10 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
     stay below and the fitted sigma^2 coefficients of the two neutral curves
     are negative (diffusive decay); boundary otherwise.
 
-    The triples come from ``bloch._fixed_block_triples``: inverse iteration
+    The triples come from ``bloch.critical_triples``: inverse iteration
     from a fixed block, with the gap below ``-delta`` certified by a Cholesky
     factorization rather than read off a full eigensolve; where that
-    certificate fails, ``bloch.critical_triples`` solves the Bloch number.
+    certificate fails, the full eigensolve solves the Bloch number.
     The sweep has no ``sigma = 0`` for ``eps > 0``: there the conservation
     law and translation fix two zeros beside an amplitude mode near
     ``-2 (1 - 4 omega^2) eps^2 < 0``, so instability enters only at
@@ -244,7 +244,7 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
     # All critical eigenvalues are real (the operator is similar to a real
     # symmetric matrix), so per-sigma ascending order is the exact curve
     # assignment; continuation matching can swap branches at collisions.
-    curves = _fixed_block_triples(roll, sigmas, delta)[0].T
+    curves = critical_triples(roll, sigmas, delta).T
 
     worst = np.unravel_index(np.argmax(curves), curves.shape)
     if curves[worst] > 1e-10:

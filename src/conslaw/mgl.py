@@ -125,10 +125,7 @@ def compare_exact_vs_mgl(roll: RollSolution, sigma_hat_grid, delta: float = 1.0)
     mglp = MglParameters(roll.params.omega, roll.params.s)
     sigma_hats = [float(sh) for sh in sigma_hat_grid]
     sigmas = _checked_sigmas(eps * np.array(sigma_hats), "sigma_hat")
-    # Complex on purpose: ``/ eps**2`` then takes numpy's complex division,
-    # whose rounding differs from real division in the last digit, and the
-    # golden compare output pins those digits.
-    triples = critical_triples(roll, sigmas, delta=delta).astype(np.complex128)
+    triples = critical_triples(roll, sigmas, delta=delta)
     rows: list[ComparisonRow] = []
     for sh, vals in zip(sigma_hats, triples):
         exact = vals / eps**2

@@ -203,9 +203,17 @@ class TestBatchedSweep:
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(8))
         sweep = np.array(sigmas + [0.0] + [-x for x in sigmas])
         triples = critical_triples(roll, sweep)
-        loop = np.array([critical_modes(roll, x)[0] for x in sweep])
+        loop = np.array([critical_triples(roll, [x])[0] for x in sweep])
         assert np.array_equal(triples, loop)
         assert np.all(np.diff(triples, axis=1) >= 0.0)
+        # Certified members lie within their radius of the eigensolve path;
+        # the fallback members (sigma = 0 among them) are its own values.
+        radius = bloch._fixed_block_triples(roll, sweep, 1.0)[1]
+        modes = np.array([critical_modes(roll, x)[0] for x in sweep])
+        certified = np.isfinite(radius)
+        assert not certified[len(sigmas)]
+        assert np.all(np.abs(triples - modes)[certified] <= radius[certified, None])
+        assert np.array_equal(triples[~certified], modes[~certified])
 
         spectra = critical_curves(roll, sweep)
         singles = [spectrum(roll, x) for x in sweep]
@@ -278,7 +286,7 @@ class TestZeroBatch:
     @pytest.mark.parametrize(
         "triples",
         [
-            lambda roll, sigmas: (critical_triples(roll, sigmas), None),
+            lambda roll, sigmas: (bloch._solve_sweep(roll, sigmas)[1], None),
             partial(bloch._fixed_block_triples, delta=1.0),
         ],
         ids=["eigensolve", "fixed_block"],
@@ -292,10 +300,10 @@ class TestZeroBatch:
         # Within _SIGMA_ZERO_TOL of zero: deflated, so the conserved zero is exact.
         assert 0.0 in vals[4]
         if radius is not None:
-            # The classifier's path leaves the zero batch to the eigensolve.
+            # The certified path leaves the zero batch to the eigensolve.
             zero = np.array([False, True, False, True, True, False])
             assert np.all(np.isnan(radius[zero])) and np.all(np.isfinite(radius[~zero]))
-            assert np.array_equal(vals[zero], critical_triples(roll, self.sweep)[zero])
+            assert np.array_equal(vals[zero], bloch._solve_sweep(roll, self.sweep)[1][zero])
 
 
 class TestFixedBlockTriples:
@@ -318,7 +326,7 @@ class TestFixedBlockTriples:
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
         sweep = self.sweep(eps)
         vals, radius = bloch._fixed_block_triples(roll, sweep, 1.0)
-        want = critical_triples(roll, sweep)
+        want = bloch._solve_sweep(roll, sweep)[1]
         certified = np.isfinite(radius)
         assert np.all(np.abs(vals - want)[certified] <= radius[certified, None])
         # Uncertified members are the eigh path's own values.

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from conslaw import bloch
 from conslaw import dispersion as dsp
 from conslaw import mgl
 from conslaw.errors import OutOfRange
@@ -8,6 +11,7 @@ from conslaw.fourier import SpectralGrid
 from conslaw.rolls import RollParameters, amplitude_alpha, solve_roll, zero_roll
 
 GRID = SpectralGrid(14)
+DATA = Path(__file__).parent / "data"
 
 
 def mgl_rhs(params, A, B, length):
@@ -223,3 +227,39 @@ class TestComparison:
         monkeypatch.setattr(mgl, "critical_triples", no_solve)
         with pytest.raises(OutOfRange, match=f"Bloch number {0.1 * 6.0} lies"):
             mgl.compare_exact_vs_mgl(roll, [0.0, 6.0, -7.0])
+
+    def test_runs_a_full_eigensolve_only_at_sigma_hat_zero(self, monkeypatch):
+        roll = solve_roll(RollParameters(0.04, 0.25, 1.0), SpectralGrid(12))
+        eigh = np.linalg.eigh
+        shapes = []
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(bloch.np.linalg, "eigh", spy)
+        mgl.compare_exact_vs_mgl(roll, np.linspace(-1.0, 1.0, 11))
+        # Rayleigh-Ritz on the start block of the ten members off zero; then
+        # the sigma_hat = 0 member alone on the eigensolve path: its deflated
+        # N - 1 stack and the Rayleigh-Ritz step of its two critical values.
+        assert shapes == [(10, 5, 5), (1, 24, 24), (1, 2, 2)]
+
+    def test_golden_compare_lies_within_the_enclosures(self):
+        # tests/data/compare_m32.csv holds the certified triples: each lies
+        # within its residual radius (scaled by 1/eps^2, plus the rounding of
+        # that division) of the eigensolve path's value, and the sigma_hat = 0
+        # row, which the eigensolve path solves, is that value bit for bit.
+        eps = 0.04
+        lines = (DATA / "compare_m32.csv").read_text().splitlines()[1:]
+        table = np.array([[float(x) for x in line.split(",")] for line in lines])
+        sigmas = eps * table[:, 0]
+        assert np.array_equal(table[:, 0], np.linspace(-1.0, 1.0, 11))
+        roll = solve_roll(RollParameters(eps, 0.25, 1.0), SpectralGrid(32))
+        radius = bloch._fixed_block_triples(roll, sigmas, 1.0)[1]
+        want = bloch._solve_sweep(roll, sigmas)[1] / eps**2
+        got = table[:, 1:4]
+        zero = table[:, 0] == 0.0
+        assert np.all(np.isnan(radius[zero])) and np.all(np.isfinite(radius[~zero]))
+        assert np.array_equal(got[zero], want[zero])
+        bound = radius[~zero, None] / eps**2 + 4.0 * np.spacing(np.abs(want[~zero]))
+        assert np.all(np.abs(got - want)[~zero] <= bound)
