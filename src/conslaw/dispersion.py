@@ -11,6 +11,7 @@ cross-check one against the other.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,12 +216,16 @@ def band_edge_omega(s: float) -> float:
     return float(min(0.5, np.sqrt(num / (12.0 * (27.0 - 14.0 * s**2)))))
 
 
+@functools.lru_cache
 def _default_sigma_grid(eps: float) -> np.ndarray:
+    """The classifier's Bloch numbers at ``eps``, built once per ``eps`` and read-only."""
     # Geometric spacing resolves the dangerous window sigma = O(eps), which
     # shrinks to zero at the band boundary.
     small = eps * np.geomspace(0.01, 2.0, 28)
     coarse = np.linspace(0.05, 0.45, 9)
-    return np.unique(np.concatenate([small, coarse[coarse > small[-1]]]))
+    grid = np.unique(np.concatenate([small, coarse[coarse > small[-1]]]))
+    grid.flags.writeable = False
+    return grid
 
 
 def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVerdict:
@@ -230,10 +235,12 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
     stay below and the fitted sigma^2 coefficients of the two neutral curves
     are negative (diffusive decay); boundary otherwise.
 
-    The triples come from ``bloch.critical_triples``: inverse iteration
-    from a fixed block, with the gap below ``-delta`` certified by a Cholesky
-    factorization rather than read off a full eigensolve; where that
-    certificate fails, the full eigensolve solves the Bloch number.
+    The triples come from ``bloch.critical_triples``: one inverse-iteration
+    step from the critical modes lifted onto the rest (the first-order
+    Lyapunov-Schmidt reduction), with the gap below ``-delta`` certified
+    by a Cholesky factorization rather than read off a full eigensolve;
+    where that certificate fails, the full eigensolve solves the Bloch
+    number.
     The sweep has no ``sigma = 0`` for ``eps > 0``: there the conservation
     law and translation fix two zeros beside an amplitude mode near
     ``-2 (1 - 4 omega^2) eps^2 < 0``, so instability enters only at

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conslaw import bloch
+from conslaw import dispersion as dsp
 from conslaw.bloch import critical_curve_array, critical_curves, critical_modes, critical_triples
 from conslaw.dispersion import _default_sigma_grid, classify_numerically, growth_prefactor
 from conslaw.errors import GapViolation, OutOfRange
@@ -329,6 +330,9 @@ class TestFixedBlockTriples:
         want = bloch._solve_sweep(roll, sweep)[1]
         certified = np.isfinite(radius)
         assert np.all(np.abs(vals - want)[certified] <= radius[certified, None])
+        # One step from the lifted start block is as accurate as two were from
+        # bare unit vectors (one step from those misses by up to about 1e-12).
+        assert np.all(np.abs(vals - want)[certified] < 1e-13)
         # Uncertified members are the eigh path's own values.
         assert np.array_equal(vals[~certified], want[~certified])
 
@@ -365,6 +369,34 @@ class TestFixedBlockTriples:
         # Only the Rayleigh-Ritz step on the start block: the grid has no
         # sigma = 0, so there is a single batch.
         assert shapes == [(5, 5)]
+
+    @pytest.mark.parametrize("eps", [0.01, 0.02])
+    def test_both_solve_paths_reach_the_same_verdicts(self, eps, monkeypatch):
+        # A seeded 60-cell subset of the criterion-5 domain (the 30 x 30
+        # (omega, s) grid with |Pi| > 0.05, M = 12), classified once from the
+        # certified triples and once from the eigensolve path's.
+        domain = [
+            (omega, s)
+            for s in np.linspace(-1.5, 1.5, 30)
+            for omega in np.linspace(-0.45, 0.45, 30)
+            if abs(dsp.sideband_product(omega, s)) > 0.05
+        ]
+        rng = np.random.default_rng(16)
+        rolls = [
+            solve_roll(RollParameters(eps, *domain[i]), SpectralGrid(12))
+            for i in rng.choice(len(domain), 60, replace=False)
+        ]
+        certified = [classify_numerically(roll) for roll in rolls]
+        with monkeypatch.context() as m:
+            m.setattr(dsp, "critical_triples", lambda roll, sigmas, delta: bloch._solve_sweep(roll, sigmas)[1])
+            eigensolved = [classify_numerically(roll) for roll in rolls]
+        assert {got.verdict for got in certified} == {dsp.Stability.STABLE, dsp.Stability.UNSTABLE}
+        for roll, got, want in zip(rolls, certified, eigensolved):
+            assert got.verdict is want.verdict
+            assert got.witness_sigma == want.witness_sigma
+            if got.witness_sigma is not None:
+                radius = bloch._fixed_block_triples(roll, [got.witness_sigma], 1.0)[1][0]
+                assert abs(got.witness_lambda - want.witness_lambda) < radius
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(**cells)

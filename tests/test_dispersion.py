@@ -245,3 +245,12 @@ class TestNumericalClassifier:
             got = np.sort(vals)
             want = np.sort([-4.0 * sig**2, -4.0 * sig**2, -(sig**2)])
             assert np.max(np.abs(got - want) / np.abs(want)) < 0.2
+
+    def test_sigma_grid_is_built_once_per_eps_and_read_only(self):
+        grid = dsp._default_sigma_grid(0.02)
+        assert dsp._default_sigma_grid(0.02) is grid
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
+        assert np.array_equal(grid, dsp._default_sigma_grid.__wrapped__(0.02))
+        assert dsp._default_sigma_grid(0.01) is not grid

@@ -230,19 +230,41 @@ class TestComparison:
 
     def test_runs_a_full_eigensolve_only_at_sigma_hat_zero(self, monkeypatch):
         roll = solve_roll(RollParameters(0.04, 0.25, 1.0), SpectralGrid(12))
-        eigh = np.linalg.eigh
-        shapes = []
+        eigh, solve = np.linalg.eigh, np.linalg.solve
+        eighs, solves = [], []
 
-        def spy(a, *args, **kwargs):
-            shapes.append(np.shape(a))
+        def eigh_spy(a, *args, **kwargs):
+            eighs.append(np.shape(a))
             return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(bloch.np.linalg, "eigh", spy)
+        def solve_spy(a, b):
+            solves.append((np.shape(a), np.shape(b)))
+            return solve(a, b)
+
+        monkeypatch.setattr(bloch.np.linalg, "eigh", eigh_spy)
+        monkeypatch.setattr(bloch.np.linalg, "solve", solve_spy)
         mgl.compare_exact_vs_mgl(roll, np.linspace(-1.0, 1.0, 11))
-        # Rayleigh-Ritz on the start block of the ten members off zero; then
-        # the sigma_hat = 0 member alone on the eigensolve path: its deflated
-        # N - 1 stack and the Rayleigh-Ritz step of its two critical values.
-        assert shapes == [(10, 5, 5), (1, 24, 24), (1, 2, 2)]
+        # The sigma_hat = 0 member alone on the eigensolve path: its deflated
+        # N - 1 stack, two inverse-iteration steps and the Rayleigh-Ritz step
+        # of its two critical values.  Then the ten members off zero: one
+        # inverse-iteration step from the lifted start block and its
+        # Rayleigh-Ritz step.
+        assert eighs == [(1, 24, 24), (1, 2, 2), (10, 5, 5)]
+        assert solves == [((1, 24, 24), (1, 24, 2))] * 2 + [((10, 25, 25), (10, 25, 5))]
+
+    def test_builds_each_batch_once(self, monkeypatch):
+        roll = solve_roll(RollParameters(0.04, 0.25, 1.0), SpectralGrid(12))
+        factors = bloch._symmetric_factors
+        sizes = []
+
+        def spy(df, k2, sigmas):
+            sizes.append(sigmas.size)
+            return factors(df, k2, sigmas)
+
+        monkeypatch.setattr(bloch, "_symmetric_factors", spy)
+        mgl.compare_exact_vs_mgl(roll, np.linspace(-1.0, 1.0, 11))
+        # The sigma_hat = 0 batch, whose stack the eigensolve path reuses, and the rest.
+        assert sizes == [1, 10]
 
     def test_golden_compare_lies_within_the_enclosures(self):
         # tests/data/compare_m32.csv holds the certified triples: each lies
