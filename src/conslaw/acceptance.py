@@ -31,17 +31,14 @@ _GRID = SpectralGrid(16)
 
 @dataclass(frozen=True)
 class CriterionResult:
-    name: str
     passed: bool
     detail: str
 
 
-def _result(name: str, checks: list[tuple[bool, str]]) -> CriterionResult:
+def _result(checks: list[tuple[bool, str]]) -> CriterionResult:
+    """Failed checks' messages, or the number of checks when all pass."""
     failed = [msg for ok, msg in checks if not ok]
-    if failed:
-        return CriterionResult(name, False, "; ".join(failed))
-    worst = "; ".join(msg for _, msg in checks[:1])
-    return CriterionResult(name, True, worst if len(checks) == 1 else f"{len(checks)} checks passed")
+    return CriterionResult(not failed, "; ".join(failed) or f"{len(checks)} checks passed")
 
 
 @functools.lru_cache(maxsize=None)
@@ -64,7 +61,7 @@ def existence_order() -> CriterionResult:
         checks.append(
             (errs[1] < 1e-4, f"(w={w},s={s}) err(0.02) = {errs[1]:.2e} >= 1e-4")
         )
-    return _result("existence order (expansion remainder O(eps^3))", checks)
+    return _result(checks)
 
 
 def co_periodic_triple() -> CriterionResult:
@@ -80,7 +77,7 @@ def co_periodic_triple() -> CriterionResult:
             checks.append((abs(r) <= 5.0 * e**3, f"(w={w},s={s},eps={e}) |r|={abs(r):.2e} > 5eps^3"))
             checks.append((zmax < 1e-9, f"(w={w},s={s},eps={e}) zero modes at {zmax:.2e}"))
             checks.append((float(others.max()) < -3.0, f"(w={w},s={s},eps={e}) gap violated"))
-    return _result("co-periodic critical triple", checks)
+    return _result(checks)
 
 
 def _quadratic_coefficient(sigmas: np.ndarray, y: np.ndarray, scale: float) -> float:
@@ -108,7 +105,7 @@ def small_sigma_curvatures() -> CriterionResult:
         for got, want, tag in zip(fits, (curv, lam_minus, lam_plus), ("curv", "lam-", "lam+")):
             rel = abs(got - want) / abs(want)
             checks.append((rel <= tol, f"(w={w},s={s}) {tag} rel err {rel:.3f} > {tol}"))
-    return _result("small-sigma curvatures vs closed forms", checks)
+    return _result(checks)
 
 
 def mgl_convergence() -> CriterionResult:
@@ -124,7 +121,7 @@ def mgl_convergence() -> CriterionResult:
         checks.append(
             (0.8 <= slope <= 1.3, f"(w={w},s={s}) order {slope:.2f} outside [0.8, 1.3]")
         )
-    return _result("amplitude-system agreement order in eps", checks)
+    return _result(checks)
 
 
 def stability_band() -> CriterionResult:
@@ -165,7 +162,7 @@ def stability_band() -> CriterionResult:
             f"omega* flip {w_flip} not within {w_star} +- 0.02",
         ),
     ]
-    return _result("stability band map and edges", checks)
+    return _result(checks)
 
 
 def cubic_machinery() -> CriterionResult:
@@ -179,15 +176,11 @@ def cubic_machinery() -> CriterionResult:
         worst_roots = max(worst_roots, float(np.max(np.abs(ours - ref))))
 
     worst_det = 0.0
-    n = 0
-    while n < 100:
+    for _ in range(100):
         e = rng.uniform(0.001, 0.1)
         sig = rng.uniform(-0.2, 0.2)
         w = rng.uniform(-0.49, 0.49)
-        s = rng.uniform(-3.5, 3.5)
-        if 27.0 - 2.0 * s * s <= 0.0:
-            continue
-        n += 1
+        s = rng.uniform(-3.5, 3.5)  # 27 - 2 s^2 >= 2.5
         p = RollParameters(e, w, s)
         m = dsp.leading_reduced_matrix(p, sig)
         c2, c1, c0 = dsp.cubic_coefficients(p, sig)
@@ -206,7 +199,7 @@ def cubic_machinery() -> CriterionResult:
         (worst_roots < 1e-10, f"cardano vs companion deviation {worst_roots:.2e} >= 1e-10"),
         (worst_det < 1e-12, f"cubic vs determinant deviation {worst_det:.2e} >= 1e-12"),
     ]
-    return _result("cubic machinery (Cardano, determinant oracle)", checks)
+    return _result(checks)
 
 
 def symmetry_properties() -> CriterionResult:
@@ -239,7 +232,7 @@ def symmetry_properties() -> CriterionResult:
         (worst < 1e-9, f"conjugation mismatch {worst:.2e} >= 1e-9"),
         (bool(parity_ok), "reduced-matrix parity not exact"),
     ]
-    return _result("symmetry properties", checks)
+    return _result(checks)
 
 
 #: (omega, s, sigma, n_periods, dt, t_final, tolerance); eps = 0.05 throughout.
@@ -277,7 +270,7 @@ def dynamic_rates() -> CriterionResult:
                 f"vs {res.expected_rate:.3e}, rel {rel:.3f} > {tol}",
             )
         )
-    return _result("dynamic rates vs Bloch spectrum", checks)
+    return _result(checks)
 
 
 def mass_conservation() -> CriterionResult:
@@ -286,7 +279,7 @@ def mass_conservation() -> CriterionResult:
         (res.mass_drift < 1e-12, f"(w={w},s={s}) mass drift {res.mass_drift:.2e} >= 1e-12")
         for w, s, _, res in _dynamic_runs()
     ]
-    return _result("mass conservation along trajectories", checks)
+    return _result(checks)
 
 
 CRITERIA: tuple[tuple[str, Callable[[], CriterionResult]], ...] = (

@@ -21,7 +21,11 @@ matrices of a batch's Bloch numbers into one ``(n_sigma, N, N)`` stack
 eigensolve, the inverse iterations and the Rayleigh-Ritz step each run once
 on the whole stack.  A single Bloch number is a sweep of one.  Stacked
 LAPACK calls give the same bits as one call per matrix, so a sweep's values
-do not depend on how it is batched.
+do not depend on how it is batched.  A member fails when its own call
+raises (:func:`_per_member`) or, in the certificate's Cholesky
+factorization, when its factor has a non-finite diagonal, as NumPy returns
+NaN factors for NaN input.  A failed solve is redone on the matrix shifted
+by ``1e-10 I``; a failed certificate sends its member to the eigensolve path.
 
 Critical triples need only the three values and the gap below them, so
 :func:`critical_triples` (and through it the stability classifier and the
@@ -134,30 +138,32 @@ def _symmetric_factors(df: np.ndarray, k2: float, sigmas: np.ndarray):
     return kt2, S
 
 
-def _solve(A: np.ndarray, B: np.ndarray, fallback) -> np.ndarray:
-    """Stacked ``A^{-1} B``; only singular members go to ``fallback(a, b)``.
+def _per_member(f, A: np.ndarray, *rest):
+    """``f`` on a stack, member by member only when the stacked call raises.
 
-    A stacked solve fails as a whole when one member is singular, so on
-    failure every member is solved on its own.
+    A stacked LAPACK call fails as a whole when one member fails, and rounds
+    each member as a call on that member alone does.  Returns the result
+    (shaped as the last operand), NaN on the members whose own call raised
+    ``LinAlgError``, and the list of those members, empty on success.
     """
     try:
-        return np.linalg.solve(A, B)
+        return f(A, *rest), []
     except np.linalg.LinAlgError:
-        X = np.empty_like(B)
-        for i, (a, b) in enumerate(zip(A, B)):
-            try:
-                X[i] = np.linalg.solve(a, b)
-            except np.linalg.LinAlgError:
-                X[i] = fallback(a, b)
-        return X
+        out, failed = np.full(np.shape((A, *rest)[-1]), np.nan), []
+    for i, args in enumerate(zip(A, *rest)):
+        try:
+            out[i] = f(*args)
+        except np.linalg.LinAlgError:
+            failed.append(i)
+    return out, failed
 
 
-def _shifted_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(a + 1e-10 * np.eye(a.shape[0]), b)
-
-
-def _least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.linalg.lstsq(a, b, rcond=None)[0]
+def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Stacked ``A^{-1} B``; a singular member gets the solve shifted by ``1e-10 I``."""
+    X, failed = _per_member(np.linalg.solve, A, B)
+    for i in failed:
+        X[i] = np.linalg.solve(A[i] + 1e-10 * np.eye(A.shape[1]), B[i])
+    return X
 
 
 def _refine_critical(H: np.ndarray, Y: np.ndarray, steps: int):
@@ -170,7 +176,7 @@ def _refine_critical(H: np.ndarray, Y: np.ndarray, steps: int):
     Rayleigh-Ritz values come out near machine precision.
     """
     for _ in range(steps):
-        Y, _ = np.linalg.qr(_solve(H, Y, _shifted_solve))
+        Y, _ = np.linalg.qr(_solve(H, Y))
     G = Y.swapaxes(1, 2) @ (H @ Y)
     G = 0.5 * (G + G.swapaxes(1, 2))
     ritz, R = np.linalg.eigh(G)
@@ -215,7 +221,7 @@ def _conserved_vectors(S0: np.ndarray) -> np.ndarray:
     n, N = S0.shape[:2]
     e0 = np.zeros((n, N, 1))
     e0[:, N // 2] = 1.0
-    v0 = _solve(S0, e0, _least_squares)[:, :, 0]
+    v0 = _solve(S0, e0)[:, :, 0]
     # S0 is singular, so the solve leaves a roundoff-dependent odd part; S0
     # commutes with m -> -m and e_0 is even, so the even part solves S0 v = e_0.
     v0 = 0.5 * (v0 + v0[:, ::-1])
@@ -264,9 +270,7 @@ def _solve_sweep(roll: RollSolution, sigmas):
         vals[members], order, Yr, others[members] = _eigensolve(H, S0 is not None)
         # Map eigenvectors of H back to eigenvectors of diag(p) S.
         v = sq[:, :, None] * Yr
-        norms = np.linalg.norm(v, axis=1)
-        norms[norms == 0.0] = 1.0
-        v /= norms[:, None, :]
+        v /= np.linalg.norm(v, axis=1)[:, None, :]
         if S0 is not None:
             full = np.zeros((len(H), N, 3))
             full[:, :, 0] = _conserved_vectors(S0)
@@ -289,25 +293,6 @@ def _certified_gaps(others: np.ndarray, delta: float) -> np.ndarray:
     return gaps
 
 
-def _positive_definite(A: np.ndarray) -> np.ndarray:
-    """Whether each member of a symmetric stack has a Cholesky factor.
-
-    A stacked Cholesky fails as a whole when one member is not positive
-    definite, so on failure every member is factored on its own.
-    """
-    try:
-        np.linalg.cholesky(A)
-        return np.ones(len(A), dtype=bool)
-    except np.linalg.LinAlgError:
-        ok = np.ones(len(A), dtype=bool)
-        for i, a in enumerate(A):
-            try:
-                np.linalg.cholesky(a)
-            except np.linalg.LinAlgError:
-                ok[i] = False
-        return ok
-
-
 def _fixed_block_triples(roll: RollSolution, sigmas, delta: float):
     """Critical triples of a sweep, ascending, without a full eigensolve.
 
@@ -327,7 +312,8 @@ def _fixed_block_triples(roll: RollSolution, sigmas, delta: float):
     ``r = ||H Y - Y diag(rho)||_F`` and
     ``tau = min(-delta, min rho - r)``, one stacked Cholesky of
     ``A = c Y Y^T + tau I - H``, ``c = 2 (max rho - tau)``, certifies each
-    member by inertia (Sylvester's law).  When ``A`` is positive definite:
+    member by inertia (Sylvester's law).  When ``A`` is positive definite,
+    i.e. its factor exists and has a finite diagonal:
 
     - ``H - c Y Y^T < tau I``, so the fourth eigenvalue of ``H`` lies below
       ``tau <= -delta`` (interlacing for a rank-3 update);
@@ -365,7 +351,8 @@ def _fixed_block_triples(roll: RollSolution, sigmas, delta: float):
             tau = np.minimum(-delta, rho[:, 0] - r)
             A = (2.0 * (rho[:, -1] - tau))[:, None, None] * (Y @ Y.swapaxes(1, 2)) - H
             A.reshape(len(A), -1)[:, :: A.shape[1] + 1] += tau[:, None]
-            certified = _positive_definite(A) & (rho[:, -1] + r < -tau)
+            L, _ = _per_member(np.linalg.cholesky, A)
+            certified = np.isfinite(np.diagonal(L, axis1=1, axis2=2)).all(axis=1) & (rho[:, -1] + r < -tau)
             vals[at] = rho
             radius[at] = np.where(certified, r, np.nan)
             at, H = at[~certified], H[~certified]
@@ -378,9 +365,9 @@ def _fixed_block_triples(roll: RollSolution, sigmas, delta: float):
 
 
 def check_delta(delta: float) -> None:
-    """Raise :class:`OutOfRange` unless the required gap ``delta`` is positive."""
-    if not delta > 0.0:
-        raise OutOfRange(f"delta must be positive, got {delta}", param="delta")
+    """Raise :class:`OutOfRange` unless the required gap ``delta`` is positive and finite."""
+    if not 0.0 < delta < np.inf:
+        raise OutOfRange(f"delta must be positive and finite, got {delta}", param="delta")
 
 
 def _spectra(sigmas, vals, others, gaps) -> list[BlochSpectrum]:

@@ -94,6 +94,9 @@ class TestSpectrum:
         assert np.max(crit) < 1e-12
         others = np.delete(spec.eigenvalues, list(spec.critical))
         assert others.max() == pytest.approx(-36.0, abs=1e-9)
+        # S0 is exactly singular here, so the conserved vector comes from the shifted solve.
+        conserved = critical_modes(roll, 0.0)[1][:, 0]
+        assert np.array_equal(conserved, -np.eye(conserved.size)[conserved.size // 2])
 
     def test_co_periodic_triple_small_eps(self):
         roll = solve_roll(RollParameters(0.05, 0.0, 0.5), GRID)
@@ -257,10 +260,24 @@ class TestBatchedSweep:
         B = rng.standard_normal((3, 5, 2))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(A, B)
-        X = bloch._solve(A, B, lambda a, b: np.full_like(b, 7.0))
+        X, failed = bloch._per_member(np.linalg.solve, A, B)
+        assert failed == [1] and np.all(np.isnan(X[1]))
+        shifted = bloch._solve(A, B)
         for i in (0, 2):
             assert np.array_equal(X[i], np.linalg.solve(A[i], B[i]))
-        assert np.all(X[1] == 7.0)
+            assert np.array_equal(shifted[i], X[i])
+        assert np.array_equal(shifted[1], np.linalg.solve(A[1] + 1e-10 * np.eye(5), B[1]))
+
+    def test_non_finite_cholesky_factor_fails_the_certificate(self):
+        # NumPy's stacked Cholesky returns NaN factors for NaN input instead of raising.
+        L, failed = bloch._per_member(np.linalg.cholesky, np.full((2, 3, 3), np.nan))
+        assert failed == [] and np.all(np.isnan(np.diagonal(L, axis1=1, axis2=2)))
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), GRID)
+        for delta in (1e308, 1e300):
+            # At 1e308 the certificate's shift 2 (max rho - tau) overflows, so its matrix holds inf and NaN.
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(GapViolation) as info:
+                bloch._fixed_block_triples(roll, [0.1, 0.3], delta)
+            assert info.value.gap == spectrum(roll, 0.1).gap
 
 
 class TestZeroBatch:

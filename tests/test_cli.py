@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conslaw import cli
+from conslaw import acceptance, cli
 from conslaw.cli import main
 from conslaw.errors import OutOfRange
 
@@ -118,6 +118,9 @@ class TestValidation:
             # a seed amplitude whose norm overflows
             ((*EVOLVE, "--amp", "inf"), "--amp"),
             ((*EVOLVE, "--amp", "1e300"), "--amp"),
+            # a required gap must be finite, as t_final must
+            (("spectrum", *ROLL, "--modes", "12", "--delta", "inf"), "--delta"),
+            (("map", "--eps", "0.02", "--steps", "2", "--delta", "inf", "--jobs", "2"), "--delta"),
         ],
     )
     def test_rejects_bad_flags(self, capsys, monkeypatch, argv, needle):
@@ -159,6 +162,33 @@ class TestValidation:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "roll.json"
+        code, out, err = run(capsys, "solve", *ROLL, "--modes", "12", "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(target) in err
+
+
+def criterion(passed, detail):
+    return lambda: acceptance.CriterionResult(passed, detail)
+
+
+class TestVerify:
+    def test_failing_criterion_fails_the_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            acceptance, "CRITERIA",
+            (("1 passes", criterion(True, "2 checks passed")), ("2 fails", criterion(False, "x = 3 > 2"))),
+        )
+        code, out, _ = run(capsys, "verify")
+        assert code == 3
+        assert out == "PASS  1 passes  2 checks passed\nFAIL  2 fails   x = 3 > 2\nFAIL  1/2 criteria\n"
+
+    def test_passing_criteria_pass_the_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(acceptance, "CRITERIA", (("1 a", criterion(True, "ok")), ("2 b", criterion(True, "ok"))))
+        code, out, _ = run(capsys, "verify")
+        assert code == 0
+        assert out.splitlines()[-1] == "PASS  2/2 criteria"
+
 
 class TestSpectrum:
     def test_csv_shape_and_determinism(self, capsys):
@@ -183,6 +213,11 @@ class TestSpectrum:
         assert code == 0
         rows = json.loads(out)
         assert len(rows) == 2 and "gap" in rows[0]
+
+    def test_gap_violation_is_a_numerical_failure(self, capsys):
+        code, out, err = run(capsys, "spectrum", *ROLL, "--modes", "12", "--sigma-steps", "1", "--delta", "50")
+        assert code == 3 and out == ""
+        assert err.startswith("numerical failure: spectral gap ")
 
 
 class TestMap:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conslaw import dispersion as dsp
 from conslaw.bloch import critical_modes
@@ -223,6 +225,20 @@ class TestNumericalClassifier:
         assert verdict.verdict is want
         if want is dsp.Stability.UNSTABLE:
             assert verdict.witness_lambda > 0.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        omega=st.floats(-0.49, 0.49, exclude_min=True, exclude_max=True),
+        s=st.floats(-1.6, 1.6, exclude_min=True, exclude_max=True),
+        eps=st.floats(0.005, 0.02),
+        n_modes=st.sampled_from([8, 12]),
+    )
+    def test_verdict_is_the_closed_form_band(self, omega, s, eps, n_modes):
+        # The paper's theorem as a property: off the band edges, the Bloch
+        # spectrum is stable exactly where the closed-form predicate says so.
+        assume(abs(dsp.sideband_product(omega, s)) >= 0.05)
+        roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
+        assert dsp.classify_numerically(roll).verdict is dsp.stability_predicate(omega, s)
 
     def test_exact_vs_reduced_order(self):
         # reduced-matrix eigenvalues track the Bloch criticals within

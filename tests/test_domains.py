@@ -83,6 +83,7 @@ NON_FINITE = [
     ("amplitude-inf", lambda: EvolutionConfig(**CONFIG, perturbation_amplitude=math.inf), "perturbation_amplitude"),
     ("seed_sigma", lambda: EvolutionConfig(**{**CONFIG, "seed_sigma": NAN}), "seed_sigma"),
     ("delta", lambda: check_delta(NAN), "delta"),
+    ("delta-inf", lambda: check_delta(math.inf), "delta"),
     ("sigma", lambda: critical_modes(ROLL, NAN), "sigma"),
     ("sigma_hat", lambda: mgl.compare_exact_vs_mgl(ROLL, [NAN]), "sigma_hat"),
 ]
