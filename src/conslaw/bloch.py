@@ -5,8 +5,8 @@ In the shifted basis ``e^{i m xi}`` the operator acts as
     B[m, n] = p_m * [ (eps^2 + sh(p_m)) d_{mn} + g_{m - n} ],
     p_m = k^2 (m + sigma)^2,
 
-where ``sh`` is :func:`conslaw.model.swift_hohenberg` and ``g`` are the
-Fourier coefficients of ``-2 s u - 3 u^2``.  The matrix factors as
+where ``sh`` is :func:`conslaw.model.swift_hohenberg` and ``eps^2 + g`` are the
+coefficients of :func:`conslaw.model.reaction_derivative`.  The matrix factors as
 ``B = diag(p) S`` with ``p >= 0`` and ``S`` real symmetric, so ``B`` is
 similar to the symmetric ``sqrt(p) S sqrt(p)``.
 All eigenvalues are therefore real and are returned as real arrays; the
@@ -54,7 +54,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import GapViolation, OutOfRange
-from .model import swift_hohenberg
+from .model import reaction_derivative, swift_hohenberg
 from .rolls import RollSolution
 
 __all__ = [
@@ -105,20 +105,6 @@ def _checked_sigmas(sigmas, param: str) -> np.ndarray:
     if outside.size:
         raise OutOfRange(f"Bloch number {float(sigmas[outside[0]])} lies outside [-1/2, 1/2]", param=param)
     return sigmas
-
-
-def _reaction_coefficients(roll: RollSolution) -> np.ndarray:
-    """Coefficients of ``df(u) = eps^2 - 2 s u - 3 u^2`` up to mode ``2M``.
-
-    Computed by exact convolution of the roll's cosine coefficients, so no
-    transform error enters.
-    """
-    params = roll.params
-    M = roll.profile.grid.n_modes
-    c = roll.profile.coeffs
-    df = -2.0 * params.s * np.concatenate([np.zeros(M), c, np.zeros(M)]) - 3.0 * np.convolve(c, c)
-    df[2 * M] += params.eps**2
-    return df
 
 
 def _symmetric_factors(df: np.ndarray, k2: float, sigmas: np.ndarray):
@@ -192,7 +178,7 @@ def _stacks(roll: RollSolution, sigmas: np.ndarray):
     batch drops the ``m = 0`` row and column of ``p`` and ``S`` first, and
     ``S0`` is its undeflated ``S``; the other batch has ``S0 = None``.
     """
-    df = _reaction_coefficients(roll)
+    df = reaction_derivative(roll.profile.coeffs, roll.params.s, roll.params.eps)
     zero = np.abs(sigmas) < _SIGMA_ZERO_TOL
     for members, at_zero in ((zero, True), (~zero, False)):
         if not members.any():
@@ -312,8 +298,9 @@ def _fixed_block_triples(roll: RollSolution, sigmas, delta: float):
     ``r = ||H Y - Y diag(rho)||_F`` and
     ``tau = min(-delta, min rho - r)``, one stacked Cholesky of
     ``A = c Y Y^T + tau I - H``, ``c = 2 (max rho - tau)``, certifies each
-    member by inertia (Sylvester's law).  When ``A`` is positive definite,
-    i.e. its factor exists and has a finite diagonal:
+    member by inertia (Sylvester's law).  A member whose ``c`` would
+    overflow is not certified.  When ``A`` is positive definite, i.e. its
+    factor exists and has a finite diagonal:
 
     - ``H - c Y Y^T < tau I``, so the fourth eigenvalue of ``H`` lies below
       ``tau <= -delta`` (interlacing for a rank-3 update);
@@ -349,10 +336,15 @@ def _fixed_block_triples(roll: RollSolution, sigmas, delta: float):
             rho, Y = ritz[:, -3:], Y[:, :, -3:]
             r = np.linalg.norm(H @ Y - Y * rho[:, None, :], axis=(1, 2))
             tau = np.minimum(-delta, rho[:, 0] - r)
-            A = (2.0 * (rho[:, -1] - tau))[:, None, None] * (Y @ Y.swapaxes(1, 2)) - H
+            # Where c = 2 (max rho - tau) would reach half the largest double
+            # (a huge delta), A is formed with c = 0 and left uncertified.
+            formable = rho[:, -1] - tau < np.finfo(np.float64).max / 4
+            c_shift = 2.0 * np.where(formable, rho[:, -1] - tau, 0.0)
+            A = c_shift[:, None, None] * (Y @ Y.swapaxes(1, 2)) - H
             A.reshape(len(A), -1)[:, :: A.shape[1] + 1] += tau[:, None]
             L, _ = _per_member(np.linalg.cholesky, A)
             certified = np.isfinite(np.diagonal(L, axis1=1, axis2=2)).all(axis=1) & (rho[:, -1] + r < -tau)
+            certified &= formable
             vals[at] = rho
             radius[at] = np.where(certified, r, np.nan)
             at, H = at[~certified], H[~certified]

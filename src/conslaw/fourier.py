@@ -5,10 +5,6 @@ integrator's subspace) is even, so a field is stored as its cosine
 coefficients ``a_0 .. a_M`` and is even by type.  The centered
 coefficients ``c_m``, ``|m| <= M``, which are real, are derived from them.
 
-:attr:`SpectralGrid.n_points` has at least ``4M + 1`` collocation points, so
-a product of up to three fields sampled there and truncated back to
-``|m| <= M`` is alias-free (the model nonlinearity is cubic).
-
 The norm is induced by ``<u, v> = (1/pi) * integral_0^{2pi} u v dxi``, the
 normalization under which ``<cos, cos> = 1`` and ``<1, 1> = 2``.
 """
@@ -18,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import OutOfRange
 
@@ -42,11 +37,6 @@ class SpectralGrid:
         if not (self.n_modes >= 8 and float(self.n_modes).is_integer()):
             raise OutOfRange(f"n_modes must be an integer >= 8, got {self.n_modes}", param="n_modes")
         object.__setattr__(self, "n_modes", int(self.n_modes))
-
-    @property
-    def n_points(self) -> int:
-        """Collocation count, >= 4*n_modes + 1 for exact cubic products."""
-        return next_fast_len(4 * self.n_modes + 1)
 
     @property
     def modes(self) -> np.ndarray:
@@ -82,16 +72,6 @@ class PeriodicField:
         """Centered coefficients ``c_m``, ``m = -M .. M``: ``c_0 = a_0``, ``c_{+-m} = a_m / 2``."""
         half = 0.5 * self.cosines[1:]
         return np.concatenate([half[::-1], self.cosines[:1], half])
-
-    def values(self) -> np.ndarray:
-        """Evaluate on the ``grid.n_points`` uniform nodes ``xi_j = 2 pi j / n_points``."""
-        n = self.grid.n_points
-        spec = np.zeros(n, dtype=np.complex128)
-        m = self.grid.n_modes
-        c = self.coeffs
-        spec[: m + 1] = c[m:]
-        spec[-m:] = c[:m]
-        return np.fft.ifft(spec).real * n
 
     def to_triples(self) -> list[tuple[int, float, float]]:
         """Serialize as ``(m, Re c_m, Im c_m)`` triples for ``m = -M .. M``."""

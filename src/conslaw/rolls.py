@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NoConvergence, OutOfRange, TrivialCollapse
 from .fourier import PeriodicField, SpectralGrid
-from .model import swift_hohenberg
+from .model import reaction, reaction_derivative, swift_hohenberg
 
 __all__ = [
     "RollParameters",
@@ -146,59 +146,48 @@ def zero_roll(params: RollParameters, grid: SpectralGrid) -> RollSolution:
     )
 
 
-def _cosine_spectrum(values: np.ndarray, n_max: int) -> np.ndarray:
-    """Cosine coefficients ``a_0 .. a_{n_max}`` of real samples on a uniform grid."""
-    n = values.size
-    spec = np.fft.rfft(values)
-    a = 2.0 * spec[: n_max + 1].real / n
-    a[0] *= 0.5
-    return a
-
-
 def _residual_and_multiplier(a: np.ndarray, params: RollParameters, grid: SpectralGrid):
-    """Spectral residual of the flux form on modes 1..M, plus the multiplier q.
+    """Spectral residual of the flux form on modes 1..M, the multiplier q, and the centered coefficients.
 
     ``a`` holds cosine coefficients for modes 1..M (zero mean is structural).
     """
     M = grid.n_modes
     k2 = params.k**2
-    vals = PeriodicField(grid, np.concatenate([[0.0], a])).values()
-    g = _cosine_spectrum(-params.s * vals**2 - vals**3, M)
+    c = PeriodicField(grid, np.concatenate([[0.0], a])).coeffs
+    g = reaction(c, params.s)[3 * M : 4 * M + 1]
     m = np.arange(1, M + 1, dtype=np.float64)
     lin = params.eps**2 + swift_hohenberg(k2 * m**2)
-    F = -k2 * (lin * a + g[1:])
+    F = -k2 * (lin * a + 2.0 * g[1:])
     q = -k2 * g[0]
-    return F, q, vals
+    return F, q, c
 
 
-def _jacobian(a: np.ndarray, vals: np.ndarray, params: RollParameters, grid: SpectralGrid) -> np.ndarray:
-    """Exact Jacobian of the mode-1..M residual in the cosine basis.
+def _jacobian(c: np.ndarray, params: RollParameters) -> np.ndarray:
+    """Exact Jacobian of the mode-1..M residual in the cosine basis, at centered coefficients ``c``.
 
-    Multiplication by ``h = -2 s u - 3 u^2`` couples cosine modes through
-    ``(h cos(n xi))_m = h_{m+n}/2 + h_{|m-n|}/2 + h_0 delta_{mn}/2`` with the
-    ``|m-n| = 0`` slot reading ``h_0``.
+    ``df = eps^2 - 2 s u - 3 u^2`` times ``cos(n xi)`` has cosine coefficients
+    ``df_{m-n} + df_{m+n}``; with the Swift-Hohenberg diagonal this is the
+    even part of the ``sigma = 0`` Bloch factor ``S``.
     """
-    M = grid.n_modes
+    M = c.size // 2
     k2 = params.k**2
-    h = _cosine_spectrum(-2.0 * params.s * vals - 3.0 * vals**2, 2 * M)
+    df = reaction_derivative(c, params.s, params.eps)
     m = np.arange(1, M + 1)
-    plus = h[np.add.outer(m, m)]
-    minus = h[np.abs(np.subtract.outer(m, m))]
-    J_nl = 0.5 * (plus + minus) + 0.5 * h[0] * np.eye(M)
-    lin = params.eps**2 + swift_hohenberg(k2 * m.astype(np.float64) ** 2)
-    return -k2 * (np.diag(lin) + J_nl)
+    J = df[2 * M + np.subtract.outer(m, m)] + df[2 * M + np.add.outer(m, m)]
+    J[m - 1, m - 1] += swift_hohenberg(k2 * m.astype(np.float64) ** 2)
+    return -k2 * J
 
 
 def _newton(a: np.ndarray, params: RollParameters, grid: SpectralGrid):
     residual = np.inf
     for it in range(_MAX_ITERS):
-        F, q, vals = _residual_and_multiplier(a, params, grid)
+        F, q, c = _residual_and_multiplier(a, params, grid)
         residual = float(np.max(np.abs(F)))
         if not np.isfinite(residual):
             raise NoConvergence(it, residual)
         if residual < _TOL:
             return a, q, residual, it
-        J = _jacobian(a, vals, params, grid)
+        J = _jacobian(c, params)
         a = a + np.linalg.solve(J, -F)
     raise NoConvergence(_MAX_ITERS, residual)
 

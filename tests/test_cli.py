@@ -1,5 +1,6 @@
 import json
 import pickle
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,17 @@ class TestSpectrum:
 
 
 class TestMap:
+    def test_unformable_certificate_fails_with_one_line(self, capsys):
+        # At this delta the certificate's shift 2 (max rho - tau) would
+        # overflow: the cell is left uncertified and the eigensolve's gap
+        # check fails it, with no NumPy warning on the way.
+        argv = ("map", "--eps", "0.02", "--steps", "2", "--modes", "8", "--jobs", "1", "--delta", "1e308")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and caught == []
+        assert err.startswith("numerical failure: spectral gap ") and err.count("\n") == 1
+
     def test_verdict_columns_agree_on_clear_cells(self, capsys):
         code, out, _ = run(
             capsys, "map", "--eps", "0.02", "--steps", "3", "--modes", "12",
@@ -302,7 +314,8 @@ class TestCompareAndEvolve:
 
 
 class TestGoldenBytes:
-    """Stdout bytes at fixed arguments, as written before the batched Bloch sweep."""
+    """Stdout bytes at fixed arguments, as written once the roll solver and the
+    Bloch assembly read the one exact-convolution nonlinearity of ``conslaw.model``."""
 
     @pytest.mark.parametrize(
         "fixture,argv",
@@ -322,8 +335,8 @@ class TestGoldenBytes:
                 ("compare", "--eps", "0.04", "--omega", "0.25", "--s", "1", "--modes", "32", "--steps", "11"),
             ),
             (
-                # the only output that serializes a field, written by the
-                # complex-spectrum PeriodicField
+                # the only output that serializes a field: the roll of the
+                # convolved residual, centered coefficients with 0.0 imaginary parts
                 "solve_m16.json",
                 ("solve", "--eps", "0.1", "--omega", "0.2", "--s", "0.8", "--modes", "16"),
             ),
@@ -336,7 +349,12 @@ class TestGoldenBytes:
 
 
 class TestGoldenEvolve:
-    """``evolve`` output as written by the complex-spectrum integrator."""
+    """``evolve`` output as written by the complex-spectrum integrator.
+
+    The even-subspace integrator and the convolved roll reproduce ``t`` and
+    the mass exactly and the norms to 1.7e-12 relative, so norms compare to
+    1e-10 relative and these fixtures need no re-capture.
+    """
 
     @pytest.mark.parametrize(
         "fixture,argv",

@@ -302,7 +302,8 @@ class TestSeed:
         vals, vecs = critical_modes(roll, 0.0)
         lead = int(np.argmax(vals))
         v = vecs[:, lead]
-        xi = 2.0 * np.pi * np.arange(GRID.n_points) / GRID.n_points
+        n_points = 4 * GRID.n_modes + 1  # exact quadrature for the quadratic u^2
+        xi = 2.0 * np.pi * np.arange(n_points) / n_points
         u = np.cos(np.outer(xi, GRID.modes)) @ v
         assert abs(np.mean(u)) > 0.01 * np.sqrt(np.mean(u**2))  # a mass-carrying mode
         cfg = ev.EvolutionConfig(n_periods=4, dt=0.1, seed_sigma=0.0, t_final=1.0)

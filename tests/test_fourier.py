@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 from conslaw import evolution as ev
 from conslaw.errors import OutOfRange
 from conslaw.fourier import PeriodicField, SpectralGrid, l2_norm
-from conslaw.model import swift_hohenberg
-from conslaw.rolls import RollParameters, _cosine_spectrum, _residual_and_multiplier, zero_roll
+from conslaw.model import reaction, reaction_derivative, swift_hohenberg
+from conslaw.rolls import RollParameters, _residual_and_multiplier, zero_roll
 
 GRID = SpectralGrid(12)
 
@@ -25,6 +27,17 @@ def cosine(grid, m, amplitude=1.0):
     return PeriodicField(grid, a)
 
 
+def cosine_matrix(modes, n_points):
+    """``cos(m xi_j)`` at the ``n_points`` uniform nodes ``xi_j = 2 pi j / n_points``, shape ``(n_points, modes)``."""
+    xi = 2.0 * np.pi * np.arange(n_points) / n_points
+    return np.cos(np.outer(xi, np.arange(modes)))
+
+
+def samples(u, n_points):
+    """``u`` at ``n_points`` uniform nodes, by direct cosine sums."""
+    return cosine_matrix(u.grid.n_modes + 1, n_points) @ u.cosines
+
+
 def linear_symbol(kt2, eps):
     """The linearization about zero on a mode with squared wavenumber ``kt2``."""
     return kt2 * (eps**2 + swift_hohenberg(kt2))
@@ -34,16 +47,6 @@ class TestGridAndField:
     def test_grid_minimum_resolution(self):
         with pytest.raises(OutOfRange):
             SpectralGrid(7)
-
-    def test_collocation_count_supports_cubic_dealiasing(self):
-        assert GRID.n_points >= 4 * GRID.n_modes + 1
-
-    def test_values_roundtrip(self):
-        # the roll solver's cosine transform inverts values() on even fields
-        rng = np.random.default_rng(0)
-        u = random_field(GRID, rng)
-        a = _cosine_spectrum(u.values(), GRID.n_modes)
-        assert np.max(np.abs(a - u.cosines)) < 1e-14
 
     def test_triples_roundtrip(self):
         rng = np.random.default_rng(1)
@@ -159,7 +162,7 @@ class TestInnerProduct:
         rng = np.random.default_rng(4)
         u, v = random_field(GRID, rng), random_field(GRID, rng)
         w = u - v
-        quad = np.mean(w.values() ** 2) * 2.0  # (1/pi) * (2 pi) * mean
+        quad = np.mean(samples(w, 2 * GRID.n_modes + 1) ** 2) * 2.0  # (1/pi) * (2 pi) * mean
         assert l2_norm(w) ** 2 == pytest.approx(quad, abs=1e-12)
 
 
@@ -185,22 +188,58 @@ class TestProjectKernel:
 
 class TestProducts:
     def test_cubic_dealiasing_exact(self):
-        # the roll solver's cubic: samples on n_points, cosine spectrum back;
-        # modes <= M/3 so u^3 stays representable, and the oracle is a
-        # brute-force convolution of the centered spectra.
+        # the roll solver's cubic keeps every mode of u^3 up to 3M, so its
+        # series equals u^3 everywhere, not only at a set of nodes
         rng = np.random.default_rng(6)
-        M = GRID.n_modes
-        u = PeriodicField(GRID, rng.normal(size=M // 3 + 1))
-        c = u.coeffs
-        cubed = _cosine_spectrum(u.values() ** 3, M)
-        full = np.convolve(np.convolve(c, c), c)[3 * M : 4 * M + 1]
-        oracle = np.concatenate([[full[0]], 2.0 * full[1:]])
-        assert np.max(np.abs(cubed - oracle)) < 1e-12
+        u = random_field(GRID, rng)
+        xi = rng.uniform(0.0, 2.0 * np.pi, size=50)
+        vals = np.cos(np.outer(xi, np.arange(GRID.n_modes + 1))) @ u.cosines
+        r = reaction(u.coeffs, 0.0)
+        series = np.cos(np.outer(xi, np.arange(-3 * GRID.n_modes, 3 * GRID.n_modes + 1))) @ r
+        assert np.max(np.abs(-series - vals**3)) < 1e-13 * np.max(np.abs(vals)) ** 3
 
-    def test_even_times_even_is_even(self):
-        # the roll solver keeps only the cosine part of its products, which
-        # is all there is for a product of even fields
-        rng = np.random.default_rng(7)
-        u, v = random_field(GRID, rng), random_field(GRID, rng)
-        spec = np.fft.rfft(u.values() * v.values())
-        assert np.max(np.abs(spec.imag)) < 1e-13 * np.max(np.abs(spec))
+
+class TestReaction:
+    """``reaction`` and ``reaction_derivative`` against direct cosine sums.
+
+    The oracle samples ``u`` at ``8M + 1`` uniform nodes, more than the
+    ``6M + 1`` that the cubic's modes need, evaluates the polynomial there
+    and projects back with the same cosine sums.
+    """
+
+    cells = dict(
+        seed=st.integers(0, 2**32 - 1),
+        n_modes=st.sampled_from([8, 12, 16]),
+        s=st.floats(-1.5, 1.5),
+        scale=st.floats(0.01, 1.0),
+    )
+
+    @staticmethod
+    def project(values, modes):
+        """Centered coefficients ``-modes .. modes`` of real even samples."""
+        n_points = values.size
+        half = cosine_matrix(modes + 1, n_points).T @ values / n_points
+        return np.concatenate([half[:0:-1], half])
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(**cells)
+    def test_reaction_matches_pointwise_polynomial(self, seed, n_modes, s, scale):
+        grid = SpectralGrid(n_modes)
+        u = random_field(grid, np.random.default_rng(seed), scale)
+        vals = samples(u, 8 * n_modes + 1)
+        want = self.project(-s * vals**2 - vals**3, 3 * n_modes)
+        got = reaction(u.coeffs, s)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * (abs(s) + np.max(np.abs(vals))) * np.max(vals**2)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(**cells, eps=st.floats(0.0, 0.2))
+    def test_derivative_matches_pointwise_polynomial(self, seed, n_modes, s, scale, eps):
+        grid = SpectralGrid(n_modes)
+        u = random_field(grid, np.random.default_rng(seed), scale)
+        vals = samples(u, 8 * n_modes + 1)
+        want = self.project(eps**2 - 2.0 * s * vals - 3.0 * vals**2, 2 * n_modes)
+        got = reaction_derivative(u.coeffs, s, eps)
+        assert got.shape == want.shape
+        bound = 1e-13 * (eps**2 + (abs(s) + np.max(np.abs(vals))) * np.max(np.abs(vals)))
+        assert np.max(np.abs(got - want)) <= bound

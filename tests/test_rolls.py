@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conslaw import rolls
+from conslaw import bloch, rolls
 from conslaw.errors import OutOfRange
 from conslaw.fourier import SpectralGrid, l2_norm
+from conslaw.model import reaction_derivative
 from conslaw.rolls import (
     RollParameters,
     amplitude_alpha,
@@ -94,7 +95,8 @@ class TestSolveRoll:
 
     def test_positive_at_origin(self):
         roll = solve_roll(RollParameters(0.05, 0.25, 1.0), GRID)
-        assert roll.profile.values()[0] > 0.0
+        # u(0) = a_0 + sum a_m cos(0)
+        assert np.sum(roll.profile.cosines) > 0.0
 
     def test_expansion_order(self):
         # remainder of the two-term expansion is O(eps^3)
@@ -152,8 +154,8 @@ class TestNewtonInternals:
         grid = SpectralGrid(8)
         params = RollParameters(0.1, 0.2, 0.9)
         a = 0.05 * rng.normal(size=grid.n_modes) / (1.0 + np.arange(grid.n_modes)) ** 2
-        _, _, vals = _residual_and_multiplier(a, params, grid)
-        J = _jacobian(a, vals, params, grid)
+        _, _, c = _residual_and_multiplier(a, params, grid)
+        J = _jacobian(c, params)
         h = 1e-6
         for n in range(grid.n_modes):
             ap, am = a.copy(), a.copy()
@@ -163,3 +165,18 @@ class TestNewtonInternals:
             Fm, _, _ = _residual_and_multiplier(am, params, grid)
             col = (Fp - Fm) / (2.0 * h)
             assert np.max(np.abs(col - J[:, n])) < 1e-6
+
+    @pytest.mark.parametrize("params", [RollParameters(0.1, 0.2, 0.9), RollParameters(0.05, -0.4, -1.3)])
+    def test_jacobian_is_the_even_part_of_the_bloch_factor(self, params):
+        # The Newton Jacobian and the Bloch matrix linearize one reaction:
+        # on cosine modes 1..M, J is -k^2 times the sigma = 0 factor S0
+        # applied to cos(n xi), i.e. S0[m, n] + S0[m, -n].
+        roll = solve_roll(params, GRID)
+        M = GRID.n_modes
+        c = roll.profile.coeffs
+        df = reaction_derivative(c, params.s, params.eps)
+        S0 = bloch._symmetric_factors(df, params.k**2, np.array([0.0]))[1][0]
+        m = np.arange(1, M + 1)
+        even = S0[np.ix_(M + m, M + m)] + S0[np.ix_(M + m, M - m)]
+        J = _jacobian(c, params)
+        assert np.max(np.abs(J - (-params.k**2) * even)) <= 4.0 * np.spacing(np.max(np.abs(S0))) * params.k**2
