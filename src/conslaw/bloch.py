@@ -8,42 +8,32 @@ In the shifted basis ``e^{i m xi}`` the operator acts as
 where ``sh`` is :func:`conslaw.model.swift_hohenberg` and ``eps^2 + g`` are the
 coefficients of :func:`conslaw.model.reaction_derivative`.  The matrix factors as
 ``B = diag(p) S`` with ``p >= 0`` and ``S`` real symmetric, so ``B`` is
-similar to the symmetric ``sqrt(p) S sqrt(p)``.
-All eigenvalues are therefore real and are returned as real arrays; the
-symmetric form is what gets eigensolved.  The three critical eigenvalues are
-then polished by inverse iteration plus Rayleigh-Ritz, which restores absolute
-accuracy near zero that a dense solve of a matrix with ``O(M^6)`` entries
-cannot deliver on its own.
+similar to the symmetric ``H = sqrt(p) S sqrt(p)``: every eigenvalue is
+real, and is returned as a real array.  A dense solve of ``H`` (norm
+``O(M^6)``) is accurate near zero only to ``eps ||H||``, so the three
+critical eigenvalues are polished by inverse iteration plus Rayleigh-Ritz.
 
-A sigma sweep is solved in batches: :func:`_stacks` gathers the symmetric
-matrices of a batch's Bloch numbers into one ``(n_sigma, N, N)`` stack
-(``S`` differs between Bloch numbers only on its diagonal), and the
-eigensolve, the inverse iterations and the Rayleigh-Ritz step each run once
-on the whole stack.  A single Bloch number is a sweep of one.  Stacked
-LAPACK calls give the same bits as one call per matrix, so a sweep's values
-do not depend on how it is batched.  A member fails when its own call
-raises (:func:`_per_member`) or, in the certificate's Cholesky
-factorization, when its factor has a non-finite diagonal, as NumPy returns
-NaN factors for NaN input.  A failed solve is redone on the matrix shifted
-by ``1e-10 I``; a failed certificate sends its member to the eigensolve path.
+A sweep is solved in batches: :func:`_stacks` gathers a batch's matrices
+into one ``(n_sigma, N, N)`` stack for each LAPACK call.  Stacked calls give
+the bits of one call per matrix, so one Bloch number is a sweep of one.  A
+member fails when its own call raises (:func:`_per_member`) or its
+certificate's Cholesky factor has a non-finite diagonal (NumPy returns NaN
+factors for NaN input); a failed solve is redone shifted by ``1e-10 I``.
 
-Critical triples need only the three values and the gap below them, so
-:func:`critical_triples` (and through it the stability classifier and the
-amplitude-system comparison) takes a second path with no full eigensolve.
-It splits ``H`` as the Lyapunov-Schmidt reduction does: the critical block
-``c`` (Bloch modes ``m = -2..2``) and the rest ``r``, which the sixth-order
-symbol damps hard.  Unit vectors on ``c``, lifted onto ``r`` by one
-diagonal solve ``-diag(H_rr)^{-1} H_rc`` (the first-order reduction), start
-one step of the same inverse iteration and Rayleigh-Ritz step; one stacked
-Cholesky factorization then certifies by inertia that the rest of the
-spectrum lies below ``-delta``, and each value gets a residual enclosure.
-Failed certificates and ``sigma = 0`` go to the eigensolve path.  Spectra,
-matched curves and modes come from the eigensolve.
-
-At ``sigma = 0`` the ``m = 0`` row vanishes identically (conservation law).
-:func:`_stacks` alone decides which Bloch numbers count as zero; they form
-their own batch, whose ``m = 0`` row and column are deflated before ``H`` is
-built; only the eigensolve path solves it, for two values beside the zero.
+The eigensolve path (:func:`_eigensolve`, for :func:`critical_modes`) runs
+``eigh`` and refines from its vectors.  The other paths start from the
+paper's Lyapunov-Schmidt split of ``H``: unit vectors on the critical block
+``c`` (Bloch modes ``m = -2..2``), lifted onto the hard-damped rest ``r`` by
+``-diag(H_rr)^{-1} H_rc`` (:func:`_lifted_ritz`).  :func:`critical_curves`
+takes two steps from that block for the triple and one ``eigvalsh`` for the
+rest of the spectrum, and falls back to the eigensolve path where the two
+disagree.  :func:`critical_triples` (the stability classifier, the
+amplitude-system comparison) takes one step, certifies by inertia that the
+rest lies below ``-delta``, and solves uncertified members as
+:func:`critical_curves` does.  At ``sigma = 0`` the ``m = 0`` row vanishes
+identically (conservation law); the Bloch numbers :func:`_stacks` counts as
+zero form their own batch, deflated of that row and column, and only the
+eigensolve path solves it.
 """
 
 from __future__ import annotations
@@ -66,17 +56,18 @@ __all__ = [
 ]
 
 _SIGMA_ZERO_TOL = 1e-13
-#: Inverse-iteration steps of the eigensolve path from ``eigh``'s vectors; the
-#: certified path takes one from its lifted start block.
+#: Inverse-iteration steps of the eigensolve and spectrum paths (certified: one).
 _REFINE_STEPS = 2
-#: The critical block of the certified path: Bloch modes whose lifted unit
-#: vectors start its inverse iteration (whole, as it never solves
-#: sigma = 0).  A small roll's critical triple lives at m = -1, 0, 1 (at
-#: m = -2, -1, 0 near sigma = -1/2); the |m| = 2 neighbours widen the block,
-#: so Rayleigh-Ritz resolves the triple apart.
+#: The lifted triple must match ``eigvalsh`` to within its residual plus
+#: ``_MATCH_ULPS`` times ``u = eps max|w|``, and needs ``p_0 = (k sigma)^2 >=
+#: _P0_MIN u``: below, two eigenvalues of order ``p_0`` drown its solves.
+_MATCH_ULPS, _P0_MIN = 16, 1e-4
+#: The critical block of the lifted start block (whole, as sigma = 0 never
+#: gets one).  A small roll's triple lives at m = -1, 0, 1 (at m = -2, -1, 0
+#: near sigma = -1/2); the |m| = 2 neighbours let Rayleigh-Ritz resolve it.
 _START_MODES = np.arange(-2, 3)
-#: Reorderings of a critical triple, in ``itertools.permutations`` order so
-#: that the first minimum of a matching cost breaks ties as ``min`` would.
+#: Reorderings of a critical triple in ``itertools.permutations`` order,
+#: the ascending order first; the first of tied matching costs wins.
 _PERMUTATIONS = np.array(list(permutations(range(3))))
 
 
@@ -156,7 +147,7 @@ def _refine_critical(H: np.ndarray, Y: np.ndarray, steps: int):
     """Polish the near-zero Ritz pairs of a stack of symmetric ``H``.
 
     ``steps`` inverse-iteration steps from the columns of ``Y`` ``(n, N, k)``:
-    eigensolver vectors, or the classifier's lifted start block.  The
+    eigensolver vectors, or the lifted start block of :func:`_lifted_ritz`.  The
     critical eigenvectors decay spectrally, so matvecs with the huge-norm
     ``H`` are accurate in absolute terms and the final ``k x k``
     Rayleigh-Ritz values come out near machine precision.
@@ -239,6 +230,45 @@ def _eigensolve(H: np.ndarray, at_zero: bool):
     return np.take_along_axis(ritz, order, axis=1), order, Yr, w[rest].reshape(nb, -1)
 
 
+def _lifted_ritz(H: np.ndarray, steps: int):
+    """The three largest Ritz pairs ``(rho, Y)`` and ``r = ||H Y - Y diag(rho)||_F``.
+
+    ``steps`` steps of :func:`_refine_critical` from the lifted start block (the
+    first-order reduction): unit vectors on ``c``, ``-H[i, c] / H[i, i]`` elsewhere.
+    """
+    c = H.shape[1] // 2 + _START_MODES
+    Y = np.ascontiguousarray(H[:, :, c])
+    Y /= -np.diagonal(H, axis1=1, axis2=2)[:, :, None]
+    Y[:, c] = np.eye(c.size)
+    ritz, Y = _refine_critical(H, Y, steps)
+    rho, Y = ritz[:, -3:], Y[:, :, -3:]
+    return rho, Y, np.linalg.norm(H @ Y - Y * rho[:, None, :], axis=(1, 2))
+
+
+def _spectrum_batch(H: np.ndarray, sq: np.ndarray, at_zero: bool):
+    """Critical triples ``(n, 3)``, ascending, and the rest of one batch's spectra.
+
+    Off zero: one ``eigvalsh``, and the triple of :func:`_lifted_ritz` where
+    it matches the three ``eigvalsh`` values nearest zero (see ``_P0_MIN``;
+    ``sq`` is ``sqrt(p)``).  Other members, and ``sigma = 0``, go to
+    :func:`_eigensolve`.
+    """
+    if at_zero:
+        vals, _, _, others = _eigensolve(H, True)
+        return vals, others
+    w = np.linalg.eigvalsh(H)
+    rho, _, r = _lifted_ritz(H, _REFINE_STEPS)
+    # Ordered by |w| as _eigensolve orders them, so the first three are its choice.
+    w = np.take_along_axis(w, np.argsort(np.abs(w), axis=1), axis=1)
+    near, others = np.sort(w[:, :3], axis=1), np.sort(w[:, 3:], axis=1)
+    u = np.finfo(np.float64).eps * np.abs(w[:, -1])
+    match = np.all(np.abs(rho - near) <= (r + _MATCH_ULPS * u)[:, None], axis=1)
+    miss = np.flatnonzero(~(match & (sq[:, sq.shape[1] // 2] ** 2 >= _P0_MIN * u)))
+    if miss.size:
+        rho[miss], _, _, others[miss] = _eigensolve(H[miss], False)
+    return rho, others
+
+
 def _solve_sweep(roll: RollSolution, sigmas):
     """Batched solve of a sweep at the roll's resolution, in sweep order.
 
@@ -267,11 +297,7 @@ def _solve_sweep(roll: RollSolution, sigmas):
 
 
 def _certified_gaps(others: np.ndarray, delta: float) -> np.ndarray:
-    """``-max`` of each row of ``others``; the first gap ``<= delta`` raises.
-
-    The gap is read off the eigenvalues of the eigensolve;
-    :func:`_fixed_block_triples` certifies it by inertia instead.
-    """
+    """``-max`` of each row of ``others``; the first gap ``<= delta`` raises."""
     gaps = -np.max(others, axis=1)
     failed = np.flatnonzero(gaps <= delta)
     if failed.size:
@@ -282,21 +308,8 @@ def _certified_gaps(others: np.ndarray, delta: float) -> np.ndarray:
 def _fixed_block_triples(roll: RollSolution, sigmas, delta: float):
     """Critical triples of a sweep, ascending, without a full eigensolve.
 
-    The start block is the first-order Lyapunov-Schmidt reduction of the
-    critical block ``c = _START_MODES``: unit vectors on ``c``, and
-    ``-H[i, c] / H[i, i]`` on every other row ``i``.  That diagonal solve of
-    the remainder, whose diagonal lies below about -130 (eps <= 0.08), leaves
-    the block so close to the critical subspace that one inverse-iteration
-    step and Rayleigh-Ritz (:func:`_refine_critical`) give what two steps
-    from bare unit vectors gave: on 400 seeded cells (eps 0.005-0.08, M 8 to
-    32) and the criterion-5 grid, every certified value lies within 7e-14
-    of the eigensolve path's (4e-14 with two steps) and inside its radius,
-    with no more fallbacks.  The price is a looser linear radius ``r``
-    (below): median 2 times the two-step one, up to about 1e5 times at the
-    smallest Bloch numbers, where it reaches 6e-3 at M = 32.  The three
-    largest Ritz pairs ``(rho, Y)`` of the symmetric ``H`` are kept.  With
-    ``r = ||H Y - Y diag(rho)||_F`` and
-    ``tau = min(-delta, min rho - r)``, one stacked Cholesky of
+    One step of :func:`_lifted_ritz` gives ``(rho, Y)`` and the radius ``r``.
+    With ``tau = min(-delta, min rho - r)``, one stacked Cholesky of
     ``A = c Y Y^T + tau I - H``, ``c = 2 (max rho - tau)``, certifies each
     member by inertia (Sylvester's law).  A member whose ``c`` would
     overflow is not certified.  When ``A`` is positive definite, i.e. its
@@ -308,33 +321,23 @@ def _fixed_block_triples(roll: RollSolution, sigmas, delta: float):
       the ``i``-th largest eigenvalue of ``H`` lies within ``||R||_2 <= r``
       of the ``i``-th largest ``rho`` (Weyl, Parlett ch. 11);
     - with ``max rho + r < -tau``, also checked, those three eigenvalues are
-      the ones nearest zero, which the eigensolve path selects.
+      the ones nearest zero, which the other paths select.
 
-    These are floating-point certificates, not interval arithmetic.
-    Members whose certificate fails, and the ``sigma = 0`` batch of
-    :func:`_stacks`, go to :func:`_eigensolve` on their stack as built
-    here, and its gap check raises :class:`GapViolation` for the first
-    failing sigma in sweep order.
-    Returns the triples ``(n, 3)`` and the enclosure radius ``r`` of each
-    member ``(n,)``, NaN where the values come from that fallback.
+    These are floating-point certificates, not interval arithmetic.  Members
+    whose certificate fails, and the ``sigma = 0`` batch, go to
+    :func:`_spectrum_batch`, and the first of their gaps ``<= delta`` in
+    sweep order raises :class:`GapViolation`.  Returns the triples ``(n, 3)``
+    and the radius ``r`` of each member ``(n,)``, NaN where uncertified.
     """
     check_delta(delta)
     sigmas = _checked_sigmas(sigmas, "sigma")
     N = 2 * roll.profile.grid.n_modes + 1
-    vals = np.empty((sigmas.size, 3))
+    vals, others = np.empty((sigmas.size, 3)), np.empty((sigmas.size, N - 3))
     radius = np.full(sigmas.size, np.nan)
-    others = np.empty((sigmas.size, N - 3))
-    c = N // 2 + _START_MODES
-    for members, _, H, S0 in _stacks(roll, sigmas):
+    for members, sq, H, S0 in _stacks(roll, sigmas):
         at = np.flatnonzero(members)
         if S0 is None:
-            # First-order Lyapunov-Schmidt lift: Y_r = -diag(H_rr)^{-1} H_rc.
-            Y = np.ascontiguousarray(H[:, :, c])
-            Y /= -np.diagonal(H, axis1=1, axis2=2)[:, :, None]
-            Y[:, c] = np.eye(c.size)
-            ritz, Y = _refine_critical(H, Y, 1)
-            rho, Y = ritz[:, -3:], Y[:, :, -3:]
-            r = np.linalg.norm(H @ Y - Y * rho[:, None, :], axis=(1, 2))
+            rho, Y, r = _lifted_ritz(H, 1)
             tau = np.minimum(-delta, rho[:, 0] - r)
             # Where c = 2 (max rho - tau) would reach half the largest double
             # (a huge delta), A is formed with c = 0 and left uncertified.
@@ -347,9 +350,9 @@ def _fixed_block_triples(roll: RollSolution, sigmas, delta: float):
             certified &= formable
             vals[at] = rho
             radius[at] = np.where(certified, r, np.nan)
-            at, H = at[~certified], H[~certified]
+            at, sq, H = at[~certified], sq[~certified], H[~certified]
         if at.size:
-            vals[at], _, _, others[at] = _eigensolve(H, S0 is not None)
+            vals[at], others[at] = _spectrum_batch(H, sq, S0 is not None)
     redo = np.isnan(radius)
     if redo.any():
         _certified_gaps(others[redo], delta)
@@ -365,7 +368,9 @@ def check_delta(delta: float) -> None:
 def _spectra(sigmas, vals, others, gaps) -> list[BlochSpectrum]:
     """Per-sigma spectra, triples matched as :func:`critical_curves` describes.
 
-    On ties the first permutation in ``_PERMUTATIONS`` order wins.
+    Costs within 8 ulp of the least tie, so that an exact tie in real
+    arithmetic (two new values both below the two old ones they may
+    continue) is not decided by the rounding of the cost sums.
     """
     allvals = np.concatenate([vals, others], axis=1)
     order = np.argsort(-allvals, axis=1, kind="stable")
@@ -379,15 +384,9 @@ def _spectra(sigmas, vals, others, gaps) -> list[BlochSpectrum]:
     for i, sigma in enumerate(sigmas):
         if i > 0:
             cost = np.abs(cvals[i][_PERMUTATIONS] - cvals[i - 1][perm]).sum(axis=1)
-            perm = _PERMUTATIONS[np.argmin(cost)]
-        spectra.append(
-            BlochSpectrum(
-                sigma=float(sigma),
-                eigenvalues=eigenvalues[i],
-                critical=tuple(int(j) for j in critical[i][perm]),
-                gap=float(gaps[i]),
-            )
-        )
+            perm = _PERMUTATIONS[np.argmax(cost <= cost.min() + 8 * np.spacing(cost.min()))]
+        crit = tuple(int(j) for j in critical[i][perm])
+        spectra.append(BlochSpectrum(float(sigma), eigenvalues[i], crit, float(gaps[i])))
     return spectra
 
 
@@ -402,15 +401,13 @@ def critical_modes(roll: RollSolution, sigma: float) -> tuple[np.ndarray, np.nda
 
 
 def critical_triples(roll: RollSolution, sigmas, delta: float = 1.0) -> np.ndarray:
-    """Critical eigenvalues over a sigma sweep, ascending per sigma.
+    """Critical eigenvalues over a sigma sweep, ascending per sigma, as ``(n_sigma, 3)``.
 
-    Returns a real ``(n_sigma, 3)`` array without a full eigensolve: the
-    triples and the gap below ``-delta`` are certified as described in
-    :func:`_fixed_block_triples`, each value within its residual radius of
-    the eigensolve's.  ``sigma = 0`` and members whose certificate fails are
-    solved as in :func:`critical_curves`, bitwise, and raise
-    :class:`GapViolation` as it does.  No spectra are built and no curves
-    are matched.
+    The triples and the gap below ``-delta`` are certified as described in
+    :func:`_fixed_block_triples`, each value within its residual radius.
+    ``sigma = 0`` and members whose certificate fails are solved as in
+    :func:`critical_curves`, bitwise, and raise :class:`GapViolation` as it
+    does.  No spectrum is built and no curves are matched.
     """
     return _fixed_block_triples(roll, sigmas, delta)[0]
 
@@ -418,17 +415,20 @@ def critical_triples(roll: RollSolution, sigmas, delta: float = 1.0) -> np.ndarr
 def critical_curves(roll: RollSolution, sigmas, delta: float = 1.0) -> list[BlochSpectrum]:
     """Spectra over a sigma sweep with the critical triple matched into curves.
 
+    Off ``sigma = 0`` no eigenvectors are formed (:func:`_spectrum_batch`).
     Matching is greedy nearest-continuation: at each sigma the permutation of
-    the critical triple minimizing the total distance to the previous triple
-    is chosen, so the returned ``critical`` index triples trace three
-    continuous curves.  Raises :class:`GapViolation`, for the first offending
-    sigma in sweep order, when the non-critical spectrum does not stay below
-    ``-delta``, i.e. when the three-eigenvalue decomposition breaks.
+    the triple minimizing the total distance to the previous triple is
+    chosen, so the ``critical`` index triples trace three continuous curves.
+    Raises :class:`GapViolation`, for the first offending sigma in sweep
+    order, when the rest of the spectrum does not stay below ``-delta``.
     """
     check_delta(delta)
-    sigmas, vals, _, others = _solve_sweep(roll, sigmas)
-    gaps = _certified_gaps(others, delta)
-    return _spectra(sigmas, vals, others, gaps)
+    sigmas = _checked_sigmas(sigmas, "sigma")
+    N = 2 * roll.profile.grid.n_modes + 1
+    vals, others = np.empty((sigmas.size, 3)), np.empty((sigmas.size, N - 3))
+    for members, sq, H, S0 in _stacks(roll, sigmas):
+        vals[members], others[members] = _spectrum_batch(H, sq, S0 is not None)
+    return _spectra(sigmas, vals, others, _certified_gaps(others, delta))
 
 
 def critical_curve_array(spectra: list[BlochSpectrum]) -> np.ndarray:

@@ -211,6 +211,19 @@ class TestCurves:
         curves = critical_curve_array(critical_curves(roll, []))
         assert curves.shape == (3, 0) and curves.dtype == np.float64
 
+    @pytest.mark.parametrize("nudge", [(0, 0), (0, -1), (0, 1), (1, -1), (1, 1), (2, -1), (2, 1)])
+    def test_exact_tie_keeps_the_ascending_order(self, nudge):
+        # Every new value lies below every old one, so all six assignments
+        # cost 1.8 in real arithmetic; their rounded sums differ by an ulp or
+        # two, and a 1-ulp nudge of one value reorders them.
+        new = np.array([-0.9, -0.8, -0.7])
+        i, ulps = nudge
+        new[i] += ulps * np.spacing(new[i])
+        vals = np.array([[-0.3, -0.2, -0.1], new])
+        spectra = bloch._spectra([0.1, 0.2], vals, np.full((2, 2), -50.0), [50.0, 50.0])
+        # Eigenvalues are stored descending, so the ascending triple sits at 2, 1, 0.
+        assert [spec.critical for spec in spectra] == [(2, 1, 0), (2, 1, 0)]
+
     def test_matched_curves_are_continuous(self):
         roll = solve_roll(RollParameters(0.05, 0.2, 0.8), GRID)
         sigmas = np.linspace(0.05, 0.3, 26)
@@ -235,15 +248,18 @@ class TestBatchedSweep:
         assert np.array_equal(triples, loop)
         assert np.all(np.diff(triples, axis=1) >= 0.0)
         # Certified members lie within their radius of the eigensolve path;
-        # the fallback members (sigma = 0 among them) are its own values.
+        # the fallback members are critical_curves' own values, which at
+        # sigma = 0 are the eigensolve path's.
         radius = bloch._fixed_block_triples(roll, sweep, 1.0)[1]
         modes = np.array([critical_modes(roll, x)[0] for x in sweep])
+        spectra = critical_curves(roll, sweep)
         certified = np.isfinite(radius)
         assert not certified[len(sigmas)]
         assert np.all(np.abs(triples - modes)[certified] <= radius[certified, None])
-        assert np.array_equal(triples[~certified], modes[~certified])
+        curves = np.sort([sp.critical_values() for sp in spectra], axis=1)
+        assert np.array_equal(triples[~certified], curves[~certified])
+        assert np.array_equal(triples[len(sigmas)], modes[len(sigmas)])
 
-        spectra = critical_curves(roll, sweep)
         singles = [spectrum(roll, x) for x in sweep]
         assert np.array_equal([sp.gap for sp in spectra], [sp.gap for sp in singles])
         for curve, single in zip(spectra, singles):
@@ -253,6 +269,35 @@ class TestBatchedSweep:
         n = len(sigmas)
         for plus, minus in zip(spectra[:n], spectra[n + 1 :]):
             assert np.max(np.abs(np.sort(plus.eigenvalues) - np.sort(minus.eigenvalues))) < 1e-9
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        eps=st.floats(0.01, 0.08),
+        omega=st.floats(-0.45, 0.45),
+        s=st.floats(-1.4, 1.4),
+        n_modes=st.sampled_from([8, 12, 32]),
+    )
+    def test_spectrum_triples_match_the_eigensolve_path(self, eps, omega, s, n_modes):
+        # critical_curves refines two steps from the lifted start block where
+        # _solve_sweep refines two from eigh's vectors.  At |sigma| = 1e-12,
+        # where (k sigma)^2 is far below eps max|w|, it takes the eigensolve
+        # path itself.
+        roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
+        small = np.array([1e-12, 1e-6, 1e-5, 1e-4])
+        sweep = np.concatenate([-small, small, np.linspace(-0.5, 0.5, 41)])
+        got = np.sort([spec.critical_values() for spec in critical_curves(roll, sweep)], axis=1)
+        move = np.max(np.abs(got - bloch._solve_sweep(roll, sweep)[1]), axis=1)
+        inner = np.abs(sweep) < 0.5
+        assert np.all(move[inner] < 1e-13)
+        assert np.all(move[np.abs(sweep) == 1e-12] == 0.0)
+        # At |sigma| = 1/2 the third value is one of a pair split by as little
+        # as 1e-7, and the eigensolve path may resolve to its other member
+        # (by up to about 9e-7 at M = 32): within the lifted triple's match
+        # tolerance r + 16 eps max|w|.
+        ((_, _, H, _),) = bloch._stacks(roll, sweep[~inner])
+        u = np.finfo(float).eps * np.abs(np.linalg.eigvalsh(H)).max(axis=1)
+        tol = bloch._lifted_ritz(H, bloch._REFINE_STEPS)[2] + bloch._MATCH_ULPS * u
+        assert np.all(move[~inner] <= tol)
 
     def test_gap_violation_reports_first_sigma_in_sweep_order(self):
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), GRID)
@@ -313,18 +358,27 @@ class TestZeroBatch:
 
     def test_one_eigensolve_and_one_rayleigh_ritz_step_per_batch(self, monkeypatch):
         roll = solve_roll(self.params, SpectralGrid(12))
-        eigh = np.linalg.eigh
-        shapes = []
+        calls = []
 
-        def spy(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
+        def spy(name, f):
+            def wrapped(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return f(a, *args, **kwargs)
 
-        monkeypatch.setattr(bloch.np.linalg, "eigh", spy)
+            return wrapped
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(bloch.np.linalg, name, spy(name, getattr(np.linalg, name)))
         critical_curves(roll, self.sweep)
         # The three zero members, deflated to N - 1 with two critical values,
-        # then the three others.
-        assert shapes == [(3, 24, 24), (3, 2, 2), (3, 25, 25), (3, 3, 3)]
+        # go through eigh; the three others get one eigvalsh and the 5 x 5
+        # Rayleigh-Ritz step on their lifted start block, with no N x N eigh.
+        assert calls == [
+            ("eigh", (3, 24, 24)),
+            ("eigh", (3, 2, 2)),
+            ("eigvalsh", (3, 25, 25)),
+            ("eigh", (3, 5, 5)),
+        ]
 
     @pytest.mark.parametrize(
         "triples",
@@ -375,15 +429,17 @@ class TestFixedBlockTriples:
         # One step from the lifted start block is as accurate as two were from
         # bare unit vectors (one step from those misses by up to about 1e-12).
         assert np.all(np.abs(vals - want)[certified] < 1e-13)
-        # Uncertified members are the eigh path's own values.
-        assert np.array_equal(vals[~certified], want[~certified])
+        # Uncertified members are critical_curves' own values.
+        curves = np.sort([spec.critical_values() for spec in critical_curves(roll, sweep)], axis=1)
+        assert np.array_equal(vals[~certified], curves[~certified])
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(**cells, delta=st.floats(0.5, 40.0))
     def test_certificate_passes_exactly_when_the_eigh_gap_does(self, eps, omega, s, n_modes, delta):
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
         sweep = self.sweep(eps)
-        gaps = -bloch._solve_sweep(roll, sweep)[3].max(axis=1)
+        # The gaps of critical_curves, which its fallback raises with; all exceed 1e-300.
+        gaps = [spec.gap for spec in critical_curves(roll, sweep, delta=1e-300)]
         for sigma, gap in zip(sweep, gaps):
             try:
                 certified = np.isfinite(bloch._fixed_block_triples(roll, [sigma], delta)[1][0])
