@@ -11,7 +11,8 @@ coefficients of :func:`conslaw.model.reaction_derivative`.  The matrix factors a
 similar to the symmetric ``H = sqrt(p) S sqrt(p)``: every eigenvalue is
 real, and is returned as a real array.  A dense solve of ``H`` (norm
 ``O(M^6)``) is accurate near zero only to ``eps ||H||``, so the three
-critical eigenvalues are polished by inverse iteration plus Rayleigh-Ritz.
+critical eigenvalues are polished, by inverse iteration or by Davidson
+corrections, plus Rayleigh-Ritz.
 
 A sweep is solved in batches: :func:`_stacks` gathers a batch's matrices
 into one ``(n_sigma, N, N)`` stack for each LAPACK call.  Stacked calls give
@@ -24,16 +25,18 @@ The eigensolve path (:func:`_eigensolve`, for :func:`critical_modes`) runs
 ``eigh`` and refines from its vectors.  The other paths start from the
 paper's Lyapunov-Schmidt split of ``H``: unit vectors on the critical block
 ``c`` (Bloch modes ``m = -2..2``), lifted onto the hard-damped rest ``r`` by
-``-diag(H_rr)^{-1} H_rc`` (:func:`_lifted_ritz`).  :func:`critical_curves`
-takes two steps from that block for the triple and one ``eigvalsh`` for the
-rest of the spectrum, and falls back to the eigensolve path where the two
-disagree.  :func:`critical_triples` (the stability classifier, the
-amplitude-system comparison) takes one step, certifies by inertia that the
-rest lies below ``-delta``, and solves uncertified members as
-:func:`critical_curves` does.  At ``sigma = 0`` the ``m = 0`` row vanishes
-identically (conservation law); the Bloch numbers :func:`_stacks` counts as
-zero form their own batch, deflated of that row and column, and only the
-eigensolve path solves it.
+``-diag(H_rr)^{-1} H_rc``, and refined with no linear solve: the same lift
+applied again at each Ritz value, i.e. Davidson's correction with a diagonal
+preconditioner (:func:`_lifted_ritz`; E. R. Davidson, J. Comput. Phys. 17
+(1975) 87-94).  :func:`critical_curves` takes its triple from that block and
+one ``eigvalsh`` for the rest of the spectrum, and falls back to the
+eigensolve path where the two disagree.  :func:`critical_triples` (the
+stability classifier, the amplitude-system comparison) takes the same
+triple, certifies by inertia that the rest lies below ``-delta``, and solves
+uncertified members as :func:`critical_curves` does.  At ``sigma = 0`` the
+``m = 0`` row vanishes identically (conservation law); the Bloch numbers
+:func:`_stacks` counts as zero form their own batch, deflated of that row and
+column, and only the eigensolve path solves it.
 """
 
 from __future__ import annotations
@@ -56,11 +59,18 @@ __all__ = [
 ]
 
 _SIGMA_ZERO_TOL = 1e-13
-#: Inverse-iteration steps of the eigensolve and spectrum paths (certified: one).
+#: Inverse-iteration steps of the eigensolve path.
 _REFINE_STEPS = 2
+#: Davidson corrections of each of the four largest lifted Ritz vectors.
+#: Four, not three: at sigma = +-1/2 the third and fourth eigenvalues are
+#: split by as little as 3e-7.  The fifth is left alone: at the zone edge its
+#: mirror mode lies in the rest, so its denominator ``H[i, i] - q`` may
+#: vanish, while the top four stay about 130 away from every rest diagonal.
+_CORRECTIONS = 2
 #: The lifted triple must match ``eigvalsh`` to within its residual plus
 #: ``_MATCH_ULPS`` times ``u = eps max|w|``, and needs ``p_0 = (k sigma)^2 >=
-#: _P0_MIN u``: below, two eigenvalues of order ``p_0`` drown its solves.
+#: _P0_MIN u``: below, two eigenvalues of order ``p_0`` lie so far under the
+#: rounding ``u`` of ``eigvalsh`` that the match checks nothing of them.
 _MATCH_ULPS, _P0_MIN = 16, 1e-4
 #: The critical block of the lifted start block (whole, as sigma = 0 never
 #: gets one).  A small roll's triple lives at m = -1, 0, 1 (at m = -2, -1, 0
@@ -143,20 +153,30 @@ def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X
 
 
-def _refine_critical(H: np.ndarray, Y: np.ndarray, steps: int):
-    """Polish the near-zero Ritz pairs of a stack of symmetric ``H``.
+def _rayleigh_ritz(H: np.ndarray, Q: np.ndarray):
+    """Rayleigh-Ritz on the orthonormal columns of ``Q`` ``(n, N, k)``.
 
-    ``steps`` inverse-iteration steps from the columns of ``Y`` ``(n, N, k)``:
-    eigensolver vectors, or the lifted start block of :func:`_lifted_ritz`.  The
-    critical eigenvectors decay spectrally, so matvecs with the huge-norm
-    ``H`` are accurate in absolute terms and the final ``k x k``
-    Rayleigh-Ritz values come out near machine precision.
+    Returns the ascending Ritz values ``(n, k)``, the eigenvectors ``R`` of
+    the symmetrized ``Q^T H Q`` (the Ritz vectors are ``Q R``) and ``H Q``.
     """
-    for _ in range(steps):
-        Y, _ = np.linalg.qr(_solve(H, Y))
-    G = Y.swapaxes(1, 2) @ (H @ Y)
+    HQ = H @ Q
+    G = Q.swapaxes(1, 2) @ HQ
     G = 0.5 * (G + G.swapaxes(1, 2))
     ritz, R = np.linalg.eigh(G)
+    return ritz, R, HQ
+
+
+def _refine_critical(H: np.ndarray, Y: np.ndarray):
+    """Polish the near-zero Ritz pairs of a stack of symmetric ``H``.
+
+    ``_REFINE_STEPS`` inverse-iteration steps from eigensolver vectors ``Y``
+    ``(n, N, k)``.  The critical eigenvectors decay spectrally, so matvecs
+    with the huge-norm ``H`` are accurate in absolute terms and the final
+    ``k x k`` Rayleigh-Ritz values come out near machine precision.
+    """
+    for _ in range(_REFINE_STEPS):
+        Y, _ = np.linalg.qr(_solve(H, Y))
+    ritz, R, _ = _rayleigh_ritz(H, Y)
     return ritz, Y @ R
 
 
@@ -186,9 +206,9 @@ def _stacks(roll: RollSolution, sigmas: np.ndarray):
         H = S
         H *= sq[:, :, None]
         H *= sq[:, None, :]
-        # Symmetrized one matrix at a time, so the temporary is one N x N matrix.
-        for h in H:
-            h += h.T
+        # NumPy buffers the overlapping transpose, so each entry is the sum of
+        # the original pair and H is exactly symmetric.
+        H += H.swapaxes(1, 2)
         H *= 0.5
         yield members, sq, H, S0
 
@@ -221,7 +241,7 @@ def _eigensolve(H: np.ndarray, at_zero: bool):
     crit = np.argsort(np.abs(w), axis=1)[:, : 2 if at_zero else 3]
     Y = np.take_along_axis(V, crit[:, None, :], axis=2)
     del V
-    ritz, Yr = _refine_critical(H, Y, _REFINE_STEPS)
+    ritz, Yr = _refine_critical(H, Y)
     rest = np.ones(w.shape, dtype=bool)
     np.put_along_axis(rest, crit, False, axis=1)
     if at_zero:
@@ -230,19 +250,41 @@ def _eigensolve(H: np.ndarray, at_zero: bool):
     return np.take_along_axis(ritz, order, axis=1), order, Yr, w[rest].reshape(nb, -1)
 
 
-def _lifted_ritz(H: np.ndarray, steps: int):
+def _lifted_ritz(H: np.ndarray):
     """The three largest Ritz pairs ``(rho, Y)`` and ``r = ||H Y - Y diag(rho)||_F``.
 
-    ``steps`` steps of :func:`_refine_critical` from the lifted start block (the
-    first-order reduction): unit vectors on ``c``, ``-H[i, c] / H[i, i]`` elsewhere.
+    Rayleigh-Ritz on the lifted start block (the first-order reduction): unit
+    vectors on ``c``, ``-H[i, c] / H[i, i]`` on every rest row ``i``.  Each of
+    the four largest Ritz vectors ``t`` then gets ``_CORRECTIONS`` Davidson
+    corrections ``t_i -= (H t - q t)_i / (H[i, i] - q)`` on the rest rows, ``q``
+    its fresh Rayleigh quotient: the lift applied again at each Ritz value,
+    with no solve.  A final Rayleigh-Ritz step on the five vectors gives
+    ``(rho, Y)``, and its ``H Q`` gives ``H Y``.
     """
     c = H.shape[1] // 2 + _START_MODES
+    d = np.diagonal(H, axis1=1, axis2=2)
     Y = np.ascontiguousarray(H[:, :, c])
-    Y /= -np.diagonal(H, axis1=1, axis2=2)[:, :, None]
+    Y /= -d[:, :, None]
     Y[:, c] = np.eye(c.size)
-    ritz, Y = _refine_critical(H, Y, steps)
-    rho, Y = ritz[:, -3:], Y[:, :, -3:]
-    return rho, Y, np.linalg.norm(H @ Y - Y * rho[:, None, :], axis=(1, 2))
+    Q, _ = np.linalg.qr(Y)
+    _, R, _ = _rayleigh_ritz(H, Q)
+    # The Ritz vectors as rows, so that H t is t H (H is symmetric) and each
+    # reduction runs along a contiguous last axis, member by member.  T views
+    # the four largest; V keeps the fifth beside them.
+    V = R.swapaxes(1, 2) @ Q.swapaxes(1, 2)
+    T = V[:, 1:]
+    for _ in range(_CORRECTIONS):
+        res = T @ H
+        q = np.sum(T * res, axis=2, keepdims=True) / np.sum(T * T, axis=2, keepdims=True)
+        res -= q * T
+        res[:, :, c] = 0.0
+        # A zero residual is no correction, also where H[i, i] = q (H diagonal).
+        T -= np.divide(res, d[:, None, :] - q, out=res, where=res != 0.0)
+    Q, _ = np.linalg.qr(np.ascontiguousarray(V.swapaxes(1, 2)))
+    ritz, R, HQ = _rayleigh_ritz(H, Q)
+    rho, R = ritz[:, -3:], R[:, :, -3:]
+    Y = Q @ R
+    return rho, Y, np.linalg.norm(HQ @ R - Y * rho[:, None, :], axis=(1, 2))
 
 
 def _spectrum_batch(H: np.ndarray, sq: np.ndarray, at_zero: bool):
@@ -257,7 +299,7 @@ def _spectrum_batch(H: np.ndarray, sq: np.ndarray, at_zero: bool):
         vals, _, _, others = _eigensolve(H, True)
         return vals, others
     w = np.linalg.eigvalsh(H)
-    rho, _, r = _lifted_ritz(H, _REFINE_STEPS)
+    rho, _, r = _lifted_ritz(H)
     # Ordered by |w| as _eigensolve orders them, so the first three are its choice.
     w = np.take_along_axis(w, np.argsort(np.abs(w), axis=1), axis=1)
     near, others = np.sort(w[:, :3], axis=1), np.sort(w[:, 3:], axis=1)
@@ -308,7 +350,8 @@ def _certified_gaps(others: np.ndarray, delta: float) -> np.ndarray:
 def _fixed_block_triples(roll: RollSolution, sigmas, delta: float):
     """Critical triples of a sweep, ascending, without a full eigensolve.
 
-    One step of :func:`_lifted_ritz` gives ``(rho, Y)`` and the radius ``r``.
+    :func:`_lifted_ritz`, the triple :func:`critical_curves` matches against
+    ``eigvalsh``, gives ``(rho, Y)`` and the radius ``r``.
     With ``tau = min(-delta, min rho - r)``, one stacked Cholesky of
     ``A = c Y Y^T + tau I - H``, ``c = 2 (max rho - tau)``, certifies each
     member by inertia (Sylvester's law).  A member whose ``c`` would
@@ -337,7 +380,7 @@ def _fixed_block_triples(roll: RollSolution, sigmas, delta: float):
     for members, sq, H, S0 in _stacks(roll, sigmas):
         at = np.flatnonzero(members)
         if S0 is None:
-            rho, Y, r = _lifted_ritz(H, 1)
+            rho, Y, r = _lifted_ritz(H)
             tau = np.minimum(-delta, rho[:, 0] - r)
             # Where c = 2 (max rho - tau) would reach half the largest double
             # (a huge delta), A is formed with c = 0 and left uncertified.

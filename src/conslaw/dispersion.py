@@ -235,11 +235,11 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
     stay below and the fitted sigma^2 coefficients of the two neutral curves
     are negative (diffusive decay); boundary otherwise.
 
-    The triples come from ``bloch.critical_triples``: one inverse-iteration
-    step from the critical modes lifted onto the rest (the first-order
-    Lyapunov-Schmidt reduction), with the gap below ``-delta`` certified
+    The triples come from ``bloch.critical_triples``: the critical modes
+    lifted onto the rest (the first-order Lyapunov-Schmidt reduction) and
+    refined by Davidson corrections, with the gap below ``-delta`` certified
     by a Cholesky factorization rather than read off a full eigensolve;
-    where that certificate fails, the full eigensolve solves the Bloch
+    where that certificate fails, ``critical_curves`` solves the Bloch
     number.
     The sweep has no ``sigma = 0`` for ``eps > 0``: there the conservation
     law and translation fix two zeros beside an amplitude mode near
