@@ -22,26 +22,31 @@ certificate's Cholesky factor has a non-finite diagonal (NumPy returns NaN
 factors for NaN input); a failed solve is redone shifted by ``1e-10 I``.
 
 The eigensolve path (:func:`_eigensolve`, for :func:`critical_modes`) runs
-``eigh`` and refines from its vectors.  The other paths start from the
-paper's Lyapunov-Schmidt split of ``H``: unit vectors on the critical block
-``c`` (Bloch modes ``m = -2..2``), lifted onto the hard-damped rest ``r`` by
-``-diag(H_rr)^{-1} H_rc``, and refined with no linear solve: the same lift
-applied again at each Ritz value, i.e. Davidson's correction with a diagonal
-preconditioner (:func:`_lifted_ritz`; E. R. Davidson, J. Comput. Phys. 17
-(1975) 87-94).  :func:`critical_curves` takes its triple from that block and
-one ``eigvalsh`` for the rest of the spectrum, and falls back to the
-eigensolve path where the two disagree.  :func:`critical_triples` (the
-stability classifier, the amplitude-system comparison) takes the same
-triple, certifies by inertia that the rest lies below ``-delta``, and solves
-uncertified members as :func:`critical_curves` does.  At ``sigma = 0`` the
-``m = 0`` row vanishes identically (conservation law); the Bloch numbers
-:func:`_stacks` counts as zero form their own batch, deflated of that row and
-column, and only the eigensolve path solves it.
+``eigh`` and refines from its vectors.  The certified engine
+(:func:`_certified_sweep`, behind :func:`critical_curves` and
+:func:`critical_triples`) starts from the paper's Lyapunov-Schmidt split of
+``H``: unit vectors on the critical block ``c`` (Bloch modes ``m = -2..2``),
+lifted onto the hard-damped rest ``r`` by ``-diag(H_rr)^{-1} H_rc``, and
+refined with no linear solve: the same lift applied again at each Ritz
+value, i.e. Davidson's correction with a diagonal preconditioner
+(:func:`_lifted_ritz`; E. R. Davidson, J. Comput. Phys. 17 (1975) 87-94).
+That gives the four largest Ritz pairs and one radius over them; a Cholesky
+factor certifies by inertia that the fifth eigenvalue lies below them, so
+the triple and the gap (the top of the rest, ``-rho_4``) each lie within
+the radius.  No full spectrum is solved for a certified member until its
+``eigenvalues`` are read; then one ``eigvalsh`` of its rebuilt ``H`` gives
+the rest, to ``eps max|w|``.  Uncertified members are solved whole, with
+one ``eigvalsh`` and the lifted triple where the two agree, else by the
+eigensolve path.  At ``sigma = 0`` the ``m = 0`` row vanishes identically
+(conservation law); the Bloch numbers :func:`_stacks` counts as zero form
+their own batch, deflated of that row and column, and only the eigensolve
+path solves it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -67,6 +72,14 @@ _REFINE_STEPS = 2
 #: mirror mode lies in the rest, so its denominator ``H[i, i] - q`` may
 #: vanish, while the top four stay about 130 away from every rest diagonal.
 _CORRECTIONS = 2
+#: The radius of the lifted Ritz values is floored at ``_ROUNDING_ULPS eps
+#: ||G||_2`` (``G = Q^T H Q``, so ``||G||_2`` is the largest ``|theta|``), the
+#: rounding of the values themselves.  A backward-stable 5 x 5 eigensolve
+#: moves each by a small multiple of ``eps ||G||_2`` (LAPACK's own error
+#: estimate takes the multiple as 1; Users' Guide, section 4.7); 8 leaves
+#: room for the rounding of ``G``'s entries and its symmetrization.  Without
+#: the floor a residual of 7.7e-16 enclosed a value that ``eigh`` put 8.9e-16 away.
+_ROUNDING_ULPS = 8
 #: The lifted triple must match ``eigvalsh`` to within its residual plus
 #: ``_MATCH_ULPS`` times ``u = eps max|w|``, and needs ``p_0 = (k sigma)^2 >=
 #: _P0_MIN u``: below, two eigenvalues of order ``p_0`` lie so far under the
@@ -83,20 +96,48 @@ _PERMUTATIONS = np.array(list(permutations(range(3))))
 
 @dataclass(frozen=True)
 class BlochSpectrum:
-    """Full real spectrum at one Bloch number with the critical triple flagged.
+    """Real spectrum at one Bloch number with the critical triple flagged.
 
-    ``eigenvalues`` are sorted descending; ``critical`` holds the indices of
-    the three eigenvalues nearest zero, in curve order (ascending at a
-    sweep's first Bloch number).  ``gap`` is ``-max`` over the non-critical rest.
+    ``critical_values()`` are the three eigenvalues nearest zero in curve
+    order (ascending at a sweep's first Bloch number).  ``gap`` is
+    ``-lambda_4``, minus the largest eigenvalue of the rest: the certified
+    ``-rho_4`` of :func:`_certified_sweep`, within its radius, or where the
+    certificate fails and at ``sigma = 0``, ``-max`` of the rest solved
+    whole.  ``eigenvalues`` (sorted descending) and ``critical`` (the indices
+    of the triple in them) are computed on first read: the triple beside
+    the rest of ``eigvalsh`` of this member's ``H``, rebuilt from the roll
+    (accurate to ``eps max|w|``), or beside the rest already solved.  No
+    matrix is kept.
     """
 
     sigma: float
-    eigenvalues: np.ndarray
-    critical: tuple[int, int, int]
     gap: float
+    _triple: np.ndarray = field(repr=False)
+    _perm: np.ndarray = field(repr=False)
+    _rest: np.ndarray | RollSolution = field(repr=False)
 
     def critical_values(self) -> np.ndarray:
-        return self.eigenvalues[list(self.critical)]
+        return self._triple[self._perm]
+
+    @cached_property
+    def _full(self) -> tuple[np.ndarray, tuple[int, int, int]]:
+        rest = self._rest
+        if isinstance(rest, RollSolution):
+            ((_, _, H, _),) = _stacks(rest, np.array([self.sigma]))
+            rest = _split(np.linalg.eigvalsh(H))[1][0]
+        allvals = np.concatenate([self._triple, rest])
+        order = np.argsort(-allvals, kind="stable")
+        pos = np.empty_like(order)
+        pos[order] = np.arange(order.size)
+        return allvals[order], tuple(int(j) for j in pos[self._perm])
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._full[0]
+
+    @property
+    def critical(self) -> tuple[int, int, int]:
+        return self._full[1]
 
 
 def _checked_sigmas(sigmas, param: str) -> np.ndarray:
@@ -251,15 +292,19 @@ def _eigensolve(H: np.ndarray, at_zero: bool):
 
 
 def _lifted_ritz(H: np.ndarray):
-    """The three largest Ritz pairs ``(rho, Y)`` and ``r = ||H Y - Y diag(rho)||_F``.
+    """The five Ritz values ``theta`` ``(n, 5)``, ascending, the vectors ``Y``
+    ``(n, N, 4)`` of the four largest, ``rho = theta[:, 1:]``, and one radius
+    ``r = ||H Y - Y diag(rho)||_F + _ROUNDING_ULPS eps ||G||_2`` over them.
 
     Rayleigh-Ritz on the lifted start block (the first-order reduction): unit
     vectors on ``c``, ``-H[i, c] / H[i, i]`` on every rest row ``i``.  Each of
     the four largest Ritz vectors ``t`` then gets ``_CORRECTIONS`` Davidson
     corrections ``t_i -= (H t - q t)_i / (H[i, i] - q)`` on the rest rows, ``q``
     its fresh Rayleigh quotient: the lift applied again at each Ritz value,
-    with no solve.  A final Rayleigh-Ritz step on the five vectors gives
-    ``(rho, Y)``, and its ``H Q`` gives ``H Y``.
+    with no solve.  A final Rayleigh-Ritz step on the five vectors, with
+    ``G = Q^T H Q``, gives ``(theta, Y)``, and its ``H Q`` gives ``H Y``.  The
+    uncorrected fifth value lies at or below the fifth eigenvalue (Cauchy
+    interlacing); it is returned only as an estimate of where that lies.
     """
     c = H.shape[1] // 2 + _START_MODES
     d = np.diagonal(H, axis1=1, axis2=2)
@@ -281,29 +326,31 @@ def _lifted_ritz(H: np.ndarray):
         # A zero residual is no correction, also where H[i, i] = q (H diagonal).
         T -= np.divide(res, d[:, None, :] - q, out=res, where=res != 0.0)
     Q, _ = np.linalg.qr(np.ascontiguousarray(V.swapaxes(1, 2)))
-    ritz, R, HQ = _rayleigh_ritz(H, Q)
-    rho, R = ritz[:, -3:], R[:, :, -3:]
+    theta, R, HQ = _rayleigh_ritz(H, Q)
+    rho, R = theta[:, 1:], R[:, :, 1:]
     Y = Q @ R
-    return rho, Y, np.linalg.norm(HQ @ R - Y * rho[:, None, :], axis=(1, 2))
+    r = np.linalg.norm(HQ @ R - Y * rho[:, None, :], axis=(1, 2))
+    return theta, Y, r + _ROUNDING_ULPS * np.finfo(np.float64).eps * np.max(np.abs(theta), axis=1)
 
 
-def _spectrum_batch(H: np.ndarray, sq: np.ndarray, at_zero: bool):
-    """Critical triples ``(n, 3)``, ascending, and the rest of one batch's spectra.
+def _split(w: np.ndarray):
+    """The three of each row of ``w`` nearest zero, the rest, each ascending, and ``max|w|``.
 
-    Off zero: one ``eigvalsh``, and the triple of :func:`_lifted_ritz` where
-    it matches the three ``eigvalsh`` values nearest zero (see ``_P0_MIN``;
-    ``sq`` is ``sqrt(p)``).  Other members, and ``sigma = 0``, go to
-    :func:`_eigensolve`.
+    The order by ``|w|`` is :func:`_eigensolve`'s, so the three are its choice.
     """
-    if at_zero:
-        vals, _, _, others = _eigensolve(H, True)
-        return vals, others
-    w = np.linalg.eigvalsh(H)
-    rho, _, r = _lifted_ritz(H)
-    # Ordered by |w| as _eigensolve orders them, so the first three are its choice.
     w = np.take_along_axis(w, np.argsort(np.abs(w), axis=1), axis=1)
-    near, others = np.sort(w[:, :3], axis=1), np.sort(w[:, 3:], axis=1)
-    u = np.finfo(np.float64).eps * np.abs(w[:, -1])
+    return np.sort(w[:, :3], axis=1), np.sort(w[:, 3:], axis=1), np.abs(w[:, -1])
+
+
+def _spectrum_batch(H: np.ndarray, sq: np.ndarray, rho: np.ndarray, r: np.ndarray):
+    """Critical triples ``(n, 3)``, ascending, and the rest of uncertified spectra off zero.
+
+    One ``eigvalsh``, and the lifted triple ``rho`` (radius ``r``) where it
+    matches the three ``eigvalsh`` values nearest zero (see ``_P0_MIN``;
+    ``sq`` is ``sqrt(p)``).  Other members go to :func:`_eigensolve`.
+    """
+    near, others, wmax = _split(np.linalg.eigvalsh(H))
+    u = np.finfo(np.float64).eps * wmax
     match = np.all(np.abs(rho - near) <= (r + _MATCH_ULPS * u)[:, None], axis=1)
     miss = np.flatnonzero(~(match & (sq[:, sq.shape[1] // 2] ** 2 >= _P0_MIN * u)))
     if miss.size:
@@ -338,68 +385,75 @@ def _solve_sweep(roll: RollSolution, sigmas):
     return sigmas, vals, vecs, others
 
 
-def _certified_gaps(others: np.ndarray, delta: float) -> np.ndarray:
-    """``-max`` of each row of ``others``; the first gap ``<= delta`` raises."""
-    gaps = -np.max(others, axis=1)
-    failed = np.flatnonzero(gaps <= delta)
-    if failed.size:
-        raise GapViolation(float(gaps[failed[0]]), delta)
-    return gaps
+def _certified_sweep(roll: RollSolution, sigmas, delta: float):
+    """Critical triples, gaps and their radius over a sweep, with no full eigensolve.
 
-
-def _fixed_block_triples(roll: RollSolution, sigmas, delta: float):
-    """Critical triples of a sweep, ascending, without a full eigensolve.
-
-    :func:`_lifted_ritz`, the triple :func:`critical_curves` matches against
-    ``eigvalsh``, gives ``(rho, Y)`` and the radius ``r``.
-    With ``tau = min(-delta, min rho - r)``, one stacked Cholesky of
+    :func:`_lifted_ritz` gives the four largest Ritz pairs ``(rho, Y)``, the
+    fifth Ritz value ``theta_5`` and the radius ``r``.  With ``tau`` halfway
+    between ``rho_4 - r`` and ``theta_5``, one stacked Cholesky of
     ``A = c Y Y^T + tau I - H``, ``c = 2 (max rho - tau)``, certifies each
-    member by inertia (Sylvester's law).  A member whose ``c`` would
-    overflow is not certified.  When ``A`` is positive definite, i.e. its
-    factor exists and has a finite diagonal:
+    member by inertia (Sylvester's law).  When ``A`` is positive definite,
+    i.e. its factor exists and has a finite diagonal:
 
-    - ``H - c Y Y^T < tau I``, so the fourth eigenvalue of ``H`` lies below
-      ``tau <= -delta`` (interlacing for a rank-3 update);
-    - ``H`` compressed to the complement of ``Y`` lies below ``min rho``, so
-      the ``i``-th largest eigenvalue of ``H`` lies within ``||R||_2 <= r``
-      of the ``i``-th largest ``rho`` (Weyl, Parlett ch. 11);
-    - with ``max rho + r < -tau``, also checked, those three eigenvalues are
-      the ones nearest zero, which the other paths select.
+    - ``H - c Y Y^T < tau I``, so the fifth eigenvalue of ``H`` lies below
+      ``tau`` (interlacing for a rank-4 update);
+    - with ``tau < rho_4 - r``, also checked, the four eigenvalues within
+      ``||R||_2 <= r`` of the ``rho`` (Parlett ch. 11) are the four largest,
+      and the ``i``-th largest lies within ``r`` of the ``i``-th largest ``rho``;
+    - with ``max rho + r < -(rho_4 + r)``, also checked, the top three are
+      the eigenvalues nearest zero, which the other paths select.
 
-    These are floating-point certificates, not interval arithmetic.  Members
-    whose certificate fails, and the ``sigma = 0`` batch, go to
-    :func:`_spectrum_batch`, and the first of their gaps ``<= delta`` in
-    sweep order raises :class:`GapViolation`.  Returns the triples ``(n, 3)``
-    and the radius ``r`` of each member ``(n,)``, NaN where uncertified.
+    A certified member's triple is the top three ``rho``, and its gap is
+    ``-rho_4``, both within ``r``; ``tau``, and so the certificate, does not
+    depend on ``delta``.  These are floating-point certificates, not
+    interval arithmetic.  Members whose certificate fails, and the
+    ``sigma = 0`` batch, are solved whole (:func:`_spectrum_batch`,
+    :func:`_eigensolve`), with the gap ``-max`` of their rest.
+
+    A member passes the gap check when ``lambda_4 < -delta`` holds: certified,
+    when ``rho_4 + r < -delta``; solved whole, when its gap exceeds ``delta``.
+    The first member in sweep order that does not pass raises
+    :class:`GapViolation` with its gap.  Returns the triples ``(n, 3)``, the
+    gaps ``(n,)``, the radius ``r`` ``(n,)`` (NaN where uncertified) and the
+    rest ``(n, N - 3)`` (NaN where certified).
     """
     check_delta(delta)
     sigmas = _checked_sigmas(sigmas, "sigma")
-    N = 2 * roll.profile.grid.n_modes + 1
-    vals, others = np.empty((sigmas.size, 3)), np.empty((sigmas.size, N - 3))
-    radius = np.full(sigmas.size, np.nan)
+    n, N = sigmas.size, 2 * roll.profile.grid.n_modes + 1
+    vals, gaps = np.empty((n, 3)), np.empty(n)
+    radius, others = np.full(n, np.nan), np.full((n, N - 3), np.nan)
     for members, sq, H, S0 in _stacks(roll, sigmas):
         at = np.flatnonzero(members)
-        if S0 is None:
-            rho, Y, r = _lifted_ritz(H)
-            tau = np.minimum(-delta, rho[:, 0] - r)
-            # Where c = 2 (max rho - tau) would reach half the largest double
-            # (a huge delta), A is formed with c = 0 and left uncertified.
-            formable = rho[:, -1] - tau < np.finfo(np.float64).max / 4
-            c_shift = 2.0 * np.where(formable, rho[:, -1] - tau, 0.0)
-            A = c_shift[:, None, None] * (Y @ Y.swapaxes(1, 2)) - H
-            A.reshape(len(A), -1)[:, :: A.shape[1] + 1] += tau[:, None]
-            L, _ = _per_member(np.linalg.cholesky, A)
-            certified = np.isfinite(np.diagonal(L, axis1=1, axis2=2)).all(axis=1) & (rho[:, -1] + r < -tau)
-            certified &= formable
-            vals[at] = rho
-            radius[at] = np.where(certified, r, np.nan)
-            at, sq, H = at[~certified], sq[~certified], H[~certified]
-        if at.size:
-            vals[at], others[at] = _spectrum_batch(H, sq, S0 is not None)
-    redo = np.isnan(radius)
-    if redo.any():
-        _certified_gaps(others[redo], delta)
-    return vals, radius
+        if S0 is not None:
+            vals[at], _, _, others[at] = _eigensolve(H, True)
+            continue
+        theta, Y, r = _lifted_ritz(H)
+        rho4, top = theta[:, 1], theta[:, -1]
+        tau = 0.5 * (rho4 - r + theta[:, 0])
+        # A is formed in place of H (-(H - c Y Y^T) rounds as c Y Y^T - H), so
+        # the batch holds two matrix stacks at a time, A and its factor, no
+        # more than _stacks needs to symmetrize H.  Uncertified members get
+        # their H rebuilt, bitwise.
+        cYY = Y @ Y.swapaxes(1, 2)
+        cYY *= (2.0 * (top - tau))[:, None, None]
+        H -= cYY
+        del cYY
+        A = np.negative(H, out=H)
+        A.reshape(len(A), -1)[:, :: A.shape[1] + 1] += tau[:, None]
+        L, _ = _per_member(np.linalg.cholesky, A)
+        certified = np.isfinite(np.diagonal(L, axis1=1, axis2=2)).all(axis=1)
+        certified &= (tau < rho4 - r) & (top + r < -(rho4 + r))
+        vals[at], gaps[at], radius[at] = theta[:, 2:], -rho4, np.where(certified, r, np.nan)
+        miss = ~certified
+        if miss.any():
+            ((_, sq, H, _),) = _stacks(roll, sigmas[at[miss]])
+            vals[at[miss]], others[at[miss]] = _spectrum_batch(H, sq, theta[miss, 2:], r[miss])
+    solved = np.isnan(radius)
+    gaps[solved] = -np.max(others[solved], axis=1)
+    failed = np.flatnonzero(~np.where(solved, gaps > delta, gaps - radius > delta))
+    if failed.size:
+        raise GapViolation(float(gaps[failed[0]]), delta)
+    return vals, gaps, radius, others
 
 
 def check_delta(delta: float) -> None:
@@ -408,28 +462,21 @@ def check_delta(delta: float) -> None:
         raise OutOfRange(f"delta must be positive and finite, got {delta}", param="delta")
 
 
-def _spectra(sigmas, vals, others, gaps) -> list[BlochSpectrum]:
+def _spectra(sigmas, vals, rests, gaps) -> list[BlochSpectrum]:
     """Per-sigma spectra, triples matched as :func:`critical_curves` describes.
 
-    Costs within 8 ulp of the least tie, so that an exact tie in real
-    arithmetic (two new values both below the two old ones they may
-    continue) is not decided by the rounding of the cost sums.
+    ``rests`` holds each member's rest of the spectrum, or the roll to solve
+    it from on first read.  Costs within 8 ulp of the least tie, so that an
+    exact tie in real arithmetic (two new values both below the two old ones
+    they may continue) is not decided by the rounding of the cost sums.
     """
-    allvals = np.concatenate([vals, others], axis=1)
-    order = np.argsort(-allvals, axis=1, kind="stable")
-    eigenvalues = np.take_along_axis(allvals, order, axis=1)
-    pos = np.empty_like(order)
-    np.put_along_axis(pos, order, np.arange(order.shape[1])[None, :], axis=1)
-    critical = pos[:, :3]
-    cvals = allvals[:, :3]
     spectra: list[BlochSpectrum] = []
     perm = _PERMUTATIONS[0]
-    for i, sigma in enumerate(sigmas):
+    for i, (sigma, rest) in enumerate(zip(sigmas, rests)):
         if i > 0:
-            cost = np.abs(cvals[i][_PERMUTATIONS] - cvals[i - 1][perm]).sum(axis=1)
+            cost = np.abs(vals[i][_PERMUTATIONS] - vals[i - 1][perm]).sum(axis=1)
             perm = _PERMUTATIONS[np.argmax(cost <= cost.min() + 8 * np.spacing(cost.min()))]
-        crit = tuple(int(j) for j in critical[i][perm])
-        spectra.append(BlochSpectrum(float(sigma), eigenvalues[i], crit, float(gaps[i])))
+        spectra.append(BlochSpectrum(float(sigma), float(gaps[i]), vals[i], perm, rest))
     return spectra
 
 
@@ -446,32 +493,29 @@ def critical_modes(roll: RollSolution, sigma: float) -> tuple[np.ndarray, np.nda
 def critical_triples(roll: RollSolution, sigmas, delta: float = 1.0) -> np.ndarray:
     """Critical eigenvalues over a sigma sweep, ascending per sigma, as ``(n_sigma, 3)``.
 
-    The triples and the gap below ``-delta`` are certified as described in
-    :func:`_fixed_block_triples`, each value within its residual radius.
-    ``sigma = 0`` and members whose certificate fails are solved as in
-    :func:`critical_curves`, bitwise, and raise :class:`GapViolation` as it
-    does.  No spectrum is built and no curves are matched.
+    The triples of :func:`critical_curves`, bitwise, from the same engine
+    (:func:`_certified_sweep`), which raises :class:`GapViolation` as
+    :func:`critical_curves` does.  No spectrum is built and no curves are
+    matched.
     """
-    return _fixed_block_triples(roll, sigmas, delta)[0]
+    return _certified_sweep(roll, sigmas, delta)[0]
 
 
 def critical_curves(roll: RollSolution, sigmas, delta: float = 1.0) -> list[BlochSpectrum]:
     """Spectra over a sigma sweep with the critical triple matched into curves.
 
-    Off ``sigma = 0`` no eigenvectors are formed (:func:`_spectrum_batch`).
-    Matching is greedy nearest-continuation: at each sigma the permutation of
-    the triple minimizing the total distance to the previous triple is
-    chosen, so the ``critical`` index triples trace three continuous curves.
-    Raises :class:`GapViolation`, for the first offending sigma in sweep
-    order, when the rest of the spectrum does not stay below ``-delta``.
+    The triples and gaps come from :func:`_certified_sweep`: off ``sigma = 0``
+    no eigenvectors are formed, and a certified member runs no full
+    eigensolve until its ``eigenvalues`` are read.  Matching is greedy
+    nearest-continuation: at each sigma the permutation of the triple
+    minimizing the total distance to the previous triple is chosen, so the
+    ``critical`` index triples trace three continuous curves.  Raises
+    :class:`GapViolation`, for the first offending sigma in sweep order,
+    unless ``lambda_4 < -delta`` holds at every sigma.
     """
-    check_delta(delta)
-    sigmas = _checked_sigmas(sigmas, "sigma")
-    N = 2 * roll.profile.grid.n_modes + 1
-    vals, others = np.empty((sigmas.size, 3)), np.empty((sigmas.size, N - 3))
-    for members, sq, H, S0 in _stacks(roll, sigmas):
-        vals[members], others[members] = _spectrum_batch(H, sq, S0 is not None)
-    return _spectra(sigmas, vals, others, _certified_gaps(others, delta))
+    vals, gaps, radius, others = _certified_sweep(roll, sigmas, delta)
+    rests = [roll if np.isfinite(r) else rest for r, rest in zip(radius, others)]
+    return _spectra(_checked_sigmas(sigmas, "sigma"), vals, rests, gaps)
 
 
 def critical_curve_array(spectra: list[BlochSpectrum]) -> np.ndarray:

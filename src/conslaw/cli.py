@@ -22,9 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import acceptance
 from . import dispersion as dsp
-from . import evolution as ev
 from . import mgl
 from .bloch import check_delta, critical_curve_array, critical_curves
 from .errors import ConslawError, OutOfRange
@@ -192,6 +190,10 @@ def _cmd_compare(o: argparse.Namespace) -> int:
 
 
 def _cmd_evolve(o: argparse.Namespace) -> int:
+    # Imported here, as in _cmd_verify: the integrator imports scipy.fft,
+    # which no other subcommand needs.
+    from . import evolution as ev
+
     # Round sigma to the nearest realizable j/periods and report it; with
     # periods = 0 or a sigma that is not finite, the config gets sigma as
     # given and rejects it.
@@ -217,6 +219,8 @@ def _cmd_evolve(o: argparse.Namespace) -> int:
 
 
 def _cmd_verify(o: argparse.Namespace) -> int:
+    from . import acceptance
+
     results = acceptance.run_all()
     width = max(len(name) for name, _ in acceptance.CRITERIA)
     lines = []

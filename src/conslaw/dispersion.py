@@ -237,10 +237,9 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
 
     The triples come from ``bloch.critical_triples``: the critical modes
     lifted onto the rest (the first-order Lyapunov-Schmidt reduction) and
-    refined by Davidson corrections, with the gap below ``-delta`` certified
-    by a Cholesky factorization rather than read off a full eigensolve;
-    where that certificate fails, ``critical_curves`` solves the Bloch
-    number.
+    refined by Davidson corrections, with the triple and the gap certified
+    by a Cholesky factorization rather than read off a full eigensolve; a
+    Bloch number whose certificate fails is solved whole.
     The sweep has no ``sigma = 0`` for ``eps > 0``: there the conservation
     law and translation fix two zeros beside an amplitude mode near
     ``-2 (1 - 4 omega^2) eps^2 < 0``, so instability enters only at

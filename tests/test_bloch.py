@@ -36,15 +36,27 @@ def symmetric_factors(roll, sigma):
     return bloch._symmetric_factors(df, roll.params.k**2, np.array([sigma]))
 
 
-def oracle_triples(roll, sigmas):
-    """The three eigenvalues nearest zero of each ``H``, ascending, from 40-digit ``mpmath.eigsy``."""
-    triples = []
+def oracle_eigenvalues(roll, sigmas):
+    """Each ``H``'s eigenvalues off ``sigma = 0``, descending, from 40-digit ``mpmath.eigsy``."""
+    spectra = []
     with mpmath.workdps(40):
         for _, _, H, _ in bloch._stacks(roll, np.asarray(sigmas)):
             for h in H:
-                w = sorted((float(x) for x in mpmath.eigsy(mpmath.matrix(h.tolist()), eigvals_only=True)), key=abs)
-                triples.append(sorted(w[:3]))
-    return np.array(triples)
+                w = mpmath.eigsy(mpmath.matrix(h.tolist()), eigvals_only=True)
+                spectra.append(sorted((float(x) for x in w), reverse=True))
+    return np.array(spectra)
+
+
+def oracle_triples(roll, sigmas):
+    """The three eigenvalues nearest zero of each ``H``, ascending, from :func:`oracle_eigenvalues`."""
+    w = oracle_eigenvalues(roll, sigmas)
+    return np.sort(np.take_along_axis(w, np.argsort(np.abs(w), axis=1, kind="stable")[:, :3], axis=1), axis=1)
+
+
+def certify(roll, sigmas, delta=1.0):
+    """Triples and radii (NaN where uncertified) of the certified engine."""
+    vals, _, radius, _ = bloch._certified_sweep(roll, sigmas, delta)
+    return vals, radius
 
 
 def spectrum(roll, sigma, **kwargs):
@@ -181,7 +193,7 @@ class TestSpectrum:
         # sigma -> -sigma is complex conjugation, so the two triples agree
         # within the two enclosures (to roundoff where the eigensolve runs)
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
-        (plus, minus), radius = bloch._fixed_block_triples(roll, [sigma, -sigma], 1.0)
+        (plus, minus), radius = certify(roll, [sigma, -sigma], 1.0)
         # an eigensolve member counts half of the 1e-12 of two such members
         assert np.max(np.abs(plus - minus)) <= np.sum(np.nan_to_num(radius, nan=0.5e-12))
 
@@ -260,16 +272,16 @@ class TestBatchedSweep:
         assert np.array_equal(triples, loop)
         assert np.all(np.diff(triples, axis=1) >= 0.0)
         # Certified members lie within their radius of the eigensolve path;
-        # the fallback members are critical_curves' own values, which at
-        # sigma = 0 are the eigensolve path's.
-        radius = bloch._fixed_block_triples(roll, sweep, 1.0)[1]
+        # at sigma = 0 the triple is the eigensolve path's.  critical_curves
+        # runs the same engine, so its triples are these on every member.
+        radius = certify(roll, sweep, 1.0)[1]
         modes = np.array([critical_modes(roll, x)[0] for x in sweep])
         spectra = critical_curves(roll, sweep)
         certified = np.isfinite(radius)
         assert not certified[len(sigmas)]
         assert np.all(np.abs(triples - modes)[certified] <= radius[certified, None])
         curves = np.sort([sp.critical_values() for sp in spectra], axis=1)
-        assert np.array_equal(triples[~certified], curves[~certified])
+        assert np.array_equal(triples, curves)
         assert np.array_equal(triples[len(sigmas)], modes[len(sigmas)])
 
         singles = [spectrum(roll, x) for x in sweep]
@@ -291,9 +303,7 @@ class TestBatchedSweep:
     )
     def test_spectrum_triples_match_the_eigensolve_path(self, eps, omega, s, n_modes):
         # critical_curves corrects the lifted start block where _solve_sweep
-        # refines two inverse-iteration steps from eigh's vectors.  At
-        # |sigma| = 1e-12, where (k sigma)^2 is far below eps max|w|, it takes
-        # the eigensolve path itself.
+        # refines two inverse-iteration steps from eigh's vectors.
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
         small = np.array([1e-12, 1e-6, 1e-5, 1e-4])
         sweep = np.concatenate([-small, small, np.linspace(-0.5, 0.5, 41)])
@@ -306,7 +316,12 @@ class TestBatchedSweep:
         apart = inner & (move >= 1e-13)
         if apart.any():
             assert np.all(np.abs(got[apart] - oracle_triples(roll, sweep[apart])) < 1e-13)
-        assert np.all(move[np.abs(sweep) == 1e-12] == 0.0)
+        # At |sigma| = 1e-12, where (k sigma)^2 is far below eps max|w|, a
+        # certified member lies within its radius of the eigensolve path; an
+        # uncertified one takes that path itself.
+        tiny = np.abs(sweep) == 1e-12
+        radius = certify(roll, sweep[tiny])[1]
+        assert np.all(np.where(np.isfinite(radius), move[tiny] <= radius, move[tiny] == 0.0))
         # At |sigma| = 1/2 the third value is one of a pair split by as little
         # as 1e-7, and the eigensolve path may resolve to its other member
         # (by up to about 9e-7 at M = 32): within the lifted triple's match
@@ -323,7 +338,7 @@ class TestBatchedSweep:
         gaps = [spectrum(roll, x).gap for x in sweep]
         delta = 0.5 * (gaps[0] + gaps[1])
         assert gaps[3] < gaps[1] <= delta < min(gaps[0], gaps[2])
-        for fn in (critical_triples, critical_curves, bloch._fixed_block_triples):
+        for fn in (critical_triples, critical_curves, certify):
             with pytest.raises(GapViolation) as info:
                 fn(roll, sweep, delta=delta)
             assert info.value.gap == gaps[1]
@@ -335,7 +350,7 @@ class TestBatchedSweep:
             raise AssertionError("assembled before the range check")
 
         monkeypatch.setattr(bloch, "_symmetric_factors", no_assembly)
-        for fn in (critical_triples, critical_curves, partial(bloch._fixed_block_triples, delta=1.0)):
+        for fn in (critical_triples, critical_curves, partial(certify, delta=1.0)):
             with pytest.raises(OutOfRange, match="Bloch number 0.6 lies"):
                 fn(roll, [0.1, 0.6, -0.7])
 
@@ -360,10 +375,10 @@ class TestBatchedSweep:
         assert failed == [] and np.all(np.isnan(np.diagonal(L, axis1=1, axis2=2)))
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), GRID)
         for delta in (1e308, 1e300):
-            # At 1e308 the certificate's shift 2 (max rho - tau) would overflow, so
-            # the certificate fails without forming it, and without a warning.
+            # The certificate does not depend on delta, so a huge one fails the
+            # gap check with the certified gap, and without a warning.
             with pytest.raises(GapViolation) as info:
-                bloch._fixed_block_triples(roll, [0.1, 0.3], delta)
+                certify(roll, [0.1, 0.3], delta)
             assert info.value.gap == spectrum(roll, 0.1).gap
 
 
@@ -388,13 +403,12 @@ class TestZeroBatch:
             monkeypatch.setattr(bloch.np.linalg, name, spy(name, getattr(np.linalg, name)))
         critical_curves(roll, self.sweep)
         # The three zero members, deflated to N - 1 with two critical values,
-        # go through eigh; the three others get one eigvalsh and two 5 x 5
-        # Rayleigh-Ritz steps, on their lifted start block and after its
-        # Davidson corrections, with no N x N eigh.
+        # go through eigh; the three others get two 5 x 5 Rayleigh-Ritz steps,
+        # on their lifted start block and after its Davidson corrections.
+        # They are certified, so no eigvalsh runs until a spectrum is read.
         assert calls == [
             ("eigh", (3, 24, 24)),
             ("eigh", (3, 2, 2)),
-            ("eigvalsh", (3, 25, 25)),
             ("eigh", (3, 5, 5)),
             ("eigh", (3, 5, 5)),
         ]
@@ -407,7 +421,7 @@ class TestZeroBatch:
             raise AssertionError("np.linalg.solve called off sigma = 0")
 
         monkeypatch.setattr(bloch.np.linalg, "solve", no_solve)
-        assert np.all(np.isfinite(bloch._fixed_block_triples(roll, sweep, 1.0)[1]))
+        assert np.all(np.isfinite(certify(roll, sweep, 1.0)[1]))
         critical_triples(roll, sweep)
         critical_curves(roll, sweep)
 
@@ -415,7 +429,7 @@ class TestZeroBatch:
         "triples",
         [
             lambda roll, sigmas: (bloch._solve_sweep(roll, sigmas)[1], None),
-            partial(bloch._fixed_block_triples, delta=1.0),
+            partial(certify, delta=1.0),
         ],
         ids=["eigensolve", "fixed_block"],
     )
@@ -435,7 +449,7 @@ class TestZeroBatch:
 
 
 class TestFixedBlockTriples:
-    """The classifier's triples: fixed-block inverse iteration and a Cholesky gap certificate."""
+    """The certified engine: lifted, Davidson-corrected Ritz pairs and a Cholesky certificate."""
 
     cells = dict(
         eps=st.floats(0.01, 0.08),
@@ -453,7 +467,7 @@ class TestFixedBlockTriples:
     def test_triples_lie_within_their_enclosures(self, eps, omega, s, n_modes):
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
         sweep = self.sweep(eps)
-        vals, radius = bloch._fixed_block_triples(roll, sweep, 1.0)
+        vals, radius = certify(roll, sweep, 1.0)
         want = bloch._solve_sweep(roll, sweep)[1]
         # At sigma = +-1/2 the third and fourth eigenvalues nearly coincide and
         # the eigensolve path is the less accurate side (by up to about 2e-12
@@ -475,7 +489,7 @@ class TestFixedBlockTriples:
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
         small = np.array([1e-6, 1e-5, 1e-4])
         sweep = np.concatenate([-small, small])
-        vals, radius = bloch._fixed_block_triples(roll, sweep, 1.0)
+        vals, radius = certify(roll, sweep, 1.0)
         move = np.abs(vals - bloch._solve_sweep(roll, sweep)[1])
         assert np.all(np.isfinite(radius))
         assert np.all(move <= radius[:, None])
@@ -486,29 +500,102 @@ class TestFixedBlockTriples:
         # repeats a critical value: the correction there is 0 / 0.
         d = np.array([-300.0, -0.5, -5.0, -1.0, -0.5, -0.25, -3.0, -200.0, -100.0])
         H = np.diag(d)[None]
-        rho, Y, r = bloch._lifted_ritz(H)
-        assert np.array_equal(rho[0], [-1.0, -0.5, -0.25]) and r[0] == 0.0
-        assert np.array_equal(np.abs(Y[0]), np.eye(9)[:, [3, 4, 5]])
+        theta, Y, r = bloch._lifted_ritz(H)
+        assert np.array_equal(theta[0], [-5.0, -3.0, -1.0, -0.5, -0.25])
+        # A zero residual leaves the rounding floor alone: eps ||G||_2 = 5 eps.
+        assert r[0] == bloch._ROUNDING_ULPS * np.finfo(float).eps * 5.0
+        assert np.array_equal(np.abs(Y[0]), np.eye(9)[:, [6, 3, 4, 5]])
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(**cells, delta=st.floats(0.5, 40.0))
-    def test_certificate_passes_exactly_when_the_eigh_gap_does(self, eps, omega, s, n_modes, delta):
+    def test_gap_check_passes_only_when_lambda_4_is_certified(self, eps, omega, s, n_modes, delta):
+        # The certificate does not depend on delta.  It puts lambda_4 within r
+        # of -gap, and a member passes only when that enclosure lies below -delta.
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
         sweep = self.sweep(eps)
-        # The gaps of critical_curves, which its fallback raises with; all exceed 1e-300.
-        gaps = [spec.gap for spec in critical_curves(roll, sweep, delta=1e-300)]
-        for sigma, gap in zip(sweep, gaps):
+        _, gaps, radius, _ = bloch._certified_sweep(roll, sweep, 1e-300)
+        assert np.all(np.isfinite(radius))
+        # eigvalsh's fourth value, to its rounding N eps max|w|, lies in the enclosure.
+        ((_, _, H, _),) = bloch._stacks(roll, sweep)
+        w = np.sort(np.linalg.eigvalsh(H), axis=1)
+        u = H.shape[1] * np.finfo(float).eps * np.abs(w).max(axis=1)
+        assert np.all(np.abs(w[:, -4] + gaps) <= radius + u)
+        for sigma, gap, r in zip(sweep, gaps, radius):
             try:
-                certified = np.isfinite(bloch._fixed_block_triples(roll, [sigma], delta)[1][0])
+                _, got_gap, got_radius, _ = bloch._certified_sweep(roll, [sigma], delta)
+                assert got_gap[0] == gap and got_radius[0] == r
+                passed = True
             except GapViolation as info:
                 assert info.gap == gap
-                certified = False
-            if abs(sigma) < 0.5:
-                assert certified == (gap > delta)
-            else:
-                # At the zone edge the third and fourth eigenvalues nearly
-                # coincide; the certificate may fall back but never overclaims.
-                assert gap > delta or not certified
+                passed = False
+            assert passed == (gap - r > delta)
+
+    @settings(max_examples=10, deadline=None)
+    @given(**cells, sigmas=st.lists(st.floats(-0.45, 0.45), min_size=1, max_size=6))
+    def test_radius_encloses_the_eigensolve_path_on_fresh_draws(self, eps, omega, s, n_modes, sigmas):
+        # Not derandomized: every run draws new cells.  The radius is floored
+        # at the rounding of the values it encloses, so the eigensolve path,
+        # itself within a few eps ||G||_2 of the true values off the zone edge,
+        # lies inside it too.
+        roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
+        vals, radius = certify(roll, sigmas)
+        certified = np.isfinite(radius)
+        want = bloch._solve_sweep(roll, sigmas)[1]
+        assert np.all(np.abs(vals - want)[certified] <= radius[certified, None])
+
+    @pytest.mark.parametrize("n_modes", [8, 12])
+    @pytest.mark.parametrize("params", [(0.03, 0.15, 0.6), (0.07, -0.3, -1.1), (0.006, 0.4, 1.3)])
+    def test_gap_and_triple_lie_within_their_radius_of_the_oracle(self, params, n_modes):
+        roll = solve_roll(RollParameters(*params), SpectralGrid(n_modes))
+        sweep = np.array([0.5, -0.5, 0.45, 0.2, 1e-6])
+        vals, gaps, radius, _ = bloch._certified_sweep(roll, sweep, 1.0)
+        assert np.all(np.isfinite(radius))
+        w = oracle_eigenvalues(roll, sweep)
+        assert np.all(np.abs(-gaps - w[:, 3]) <= radius)
+        assert np.all(np.abs(vals - w[:, 2::-1]) <= radius[:, None])
+
+    def test_certified_curves_run_no_full_eigensolve_until_read(self, monkeypatch):
+        # The whole zone at M = 32 without sigma = 0: every member certified.
+        roll = solve_roll(RollParameters(0.04, 0.1, 0.5), SpectralGrid(32))
+        sweep = np.linspace(-0.5, 0.5, 41)[np.arange(41) != 20]
+        assert np.all(np.isfinite(certify(roll, sweep)[1]))
+        calls = []
+
+        def spy(name, f):
+            def wrapped(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return f(a, *args, **kwargs)
+
+            return wrapped
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(bloch.np.linalg, name, spy(name, getattr(np.linalg, name)))
+        spectra = critical_curves(roll, sweep)
+        critical_curve_array(spectra)
+        [spec.gap for spec in spectra]
+        assert calls == [("eigh", (40, 5, 5)), ("eigh", (40, 5, 5))]
+        spectra[7].eigenvalues
+        spectra[7].critical
+        assert calls[2:] == [("eigvalsh", (1, 65, 65))]
+
+    def test_read_eigenvalues_are_the_triple_beside_the_eigvalsh_rest(self):
+        roll = solve_roll(RollParameters(0.04, 0.1, 0.5), SpectralGrid(12))
+        sweep = np.linspace(-0.5, 0.5, 9)
+        vals, _, radius, _ = bloch._certified_sweep(roll, sweep, 1.0)
+        off = sweep != 0.0
+        assert np.all(np.isfinite(radius[off]))
+        # One stacked eigvalsh of the members off zero, less its three values
+        # nearest zero, beside the certified triples, sorted descending.
+        _, (_, _, H, _) = bloch._stacks(roll, sweep)
+        w = np.linalg.eigvalsh(H)
+        w = np.take_along_axis(w, np.argsort(np.abs(w), axis=1), axis=1)
+        want = -np.sort(-np.concatenate([vals[off], w[:, 3:]], axis=1), axis=1)
+        spectra = [spec for spec, x in zip(critical_curves(roll, sweep), off) if x]
+        singles = [spectrum(roll, x) for x in sweep[off]]
+        for got, single, row in zip(spectra, singles, want):
+            assert np.array_equal(got.eigenvalues, row)
+            assert np.array_equal(single.eigenvalues, row)
+            assert np.array_equal(got.eigenvalues[list(got.critical)], got.critical_values())
 
     def test_classifier_runs_no_full_eigensolve(self, monkeypatch):
         roll = solve_roll(RollParameters(0.02, 0.1, 0.5), SpectralGrid(12))
@@ -550,7 +637,7 @@ class TestFixedBlockTriples:
             assert got.verdict is want.verdict
             assert got.witness_sigma == want.witness_sigma
             if got.witness_sigma is not None:
-                radius = bloch._fixed_block_triples(roll, [got.witness_sigma], 1.0)[1][0]
+                radius = certify(roll, [got.witness_sigma], 1.0)[1][0]
                 assert abs(got.witness_lambda - want.witness_lambda) < radius
 
     @settings(max_examples=20, deadline=None, derandomize=True)

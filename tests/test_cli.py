@@ -1,11 +1,16 @@
 import json
+import os
 import pickle
+import runpy
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conslaw
 from conslaw import acceptance, cli
 from conslaw.cli import main
 from conslaw.errors import OutOfRange
@@ -174,6 +179,22 @@ def criterion(passed, detail):
     return lambda: acceptance.CriterionResult(passed, detail)
 
 
+class TestEntryPoints:
+    def test_python_dash_m_runs_the_cli(self, capsys, monkeypatch):
+        argv = ["solve", "--eps", "0.1", "--omega", "0.2", "--s", "0.8", "--modes", "16"]
+        monkeypatch.setattr(sys, "argv", ["conslaw", *argv])
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("conslaw", run_name="__main__")
+        assert info.value.code == 0
+        assert capsys.readouterr().out == (DATA / "solve_m16.json").read_text()
+
+    def test_import_leaves_scipy_fft_out(self):
+        # Only evolve and verify integrate in time, and only they import scipy.fft.
+        src = str(Path(conslaw.__file__).parents[1])
+        code = "import sys, conslaw.cli; sys.exit('scipy.fft' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}).returncode == 0
+
+
 class TestVerify:
     def test_failing_criterion_fails_the_run(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -222,10 +243,9 @@ class TestSpectrum:
 
 
 class TestMap:
-    def test_unformable_certificate_fails_with_one_line(self, capsys):
-        # At this delta the certificate's shift 2 (max rho - tau) would
-        # overflow: the cell is left uncertified and the eigensolve's gap
-        # check fails it, with no NumPy warning on the way.
+    def test_huge_delta_fails_with_one_line(self, capsys):
+        # The certificate does not depend on delta, so nothing overflows: the
+        # gap check fails the cell, with no NumPy warning on the way.
         argv = ("map", "--eps", "0.02", "--steps", "2", "--modes", "8", "--jobs", "1", "--delta", "1e308")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

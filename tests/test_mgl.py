@@ -277,7 +277,7 @@ class TestComparison:
         sigmas = eps * table[:, 0]
         assert np.array_equal(table[:, 0], np.linspace(-1.0, 1.0, 11))
         roll = solve_roll(RollParameters(eps, 0.25, 1.0), SpectralGrid(32))
-        radius = bloch._fixed_block_triples(roll, sigmas, 1.0)[1]
+        radius = bloch._certified_sweep(roll, sigmas, 1.0)[2]
         want = bloch._solve_sweep(roll, sigmas)[1] / eps**2
         got = table[:, 1:4]
         zero = table[:, 0] == 0.0
