@@ -10,7 +10,7 @@ from conslaw import bloch
 from conslaw import dispersion as dsp
 from conslaw.bloch import critical_curve_array, critical_curves, critical_modes, critical_triples
 from conslaw.dispersion import _default_sigma_grid, classify_numerically, growth_prefactor
-from conslaw.errors import GapViolation, OutOfRange
+from conslaw.errors import GapViolation, InvariantViolation, OutOfRange
 from conslaw.fourier import SpectralGrid
 from conslaw.model import reaction_derivative, swift_hohenberg
 from conslaw.rolls import RollParameters, solve_roll, zero_roll
@@ -37,13 +37,12 @@ def symmetric_factors(roll, sigma):
 
 
 def oracle_eigenvalues(roll, sigmas):
-    """Each ``H``'s eigenvalues off ``sigma = 0``, descending, from 40-digit ``mpmath.eigsy``."""
+    """Each ``H``'s eigenvalues, descending, from 40-digit ``mpmath.eigsy``."""
     spectra = []
     with mpmath.workdps(40):
-        for _, _, H, _ in bloch._stacks(roll, np.asarray(sigmas)):
-            for h in H:
-                w = mpmath.eigsy(mpmath.matrix(h.tolist()), eigvals_only=True)
-                spectra.append(sorted((float(x) for x in w), reverse=True))
+        for h in bloch._stacks(roll, np.asarray(sigmas, dtype=float))[1]:
+            w = mpmath.eigsy(mpmath.matrix(h.tolist()), eigvals_only=True)
+            spectra.append(sorted((float(x) for x in w), reverse=True))
     return np.array(spectra)
 
 
@@ -54,9 +53,20 @@ def oracle_triples(roll, sigmas):
 
 
 def certify(roll, sigmas, delta=1.0):
-    """Triples and radii (NaN where uncertified) of the certified engine."""
-    vals, _, radius, _ = bloch._certified_sweep(roll, sigmas, delta)
+    """Triples and their radii (NaN where uncertified) of the certified engine."""
+    vals, radius, _, _, _, _ = bloch._certified_sweep(roll, sigmas, delta)
     return vals, radius
+
+
+def eigvalsh_triples(roll, sigmas):
+    """The three ``eigvalsh`` values nearest zero, ascending, and their rounding ``16 eps max|w|``."""
+    near, _, wmax = bloch._split(np.linalg.eigvalsh(bloch._stacks(roll, np.asarray(sigmas, dtype=float))[1]))
+    return near, bloch._MATCH_ULPS * np.finfo(float).eps * wmax
+
+
+def triple_radius(roll, sigmas):
+    """The lifted triple's own radius ``r3``, certified or not."""
+    return bloch._lifted_ritz(bloch._stacks(roll, np.asarray(sigmas, dtype=float))[1])[2]
 
 
 def spectrum(roll, sigma, **kwargs):
@@ -191,19 +201,46 @@ class TestSpectrum:
     )
     def test_conjugation_symmetry(self, eps, omega, s, n_modes, sigma):
         # sigma -> -sigma is complex conjugation, so the two triples agree
-        # within the two enclosures (to roundoff where the eigensolve runs)
+        # within the two enclosures (to roundoff where uncertified)
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
         (plus, minus), radius = certify(roll, [sigma, -sigma], 1.0)
-        # an eigensolve member counts half of the 1e-12 of two such members
+        # an uncertified member counts half of the 1e-12 of two such members
         assert np.max(np.abs(plus - minus)) <= np.sum(np.nan_to_num(radius, nan=0.5e-12))
 
-    def test_critical_eigenvectors_are_eigenvectors(self):
+    @pytest.mark.parametrize("sigma", [0.0, 0.2, 0.5])
+    def test_critical_eigenvectors_are_eigenvectors(self, sigma):
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), GRID)
-        B = bloch_matrix(roll, 0.2)
-        vals, vecs = critical_modes(roll, 0.2)
+        B = bloch_matrix(roll, sigma)
+        vals, vecs = critical_modes(roll, sigma)
+        assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=0.0, atol=1e-15)
         for j in range(3):
             resid = B @ vecs[:, j] - vals[j] * vecs[:, j]
             assert np.max(np.abs(resid)) < 1e-8
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        eps=st.floats(0.005, 0.1),
+        omega=st.floats(-0.45, 0.45),
+        s=st.floats(-1.5, 1.5),
+        n_modes=st.sampled_from([8, 12, 16]),
+    )
+    def test_translation_vector_is_the_kernel_mode(self, eps, omega, s, n_modes):
+        # At sigma = 0 the conserved and translation Ritz vectors may rotate
+        # into each other.  e_0 takes the conserved slot and the other two lose
+        # their m = 0 entry and keep their dominant parity, so the translation
+        # column is odd and has no conserved part: it is the kernel mode m c_m,
+        # to 1e-10 (m c_m is a kernel vector only to the roll's residual; the
+        # median distance is 2e-15).
+        grid = SpectralGrid(n_modes)
+        roll = solve_roll(RollParameters(eps, omega, s), grid)
+        vals, vecs = critical_modes(roll, 0.0)
+        kernel = grid.modes * roll.profile.coeffs
+        kernel /= np.linalg.norm(kernel)
+        odd = np.linalg.norm(vecs + vecs[::-1], axis=0) < 1.0
+        assert np.count_nonzero(odd) == 1
+        v = vecs[:, odd][:, 0]
+        assert np.linalg.norm(v - np.sign(v @ kernel) * kernel) < 1e-10
+        assert np.linalg.norm(v + v[::-1]) < 1e-12
 
     def test_conserved_mode_vector_is_even(self):
         # S is singular at sigma = 0, so a plain solve of S v = e_0 leaves an
@@ -271,18 +308,14 @@ class TestBatchedSweep:
         loop = np.array([critical_triples(roll, [x])[0] for x in sweep])
         assert np.array_equal(triples, loop)
         assert np.all(np.diff(triples, axis=1) >= 0.0)
-        # Certified members lie within their radius of the eigensolve path;
-        # at sigma = 0 the triple is the eigensolve path's.  critical_curves
-        # runs the same engine, so its triples are these on every member.
-        radius = certify(roll, sweep, 1.0)[1]
+        # critical_modes and critical_curves run the same engine, so their
+        # triples are these on every member; sigma = 0 is never certified.
+        assert np.isnan(certify(roll, sweep, 1.0)[1][len(sigmas)])
         modes = np.array([critical_modes(roll, x)[0] for x in sweep])
         spectra = critical_curves(roll, sweep)
-        certified = np.isfinite(radius)
-        assert not certified[len(sigmas)]
-        assert np.all(np.abs(triples - modes)[certified] <= radius[certified, None])
+        assert np.array_equal(triples, modes)
         curves = np.sort([sp.critical_values() for sp in spectra], axis=1)
         assert np.array_equal(triples, curves)
-        assert np.array_equal(triples[len(sigmas)], modes[len(sigmas)])
 
         singles = [spectrum(roll, x) for x in sweep]
         assert np.array_equal([sp.gap for sp in spectra], [sp.gap for sp in singles])
@@ -302,34 +335,23 @@ class TestBatchedSweep:
         n_modes=st.sampled_from([8, 12, 32]),
     )
     def test_spectrum_triples_match_the_eigensolve_path(self, eps, omega, s, n_modes):
-        # critical_curves corrects the lifted start block where _solve_sweep
-        # refines two inverse-iteration steps from eigh's vectors.
+        # Every member, certified or not, lies within its lifted radius r3 plus
+        # eigvalsh's rounding 16 eps max|w| of the three eigvalsh values
+        # nearest zero.
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
         small = np.array([1e-12, 1e-6, 1e-5, 1e-4])
         sweep = np.concatenate([-small, small, np.linspace(-0.5, 0.5, 41)])
         got = np.sort([spec.critical_values() for spec in critical_curves(roll, sweep)], axis=1)
-        move = np.max(np.abs(got - bloch._solve_sweep(roll, sweep)[1]), axis=1)
-        inner = np.abs(sweep) < 0.5
-        # Where the two paths part by 1e-13, the 40-digit oracle decides: near
-        # the zone edge it is the eigensolve path that is off (by 1.2e-13 at
-        # sigma = -0.475, M = 32, where critical_curves is 2e-16 off).
-        apart = inner & (move >= 1e-13)
-        if apart.any():
-            assert np.all(np.abs(got[apart] - oracle_triples(roll, sweep[apart])) < 1e-13)
-        # At |sigma| = 1e-12, where (k sigma)^2 is far below eps max|w|, a
-        # certified member lies within its radius of the eigensolve path; an
-        # uncertified one takes that path itself.
-        tiny = np.abs(sweep) == 1e-12
-        radius = certify(roll, sweep[tiny])[1]
-        assert np.all(np.where(np.isfinite(radius), move[tiny] <= radius, move[tiny] == 0.0))
-        # At |sigma| = 1/2 the third value is one of a pair split by as little
-        # as 1e-7, and the eigensolve path may resolve to its other member
-        # (by up to about 9e-7 at M = 32): within the lifted triple's match
-        # tolerance r + 16 eps max|w|.
-        ((_, _, H, _),) = bloch._stacks(roll, sweep[~inner])
-        u = np.finfo(float).eps * np.abs(np.linalg.eigvalsh(H)).max(axis=1)
-        tol = bloch._lifted_ritz(H)[2] + bloch._MATCH_ULPS * u
-        assert np.all(move[~inner] <= tol)
+        near, u = eigvalsh_triples(roll, sweep)
+        assert np.all(np.abs(got - near) <= (triple_radius(roll, sweep) + u)[:, None])
+        # At sigma = 1e-12 two eigenvalues of order (k sigma)^2 lie far below
+        # eps max|w|, so there the 40-digit oracle decides (at M = 8, where it
+        # is cheap): within the radius where certified, else within 1e-13.
+        if n_modes == 8:
+            tiny = sweep[4:5]
+            radius = certify(roll, tiny)[1]
+            tol = np.where(np.isfinite(radius), radius, 1e-13)
+            assert np.all(np.abs(got[4] - oracle_triples(roll, tiny)[0]) <= tol)
 
     def test_gap_violation_reports_first_sigma_in_sweep_order(self):
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), GRID)
@@ -356,23 +378,20 @@ class TestBatchedSweep:
 
     def test_singular_member_alone_takes_the_fallback(self):
         rng = np.random.default_rng(3)
-        A = rng.standard_normal((3, 5, 5))
-        A[1, 2] = 0.0  # a zero row: exactly singular
-        B = rng.standard_normal((3, 5, 2))
+        G = rng.standard_normal((3, 5, 5))
+        A = G @ G.swapaxes(1, 2) + np.eye(5)
+        A[1, 2, 2] = -1.0  # not positive definite
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(A, B)
-        X, failed = bloch._per_member(np.linalg.solve, A, B)
-        assert failed == [1] and np.all(np.isnan(X[1]))
-        shifted = bloch._solve(A, B)
+            np.linalg.cholesky(A)
+        L = bloch._per_member(np.linalg.cholesky, A)
+        assert np.all(np.isnan(L[1]))
         for i in (0, 2):
-            assert np.array_equal(X[i], np.linalg.solve(A[i], B[i]))
-            assert np.array_equal(shifted[i], X[i])
-        assert np.array_equal(shifted[1], np.linalg.solve(A[1] + 1e-10 * np.eye(5), B[1]))
+            assert np.array_equal(L[i], np.linalg.cholesky(A[i]))
 
     def test_non_finite_cholesky_factor_fails_the_certificate(self):
         # NumPy's stacked Cholesky returns NaN factors for NaN input instead of raising.
-        L, failed = bloch._per_member(np.linalg.cholesky, np.full((2, 3, 3), np.nan))
-        assert failed == [] and np.all(np.isnan(np.diagonal(L, axis1=1, axis2=2)))
+        L = bloch._per_member(np.linalg.cholesky, np.full((2, 3, 3), np.nan))
+        assert np.all(np.isnan(np.diagonal(L, axis1=1, axis2=2)))
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), GRID)
         for delta in (1e308, 1e300):
             # The certificate does not depend on delta, so a huge one fails the
@@ -383,7 +402,7 @@ class TestBatchedSweep:
 
 
 class TestZeroBatch:
-    """A sweep through sigma = 0 splits into a deflated batch and the rest."""
+    """A sweep through sigma = 0 is one batch, whose zero members are never certified."""
 
     params = RollParameters(0.05, 0.1, 0.8)
     sweep = [0.1, 0.0, 0.2, -0.0, 5e-14, -0.3]
@@ -402,50 +421,56 @@ class TestZeroBatch:
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(bloch.np.linalg, name, spy(name, getattr(np.linalg, name)))
         critical_curves(roll, self.sweep)
-        # The three zero members, deflated to N - 1 with two critical values,
-        # go through eigh; the three others get two 5 x 5 Rayleigh-Ritz steps,
-        # on their lifted start block and after its Davidson corrections.
-        # They are certified, so no eigvalsh runs until a spectrum is read.
-        assert calls == [
-            ("eigh", (3, 24, 24)),
-            ("eigh", (3, 2, 2)),
-            ("eigh", (3, 5, 5)),
-            ("eigh", (3, 5, 5)),
-        ]
+        # All six members get two 5 x 5 Rayleigh-Ritz steps, on their lifted
+        # start block and after its Davidson corrections.  The three zero
+        # members (5e-14 is built at zero) are uncertified, and one eigvalsh of
+        # their rebuilt H gives their rest; the three others are certified, so
+        # no eigvalsh runs for them until a spectrum is read.
+        assert calls == [("eigh", (6, 5, 5)), ("eigh", (6, 5, 5)), ("eigvalsh", (3, 25, 25))]
 
-    def test_no_linear_solve_off_sigma_zero(self, monkeypatch):
+    def test_no_linear_solve_or_full_eigh_of_H(self, monkeypatch):
         roll = solve_roll(self.params, SpectralGrid(12))
-        sweep = [x for x in self.sweep if abs(x) >= bloch._SIGMA_ZERO_TOL] + [0.5, -0.5]
+        sweep = np.array(self.sweep + [0.5, -0.5])
+        calls = []
 
-        def no_solve(*args):
-            raise AssertionError("np.linalg.solve called off sigma = 0")
+        def no_full(name, f):
+            def wrapped(a, *args, **kwargs):
+                assert np.shape(a)[-1] != 25, f"np.linalg.{name} of an N x N matrix"
+                calls.append((name, np.shape(a)))
+                return f(a, *args, **kwargs)
 
-        monkeypatch.setattr(bloch.np.linalg, "solve", no_solve)
-        assert np.all(np.isfinite(certify(roll, sweep, 1.0)[1]))
+            return wrapped
+
+        for name in ("solve", "eigh"):
+            monkeypatch.setattr(bloch.np.linalg, name, no_full(name, getattr(np.linalg, name)))
+        radius = certify(roll, sweep, 1.0)[1]
+        assert np.array_equal(np.isfinite(radius), np.abs(sweep) >= bloch._SIGMA_ZERO_TOL)
         critical_triples(roll, sweep)
         critical_curves(roll, sweep)
+        for sigma in (0.0, 0.2, 0.5, -0.5):
+            critical_modes(roll, sigma)
+        # The one solve is the conserved vector's, on the M + 1 cosine unknowns.
+        assert [call for call in calls if call[0] == "solve"] == [("solve", (13, 13))]
 
     @pytest.mark.parametrize(
         "triples",
         [
-            lambda roll, sigmas: (bloch._solve_sweep(roll, sigmas)[1], None),
+            lambda roll, sigmas: (np.array([critical_modes(roll, x)[0] for x in sigmas]), None),
             partial(certify, delta=1.0),
         ],
-        ids=["eigensolve", "fixed_block"],
+        ids=["critical_modes", "fixed_block"],
     )
     def test_zero_members_solve_as_zero_alone(self, triples):
         roll = solve_roll(self.params, SpectralGrid(12))
         vals, radius = triples(roll, self.sweep)
         alone = triples(roll, [0.0])[0][0]
-        for i in (1, 3):
+        # Within _SIGMA_ZERO_TOL of zero: built at zero, so the conserved zero is exact.
+        for i in (1, 3, 4):
             assert np.array_equal(vals[i], alone)
-        # Within _SIGMA_ZERO_TOL of zero: deflated, so the conserved zero is exact.
         assert 0.0 in vals[4]
         if radius is not None:
-            # The certified path leaves the zero batch to the eigensolve.
             zero = np.array([False, True, False, True, True, False])
             assert np.all(np.isnan(radius[zero])) and np.all(np.isfinite(radius[~zero]))
-            assert np.array_equal(vals[zero], bloch._solve_sweep(roll, self.sweep)[1][zero])
 
 
 class TestFixedBlockTriples:
@@ -468,14 +493,19 @@ class TestFixedBlockTriples:
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
         sweep = self.sweep(eps)
         vals, radius = certify(roll, sweep, 1.0)
-        want = bloch._solve_sweep(roll, sweep)[1]
-        # At sigma = +-1/2 the third and fourth eigenvalues nearly coincide and
-        # the eigensolve path is the less accurate side (by up to about 2e-12
-        # at M = 12), so the reference there is the 40-digit oracle.
-        want[-2:] = oracle_triples(roll, sweep[-2:])
         certified = np.isfinite(radius)
-        assert np.all(np.abs(vals - want)[certified] <= radius[certified, None])
-        assert np.all(np.abs(vals - want)[certified] < 1e-13)
+        # Each certified triple lies within its radius plus eigvalsh's rounding
+        # of the eigvalsh values.  At sigma = +-1/2, where the third and fourth
+        # eigenvalues nearly coincide, it lies within its radius and 1e-13 of
+        # the 40-digit oracle.
+        near, u = eigvalsh_triples(roll, sweep)
+        assert np.all(np.abs(vals - near)[certified] <= (radius + u)[certified, None])
+        assert np.all(certified[-2:])
+        # H at -1/2 is H at 1/2 under m -> -m, exactly, so one oracle serves both.
+        H = bloch._stacks(roll, sweep[-2:])[1]
+        assert np.array_equal(H[1], H[0][::-1, ::-1])
+        edge = np.abs(vals[-2:] - oracle_triples(roll, sweep[-2:-1]))
+        assert np.all(edge <= radius[-2:, None]) and np.all(edge < 1e-13)
         # Uncertified members are critical_curves' own values.
         curves = np.sort([spec.critical_values() for spec in critical_curves(roll, sweep)], axis=1)
         assert np.array_equal(vals[~certified], curves[~certified])
@@ -484,26 +514,31 @@ class TestFixedBlockTriples:
     @given(**{**cells, "n_modes": st.sampled_from([8, 12, 32])})
     def test_small_sigmas_are_certified_tightly(self, eps, omega, s, n_modes):
         # Near sigma = 0 two eigenvalues of order (k sigma)^2 meet the
-        # translation mode.  One inverse-iteration step missed the eigensolve
-        # path there by up to 5.8e-4 (sigma = 1e-6, M = 32), inside a radius of 760.
+        # translation mode.  One inverse-iteration step missed there by up to
+        # 5.8e-4 (sigma = 1e-6, M = 32), inside a radius of 760.
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
         small = np.array([1e-6, 1e-5, 1e-4])
         sweep = np.concatenate([-small, small])
         vals, radius = certify(roll, sweep, 1.0)
-        move = np.abs(vals - bloch._solve_sweep(roll, sweep)[1])
         assert np.all(np.isfinite(radius))
-        assert np.all(move <= radius[:, None])
-        assert np.all(move < 1e-13)
+        # sigma -> -sigma is conjugation: both sides agree to 1e-13.
+        assert np.all(np.abs(vals[:3] - vals[3:]) < 1e-13)
+        near, u = eigvalsh_triples(roll, sweep)
+        assert np.all(np.abs(vals - near) <= (radius + u)[:, None])
+        # The 40-digit oracle at sigma = 1e-6, where it is affordable (M <= 12).
+        if n_modes <= 12:
+            move = np.abs(vals[3] - oracle_triples(roll, sweep[3:4])[0])
+            assert np.all(move <= radius[3]) and np.all(move < 1e-13)
 
     def test_zero_residual_over_zero_denominator_is_no_correction(self):
         # A diagonal H, as of the zero-amplitude roll, whose rest diagonal
         # repeats a critical value: the correction there is 0 / 0.
         d = np.array([-300.0, -0.5, -5.0, -1.0, -0.5, -0.25, -3.0, -200.0, -100.0])
         H = np.diag(d)[None]
-        theta, Y, r = bloch._lifted_ritz(H)
+        theta, Y, r3, r4 = bloch._lifted_ritz(H)
         assert np.array_equal(theta[0], [-5.0, -3.0, -1.0, -0.5, -0.25])
         # A zero residual leaves the rounding floor alone: eps ||G||_2 = 5 eps.
-        assert r[0] == bloch._ROUNDING_ULPS * np.finfo(float).eps * 5.0
+        assert r3[0] == r4[0] == bloch._ROUNDING_ULPS * np.finfo(float).eps * 5.0
         assert np.array_equal(np.abs(Y[0]), np.eye(9)[:, [6, 3, 4, 5]])
 
     @settings(max_examples=15, deadline=None, derandomize=True)
@@ -513,16 +548,16 @@ class TestFixedBlockTriples:
         # of -gap, and a member passes only when that enclosure lies below -delta.
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
         sweep = self.sweep(eps)
-        _, gaps, radius, _ = bloch._certified_sweep(roll, sweep, 1e-300)
+        _, _, gaps, radius, _, _ = bloch._certified_sweep(roll, sweep, 1e-300)
         assert np.all(np.isfinite(radius))
         # eigvalsh's fourth value, to its rounding N eps max|w|, lies in the enclosure.
-        ((_, _, H, _),) = bloch._stacks(roll, sweep)
+        _, H = bloch._stacks(roll, sweep)
         w = np.sort(np.linalg.eigvalsh(H), axis=1)
         u = H.shape[1] * np.finfo(float).eps * np.abs(w).max(axis=1)
         assert np.all(np.abs(w[:, -4] + gaps) <= radius + u)
         for sigma, gap, r in zip(sweep, gaps, radius):
             try:
-                _, got_gap, got_radius, _ = bloch._certified_sweep(roll, [sigma], delta)
+                _, _, got_gap, got_radius, _, _ = bloch._certified_sweep(roll, [sigma], delta)
                 assert got_gap[0] == gap and got_radius[0] == r
                 passed = True
             except GapViolation as info:
@@ -533,26 +568,35 @@ class TestFixedBlockTriples:
     @settings(max_examples=10, deadline=None)
     @given(**cells, sigmas=st.lists(st.floats(-0.45, 0.45), min_size=1, max_size=6))
     def test_radius_encloses_the_eigensolve_path_on_fresh_draws(self, eps, omega, s, n_modes, sigmas):
-        # Not derandomized: every run draws new cells.  The radius is floored
-        # at the rounding of the values it encloses, so the eigensolve path,
-        # itself within a few eps ||G||_2 of the true values off the zone edge,
-        # lies inside it too.
+        # Not derandomized: every run draws new cells.  Each certified triple
+        # lies within its radius plus eigvalsh's rounding of the eigvalsh
+        # values, and the first one within its radius of the 40-digit oracle.
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
+        sigmas = np.array(sigmas)
         vals, radius = certify(roll, sigmas)
         certified = np.isfinite(radius)
-        want = bloch._solve_sweep(roll, sigmas)[1]
-        assert np.all(np.abs(vals - want)[certified] <= radius[certified, None])
+        near, u = eigvalsh_triples(roll, sigmas)
+        assert np.all(np.abs(vals - near)[certified] <= (radius + u)[certified, None])
+        if certified[0]:
+            assert np.all(np.abs(vals[0] - oracle_triples(roll, sigmas[:1])[0]) <= radius[0])
 
     @pytest.mark.parametrize("n_modes", [8, 12])
     @pytest.mark.parametrize("params", [(0.03, 0.15, 0.6), (0.07, -0.3, -1.1), (0.006, 0.4, 1.3)])
     def test_gap_and_triple_lie_within_their_radius_of_the_oracle(self, params, n_modes):
         roll = solve_roll(RollParameters(*params), SpectralGrid(n_modes))
-        sweep = np.array([0.5, -0.5, 0.45, 0.2, 1e-6])
-        vals, gaps, radius, _ = bloch._certified_sweep(roll, sweep, 1.0)
-        assert np.all(np.isfinite(radius))
+        sweep = np.array([0.5, -0.5, 0.45, 0.2, 1e-6, 0.0])
+        vals, radius, gaps, gap_radius, _, _ = bloch._certified_sweep(roll, sweep, 1.0)
+        certified = np.isfinite(radius)
+        assert np.array_equal(certified, sweep != 0.0)
         w = oracle_eigenvalues(roll, sweep)
-        assert np.all(np.abs(-gaps - w[:, 3]) <= radius)
-        assert np.all(np.abs(vals - w[:, 2::-1]) <= radius[:, None])
+        miss = np.abs(vals - w[:, 2::-1])
+        assert np.all(miss[certified] <= radius[certified, None])
+        assert np.all(np.abs(-gaps - w[:, 3])[certified] <= gap_radius[certified])
+        # Uncertified, at sigma = 0: the triple within 1e-13, and the gap, from
+        # eigvalsh, within its rounding N eps max|w|.
+        assert np.all(miss[~certified] < 1e-13)
+        u = w.shape[1] * np.finfo(float).eps * np.abs(w).max(axis=1)
+        assert np.all(np.abs(-gaps - w[:, 3])[~certified] <= u[~certified])
 
     def test_certified_curves_run_no_full_eigensolve_until_read(self, monkeypatch):
         # The whole zone at M = 32 without sigma = 0: every member certified.
@@ -581,12 +625,12 @@ class TestFixedBlockTriples:
     def test_read_eigenvalues_are_the_triple_beside_the_eigvalsh_rest(self):
         roll = solve_roll(RollParameters(0.04, 0.1, 0.5), SpectralGrid(12))
         sweep = np.linspace(-0.5, 0.5, 9)
-        vals, _, radius, _ = bloch._certified_sweep(roll, sweep, 1.0)
+        vals, radius, _, _, _, _ = bloch._certified_sweep(roll, sweep, 1.0)
         off = sweep != 0.0
         assert np.all(np.isfinite(radius[off]))
         # One stacked eigvalsh of the members off zero, less its three values
         # nearest zero, beside the certified triples, sorted descending.
-        _, (_, _, H, _) = bloch._stacks(roll, sweep)
+        _, H = bloch._stacks(roll, sweep[off])
         w = np.linalg.eigvalsh(H)
         w = np.take_along_axis(w, np.argsort(np.abs(w), axis=1), axis=1)
         want = -np.sort(-np.concatenate([vals[off], w[:, 3:]], axis=1), axis=1)
@@ -616,7 +660,8 @@ class TestFixedBlockTriples:
     def test_both_solve_paths_reach_the_same_verdicts(self, eps, monkeypatch):
         # A seeded 60-cell subset of the criterion-5 domain (the 30 x 30
         # (omega, s) grid with |Pi| > 0.05, M = 12), classified once from the
-        # certified triples and once from the eigensolve path's.
+        # certified triples and once from the three values nearest zero of a
+        # full eigvalsh.
         domain = [
             (omega, s)
             for s in np.linspace(-1.5, 1.5, 30)
@@ -630,7 +675,7 @@ class TestFixedBlockTriples:
         ]
         certified = [classify_numerically(roll) for roll in rolls]
         with monkeypatch.context() as m:
-            m.setattr(dsp, "critical_triples", lambda roll, sigmas, delta: bloch._solve_sweep(roll, sigmas)[1])
+            m.setattr(dsp, "critical_triples", lambda roll, sigmas, delta: eigvalsh_triples(roll, sigmas)[0])
             eigensolved = [classify_numerically(roll) for roll in rolls]
         assert {got.verdict for got in certified} == {dsp.Stability.STABLE, dsp.Stability.UNSTABLE}
         for roll, got, want in zip(rolls, certified, eigensolved):
@@ -638,7 +683,28 @@ class TestFixedBlockTriples:
             assert got.witness_sigma == want.witness_sigma
             if got.witness_sigma is not None:
                 radius = certify(roll, [got.witness_sigma], 1.0)[1][0]
-                assert abs(got.witness_lambda - want.witness_lambda) < radius
+                u = eigvalsh_triples(roll, [got.witness_sigma])[1][0]
+                assert abs(got.witness_lambda - want.witness_lambda) <= radius + u
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-12])
+    def test_an_uncertified_triple_that_misses_eigvalsh_raises(self, sigma, monkeypatch):
+        # An uncertified member keeps its lifted triple only where eigvalsh
+        # agrees; otherwise the solve raises, and takes no other path.  The
+        # least value of the triple moves by about 1e-6 (at sigma = 0 through
+        # the Ritz vector whose Rayleigh quotient gives it there).
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
+        assert np.isnan(certify(roll, [sigma])[1][0])
+        lifted = bloch._lifted_ritz
+
+        def perturbed(H):
+            theta, Y, *radii = lifted(H)
+            theta[:, 2] += 1e-6
+            Y[:, :, 1] += 1e-3 * Y[:, :, 0]
+            return (theta, Y, *radii)
+
+        monkeypatch.setattr(bloch, "_lifted_ritz", perturbed)
+        with pytest.raises(InvariantViolation, match="misses eigvalsh"):
+            critical_triples(roll, [sigma])
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(**cells)

@@ -230,27 +230,23 @@ class TestComparison:
 
     def test_runs_a_full_eigensolve_only_at_sigma_hat_zero(self, monkeypatch):
         roll = solve_roll(RollParameters(0.04, 0.25, 1.0), SpectralGrid(12))
-        eigh, solve = np.linalg.eigh, np.linalg.solve
-        eighs, solves = [], []
+        calls = []
 
-        def eigh_spy(a, *args, **kwargs):
-            eighs.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
+        def spy(name, f):
+            def wrapped(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return f(a, *args, **kwargs)
 
-        def solve_spy(a, b):
-            solves.append((np.shape(a), np.shape(b)))
-            return solve(a, b)
+            return wrapped
 
-        monkeypatch.setattr(bloch.np.linalg, "eigh", eigh_spy)
-        monkeypatch.setattr(bloch.np.linalg, "solve", solve_spy)
+        for name in ("eigh", "eigvalsh", "solve"):
+            monkeypatch.setattr(bloch.np.linalg, name, spy(name, getattr(np.linalg, name)))
         mgl.compare_exact_vs_mgl(roll, np.linspace(-1.0, 1.0, 11))
-        # The sigma_hat = 0 member alone on the eigensolve path: its deflated
-        # N - 1 stack, two inverse-iteration steps and the Rayleigh-Ritz step
-        # of its two critical values.  Then the ten members off zero: the
-        # Rayleigh-Ritz steps on the lifted start block and after its Davidson
-        # corrections, with no linear solve.
-        assert eighs == [(1, 24, 24), (1, 2, 2), (10, 5, 5), (10, 5, 5)]
-        assert solves == [((1, 24, 24), (1, 24, 2))] * 2
+        # All eleven members: the Rayleigh-Ritz steps on the lifted start block
+        # and after its Davidson corrections, with no linear solve.  The
+        # sigma_hat = 0 member is not certified, so one eigvalsh of its
+        # rebuilt H checks its triple and gives its gap.
+        assert calls == [("eigh", (11, 5, 5)), ("eigh", (11, 5, 5)), ("eigvalsh", (1, 25, 25))]
 
     def test_builds_each_batch_once(self, monkeypatch):
         roll = solve_roll(RollParameters(0.04, 0.25, 1.0), SpectralGrid(12))
@@ -263,25 +259,28 @@ class TestComparison:
 
         monkeypatch.setattr(bloch, "_symmetric_factors", spy)
         mgl.compare_exact_vs_mgl(roll, np.linspace(-1.0, 1.0, 11))
-        # The sigma_hat = 0 batch, whose stack the eigensolve path reuses, and the rest.
-        assert sizes == [1, 10]
+        # The one batch, then the uncertified sigma_hat = 0 member rebuilt,
+        # since the certificate is formed in place of the stack.
+        assert sizes == [11, 1]
 
     def test_golden_compare_lies_within_the_enclosures(self):
-        # tests/data/compare_m32.csv holds the certified triples: each lies
-        # within its residual radius (scaled by 1/eps^2, plus the rounding of
-        # that division) of the eigensolve path's value, and the sigma_hat = 0
-        # row, which the eigensolve path solves, is that value bit for bit.
+        # tests/data/compare_m32.csv holds the lifted triples: each lies within
+        # its radius plus eigvalsh's rounding 16 eps max|w| (scaled by 1/eps^2,
+        # plus the rounding of that division) of the three eigvalsh values
+        # nearest zero.  The sigma_hat = 0 row is uncertified, and its radius is
+        # the lifted triple's own.
         eps = 0.04
         lines = (DATA / "compare_m32.csv").read_text().splitlines()[1:]
         table = np.array([[float(x) for x in line.split(",")] for line in lines])
         sigmas = eps * table[:, 0]
         assert np.array_equal(table[:, 0], np.linspace(-1.0, 1.0, 11))
         roll = solve_roll(RollParameters(eps, 0.25, 1.0), SpectralGrid(32))
-        radius = bloch._certified_sweep(roll, sigmas, 1.0)[2]
-        want = bloch._solve_sweep(roll, sigmas)[1] / eps**2
-        got = table[:, 1:4]
+        radius = bloch._certified_sweep(roll, sigmas, 1.0)[1]
         zero = table[:, 0] == 0.0
         assert np.all(np.isnan(radius[zero])) and np.all(np.isfinite(radius[~zero]))
-        assert np.array_equal(got[zero], want[zero])
-        bound = radius[~zero, None] / eps**2 + 4.0 * np.spacing(np.abs(want[~zero]))
-        assert np.all(np.abs(got - want)[~zero] <= bound)
+        radius[zero] = bloch._lifted_ritz(bloch._stacks(roll, sigmas[zero])[1])[2]
+        near, _, wmax = bloch._split(np.linalg.eigvalsh(bloch._stacks(roll, sigmas)[1]))
+        got, want = table[:, 1:4], near / eps**2
+        u = bloch._MATCH_ULPS * np.finfo(float).eps * wmax
+        bound = (radius + u)[:, None] / eps**2 + 4.0 * np.spacing(np.abs(want))
+        assert np.all(np.abs(got - want) <= bound)
