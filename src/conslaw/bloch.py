@@ -315,11 +315,10 @@ def _lifted_sweep(roll: RollSolution, sigmas):
     rest; otherwise :class:`InvariantViolation` is raised.
 
     At ``sigma = 0`` the conserved ``e_0`` (``H e_0 = 0``) may be rotated with
-    the translation mode, whose value is as near zero.  It takes the Ritz
-    slot with the largest ``m = 0`` entry, with the value ``0.0``, first
-    among equal values.  ``H`` commutes with ``m -> -m``, so the other two
-    vectors drop their ``m = 0`` entry and keep their dominant parity, and
-    their values are their Rayleigh quotients, free of the rounding of ``G``.
+    the translation mode, whose value is as near zero, so it is set, with the
+    value ``0.0``, first among equal values.  ``H`` commutes with ``m -> -m``:
+    beside it are the even and the odd part of largest norm of the three
+    Ritz vectors less their ``m = 0`` entries, with their Rayleigh quotients.
 
     Returns the triples ``(n, 3)`` (ascending), their radius ``(n,)``, the
     gaps ``(n,)``, their radius ``(n,)`` (both NaN where uncertified), the rest
@@ -335,14 +334,15 @@ def _lifted_sweep(roll: RollSolution, sigmas):
     vals, vecs = theta[:, 2:].copy(), Y[:, :, 1:].copy()
     for i in np.flatnonzero(zero):
         y = vecs[i]
-        j = np.argmax(np.abs(y[N // 2]))
         y[N // 2] = 0.0
-        y += np.where(np.sum(y * y[::-1], axis=0) >= 0.0, 1.0, -1.0) * y[::-1]
-        y[:, j] = np.eye(N)[N // 2]
+        parts = [np.eye(N)[N // 2]]
+        for part in (y + y[::-1], y - y[::-1]):
+            parts.append(part[:, np.argmax(np.linalg.norm(part, axis=0))])
+        y = np.column_stack(parts)
         y /= np.linalg.norm(y, axis=0)
         vals[i] = np.sum(y * (H[i] @ y), axis=0)
-        vals[i, j] = 0.0
-        order = np.lexsort((np.arange(3) != j, vals[i]))
+        vals[i, 0] = 0.0
+        order = np.argsort(vals[i], kind="stable")
         vals[i], vecs[i] = vals[i, order], y[:, order]
     tau = 0.5 * (rho4 - r4 + theta[:, 0])
     # A is formed in place of H (-(H - c Y Y^T) rounds as c Y Y^T - H), so

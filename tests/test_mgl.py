@@ -10,6 +10,8 @@ from conslaw.errors import OutOfRange
 from conslaw.fourier import SpectralGrid
 from conslaw.rolls import RollParameters, amplitude_alpha, solve_roll, zero_roll
 
+from eigensolve_reference import reference_triples
+
 GRID = SpectralGrid(14)
 DATA = Path(__file__).parent / "data"
 
@@ -265,10 +267,9 @@ class TestComparison:
 
     def test_golden_compare_lies_within_the_enclosures(self):
         # tests/data/compare_m32.csv holds the lifted triples: each lies within
-        # its radius plus eigvalsh's rounding 16 eps max|w| (scaled by 1/eps^2,
-        # plus the rounding of that division) of the three eigvalsh values
-        # nearest zero.  The sigma_hat = 0 row is uncertified, and its radius is
-        # the lifted triple's own.
+        # its residual radius (scaled by 1/eps^2, plus the rounding of that
+        # division) of the reference eigensolve's value.  The sigma_hat = 0 row
+        # is uncertified, and lies within 1e-13 (so scaled) of it.
         eps = 0.04
         lines = (DATA / "compare_m32.csv").read_text().splitlines()[1:]
         table = np.array([[float(x) for x in line.split(",")] for line in lines])
@@ -278,9 +279,7 @@ class TestComparison:
         radius = bloch._certified_sweep(roll, sigmas, 1.0)[1]
         zero = table[:, 0] == 0.0
         assert np.all(np.isnan(radius[zero])) and np.all(np.isfinite(radius[~zero]))
-        radius[zero] = bloch._lifted_ritz(bloch._stacks(roll, sigmas[zero])[1])[2]
-        near, _, wmax = bloch._split(np.linalg.eigvalsh(bloch._stacks(roll, sigmas)[1]))
-        got, want = table[:, 1:4], near / eps**2
-        u = bloch._MATCH_ULPS * np.finfo(float).eps * wmax
-        bound = (radius + u)[:, None] / eps**2 + 4.0 * np.spacing(np.abs(want))
+        radius[zero] = 1e-13
+        got, want = table[:, 1:4], reference_triples(roll, sigmas) / eps**2
+        bound = radius[:, None] / eps**2 + 4.0 * np.spacing(np.abs(want))
         assert np.all(np.abs(got - want) <= bound)
