@@ -23,14 +23,14 @@ roll = solve_roll(RollParameters(eps, omega, s), grid)
 
 spec0 = critical_curves(roll, [0.0])[0]
 print(f"Co-periodic spectrum at eps={eps}, omega={omega}, s={s}:")
-print("  critical triple:", np.sort(spec0.critical_values()))
+print("  critical triple:", spec0.critical_values())
 print("  closed-form lambda_1: ", -2.0 * (1.0 - 4.0 * omega**2) * eps**2)
 print(f"  spectral gap: {spec0.gap:.3f} (rest of spectrum below -{spec0.gap:.3f})")
 print()
 
 sigmas = np.concatenate([eps * np.linspace(0.0, 2.0, 9), [0.2, 0.3, 0.4]])
 spectra = critical_curves(roll, sigmas)
-curves = np.sort(critical_curve_array(spectra), axis=0)
+curves = critical_curve_array(spectra)
 print(f"{'sigma':>9} {'lambda_1':>12} {'lambda_2':>12} {'lambda_3':>12} {'gap':>8}")
 for i, spec in enumerate(spectra):
     print(f"{spec.sigma:9.4f} {curves[0, i]:12.4e} {curves[1, i]:12.4e} "

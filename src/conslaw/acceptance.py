@@ -70,7 +70,7 @@ def co_periodic_triple() -> CriterionResult:
     for w, s in PARAM_SETS:
         for e in EPS_SWEEP:
             spec = critical_curves(_roll(e, w, s), [0.0])[0]
-            cv = np.sort(spec.critical_values())
+            cv = spec.critical_values()
             r = cv[0] + 2.0 * (1.0 - 4.0 * w * w) * e * e
             zmax = float(np.max(np.abs(cv[1:])))
             others = np.delete(spec.eigenvalues, list(spec.critical))

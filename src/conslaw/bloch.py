@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import permutations
 
 import numpy as np
 
@@ -78,34 +77,30 @@ _MATCH_ULPS = 16
 #: lives at m = -1, 0, 1 (at m = -2, -1, 0 near sigma = -1/2); the |m| = 2
 #: neighbours let Rayleigh-Ritz resolve it.
 _START_MODES = np.arange(-2, 3)
-#: Reorderings of a critical triple in ``itertools.permutations`` order,
-#: the ascending order first; the first of tied matching costs wins.
-_PERMUTATIONS = np.array(list(permutations(range(3))))
 
 
 @dataclass(frozen=True)
 class BlochSpectrum:
     """Real spectrum at one Bloch number with the critical triple flagged.
 
-    ``critical_values()`` are the three eigenvalues nearest zero in curve
-    order (ascending at a sweep's first Bloch number).  ``gap`` is
-    ``-lambda_4``, minus the largest eigenvalue of the rest: the certified
-    ``-rho_4`` of :func:`_lifted_sweep`, within its radius, or where the
-    certificate fails, ``-max`` of the rest solved whole.  ``eigenvalues``
-    (sorted descending) and ``critical`` (the indices of the triple in them)
-    are computed on first read: the triple beside the rest of ``eigvalsh``
-    of this member's ``H``, rebuilt from the roll (accurate to
-    ``eps max|w|``), or beside the rest already solved.  No matrix is kept.
+    ``critical_values()`` returns a copy of the three eigenvalues nearest
+    zero, ascending.  ``gap`` is ``-lambda_4``, minus the largest eigenvalue
+    of the rest: the certified ``-rho_4`` of :func:`_lifted_sweep`, within
+    its radius, or where the certificate fails, ``-max`` of the rest solved
+    whole.  ``eigenvalues`` (sorted descending) and ``critical`` (the indices
+    of the triple in them) are computed on first read: the triple beside the
+    rest of ``eigvalsh`` of this member's ``H``, rebuilt from the roll
+    (accurate to ``eps max|w|``), or beside the rest already solved.  No
+    matrix is kept.
     """
 
     sigma: float
     gap: float
     _triple: np.ndarray = field(repr=False)
-    _perm: np.ndarray = field(repr=False)
     _rest: np.ndarray | RollSolution = field(repr=False)
 
     def critical_values(self) -> np.ndarray:
-        return self._triple[self._perm]
+        return self._triple.copy()
 
     @cached_property
     def _full(self) -> tuple[np.ndarray, tuple[int, int, int]]:
@@ -117,7 +112,7 @@ class BlochSpectrum:
         order = np.argsort(-allvals, kind="stable")
         pos = np.empty_like(order)
         pos[order] = np.arange(order.size)
-        return allvals[order], tuple(int(j) for j in pos[self._perm])
+        return allvals[order], tuple(int(j) for j in pos[:3])
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -397,24 +392,6 @@ def _certified_sweep(roll: RollSolution, sigmas, delta: float):
     return sweep
 
 
-def _spectra(sigmas, vals, rests, gaps) -> list[BlochSpectrum]:
-    """Per-sigma spectra, triples matched as :func:`critical_curves` describes.
-
-    ``rests`` holds each member's rest of the spectrum, or the roll to solve
-    it from on first read.  Costs within 8 ulp of the least tie, so that an
-    exact tie in real arithmetic (two new values both below the two old ones
-    they may continue) is not decided by the rounding of the cost sums.
-    """
-    spectra: list[BlochSpectrum] = []
-    perm = _PERMUTATIONS[0]
-    for i, (sigma, rest) in enumerate(zip(sigmas, rests)):
-        if i > 0:
-            cost = np.abs(vals[i][_PERMUTATIONS] - vals[i - 1][perm]).sum(axis=1)
-            perm = _PERMUTATIONS[np.argmax(cost <= cost.min() + 8 * np.spacing(cost.min()))]
-        spectra.append(BlochSpectrum(float(sigma), float(gaps[i]), vals[i], perm, rest))
-    return spectra
-
-
 def critical_modes(roll: RollSolution, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Critical eigenvalues (ascending) and real unit eigenvectors in the shifted basis.
 
@@ -446,30 +423,31 @@ def critical_triples(roll: RollSolution, sigmas, delta: float = 1.0) -> np.ndarr
 
     The triples of :func:`critical_curves`, bitwise, from the same engine
     (:func:`_certified_sweep`), which raises :class:`GapViolation` as
-    :func:`critical_curves` does.  No spectrum is built and no curves are
-    matched.
+    :func:`critical_curves` does.  No spectrum is built.
     """
     return _certified_sweep(roll, sigmas, delta)[0]
 
 
 def critical_curves(roll: RollSolution, sigmas, delta: float = 1.0) -> list[BlochSpectrum]:
-    """Spectra over a sigma sweep with the critical triple matched into curves.
+    """Spectra over a sigma sweep, each with its ascending critical triple.
 
     The triples and gaps come from :func:`_certified_sweep`: a certified
-    member runs no full eigensolve until its ``eigenvalues`` are read.
-    Matching is greedy nearest-continuation: at each sigma the permutation
-    of the triple minimizing the total distance to the previous triple is
-    chosen, so the ``critical`` index triples trace three continuous curves.
+    member runs no full eigensolve until its ``eigenvalues`` are read.  The
+    triples are real, so the ascending order is the curve order: between two
+    real triples the ascending assignment has the least total distance
+    (monotone rearrangement), and the ``i``-th least values trace curve ``i``.
     Raises :class:`GapViolation`, for the first offending sigma in sweep
     order, unless ``lambda_4 < -delta`` holds at every sigma.
     """
     vals, radius, gaps, _, others, _ = _certified_sweep(roll, sigmas, delta)
-    rests = [roll if np.isfinite(r) else rest for r, rest in zip(radius, others)]
-    return _spectra(_checked_sigmas(sigmas, "sigma"), vals, rests, gaps)
+    return [
+        BlochSpectrum(float(sigma), float(gap), triple, roll if np.isfinite(r) else rest)
+        for sigma, gap, triple, r, rest in zip(_checked_sigmas(sigmas, "sigma"), gaps, vals, radius, others)
+    ]
 
 
 def critical_curve_array(spectra: list[BlochSpectrum]) -> np.ndarray:
-    """Stack matched critical curves as a real (3, n_sigma) array."""
+    """Stack the critical triples of a sweep as a real (3, n_sigma) array, each column ascending."""
     if not spectra:
         return np.empty((3, 0))
     return np.column_stack([s.critical_values() for s in spectra])

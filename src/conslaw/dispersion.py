@@ -239,7 +239,8 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
     lifted onto the rest (the first-order Lyapunov-Schmidt reduction) and
     refined by Davidson corrections, with the triple and the gap certified
     by a Cholesky factorization rather than read off a full eigensolve; a
-    Bloch number whose certificate fails is solved whole.
+    Bloch number whose certificate fails keeps its lifted triple once it is
+    checked against ``eigvalsh``.
     The sweep has no ``sigma = 0`` for ``eps > 0``: there the conservation
     law and translation fix two zeros beside an amplitude mode near
     ``-2 (1 - 4 omega^2) eps^2 < 0``, so instability enters only at
@@ -248,8 +249,8 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
     eps = roll.params.eps
     sigmas = _default_sigma_grid(eps)
     # All critical eigenvalues are real (the operator is similar to a real
-    # symmetric matrix), so per-sigma ascending order is the exact curve
-    # assignment; continuation matching can swap branches at collisions.
+    # symmetric matrix), so per-sigma ascending order is the curve
+    # assignment: between real triples it has the least total distance.
     curves = critical_triples(roll, sigmas, delta).T
 
     worst = np.unravel_index(np.argmax(curves), curves.shape)

@@ -116,8 +116,11 @@ def compare_exact_vs_mgl(roll: RollSolution, sigma_hat_grid, delta: float = 1.0)
     """Critical Bloch eigenvalues at ``sigma = eps sigma_hat`` scaled by
     ``1/eps^2`` against the amplitude-system eigenvalues at ``sigma_hat``.
 
-    Triples on both sides are sorted by real part before pairing, which for
-    real spectra is the minimal-distance matching.
+    The exact triples are ``bloch.critical_triples``', ascending: lifted,
+    Davidson-corrected and certified, or, where the certificate fails,
+    checked against ``eigvalsh``.  The amplitude-system eigenvalues are sorted
+    by real part.  Paired in that order, two real triples are at their least
+    total distance (monotone rearrangement).
     """
     eps = roll.params.eps
     if not eps > 0.0:
