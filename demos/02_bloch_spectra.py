@@ -12,7 +12,6 @@ import numpy as np
 from conslaw import (
     RollParameters,
     SpectralGrid,
-    critical_curve_array,
     critical_curves,
     solve_roll,
 )
@@ -29,12 +28,10 @@ print(f"  spectral gap: {spec0.gap:.3f} (rest of spectrum below -{spec0.gap:.3f}
 print()
 
 sigmas = np.concatenate([eps * np.linspace(0.0, 2.0, 9), [0.2, 0.3, 0.4]])
-spectra = critical_curves(roll, sigmas)
-curves = critical_curve_array(spectra)
 print(f"{'sigma':>9} {'lambda_1':>12} {'lambda_2':>12} {'lambda_3':>12} {'gap':>8}")
-for i, spec in enumerate(spectra):
-    print(f"{spec.sigma:9.4f} {curves[0, i]:12.4e} {curves[1, i]:12.4e} "
-          f"{curves[2, i]:12.4e} {spec.gap:8.3f}")
+for spec in critical_curves(roll, sigmas):
+    l1, l2, l3 = spec.critical_values()
+    print(f"{spec.sigma:9.4f} {l1:12.4e} {l2:12.4e} {l3:12.4e} {spec.gap:8.3f}")
 print()
 print("All three curves stay nonpositive: this roll is diffusively stable.")
 print("The two curves through zero bend down quadratically (sideband damping);")

@@ -23,7 +23,6 @@ from .rolls import (
 )
 from .bloch import (
     BlochSpectrum,
-    critical_curve_array,
     critical_curves,
     critical_modes,
     critical_triples,

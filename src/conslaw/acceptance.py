@@ -20,7 +20,7 @@ from .bloch import critical_curves, critical_triples
 from .fourier import SpectralGrid, l2_norm
 from .rolls import RollParameters, asymptotic_roll, solve_roll
 
-__all__ = ["CriterionResult", "CRITERIA", "run_all"]
+__all__ = ["CriterionResult", "CRITERIA"]
 
 #: Parameter sets exercising both signs of omega and a range of s.
 PARAM_SETS = ((0.0, 0.0), (0.0, 0.5), (0.25, 1.0), (-0.3, 0.8))
@@ -293,8 +293,3 @@ CRITERIA: tuple[tuple[str, Callable[[], CriterionResult]], ...] = (
     ("8 dynamic rates", dynamic_rates),
     ("9 mass conservation", mass_conservation),
 )
-
-
-def run_all() -> list[CriterionResult]:
-    """Run every acceptance criterion in order."""
-    return [fn() for _, fn in CRITERIA]

@@ -15,8 +15,7 @@ critical eigenvalues come from a small Rayleigh-Ritz problem instead.
 
 A sweep is solved as one batch: :func:`_stacks` gathers its matrices into
 one ``(n_sigma, N, N)`` stack for each LAPACK call.  Stacked calls give the
-bits of one call per matrix (:func:`_per_member`), so one Bloch number is a
-sweep of one.
+bits of one call per matrix, so one Bloch number is a sweep of one.
 
 One engine, :func:`_lifted_sweep`, solves every Bloch number.  It starts
 from the paper's Lyapunov-Schmidt split of ``H``: unit vectors on the
@@ -24,9 +23,10 @@ critical block ``c`` (Bloch modes ``m = -2..2``), lifted onto the
 hard-damped rest ``r`` by ``-diag(H_rr)^{-1} H_rc``, and refined with no
 linear solve: the same lift applied again at each Ritz value, i.e.
 Davidson's correction with a diagonal preconditioner (:func:`_lifted_ritz`;
-E. R. Davidson, J. Comput. Phys. 17 (1975) 87-94).  A Cholesky factor
-certifies by inertia that the triple and the gap lie within their radii;
-one ``eigvalsh`` of a member's rebuilt ``H`` gives the rest of its
+E. R. Davidson, J. Comput. Phys. 17 (1975) 87-94).  One stacked Cholesky
+factorization (:func:`_cholesky`, all NaN on a member that is not positive
+definite) certifies by inertia that the triple and the gap lie within their
+radii; one ``eigvalsh`` of a member's rebuilt ``H`` gives the rest of its
 spectrum, for a certified member only when its ``eigenvalues`` are read.
 
 At ``sigma = 0`` the ``m = 0`` row and column of ``H`` vanish identically
@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo
 
 from .errors import GapViolation, InvariantViolation, OutOfRange
 from .model import reaction_derivative, swift_hohenberg
@@ -52,7 +53,6 @@ __all__ = [
     "critical_modes",
     "critical_triples",
     "critical_curves",
-    "critical_curve_array",
 ]
 
 #: Bloch numbers nearer zero than this are solved at exactly zero.
@@ -86,8 +86,8 @@ class BlochSpectrum:
     ``critical_values()`` returns a copy of the three eigenvalues nearest
     zero, ascending.  ``gap`` is ``-lambda_4``, minus the largest eigenvalue
     of the rest: the certified ``-rho_4`` of :func:`_lifted_sweep`, within
-    its radius, or where the certificate fails, ``-max`` of the rest solved
-    whole.  ``eigenvalues`` (sorted descending) and ``critical`` (the indices
+    its radius, or where the certificate fails, ``-max`` of the ``eigvalsh``
+    rest.  ``eigenvalues`` (sorted descending) and ``critical`` (the indices
     of the triple in them) are computed on first read: the triple beside the
     rest of ``eigvalsh`` of this member's ``H``, rebuilt from the roll
     (accurate to ``eps max|w|``), or beside the rest already solved.  No
@@ -149,23 +149,16 @@ def _symmetric_factors(df: np.ndarray, k2: float, sigmas: np.ndarray):
     return kt2, S
 
 
-def _per_member(f, A: np.ndarray) -> np.ndarray:
-    """``f`` on a stack, member by member only when the stacked call raises.
+def _cholesky(A: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack, all NaN on each member that is not positive definite.
 
-    A stacked LAPACK call fails as a whole when one member fails, and rounds
-    each member as a call on that member alone does.  Returns the result,
-    shaped as ``A``, NaN on the members whose own call raised ``LinAlgError``.
+    NumPy's stacked kernel, the one ``np.linalg.cholesky`` calls.  Called
+    directly, it fills a failed member with NaN where ``np.linalg.cholesky``
+    raises for the whole stack, and factors every other member as a call on
+    that member alone does.
     """
-    try:
-        return f(A)
-    except np.linalg.LinAlgError:
-        out = np.full(A.shape, np.nan)
-    for i, a in enumerate(A):
-        try:
-            out[i] = f(a)
-        except np.linalg.LinAlgError:
-            pass
-    return out
+    with np.errstate(all="ignore"):
+        return cholesky_lo(A, signature="d->d")
 
 
 def _rayleigh_ritz(H: np.ndarray, Q: np.ndarray):
@@ -289,7 +282,8 @@ def _lifted_sweep(roll: RollSolution, sigmas):
     halfway between ``rho_4 - r4`` and ``theta_5``, one stacked Cholesky of
     ``A = c Y Y^T + tau I - H``, ``c = 2 (max rho - tau)``, certifies each
     member by inertia (Sylvester's law).  When ``A`` is positive definite,
-    i.e. its factor exists and has a finite diagonal:
+    i.e. its factor (:func:`_cholesky`, all NaN where none exists) has a
+    finite diagonal:
 
     - ``H - c Y Y^T < tau I``, so the fifth eigenvalue of ``H`` lies below
       ``tau`` (interlacing for a rank-4 update);
@@ -350,9 +344,7 @@ def _lifted_sweep(roll: RollSolution, sigmas):
     del cYY
     A = np.negative(H, out=H)
     A.reshape(n, N * N)[:, :: N + 1] += tau[:, None]
-    # sigma = 0 is never certified; an identity there keeps the stacked call whole.
-    A[zero] = np.eye(N)
-    L = _per_member(np.linalg.cholesky, A)
+    L = _cholesky(A)
     del A, H
     certified = np.isfinite(np.diagonal(L, axis1=1, axis2=2)).all(axis=1)
     certified &= (tau < rho4 - r4) & (top + r4 < -(rho4 + r4)) & ~zero
@@ -445,9 +437,3 @@ def critical_curves(roll: RollSolution, sigmas, delta: float = 1.0) -> list[Bloc
         for sigma, gap, triple, r, rest in zip(_checked_sigmas(sigmas, "sigma"), gaps, vals, radius, others)
     ]
 
-
-def critical_curve_array(spectra: list[BlochSpectrum]) -> np.ndarray:
-    """Stack the critical triples of a sweep as a real (3, n_sigma) array, each column ascending."""
-    if not spectra:
-        return np.empty((3, 0))
-    return np.column_stack([s.critical_values() for s in spectra])

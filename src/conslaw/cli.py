@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dispersion as dsp
 from . import mgl
-from .bloch import check_delta, critical_curve_array, critical_curves
+from .bloch import check_delta, critical_curves
 from .errors import ConslawError, OutOfRange
 from .fourier import SpectralGrid
 from .rolls import RollParameters, check_solvable, solve_roll
@@ -116,13 +116,12 @@ def _cmd_solve(o: argparse.Namespace) -> int:
 def _cmd_spectrum(o: argparse.Namespace) -> int:
     roll = _roll(o)
     spectra = critical_curves(roll, np.linspace(o.sigma_min, o.sigma_max, o.sigma_steps), delta=o.delta)
-    curves = critical_curve_array(spectra)
     header = ["sigma", "re_lambda1", "im_lambda1", "re_lambda2", "im_lambda2", "re_lambda3", "im_lambda3", "gap"]
     rows = []
-    for i, spec in enumerate(spectra):
+    for spec in spectra:
         row = [spec.sigma]
-        for j in range(3):
-            row += [curves[j, i], 0.0]  # real spectra; the im columns keep the format
+        for value in spec.critical_values():
+            row += [value, 0.0]  # real spectra; the im columns keep the format
         row.append(spec.gap)
         rows.append(row)
     _emit(o, header, rows)
@@ -221,7 +220,7 @@ def _cmd_evolve(o: argparse.Namespace) -> int:
 def _cmd_verify(o: argparse.Namespace) -> int:
     from . import acceptance
 
-    results = acceptance.run_all()
+    results = [fn() for _, fn in acceptance.CRITERIA]
     width = max(len(name) for name, _ in acceptance.CRITERIA)
     lines = []
     for (name, _), res in zip(acceptance.CRITERIA, results):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from fractions import Fraction
 from functools import partial
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conslaw import bloch
 from conslaw import dispersion as dsp
-from conslaw.bloch import critical_curve_array, critical_curves, critical_modes, critical_triples
+from conslaw.bloch import critical_curves, critical_modes, critical_triples
 from conslaw.dispersion import _default_sigma_grid, classify_numerically, growth_prefactor
 from conslaw.errors import GapViolation, InvariantViolation, OutOfRange
 from conslaw.fourier import SpectralGrid
@@ -253,7 +254,7 @@ class TestCurves:
     def test_zero_roll_branches_match_symbol(self):
         roll = zero_roll(RollParameters(0.0, 0.0, 0.0), GRID)
         sigmas = np.linspace(0.0, 0.3, 7)
-        curves = critical_curve_array(critical_curves(roll, sigmas))
+        curves = critical_triples(roll, sigmas).T
         for i, sig in enumerate(sigmas):
             expect = np.sort([constant_symbol(m, sig) for m in (-1, 0, 1)])
             assert np.max(np.abs(np.sort(curves[:, i]) - expect)) < 1e-12
@@ -266,7 +267,7 @@ class TestCurves:
 
     def test_empty_sweep_gives_empty_curves(self):
         roll = solve_roll(RollParameters(0.05, 0.2, 0.8), GRID)
-        curves = critical_curve_array(critical_curves(roll, []))
+        curves = critical_triples(roll, []).T
         assert curves.shape == (3, 0) and curves.dtype == np.float64
 
     @pytest.mark.parametrize("nudge", [(0, 0), (0, -1), (0, 1), (1, -1), (1, 1), (2, -1), (2, 1)])
@@ -310,7 +311,7 @@ class TestCurves:
     def test_matched_curves_are_continuous(self):
         roll = solve_roll(RollParameters(0.05, 0.2, 0.8), GRID)
         sigmas = np.linspace(0.05, 0.3, 26)
-        curves = critical_curve_array(critical_curves(roll, sigmas))
+        curves = critical_triples(roll, sigmas).T
         jumps = np.max(np.abs(np.diff(curves, axis=1)))
         assert jumps < 0.1
 
@@ -421,21 +422,21 @@ class TestBatchedSweep:
             with pytest.raises(OutOfRange, match="Bloch number 0.6 lies"):
                 fn(roll, [0.1, 0.6, -0.7])
 
-    def test_singular_member_alone_takes_the_fallback(self):
+    def test_singular_member_alone_is_nan(self):
         rng = np.random.default_rng(3)
         G = rng.standard_normal((3, 5, 5))
         A = G @ G.swapaxes(1, 2) + np.eye(5)
         A[1, 2, 2] = -1.0  # not positive definite
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(A)
-        L = bloch._per_member(np.linalg.cholesky, A)
+        L = bloch._cholesky(A)
         assert np.all(np.isnan(L[1]))
         for i in (0, 2):
             assert np.array_equal(L[i], np.linalg.cholesky(A[i]))
 
     def test_non_finite_cholesky_factor_fails_the_certificate(self):
         # NumPy's stacked Cholesky returns NaN factors for NaN input instead of raising.
-        L = bloch._per_member(np.linalg.cholesky, np.full((2, 3, 3), np.nan))
+        L = bloch._cholesky(np.full((2, 3, 3), np.nan))
         assert np.all(np.isnan(np.diagonal(L, axis1=1, axis2=2)))
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), GRID)
         for delta in (1e308, 1e300):
@@ -444,6 +445,71 @@ class TestBatchedSweep:
             with pytest.raises(GapViolation) as info:
                 certify(roll, [0.1, 0.3], delta)
             assert info.value.gap == spectrum(roll, 0.1).gap
+
+
+class TestCholeskyKernel:
+    """``bloch._cholesky`` binds NumPy's private stacked kernel; a NumPy release
+    that moves it or changes what it returns fails here first."""
+
+    @pytest.mark.parametrize("N", [5, 25, 65])
+    def test_kernel_matches_numpy_cholesky(self, N):
+        rng = np.random.default_rng(N)
+        G = rng.standard_normal((4, N, N))
+        A = G @ G.swapaxes(1, 2) + N * np.eye(N)
+        assert A.flags.c_contiguous
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            L = bloch._cholesky(A)
+            assert L.tobytes() == np.linalg.cholesky(A).tobytes()
+            A[2] -= 2 * np.max(np.linalg.eigvalsh(A[2])) * np.eye(N)  # negative definite
+            L = bloch._cholesky(A)
+            assert np.all(np.isnan(L[2]))
+            for i in (0, 1, 3):
+                assert L[i].tobytes() == np.linalg.cholesky(A[i]).tobytes()
+            A[1, 0, 0] = np.nan
+            L = bloch._cholesky(A)
+        assert not np.isfinite(np.diagonal(L[1])).all()
+        assert np.all(np.isnan(L[2]))
+        for i in (0, 3):
+            assert L[i].tobytes() == np.linalg.cholesky(A[i]).tobytes()
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [[1e-12, 1e-10, 0.1, 0.2, 0.3], [-1e-10, 0.0, 1e-10], [0.1, 0.0, 0.2, -0.0, 5e-14, -0.3]],
+        ids=["tiny", "around_zero", "zero_batch"],
+    )
+    def test_one_stacked_call_per_sweep(self, sweep, monkeypatch):
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
+        calls = []
+
+        def spy(A, **kwargs):
+            calls.append(A.shape)
+            return cholesky_lo(A, **kwargs)
+
+        def no_retry(*args, **kwargs):
+            raise AssertionError("np.linalg.cholesky called")
+
+        cholesky_lo = bloch.cholesky_lo
+        monkeypatch.setattr(bloch, "cholesky_lo", spy)
+        monkeypatch.setattr(bloch.np.linalg, "cholesky", no_retry)
+        critical_triples(roll, sweep)
+        assert calls == [(len(sweep), 25, 25)]
+
+    def test_failed_members_keep_their_triples(self):
+        # Members at 0 < |sigma| <= 1e-10 fail the certificate (a NaN factor);
+        # the triples are those of a member-by-member retry, bitwise.
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
+        sweep = [1e-12, 1e-10, 0.1, 0.2, 0.3]
+        want = np.array([
+            [-0.004848112705288966, 1.0241015894990267e-19, 4.741025776541743e-15],
+            [-0.004848112705277599, 1.6232635950634593e-21, 2.573462279453897e-15],
+            [-0.06387599659040728, -0.029446061761252945, -0.008649004519513025],
+            [-0.3042827922807751, -0.08332753572813242, -0.03566105309897913],
+            [-0.8575110366304612, -0.12897932772910994, -0.07316581744367288],
+        ])
+        assert critical_triples(roll, sweep).tobytes() == want.tobytes()
+        radius = certify(roll, sweep)[1]
+        assert np.all(np.isnan(radius[:2])) and np.all(np.isfinite(radius[2:]))
 
 
 class TestZeroBatch:
@@ -652,7 +718,7 @@ class TestFixedBlockTriples:
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(bloch.np.linalg, name, spy(name, getattr(np.linalg, name)))
         spectra = critical_curves(roll, sweep)
-        critical_curve_array(spectra)
+        [spec.critical_values() for spec in spectra]
         [spec.gap for spec in spectra]
         assert calls == [("eigh", (40, 5, 5)), ("eigh", (40, 5, 5))]
         spectra[7].eigenvalues

@@ -236,6 +236,19 @@ class TestSpectrum:
         rows = json.loads(out)
         assert len(rows) == 2 and "gap" in rows[0]
 
+    def test_negative_exponent_in_the_equals_form(self, capsys):
+        # argparse reads "-1e-10" after a space as a flag (its negative-number
+        # pattern has no exponent), so a negative exponent is given with "=".
+        # The +-1e-10 members fail the certificate: a NaN Cholesky member.
+        code, out, _ = run(
+            capsys, "spectrum", "--eps", "0.05", "--omega", "0.1", "--s", "0.8", "--modes", "12",
+            "--sigma-min=-1e-10", "--sigma-max=1e-10", "--sigma-steps", "3",
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0].startswith("sigma,re_lambda1")
+        assert [line.split(",")[0] for line in lines[1:]] == ["-1e-10", "0", "1e-10"]
+
     def test_gap_violation_is_a_numerical_failure(self, capsys):
         code, out, err = run(capsys, "spectrum", *ROLL, "--modes", "12", "--sigma-steps", "1", "--delta", "50")
         assert code == 3 and out == ""
