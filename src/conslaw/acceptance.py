@@ -16,7 +16,7 @@ import numpy as np
 from . import dispersion as dsp
 from . import evolution as ev
 from . import mgl
-from .bloch import critical_curves, critical_triples
+from .bloch import _stacks, critical_curves, critical_triples
 from .fourier import SpectralGrid, l2_norm
 from .rolls import RollParameters, asymptotic_roll, solve_roll
 
@@ -205,16 +205,19 @@ def cubic_machinery() -> CriterionResult:
 def symmetry_properties() -> CriterionResult:
     """Spectral conjugation under sigma -> -sigma; entry parity of the reduced matrix.
 
-    The conjugation check compares full spectra, whose dense-solver rounding
-    scales with the O(M^6) matrix norm; the minimal grid keeps that floor two
-    orders below the 1e-9 tolerance while over-resolving the small roll.
+    The conjugation check compares the full spectra of ``H`` assembled at
+    ``sigma`` and at ``-sigma``, each from its own Bloch number and each
+    solved densely (the Bloch sweeps solve ``-sigma`` as the mirror of
+    ``sigma``, so would compare a spectrum with itself).  Their dense-solver
+    rounding scales with the O(M^6) matrix norm; the minimal grid keeps that
+    floor (2.3e-10, a few ulps of the largest eigenvalue, 3.8e5) below the
+    1e-9 tolerance while over-resolving the small roll.
     """
     grid = SpectralGrid(8)
     roll = solve_roll(RollParameters(0.03, 0.25, 1.0), grid)
-    worst = 0.0
-    for sig in (0.05, 0.17, 0.31, 0.47):
-        plus, minus = (np.sort(spec.eigenvalues) for spec in critical_curves(roll, [sig, -sig]))
-        worst = max(worst, float(np.max(np.abs(minus - plus))))
+    sigmas = np.array([0.05, 0.17, 0.31, 0.47])
+    w = np.linalg.eigvalsh(_stacks(roll, np.concatenate([sigmas, -sigmas]))[1])
+    worst = float(np.max(np.abs(w[sigmas.size :] - w[: sigmas.size])))
 
     p = RollParameters(0.05, 0.3, 0.9)
     parity_ok = True

@@ -15,7 +15,11 @@ critical eigenvalues come from a small Rayleigh-Ritz problem instead.
 
 A sweep is solved as one batch: :func:`_stacks` gathers its matrices into
 one ``(n_sigma, N, N)`` stack for each LAPACK call.  Stacked calls give the
-bits of one call per matrix, so one Bloch number is a sweep of one.
+bits of one call per matrix, so one Bloch number is a sweep of one.  The
+roll is even, so ``H`` at ``-sigma`` is ``H`` at ``sigma`` under ``m -> -m``,
+bit for bit: a sweep solves each distinct ``|sigma|`` once, and a member at
+``-sigma`` is the mirror of its twin, with the same values and its vectors
+reversed in ``m``.
 
 One engine, :func:`_lifted_sweep`, solves every Bloch number.  It starts
 from the paper's Lyapunov-Schmidt split of ``H``: unit vectors on the
@@ -26,8 +30,9 @@ Davidson's correction with a diagonal preconditioner (:func:`_lifted_ritz`;
 E. R. Davidson, J. Comput. Phys. 17 (1975) 87-94).  One stacked Cholesky
 factorization (:func:`_cholesky`, all NaN on a member that is not positive
 definite) certifies by inertia that the triple and the gap lie within their
-radii; one ``eigvalsh`` of a member's rebuilt ``H`` gives the rest of its
-spectrum, for a certified member only when its ``eigenvalues`` are read.
+radii; one ``eigvalsh`` of a member's ``H`` gives the rest of its
+spectrum, for a certified member (rebuilt at ``|sigma|``) only when its
+``eigenvalues`` are read.
 
 At ``sigma = 0`` the ``m = 0`` row and column of ``H`` vanish identically
 (conservation law), so the conserved value is exactly zero and is set, not
@@ -42,7 +47,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.linalg._umath_linalg import cholesky_lo
+from numpy.linalg._umath_linalg import cholesky_lo, qr_r_raw, qr_reduced
 
 from .errors import GapViolation, InvariantViolation, OutOfRange
 from .model import reaction_derivative, swift_hohenberg
@@ -89,7 +94,7 @@ class BlochSpectrum:
     its radius, or where the certificate fails, ``-max`` of the ``eigvalsh``
     rest.  ``eigenvalues`` (sorted descending) and ``critical`` (the indices
     of the triple in them) are computed on first read: the triple beside the
-    rest of ``eigvalsh`` of this member's ``H``, rebuilt from the roll
+    rest of ``eigvalsh`` of ``H`` at ``|sigma|``, rebuilt from the roll
     (accurate to ``eps max|w|``), or beside the rest already solved.  No
     matrix is kept.
     """
@@ -106,7 +111,7 @@ class BlochSpectrum:
     def _full(self) -> tuple[np.ndarray, tuple[int, int, int]]:
         rest = self._rest
         if isinstance(rest, RollSolution):
-            _, H = _stacks(rest, np.array([self.sigma]))
+            _, H = _stacks(rest, np.array([abs(self.sigma)]))
             rest = _split(np.linalg.eigvalsh(H))[1][0]
         allvals = np.concatenate([self._triple, rest])
         order = np.argsort(-allvals, kind="stable")
@@ -149,16 +154,25 @@ def _symmetric_factors(df: np.ndarray, k2: float, sigmas: np.ndarray):
     return kt2, S
 
 
-def _cholesky(A: np.ndarray) -> np.ndarray:
+def _cholesky(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Lower Cholesky factors of a stack, all NaN on each member that is not positive definite.
 
     NumPy's stacked kernel, the one ``np.linalg.cholesky`` calls.  Called
     directly, it fills a failed member with NaN where ``np.linalg.cholesky``
     raises for the whole stack, and factors every other member as a call on
-    that member alone does.
+    that member alone does.  ``out=A`` factors in place.
     """
     with np.errstate(all="ignore"):
-        return cholesky_lo(A, signature="d->d")
+        return cholesky_lo(A, signature="d->d", out=out)
+
+
+def _orthonormal(Y: np.ndarray) -> np.ndarray:
+    """``Q`` of the reduced QR factorization of each member of ``Y`` ``(n, N, k)``; ``Y`` is overwritten.
+
+    NumPy's stacked kernels, the two calls ``np.linalg.qr`` makes, which
+    give its ``Q`` bitwise; ``R``, which is not needed, is never formed.
+    """
+    return qr_reduced(Y, qr_r_raw(Y, signature="d->d"), signature="dd->d")
 
 
 def _rayleigh_ritz(H: np.ndarray, Q: np.ndarray):
@@ -184,12 +198,11 @@ def _stacks(roll: RollSolution, sigmas: np.ndarray):
     sigmas = np.where(np.abs(sigmas) < _SIGMA_ZERO_TOL, 0.0, sigmas)
     p, S = _symmetric_factors(df, roll.params.k**2, sigmas)
     sq = np.sqrt(p)
-    H = S
-    H *= sq[:, :, None]
-    H *= sq[:, None, :]
-    # NumPy buffers the overlapping transpose, so each entry is the sum of
-    # the original pair and H is exactly symmetric.
-    H += H.swapaxes(1, 2)
+    S *= sq[:, :, None]
+    S *= sq[:, None, :]
+    # Summed into a new stack: in place, NumPy would first copy the
+    # overlapping transpose.  Addition commutes, so H is exactly symmetric.
+    H = np.add(S, S.swapaxes(1, 2))
     H *= 0.5
     return sq, H
 
@@ -244,7 +257,7 @@ def _lifted_ritz(H: np.ndarray):
     Y = np.ascontiguousarray(H[:, :, c])
     Y[:, rest] /= -d[:, rest, None]
     Y[:, c] = np.eye(c.size)
-    Q, _ = np.linalg.qr(Y)
+    Q = _orthonormal(Y)
     _, R, _ = _rayleigh_ritz(H, Q)
     # The Ritz vectors as rows, so that H t is t H (H is symmetric) and each
     # reduction runs along a contiguous last axis, member by member.  T views
@@ -258,7 +271,8 @@ def _lifted_ritz(H: np.ndarray):
         res[:, :, c] = 0.0
         # A zero residual is no correction, also where H[i, i] = q (H diagonal).
         T -= np.divide(res, d[:, None, :] - q, out=res, where=res != 0.0)
-    Q, _ = np.linalg.qr(np.ascontiguousarray(V.swapaxes(1, 2)))
+    # V is not read again, so the kernel may overwrite it.
+    Q = _orthonormal(V.swapaxes(1, 2))
     theta, R, HQ = _rayleigh_ritz(H, Q)
     rho, R = theta[:, 1:], R[:, :, 1:]
     Y = Q @ R
@@ -309,13 +323,21 @@ def _lifted_sweep(roll: RollSolution, sigmas):
     beside it are the even and the odd part of largest norm of the three
     Ritz vectors less their ``m = 0`` entries, with their Rayleigh quotients.
 
+    Each distinct ``|sigma|`` is assembled and solved once, after Bloch
+    numbers within ``_SIGMA_ZERO_TOL`` of zero are set to zero.  A member at
+    ``-sigma`` takes its twin's values and radii, and its Ritz vectors
+    reversed in ``m``: ``H`` at ``-sigma`` is ``H`` at ``sigma`` so reversed,
+    bit for bit.
+
     Returns the triples ``(n, 3)`` (ascending), their radius ``(n,)``, the
     gaps ``(n,)``, their radius ``(n,)`` (both NaN where uncertified), the rest
     ``(n, N - 3)`` (NaN where certified) and the triples' Ritz vectors of
     ``H`` ``(n, N, 3)``.
     """
     sigmas = _checked_sigmas(sigmas, "sigma")
-    sq, H = _stacks(roll, sigmas)
+    sigmas = np.where(np.abs(sigmas) < _SIGMA_ZERO_TOL, 0.0, sigmas)
+    mags, twin = np.unique(np.abs(sigmas), return_inverse=True)
+    sq, H = _stacks(roll, mags)
     n, N = sq.shape
     zero = sq[:, N // 2] == 0.0
     theta, Y, r3, r4 = _lifted_ritz(H)
@@ -334,31 +356,31 @@ def _lifted_sweep(roll: RollSolution, sigmas):
         order = np.argsort(vals[i], kind="stable")
         vals[i], vecs[i] = vals[i, order], y[:, order]
     tau = 0.5 * (rho4 - r4 + theta[:, 0])
-    # A is formed in place of H (-(H - c Y Y^T) rounds as c Y Y^T - H), so
-    # the batch holds two matrix stacks at a time, A and its factor, no
-    # more than _stacks needs to symmetrize H.  Uncertified members get
-    # their H rebuilt, bitwise.
-    cYY = Y @ Y.swapaxes(1, 2)
-    cYY *= (2.0 * (top - tau))[:, None, None]
-    H -= cYY
-    del cYY
-    A = np.negative(H, out=H)
+    # A is formed in the buffer of c Y Y^T and factored in place, so the
+    # batch holds two matrix stacks, H and A, and H is kept for the eigvalsh
+    # of the uncertified members.
+    A = Y @ Y.swapaxes(1, 2)
+    A *= (2.0 * (top - tau))[:, None, None]
+    np.subtract(A, H, out=A)
     A.reshape(n, N * N)[:, :: N + 1] += tau[:, None]
-    L = _cholesky(A)
-    del A, H
+    L = _cholesky(A, out=A)
     certified = np.isfinite(np.diagonal(L, axis1=1, axis2=2)).all(axis=1)
     certified &= (tau < rho4 - r4) & (top + r4 < -(rho4 + r4)) & ~zero
     radius = np.where(certified, np.where(vals[:, 0] - r3 > rho4 + r4, r3, r4), np.nan)
     gaps, others = -rho4, np.full((n, N - 3), np.nan)
     miss = np.flatnonzero(~certified)
     if miss.size:
-        near, others[miss], wmax = _split(np.linalg.eigvalsh(_stacks(roll, sigmas[miss])[1]))
+        near, others[miss], wmax = _split(np.linalg.eigvalsh(H[miss]))
         tol = r3[miss] + _MATCH_ULPS * np.finfo(np.float64).eps * wmax
         bad = miss[~(np.abs(vals[miss] - near).max(axis=1) <= tol)]
         if bad.size:
-            raise InvariantViolation(f"lifted triple {vals[bad[0]]} at sigma = {sigmas[bad[0]]} misses eigvalsh")
+            raise InvariantViolation(f"lifted triple {vals[bad[0]]} at |sigma| = {mags[bad[0]]} misses eigvalsh")
         gaps[miss] = -np.max(others[miss], axis=1)
-    return vals, radius, gaps, np.where(certified, r4, np.nan), others, vecs
+    solved = vals, radius, gaps, np.where(certified, r4, np.nan), others, vecs
+    vals, radius, gaps, gap_radius, others, vecs = (a[twin] for a in solved)
+    neg = np.flatnonzero(sigmas < 0.0)
+    vecs[neg] = vecs[neg, ::-1]
+    return vals, radius, gaps, gap_radius, others, vecs
 
 
 def check_delta(delta: float) -> None:

@@ -16,6 +16,7 @@ import argparse
 import json
 import operator
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -34,6 +35,10 @@ _EXIT_USAGE = 2
 _EXIT_NUMERICAL = 3
 
 _BOUNDS = {">=": operator.ge, ">": operator.gt}
+#: A negative number, with or without an exponent.  argparse's own pattern
+#: has no exponent, so it would read the value of ``--sigma-min -1e-10`` as
+#: a flag.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 @dataclass(frozen=True)
@@ -291,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, summary, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         for opt in options:
             detail = "required" if opt.required else "" if opt.default is None else f"default {opt.default}"
             p.add_argument(opt.flag, dest=opt.name, type=opt.type, default=opt.default, required=opt.required,

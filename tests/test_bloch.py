@@ -447,6 +447,46 @@ class TestBatchedSweep:
             assert info.value.gap == spectrum(roll, 0.1).gap
 
 
+class TestMirror:
+    """H at -sigma is H at sigma reversed in m, so a sweep solves each |sigma| once."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        eps=st.floats(0.01, 0.08),
+        omega=st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True),
+        s=st.floats(-1.4, 1.4),
+        sigma=st.floats(0.0, 0.5, exclude_min=True),
+        n_modes=st.sampled_from([8, 12, 32]),
+    )
+    def test_stacks_at_minus_sigma_are_reversed(self, eps, omega, s, sigma, n_modes):
+        roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
+        sq, H = bloch._stacks(roll, np.array([sigma]))
+        sq_minus, H_minus = bloch._stacks(roll, np.array([-sigma]))
+        assert H_minus.tobytes() == H[:, ::-1, ::-1].tobytes()
+        assert sq_minus.tobytes() == sq[:, ::-1].tobytes()
+
+    #: Distinct |sigma|: 0.3, 0, 0.5 and 0.2 (TestCholeskyKernel counts one
+    #: stacked Cholesky of these four).
+    sweep = [0.3, -0.3, 0.3, 0.0, -0.0, 5e-14, 0.5, -0.5, -0.2]
+
+    def test_negative_members_are_their_twins_mirrored(self):
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
+        sweep = self.sweep
+        *values, vecs = bloch._lifted_sweep(roll, sweep)
+        for i, j, mirrored in [(0, 1, True), (0, 2, False), (3, 4, False), (3, 5, False), (6, 7, True)]:
+            for a in values:
+                assert a[j].tobytes() == a[i].tobytes()
+            assert vecs[j].tobytes() == (vecs[i][::-1] if mirrored else vecs[i]).tobytes()
+        *alone, alone_vecs = bloch._lifted_sweep(roll, [0.2])
+        for a, b in zip(values, alone):
+            assert a[8].tobytes() == b[0].tobytes()
+        assert vecs[8].tobytes() == alone_vecs[0][::-1].tobytes()
+        spectra = critical_curves(roll, sweep)
+        for i, j in [(0, 1), (6, 7)]:
+            assert spectra[j].eigenvalues.tobytes() == spectra[i].eigenvalues.tobytes()
+            assert spectra[j].critical == spectra[i].critical
+
+
 class TestCholeskyKernel:
     """``bloch._cholesky`` binds NumPy's private stacked kernel; a NumPy release
     that moves it or changes what it returns fails here first."""
@@ -474,11 +514,16 @@ class TestCholeskyKernel:
             assert L[i].tobytes() == np.linalg.cholesky(A[i]).tobytes()
 
     @pytest.mark.parametrize(
-        "sweep",
-        [[1e-12, 1e-10, 0.1, 0.2, 0.3], [-1e-10, 0.0, 1e-10], [0.1, 0.0, 0.2, -0.0, 5e-14, -0.3]],
-        ids=["tiny", "around_zero", "zero_batch"],
+        "sweep, distinct",
+        [
+            ([1e-12, 1e-10, 0.1, 0.2, 0.3], 5),
+            ([-1e-10, 0.0, 1e-10], 2),
+            ([0.1, 0.0, 0.2, -0.0, 5e-14, -0.3], 4),
+            (TestMirror.sweep, 4),
+        ],
+        ids=["tiny", "around_zero", "zero_batch", "mirrors"],
     )
-    def test_one_stacked_call_per_sweep(self, sweep, monkeypatch):
+    def test_one_stacked_call_per_sweep(self, sweep, distinct, monkeypatch):
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
         calls = []
 
@@ -493,7 +538,8 @@ class TestCholeskyKernel:
         monkeypatch.setattr(bloch, "cholesky_lo", spy)
         monkeypatch.setattr(bloch.np.linalg, "cholesky", no_retry)
         critical_triples(roll, sweep)
-        assert calls == [(len(sweep), 25, 25)]
+        # One member per distinct |sigma|; 0.0, -0.0 and 5e-14 are all zero.
+        assert calls == [(distinct, 25, 25)]
 
     def test_failed_members_keep_their_triples(self):
         # Members at 0 < |sigma| <= 1e-10 fail the certificate (a NaN factor);
@@ -510,6 +556,24 @@ class TestCholeskyKernel:
         assert critical_triples(roll, sweep).tobytes() == want.tobytes()
         radius = certify(roll, sweep)[1]
         assert np.all(np.isnan(radius[:2])) and np.all(np.isfinite(radius[2:]))
+
+
+class TestQrKernel:
+    """``bloch._orthonormal`` binds NumPy's private QR kernels; a NumPy release
+    that moves them or changes what they return fails here first."""
+
+    @pytest.mark.parametrize("N", [9, 25, 65])
+    def test_kernel_matches_numpy_qr(self, N):
+        rng = np.random.default_rng(N)
+        contiguous = rng.standard_normal((4, N, 5))
+        transposed = rng.standard_normal((4, 5, N)).swapaxes(1, 2)
+        assert contiguous.flags.c_contiguous and not transposed.flags.c_contiguous
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for Y in (contiguous, transposed):
+                want = np.linalg.qr(Y)[0]
+                got = bloch._orthonormal(Y.copy(order="K"))
+                assert got.tobytes() == want.tobytes()
 
 
 class TestZeroBatch:
@@ -532,12 +596,12 @@ class TestZeroBatch:
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(bloch.np.linalg, name, spy(name, getattr(np.linalg, name)))
         critical_curves(roll, self.sweep)
-        # All six members get two 5 x 5 Rayleigh-Ritz steps, on their lifted
-        # start block and after its Davidson corrections.  The three zero
-        # members (5e-14 is built at zero) are uncertified, and one eigvalsh of
-        # their rebuilt H gives their rest; the three others are certified, so
+        # The four distinct |sigma| (0.0, -0.0 and 5e-14 are all zero) get two
+        # 5 x 5 Rayleigh-Ritz steps, on their lifted start block and after its
+        # Davidson corrections.  The zero member is uncertified, and one
+        # eigvalsh of its H gives its rest; the three others are certified, so
         # no eigvalsh runs for them until a spectrum is read.
-        assert calls == [("eigh", (6, 5, 5)), ("eigh", (6, 5, 5)), ("eigvalsh", (3, 25, 25))]
+        assert calls == [("eigh", (4, 5, 5)), ("eigh", (4, 5, 5)), ("eigvalsh", (1, 25, 25))]
 
     def test_no_linear_solve_or_full_eigh_of_H(self, monkeypatch):
         roll = solve_roll(self.params, SpectralGrid(12))
@@ -720,7 +784,9 @@ class TestFixedBlockTriples:
         spectra = critical_curves(roll, sweep)
         [spec.critical_values() for spec in spectra]
         [spec.gap for spec in spectra]
-        assert calls == [("eigh", (40, 5, 5)), ("eigh", (40, 5, 5))]
+        # 34 distinct |sigma|: six of the twenty negative members are exact
+        # mirrors of a positive one in floating point.
+        assert calls == [("eigh", (34, 5, 5)), ("eigh", (34, 5, 5))]
         spectra[7].eigenvalues
         spectra[7].critical
         assert calls[2:] == [("eigvalsh", (1, 65, 65))]
@@ -731,9 +797,10 @@ class TestFixedBlockTriples:
         vals, radius, _, _, _, _ = bloch._certified_sweep(roll, sweep, 1.0)
         off = sweep != 0.0
         assert np.all(np.isfinite(radius[off]))
-        # One stacked eigvalsh of the members off zero, less its three values
-        # nearest zero, beside the certified triples, sorted descending.
-        _, H = bloch._stacks(roll, sweep[off])
+        # One stacked eigvalsh of the members off zero, built at |sigma|, less
+        # its three values nearest zero, beside the certified triples, sorted
+        # descending.
+        _, H = bloch._stacks(roll, np.abs(sweep[off]))
         w = np.linalg.eigvalsh(H)
         w = np.take_along_axis(w, np.argsort(np.abs(w), axis=1), axis=1)
         want = -np.sort(-np.concatenate([vals[off], w[:, 3:]], axis=1), axis=1)

@@ -237,8 +237,6 @@ class TestSpectrum:
         assert len(rows) == 2 and "gap" in rows[0]
 
     def test_negative_exponent_in_the_equals_form(self, capsys):
-        # argparse reads "-1e-10" after a space as a flag (its negative-number
-        # pattern has no exponent), so a negative exponent is given with "=".
         # The +-1e-10 members fail the certificate: a NaN Cholesky member.
         code, out, _ = run(
             capsys, "spectrum", "--eps", "0.05", "--omega", "0.1", "--s", "0.8", "--modes", "12",
@@ -248,6 +246,20 @@ class TestSpectrum:
         lines = out.strip().splitlines()
         assert lines[0].startswith("sigma,re_lambda1")
         assert [line.split(",")[0] for line in lines[1:]] == ["-1e-10", "0", "1e-10"]
+
+    @pytest.mark.parametrize("value", ["-1e-10", "-2.5E+2", "-.5e-1", "-3", "-0.25"])
+    def test_negative_number_after_a_space(self, capsys, value):
+        # argparse's own negative-number pattern has no exponent, and would
+        # read "-1e-10" after a space as a flag.
+        outs = []
+        for flag in (["--sigma-min", value], [f"--sigma-min={value}"]):
+            code, out, err = run(
+                capsys, "spectrum", "--eps", "0.05", "--omega", "0.1", "--s", "0.8", "--modes", "12",
+                *flag, "--sigma-max=1e-10", "--sigma-steps", "3",
+            )
+            outs.append((code, out, err))
+        assert outs[0] == outs[1]
+        assert outs[0][0] == (0 if float(value) >= -0.5 else 2)
 
     def test_gap_violation_is_a_numerical_failure(self, capsys):
         code, out, err = run(capsys, "spectrum", *ROLL, "--modes", "12", "--sigma-steps", "1", "--delta", "50")

@@ -230,6 +230,26 @@ class TestComparison:
         with pytest.raises(OutOfRange, match=f"Bloch number {0.1 * 6.0} lies"):
             mgl.compare_exact_vs_mgl(roll, [0.0, 6.0, -7.0])
 
+    def test_rows_hold_the_single_sigma_hat_eigenvalues(self, monkeypatch):
+        roll = solve_roll(RollParameters(0.04, 0.25, 1.0), SpectralGrid(12))
+        grid = np.linspace(-1.0, 1.0, 11)
+        eigvals = np.linalg.eigvals
+        shapes = []
+
+        def spy(a):
+            shapes.append(np.shape(a))
+            return eigvals(a)
+
+        with monkeypatch.context() as m:
+            m.setattr(mgl.np.linalg, "eigvals", spy)
+            rows = mgl.compare_exact_vs_mgl(roll, grid)
+        # One stacked eigensolve of the amplitude system, bitwise the
+        # eigenvalues of each sigma_hat's own matrix.
+        assert shapes == [(11, 3, 3)]
+        params = mgl.MglParameters(0.25, 1.0)
+        for row, sh in zip(rows, grid):
+            assert row.lambda_mgl.tobytes() == mgl.mgl_dispersion_matrix(params, sh).eigenvalues.tobytes()
+
     def test_runs_a_full_eigensolve_only_at_sigma_hat_zero(self, monkeypatch):
         roll = solve_roll(RollParameters(0.04, 0.25, 1.0), SpectralGrid(12))
         calls = []
@@ -244,11 +264,12 @@ class TestComparison:
         for name in ("eigh", "eigvalsh", "solve"):
             monkeypatch.setattr(bloch.np.linalg, name, spy(name, getattr(np.linalg, name)))
         mgl.compare_exact_vs_mgl(roll, np.linspace(-1.0, 1.0, 11))
-        # All eleven members: the Rayleigh-Ritz steps on the lifted start block
-        # and after its Davidson corrections, with no linear solve.  The
-        # sigma_hat = 0 member is not certified, so one eigvalsh of its
-        # rebuilt H checks its triple and gives its gap.
-        assert calls == [("eigh", (11, 5, 5)), ("eigh", (11, 5, 5)), ("eigvalsh", (1, 25, 25))]
+        # The nine distinct |sigma| (in floating point only +-1 and +-0.8 are
+        # exact mirrors): the Rayleigh-Ritz steps on the lifted start block and
+        # after its Davidson corrections, with no linear solve.  The
+        # sigma_hat = 0 member is not certified, so one eigvalsh of its H
+        # checks its triple and gives its gap.
+        assert calls == [("eigh", (9, 5, 5)), ("eigh", (9, 5, 5)), ("eigvalsh", (1, 25, 25))]
 
     def test_builds_each_batch_once(self, monkeypatch):
         roll = solve_roll(RollParameters(0.04, 0.25, 1.0), SpectralGrid(12))
@@ -261,9 +282,9 @@ class TestComparison:
 
         monkeypatch.setattr(bloch, "_symmetric_factors", spy)
         mgl.compare_exact_vs_mgl(roll, np.linspace(-1.0, 1.0, 11))
-        # The one batch, then the uncertified sigma_hat = 0 member rebuilt,
-        # since the certificate is formed in place of the stack.
-        assert sizes == [11, 1]
+        # One batch of the nine distinct |sigma|; the uncertified
+        # sigma_hat = 0 member keeps its H, so nothing is rebuilt.
+        assert sizes == [9]
 
     def test_golden_compare_lies_within_the_enclosures(self):
         # tests/data/compare_m32.csv holds the lifted triples: each lies within
