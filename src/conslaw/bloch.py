@@ -288,7 +288,7 @@ def _split(w: np.ndarray):
     return np.sort(w[:, :3], axis=1), np.sort(w[:, 3:], axis=1), np.abs(w[:, -1])
 
 
-def _lifted_sweep(roll: RollSolution, sigmas):
+def _lifted_sweep(roll: RollSolution, sigmas, stacks: bool = False):
     """Critical triples, their vectors, gaps and radii over a sweep, with no full eigensolve.
 
     :func:`_lifted_ritz` gives the four largest Ritz pairs ``(rho, Y)``, the
@@ -332,7 +332,9 @@ def _lifted_sweep(roll: RollSolution, sigmas):
     Returns the triples ``(n, 3)`` (ascending), their radius ``(n,)``, the
     gaps ``(n,)``, their radius ``(n,)`` (both NaN where uncertified), the rest
     ``(n, N - 3)`` (NaN where certified) and the triples' Ritz vectors of
-    ``H`` ``(n, N, 3)``.
+    ``H`` ``(n, N, 3)``.  With ``stacks``, these are followed by each
+    member's ``sq`` ``(n, N)`` and ``H`` ``(n, N, N)``, mirrored as its
+    vectors are: bitwise :func:`_stacks` of the sweep, never built twice.
     """
     sigmas = _checked_sigmas(sigmas, "sigma")
     sigmas = np.where(np.abs(sigmas) < _SIGMA_ZERO_TOL, 0.0, sigmas)
@@ -380,6 +382,10 @@ def _lifted_sweep(roll: RollSolution, sigmas):
     vals, radius, gaps, gap_radius, others, vecs = (a[twin] for a in solved)
     neg = np.flatnonzero(sigmas < 0.0)
     vecs[neg] = vecs[neg, ::-1]
+    if stacks:
+        sq, H = sq[twin], H[twin]
+        sq[neg], H[neg] = sq[neg, ::-1], H[neg, ::-1, ::-1]
+        return vals, radius, gaps, gap_radius, others, vecs, sq, H
     return vals, radius, gaps, gap_radius, others, vecs
 
 
@@ -414,11 +420,12 @@ def critical_modes(roll: RollSolution, sigma: float) -> tuple[np.ndarray, np.nda
     :func:`critical_triples`'.  Each vector is ``sqrt(p)`` times its lifted
     Ritz vector ``y`` after one more Davidson correction on the rest rows,
     but for the conserved mode at ``sigma = 0``, which ``sqrt(p)`` maps to
-    zero (:func:`_conserved_vector`).  No gap is certified.
+    zero (:func:`_conserved_vector`).  The correction uses the sweep's own
+    ``sqrt(p)`` and ``H``, so the member is assembled once.  No gap is
+    certified.
     """
     sigmas = _checked_sigmas([sigma], "sigma")
-    (vals,), _, _, _, _, (y,) = _lifted_sweep(roll, sigmas)
-    (sq,), (H,) = _stacks(roll, sigmas)
+    (vals,), _, _, _, _, (y,), (sq,), (H,) = _lifted_sweep(roll, sigmas, stacks=True)
     # The orthonormalized y carries a rounding of eps on every entry, which
     # the rest diagonal of diag(p) S, of order M^6, would turn into residuals
     # of up to 4.4e-6 at M = 32; the correction rebuilds the rest entries.

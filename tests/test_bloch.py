@@ -469,6 +469,28 @@ class TestMirror:
     #: stacked Cholesky of these four).
     sweep = [0.3, -0.3, 0.3, 0.0, -0.0, 5e-14, 0.5, -0.5, -0.2]
 
+    def test_stacks_handed_back_are_the_sweeps(self):
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
+        *values, sq, H = bloch._lifted_sweep(roll, self.sweep, stacks=True)
+        want_sq, want_H = bloch._stacks(roll, np.array(self.sweep))
+        assert sq.tobytes() == want_sq.tobytes()
+        assert H.tobytes() == want_H.tobytes()
+        for a, b in zip(values, bloch._lifted_sweep(roll, self.sweep)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.125, -0.125, 0.2, -0.2, 0.5, -0.5])
+    def test_critical_modes_assembles_once(self, monkeypatch, sigma):
+        calls = []
+        real_stacks = bloch._stacks
+
+        def spy(roll, sigmas):
+            calls.append(sigmas)
+            return real_stacks(roll, sigmas)
+
+        monkeypatch.setattr(bloch, "_stacks", spy)
+        critical_modes(solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12)), sigma)
+        assert len(calls) == 1
+
     def test_negative_members_are_their_twins_mirrored(self):
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
         sweep = self.sweep

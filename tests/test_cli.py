@@ -398,7 +398,10 @@ class TestGoldenEvolve:
 
     The even-subspace integrator and the convolved roll reproduce ``t`` and
     the mass exactly and the norms to 1.7e-12 relative, so norms compare to
-    1e-10 relative and these fixtures need no re-capture.
+    1e-10 relative and these fixtures need no re-capture.  The two fixtures
+    at ``g = gcd(periods, sigma * periods) > 1`` were written on the whole
+    domain, before ``evolve`` ran each seed on the ``periods / g`` periods it
+    repeats on.
     """
 
     @pytest.mark.parametrize(
@@ -414,6 +417,18 @@ class TestGoldenEvolve:
                 "evolve_p12_m12.csv",
                 ("--eps", "0.05", "--omega", "0.1", "--s", "0.5", "--sigma", "-0.25",
                  "--periods", "12", "--dt", "0.1", "--t-final", "60", "--modes", "12"),
+            ),
+            (
+                # sigma = 0 repeats on one period of the eight (g = 8)
+                "evolve_p8_s0_m12.csv",
+                ("--eps", "0.05", "--omega", "0.1", "--s", "0.5", "--sigma", "0",
+                 "--periods", "8", "--dt", "0.1", "--t-final", "20", "--modes", "12"),
+            ),
+            (
+                # sigma = 1/4 repeats on four periods of the sixteen (g = 4)
+                "evolve_p16_m12.csv",
+                ("--eps", "0.05", "--omega", "0.1", "--s", "0.5", "--sigma", "0.25",
+                 "--periods", "16", "--dt", "0.2", "--t-final", "60", "--modes", "12"),
             ),
         ],
     )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ import conslaw.evolution as ev
 from conslaw.bloch import critical_modes
 from conslaw.errors import BlowUp, OutOfRange, StepReject
 from conslaw.fourier import SpectralGrid
+from conslaw.model import swift_hohenberg
 from conslaw.rolls import RollParameters, solve_roll, zero_roll
 
 GRID = SpectralGrid(12)
@@ -137,6 +140,59 @@ class TestEvolve:
             ev.evolve(roll, cfg)
 
 
+class TestShortestDomain:
+    """A seed at sigma = j / P repeats every P / g periods, g = gcd(P, j), and
+    is integrated on that domain, as the modes at multiples of g."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        omega=st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True),
+        s=st.floats(-1.5, 1.5),
+        n_periods=st.sampled_from([1, 2, 3, 4]),
+        c=st.sampled_from([2, 3]),
+        data=st.data(),
+    )
+    def test_multiples_of_a_domain_give_its_bits(self, omega, s, n_periods, c, data):
+        j = data.draw(st.integers(-(n_periods // 2), n_periods // 2), label="j")
+        roll = solve_roll(RollParameters(0.05, omega, s), GRID)
+        want, got = (
+            ev.evolve(roll, ev.EvolutionConfig(n_periods=P, dt=0.1, seed_sigma=i / P, t_final=2.0))
+            for P, i in ((n_periods, j), (c * n_periods, c * j))
+        )
+        for field in ("times", "norms", "masses", "measured_rate", "expected_rate"):
+            assert np.asarray(getattr(got, field)).tobytes() == np.asarray(getattr(want, field)).tobytes()
+
+    @pytest.mark.parametrize("n_periods,j", [(8, 0), (16, 4), (12, -3), (36, 9), (6, 2)])
+    def test_transforms_run_on_the_shortest_domain(self, monkeypatch, n_periods, j):
+        g = math.gcd(n_periods, j)
+        lengths = set()
+        real_dct = ev.dct
+
+        def spy(x, *args):
+            lengths.add(x.size)
+            return real_dct(x, *args)
+
+        monkeypatch.setattr(ev, "dct", spy)
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.5), GRID)
+        ev.evolve(roll, ev.EvolutionConfig(n_periods=n_periods, dt=0.1, seed_sigma=j / n_periods, t_final=1.0))
+        assert lengths == {next_fast_len(2 * (n_periods // g) * (GRID.n_modes + 1) + 1, real=True)}
+
+    def test_step_reject_sees_the_requested_domain(self):
+        # At k^2 = 1.072 the fastest growing mode of 16 periods is n = 15,
+        # off the multiples of g = 4 that the seed at sigma = 1/4 runs on.
+        params = RollParameters(0.08, 0.45, 0.5)
+        n_periods, j, dt = 16, 4, 500.0
+        g = math.gcd(n_periods, j)
+        kt2 = params.k**2 * (np.arange(n_periods * (GRID.n_modes + 1) + 1) / n_periods) ** 2
+        lin = kt2 * (params.eps**2 + swift_hohenberg(kt2))
+        assert np.argmax(lin) % g != 0
+        assert np.max(lin[::g]) < 1.0 / dt < np.max(lin)
+        roll = solve_roll(params, GRID)
+        cfg = ev.EvolutionConfig(n_periods=n_periods, dt=dt, seed_sigma=j / n_periods, t_final=1000.0)
+        with pytest.raises(StepReject):
+            ev.evolve(roll, cfg)
+
+
 class TestStepper:
     """The in-place cosine-layout stepper against a textbook, out-of-place
     ETDRK4 step in the full rfft layout."""
@@ -154,7 +210,7 @@ class TestStepper:
         # oracle: full rfft spectrum on 4K+1 points
         n_points = next_fast_len(4 * K + 1)
         theta2, keep, lin = symbols(np.arange(n_points // 2 + 1))
-        oracle = ev._Etdrk4(lin, dt)
+        oracle = ev._Etdrk4(lin, dt, np.ones_like(lin))
         f2 = oracle.f2x2 / 2.0
 
         def oracle_nonlin(spec):
@@ -182,11 +238,15 @@ class TestStepper:
         assert u0.min() < -0.1 and u0.max() > 0.1  # mixed signs, O(1) cubic
         expected = oracle_step(oracle_step(v0))[: K + 1] / n_points
 
-        # cosine layout: y_n = U_n / N on 2K+1 midpoints
+        # cosine layout: y_n = U_n / N on 2K+1 midpoints, with the flux
+        # multiplier folded into the stepper's coefficients
         n_cos = next_fast_len(2 * K + 1, real=True)
         theta2, keep, lin = symbols(np.arange(n_cos))
-        stepper = ev._Etdrk4(lin, dt)
-        nonlin = ev._cubic_flux(np.where(keep, -k2 * theta2 / (2 * n_cos), 0.0), s)
+        mult = np.where(keep, -k2 * theta2 / (2 * n_cos), 0.0)
+        mult_keep = mult.copy()
+        stepper = ev._Etdrk4(lin, dt, mult)
+        assert mult.tobytes() == mult_keep.tobytes()
+        nonlin = ev._cubic_flux(s, n_cos)
         got = np.zeros(n_cos)
         got[: K + 1] = v0[: K + 1].real / n_points
         stepper.step(got, nonlin)
@@ -199,8 +259,9 @@ class TestStepper:
 
 
 #: The DCT lengths of the dynamic checks, next_fast_len(2K + 1, real=True):
-#: 4 to 36 periods at M = 12, and 36 periods at M = 16.
-KERNEL_SIZES = (108, 216, 320, 432, 625, 960, 1250)
+#: 1 to 36 periods at M = 12 (the domains that the seeds repeat on
+#: included), and 36 periods at M = 16.
+KERNEL_SIZES = (27, 54, 81, 108, 216, 240, 320, 432, 480, 625, 960, 1250)
 
 
 class TestKernel:
@@ -224,43 +285,38 @@ class TestKernel:
 
 
 def _flux(n_periods: int, n_modes: int, s: float):
-    """A nonlinearity as ``evolve`` builds it, on an ``n_periods`` domain."""
-    K = n_periods * (n_modes + 1)
-    n_cos = next_fast_len(2 * K + 1, real=True)
-    n_idx = np.arange(n_cos)
-    kt2 = 0.9 * (n_idx / n_periods) ** 2
-    mult = np.where(n_idx <= K, -kt2 / (2 * n_cos), 0.0)
-    return mult, ev._cubic_flux(mult, s)
+    """A nonlinearity as ``evolve`` builds it, on an ``n_periods`` domain, and its length."""
+    n_cos = next_fast_len(2 * n_periods * (n_modes + 1) + 1, real=True)
+    return n_cos, ev._cubic_flux(s, n_cos)
 
 
 class TestNonlinBuffers:
-    """``nonlin(y, out)`` shares its sample and cubic buffers across calls."""
+    """``nonlin(y, out)`` shares its sample buffer across calls."""
 
     def test_reads_y_and_writes_out_only(self):
-        mult, nonlin = _flux(8, 12, 1.2)
+        n_cos, nonlin = _flux(8, 12, 1.2)
         rng = np.random.default_rng(5)
-        y = rng.standard_normal(mult.size) * 0.1
-        y_keep, mult_keep = y.copy(), mult.copy()
-        out = np.full(mult.size, np.nan)
+        y = rng.standard_normal(n_cos) * 0.1
+        y_keep = y.copy()
+        out = np.full(n_cos, np.nan)
         nonlin(y, out)
         assert y.tobytes() == y_keep.tobytes()
-        assert mult.tobytes() == mult_keep.tobytes()
         # the out-of-place form of the same operations, with scipy.fftpack
         u = fftpack.dct(y, 3)
         cube = np.add(1.2, u)
         cube *= u
         cube *= u
-        want = (mult * fftpack.dct(cube, 2)).tobytes()
+        want = fftpack.dct(cube, 2).tobytes()
         assert out.tobytes() == want
         # a later call on other input leaves the earlier result alone
-        nonlin(rng.standard_normal(mult.size), np.empty_like(out))
+        nonlin(rng.standard_normal(n_cos), np.empty_like(out))
         assert out.tobytes() == want
 
     def test_repeated_calls_are_bitwise_identical(self):
-        mult, nonlin = _flux(36, 12, -0.7)
+        n_cos, nonlin = _flux(36, 12, -0.7)
         rng = np.random.default_rng(6)
-        y, z = rng.standard_normal((2, mult.size)) * 0.1
-        first, again, between = (np.empty(mult.size) for _ in range(3))
+        y, z = rng.standard_normal((2, n_cos)) * 0.1
+        first, again, between = (np.empty(n_cos) for _ in range(3))
         nonlin(y, first)
         nonlin(z, between)
         nonlin(y, again)

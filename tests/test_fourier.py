@@ -128,18 +128,26 @@ class TestNonlinearRhs:
         assert abs(q) < 1e-22
 
     def test_mean_exactly_zero(self):
-        # the integrator's flux never feeds the conserved mode
+        # the integrator's flux never feeds the conserved mode: its multiplier,
+        # folded into the stepper's coefficients, is exactly 0 at n = 0 and
+        # above the retained modes
         rng = np.random.default_rng(3)
         n_periods, K = 4, 20
         n_points = next_fast_len(2 * K + 1, real=True)
         n_idx = np.arange(n_points)
         kt2 = 0.98 * (n_idx / n_periods) ** 2
-        nonlin = ev._cubic_flux(np.where(n_idx <= K, -kt2 / (2 * n_points), 0.0), 1.0)
-        y = np.where(n_idx <= K, rng.normal(size=n_points), 0.0)
-        out = np.empty(n_points)
-        nonlin(y, out)
-        assert out[0] == 0.0
-        assert np.max(np.abs(out[1 : K + 1])) > 0.0
+        keep = n_idx <= K
+        lin = np.where(keep, kt2 * (0.01 + swift_hohenberg(kt2)), 0.0)
+        stepper = ev._Etdrk4(lin, 0.1, np.where(keep, -kt2 / (2 * n_points), 0.0))
+        for f in (stepper.f0, stepper.f1, stepper.f2x2, stepper.f3):
+            assert f[0] == 0.0
+            assert np.all(f[K + 1 :] == 0.0)
+            assert np.max(np.abs(f[1 : K + 1])) > 0.0
+        y = np.where(keep, rng.normal(size=n_points), 0.0)
+        mean = y[0]
+        stepper.step(y, ev._cubic_flux(1.0, n_points))
+        assert y[0] == mean
+        assert np.all(y[K + 1 :] == 0.0)
 
 
 class TestInnerProduct:
