@@ -1,4 +1,7 @@
 import itertools
+import sys
+import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
 from functools import partial
@@ -483,9 +486,9 @@ class TestMirror:
         calls = []
         real_stacks = bloch._stacks
 
-        def spy(roll, sigmas):
+        def spy(roll, sigmas, *args):
             calls.append(sigmas)
-            return real_stacks(roll, sigmas)
+            return real_stacks(roll, sigmas, *args)
 
         monkeypatch.setattr(bloch, "_stacks", spy)
         critical_modes(solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12)), sigma)
@@ -507,6 +510,106 @@ class TestMirror:
         for i, j in [(0, 1), (6, 7)]:
             assert spectra[j].eigenvalues.tobytes() == spectra[i].eigenvalues.tobytes()
             assert spectra[j].critical == spectra[i].critical
+
+
+class TestWorkspace:
+    """A sweep's two matrix stacks live in a per-thread workspace reused across sweeps."""
+
+    @staticmethod
+    def drop_workspace():
+        vars(bloch._workspace).clear()
+
+    def sweeps(self):
+        """``(roll, sigmas, stacks)``: whole zone and a critical_modes sweep at M = 32, then at M = 12
+        the classifier grid and the +-1e-10 sweep whose certificate fails."""
+        zone = solve_roll(RollParameters(0.04, 0.1, 0.5), SpectralGrid(32))
+        cell = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
+        return [
+            (zone, np.linspace(-0.5, 0.5, 41), False),
+            (zone, [0.25], True),
+            (cell, _default_sigma_grid(0.05), False),
+            (cell, [-1e-10, 0.0, 1e-10], True),
+        ]
+
+    def test_reuse_gives_fresh_buffer_bits(self):
+        sweeps = self.sweeps()
+        self.drop_workspace()
+        reused = []
+        for _ in range(2):
+            for roll, sigmas, stacks in sweeps:
+                out = bloch._lifted_sweep(roll, sigmas, stacks=stacks)
+                work = bloch._workspace.stacks
+                assert not any(np.shares_memory(a, work) for a in out)
+                reused.append(out)
+        for i, (roll, sigmas, stacks) in enumerate(sweeps * 2):
+            self.drop_workspace()
+            fresh = bloch._lifted_sweep(roll, sigmas, stacks=stacks)
+            assert len(fresh) == len(reused[i])
+            for a, b in zip(reused[i], fresh):
+                assert a.tobytes() == b.tobytes()
+
+    def test_reallocated_only_when_n_outgrows_it_or_N_changes(self):
+        (zone, sweep, _), (_, one, _), (cell, grid, _), _ = self.sweeps()
+        self.drop_workspace()
+        bloch._lifted_sweep(zone, sweep)
+        work = bloch._workspace.stacks
+        assert work.shape == (2, 35, 65, 65)
+        bloch._lifted_sweep(zone, one)
+        assert bloch._workspace.stacks is work
+        bloch._lifted_sweep(cell, grid)
+        assert bloch._workspace.stacks.shape == (2, len(grid), 25, 25)
+
+    def test_a_repeated_sweep_allocates_less_than_one_stack(self):
+        # NumPy reports its data buffers to tracemalloc.  Built afresh, the
+        # sweep allocates three (35, 65, 65) stacks: S, H and the certificate.
+        roll = solve_roll(RollParameters(0.04, 0.1, 0.5), SpectralGrid(32))
+        sweep = np.linspace(-0.5, 0.5, 41)
+        assert np.unique(np.abs(sweep)).size == 35
+        want = critical_triples(roll, sweep)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            got = critical_triples(roll, sweep)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert peak < 35 * 65 * 65 * np.dtype(np.float64).itemsize
+
+    @pytest.mark.parametrize("n_modes", [(12, 32), (32, 32)])
+    def test_two_threads_give_the_serial_bits(self, n_modes):
+        # At one N, threads sharing a workspace would overwrite each other's stacks.
+        cases = [
+            (solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(n_modes[0])), np.linspace(-0.5, 0.5, 21)),
+            (solve_roll(RollParameters(0.04, 0.1, 0.5), SpectralGrid(n_modes[1])), np.linspace(-0.5, 0.5, 41)),
+        ]
+        serial = [critical_triples(roll, sweep).tobytes() for roll, sweep in cases]
+        repeats = 10
+        results = [[], []]
+        start = threading.Barrier(2, timeout=60)
+
+        def run(i):
+            roll, sweep = cases[i]
+            start.wait()
+            for _ in range(repeats):
+                results[i].append(critical_triples(roll, sweep).tobytes())
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[want] * repeats for want in serial]
 
 
 class TestCholeskyKernel:

@@ -276,9 +276,9 @@ class TestComparison:
         factors = bloch._symmetric_factors
         sizes = []
 
-        def spy(df, k2, sigmas):
+        def spy(df, k2, sigmas, *args):
             sizes.append(sigmas.size)
-            return factors(df, k2, sigmas)
+            return factors(df, k2, sigmas, *args)
 
         monkeypatch.setattr(bloch, "_symmetric_factors", spy)
         mgl.compare_exact_vs_mgl(roll, np.linspace(-1.0, 1.0, 11))
