@@ -21,14 +21,14 @@ bit for bit: a sweep solves each distinct ``|sigma|`` once, and a member at
 ``-sigma`` is the mirror of its twin, with the same values and its vectors
 reversed in ``m``.
 
-A sweep's two ``(n_sigma, N, N)`` stacks, ``S`` (reused for the certificate
-matrix) and ``H``, live in a per-thread workspace (:func:`_workspace_stacks`)
-that keeps the two stacks of the largest sweep at the last ``N``.  Freed
-after each sweep, stacks of a megabyte go back to the kernel (glibc's
-dynamic mmap and trim thresholds) and are faulted in again by the next: a
-``dispersion_sweep`` benchmark op (M = 32, 35 distinct ``|sigma|``) took
-545 to 819 minor page faults and about 0.9 ms of system time; reused, it
-takes none.  Nothing a sweep returns views the workspace.
+A sweep's two ``(n_sigma, N, N)`` stacks, ``S`` and ``H``, live in a
+per-thread workspace (:func:`_workspace_stacks`) that keeps the two stacks
+of the largest sweep at the last ``N``; they are the only ``N x N`` stacks
+a sweep forms.  Freed after each sweep, stacks of a megabyte go back to the
+kernel (glibc's dynamic mmap and trim thresholds) and are faulted in again
+by the next: a ``dispersion_sweep`` benchmark op (M = 32, 35 distinct
+``|sigma|``) took 545 to 819 minor page faults and about 0.9 ms of system
+time; reused, it takes none.  Nothing a sweep returns views the workspace.
 
 One engine, :func:`_lifted_sweep`, solves every Bloch number.  It starts
 from the paper's Lyapunov-Schmidt split of ``H``: unit vectors on the
@@ -36,12 +36,14 @@ critical block ``c`` (Bloch modes ``m = -2..2``), lifted onto the
 hard-damped rest ``r`` by ``-diag(H_rr)^{-1} H_rc``, and refined with no
 linear solve: the same lift applied again at each Ritz value, i.e.
 Davidson's correction with a diagonal preconditioner (:func:`_lifted_ritz`;
-E. R. Davidson, J. Comput. Phys. 17 (1975) 87-94).  One stacked Cholesky
-factorization (:func:`_cholesky`, all NaN on a member that is not positive
-definite) certifies by inertia that the triple and the gap lie within their
-radii; one ``eigvalsh`` of a member's ``H`` gives the rest of its
-spectrum, for a certified member (rebuilt at ``|sigma|``) only when its
-``eigenvalues`` are read.
+E. R. Davidson, J. Comput. Phys. 17 (1975) 87-94).  An inertia certificate
+shows that the triple and the gap lie within their radii, by the same
+split (:func:`_block_certificate`): a Gershgorin bound on the hard-damped
+rows outside ``|m| <= 4`` and one stacked Cholesky factorization of the
+9 x 9 Schur-complement bound on that block (:func:`_cholesky`, all NaN on
+a member that is not positive definite).  One ``eigvalsh`` of a member's
+``H`` gives the rest of its spectrum, for a certified member (rebuilt at
+``|sigma|``) only when its ``eigenvalues`` are read.
 
 At ``sigma = 0`` the ``m = 0`` row and column of ``H`` vanish identically
 (conservation law), so the conserved value is exactly zero and is set, not
@@ -92,6 +94,19 @@ _MATCH_ULPS = 16
 #: lives at m = -1, 0, 1 (at m = -2, -1, 0 near sigma = -1/2); the |m| = 2
 #: neighbours let Rayleigh-Ritz resolve it.
 _START_MODES = np.arange(-2, 3)
+#: The block the inertia certificate factors: Bloch modes |m| <= 4, the
+#: critical block and two neighbours on each side.  Every outer row's
+#: diagonal lies below about ``-k^2 m^2 (k^2 m^2 - 1)^2``, which dominates
+#: its Gershgorin row sum, so the block alone carries the certificate.
+_BLOCK_MODES = np.arange(-4, 5)
+#: The Gershgorin row sums and the Schur term of the certificate are sums of
+#: at most ``N`` products, whose rounding is at most ``gamma_N``, about
+#: ``N eps / 2``, relative to the sums of their absolute values (Higham,
+#: Accuracy and Stability of Numerical Algorithms, section 3.1), and each
+#: ``|H_ij|`` exceeds its bound ``sq_i sq_j |T_ij|`` by at most three
+#: roundings.  Both are inflated by ``_SCHUR_ULPS N eps``, which covers that
+#: with a factor of about 4 to spare.
+_SCHUR_ULPS = 2
 
 
 @dataclass(frozen=True)
@@ -121,7 +136,7 @@ class BlochSpectrum:
     def _full(self) -> tuple[np.ndarray, tuple[int, int, int]]:
         rest = self._rest
         if isinstance(rest, RollSolution):
-            _, H = _stacks(rest, np.array([abs(self.sigma)]))
+            H = _stacks(rest, np.array([abs(self.sigma)]))[1]
             rest = _split(np.linalg.eigvalsh(H))[1][0]
         allvals = np.concatenate([self._triple, rest])
         order = np.argsort(-allvals, kind="stable")
@@ -148,11 +163,12 @@ def _checked_sigmas(sigmas, param: str) -> np.ndarray:
 
 
 def _symmetric_factors(df: np.ndarray, k2: float, sigmas: np.ndarray, out: np.ndarray | None = None):
-    """Prefactors ``p`` ``(n, N)`` and symmetric factors ``S`` ``(n, N, N)``.
+    """Prefactors ``p`` ``(n, N)``, symmetric factors ``S`` ``(n, N, N)`` and their Toeplitz part ``T`` ``(N, N)``.
 
     The Toeplitz multiplication part is the same at every Bloch number, so it
-    is gathered and symmetrized once; only the diagonal symbol varies.  ``S``
-    is written into ``out``, a C-contiguous ``(n, N, N)`` stack, if given.
+    is gathered and symmetrized once; only the diagonal symbol varies, and
+    off the diagonal ``S`` is ``T``.  ``S`` is written into ``out``, a
+    C-contiguous ``(n, N, N)`` stack, if given.
     """
     N = (df.size + 1) // 2
     M = N // 2
@@ -163,7 +179,7 @@ def _symmetric_factors(df: np.ndarray, k2: float, sigmas: np.ndarray, out: np.nd
     S = np.empty((sigmas.size, N, N)) if out is None else out
     S[...] = T
     S.reshape(sigmas.size, N * N)[:, :: N + 1] += swift_hohenberg(kt2)
-    return kt2, S
+    return kt2, S, T
 
 
 #: Each thread's ``stacks``, two C-contiguous ``(n_cap, N, N)`` stacks kept
@@ -214,16 +230,17 @@ def _rayleigh_ritz(H: np.ndarray, Q: np.ndarray):
 
 
 def _stacks(roll: RollSolution, sigmas: np.ndarray, out: np.ndarray | None = None):
-    """``sq = sqrt(p)`` ``(n, N)`` and the symmetric ``H = diag(sq) S diag(sq)`` of a checked sweep.
+    """``sq = sqrt(p)`` ``(n, N)``, the symmetric ``H = diag(sq) S diag(sq)`` of a checked sweep and ``S``'s Toeplitz part ``T``.
 
     Bloch numbers within ``_SIGMA_ZERO_TOL`` of zero are built at exactly
     zero, where ``sq`` and so the ``m = 0`` row and column of ``H`` vanish.
-    ``out`` ``(2, n, N, N)``, if given, holds ``S`` in ``out[0]`` and ``H``
-    in ``out[1]``; each must be C-contiguous.
+    Off the diagonal, ``H[i, j]`` is ``sq_i sq_j T[i, j]`` to within three
+    roundings.  ``out`` ``(2, n, N, N)``, if given, holds ``S`` in
+    ``out[0]`` and ``H`` in ``out[1]``; each must be C-contiguous.
     """
     df = reaction_derivative(roll.profile.coeffs, roll.params.s, roll.params.eps)
     sigmas = np.where(np.abs(sigmas) < _SIGMA_ZERO_TOL, 0.0, sigmas)
-    p, S = _symmetric_factors(df, roll.params.k**2, sigmas, None if out is None else out[0])
+    p, S, T = _symmetric_factors(df, roll.params.k**2, sigmas, None if out is None else out[0])
     sq = np.sqrt(p)
     S *= sq[:, :, None]
     S *= sq[:, None, :]
@@ -231,7 +248,7 @@ def _stacks(roll: RollSolution, sigmas: np.ndarray, out: np.ndarray | None = Non
     # overlapping transpose.  Addition commutes, so H is exactly symmetric.
     H = np.add(S, S.swapaxes(1, 2), out=None if out is None else out[1])
     H *= 0.5
-    return sq, H
+    return sq, H, T
 
 
 def _conserved_vector(roll: RollSolution) -> np.ndarray:
@@ -309,6 +326,58 @@ def _lifted_ritz(H: np.ndarray):
     return theta, Y, r3, r4
 
 
+def _block_certificate(sq: np.ndarray, H: np.ndarray, T: np.ndarray, Y: np.ndarray, c: np.ndarray, tau: np.ndarray):
+    """The members ``(n,)`` whose ``A = c Y Y^T + tau I - H`` is certified positive definite from its block.
+
+    ``l`` is the block of Bloch modes ``_BLOCK_MODES`` (rows ``N // 2 - 4``
+    to ``N // 2 + 4``, all rows for ``N <= 9``) and ``h`` the outer rows.
+    With ``c > 0``, checked, ``c Y_h Y_h^T`` is positive semidefinite, so
+    ``A_hh >= tau I - H_hh >= g I``, where Gershgorin's theorem gives
+
+        g = min_{i in h} (tau - H_ii - sum_{j in h, j != i} sq_i sq_j |T_ij|)
+
+    from ``|H_ij| <= sq_i sq_j |T_ij|`` (:func:`_stacks`): the row sums are
+    one ``(n, N) @ (N, N)`` product with ``|T|`` zero off the outer rows and
+    columns.  When ``g > 0``, ``A_lh A_hh^{-1} A_hl <= A_lh A_hl / g``, so
+    ``A`` is positive definite when ``A_ll - A_lh A_hl / g`` is (the
+    Schur-complement criterion; Horn & Johnson, Matrix Analysis): one stacked
+    Cholesky of ``(n, 9, 9)`` matrices (:func:`_cholesky`), with
+    ``A_l. = c Y_l Y^T - H_l.`` formed from a contiguous row slice of ``H``.
+    With no outer rows (``N <= 9``) that Cholesky is of ``A`` itself.
+
+    The row sums are scaled by ``1 + _SCHUR_ULPS N eps``.  The rounding of
+    ``P = A_lh A_hl`` is at most ``gamma_N d_i d_j`` in entry ``(i, j)``,
+    with ``d_i^2 = P_ii``, so at most ``gamma_N tr(P)`` in the 2-norm, and
+    ``_SCHUR_ULPS N eps tr(P)`` is added to ``P``'s diagonal.
+    """
+    n, N = sq.shape
+    lo = max(N // 2 + _BLOCK_MODES[0], 0)
+    block, k = slice(lo, N - lo), N - 2 * lo
+    Al = np.matmul(Y[:, block], Y.swapaxes(1, 2))
+    Al *= c[:, None, None]
+    Al -= H[:, block]
+    A = Al[:, :, block].copy()
+    A.reshape(n, k * k)[:, :: k + 1] += tau[:, None]
+    g = np.full(n, np.inf)
+    if k < N:
+        # |T| on the outer rows and columns, off the diagonal; zero elsewhere.
+        Th = np.abs(T)
+        Th[block] = Th[:, block] = 0.0
+        np.fill_diagonal(Th, 0.0)
+        slack = 1.0 + _SCHUR_ULPS * N * np.finfo(np.float64).eps
+        disc = tau[:, None] - np.diagonal(H, axis1=1, axis2=2) - slack * sq * (sq @ Th)
+        disc[:, block] = np.inf
+        g = np.min(disc, axis=1)
+        Al[:, :, block] = 0.0
+        P = np.matmul(Al, Al.swapaxes(1, 2))
+        P.reshape(n, k * k)[:, :: k + 1] += (slack - 1.0) * np.trace(P, axis1=1, axis2=2)[:, None]
+        # A member with g <= 0 (or NaN) is not certified; its Schur term is
+        # left out, so that nothing divides by zero.
+        A -= P / np.where(g > 0.0, g, np.inf)[:, None, None]
+    L = _cholesky(A, out=A)
+    return (c > 0.0) & (g > 0.0) & np.isfinite(np.diagonal(L, axis1=1, axis2=2)).all(axis=1)
+
+
 def _split(w: np.ndarray):
     """The three of each row of ``w`` nearest zero, the rest, each ascending, and ``max|w|``."""
     w = np.take_along_axis(w, np.argsort(np.abs(w), axis=1), axis=1)
@@ -320,11 +389,13 @@ def _lifted_sweep(roll: RollSolution, sigmas, stacks: bool = False):
 
     :func:`_lifted_ritz` gives the four largest Ritz pairs ``(rho, Y)``, the
     fifth Ritz value ``theta_5`` and the radii ``r3`` and ``r4``.  With ``tau``
-    halfway between ``rho_4 - r4`` and ``theta_5``, one stacked Cholesky of
-    ``A = c Y Y^T + tau I - H``, ``c = 2 (max rho - tau)``, certifies each
-    member by inertia (Sylvester's law).  When ``A`` is positive definite,
-    i.e. its factor (:func:`_cholesky`, all NaN where none exists) has a
-    finite diagonal:
+    halfway between ``rho_4 - r4`` and ``theta_5``, each member is certified
+    by inertia when ``A = c Y Y^T + tau I - H``, ``c = 2 (max rho - tau)``,
+    is positive definite.  :func:`_block_certificate` shows that from the
+    9 x 9 block of ``|m| <= 4`` alone: a Gershgorin bound ``g > 0`` on the
+    rest and one stacked Cholesky of the Schur-complement bound
+    ``A_ll - A_lh A_hl / g``; no ``N x N`` matrix is formed beside ``S`` and
+    ``H``.  When ``A`` is positive definite:
 
     - ``H - c Y Y^T < tau I``, so the fifth eigenvalue of ``H`` lies below
       ``tau`` (interlacing for a rank-4 update);
@@ -339,7 +410,9 @@ def _lifted_sweep(roll: RollSolution, sigmas, stacks: bool = False):
     triple (Kahan) lie above ``rho_4 + r4``, so are the top three, once the
     least of the triple less ``r3`` does; the triple's radius is then ``r3``,
     else ``r4``.  These are floating-point certificates, not interval
-    arithmetic.  An uncertified member keeps its lifted triple when it lies
+    arithmetic: the radii and the block certificate's row sums and Schur term
+    carry a stated slack for their own rounding, the rest of the arithmetic
+    none.  An uncertified member keeps its lifted triple when it lies
     within ``r3 + _MATCH_ULPS eps max|w|`` of the three values nearest zero
     of one ``eigvalsh``, which gives its rest and its gap, ``-max`` of the
     rest; otherwise :class:`InvariantViolation` is raised.
@@ -367,7 +440,7 @@ def _lifted_sweep(roll: RollSolution, sigmas, stacks: bool = False):
     sigmas = np.where(np.abs(sigmas) < _SIGMA_ZERO_TOL, 0.0, sigmas)
     mags, twin = np.unique(np.abs(sigmas), return_inverse=True)
     work = _workspace_stacks(mags.size, 2 * roll.profile.grid.n_modes + 1)
-    sq, H = _stacks(roll, mags, work)
+    sq, H, T = _stacks(roll, mags, work)
     n, N = sq.shape
     zero = sq[:, N // 2] == 0.0
     theta, Y, r3, r4 = _lifted_ritz(H)
@@ -388,15 +461,7 @@ def _lifted_sweep(roll: RollSolution, sigmas, stacks: bool = False):
         order = np.argsort(vals[i], kind="stable")
         vals[i], vecs[i] = vals[i, order], y[:, order]
     tau = 0.5 * (rho4 - r4 + theta[:, 0])
-    # A is formed over S, which H no longer needs, and factored in place, so
-    # the batch holds two matrix stacks, H and A, and H is kept for the
-    # eigvalsh of the uncertified members.  Nothing returned views either.
-    A = np.matmul(Y, Y.swapaxes(1, 2), out=work[0])
-    A *= (2.0 * (top - tau))[:, None, None]
-    np.subtract(A, H, out=A)
-    A.reshape(n, N * N)[:, :: N + 1] += tau[:, None]
-    L = _cholesky(A, out=A)
-    certified = np.isfinite(np.diagonal(L, axis1=1, axis2=2)).all(axis=1)
+    certified = _block_certificate(sq, H, T, Y, 2.0 * (top - tau), tau)
     certified &= (tau < rho4 - r4) & (top + r4 < -(rho4 + r4)) & ~zero
     radius = np.where(certified, np.where(vals[:, 0] - r3 > rho4 + r4, r3, r4), np.nan)
     gaps, others = -rho4, np.full((n, N - 3), np.nan)

@@ -238,7 +238,8 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
     The triples come from ``bloch.critical_triples``: the critical modes
     lifted onto the rest (the first-order Lyapunov-Schmidt reduction) and
     refined by Davidson corrections, with the triple and the gap certified
-    by a Cholesky factorization rather than read off a full eigensolve; a
+    by the Cholesky factorization of a 9 x 9 Schur-complement bound rather
+    than read off a full eigensolve; a
     Bloch number whose certificate fails keeps its lifted triple once it is
     checked against ``eigvalsh``.
     The sweep has no ``sigma = 0`` for ``eps > 0``: there the conservation

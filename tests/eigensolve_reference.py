@@ -1,12 +1,17 @@
-"""An independent reference for the lifted engine's critical triples.
+"""Independent references for the lifted engine's critical triples and its certificate.
 
-A full ``eigh`` of each ``H = sqrt(p) S sqrt(p)``, then two inverse-iteration
-steps and a Rayleigh-Ritz step on the eigenvectors of the three values
-nearest zero.  At ``sigma = 0`` the ``m = 0`` row and column of ``H`` vanish,
-so they are dropped first and the exact zero is set beside the two values
-nearest zero of the rest.  Its accuracy is about ``eps ||G||`` off the zone
-edge; at ``sigma = +-1/2``, where the third and fourth eigenvalues nearly
-meet, it may be off by up to about 1e-12 and the 40-digit oracle decides.
+:func:`reference_triples`: a full ``eigh`` of each ``H = sqrt(p) S
+sqrt(p)``, then two inverse-iteration steps and a Rayleigh-Ritz step on the
+eigenvectors of the three values nearest zero.  At ``sigma = 0`` the ``m = 0``
+row and column of ``H`` vanish, so they are dropped first and the exact zero
+is set beside the two values nearest zero of the rest.  Its accuracy is about
+``eps ||G||`` off the zone edge; at ``sigma = +-1/2``, where the third and
+fourth eigenvalues nearly meet, it may be off by up to about 1e-12 and the
+40-digit oracle decides.
+
+:func:`full_certificate`: the inertia certificate on the whole ``N x N``
+matrix, one stacked Cholesky of ``A = c Y Y^T + tau I - H``, against which
+the engine's block certificate is checked.
 """
 
 import numpy as np
@@ -41,7 +46,7 @@ def _near_zero(H, k):
 def reference_triples(roll, sigmas):
     """Critical triples ``(n, 3)``, ascending, of a sweep by eigensolve and inverse iteration."""
     sigmas = np.asarray(sigmas, dtype=float).reshape(-1)
-    sq, H = bloch._stacks(roll, sigmas)
+    sq, H, _ = bloch._stacks(roll, sigmas)
     N = H.shape[1]
     zero = sq[:, N // 2] == 0.0
     vals = np.empty((sigmas.size, 3))
@@ -53,3 +58,26 @@ def reference_triples(roll, sigmas):
         pair = _near_zero(deflated, 2)
         vals[zero] = np.sort(np.concatenate([np.zeros((len(pair), 1)), pair], axis=1), axis=1)
     return vals
+
+
+def certificate_inputs(roll, sigmas):
+    """``sq, H, T, Y, c, tau`` of the engine's inertia certificate over a sweep built at ``sigmas``.
+
+    ``tau`` lies halfway between ``rho_4 - r4`` and the fifth Ritz value, and
+    ``c = 2 (max rho - tau)``, as in ``bloch._lifted_sweep``.
+    """
+    sq, H, T = bloch._stacks(roll, np.asarray(sigmas, dtype=float).reshape(-1))
+    theta, Y, _, r4 = bloch._lifted_ritz(H)
+    tau = 0.5 * (theta[:, 1] - r4 + theta[:, 0])
+    return sq, H, T, Y, 2.0 * (theta[:, -1] - tau), tau
+
+
+def full_certificate(H, Y, c, tau):
+    """Whether each ``A = c Y Y^T + tau I - H`` ``(n, N, N)`` is positive definite, by one stacked Cholesky of ``A``."""
+    n, N, _ = H.shape
+    A = np.matmul(Y, Y.swapaxes(1, 2))
+    A *= c[:, None, None]
+    A -= H
+    A.reshape(n, N * N)[:, :: N + 1] += tau[:, None]
+    L = bloch._cholesky(A, out=A)
+    return np.isfinite(np.diagonal(L, axis1=1, axis2=2)).all(axis=1)

@@ -5,6 +5,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -21,7 +22,7 @@ from conslaw.fourier import SpectralGrid
 from conslaw.model import reaction_derivative, swift_hohenberg
 from conslaw.rolls import RollParameters, solve_roll, zero_roll
 
-from eigensolve_reference import reference_triples
+from eigensolve_reference import certificate_inputs, full_certificate, reference_triples
 
 GRID = SpectralGrid(16)
 
@@ -34,12 +35,12 @@ def constant_symbol(m, sigma):
 
 def bloch_matrix(roll, sigma):
     """Dense Bloch matrix ``diag(p) S`` at one Bloch number, from the solver's own factors."""
-    p, S = symmetric_factors(roll, sigma)
+    p, S, _ = symmetric_factors(roll, sigma)
     return p[0][:, None] * S[0]
 
 
 def symmetric_factors(roll, sigma):
-    """The solver's factors ``p`` and ``S`` at one Bloch number."""
+    """The solver's factors ``p`` and ``S``, and ``S``'s Toeplitz part ``T``, at one Bloch number."""
     df = reaction_derivative(roll.profile.coeffs, roll.params.s, roll.params.eps)
     return bloch._symmetric_factors(df, roll.params.k**2, np.array([sigma]))
 
@@ -64,6 +65,19 @@ def certify(roll, sigmas, delta=1.0):
     """Triples and their radii (NaN where uncertified) of the certified engine."""
     vals, radius, _, _, _, _ = bloch._certified_sweep(roll, sigmas, delta)
     return vals, radius
+
+
+def cholesky_calls(monkeypatch):
+    """The shapes of the stacks ``bloch._cholesky`` factors from here on, in call order."""
+    calls = []
+    kernel = bloch.cholesky_lo
+
+    def spy(A, **kwargs):
+        calls.append(A.shape)
+        return kernel(A, **kwargs)
+
+    monkeypatch.setattr(bloch, "cholesky_lo", spy)
+    return calls
 
 
 def spectrum(roll, sigma, **kwargs):
@@ -463,8 +477,8 @@ class TestMirror:
     )
     def test_stacks_at_minus_sigma_are_reversed(self, eps, omega, s, sigma, n_modes):
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
-        sq, H = bloch._stacks(roll, np.array([sigma]))
-        sq_minus, H_minus = bloch._stacks(roll, np.array([-sigma]))
+        sq, H, _ = bloch._stacks(roll, np.array([sigma]))
+        sq_minus, H_minus, _ = bloch._stacks(roll, np.array([-sigma]))
         assert H_minus.tobytes() == H[:, ::-1, ::-1].tobytes()
         assert sq_minus.tobytes() == sq[:, ::-1].tobytes()
 
@@ -475,7 +489,7 @@ class TestMirror:
     def test_stacks_handed_back_are_the_sweeps(self):
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
         *values, sq, H = bloch._lifted_sweep(roll, self.sweep, stacks=True)
-        want_sq, want_H = bloch._stacks(roll, np.array(self.sweep))
+        want_sq, want_H, _ = bloch._stacks(roll, np.array(self.sweep))
         assert sq.tobytes() == want_sq.tobytes()
         assert H.tobytes() == want_H.tobytes()
         for a, b in zip(values, bloch._lifted_sweep(roll, self.sweep)):
@@ -561,7 +575,7 @@ class TestWorkspace:
 
     def test_a_repeated_sweep_allocates_less_than_one_stack(self):
         # NumPy reports its data buffers to tracemalloc.  Built afresh, the
-        # sweep allocates three (35, 65, 65) stacks: S, H and the certificate.
+        # sweep allocates two (35, 65, 65) stacks: S and H.
         roll = solve_roll(RollParameters(0.04, 0.1, 0.5), SpectralGrid(32))
         sweep = np.linspace(-0.5, 0.5, 41)
         assert np.unique(np.abs(sweep)).size == 35
@@ -650,21 +664,16 @@ class TestCholeskyKernel:
     )
     def test_one_stacked_call_per_sweep(self, sweep, distinct, monkeypatch):
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
-        calls = []
-
-        def spy(A, **kwargs):
-            calls.append(A.shape)
-            return cholesky_lo(A, **kwargs)
 
         def no_retry(*args, **kwargs):
             raise AssertionError("np.linalg.cholesky called")
 
-        cholesky_lo = bloch.cholesky_lo
-        monkeypatch.setattr(bloch, "cholesky_lo", spy)
+        calls = cholesky_calls(monkeypatch)
         monkeypatch.setattr(bloch.np.linalg, "cholesky", no_retry)
         critical_triples(roll, sweep)
-        # One member per distinct |sigma|; 0.0, -0.0 and 5e-14 are all zero.
-        assert calls == [(distinct, 25, 25)]
+        # One 9 x 9 block (|m| <= 4) per distinct |sigma|, never an N x N
+        # matrix; 0.0, -0.0 and 5e-14 are all zero.
+        assert calls == [(distinct, 9, 9)]
 
     def test_failed_members_keep_their_triples(self):
         # Members at 0 < |sigma| <= 1e-10 fail the certificate (a NaN factor);
@@ -681,6 +690,100 @@ class TestCholeskyKernel:
         assert critical_triples(roll, sweep).tobytes() == want.tobytes()
         radius = certify(roll, sweep)[1]
         assert np.all(np.isnan(radius[:2])) and np.all(np.isfinite(radius[2:]))
+
+
+class TestBlockCertificate:
+    """The inertia certificate factors the 9 x 9 block of |m| <= 4 after a
+    Gershgorin bound on the rest, and certifies what a Cholesky of the whole
+    matrix does."""
+
+    @staticmethod
+    def grids(eps):
+        """The whole zone, a geometric approach to zero and the classifier's grid, without sigma = 0."""
+        sigmas = np.concatenate([np.linspace(-0.5, 0.5, 41), np.geomspace(1e-9, 0.5, 40), _default_sigma_grid(eps)])
+        mags = np.unique(np.abs(sigmas))
+        return mags[mags >= bloch._SIGMA_ZERO_TOL]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        eps=st.floats(0.005, 0.08),
+        omega=st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True),
+        s=st.floats(-1.4, 1.4),
+        n_modes=st.sampled_from([8, 12, 16, 32]),
+    )
+    def test_block_certifies_what_the_whole_matrix_does(self, eps, omega, s, n_modes):
+        roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
+        sq, H, T, Y, c, tau = certificate_inputs(roll, self.grids(eps))
+        block = bloch._block_certificate(sq, H, T, Y, c, tau)
+        assert np.array_equal(block, full_certificate(H, Y, c, tau))
+        # What the certificate proves: the fifth eigenvalue lies below tau,
+        # here to eigvalsh's rounding N eps max|w|.  Near sigma = 0 tau lies
+        # as little as 1e-8 above it (the cosine and sine modes of m = +-2
+        # meet there), under that rounding at M = 32.
+        w = np.sort(np.linalg.eigvalsh(H[block]), axis=1)
+        u = H.shape[1] * np.finfo(float).eps * np.abs(w).max(axis=1)
+        assert np.all(w[:, -5] < tau[block] + u)
+
+    @pytest.mark.parametrize("rows", [(3, 7), (6, 8)], ids=["block_to_outer", "outer_to_outer"])
+    def test_a_strong_coupling_outside_the_block_fails_the_certificate(self, rows):
+        # One symmetric coupling H_ij = sq_i sq_j T_ij between the rows of
+        # the Bloch modes m = rows, twice the geometric mean of A_ii and A_jj:
+        # A is then indefinite, though A_ll is untouched.  The Schur term has
+        # to see a coupling of the block to an outer row, and the Gershgorin
+        # row sums one between two outer rows.
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
+        sq, H, T, Y, c, tau = certificate_inputs(roll, [0.2])
+        assert bloch._block_certificate(sq, H, T, Y, c, tau).all()
+        i, j = 12 + np.array(rows)
+        A = c[0] * Y[0] @ Y[0].T + tau[0] * np.eye(25) - H[0]
+        T = T.copy()
+        T[i, j] = T[j, i] = 2.0 * np.sqrt(A[i, i] * A[j, j]) / (sq[0, i] * sq[0, j])
+        H = H.copy()
+        H[0, i, j] = H[0, j, i] = sq[0, i] * sq[0, j] * T[i, j]
+        assert not full_certificate(H, Y, c, tau).any()
+        assert not bloch._block_certificate(sq, H, T, Y, c, tau).any()
+
+    @pytest.mark.parametrize("n_modes", [2, 3, 4])
+    def test_no_outer_rows_factor_the_whole_matrix(self, n_modes, monkeypatch):
+        # A roll truncated to |m| <= M has no rows outside the block, so the
+        # certificate is one Cholesky of the whole N x N matrix.  The grid
+        # needs M >= 8, so the roll is a stand-in with the coefficients of
+        # one at M = 12.
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
+        coeffs = roll.profile.coeffs[12 - n_modes : 13 + n_modes]
+        short = SimpleNamespace(params=roll.params, profile=SimpleNamespace(coeffs=coeffs))
+        N = 2 * n_modes + 1
+        sq, H, T, Y, c, tau = certificate_inputs(short, [1e-10, 0.05, 0.2, 0.45, 0.5])
+        assert H.shape[1:] == (N, N)
+        calls = cholesky_calls(monkeypatch)
+        block = bloch._block_certificate(sq, H, T, Y, c, tau)
+        assert calls == [(5, N, N)]
+        assert np.array_equal(block, full_certificate(H, Y, c, tau))
+        assert block[1:].all()
+
+    def test_zero_roll_is_certified_off_sigma_zero(self):
+        # At eps = 0 the roll is zero, T vanishes and H is diagonal: every
+        # Gershgorin row sum is zero.
+        roll = zero_roll(RollParameters(0.0, 0.0, 0.0), SpectralGrid(12))
+        sigmas = self.grids(0.01)
+        sq, H, T, Y, c, tau = certificate_inputs(roll, sigmas)
+        assert not T.any()
+        assert np.array_equal(H, np.eye(25) * np.diagonal(H, axis1=1, axis2=2)[:, None, :])
+        block = bloch._block_certificate(sq, H, T, Y, c, tau)
+        assert np.array_equal(block, full_certificate(H, Y, c, tau))
+        radius = certify(roll, sigmas)[1]
+        assert np.array_equal(np.isfinite(radius), block)
+        assert np.isfinite(radius[sigmas >= 1e-6]).all()
+
+    def test_empty_sweep(self, monkeypatch):
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
+        calls = cholesky_calls(monkeypatch)
+        assert bloch._block_certificate(*certificate_inputs(roll, [])).shape == (0,)
+        assert critical_triples(roll, []).shape == (0, 3)
+        assert critical_curves(roll, []) == []
+        shapes = [a.shape for a in bloch._lifted_sweep(roll, [], stacks=True)]
+        assert shapes == [(0, 3), (0,), (0,), (0,), (0, 22), (0, 25, 3), (0, 25), (0, 25, 25)]
+        assert calls == [(0, 9, 9)] * 4
 
 
 class TestQrKernel:
@@ -845,7 +948,7 @@ class TestFixedBlockTriples:
         _, _, gaps, radius, _, _ = bloch._certified_sweep(roll, sweep, 1e-300)
         assert np.all(np.isfinite(radius))
         # eigvalsh's fourth value, to its rounding N eps max|w|, lies in the enclosure.
-        _, H = bloch._stacks(roll, sweep)
+        H = bloch._stacks(roll, sweep)[1]
         w = np.sort(np.linalg.eigvalsh(H), axis=1)
         u = H.shape[1] * np.finfo(float).eps * np.abs(w).max(axis=1)
         assert np.all(np.abs(w[:, -4] + gaps) <= radius + u)
@@ -925,7 +1028,7 @@ class TestFixedBlockTriples:
         # One stacked eigvalsh of the members off zero, built at |sigma|, less
         # its three values nearest zero, beside the certified triples, sorted
         # descending.
-        _, H = bloch._stacks(roll, np.abs(sweep[off]))
+        H = bloch._stacks(roll, np.abs(sweep[off]))[1]
         w = np.linalg.eigvalsh(H)
         w = np.take_along_axis(w, np.argsort(np.abs(w), axis=1), axis=1)
         want = -np.sort(-np.concatenate([vals[off], w[:, 3:]], axis=1), axis=1)

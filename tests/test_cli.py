@@ -237,7 +237,7 @@ class TestSpectrum:
         assert len(rows) == 2 and "gap" in rows[0]
 
     def test_negative_exponent_in_the_equals_form(self, capsys):
-        # The +-1e-10 members fail the certificate: a NaN Cholesky member.
+        # The +-1e-10 members fail the certificate: a NaN member of the block Cholesky.
         code, out, _ = run(
             capsys, "spectrum", "--eps", "0.05", "--omega", "0.1", "--s", "0.8", "--modes", "12",
             "--sigma-min=-1e-10", "--sigma-max=1e-10", "--sigma-steps", "3",
