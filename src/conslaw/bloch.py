@@ -15,20 +15,12 @@ critical eigenvalues come from a small Rayleigh-Ritz problem instead.
 
 A sweep is solved as one batch: :func:`_stacks` gathers its matrices into
 one ``(n_sigma, N, N)`` stack for each LAPACK call.  Stacked calls give the
-bits of one call per matrix, so one Bloch number is a sweep of one.  The
-roll is even, so ``H`` at ``-sigma`` is ``H`` at ``sigma`` under ``m -> -m``,
-bit for bit: a sweep solves each distinct ``|sigma|`` once, and a member at
-``-sigma`` is the mirror of its twin, with the same values and its vectors
-reversed in ``m``.
-
-A sweep's two ``(n_sigma, N, N)`` stacks, ``S`` and ``H``, live in a
-per-thread workspace (:func:`_workspace_stacks`) that keeps the two stacks
-of the largest sweep at the last ``N``; they are the only ``N x N`` stacks
-a sweep forms.  Freed after each sweep, stacks of a megabyte go back to the
-kernel (glibc's dynamic mmap and trim thresholds) and are faulted in again
-by the next: a ``dispersion_sweep`` benchmark op (M = 32, 35 distinct
-``|sigma|``) took 545 to 819 minor page faults and about 0.9 ms of system
-time; reused, it takes none.  Nothing a sweep returns views the workspace.
+bits of one call per matrix, so one Bloch number is a sweep of one, and
+each distinct ``|sigma|`` is solved once (:func:`_lifted_sweep`).  Its two
+stacks, ``S`` and ``H``, the only ``N x N`` stacks a sweep forms, live in a
+per-thread workspace kept between sweeps (:func:`_workspace_stacks`):
+freed, stacks of a megabyte go back to the kernel and are faulted in again
+by the next sweep (see the README).  Nothing a sweep returns views it.
 
 One engine, :func:`_lifted_sweep`, solves every Bloch number.  It starts
 from the paper's Lyapunov-Schmidt split of ``H``: unit vectors on the
@@ -38,18 +30,10 @@ linear solve: the same lift applied again at each Ritz value, i.e.
 Davidson's correction with a diagonal preconditioner (:func:`_lifted_ritz`;
 E. R. Davidson, J. Comput. Phys. 17 (1975) 87-94).  An inertia certificate
 shows that the triple and the gap lie within their radii, by the same
-split (:func:`_block_certificate`): a Gershgorin bound on the hard-damped
-rows outside ``|m| <= 4`` and one stacked Cholesky factorization of the
-9 x 9 Schur-complement bound on that block (:func:`_cholesky`, all NaN on
-a member that is not positive definite).  One ``eigvalsh`` of a member's
-``H`` gives the rest of its spectrum, for a certified member (rebuilt at
-``|sigma|``) only when its ``eigenvalues`` are read.
-
-At ``sigma = 0`` the ``m = 0`` row and column of ``H`` vanish identically
-(conservation law), so the conserved value is exactly zero and is set, not
-computed.  No ``sigma = 0`` member is certified: the fourth and fifth
-eigenvalues there are the cosine and sine modes of ``m = +-2``, split by
-as little as 3e-11, inside the radius the certificate would need.
+split: one stacked Cholesky factorization of a 9 x 9 bound per member
+(:func:`_block_certificate`).  One ``eigvalsh`` of a member's ``H`` gives
+the rest of its spectrum, for a certified member (rebuilt at ``|sigma|``)
+only when its ``eigenvalues`` are read.
 """
 
 from __future__ import annotations
@@ -76,9 +60,10 @@ __all__ = [
 _SIGMA_ZERO_TOL = 1e-13
 #: Davidson corrections of each of the four largest lifted Ritz vectors.
 #: Four, not three: at sigma = +-1/2 the third and fourth eigenvalues are
-#: split by as little as 3e-7.  The fifth is left alone: at the zone edge its
-#: mirror mode lies in the rest, so its denominator ``H[i, i] - q`` may
-#: vanish, while the top four stay about 130 away from every rest diagonal.
+#: split by as little as 3e-7.  The fifth is left alone (at the zone edge its
+#: mirror mode lies in the rest, so its ``H[i, i] - q`` may vanish; the top
+#: four stay about 130 from every rest diagonal), and may lie so far below
+#: ``lambda_5`` that ``0 < |sigma| <= 1e-10`` goes uncertified.
 _CORRECTIONS = 2
 #: The radii of the lifted Ritz values are floored at ``_ROUNDING_ULPS eps
 #: ||G||_2`` (``G = Q^T H Q``, so ``||G||_2`` is the largest ``|theta|``), the
@@ -114,14 +99,13 @@ class BlochSpectrum:
     """Real spectrum at one Bloch number with the critical triple flagged.
 
     ``critical_values()`` returns a copy of the three eigenvalues nearest
-    zero, ascending.  ``gap`` is ``-lambda_4``, minus the largest eigenvalue
-    of the rest: the certified ``-rho_4`` of :func:`_lifted_sweep`, within
-    its radius, or where the certificate fails, ``-max`` of the ``eigvalsh``
-    rest.  ``eigenvalues`` (sorted descending) and ``critical`` (the indices
-    of the triple in them) are computed on first read: the triple beside the
-    rest of ``eigvalsh`` of ``H`` at ``|sigma|``, rebuilt from the roll
-    (accurate to ``eps max|w|``), or beside the rest already solved.  No
-    matrix is kept.
+    zero, ascending.  ``gap`` is ``-lambda_4``: the certified ``-rho_4`` of
+    :func:`_lifted_sweep`, within its radius, or where the certificate fails,
+    ``-max`` of the ``eigvalsh`` rest.  ``eigenvalues`` (descending) and
+    ``critical`` (the triple's indices in them) are computed on first read:
+    the triple beside the ``eigvalsh`` rest, solved already or rebuilt from
+    the roll at ``|sigma|`` (accurate to ``eps max|w|``); no matrix is kept.
+    They stay public API, which the benchmark reads; no module here does.
     """
 
     sigma: float
@@ -384,18 +368,39 @@ def _split(w: np.ndarray):
     return np.sort(w[:, :3], axis=1), np.sort(w[:, 3:], axis=1), np.abs(w[:, -1])
 
 
-def _lifted_sweep(roll: RollSolution, sigmas, stacks: bool = False):
+@dataclass(frozen=True)
+class _Sweep:
+    """What :func:`_lifted_sweep` solved at each of the checked ``sigmas`` ``(n,)``.
+
+    The triples ``values`` ``(n, 3)``, ascending, and ``gaps`` ``(n,)``, with
+    their ``radius`` and ``gap_radius`` ``(n,)``, NaN where ``certified`` is
+    false; ``rest`` ``(n, N - 3)``, NaN where certified, and the triples' Ritz
+    ``vectors`` of ``H`` ``(n, N, 3)``.  With ``stacks``, each member's ``sq``
+    ``(n, N)`` and ``H`` ``(n, N, N)``, mirrored as its vectors are: bitwise
+    :func:`_stacks` of the sweep, never built twice; else ``None``.
+    """
+
+    sigmas: np.ndarray
+    values: np.ndarray
+    radius: np.ndarray
+    gaps: np.ndarray
+    gap_radius: np.ndarray
+    certified: np.ndarray
+    rest: np.ndarray
+    vectors: np.ndarray
+    sq: np.ndarray | None
+    H: np.ndarray | None
+
+
+def _lifted_sweep(roll: RollSolution, sigmas, stacks: bool = False) -> _Sweep:
     """Critical triples, their vectors, gaps and radii over a sweep, with no full eigensolve.
 
     :func:`_lifted_ritz` gives the four largest Ritz pairs ``(rho, Y)``, the
     fifth Ritz value ``theta_5`` and the radii ``r3`` and ``r4``.  With ``tau``
     halfway between ``rho_4 - r4`` and ``theta_5``, each member is certified
     by inertia when ``A = c Y Y^T + tau I - H``, ``c = 2 (max rho - tau)``,
-    is positive definite.  :func:`_block_certificate` shows that from the
-    9 x 9 block of ``|m| <= 4`` alone: a Gershgorin bound ``g > 0`` on the
-    rest and one stacked Cholesky of the Schur-complement bound
-    ``A_ll - A_lh A_hl / g``; no ``N x N`` matrix is formed beside ``S`` and
-    ``H``.  When ``A`` is positive definite:
+    is positive definite, which :func:`_block_certificate` shows from the
+    9 x 9 block of ``|m| <= 4`` alone.  When ``A`` is positive definite:
 
     - ``H - c Y Y^T < tau I``, so the fifth eigenvalue of ``H`` lies below
       ``tau`` (interlacing for a rank-4 update);
@@ -412,33 +417,34 @@ def _lifted_sweep(roll: RollSolution, sigmas, stacks: bool = False):
     else ``r4``.  These are floating-point certificates, not interval
     arithmetic: the radii and the block certificate's row sums and Schur term
     carry a stated slack for their own rounding, the rest of the arithmetic
-    none.  An uncertified member keeps its lifted triple when it lies
-    within ``r3 + _MATCH_ULPS eps max|w|`` of the three values nearest zero
-    of one ``eigvalsh``, which gives its rest and its gap, ``-max`` of the
-    rest; otherwise :class:`InvariantViolation` is raised.
+    none.
 
-    At ``sigma = 0`` the conserved ``e_0`` (``H e_0 = 0``) may be rotated with
+    Two kinds of member are uncertified.  At ``sigma = 0``, ``lambda_4`` and
+    ``lambda_5`` (the cosine and sine modes of ``m = +-2``) are split by as
+    little as 3e-11, inside the radius the certificate would need.  At
+    ``0 < |sigma| <= 1e-10`` it may fail, not by rounding: ``tau`` is placed
+    from ``theta_5``, which gets no Davidson correction (at eps 0.05, omega
+    0.1, s 0.8, M = 12 and sigma = 1e-12, ``theta_5`` lies 5.57e-7 below
+    ``lambda_5``, which lies 5.46e-7 below ``lambda_4``; ``r4`` is 5.3e-9).
+    An uncertified member keeps its lifted triple when it lies within
+    ``r3 + _MATCH_ULPS eps max|w|`` of the three values nearest zero of one
+    ``eigvalsh``, which gives its rest and its gap, ``-max`` of the rest;
+    otherwise :class:`InvariantViolation` is raised.
+
+    At ``sigma = 0`` the ``m = 0`` row and column of ``H`` vanish (conservation
+    law), and the conserved ``e_0`` (``H e_0 = 0``) may be rotated with
     the translation mode, whose value is as near zero, so it is set, with the
     value ``0.0``, first among equal values.  ``H`` commutes with ``m -> -m``:
     beside it are the even and the odd part of largest norm of the three
     Ritz vectors less their ``m = 0`` entries, with their Rayleigh quotients.
 
-    Each distinct ``|sigma|`` is assembled and solved once, after Bloch
-    numbers within ``_SIGMA_ZERO_TOL`` of zero are set to zero.  A member at
-    ``-sigma`` takes its twin's values and radii, and its Ritz vectors
-    reversed in ``m``: ``H`` at ``-sigma`` is ``H`` at ``sigma`` so reversed,
-    bit for bit.
-
-    Returns the triples ``(n, 3)`` (ascending), their radius ``(n,)``, the
-    gaps ``(n,)``, their radius ``(n,)`` (both NaN where uncertified), the rest
-    ``(n, N - 3)`` (NaN where certified) and the triples' Ritz vectors of
-    ``H`` ``(n, N, 3)``.  With ``stacks``, these are followed by each
-    member's ``sq`` ``(n, N)`` and ``H`` ``(n, N, N)``, mirrored as its
-    vectors are: bitwise :func:`_stacks` of the sweep, never built twice.
+    ``H`` at ``-sigma`` is ``H`` at ``sigma`` reversed in ``m``, bit for bit
+    (the roll is even): each distinct ``|sigma|``, with Bloch numbers within
+    ``_SIGMA_ZERO_TOL`` of zero set to zero, is solved once, and a member at
+    ``-sigma`` takes its twin's values and radii, its vectors reversed.
     """
     sigmas = _checked_sigmas(sigmas, "sigma")
-    sigmas = np.where(np.abs(sigmas) < _SIGMA_ZERO_TOL, 0.0, sigmas)
-    mags, twin = np.unique(np.abs(sigmas), return_inverse=True)
+    mags, twin = np.unique(np.where(np.abs(sigmas) < _SIGMA_ZERO_TOL, 0.0, np.abs(sigmas)), return_inverse=True)
     work = _workspace_stacks(mags.size, 2 * roll.profile.grid.n_modes + 1)
     sq, H, T = _stacks(roll, mags, work)
     n, N = sq.shape
@@ -473,15 +479,13 @@ def _lifted_sweep(roll: RollSolution, sigmas, stacks: bool = False):
         if bad.size:
             raise InvariantViolation(f"lifted triple {vals[bad[0]]} at |sigma| = {mags[bad[0]]} misses eigvalsh")
         gaps[miss] = -np.max(others[miss], axis=1)
-    solved = vals, radius, gaps, np.where(certified, r4, np.nan), others, vecs
-    vals, radius, gaps, gap_radius, others, vecs = (a[twin] for a in solved)
-    neg = np.flatnonzero(sigmas < 0.0)
+    solved = vals, radius, gaps, np.where(certified, r4, np.nan), certified, others
+    vecs, sq, H = vecs[twin], sq[twin] if stacks else None, H[twin] if stacks else None
+    neg = np.flatnonzero(sigmas <= -_SIGMA_ZERO_TOL)
     vecs[neg] = vecs[neg, ::-1]
     if stacks:
-        sq, H = sq[twin], H[twin]
         sq[neg], H[neg] = sq[neg, ::-1], H[neg, ::-1, ::-1]
-        return vals, radius, gaps, gap_radius, others, vecs, sq, H
-    return vals, radius, gaps, gap_radius, others, vecs
+    return _Sweep(sigmas, *(a[twin] for a in solved), vecs, sq, H)
 
 
 def check_delta(delta: float) -> None:
@@ -490,7 +494,7 @@ def check_delta(delta: float) -> None:
         raise OutOfRange(f"delta must be positive and finite, got {delta}", param="delta")
 
 
-def _certified_sweep(roll: RollSolution, sigmas, delta: float):
+def _certified_sweep(roll: RollSolution, sigmas, delta: float) -> _Sweep:
     """:func:`_lifted_sweep`, checked for ``lambda_4 < -delta``.
 
     A certified member passes when ``rho_4 + r4 < -delta``, an uncertified
@@ -499,11 +503,9 @@ def _certified_sweep(roll: RollSolution, sigmas, delta: float):
     """
     check_delta(delta)
     sweep = _lifted_sweep(roll, sigmas)
-    _, _, gaps, gap_radius, _, _ = sweep
-    solved = np.isnan(gap_radius)
-    failed = np.flatnonzero(~np.where(solved, gaps > delta, gaps - gap_radius > delta))
+    failed = np.flatnonzero(~(np.where(sweep.certified, sweep.gaps - sweep.gap_radius, sweep.gaps) > delta))
     if failed.size:
-        raise GapViolation(float(gaps[failed[0]]), delta)
+        raise GapViolation(float(sweep.gaps[failed[0]]), delta)
     return sweep
 
 
@@ -519,8 +521,8 @@ def critical_modes(roll: RollSolution, sigma: float) -> tuple[np.ndarray, np.nda
     ``sqrt(p)`` and ``H``, so the member is assembled once.  No gap is
     certified.
     """
-    sigmas = _checked_sigmas([sigma], "sigma")
-    (vals,), _, _, _, _, (y,), (sq,), (H,) = _lifted_sweep(roll, sigmas, stacks=True)
+    sweep = _lifted_sweep(roll, [sigma], stacks=True)
+    vals, y, sq, H = sweep.values[0], sweep.vectors[0], sweep.sq[0], sweep.H[0]
     # The orthonormalized y carries a rounding of eps on every entry, which
     # the rest diagonal of diag(p) S, of order M^6, would turn into residuals
     # of up to 4.4e-6 at M = 32; the correction rebuilds the rest entries.
@@ -541,7 +543,7 @@ def critical_triples(roll: RollSolution, sigmas, delta: float = 1.0) -> np.ndarr
     (:func:`_certified_sweep`), which raises :class:`GapViolation` as
     :func:`critical_curves` does.  No spectrum is built.
     """
-    return _certified_sweep(roll, sigmas, delta)[0]
+    return _certified_sweep(roll, sigmas, delta).values
 
 
 def critical_curves(roll: RollSolution, sigmas, delta: float = 1.0) -> list[BlochSpectrum]:
@@ -555,9 +557,7 @@ def critical_curves(roll: RollSolution, sigmas, delta: float = 1.0) -> list[Bloc
     Raises :class:`GapViolation`, for the first offending sigma in sweep
     order, unless ``lambda_4 < -delta`` holds at every sigma.
     """
-    vals, radius, gaps, _, others, _ = _certified_sweep(roll, sigmas, delta)
-    return [
-        BlochSpectrum(float(sigma), float(gap), triple, roll if np.isfinite(r) else rest)
-        for sigma, gap, triple, r, rest in zip(_checked_sigmas(sigmas, "sigma"), gaps, vals, radius, others)
-    ]
+    sweep = _certified_sweep(roll, sigmas, delta)
+    rows = zip(sweep.sigmas, sweep.gaps, sweep.values, sweep.certified, sweep.rest)
+    return [BlochSpectrum(float(s), float(gap), triple, roll if ok else rest) for s, gap, triple, ok, rest in rows]
 

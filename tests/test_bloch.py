@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import sys
 import threading
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conslaw import bloch
+from conslaw import acceptance, bloch
 from conslaw import dispersion as dsp
 from conslaw.bloch import critical_curves, critical_modes, critical_triples
 from conslaw.dispersion import _default_sigma_grid, classify_numerically, growth_prefactor
@@ -63,8 +64,14 @@ def oracle_triples(roll, sigmas):
 
 def certify(roll, sigmas, delta=1.0):
     """Triples and their radii (NaN where uncertified) of the certified engine."""
-    vals, radius, _, _, _, _ = bloch._certified_sweep(roll, sigmas, delta)
-    return vals, radius
+    sweep = bloch._certified_sweep(roll, sigmas, delta)
+    return sweep.values, sweep.radius
+
+
+def sweep_arrays(sweep):
+    """The arrays a sweep record holds, by field name in field order; ``sq`` and ``H`` only when built."""
+    arrays = {f.name: getattr(sweep, f.name) for f in dataclasses.fields(sweep)}
+    return {name: a for name, a in arrays.items() if a is not None}
 
 
 def cholesky_calls(monkeypatch):
@@ -192,6 +199,15 @@ class TestSpectrum:
             others = np.delete(spec.eigenvalues, list(spec.critical))
             assert others.max() < -3.0
 
+    def test_sigma_zero_gap_is_minus_the_largest_rest_value(self):
+        # Criterion 2 checks gap > 3 for "the rest lies below -3": no sigma = 0
+        # member is certified, so its gap is -max of the very eigvalsh rest
+        # that its eigenvalues hold beside the triple, bit for bit.
+        for w, s in acceptance.PARAM_SETS:
+            for e in acceptance.EPS_SWEEP:
+                spec = critical_curves(acceptance._roll(e, w, s), [0.0])[0]
+                assert spec.gap == -np.delete(spec.eigenvalues, list(spec.critical)).max()
+
     def test_gap_violation_reported(self):
         roll = solve_roll(RollParameters(0.05, 0.0, 0.5), GRID)
         with pytest.raises(GapViolation):
@@ -297,7 +313,19 @@ class TestCurves:
         i, ulps = nudge
         new[i] += ulps * np.spacing(new[i])
         vals = np.array([[-0.3, -0.2, -0.1], new])
-        sweep = (vals, np.full(2, np.nan), np.full(2, 50.0), np.full(2, np.nan), np.full((2, 2), -50.0), None)
+        nan = np.full(2, np.nan)
+        sweep = bloch._Sweep(
+            sigmas=np.array([0.1, 0.2]),
+            values=vals,
+            radius=nan,
+            gaps=np.full(2, 50.0),
+            gap_radius=nan,
+            certified=np.zeros(2, dtype=bool),
+            rest=np.full((2, 2), -50.0),
+            vectors=None,
+            sq=None,
+            H=None,
+        )
         monkeypatch.setattr(bloch, "_certified_sweep", lambda roll, sigmas, delta: sweep)
         spectra = critical_curves(None, [0.1, 0.2])
         # Eigenvalues are stored descending, so the ascending triple sits at 2, 1, 0.
@@ -488,12 +516,14 @@ class TestMirror:
 
     def test_stacks_handed_back_are_the_sweeps(self):
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
-        *values, sq, H = bloch._lifted_sweep(roll, self.sweep, stacks=True)
+        sweep = bloch._lifted_sweep(roll, self.sweep, stacks=True)
         want_sq, want_H, _ = bloch._stacks(roll, np.array(self.sweep))
-        assert sq.tobytes() == want_sq.tobytes()
-        assert H.tobytes() == want_H.tobytes()
-        for a, b in zip(values, bloch._lifted_sweep(roll, self.sweep)):
-            assert a.tobytes() == b.tobytes()
+        assert sweep.sq.tobytes() == want_sq.tobytes()
+        assert sweep.H.tobytes() == want_H.tobytes()
+        plain = bloch._lifted_sweep(roll, self.sweep)
+        assert plain.sq is None and plain.H is None
+        for name, a in sweep_arrays(plain).items():
+            assert a.tobytes() == getattr(sweep, name).tobytes()
 
     @pytest.mark.parametrize("sigma", [0.0, 0.125, -0.125, 0.2, -0.2, 0.5, -0.5])
     def test_critical_modes_assembles_once(self, monkeypatch, sigma):
@@ -511,15 +541,19 @@ class TestMirror:
     def test_negative_members_are_their_twins_mirrored(self):
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
         sweep = self.sweep
-        *values, vecs = bloch._lifted_sweep(roll, sweep)
+        out = bloch._lifted_sweep(roll, sweep)
+        vecs = out.vectors
+        # What a member at -sigma shares with its twin, besides its mirrored vectors.
+        shared = ("values", "radius", "gaps", "gap_radius", "certified", "rest")
         for i, j, mirrored in [(0, 1, True), (0, 2, False), (3, 4, False), (3, 5, False), (6, 7, True)]:
-            for a in values:
+            for name in shared:
+                a = getattr(out, name)
                 assert a[j].tobytes() == a[i].tobytes()
             assert vecs[j].tobytes() == (vecs[i][::-1] if mirrored else vecs[i]).tobytes()
-        *alone, alone_vecs = bloch._lifted_sweep(roll, [0.2])
-        for a, b in zip(values, alone):
-            assert a[8].tobytes() == b[0].tobytes()
-        assert vecs[8].tobytes() == alone_vecs[0][::-1].tobytes()
+        alone = bloch._lifted_sweep(roll, [0.2])
+        for name in shared:
+            assert getattr(out, name)[8].tobytes() == getattr(alone, name)[0].tobytes()
+        assert vecs[8].tobytes() == alone.vectors[0][::-1].tobytes()
         spectra = critical_curves(roll, sweep)
         for i, j in [(0, 1), (6, 7)]:
             assert spectra[j].eigenvalues.tobytes() == spectra[i].eigenvalues.tobytes()
@@ -551,16 +585,16 @@ class TestWorkspace:
         reused = []
         for _ in range(2):
             for roll, sigmas, stacks in sweeps:
-                out = bloch._lifted_sweep(roll, sigmas, stacks=stacks)
+                out = sweep_arrays(bloch._lifted_sweep(roll, sigmas, stacks=stacks))
                 work = bloch._workspace.stacks
-                assert not any(np.shares_memory(a, work) for a in out)
+                assert not any(np.shares_memory(a, work) for a in out.values())
                 reused.append(out)
         for i, (roll, sigmas, stacks) in enumerate(sweeps * 2):
             self.drop_workspace()
-            fresh = bloch._lifted_sweep(roll, sigmas, stacks=stacks)
-            assert len(fresh) == len(reused[i])
-            for a, b in zip(reused[i], fresh):
-                assert a.tobytes() == b.tobytes()
+            fresh = sweep_arrays(bloch._lifted_sweep(roll, sigmas, stacks=stacks))
+            assert fresh.keys() == reused[i].keys()
+            for name, a in reused[i].items():
+                assert a.tobytes() == fresh[name].tobytes()
 
     def test_reallocated_only_when_n_outgrows_it_or_N_changes(self):
         (zone, sweep, _), (_, one, _), (cell, grid, _), _ = self.sweeps()
@@ -781,8 +815,19 @@ class TestBlockCertificate:
         assert bloch._block_certificate(*certificate_inputs(roll, [])).shape == (0,)
         assert critical_triples(roll, []).shape == (0, 3)
         assert critical_curves(roll, []) == []
-        shapes = [a.shape for a in bloch._lifted_sweep(roll, [], stacks=True)]
-        assert shapes == [(0, 3), (0,), (0,), (0,), (0, 22), (0, 25, 3), (0, 25), (0, 25, 25)]
+        shapes = {name: a.shape for name, a in sweep_arrays(bloch._lifted_sweep(roll, [], stacks=True)).items()}
+        assert shapes == {
+            "sigmas": (0,),
+            "values": (0, 3),
+            "radius": (0,),
+            "gaps": (0,),
+            "gap_radius": (0,),
+            "certified": (0,),
+            "rest": (0, 22),
+            "vectors": (0, 25, 3),
+            "sq": (0, 25),
+            "H": (0, 25, 25),
+        }
         assert calls == [(0, 9, 9)] * 4
 
 
@@ -945,7 +990,8 @@ class TestFixedBlockTriples:
         # of -gap, and a member passes only when that enclosure lies below -delta.
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
         sweep = self.sweep(eps)
-        _, _, gaps, radius, _, _ = bloch._certified_sweep(roll, sweep, 1e-300)
+        out = bloch._certified_sweep(roll, sweep, 1e-300)
+        gaps, radius = out.gaps, out.gap_radius
         assert np.all(np.isfinite(radius))
         # eigvalsh's fourth value, to its rounding N eps max|w|, lies in the enclosure.
         H = bloch._stacks(roll, sweep)[1]
@@ -954,8 +1000,8 @@ class TestFixedBlockTriples:
         assert np.all(np.abs(w[:, -4] + gaps) <= radius + u)
         for sigma, gap, r in zip(sweep, gaps, radius):
             try:
-                _, _, got_gap, got_radius, _, _ = bloch._certified_sweep(roll, [sigma], delta)
-                assert got_gap[0] == gap and got_radius[0] == r
+                got = bloch._certified_sweep(roll, [sigma], delta)
+                assert got.gaps[0] == gap and got.gap_radius[0] == r
                 passed = True
             except GapViolation as info:
                 assert info.gap == gap
@@ -980,8 +1026,10 @@ class TestFixedBlockTriples:
     def test_gap_and_triple_lie_within_their_radius_of_the_oracle(self, params, n_modes):
         roll = solve_roll(RollParameters(*params), SpectralGrid(n_modes))
         sweep = np.array([0.5, -0.5, 0.45, 0.2, 1e-6, 0.0])
-        vals, radius, gaps, gap_radius, _, _ = bloch._certified_sweep(roll, sweep, 1.0)
+        out = bloch._certified_sweep(roll, sweep, 1.0)
+        vals, radius, gaps, gap_radius = out.values, out.radius, out.gaps, out.gap_radius
         certified = np.isfinite(radius)
+        assert np.array_equal(out.certified, certified) and np.array_equal(np.isfinite(gap_radius), certified)
         assert np.array_equal(certified, sweep != 0.0)
         w = oracle_eigenvalues(roll, sweep)
         miss = np.abs(vals - w[:, 2::-1])
@@ -1022,7 +1070,7 @@ class TestFixedBlockTriples:
     def test_read_eigenvalues_are_the_triple_beside_the_eigvalsh_rest(self):
         roll = solve_roll(RollParameters(0.04, 0.1, 0.5), SpectralGrid(12))
         sweep = np.linspace(-0.5, 0.5, 9)
-        vals, radius, _, _, _, _ = bloch._certified_sweep(roll, sweep, 1.0)
+        vals, radius = certify(roll, sweep)
         off = sweep != 0.0
         assert np.all(np.isfinite(radius[off]))
         # One stacked eigvalsh of the members off zero, built at |sigma|, less

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conslaw import dispersion as dsp
-from conslaw.bloch import critical_modes
+from conslaw.bloch import critical_modes, critical_triples
 from conslaw.errors import InvariantViolation, OutOfRange
 from conslaw.fourier import SpectralGrid
 from conslaw.rolls import RollParameters, solve_roll
@@ -212,6 +212,58 @@ class TestPredicate:
                 assert (pi > 0.0) == inside
             else:
                 assert pi < 0.0
+
+
+class TestSignOfS:
+    """The model is invariant under ``(u(xi), s) -> (-u(xi + pi), -s)``, i.e. cosines ``a_m -> (-1)^(m+1) a_m``.
+
+    Each property holds bit for bit over the open band with ``0.01 < s < 3``.
+    The Bloch matrix at ``-s`` is the one at ``s`` conjugated by
+    ``diag((-1)^m)``, which changes signs only, never a magnitude.  At tiny
+    ``|s|`` (1e-300) the even cosines underflow to zeros whose sign bit is
+    not mirrored; their values, and the triples' bytes, still agree.
+    """
+
+    cells = dict(
+        eps=st.floats(0.005, 0.08),
+        omega=st.floats(-0.49, 0.49),
+        s=st.floats(0.01, 3.0, exclude_min=True, exclude_max=True),
+    )
+
+    @staticmethod
+    def rolls(eps, omega, s, n_modes):
+        grid = SpectralGrid(n_modes)
+        return solve_roll(RollParameters(eps, omega, s), grid), solve_roll(RollParameters(eps, omega, -s), grid)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(**cells, n_modes=st.sampled_from([8, 12, 32]))
+    def test_roll_at_minus_s_is_the_mirrored_roll(self, eps, omega, s, n_modes):
+        plus, minus = self.rolls(eps, omega, s, n_modes)
+        sign = (-1.0) ** (np.arange(n_modes + 1) + 1)
+        # The mean is held at exactly zero, so only its sign bit would differ.
+        assert plus.profile.cosines[0] == minus.profile.cosines[0] == 0.0
+        assert minus.profile.cosines[1:].tobytes() == (sign * plus.profile.cosines)[1:].tobytes()
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(**cells, n_modes=st.sampled_from([8, 12, 32]))
+    def test_triples_agree_over_the_classifier_grid(self, eps, omega, s, n_modes):
+        plus, minus = self.rolls(eps, omega, s, n_modes)
+        sigmas = dsp._default_sigma_grid(eps)
+        assert critical_triples(minus, sigmas).tobytes() == critical_triples(plus, sigmas).tobytes()
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(**cells, n_modes=st.sampled_from([8, 12]))
+    def test_verdict_and_witness_agree(self, eps, omega, s, n_modes):
+        plus, minus = self.rolls(eps, omega, s, n_modes)
+        want, got = dsp.classify_numerically(plus), dsp.classify_numerically(minus)
+        assert got.verdict is want.verdict
+        for a, b in [(got.witness_sigma, want.witness_sigma), (got.witness_lambda, want.witness_lambda)]:
+            assert (a is None and b is None) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(omega=st.floats(-0.49, 0.49), s=st.floats(0.0, 3.6))
+    def test_closed_form_predicate_agrees(self, omega, s):
+        assert dsp.stability_predicate(omega, -s) is dsp.stability_predicate(omega, s)
 
 
 class TestNumericalClassifier:

@@ -297,7 +297,7 @@ class TestComparison:
         sigmas = eps * table[:, 0]
         assert np.array_equal(table[:, 0], np.linspace(-1.0, 1.0, 11))
         roll = solve_roll(RollParameters(eps, 0.25, 1.0), SpectralGrid(32))
-        radius = bloch._certified_sweep(roll, sigmas, 1.0)[1]
+        radius = bloch._certified_sweep(roll, sigmas, 1.0).radius
         zero = table[:, 0] == 0.0
         assert np.all(np.isnan(radius[zero])) and np.all(np.isfinite(radius[~zero]))
         radius[zero] = 1e-13
