@@ -17,44 +17,39 @@ A sweep is solved as one batch: :func:`_stacks` gathers its matrices into
 one ``(n_sigma, N, N)`` stack for each LAPACK call.  Stacked calls give the
 bits of one call per matrix, so one Bloch number is a sweep of one, and
 each distinct ``|sigma|`` is solved once (:func:`_lifted_sweep`).  Its two
-stacks, ``S`` and ``H``, the only ``N x N`` stacks a sweep forms, live in a
-per-thread workspace kept between sweeps (:func:`_workspace_stacks`):
-freed, stacks of a megabyte go back to the kernel and are faulted in again
-by the next sweep (see the README).  Nothing a sweep returns views it.
+``N x N`` stacks, ``S`` and ``H``, live in a per-thread workspace kept
+between sweeps (:func:`_workspace_stacks`; see the README); nothing a sweep
+returns views it.  At M = 12 a sweep costs more in NumPy calls than in
+arithmetic, so the engine calls NumPy's stacked kernels, ufunc reductions
+and array methods, never the functions that wrap them, which give the same
+bits; indexes its mode blocks by slices; and builds what depends on ``N``
+alone once (:func:`_layout`).  That took the cost before the first member
+from about 320 us to 190 us, and of each member from 20 us to 19 us
+(``python -m timeit``, one BLAS thread; the README gives the command).
 
-One engine, :func:`_lifted_sweep`, solves every Bloch number.  It starts
-from the paper's Lyapunov-Schmidt split of ``H``: unit vectors on the
-critical block ``c`` (Bloch modes ``m = -2..2``), lifted onto the
-hard-damped rest ``r`` by ``-diag(H_rr)^{-1} H_rc``, and refined with no
-linear solve: the same lift applied again at each Ritz value, i.e.
-Davidson's correction with a diagonal preconditioner (:func:`_lifted_ritz`;
-E. R. Davidson, J. Comput. Phys. 17 (1975) 87-94).  An inertia certificate
-shows that the triple and the gap lie within their radii, by the same
-split: one stacked Cholesky factorization of a 9 x 9 bound per member
-(:func:`_block_certificate`).  One ``eigvalsh`` of a member's ``H`` gives
-the rest of its spectrum, for a certified member (rebuilt at ``|sigma|``)
-only when its ``eigenvalues`` are read.
+One engine, :func:`_lifted_sweep`, solves every Bloch number: the paper's
+Lyapunov-Schmidt split of ``H``, the critical block (Bloch modes
+``|m| <= 2``) lifted onto the hard-damped rest and refined by Davidson's
+correction (:func:`_lifted_ritz`; E. R. Davidson, J. Comput. Phys. 17
+(1975) 87-94), certified by one stacked 9 x 9 Cholesky factorization per
+member (:func:`_block_certificate`).  One ``eigvalsh`` of a member's ``H``
+gives the rest of its spectrum, for a certified member only when read.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.linalg._umath_linalg import cholesky_lo, qr_r_raw, qr_reduced
+from numpy.linalg._umath_linalg import cholesky_lo, eigh_lo, eigvalsh_lo, qr_r_raw, qr_reduced
 
 from .errors import GapViolation, InvariantViolation, OutOfRange
 from .model import reaction_derivative, swift_hohenberg
 from .rolls import RollSolution
 
-__all__ = [
-    "BlochSpectrum",
-    "critical_modes",
-    "critical_triples",
-    "critical_curves",
-]
+__all__ = ["BlochSpectrum", "critical_modes", "critical_triples", "critical_curves"]
 
 #: Bloch numbers nearer zero than this are solved at exactly zero.
 _SIGMA_ZERO_TOL = 1e-13
@@ -75,15 +70,15 @@ _ROUNDING_ULPS = 8
 #: An uncertified member's lifted triple must match ``eigvalsh`` to within
 #: its radius plus ``_MATCH_ULPS`` times ``u = eps max|w|``.
 _MATCH_ULPS = 16
-#: The critical block of the lifted start block.  A small roll's triple
-#: lives at m = -1, 0, 1 (at m = -2, -1, 0 near sigma = -1/2); the |m| = 2
-#: neighbours let Rayleigh-Ritz resolve it.
-_START_MODES = np.arange(-2, 3)
+#: The critical block of the lifted start block, Bloch modes |m| <= 2.  A
+#: small roll's triple lives at m = -1, 0, 1 (at m = -2, -1, 0 near
+#: sigma = -1/2); the |m| = 2 neighbours let Rayleigh-Ritz resolve it.
+_START_MODES = 2
 #: The block the inertia certificate factors: Bloch modes |m| <= 4, the
 #: critical block and two neighbours on each side.  Every outer row's
 #: diagonal lies below about ``-k^2 m^2 (k^2 m^2 - 1)^2``, which dominates
 #: its Gershgorin row sum, so the block alone carries the certificate.
-_BLOCK_MODES = np.arange(-4, 5)
+_BLOCK_MODES = 4
 #: The Gershgorin row sums and the Schur term of the certificate are sums of
 #: at most ``N`` products, whose rounding is at most ``gamma_N``, about
 #: ``N eps / 2``, relative to the sums of their absolute values (Higham,
@@ -92,6 +87,7 @@ _BLOCK_MODES = np.arange(-4, 5)
 #: roundings.  Both are inflated by ``_SCHUR_ULPS N eps``, which covers that
 #: with a factor of about 4 to spare.
 _SCHUR_ULPS = 2
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -124,9 +120,7 @@ class BlochSpectrum:
             rest = _split(np.linalg.eigvalsh(H))[1][0]
         allvals = np.concatenate([self._triple, rest])
         order = np.argsort(-allvals, kind="stable")
-        pos = np.empty_like(order)
-        pos[order] = np.arange(order.size)
-        return allvals[order], tuple(int(j) for j in pos[:3])
+        return allvals[order], tuple(int(j) for j in np.argsort(order)[:3])
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -140,10 +134,28 @@ class BlochSpectrum:
 def _checked_sigmas(sigmas, param: str) -> np.ndarray:
     """Bloch numbers as a float array; :class:`OutOfRange` unless all lie in ``[-1/2, 1/2]``."""
     sigmas = np.asarray(sigmas, dtype=np.float64).reshape(-1)
-    outside = np.flatnonzero(~(np.abs(sigmas) <= 0.5))
+    outside = (~(np.abs(sigmas) <= 0.5)).nonzero()[0]
     if outside.size:
         raise OutOfRange(f"Bloch number {float(sigmas[outside[0]])} lies outside [-1/2, 1/2]", param=param)
     return sigmas
+
+
+def _rows(N: int, m: int) -> slice:
+    """The rows of the Bloch modes ``|m'| <= m`` in an ``N x N`` matrix."""
+    return slice(N // 2 - m, N // 2 + m + 1)
+
+
+@lru_cache
+def _layout(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only, once per ``N = 2M + 1``: the index ``(N, N)`` of ``g_{m - n}`` in :func:`conslaw.model.reaction_derivative`,
+    the modes ``-M .. M``, the mask ``(N, N)`` off the diagonal and the certificate block's rows and columns, and ``I_5``."""
+    modes = np.arange(N) - N // 2
+    outside = np.abs(modes) > _BLOCK_MODES
+    outer = np.logical_and.outer(outside, outside) & (modes[:, None] != modes)
+    layout = np.subtract.outer(modes, modes) + (N - 1), modes, outer, np.eye(2 * _START_MODES + 1)
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
 def _symmetric_factors(df: np.ndarray, k2: float, sigmas: np.ndarray, out: np.ndarray | None = None):
@@ -155,11 +167,10 @@ def _symmetric_factors(df: np.ndarray, k2: float, sigmas: np.ndarray, out: np.nd
     C-contiguous ``(n, N, N)`` stack, if given.
     """
     N = (df.size + 1) // 2
-    M = N // 2
-    idx = np.subtract.outer(np.arange(N), np.arange(N)) + 2 * M
-    T = df[idx]
+    toeplitz, modes = _layout(N)[:2]
+    T = df[toeplitz]
     T = 0.5 * (T + T.T)
-    kt2 = k2 * (np.arange(-M, M + 1) + sigmas[:, None]) ** 2
+    kt2 = k2 * (modes + sigmas[:, None]) ** 2
     S = np.empty((sigmas.size, N, N)) if out is None else out
     S[...] = T
     S.reshape(sigmas.size, N * N)[:, :: N + 1] += swift_hohenberg(kt2)
@@ -182,22 +193,24 @@ def _workspace_stacks(n: int, N: int) -> np.ndarray:
 def _cholesky(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Lower Cholesky factors of a stack, all NaN on each member that is not positive definite.
 
-    NumPy's stacked kernel, the one ``np.linalg.cholesky`` calls.  Called
-    directly, it fills a failed member with NaN where ``np.linalg.cholesky``
-    raises for the whole stack, and factors every other member as a call on
-    that member alone does.  ``out=A`` factors in place.
+    Here and in :func:`_orthonormal` and :func:`_eigh`, NumPy's stacked
+    kernels are called as ``np.linalg`` calls them, so give its bits: each
+    member as a call on it alone does, and NaN on a member that fails, where
+    ``np.linalg`` raises for the whole stack.  ``out=A`` factors in place.
     """
     with np.errstate(all="ignore"):
         return cholesky_lo(A, signature="d->d", out=out)
 
 
 def _orthonormal(Y: np.ndarray) -> np.ndarray:
-    """``Q`` of the reduced QR factorization of each member of ``Y`` ``(n, N, k)``; ``Y`` is overwritten.
-
-    NumPy's stacked kernels, the two calls ``np.linalg.qr`` makes, which
-    give its ``Q`` bitwise; ``R``, which is not needed, is never formed.
-    """
+    """The reduced QR ``Q`` of each member of ``Y`` ``(n, N, k)``, which is overwritten; ``R`` is never formed."""
     return qr_reduced(Y, qr_r_raw(Y, signature="d->d"), signature="dd->d")
+
+
+def _eigh(A: np.ndarray, vectors: bool = True):
+    """Ascending eigenvalues ``(n, N)`` of a symmetric stack, and eigenvectors if ``vectors``: ``eigh``, else ``eigvalsh``."""
+    with np.errstate(all="ignore"):
+        return eigh_lo(A, signature="d->dd") if vectors else eigvalsh_lo(A, signature="d->d")
 
 
 def _rayleigh_ritz(H: np.ndarray, Q: np.ndarray):
@@ -209,7 +222,7 @@ def _rayleigh_ritz(H: np.ndarray, Q: np.ndarray):
     HQ = H @ Q
     G = Q.swapaxes(1, 2) @ HQ
     G = 0.5 * (G + G.swapaxes(1, 2))
-    ritz, R = np.linalg.eigh(G)
+    ritz, R = _eigh(G)
     return ritz, R, HQ
 
 
@@ -275,16 +288,14 @@ def _lifted_ritz(H: np.ndarray):
     below the fifth eigenvalue (Cauchy interlacing); it is returned only as
     an estimate of where that lies.
     """
-    N = H.shape[1]
-    c = N // 2 + _START_MODES
-    rest = np.ones(N, dtype=bool)
-    rest[c] = False
-    d = np.diagonal(H, axis1=1, axis2=2)
+    c = _rows(H.shape[1], _START_MODES)
+    d = H.diagonal(0, 1, 2)
     # Only rest rows are divided: at sigma = 0 the m = 0 row of H and its
     # diagonal are exactly zero.
-    Y = np.ascontiguousarray(H[:, :, c])
-    Y[:, rest] /= -d[:, rest, None]
-    Y[:, c] = np.eye(c.size)
+    Y = H[:, :, c].copy()
+    for rest in (slice(None, c.start), slice(c.stop, None)):
+        Y[:, rest] /= -d[:, rest, None]
+    Y[:, c] = _layout(H.shape[1])[3]
     Q = _orthonormal(Y)
     _, R, _ = _rayleigh_ritz(H, Q)
     # The Ritz vectors as rows, so that H t is t H (H is symmetric) and each
@@ -294,7 +305,7 @@ def _lifted_ritz(H: np.ndarray):
     T = V[:, 1:]
     for _ in range(_CORRECTIONS):
         res = T @ H
-        q = np.sum(T * res, axis=2, keepdims=True) / np.sum(T * T, axis=2, keepdims=True)
+        q = np.add.reduce(T * res, axis=2, keepdims=True) / np.add.reduce(T * T, axis=2, keepdims=True)
         res -= q * T
         res[:, :, c] = 0.0
         # A zero residual is no correction, also where H[i, i] = q (H diagonal).
@@ -305,16 +316,15 @@ def _lifted_ritz(H: np.ndarray):
     rho, R = theta[:, 1:], R[:, :, 1:]
     Y = Q @ R
     resid = HQ @ R - Y * rho[:, None, :]
-    floor = _ROUNDING_ULPS * np.finfo(np.float64).eps * np.max(np.abs(theta), axis=1)
-    r3, r4 = (np.linalg.norm(block, axis=(1, 2)) + floor for block in (resid[:, :, 1:], resid))
+    floor = _ROUNDING_ULPS * _EPS * np.maximum.reduce(np.abs(theta), axis=1)
+    r3, r4 = (np.sqrt(np.add.reduce(block * block, axis=(1, 2))) + floor for block in (resid[:, :, 1:], resid))
     return theta, Y, r3, r4
 
 
 def _block_certificate(sq: np.ndarray, H: np.ndarray, T: np.ndarray, Y: np.ndarray, c: np.ndarray, tau: np.ndarray):
     """The members ``(n,)`` whose ``A = c Y Y^T + tau I - H`` is certified positive definite from its block.
 
-    ``l`` is the block of Bloch modes ``_BLOCK_MODES`` (rows ``N // 2 - 4``
-    to ``N // 2 + 4``, all rows for ``N <= 9``) and ``h`` the outer rows.
+    ``l`` is the block of Bloch modes ``|m| <= _BLOCK_MODES`` and ``h`` the outer rows.
     With ``c > 0``, checked, ``c Y_h Y_h^T`` is positive semidefinite, so
     ``A_hh >= tau I - H_hh >= g I``, where Gershgorin's theorem gives
 
@@ -327,7 +337,6 @@ def _block_certificate(sq: np.ndarray, H: np.ndarray, T: np.ndarray, Y: np.ndarr
     Schur-complement criterion; Horn & Johnson, Matrix Analysis): one stacked
     Cholesky of ``(n, 9, 9)`` matrices (:func:`_cholesky`), with
     ``A_l. = c Y_l Y^T - H_l.`` formed from a contiguous row slice of ``H``.
-    With no outer rows (``N <= 9``) that Cholesky is of ``A`` itself.
 
     The row sums are scaled by ``1 + _SCHUR_ULPS N eps``.  The rounding of
     ``P = A_lh A_hl`` is at most ``gamma_N d_i d_j`` in entry ``(i, j)``,
@@ -335,31 +344,26 @@ def _block_certificate(sq: np.ndarray, H: np.ndarray, T: np.ndarray, Y: np.ndarr
     ``_SCHUR_ULPS N eps tr(P)`` is added to ``P``'s diagonal.
     """
     n, N = sq.shape
-    lo = max(N // 2 + _BLOCK_MODES[0], 0)
-    block, k = slice(lo, N - lo), N - 2 * lo
+    block, k = _rows(N, _BLOCK_MODES), 2 * _BLOCK_MODES + 1
     Al = np.matmul(Y[:, block], Y.swapaxes(1, 2))
     Al *= c[:, None, None]
     Al -= H[:, block]
     A = Al[:, :, block].copy()
     A.reshape(n, k * k)[:, :: k + 1] += tau[:, None]
-    g = np.full(n, np.inf)
-    if k < N:
-        # |T| on the outer rows and columns, off the diagonal; zero elsewhere.
-        Th = np.abs(T)
-        Th[block] = Th[:, block] = 0.0
-        np.fill_diagonal(Th, 0.0)
-        slack = 1.0 + _SCHUR_ULPS * N * np.finfo(np.float64).eps
-        disc = tau[:, None] - np.diagonal(H, axis1=1, axis2=2) - slack * sq * (sq @ Th)
-        disc[:, block] = np.inf
-        g = np.min(disc, axis=1)
-        Al[:, :, block] = 0.0
-        P = np.matmul(Al, Al.swapaxes(1, 2))
-        P.reshape(n, k * k)[:, :: k + 1] += (slack - 1.0) * np.trace(P, axis1=1, axis2=2)[:, None]
-        # A member with g <= 0 (or NaN) is not certified; its Schur term is
-        # left out, so that nothing divides by zero.
-        A -= P / np.where(g > 0.0, g, np.inf)[:, None, None]
+    # |T| on the outer rows and columns, off the diagonal; zero elsewhere.
+    Th = np.where(_layout(N)[2], np.abs(T), 0.0)
+    slack = 1.0 + _SCHUR_ULPS * N * _EPS
+    disc = tau[:, None] - H.diagonal(0, 1, 2) - slack * sq * (sq @ Th)
+    disc[:, block] = np.inf
+    g = np.minimum.reduce(disc, axis=1)
+    Al[:, :, block] = 0.0
+    P = np.matmul(Al, Al.swapaxes(1, 2))
+    P.reshape(n, k * k)[:, :: k + 1] += (slack - 1.0) * P.trace(0, 1, 2)[:, None]
+    # A member with g <= 0 (or NaN) is not certified; its Schur term is
+    # left out, so that nothing divides by zero.
+    A -= P / np.where(g > 0.0, g, np.inf)[:, None, None]
     L = _cholesky(A, out=A)
-    return (c > 0.0) & (g > 0.0) & np.isfinite(np.diagonal(L, axis1=1, axis2=2)).all(axis=1)
+    return (c > 0.0) & (g > 0.0) & np.isfinite(L.diagonal(0, 1, 2)).all(axis=1)
 
 
 def _split(w: np.ndarray):
@@ -423,9 +427,7 @@ def _lifted_sweep(roll: RollSolution, sigmas, stacks: bool = False) -> _Sweep:
     ``lambda_5`` (the cosine and sine modes of ``m = +-2``) are split by as
     little as 3e-11, inside the radius the certificate would need.  At
     ``0 < |sigma| <= 1e-10`` it may fail, not by rounding: ``tau`` is placed
-    from ``theta_5``, which gets no Davidson correction (at eps 0.05, omega
-    0.1, s 0.8, M = 12 and sigma = 1e-12, ``theta_5`` lies 5.57e-7 below
-    ``lambda_5``, which lies 5.46e-7 below ``lambda_4``; ``r4`` is 5.3e-9).
+    from ``theta_5``, which gets no Davidson correction (see the README).
     An uncertified member keeps its lifted triple when it lies within
     ``r3 + _MATCH_ULPS eps max|w|`` of the three values nearest zero of one
     ``eigvalsh``, which gives its rest and its gap, ``-max`` of the rest;
@@ -439,12 +441,14 @@ def _lifted_sweep(roll: RollSolution, sigmas, stacks: bool = False) -> _Sweep:
     Ritz vectors less their ``m = 0`` entries, with their Rayleigh quotients.
 
     ``H`` at ``-sigma`` is ``H`` at ``sigma`` reversed in ``m``, bit for bit
-    (the roll is even): each distinct ``|sigma|``, with Bloch numbers within
-    ``_SIGMA_ZERO_TOL`` of zero set to zero, is solved once, and a member at
-    ``-sigma`` takes its twin's values and radii, its vectors reversed.
+    (the roll is even): each distinct ``|sigma|`` (zero within
+    ``_SIGMA_ZERO_TOL``) is solved once; a member at ``-sigma`` takes its
+    twin's values and radii, its vectors reversed.
     """
     sigmas = _checked_sigmas(sigmas, "sigma")
-    mags, twin = np.unique(np.where(np.abs(sigmas) < _SIGMA_ZERO_TOL, 0.0, np.abs(sigmas)), return_inverse=True)
+    mags = np.where(np.abs(sigmas) < _SIGMA_ZERO_TOL, 0.0, np.abs(sigmas))
+    # Distinct and ascending already (one member, the classifier's grid), they are what np.unique would return.
+    mags, twin = (mags, np.arange(mags.size)) if (mags[1:] > mags[:-1]).all() else np.unique(mags, return_inverse=True)
     work = _workspace_stacks(mags.size, 2 * roll.profile.grid.n_modes + 1)
     sq, H, T = _stacks(roll, mags, work)
     n, N = sq.shape
@@ -452,15 +456,11 @@ def _lifted_sweep(roll: RollSolution, sigmas, stacks: bool = False) -> _Sweep:
     theta, Y, r3, r4 = _lifted_ritz(H)
     rho4, top = theta[:, 1], theta[:, -1]
     vals, vecs = theta[:, 2:].copy(), Y[:, :, 1:].copy()
-    for i in np.flatnonzero(zero):
+    for i in zero.nonzero()[0]:
         y = vecs[i]
         y[N // 2] = 0.0
-        e0 = np.zeros(N)
-        e0[N // 2] = 1.0
-        parts = [e0]
-        for part in (y + y[::-1], y - y[::-1]):
-            parts.append(part[:, np.argmax(np.linalg.norm(part, axis=0))])
-        y = np.column_stack(parts)
+        parts = [part[:, np.argmax(np.linalg.norm(part, axis=0))] for part in (y + y[::-1], y - y[::-1])]
+        y = np.column_stack([np.eye(N)[N // 2], *parts])
         y /= np.linalg.norm(y, axis=0)
         vals[i] = np.sum(y * (H[i] @ y), axis=0)
         vals[i, 0] = 0.0
@@ -470,18 +470,19 @@ def _lifted_sweep(roll: RollSolution, sigmas, stacks: bool = False) -> _Sweep:
     certified = _block_certificate(sq, H, T, Y, 2.0 * (top - tau), tau)
     certified &= (tau < rho4 - r4) & (top + r4 < -(rho4 + r4)) & ~zero
     radius = np.where(certified, np.where(vals[:, 0] - r3 > rho4 + r4, r3, r4), np.nan)
-    gaps, others = -rho4, np.full((n, N - 3), np.nan)
-    miss = np.flatnonzero(~certified)
+    gaps, others = -rho4, np.empty((n, N - 3))
+    others.fill(np.nan)
+    miss = (~certified).nonzero()[0]
     if miss.size:
-        near, others[miss], wmax = _split(np.linalg.eigvalsh(H[miss]))
-        tol = r3[miss] + _MATCH_ULPS * np.finfo(np.float64).eps * wmax
+        near, others[miss], wmax = _split(_eigh(H[miss], vectors=False))
+        tol = r3[miss] + _MATCH_ULPS * _EPS * wmax
         bad = miss[~(np.abs(vals[miss] - near).max(axis=1) <= tol)]
         if bad.size:
             raise InvariantViolation(f"lifted triple {vals[bad[0]]} at |sigma| = {mags[bad[0]]} misses eigvalsh")
-        gaps[miss] = -np.max(others[miss], axis=1)
+        gaps[miss] = -np.maximum.reduce(others[miss], axis=1)
     solved = vals, radius, gaps, np.where(certified, r4, np.nan), certified, others
     vecs, sq, H = vecs[twin], sq[twin] if stacks else None, H[twin] if stacks else None
-    neg = np.flatnonzero(sigmas <= -_SIGMA_ZERO_TOL)
+    neg = (sigmas <= -_SIGMA_ZERO_TOL).nonzero()[0]
     vecs[neg] = vecs[neg, ::-1]
     if stacks:
         sq[neg], H[neg] = sq[neg, ::-1], H[neg, ::-1, ::-1]
@@ -503,7 +504,7 @@ def _certified_sweep(roll: RollSolution, sigmas, delta: float) -> _Sweep:
     """
     check_delta(delta)
     sweep = _lifted_sweep(roll, sigmas)
-    failed = np.flatnonzero(~(np.where(sweep.certified, sweep.gaps - sweep.gap_radius, sweep.gaps) > delta))
+    failed = (~(np.where(sweep.certified, sweep.gaps - sweep.gap_radius, sweep.gaps) > delta)).nonzero()[0]
     if failed.size:
         raise GapViolation(float(sweep.gaps[failed[0]]), delta)
     return sweep
@@ -526,8 +527,7 @@ def critical_modes(roll: RollSolution, sigma: float) -> tuple[np.ndarray, np.nda
     # The orthonormalized y carries a rounding of eps on every entry, which
     # the rest diagonal of diag(p) S, of order M^6, would turn into residuals
     # of up to 4.4e-6 at M = 32; the correction rebuilds the rest entries.
-    rest = np.ones(sq.size, dtype=bool)
-    rest[sq.size // 2 + _START_MODES] = False
+    rest = np.abs(_layout(sq.size)[1]) > _START_MODES
     y[rest] -= (H[rest] @ y - y[rest] * vals) / (np.diagonal(H)[rest, None] - vals)
     vecs = sq[:, None] * y
     norms = np.linalg.norm(vecs, axis=0)

@@ -6,7 +6,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 from functools import partial
-from types import SimpleNamespace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -84,6 +84,24 @@ def cholesky_calls(monkeypatch):
         return kernel(A, **kwargs)
 
     monkeypatch.setattr(bloch, "cholesky_lo", spy)
+    return calls
+
+
+def linalg_calls(monkeypatch, *names):
+    """``(name, shape)`` of each call, from here on, of the ``np.linalg`` functions named and of ``bloch``'s binding of their stacked kernels."""
+    calls = []
+
+    def spy(name, f):
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return f(a, *args, **kwargs)
+
+        return wrapped
+
+    for name in names:
+        monkeypatch.setattr(bloch.np.linalg, name, spy(name, getattr(np.linalg, name)))
+        if hasattr(bloch, f"{name}_lo"):
+            monkeypatch.setattr(bloch, f"{name}_lo", spy(name, getattr(bloch, f"{name}_lo")))
     return calls
 
 
@@ -777,24 +795,6 @@ class TestBlockCertificate:
         assert not full_certificate(H, Y, c, tau).any()
         assert not bloch._block_certificate(sq, H, T, Y, c, tau).any()
 
-    @pytest.mark.parametrize("n_modes", [2, 3, 4])
-    def test_no_outer_rows_factor_the_whole_matrix(self, n_modes, monkeypatch):
-        # A roll truncated to |m| <= M has no rows outside the block, so the
-        # certificate is one Cholesky of the whole N x N matrix.  The grid
-        # needs M >= 8, so the roll is a stand-in with the coefficients of
-        # one at M = 12.
-        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
-        coeffs = roll.profile.coeffs[12 - n_modes : 13 + n_modes]
-        short = SimpleNamespace(params=roll.params, profile=SimpleNamespace(coeffs=coeffs))
-        N = 2 * n_modes + 1
-        sq, H, T, Y, c, tau = certificate_inputs(short, [1e-10, 0.05, 0.2, 0.45, 0.5])
-        assert H.shape[1:] == (N, N)
-        calls = cholesky_calls(monkeypatch)
-        block = bloch._block_certificate(sq, H, T, Y, c, tau)
-        assert calls == [(5, N, N)]
-        assert np.array_equal(block, full_certificate(H, Y, c, tau))
-        assert block[1:].all()
-
     def test_zero_roll_is_certified_off_sigma_zero(self):
         # At eps = 0 the roll is zero, T vanishes and H is diagonal: every
         # Gershgorin row sum is zero.
@@ -849,6 +849,99 @@ class TestQrKernel:
                 assert got.tobytes() == want.tobytes()
 
 
+class TestEighKernel:
+    """``bloch._eigh`` binds NumPy's private stacked ``eigh`` and ``eigvalsh``
+    kernels; a NumPy release that moves them or changes what they return
+    fails here first."""
+
+    @pytest.mark.parametrize("N", [5, 25, 65])
+    def test_kernels_match_numpy_eigh_and_eigvalsh(self, N):
+        rng = np.random.default_rng(N)
+        contiguous = rng.standard_normal((4, N, N))
+        transposed = rng.standard_normal((4, N, N)).swapaxes(1, 2)
+        assert contiguous.flags.c_contiguous and not transposed.flags.c_contiguous
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for A in (contiguous, transposed):
+                want_w, want_v = np.linalg.eigh(A)
+                got_w, got_v = bloch._eigh(A)
+                assert got_w.tobytes() == want_w.tobytes()
+                assert got_v.tobytes() == want_v.tobytes()
+                assert bloch._eigh(A, vectors=False).tobytes() == np.linalg.eigvalsh(A).tobytes()
+
+    def test_a_failed_member_is_nan_and_the_others_keep_their_bits(self):
+        A = np.random.default_rng(0).standard_normal((3, 25, 25))
+        A[1, 0, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigh(A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, v = bloch._eigh(A)
+            values = bloch._eigh(A, vectors=False)
+        assert np.isnan(w[1]).all() and np.isnan(v[1]).all() and np.isnan(values[1]).all()
+        for i in (0, 2):
+            assert w[i].tobytes() == np.linalg.eigh(A[i])[0].tobytes()
+            assert v[i].tobytes() == np.linalg.eigh(A[i])[1].tobytes()
+            assert values[i].tobytes() == np.linalg.eigvalsh(A[i]).tobytes()
+
+    @pytest.mark.parametrize(
+        "kernel, call, member",
+        [("eigh_lo", 0, 0), ("eigh_lo", 0, 2), ("eigh_lo", 1, 1), ("eigvalsh_lo", 0, 0)],
+        ids=["start_block", "start_block_last", "corrected", "uncertified_rest"],
+    )
+    def test_a_nan_member_raises_a_typed_error(self, kernel, call, member, monkeypatch):
+        # The kernels return NaN where np.linalg raises LinAlgError.  A NaN
+        # member must fail the sweep with a typed error, and no warning.
+        # 0.0 is uncertified, so its rest comes from the one eigvalsh call.
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
+        sweep = [0.0, 0.1, 0.3]
+        bound, calls = getattr(bloch, kernel), []
+
+        def failing(A, **kwargs):
+            out = bound(A, **kwargs)
+            if len(calls) == call:
+                for a in out if isinstance(out, tuple) else (out,):
+                    a[member] = np.nan
+            calls.append(A.shape)
+            return out
+
+        monkeypatch.setattr(bloch, kernel, failing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((InvariantViolation, GapViolation)):
+                critical_triples(roll, sweep)
+        assert len(calls) > call
+
+
+class TestSweepRecord:
+    """Every field of the sweep record, bit for bit, against ``data/sweep_m12.npz``: at M = 12, the
+    classifier's grid at eps = 0.02 in a stable and an unstable cell, and the +-1e-10 sweep whose
+    certificate fails, with its stacks.  The file holds ``np.savez_compressed`` of these arrays, keyed
+    ``case.field``, as written before the engine called NumPy's kernels and ufunc methods directly."""
+
+    cases = {
+        "stable": ((0.02, 0.1, 0.5), _default_sigma_grid(0.02), False),
+        "unstable": ((0.02, 0.4, 0.5), _default_sigma_grid(0.02), False),
+        "around_zero": ((0.05, 0.1, 0.8), [-1e-10, 0.0, 1e-10], True),
+    }
+
+    def test_every_field_matches_the_pinned_record(self):
+        got = {}
+        for name, (params, sigmas, stacks) in self.cases.items():
+            roll = solve_roll(RollParameters(*params), SpectralGrid(12))
+            for field, a in sweep_arrays(bloch._lifted_sweep(roll, sigmas, stacks=stacks)).items():
+                got[f"{name}.{field}"] = a
+        with np.load(Path(__file__).parent / "data" / "sweep_m12.npz") as pinned:
+            assert sorted(got) == sorted(pinned.files)
+            for key, a in got.items():
+                want = pinned[key]
+                assert (a.dtype, a.shape) == (want.dtype, want.shape), key
+                assert a.tobytes() == want.tobytes(), key
+        # Members at |sigma| = 1e-10 fail the certificate and sigma = 0 is never certified.
+        assert not got["around_zero.certified"].any()
+        assert got["stable.certified"].all() and got["unstable.certified"].all()
+
+
 class TestZeroBatch:
     """A sweep through sigma = 0 is one batch, whose zero members are never certified."""
 
@@ -857,17 +950,7 @@ class TestZeroBatch:
 
     def test_one_eigensolve_and_one_rayleigh_ritz_step_per_batch(self, monkeypatch):
         roll = solve_roll(self.params, SpectralGrid(12))
-        calls = []
-
-        def spy(name, f):
-            def wrapped(a, *args, **kwargs):
-                calls.append((name, np.shape(a)))
-                return f(a, *args, **kwargs)
-
-            return wrapped
-
-        for name in ("eigh", "eigvalsh"):
-            monkeypatch.setattr(bloch.np.linalg, name, spy(name, getattr(np.linalg, name)))
+        calls = linalg_calls(monkeypatch, "eigh", "eigvalsh")
         critical_curves(roll, self.sweep)
         # The four distinct |sigma| (0.0, -0.0 and 5e-14 are all zero) get two
         # 5 x 5 Rayleigh-Ritz steps, on their lifted start block and after its
@@ -879,24 +962,14 @@ class TestZeroBatch:
     def test_no_linear_solve_or_full_eigh_of_H(self, monkeypatch):
         roll = solve_roll(self.params, SpectralGrid(12))
         sweep = np.array(self.sweep + [0.5, -0.5])
-        calls = []
-
-        def no_full(name, f):
-            def wrapped(a, *args, **kwargs):
-                assert np.shape(a)[-1] != 25, f"np.linalg.{name} of an N x N matrix"
-                calls.append((name, np.shape(a)))
-                return f(a, *args, **kwargs)
-
-            return wrapped
-
-        for name in ("solve", "eigh"):
-            monkeypatch.setattr(bloch.np.linalg, name, no_full(name, getattr(np.linalg, name)))
+        calls = linalg_calls(monkeypatch, "solve", "eigh")
         radius = certify(roll, sweep, 1.0)[1]
         assert np.array_equal(np.isfinite(radius), np.abs(sweep) >= bloch._SIGMA_ZERO_TOL)
         critical_triples(roll, sweep)
         critical_curves(roll, sweep)
         for sigma in (0.0, 0.2, 0.5, -0.5):
             critical_modes(roll, sigma)
+        assert all(shape[-1] != 25 for _, shape in calls), "a solve or eigh of an N x N matrix"
         # The one solve is the conserved vector's, on the M + 1 cosine unknowns.
         assert [call for call in calls if call[0] == "solve"] == [("solve", (13, 13))]
 
@@ -1046,17 +1119,7 @@ class TestFixedBlockTriples:
         roll = solve_roll(RollParameters(0.04, 0.1, 0.5), SpectralGrid(32))
         sweep = np.linspace(-0.5, 0.5, 41)[np.arange(41) != 20]
         assert np.all(np.isfinite(certify(roll, sweep)[1]))
-        calls = []
-
-        def spy(name, f):
-            def wrapped(a, *args, **kwargs):
-                calls.append((name, np.shape(a)))
-                return f(a, *args, **kwargs)
-
-            return wrapped
-
-        for name in ("eigh", "eigvalsh"):
-            monkeypatch.setattr(bloch.np.linalg, name, spy(name, getattr(np.linalg, name)))
+        calls = linalg_calls(monkeypatch, "eigh", "eigvalsh")
         spectra = critical_curves(roll, sweep)
         [spec.critical_values() for spec in spectra]
         [spec.gap for spec in spectra]
@@ -1089,18 +1152,11 @@ class TestFixedBlockTriples:
 
     def test_classifier_runs_no_full_eigensolve(self, monkeypatch):
         roll = solve_roll(RollParameters(0.02, 0.1, 0.5), SpectralGrid(12))
-        eigh = np.linalg.eigh
-        shapes = []
-
-        def spy(a, *args, **kwargs):
-            shapes.append(np.shape(a)[1:])
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(bloch.np.linalg, "eigh", spy)
+        calls = linalg_calls(monkeypatch, "eigh", "eigvalsh")
         classify_numerically(roll)
         # Only the two Rayleigh-Ritz steps of the lifted start block: the grid
         # has no sigma = 0, so there is a single batch.
-        assert shapes == [(5, 5), (5, 5)]
+        assert [shape[1:] for _, shape in calls] == [(5, 5), (5, 5)]
 
     @pytest.mark.parametrize("eps", [0.01, 0.02])
     def test_both_solve_paths_reach_the_same_verdicts(self, eps, monkeypatch):

@@ -263,6 +263,8 @@ class TestComparison:
 
         for name in ("eigh", "eigvalsh", "solve"):
             monkeypatch.setattr(bloch.np.linalg, name, spy(name, getattr(np.linalg, name)))
+        for name in ("eigh_lo", "eigvalsh_lo"):
+            monkeypatch.setattr(bloch, name, spy(name[:-3], getattr(bloch, name)))
         mgl.compare_exact_vs_mgl(roll, np.linspace(-1.0, 1.0, 11))
         # The nine distinct |sigma| (in floating point only +-1 and +-0.8 are
         # exact mirrors): the Rayleigh-Ritz steps on the lifted start block and
