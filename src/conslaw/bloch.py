@@ -32,8 +32,9 @@ Lyapunov-Schmidt split of ``H``, the critical block (Bloch modes
 ``|m| <= 2``) lifted onto the hard-damped rest and refined by Davidson's
 correction (:func:`_lifted_ritz`; E. R. Davidson, J. Comput. Phys. 17
 (1975) 87-94), certified by one stacked 9 x 9 Cholesky factorization per
-member (:func:`_block_certificate`).  One ``eigvalsh`` of a member's ``H``
-gives the rest of its spectrum, for a certified member only when read.
+member (:func:`_block_certificate`).  One ``eigvalsh`` of a member's ``H``,
+rebuilt from the roll, gives the rest of its spectrum, for every member, on
+read.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ _SIGMA_ZERO_TOL = 1e-13
 #: split by as little as 3e-7.  The fifth is left alone (at the zone edge its
 #: mirror mode lies in the rest, so its ``H[i, i] - q`` may vanish; the top
 #: four stay about 130 from every rest diagonal), and may lie so far below
-#: ``lambda_5`` that ``0 < |sigma| <= 1e-10`` goes uncertified.
+#: ``lambda_5`` that members at ``0 < |sigma| < 1e-8`` go uncertified.
 _CORRECTIONS = 2
 #: The radii of the lifted Ritz values are floored at ``_ROUNDING_ULPS eps
 #: ||G||_2`` (``G = Q^T H Q``, so ``||G||_2`` is the largest ``|theta|``), the
@@ -99,26 +100,24 @@ class BlochSpectrum:
     :func:`_lifted_sweep`, within its radius, or where the certificate fails,
     ``-max`` of the ``eigvalsh`` rest.  ``eigenvalues`` (descending) and
     ``critical`` (the triple's indices in them) are computed on first read:
-    the triple beside the ``eigvalsh`` rest, solved already or rebuilt from
-    the roll at ``|sigma|`` (accurate to ``eps max|w|``); no matrix is kept.
-    They stay public API, which the benchmark reads; no module here does.
+    the triple beside the rest of one ``eigvalsh`` of ``H`` rebuilt from the
+    roll at ``|sigma|`` (accurate to ``eps max|w|``), for a certified member
+    and an uncertified one alike; no matrix is kept.  They stay public API,
+    which the benchmark reads; no module here does.
     """
 
     sigma: float
     gap: float
     _triple: np.ndarray = field(repr=False)
-    _rest: np.ndarray | RollSolution = field(repr=False)
+    _roll: RollSolution = field(repr=False)
 
     def critical_values(self) -> np.ndarray:
         return self._triple.copy()
 
     @cached_property
     def _full(self) -> tuple[np.ndarray, tuple[int, int, int]]:
-        rest = self._rest
-        if isinstance(rest, RollSolution):
-            H = _stacks(rest, np.array([abs(self.sigma)]))[1]
-            rest = _split(np.linalg.eigvalsh(H))[1][0]
-        allvals = np.concatenate([self._triple, rest])
+        H = _stacks(self._roll, np.array([abs(self.sigma)]))[1]
+        allvals = np.concatenate([self._triple, _split(np.linalg.eigvalsh(H))[1][0]])
         order = np.argsort(-allvals, kind="stable")
         return allvals[order], tuple(int(j) for j in np.argsort(order)[:3])
 
@@ -378,10 +377,9 @@ class _Sweep:
 
     The triples ``values`` ``(n, 3)``, ascending, and ``gaps`` ``(n,)``, with
     their ``radius`` and ``gap_radius`` ``(n,)``, NaN where ``certified`` is
-    false; ``rest`` ``(n, N - 3)``, NaN where certified, and the triples' Ritz
-    ``vectors`` of ``H`` ``(n, N, 3)``.  With ``stacks``, each member's ``sq``
-    ``(n, N)`` and ``H`` ``(n, N, N)``, mirrored as its vectors are: bitwise
-    :func:`_stacks` of the sweep, never built twice; else ``None``.
+    false, and the triples' Ritz ``vectors`` of ``H`` ``(n, N, 3)``.  Nothing
+    that can be rebuilt from the roll is kept: a reader needing a member's
+    matrices or its rest rebuilds them with :func:`_stacks`.
     """
 
     sigmas: np.ndarray
@@ -390,13 +388,10 @@ class _Sweep:
     gaps: np.ndarray
     gap_radius: np.ndarray
     certified: np.ndarray
-    rest: np.ndarray
     vectors: np.ndarray
-    sq: np.ndarray | None
-    H: np.ndarray | None
 
 
-def _lifted_sweep(roll: RollSolution, sigmas, stacks: bool = False) -> _Sweep:
+def _lifted_sweep(roll: RollSolution, sigmas) -> _Sweep:
     """Critical triples, their vectors, gaps and radii over a sweep, with no full eigensolve.
 
     :func:`_lifted_ritz` gives the four largest Ritz pairs ``(rho, Y)``, the
@@ -426,12 +421,12 @@ def _lifted_sweep(roll: RollSolution, sigmas, stacks: bool = False) -> _Sweep:
     Two kinds of member are uncertified.  At ``sigma = 0``, ``lambda_4`` and
     ``lambda_5`` (the cosine and sine modes of ``m = +-2``) are split by as
     little as 3e-11, inside the radius the certificate would need.  At
-    ``0 < |sigma| <= 1e-10`` it may fail, not by rounding: ``tau`` is placed
+    ``0 < |sigma| < 1e-8`` it may fail, not by rounding: ``tau`` is placed
     from ``theta_5``, which gets no Davidson correction (see the README).
     An uncertified member keeps its lifted triple when it lies within
     ``r3 + _MATCH_ULPS eps max|w|`` of the three values nearest zero of one
-    ``eigvalsh``, which gives its rest and its gap, ``-max`` of the rest;
-    otherwise :class:`InvariantViolation` is raised.
+    ``eigvalsh``, whose rest gives its gap, ``-max`` of the rest; otherwise
+    :class:`InvariantViolation` is raised.
 
     At ``sigma = 0`` the ``m = 0`` row and column of ``H`` vanish (conservation
     law), and the conserved ``e_0`` (``H e_0 = 0``) may be rotated with
@@ -451,7 +446,7 @@ def _lifted_sweep(roll: RollSolution, sigmas, stacks: bool = False) -> _Sweep:
     mags, twin = (mags, np.arange(mags.size)) if (mags[1:] > mags[:-1]).all() else np.unique(mags, return_inverse=True)
     work = _workspace_stacks(mags.size, 2 * roll.profile.grid.n_modes + 1)
     sq, H, T = _stacks(roll, mags, work)
-    n, N = sq.shape
+    N = sq.shape[1]
     zero = sq[:, N // 2] == 0.0
     theta, Y, r3, r4 = _lifted_ritz(H)
     rho4, top = theta[:, 1], theta[:, -1]
@@ -470,23 +465,20 @@ def _lifted_sweep(roll: RollSolution, sigmas, stacks: bool = False) -> _Sweep:
     certified = _block_certificate(sq, H, T, Y, 2.0 * (top - tau), tau)
     certified &= (tau < rho4 - r4) & (top + r4 < -(rho4 + r4)) & ~zero
     radius = np.where(certified, np.where(vals[:, 0] - r3 > rho4 + r4, r3, r4), np.nan)
-    gaps, others = -rho4, np.empty((n, N - 3))
-    others.fill(np.nan)
+    gaps = -rho4
     miss = (~certified).nonzero()[0]
     if miss.size:
-        near, others[miss], wmax = _split(_eigh(H[miss], vectors=False))
+        near, rest, wmax = _split(_eigh(H[miss], vectors=False))
         tol = r3[miss] + _MATCH_ULPS * _EPS * wmax
         bad = miss[~(np.abs(vals[miss] - near).max(axis=1) <= tol)]
         if bad.size:
             raise InvariantViolation(f"lifted triple {vals[bad[0]]} at |sigma| = {mags[bad[0]]} misses eigvalsh")
-        gaps[miss] = -np.maximum.reduce(others[miss], axis=1)
-    solved = vals, radius, gaps, np.where(certified, r4, np.nan), certified, others
-    vecs, sq, H = vecs[twin], sq[twin] if stacks else None, H[twin] if stacks else None
+        gaps[miss] = -np.maximum.reduce(rest, axis=1)
+    solved = vals, radius, gaps, np.where(certified, r4, np.nan), certified
+    vecs = vecs[twin]
     neg = (sigmas <= -_SIGMA_ZERO_TOL).nonzero()[0]
     vecs[neg] = vecs[neg, ::-1]
-    if stacks:
-        sq[neg], H[neg] = sq[neg, ::-1], H[neg, ::-1, ::-1]
-    return _Sweep(sigmas, *(a[twin] for a in solved), vecs, sq, H)
+    return _Sweep(sigmas, *(a[twin] for a in solved), vecs)
 
 
 def check_delta(delta: float) -> None:
@@ -518,12 +510,14 @@ def critical_modes(roll: RollSolution, sigma: float) -> tuple[np.ndarray, np.nda
     :func:`critical_triples`'.  Each vector is ``sqrt(p)`` times its lifted
     Ritz vector ``y`` after one more Davidson correction on the rest rows,
     but for the conserved mode at ``sigma = 0``, which ``sqrt(p)`` maps to
-    zero (:func:`_conserved_vector`).  The correction uses the sweep's own
-    ``sqrt(p)`` and ``H``, so the member is assembled once.  No gap is
-    certified.
+    zero (:func:`_conserved_vector`).  The member is assembled twice, bitwise
+    the same: once in the sweep, at ``|sigma|``, and once at ``sigma`` for
+    the correction, whose ``sqrt(p)`` and ``H`` are then the sweep's mirrored
+    as its vectors are.  No gap is certified.
     """
-    sweep = _lifted_sweep(roll, [sigma], stacks=True)
-    vals, y, sq, H = sweep.values[0], sweep.vectors[0], sweep.sq[0], sweep.H[0]
+    sweep = _lifted_sweep(roll, [sigma])
+    (sq,), (H,), _ = _stacks(roll, sweep.sigmas)
+    vals, y = sweep.values[0], sweep.vectors[0]
     # The orthonormalized y carries a rounding of eps on every entry, which
     # the rest diagonal of diag(p) S, of order M^6, would turn into residuals
     # of up to 4.4e-6 at M = 32; the correction rebuilds the rest entries.
@@ -558,6 +552,5 @@ def critical_curves(roll: RollSolution, sigmas, delta: float = 1.0) -> list[Bloc
     order, unless ``lambda_4 < -delta`` holds at every sigma.
     """
     sweep = _certified_sweep(roll, sigmas, delta)
-    rows = zip(sweep.sigmas, sweep.gaps, sweep.values, sweep.certified, sweep.rest)
-    return [BlochSpectrum(float(s), float(gap), triple, roll if ok else rest) for s, gap, triple, ok, rest in rows]
+    return [BlochSpectrum(float(s), float(g), triple, roll) for s, g, triple in zip(sweep.sigmas, sweep.gaps, sweep.values)]
 

@@ -69,9 +69,8 @@ def certify(roll, sigmas, delta=1.0):
 
 
 def sweep_arrays(sweep):
-    """The arrays a sweep record holds, by field name in field order; ``sq`` and ``H`` only when built."""
-    arrays = {f.name: getattr(sweep, f.name) for f in dataclasses.fields(sweep)}
-    return {name: a for name, a in arrays.items() if a is not None}
+    """The arrays a sweep record holds, by field name in field order."""
+    return {f.name: getattr(sweep, f.name) for f in dataclasses.fields(sweep)}
 
 
 def cholesky_calls(monkeypatch):
@@ -331,21 +330,11 @@ class TestCurves:
         i, ulps = nudge
         new[i] += ulps * np.spacing(new[i])
         vals = np.array([[-0.3, -0.2, -0.1], new])
-        nan = np.full(2, np.nan)
-        sweep = bloch._Sweep(
-            sigmas=np.array([0.1, 0.2]),
-            values=vals,
-            radius=nan,
-            gaps=np.full(2, 50.0),
-            gap_radius=nan,
-            certified=np.zeros(2, dtype=bool),
-            rest=np.full((2, 2), -50.0),
-            vectors=None,
-            sq=None,
-            H=None,
-        )
-        monkeypatch.setattr(bloch, "_certified_sweep", lambda roll, sigmas, delta: sweep)
-        spectra = critical_curves(None, [0.1, 0.2])
+        # The rest is read from the eigvalsh of the member's rebuilt H: here
+        # three zeros, taken as the values nearest zero, and a rest of -50, -50.
+        H = np.diag([-50.0, -50.0, 0.0, 0.0, 0.0])[None]
+        monkeypatch.setattr(bloch, "_stacks", lambda roll, sigmas: (None, H, None))
+        spectra = [bloch.BlochSpectrum(sigma, 50.0, triple, None) for sigma, triple in zip([0.1, 0.2], vals)]
         # Eigenvalues are stored descending, so the ascending triple sits at 2, 1, 0.
         assert [spec.critical for spec in spectra] == [(2, 1, 0), (2, 1, 0)]
         assert np.array_equal([spec.critical_values() for spec in spectra], vals)
@@ -532,29 +521,24 @@ class TestMirror:
     #: stacked Cholesky of these four).
     sweep = [0.3, -0.3, 0.3, 0.0, -0.0, 5e-14, 0.5, -0.5, -0.2]
 
-    def test_stacks_handed_back_are_the_sweeps(self):
-        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
-        sweep = bloch._lifted_sweep(roll, self.sweep, stacks=True)
-        want_sq, want_H, _ = bloch._stacks(roll, np.array(self.sweep))
-        assert sweep.sq.tobytes() == want_sq.tobytes()
-        assert sweep.H.tobytes() == want_H.tobytes()
-        plain = bloch._lifted_sweep(roll, self.sweep)
-        assert plain.sq is None and plain.H is None
-        for name, a in sweep_arrays(plain).items():
-            assert a.tobytes() == getattr(sweep, name).tobytes()
+    #: The Bloch numbers of data/modes_m12.npz, in its order.
+    modes_sigmas = [0.0, 1e-10, -1e-10, 0.125, -0.125, 0.2, -0.2, 0.5, -0.5]
 
-    @pytest.mark.parametrize("sigma", [0.0, 0.125, -0.125, 0.2, -0.2, 0.5, -0.5])
-    def test_critical_modes_assembles_once(self, monkeypatch, sigma):
-        calls = []
-        real_stacks = bloch._stacks
-
-        def spy(roll, sigmas, *args):
-            calls.append(sigmas)
-            return real_stacks(roll, sigmas, *args)
-
-        monkeypatch.setattr(bloch, "_stacks", spy)
-        critical_modes(solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12)), sigma)
-        assert len(calls) == 1
+    @pytest.mark.parametrize("sigma", modes_sigmas)
+    def test_critical_modes_match_the_pinned_modes(self, sigma):
+        # data/modes_m12.npz holds np.savez_compressed of critical_modes' values
+        # and vectors at both signs of sigma, keyed "sigmas", "case.values" and
+        # "case.vectors", as written when the sweep handed its own sqrt(p) and
+        # H to the correction.  The member the correction rebuilds at -sigma is
+        # the sweep's mirrored, bit for bit (test_stacks_at_minus_sigma_are_reversed).
+        cases = {"m12": ((0.05, 0.1, 0.8), 12), "m32": ((0.04, 0.1, 0.5), 32)}
+        i = self.modes_sigmas.index(sigma)
+        with np.load(Path(__file__).parent / "data" / "modes_m12.npz") as pinned:
+            assert pinned["sigmas"].tolist() == self.modes_sigmas
+            for name, (params, n_modes) in cases.items():
+                vals, vecs = critical_modes(solve_roll(RollParameters(*params), SpectralGrid(n_modes)), sigma)
+                assert vals.tobytes() == pinned[f"{name}.values"][i].tobytes(), name
+                assert vecs.tobytes() == pinned[f"{name}.vectors"][i].tobytes(), name
 
     def test_negative_members_are_their_twins_mirrored(self):
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
@@ -562,7 +546,7 @@ class TestMirror:
         out = bloch._lifted_sweep(roll, sweep)
         vecs = out.vectors
         # What a member at -sigma shares with its twin, besides its mirrored vectors.
-        shared = ("values", "radius", "gaps", "gap_radius", "certified", "rest")
+        shared = ("values", "radius", "gaps", "gap_radius", "certified")
         for i, j, mirrored in [(0, 1, True), (0, 2, False), (3, 4, False), (3, 5, False), (6, 7, True)]:
             for name in shared:
                 a = getattr(out, name)
@@ -586,15 +570,15 @@ class TestWorkspace:
         vars(bloch._workspace).clear()
 
     def sweeps(self):
-        """``(roll, sigmas, stacks)``: whole zone and a critical_modes sweep at M = 32, then at M = 12
+        """``(roll, sigmas)``: whole zone and a critical_modes sweep at M = 32, then at M = 12
         the classifier grid and the +-1e-10 sweep whose certificate fails."""
         zone = solve_roll(RollParameters(0.04, 0.1, 0.5), SpectralGrid(32))
         cell = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
         return [
-            (zone, np.linspace(-0.5, 0.5, 41), False),
-            (zone, [0.25], True),
-            (cell, _default_sigma_grid(0.05), False),
-            (cell, [-1e-10, 0.0, 1e-10], True),
+            (zone, np.linspace(-0.5, 0.5, 41)),
+            (zone, [0.25]),
+            (cell, _default_sigma_grid(0.05)),
+            (cell, [-1e-10, 0.0, 1e-10]),
         ]
 
     def test_reuse_gives_fresh_buffer_bits(self):
@@ -602,20 +586,20 @@ class TestWorkspace:
         self.drop_workspace()
         reused = []
         for _ in range(2):
-            for roll, sigmas, stacks in sweeps:
-                out = sweep_arrays(bloch._lifted_sweep(roll, sigmas, stacks=stacks))
+            for roll, sigmas in sweeps:
+                out = sweep_arrays(bloch._lifted_sweep(roll, sigmas))
                 work = bloch._workspace.stacks
                 assert not any(np.shares_memory(a, work) for a in out.values())
                 reused.append(out)
-        for i, (roll, sigmas, stacks) in enumerate(sweeps * 2):
+        for i, (roll, sigmas) in enumerate(sweeps * 2):
             self.drop_workspace()
-            fresh = sweep_arrays(bloch._lifted_sweep(roll, sigmas, stacks=stacks))
+            fresh = sweep_arrays(bloch._lifted_sweep(roll, sigmas))
             assert fresh.keys() == reused[i].keys()
             for name, a in reused[i].items():
                 assert a.tobytes() == fresh[name].tobytes()
 
     def test_reallocated_only_when_n_outgrows_it_or_N_changes(self):
-        (zone, sweep, _), (_, one, _), (cell, grid, _), _ = self.sweeps()
+        (zone, sweep), (_, one), (cell, grid), _ = self.sweeps()
         self.drop_workspace()
         bloch._lifted_sweep(zone, sweep)
         work = bloch._workspace.stacks
@@ -815,7 +799,7 @@ class TestBlockCertificate:
         assert bloch._block_certificate(*certificate_inputs(roll, [])).shape == (0,)
         assert critical_triples(roll, []).shape == (0, 3)
         assert critical_curves(roll, []) == []
-        shapes = {name: a.shape for name, a in sweep_arrays(bloch._lifted_sweep(roll, [], stacks=True)).items()}
+        shapes = {name: a.shape for name, a in sweep_arrays(bloch._lifted_sweep(roll, [])).items()}
         assert shapes == {
             "sigmas": (0,),
             "values": (0, 3),
@@ -823,10 +807,7 @@ class TestBlockCertificate:
             "gaps": (0,),
             "gap_radius": (0,),
             "certified": (0,),
-            "rest": (0, 22),
             "vectors": (0, 25, 3),
-            "sq": (0, 25),
-            "H": (0, 25, 25),
         }
         assert calls == [(0, 9, 9)] * 4
 
@@ -914,23 +895,32 @@ class TestEighKernel:
 
 
 class TestSweepRecord:
-    """Every field of the sweep record, bit for bit, against ``data/sweep_m12.npz``: at M = 12, the
-    classifier's grid at eps = 0.02 in a stable and an unstable cell, and the +-1e-10 sweep whose
-    certificate fails, with its stacks.  The file holds ``np.savez_compressed`` of these arrays, keyed
-    ``case.field``, as written before the engine called NumPy's kernels and ufunc methods directly."""
+    """The sweep record, bit for bit, against ``data/sweep_m12.npz``: at M = 12, the classifier's grid
+    at eps = 0.02 in a stable and an unstable cell, and the +-1e-10 sweep whose certificate fails.  The
+    file holds ``np.savez_compressed`` of arrays keyed ``case.field``, as written when the record also
+    held each uncertified member's ``eigvalsh`` ``rest`` (NaN where certified) and, for the last case,
+    the members' ``sq`` and ``H``.  Those are now rebuilt on read, and held to the file here too."""
 
     cases = {
-        "stable": ((0.02, 0.1, 0.5), _default_sigma_grid(0.02), False),
-        "unstable": ((0.02, 0.4, 0.5), _default_sigma_grid(0.02), False),
-        "around_zero": ((0.05, 0.1, 0.8), [-1e-10, 0.0, 1e-10], True),
+        "stable": ((0.02, 0.1, 0.5), _default_sigma_grid(0.02)),
+        "unstable": ((0.02, 0.4, 0.5), _default_sigma_grid(0.02)),
+        "around_zero": ((0.05, 0.1, 0.8), [-1e-10, 0.0, 1e-10]),
     }
 
     def test_every_field_matches_the_pinned_record(self):
         got = {}
-        for name, (params, sigmas, stacks) in self.cases.items():
+        for name, (params, sigmas) in self.cases.items():
             roll = solve_roll(RollParameters(*params), SpectralGrid(12))
-            for field, a in sweep_arrays(bloch._lifted_sweep(roll, sigmas, stacks=stacks)).items():
+            for field, a in sweep_arrays(bloch._lifted_sweep(roll, sigmas)).items():
                 got[f"{name}.{field}"] = a
+            # The rest of each uncertified member, ascending, as its spectrum reads it.
+            rest = np.full((len(sigmas), 22), np.nan)
+            for i, spec in enumerate(critical_curves(roll, sigmas)):
+                if not got[f"{name}.certified"][i]:
+                    rest[i] = np.delete(spec.eigenvalues, spec.critical)[::-1]
+            got[f"{name}.rest"] = rest
+            if name == "around_zero":
+                got["around_zero.sq"], got["around_zero.H"] = bloch._stacks(roll, np.array(sigmas))[:2]
         with np.load(Path(__file__).parent / "data" / "sweep_m12.npz") as pinned:
             assert sorted(got) == sorted(pinned.files)
             for key, a in got.items():
@@ -1044,6 +1034,23 @@ class TestFixedBlockTriples:
         assert np.all(np.isfinite(radius))
         assert np.all(move <= radius[:, None])
         assert np.all(move < 1e-13)
+
+    def test_members_from_2e_8_to_the_zone_edge_are_certified(self):
+        # Off sigma = 0 the certificate may fail below |sigma| = 1e-8 (up to
+        # 8.7e-9 on 400 seeded cells; see the README).  One cell inside that
+        # window, then 40 seeded cells, each on 61 magnitudes per sign from
+        # 1e-12 to 1e-6 and the whole zone.
+        cell = solve_roll(RollParameters(0.0631, -0.096, -1.345), SpectralGrid(12))
+        certified = bloch._lifted_sweep(cell, [1e-9, 2e-9, 5e-9, -5e-9, 1e-8, -1e-8]).certified
+        assert certified.tolist() == [False] * 4 + [True] * 2
+        small = np.logspace(-12, -6, 61)
+        sweep = np.concatenate([-small, small, np.linspace(-0.5, 0.5, 41)])
+        outside = np.abs(sweep) >= 2e-8
+        rng = np.random.default_rng(31)
+        for i in range(40):
+            params = RollParameters(rng.uniform(0.01, 0.08), rng.uniform(-0.45, 0.45), rng.uniform(-1.4, 1.4))
+            roll = solve_roll(params, SpectralGrid((8, 12, 16, 32)[i % 4]))
+            assert bloch._lifted_sweep(roll, sweep).certified[outside].all(), params
 
     def test_zero_residual_over_zero_denominator_is_no_correction(self):
         # A diagonal H, as of the zero-amplitude roll, whose rest diagonal
