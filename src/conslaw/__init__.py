@@ -22,10 +22,9 @@ from .rolls import (
     zero_roll,
 )
 from .bloch import (
-    BlochSpectrum,
-    critical_curves,
+    BlochSweep,
     critical_modes,
-    critical_triples,
+    critical_sweep,
 )
 
 __version__ = "0.1.0"

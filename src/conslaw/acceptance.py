@@ -16,7 +16,7 @@ import numpy as np
 from . import dispersion as dsp
 from . import evolution as ev
 from . import mgl
-from .bloch import _stacks, critical_curves, critical_triples
+from .bloch import _stacks, critical_sweep
 from .fourier import SpectralGrid, l2_norm
 from .rolls import RollParameters, asymptotic_roll, solve_roll
 
@@ -69,13 +69,13 @@ def co_periodic_triple() -> CriterionResult:
     checks = []
     for w, s in PARAM_SETS:
         for e in EPS_SWEEP:
-            spec = critical_curves(_roll(e, w, s), [0.0])[0]
-            cv = spec.critical_values()
+            sweep = critical_sweep(_roll(e, w, s), [0.0])
+            cv = sweep.values[0]
             r = cv[0] + 2.0 * (1.0 - 4.0 * w * w) * e * e
             zmax = float(np.max(np.abs(cv[1:])))
             checks.append((abs(r) <= 5.0 * e**3, f"(w={w},s={s},eps={e}) |r|={abs(r):.2e} > 5eps^3"))
             checks.append((zmax < 1e-9, f"(w={w},s={s},eps={e}) zero modes at {zmax:.2e}"))
-            checks.append((spec.gap > 3.0, f"(w={w},s={s},eps={e}) gap violated"))
+            checks.append((sweep.gaps[0] > 3.0, f"(w={w},s={s},eps={e}) gap violated"))
     return _result(checks)
 
 
@@ -98,7 +98,7 @@ def small_sigma_curvatures() -> CriterionResult:
         p = RollParameters(e, w, s)
         roll = _roll(e, w, s)
         sigmas = np.linspace(-0.1 * e, 0.1 * e, 9)
-        trip = critical_triples(roll, sigmas).T
+        trip = critical_sweep(roll, sigmas).values.T
         fits = [_quadratic_coefficient(sigmas, trip[j], 0.1 * e) for j in range(3)]
         curv, lam_minus, lam_plus = dsp.small_sigma_expansion(p)
         for got, want, tag in zip(fits, (curv, lam_minus, lam_plus), ("curv", "lam-", "lam+")):

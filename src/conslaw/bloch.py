@@ -50,7 +50,7 @@ from .errors import GapViolation, InvariantViolation, OutOfRange
 from .model import reaction_derivative, swift_hohenberg
 from .rolls import RollSolution
 
-__all__ = ["BlochSpectrum", "critical_modes", "critical_triples", "critical_curves"]
+__all__ = ["BlochSweep", "critical_sweep", "critical_modes", "BlochSpectrum", "critical_curves"]
 
 #: Bloch numbers nearer zero than this are solved at exactly zero.
 _SIGMA_ZERO_TOL = 1e-13
@@ -93,17 +93,17 @@ _EPS = np.finfo(np.float64).eps
 
 @dataclass(frozen=True)
 class BlochSpectrum:
-    """Real spectrum at one Bloch number with the critical triple flagged.
+    """Real spectrum at one Bloch number with the critical triple flagged: one member of :func:`critical_curves`.
 
-    ``critical_values()`` returns a copy of the three eigenvalues nearest
-    zero, ascending.  ``gap`` is ``-lambda_4``: the certified ``-rho_4`` of
-    :func:`_lifted_sweep`, within its radius, or where the certificate fails,
-    ``-max`` of the ``eigvalsh`` rest.  ``eigenvalues`` (descending) and
-    ``critical`` (the triple's indices in them) are computed on first read:
-    the triple beside the rest of one ``eigvalsh`` of ``H`` rebuilt from the
-    roll at ``|sigma|`` (accurate to ``eps max|w|``), for a certified member
-    and an uncertified one alike; no matrix is kept.  They stay public API,
-    which the benchmark reads; no module here does.
+    ``critical_values()`` returns a copy of the member's
+    :attr:`BlochSweep.values`, and ``gap`` is its :attr:`BlochSweep.gaps`.
+    ``eigenvalues`` (descending) and ``critical`` (the triple's indices in
+    them) are computed on first read: the triple beside the rest of one
+    ``eigvalsh`` of ``H`` rebuilt from the roll at ``|sigma|`` (accurate to
+    ``eps max|w|``, with no radius); no matrix is kept.  Kept only for the
+    benchmark (``bench/workloads.py``), which reads them at ``sigma = 0``;
+    no module here does.  It goes, with :func:`critical_curves`, at the
+    next change to the benchmark (ROADMAP item 2).
     """
 
     sigma: float
@@ -372,14 +372,19 @@ def _split(w: np.ndarray):
 
 
 @dataclass(frozen=True)
-class _Sweep:
-    """What :func:`_lifted_sweep` solved at each of the checked ``sigmas`` ``(n,)``.
+class BlochSweep:
+    """A Bloch sweep as solved: the critical triple and the gap below it at each of the checked ``sigmas`` ``(n,)``.
 
-    The triples ``values`` ``(n, 3)``, ascending, and ``gaps`` ``(n,)``, with
-    their ``radius`` and ``gap_radius`` ``(n,)``, NaN where ``certified`` is
-    false, and the triples' Ritz ``vectors`` of ``H`` ``(n, N, 3)``.  Nothing
-    that can be rebuilt from the roll is kept: a reader needing a member's
-    matrices or its rest rebuilds them with :func:`_stacks`.
+    The triples ``values`` ``(n, 3)``, ascending, which is the curve order
+    (between two real triples the ascending assignment has the least total
+    distance, so the ``i``-th least values trace curve ``i``), and the gaps
+    ``gaps`` ``(n,)``, ``-lambda_4``, with their ``radius`` and ``gap_radius``
+    ``(n,)``, NaN where ``certified`` is false (see :func:`_lifted_sweep`).
+    ``vectors`` ``(n, N, 3)`` are the triples' Ritz vectors of the
+    symmetrized ``H = sqrt(p) S sqrt(p)``, not Bloch eigenvectors:
+    :func:`critical_modes` gives those.  Nothing that can be rebuilt from
+    the roll is kept: a reader needing a member's matrices or its rest
+    rebuilds them with :func:`_stacks`.
     """
 
     sigmas: np.ndarray
@@ -391,7 +396,7 @@ class _Sweep:
     vectors: np.ndarray
 
 
-def _lifted_sweep(roll: RollSolution, sigmas) -> _Sweep:
+def _lifted_sweep(roll: RollSolution, sigmas) -> BlochSweep:
     """Critical triples, their vectors, gaps and radii over a sweep, with no full eigensolve.
 
     :func:`_lifted_ritz` gives the four largest Ritz pairs ``(rho, Y)``, the
@@ -478,7 +483,7 @@ def _lifted_sweep(roll: RollSolution, sigmas) -> _Sweep:
     vecs = vecs[twin]
     neg = (sigmas <= -_SIGMA_ZERO_TOL).nonzero()[0]
     vecs[neg] = vecs[neg, ::-1]
-    return _Sweep(sigmas, *(a[twin] for a in solved), vecs)
+    return BlochSweep(sigmas, *(a[twin] for a in solved), vecs)
 
 
 def check_delta(delta: float) -> None:
@@ -487,12 +492,16 @@ def check_delta(delta: float) -> None:
         raise OutOfRange(f"delta must be positive and finite, got {delta}", param="delta")
 
 
-def _certified_sweep(roll: RollSolution, sigmas, delta: float) -> _Sweep:
-    """:func:`_lifted_sweep`, checked for ``lambda_4 < -delta``.
+def critical_sweep(roll: RollSolution, sigmas, delta: float = 1.0) -> BlochSweep:
+    """The critical triples and the gaps below them over a sigma sweep, as one :class:`BlochSweep`.
 
-    A certified member passes when ``rho_4 + r4 < -delta``, an uncertified
-    one when its gap exceeds ``delta``.  The first member in sweep order
-    that does not pass raises :class:`GapViolation` with its gap.
+    The record of :func:`_lifted_sweep`, which solves every member with no
+    full eigensolve, checked for ``lambda_4 < -delta``: a certified member
+    passes when ``rho_4 + r4 < -delta``, an uncertified one when its gap
+    exceeds ``delta``.  The first member in sweep order that does not pass
+    raises :class:`GapViolation` with its gap.  Raises :class:`OutOfRange`
+    unless ``delta`` is positive and finite and every Bloch number lies in
+    ``[-1/2, 1/2]``.
     """
     check_delta(delta)
     sweep = _lifted_sweep(roll, sigmas)
@@ -507,8 +516,9 @@ def critical_modes(roll: RollSolution, sigma: float) -> tuple[np.ndarray, np.nda
 
     Column ``j`` of the vector array holds coefficients ``V_m`` of the Bloch
     eigenfunction ``e^{i sigma xi} sum_m V_m e^{i m xi}``.  The triple is
-    :func:`critical_triples`'.  Each vector is ``sqrt(p)`` times its lifted
-    Ritz vector ``y`` after one more Davidson correction on the rest rows,
+    the one :func:`critical_sweep` returns at ``sigma`` (its ``values``).
+    Each vector is ``sqrt(p)`` times its lifted Ritz vector ``y`` (the
+    sweep's ``vectors``) after one more Davidson correction on the rest rows,
     but for the conserved mode at ``sigma = 0``, which ``sqrt(p)`` maps to
     zero (:func:`_conserved_vector`).  The member is assembled twice, bitwise
     the same: once in the sweep, at ``|sigma|``, and once at ``sigma`` for
@@ -530,27 +540,13 @@ def critical_modes(roll: RollSolution, sigma: float) -> tuple[np.ndarray, np.nda
     return vals, vecs / norms
 
 
-def critical_triples(roll: RollSolution, sigmas, delta: float = 1.0) -> np.ndarray:
-    """Critical eigenvalues over a sigma sweep, ascending per sigma, as ``(n_sigma, 3)``.
-
-    The triples of :func:`critical_curves`, bitwise, from the same engine
-    (:func:`_certified_sweep`), which raises :class:`GapViolation` as
-    :func:`critical_curves` does.  No spectrum is built.
-    """
-    return _certified_sweep(roll, sigmas, delta).values
-
-
 def critical_curves(roll: RollSolution, sigmas, delta: float = 1.0) -> list[BlochSpectrum]:
-    """Spectra over a sigma sweep, each with its ascending critical triple.
+    """:func:`critical_sweep` as one :class:`BlochSpectrum` per member, with its ``sigma``, ``gap`` and triple.
 
-    The triples and gaps come from :func:`_certified_sweep`: a certified
-    member runs no full eigensolve until its ``eigenvalues`` are read.  The
-    triples are real, so the ascending order is the curve order: between two
-    real triples the ascending assignment has the least total distance
-    (monotone rearrangement), and the ``i``-th least values trace curve ``i``.
-    Raises :class:`GapViolation`, for the first offending sigma in sweep
-    order, unless ``lambda_4 < -delta`` holds at every sigma.
+    Kept only for the benchmark (``bench/workloads.py``), which reads
+    ``eigenvalues`` and ``critical`` at ``sigma = 0``; no module here calls
+    it.  It goes, with :class:`BlochSpectrum`, at the next change to the
+    benchmark (ROADMAP item 2).
     """
-    sweep = _certified_sweep(roll, sigmas, delta)
+    sweep = critical_sweep(roll, sigmas, delta)
     return [BlochSpectrum(float(s), float(g), triple, roll) for s, g, triple in zip(sweep.sigmas, sweep.gaps, sweep.values)]
-

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dispersion as dsp
 from . import mgl
-from .bloch import check_delta, critical_curves
+from .bloch import check_delta, critical_sweep
 from .errors import ConslawError, OutOfRange
 from .fourier import SpectralGrid
 from .rolls import RollParameters, check_solvable, solve_roll
@@ -119,17 +119,12 @@ def _cmd_solve(o: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(o: argparse.Namespace) -> int:
-    roll = _roll(o)
-    spectra = critical_curves(roll, np.linspace(o.sigma_min, o.sigma_max, o.sigma_steps), delta=o.delta)
+    sweep = critical_sweep(_roll(o), np.linspace(o.sigma_min, o.sigma_max, o.sigma_steps), delta=o.delta)
     header = ["sigma", "re_lambda1", "im_lambda1", "re_lambda2", "im_lambda2", "re_lambda3", "im_lambda3", "gap"]
-    rows = []
-    for spec in spectra:
-        row = [spec.sigma]
-        for value in spec.critical_values():
-            row += [value, 0.0]  # real spectra; the im columns keep the format
-        row.append(spec.gap)
-        rows.append(row)
-    _emit(o, header, rows)
+    table = np.zeros((sweep.sigmas.size, len(header)))
+    # Real spectra: the im columns stay 0.0, to keep the format.
+    table[:, 0], table[:, 1:7:2], table[:, 7] = sweep.sigmas, sweep.values, sweep.gaps
+    _emit(o, header, table.tolist())
     return _EXIT_OK
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import critical_triples
+from .bloch import _checked_sigmas, critical_sweep
 from .errors import InvariantViolation
 from .rolls import RollParameters, RollSolution, check_open_band, check_s
 
@@ -65,8 +65,10 @@ def _band_ratio(omega: float, s: float) -> float:
 def leading_reduced_matrix(params: RollParameters, sigma: float) -> np.ndarray:
     """Lambda-independent leading 3x3 matrix of the reduced spectral problem.
 
-    Its eigenvalues solve ``det(m - lambda I) = 0``.
+    Its eigenvalues solve ``det(m - lambda I) = 0``.  Raises
+    :class:`OutOfRange` unless ``sigma`` lies in ``[-1/2, 1/2]``.
     """
+    _checked_sigmas(sigma, "sigma")
     eps, w, s = params.eps, params.omega, params.s
     c = growth_prefactor(eps, w)
     rootA = np.sqrt(_band_ratio(w, s))
@@ -102,8 +104,10 @@ def cubic_coefficients(params: RollParameters, sigma: float) -> tuple[float, flo
     leading reduced matrix (leading orders), as ``(a2, a1, a0)``.
 
     Built from :func:`p_symbols`; it coincides with the expanded determinant
-    of :func:`leading_reduced_matrix` up to rounding.
+    of :func:`leading_reduced_matrix` up to rounding.  Raises
+    :class:`OutOfRange` unless ``sigma`` lies in ``[-1/2, 1/2]``.
     """
+    _checked_sigmas(sigma, "sigma")
     P04, P12, P14, P20, P22 = p_symbols(params)
     s2 = sigma**2
     return (
@@ -235,13 +239,13 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
     stay below and the fitted sigma^2 coefficients of the two neutral curves
     are negative (diffusive decay); boundary otherwise.
 
-    The triples come from ``bloch.critical_triples``: the critical modes
-    lifted onto the rest (the first-order Lyapunov-Schmidt reduction) and
-    refined by Davidson corrections, with the triple and the gap certified
-    by the Cholesky factorization of a 9 x 9 Schur-complement bound rather
-    than read off a full eigensolve; a
-    Bloch number whose certificate fails keeps its lifted triple once it is
-    checked against ``eigvalsh``.
+    The triples are the ``values`` of ``bloch.critical_sweep``: the
+    critical modes lifted onto the rest (the first-order Lyapunov-Schmidt
+    reduction) and refined by Davidson corrections, with the triple and the
+    gap certified by the Cholesky factorization of a 9 x 9 Schur-complement
+    bound rather than read off a full eigensolve; a Bloch number whose
+    certificate fails keeps its lifted triple once it is checked against
+    ``eigvalsh``.
     The sweep has no ``sigma = 0`` for ``eps > 0``: there the conservation
     law and translation fix two zeros beside an amplitude mode near
     ``-2 (1 - 4 omega^2) eps^2 < 0``, so instability enters only at
@@ -252,7 +256,7 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
     # All critical eigenvalues are real (the operator is similar to a real
     # symmetric matrix), so per-sigma ascending order is the curve
     # assignment: between real triples it has the least total distance.
-    curves = critical_triples(roll, sigmas, delta).T
+    curves = critical_sweep(roll, sigmas, delta).values.T
 
     worst = np.unravel_index(np.argmax(curves), curves.shape)
     if curves[worst] > 1e-10:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _checked_sigmas, critical_triples
+from .bloch import _checked_sigmas, critical_sweep
 from .errors import OutOfRange
 from .rolls import RollSolution, check_band, check_open_band, check_s
 
@@ -102,8 +102,10 @@ def _sorted_eigenvalues(m: np.ndarray) -> np.ndarray:
 
 
 def mgl_dispersion_matrix(params: MglParameters, sigma_hat: float) -> MglDispersion:
-    """Dispersion matrix of the linearization about the explicit roll."""
+    """Dispersion matrix of the linearization about the explicit roll; :class:`OutOfRange` unless ``sigma_hat`` is finite."""
     sh = float(sigma_hat)
+    if not abs(sh) < np.inf:
+        raise OutOfRange(f"sigma_hat must be finite, got {sh}", param="sigma_hat")
     m = _dispersion_matrices(params, [sh])
     return MglDispersion(sigma_hat=sh, matrix=m[0], eigenvalues=_sorted_eigenvalues(m)[0])
 
@@ -130,12 +132,12 @@ def compare_exact_vs_mgl(roll: RollSolution, sigma_hat_grid, delta: float = 1.0)
     """Critical Bloch eigenvalues at ``sigma = eps sigma_hat`` scaled by
     ``1/eps^2`` against the amplitude-system eigenvalues at ``sigma_hat``.
 
-    The exact triples are ``bloch.critical_triples``', ascending: lifted,
-    Davidson-corrected and certified, or, where the certificate fails,
-    checked against ``eigvalsh``.  The amplitude-system eigenvalues are sorted
-    by real part, from one stacked ``eigvals`` of the matrices of
-    :func:`mgl_dispersion_matrix`.  Paired in that order, two real triples
-    are at their least total distance (monotone rearrangement).
+    The exact triples are the ``values`` of ``bloch.critical_sweep``,
+    ascending: lifted, Davidson-corrected and certified, or, where the
+    certificate fails, checked against ``eigvalsh``.  The amplitude-system
+    eigenvalues are sorted by real part, from one stacked ``eigvals`` of the
+    matrices of :func:`mgl_dispersion_matrix`.  Paired in that order, two
+    real triples are at their least total distance (monotone rearrangement).
     """
     eps = roll.params.eps
     if not eps > 0.0:
@@ -143,7 +145,7 @@ def compare_exact_vs_mgl(roll: RollSolution, sigma_hat_grid, delta: float = 1.0)
     mglp = MglParameters(roll.params.omega, roll.params.s)
     sigma_hats = [float(sh) for sh in sigma_hat_grid]
     sigmas = _checked_sigmas(eps * np.array(sigma_hats), "sigma_hat")
-    triples = critical_triples(roll, sigmas, delta=delta)
+    triples = critical_sweep(roll, sigmas, delta).values
     mgl_triples = _sorted_eigenvalues(_dispersion_matrices(mglp, sigma_hats))
     rows: list[ComparisonRow] = []
     for sh, vals, mgl_vals in zip(sigma_hats, triples, mgl_triples):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conslaw import acceptance, bloch
 from conslaw import dispersion as dsp
-from conslaw.bloch import critical_curves, critical_modes, critical_triples
+from conslaw.bloch import BlochSweep, critical_curves, critical_modes, critical_sweep
 from conslaw.dispersion import _default_sigma_grid, classify_numerically, growth_prefactor
 from conslaw.errors import GapViolation, InvariantViolation, OutOfRange
 from conslaw.fourier import SpectralGrid
@@ -63,8 +63,8 @@ def oracle_triples(roll, sigmas):
 
 
 def certify(roll, sigmas, delta=1.0):
-    """Triples and their radii (NaN where uncertified) of the certified engine."""
-    sweep = bloch._certified_sweep(roll, sigmas, delta)
+    """Triples and their radii (NaN where uncertified) of :func:`critical_sweep`."""
+    sweep = critical_sweep(roll, sigmas, delta)
     return sweep.values, sweep.radius
 
 
@@ -304,7 +304,7 @@ class TestCurves:
     def test_zero_roll_branches_match_symbol(self):
         roll = zero_roll(RollParameters(0.0, 0.0, 0.0), GRID)
         sigmas = np.linspace(0.0, 0.3, 7)
-        curves = critical_triples(roll, sigmas).T
+        curves = critical_sweep(roll, sigmas).values.T
         for i, sig in enumerate(sigmas):
             expect = np.sort([constant_symbol(m, sig) for m in (-1, 0, 1)])
             assert np.max(np.abs(np.sort(curves[:, i]) - expect)) < 1e-12
@@ -317,7 +317,7 @@ class TestCurves:
 
     def test_empty_sweep_gives_empty_curves(self):
         roll = solve_roll(RollParameters(0.05, 0.2, 0.8), GRID)
-        curves = critical_triples(roll, []).T
+        curves = critical_sweep(roll, []).values.T
         assert curves.shape == (3, 0) and curves.dtype == np.float64
 
     @pytest.mark.parametrize("nudge", [(0, 0), (0, -1), (0, 1), (1, -1), (1, 1), (2, -1), (2, 1)])
@@ -363,7 +363,7 @@ class TestCurves:
     def test_matched_curves_are_continuous(self):
         roll = solve_roll(RollParameters(0.05, 0.2, 0.8), GRID)
         sigmas = np.linspace(0.05, 0.3, 26)
-        curves = critical_triples(roll, sigmas).T
+        curves = critical_sweep(roll, sigmas).values.T
         jumps = np.max(np.abs(np.diff(curves, axis=1)))
         assert jumps < 0.1
 
@@ -379,8 +379,8 @@ class TestBatchedSweep:
     def test_sweep_equals_single_sigma_loop(self, eps, omega, s, sigmas):
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(8))
         sweep = np.array(sigmas + [0.0] + [-x for x in sigmas])
-        triples = critical_triples(roll, sweep)
-        loop = np.array([critical_triples(roll, [x])[0] for x in sweep])
+        triples = critical_sweep(roll, sweep).values
+        loop = np.array([critical_sweep(roll, [x]).values[0] for x in sweep])
         assert np.array_equal(triples, loop)
         assert np.all(np.diff(triples, axis=1) >= 0.0)
         # Certified members lie within their radius of the reference; sigma = 0
@@ -458,7 +458,7 @@ class TestBatchedSweep:
         gaps = [spectrum(roll, x).gap for x in sweep]
         delta = 0.5 * (gaps[0] + gaps[1])
         assert gaps[3] < gaps[1] <= delta < min(gaps[0], gaps[2])
-        for fn in (critical_triples, critical_curves, certify):
+        for fn in (critical_sweep, critical_curves):
             with pytest.raises(GapViolation) as info:
                 fn(roll, sweep, delta=delta)
             assert info.value.gap == gaps[1]
@@ -470,7 +470,7 @@ class TestBatchedSweep:
             raise AssertionError("assembled before the range check")
 
         monkeypatch.setattr(bloch, "_symmetric_factors", no_assembly)
-        for fn in (critical_triples, critical_curves, partial(certify, delta=1.0)):
+        for fn in (critical_sweep, critical_curves):
             with pytest.raises(OutOfRange, match="Bloch number 0.6 lies"):
                 fn(roll, [0.1, 0.6, -0.7])
 
@@ -615,14 +615,14 @@ class TestWorkspace:
         roll = solve_roll(RollParameters(0.04, 0.1, 0.5), SpectralGrid(32))
         sweep = np.linspace(-0.5, 0.5, 41)
         assert np.unique(np.abs(sweep)).size == 35
-        want = critical_triples(roll, sweep)
+        want = critical_sweep(roll, sweep).values
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            got = critical_triples(roll, sweep)
+            got = critical_sweep(roll, sweep).values
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             if not tracing:
@@ -637,7 +637,7 @@ class TestWorkspace:
             (solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(n_modes[0])), np.linspace(-0.5, 0.5, 21)),
             (solve_roll(RollParameters(0.04, 0.1, 0.5), SpectralGrid(n_modes[1])), np.linspace(-0.5, 0.5, 41)),
         ]
-        serial = [critical_triples(roll, sweep).tobytes() for roll, sweep in cases]
+        serial = [critical_sweep(roll, sweep).values.tobytes() for roll, sweep in cases]
         repeats = 10
         results = [[], []]
         start = threading.Barrier(2, timeout=60)
@@ -646,7 +646,7 @@ class TestWorkspace:
             roll, sweep = cases[i]
             start.wait()
             for _ in range(repeats):
-                results[i].append(critical_triples(roll, sweep).tobytes())
+                results[i].append(critical_sweep(roll, sweep).values.tobytes())
 
         threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
         interval = sys.getswitchinterval()
@@ -706,7 +706,7 @@ class TestCholeskyKernel:
 
         calls = cholesky_calls(monkeypatch)
         monkeypatch.setattr(bloch.np.linalg, "cholesky", no_retry)
-        critical_triples(roll, sweep)
+        critical_sweep(roll, sweep)
         # One 9 x 9 block (|m| <= 4) per distinct |sigma|, never an N x N
         # matrix; 0.0, -0.0 and 5e-14 are all zero.
         assert calls == [(distinct, 9, 9)]
@@ -723,7 +723,7 @@ class TestCholeskyKernel:
             [-0.3042827922807751, -0.08332753572813242, -0.03566105309897913],
             [-0.8575110366304612, -0.12897932772910994, -0.07316581744367288],
         ])
-        assert critical_triples(roll, sweep).tobytes() == want.tobytes()
+        assert critical_sweep(roll, sweep).values.tobytes() == want.tobytes()
         radius = certify(roll, sweep)[1]
         assert np.all(np.isnan(radius[:2])) and np.all(np.isfinite(radius[2:]))
 
@@ -797,7 +797,7 @@ class TestBlockCertificate:
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
         calls = cholesky_calls(monkeypatch)
         assert bloch._block_certificate(*certificate_inputs(roll, [])).shape == (0,)
-        assert critical_triples(roll, []).shape == (0, 3)
+        assert critical_sweep(roll, []).values.shape == (0, 3)
         assert critical_curves(roll, []) == []
         shapes = {name: a.shape for name, a in sweep_arrays(bloch._lifted_sweep(roll, [])).items()}
         assert shapes == {
@@ -890,28 +890,32 @@ class TestEighKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises((InvariantViolation, GapViolation)):
-                critical_triples(roll, sweep)
+                critical_sweep(roll, sweep)
         assert len(calls) > call
 
 
 class TestSweepRecord:
-    """The sweep record, bit for bit, against ``data/sweep_m12.npz``: at M = 12, the classifier's grid
-    at eps = 0.02 in a stable and an unstable cell, and the +-1e-10 sweep whose certificate fails.  The
-    file holds ``np.savez_compressed`` of arrays keyed ``case.field``, as written when the record also
-    held each uncertified member's ``eigvalsh`` ``rest`` (NaN where certified) and, for the last case,
-    the members' ``sq`` and ``H``.  Those are now rebuilt on read, and held to the file here too."""
+    """The public sweep record, :class:`BlochSweep`, bit for bit, against ``data/sweep_m12.npz``: at
+    M = 12, the classifier's grid at eps = 0.02 in a stable and an unstable cell, and the +-1e-10 sweep
+    whose certificate fails.  The file holds ``np.savez_compressed`` of arrays keyed ``case.field``, as
+    written when the record also held each uncertified member's ``eigvalsh`` ``rest`` (NaN where
+    certified) and, for the last case, the members' ``sq`` and ``H``.  Those are now rebuilt on read,
+    and held to the file here too."""
 
     cases = {
         "stable": ((0.02, 0.1, 0.5), _default_sigma_grid(0.02)),
         "unstable": ((0.02, 0.4, 0.5), _default_sigma_grid(0.02)),
         "around_zero": ((0.05, 0.1, 0.8), [-1e-10, 0.0, 1e-10]),
     }
+    fields = ("sigmas", "values", "radius", "gaps", "gap_radius", "certified", "vectors")
 
     def test_every_field_matches_the_pinned_record(self):
         got = {}
         for name, (params, sigmas) in self.cases.items():
             roll = solve_roll(RollParameters(*params), SpectralGrid(12))
-            for field, a in sweep_arrays(bloch._lifted_sweep(roll, sigmas)).items():
+            sweep = critical_sweep(roll, sigmas)
+            assert isinstance(sweep, BlochSweep) and tuple(sweep_arrays(sweep)) == self.fields
+            for field, a in sweep_arrays(sweep).items():
                 got[f"{name}.{field}"] = a
             # The rest of each uncertified member, ascending, as its spectrum reads it.
             rest = np.full((len(sigmas), 22), np.nan)
@@ -930,6 +934,19 @@ class TestSweepRecord:
         # Members at |sigma| = 1e-10 fail the certificate and sigma = 0 is never certified.
         assert not got["around_zero.certified"].any()
         assert got["stable.certified"].all() and got["unstable.certified"].all()
+
+    def test_curves_are_the_record_member_by_member(self):
+        # The benchmark reads critical_curves; spectrum prints the record.
+        for params, sigmas in self.cases.values():
+            roll = solve_roll(RollParameters(*params), SpectralGrid(12))
+            sweep = critical_sweep(roll, sigmas)
+            spectra = critical_curves(roll, sigmas)
+            assert len(spectra) == sweep.sigmas.size
+            for spec, sigma, gap, triple in zip(spectra, sweep.sigmas, sweep.gaps, sweep.values):
+                assert (type(spec.sigma), type(spec.gap)) == (float, float)
+                assert np.float64(spec.sigma).tobytes() == sigma.tobytes()
+                assert np.float64(spec.gap).tobytes() == gap.tobytes()
+                assert spec.critical_values().tobytes() == triple.tobytes()
 
 
 class TestZeroBatch:
@@ -955,7 +972,7 @@ class TestZeroBatch:
         calls = linalg_calls(monkeypatch, "solve", "eigh")
         radius = certify(roll, sweep, 1.0)[1]
         assert np.array_equal(np.isfinite(radius), np.abs(sweep) >= bloch._SIGMA_ZERO_TOL)
-        critical_triples(roll, sweep)
+        critical_sweep(roll, sweep)
         critical_curves(roll, sweep)
         for sigma in (0.0, 0.2, 0.5, -0.5):
             critical_modes(roll, sigma)
@@ -1070,7 +1087,7 @@ class TestFixedBlockTriples:
         # of -gap, and a member passes only when that enclosure lies below -delta.
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
         sweep = self.sweep(eps)
-        out = bloch._certified_sweep(roll, sweep, 1e-300)
+        out = critical_sweep(roll, sweep, 1e-300)
         gaps, radius = out.gaps, out.gap_radius
         assert np.all(np.isfinite(radius))
         # eigvalsh's fourth value, to its rounding N eps max|w|, lies in the enclosure.
@@ -1080,7 +1097,7 @@ class TestFixedBlockTriples:
         assert np.all(np.abs(w[:, -4] + gaps) <= radius + u)
         for sigma, gap, r in zip(sweep, gaps, radius):
             try:
-                got = bloch._certified_sweep(roll, [sigma], delta)
+                got = critical_sweep(roll, [sigma], delta)
                 assert got.gaps[0] == gap and got.gap_radius[0] == r
                 passed = True
             except GapViolation as info:
@@ -1106,7 +1123,7 @@ class TestFixedBlockTriples:
     def test_gap_and_triple_lie_within_their_radius_of_the_oracle(self, params, n_modes):
         roll = solve_roll(RollParameters(*params), SpectralGrid(n_modes))
         sweep = np.array([0.5, -0.5, 0.45, 0.2, 1e-6, 0.0])
-        out = bloch._certified_sweep(roll, sweep, 1.0)
+        out = critical_sweep(roll, sweep, 1.0)
         vals, radius, gaps, gap_radius = out.values, out.radius, out.gaps, out.gap_radius
         certified = np.isfinite(radius)
         assert np.array_equal(out.certified, certified) and np.array_equal(np.isfinite(gap_radius), certified)
@@ -1183,7 +1200,12 @@ class TestFixedBlockTriples:
         ]
         certified = [classify_numerically(roll) for roll in rolls]
         with monkeypatch.context() as m:
-            m.setattr(dsp, "critical_triples", lambda roll, sigmas, delta: reference_triples(roll, sigmas))
+            m.setattr(
+                dsp, "critical_sweep",
+                lambda roll, sigmas, delta: dataclasses.replace(
+                    bloch.critical_sweep(roll, sigmas, delta), values=reference_triples(roll, sigmas)
+                ),
+            )
             eigensolved = [classify_numerically(roll) for roll in rolls]
         assert {got.verdict for got in certified} == {dsp.Stability.STABLE, dsp.Stability.UNSTABLE}
         for roll, got, want in zip(rolls, certified, eigensolved):
@@ -1211,7 +1233,7 @@ class TestFixedBlockTriples:
 
         monkeypatch.setattr(bloch, "_lifted_ritz", perturbed)
         with pytest.raises(InvariantViolation, match="misses eigvalsh"):
-            critical_triples(roll, [sigma])
+            critical_sweep(roll, [sigma])
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(**cells)
@@ -1221,7 +1243,7 @@ class TestFixedBlockTriples:
         # mode decays at about c = -2 (1 - 4 omega^2) eps^2.
         assert np.all(_default_sigma_grid(eps) > 0.0)
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
-        triple = np.sort(critical_triples(roll, [0.0])[0])
+        triple = np.sort(critical_sweep(roll, [0.0]).values[0])
         assert 0.0 in triple
         assert abs(triple[1]) <= 1e-9
         assert triple[0] <= growth_prefactor(eps, omega) / 2.0

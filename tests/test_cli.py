@@ -385,6 +385,18 @@ class TestGoldenBytes:
                 "solve_m16.json",
                 ("solve", "--eps", "0.1", "--omega", "0.2", "--s", "0.8", "--modes", "16"),
             ),
+            (
+                # the whole zone at M = 32, as JSON: certified but at sigma = 0
+                "spectrum_zone_m32.json",
+                ("spectrum", "--eps", "0.04", "--omega", "0.1", "--s", "0.5", "--sigma-min", "-0.5",
+                 "--sigma-max", "0.5", "--sigma-steps", "41", "--modes", "32", "--format", "json"),
+            ),
+            (
+                # sigma = 0 and +-1e-10 at M = 12, as JSON: no member certified
+                "spectrum_zero_m12.json",
+                ("spectrum", "--eps", "0.05", "--omega", "0.1", "--s", "0.8", "--modes", "12",
+                 "--sigma-min=-1e-10", "--sigma-max", "1e-10", "--sigma-steps", "3", "--format", "json"),
+            ),
         ],
     )
     def test_stdout_matches_fixture(self, capsys, fixture, argv):

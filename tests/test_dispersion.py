@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conslaw import dispersion as dsp
-from conslaw.bloch import critical_modes, critical_triples
+from conslaw.bloch import critical_modes, critical_sweep
 from conslaw.errors import InvariantViolation, OutOfRange
 from conslaw.fourier import SpectralGrid
 from conslaw.rolls import RollParameters, solve_roll
@@ -249,7 +249,7 @@ class TestSignOfS:
     def test_triples_agree_over_the_classifier_grid(self, eps, omega, s, n_modes):
         plus, minus = self.rolls(eps, omega, s, n_modes)
         sigmas = dsp._default_sigma_grid(eps)
-        assert critical_triples(minus, sigmas).tobytes() == critical_triples(plus, sigmas).tobytes()
+        assert critical_sweep(minus, sigmas).values.tobytes() == critical_sweep(plus, sigmas).values.tobytes()
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(**cells, n_modes=st.sampled_from([8, 12]))

@@ -68,6 +68,7 @@ def test_closed_forms_raise_exactly_outside_their_domain(call, omega_rule, omega
 
 ROLL = zero_roll(RollParameters(0.05, 0.0, 0.0), SpectralGrid(8))
 CONFIG = {"n_periods": 4, "dt": 0.1, "seed_sigma": 0.25}
+MGL = mgl.MglParameters(0.1, 0.5)
 
 #: (id, call, the parameter its OutOfRange must name)
 NON_FINITE = [
@@ -86,6 +87,12 @@ NON_FINITE = [
     ("delta-inf", lambda: check_delta(math.inf), "delta"),
     ("sigma", lambda: critical_modes(ROLL, NAN), "sigma"),
     ("sigma_hat", lambda: mgl.compare_exact_vs_mgl(ROLL, [NAN]), "sigma_hat"),
+    ("mgl_dispersion_matrix", lambda: mgl.mgl_dispersion_matrix(MGL, NAN), "sigma_hat"),
+    ("mgl_dispersion_matrix-inf", lambda: mgl.mgl_dispersion_matrix(MGL, math.inf), "sigma_hat"),
+    ("leading_reduced_matrix", lambda: dsp.leading_reduced_matrix(ROLL.params, NAN), "sigma"),
+    ("leading_reduced_matrix-inf", lambda: dsp.leading_reduced_matrix(ROLL.params, math.inf), "sigma"),
+    ("cubic_coefficients", lambda: dsp.cubic_coefficients(ROLL.params, NAN), "sigma"),
+    ("cubic_coefficients-inf", lambda: dsp.cubic_coefficients(ROLL.params, -math.inf), "sigma"),
 ]
 
 

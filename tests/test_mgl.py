@@ -6,6 +6,7 @@ import pytest
 from conslaw import bloch
 from conslaw import dispersion as dsp
 from conslaw import mgl
+from conslaw.bloch import critical_sweep
 from conslaw.errors import OutOfRange
 from conslaw.fourier import SpectralGrid
 from conslaw.rolls import RollParameters, amplitude_alpha, solve_roll, zero_roll
@@ -226,7 +227,7 @@ class TestComparison:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the range check")
 
-        monkeypatch.setattr(mgl, "critical_triples", no_solve)
+        monkeypatch.setattr(mgl, "critical_sweep", no_solve)
         with pytest.raises(OutOfRange, match=f"Bloch number {0.1 * 6.0} lies"):
             mgl.compare_exact_vs_mgl(roll, [0.0, 6.0, -7.0])
 
@@ -299,7 +300,7 @@ class TestComparison:
         sigmas = eps * table[:, 0]
         assert np.array_equal(table[:, 0], np.linspace(-1.0, 1.0, 11))
         roll = solve_roll(RollParameters(eps, 0.25, 1.0), SpectralGrid(32))
-        radius = bloch._certified_sweep(roll, sigmas, 1.0).radius
+        radius = critical_sweep(roll, sigmas).radius
         zero = table[:, 0] == 0.0
         assert np.all(np.isnan(radius[zero])) and np.all(np.isfinite(radius[~zero]))
         radius[zero] = 1e-13
