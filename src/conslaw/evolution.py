@@ -28,21 +28,27 @@ still decided on the symbol of all ``M`` periods.  The multiplier
 ``-k^2 theta^2 / (2L)`` of the outer second derivative is folded into the
 stepper's four phi-coefficients, so the nonlinearity returns the bare
 DCT-II, and the contour quadrature runs only on the modes ``1..K`` where
-the multiplier is nonzero.  A step is eight DCTs of length ``L`` and about
-twenty passes over arrays of that length: 20 us at ``L = 27`` (one period at
-12 modes), 22 us at 108, 28 us at 216 and 57 us at 960, on one thread of a
-shared 2-core host.
+the multiplier is nonzero.  A step is eight DCTs of length ``L`` and 30
+passes over arrays of that length, 18 in the step and 3 in each of its four
+flux calls.  At the rate checks' lengths the calls cost more than the
+arithmetic, so the stepper and the flux bind their ufuncs and the kernel
+once, pass outputs positionally and take no Python-float operand (``2 n2``
+is ``n2 + n2``, exactly): 16.5 us a step at ``L = 27`` (one period at 12
+modes), 19.1 at 108, 24.7 at 216 and 54.8 at 960, against 19.3, 21.8, 28.3
+and 55.3 us with ``out=`` keywords (least of eight alternated runs of the
+README's ``python -m timeit``, one thread of a shared 2-core host).
+Stacking independent stage operations into ``(2, L)`` broadcasts keeps the
+bits but runs slower: a broadcast leaves NumPy's fast path for operands of
+one shape, and costs more than the two 1-D calls it replaces (0.96 against
+0.80 us at ``L = 216``, 2.0 against 1.2 us at 960).
 
 The DCTs call scipy's pocketfft kernel (``scipy.fft._pocketfft.pypocketfft``)
-directly, bound once at import, with the arguments ``scipy.fftpack.dct``
-passes it for a real, contiguous 1-D float64 array (unnormalized, one
-thread), except that the output goes into a buffer of the caller's.  A step
-makes eight transforms, and at the rate checks' sizes the wrapper chain
-(array coercion, copy and normalization checks, worker lookup) costs as much
-as the arithmetic.  Per DCT-III call, wrapper against kernel, on one thread
-of a shared 2-core host: 6.6 against 3.6 us at ``L = 216``, 9.6 against
-3.7 us at 320, 11.4 against 5.8 us at 432, 13.2 against 7.5 us at 625 and
-15.2 against 9.3 us at 960.  The kernel sits in a private scipy module; the
+directly, imported once and bound by each flux, with the arguments
+``scipy.fftpack.dct`` passes it for a real, contiguous 1-D float64 array
+(unnormalized, one thread), except that the output goes into a buffer of the
+caller's.  At the rate checks' sizes the wrapper chain (array coercion, copy
+and normalization checks, worker lookup) costs as much as the transform; the
+README gives the times.  The kernel sits in a private scipy module; the
 binding was verified on scipy 1.17.1, and
 ``tests/test_evolution.py::TestKernel`` requires it to equal
 ``scipy.fftpack.dct`` bit for bit, so a scipy that moves or changes it fails
@@ -142,8 +148,8 @@ class _Etdrk4:
     four phi-coefficients: ``nonlin`` returns the flux without it.  The
     contour quadrature runs only where ``mult`` is nonzero, and every other
     coefficient is exactly zero.  The stage arrays are allocated once and
-    refilled by ``out=`` ufuncs, so a step allocates nothing; each sum is
-    formed in the order of the textbook step, term by term.
+    refilled in place, so a step allocates nothing; each sum is formed in
+    the order of the textbook step, term by term.
     """
 
     def __init__(self, lin: np.ndarray, dt: float, mult: np.ndarray):
@@ -164,36 +170,35 @@ class _Etdrk4:
         ])
         self.f0, self.f1, self.f2x2, self.f3 = folded
         # e_half * v, the stages a, b, c, their nonlinearities n0-n3, scratch
-        self._ev, self._a, self._b, self._c, self._n0, self._n1, self._n2, self._n3, self._tmp = (
-            np.empty_like(lin) for _ in range(9)
-        )
+        stages = tuple(np.empty_like(lin) for _ in range(9))
+        # What a step reads, bound once: its ufuncs take their outputs positionally.
+        self._bound = (np.multiply, np.add, np.subtract, self.e_half, self.e_full, *folded, *stages)
 
     def step(self, v: np.ndarray, nonlin) -> None:
         """Advance ``v`` by one step in place; ``nonlin(spec, out)`` fills ``out``."""
-        ev, a, b, c, tmp = self._ev, self._a, self._b, self._c, self._tmp
-        n0, n1, n2, n3 = self._n0, self._n1, self._n2, self._n3
-        np.multiply(self.e_half, v, out=ev)
+        mul, add, sub, e_half, e_full, f0, f1, f2x2, f3, ev, a, b, c, n0, n1, n2, n3, tmp = self._bound
+        mul(e_half, v, ev)
         nonlin(v, n0)
-        np.multiply(self.f0, n0, out=a)
-        a += ev
+        mul(f0, n0, a)
+        add(a, ev, a)
         nonlin(a, n1)
-        np.multiply(self.f0, n1, out=b)
-        b += ev
+        mul(f0, n1, b)
+        add(b, ev, b)
         nonlin(b, n2)
-        np.multiply(2.0, n2, out=tmp)
-        tmp -= n0
-        tmp *= self.f0
-        np.multiply(self.e_half, a, out=c)
-        c += tmp
+        add(n2, n2, tmp)  # 2 n2, exactly
+        sub(tmp, n0, tmp)
+        mul(tmp, f0, tmp)
+        mul(e_half, a, c)
+        add(c, tmp, c)
         nonlin(c, n3)
-        v *= self.e_full
-        np.multiply(self.f1, n0, out=tmp)
-        v += tmp
-        np.add(n1, n2, out=tmp)
-        tmp *= self.f2x2
-        v += tmp
-        np.multiply(self.f3, n3, out=tmp)
-        v += tmp
+        mul(v, e_full, v)
+        mul(f1, n0, tmp)
+        add(v, tmp, v)
+        add(n1, n2, tmp)
+        mul(tmp, f2x2, tmp)
+        add(v, tmp, v)
+        mul(f3, n3, tmp)
+        add(v, tmp, v)
 
 
 def _cubic_flux(s: float, n_points: int):
@@ -202,27 +207,29 @@ def _cubic_flux(s: float, n_points: int):
     ``y`` holds cosine coefficients and ``u`` its samples at the ``n_points``
     midpoints of the half domain.  The multiplier of the outer second
     derivative lives in :class:`_Etdrk4`'s coefficients.  The samples live
-    in a buffer of their own and the cubic is formed and transformed in
-    ``out``, so a call allocates nothing.
+    in a buffer of their own, ``s`` is a prefilled array and the cubic is
+    formed and transformed in ``out``, so a call allocates nothing.
     """
     u = np.empty(n_points)
+    s = np.full(n_points, s)
+    add, mul, kernel = np.add, np.multiply, dct
 
     def nonlin(y: np.ndarray, out: np.ndarray) -> None:
         # (input, type, axes, inorm = 0: unnormalized, out, nthreads)
-        dct(y, 3, (0,), 0, u, 1)
+        kernel(y, 3, (0,), 0, u, 1)
         # u * u * (s + u), not s*u**2 + u**3: libm pow takes a slow path for
         # negative bases, ~150 ns a point against ~2 ns for the products.
-        np.add(s, u, out=out)
-        np.multiply(out, u, out=out)
-        np.multiply(out, u, out=out)
-        dct(out, 2, (0,), 0, out, 1)
+        add(s, u, out)
+        mul(out, u, out)
+        mul(out, u, out)
+        kernel(out, 2, (0,), 0, out, 1)
 
     return nonlin
 
 
 def _rms(y: np.ndarray) -> float:
     """Root mean square over the domain of the even field with coefficients ``y``."""
-    return float(np.sqrt(y[0] ** 2 + 2.0 * np.dot(y[1:], y[1:])))
+    return math.sqrt(y[0] ** 2 + 2.0 * np.dot(y[1:], y[1:]))
 
 
 def _even_seed(eigvec: np.ndarray, n_periods: int, j: int, n_points: int) -> np.ndarray:
@@ -314,20 +321,22 @@ def evolve(roll: RollSolution, config: EvolutionConfig) -> EvolutionResult:
 
     nonlin = _cubic_flux(params.s, n_points)
 
-    stepper = _Etdrk4(lin, config.dt, mult)
+    advance = _Etdrk4(lin, config.dt, mult).step
     state = y_roll + y_pert
     sample_every = max(1, n_steps // 400)
 
+    diff = state - y_roll  # refilled at every sample
     times = [0.0]
-    norms = [_rms(state - y_roll)]
+    norms = [_rms(diff)]
     masses = [float(state[0])]
     norm0 = norms[0]
     for step in range(1, n_steps + 1):
-        stepper.step(state, nonlin)
+        advance(state, nonlin)
         if step % sample_every == 0 or step == n_steps:
             t = step * config.dt
-            nv = _rms(state - y_roll)
-            if not np.isfinite(nv) or nv > _BLOWUP_FACTOR * norm0:
+            np.subtract(state, y_roll, diff)
+            nv = _rms(diff)
+            if not math.isfinite(nv) or nv > _BLOWUP_FACTOR * norm0:
                 raise BlowUp(t, nv)
             times.append(t)
             norms.append(nv)

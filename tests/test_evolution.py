@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,7 +253,8 @@ class TestStepper:
         got[: K + 1] = v0[: K + 1].real / n_points
         stepper.step(got, nonlin)
         stepper.step(got, nonlin)
-        assert got.dtype == stepper._a.dtype == np.float64
+        # the coefficients and the stage arrays are real, as the state is
+        assert got.dtype == np.float64 and all(x.dtype == np.float64 for x in stepper._bound[3:])
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(got[: K + 1] - expected)) <= 1e-13 * scale
         assert np.max(np.abs(expected[1:] - v0[1 : K + 1] / n_points)) > 1e-3 * scale  # moved
@@ -322,6 +325,74 @@ class TestNonlinBuffers:
         nonlin(y, again)
         assert again.tobytes() == first.tobytes()
         assert between.tobytes() != first.tobytes()
+
+
+class TestPinnedBits:
+    """``evolve`` bit for bit against ``data/evolve_bits_m12.npz``, written by
+    the code before the stepper bound its ufuncs: ``np.savez_compressed`` of
+    the stacked ``times``, ``norms`` and ``masses`` (one row a run) and of
+    ``expected_rate`` and ``measured_rate``.  Each run takes 40 steps, at
+    ``dt = 0.05`` up to 12 periods and 0.2 beyond, as criterion 8 does; the
+    runs alternate between a roll with ``s > 0`` and one with ``s < 0``."""
+
+    rolls = ((0.05, 0.1, 0.8), (0.05, -0.05, -1.2))
+    #: (n_periods, j): j = 1 .. n / 8 on every length the rate checks run,
+    #: then sigma = 0, a negative sigma and sigma = 1/4 on 36 periods (g = 9).
+    cases = [
+        (8, 1), (12, 1), (16, 1), (16, 2), (24, 1), (24, 2), (24, 3),
+        (36, 1), (36, 2), (36, 3), (36, 4), (8, 0), (8, -1), (36, 9),
+    ]
+    fields = ("times", "norms", "masses", "expected_rate", "measured_rate")
+
+    def test_every_field_matches_the_pinned_runs(self):
+        rolls = [solve_roll(RollParameters(*params), GRID) for params in self.rolls]
+        got = {field: [] for field in self.fields}
+        for i, (n_periods, j) in enumerate(self.cases):
+            dt = 0.05 if n_periods <= 12 else 0.2
+            cfg = ev.EvolutionConfig(n_periods=n_periods, dt=dt, seed_sigma=j / n_periods, t_final=40 * dt)
+            res = ev.evolve(rolls[i % 2], cfg)
+            for field in self.fields:
+                got[field].append(getattr(res, field))
+        with np.load(Path(__file__).parent / "data" / "evolve_bits_m12.npz") as pinned:
+            assert sorted(pinned.files) == sorted(self.fields)
+            for field in self.fields:
+                a, want = np.array(got[field]), pinned[field]
+                assert (a.dtype, a.shape) == (want.dtype, want.shape), field
+                assert a.tobytes() == want.tobytes(), field
+
+
+class TestStepAllocations:
+    """A step refills its stage arrays and the flux its sample buffer: 200
+    steps with the real flux allocate less than one stage array."""
+
+    @pytest.mark.parametrize("n_periods", [8, 36])
+    def test_steps_allocate_less_than_one_stage_array(self, n_periods):
+        # NumPy reports its data buffers to tracemalloc.
+        n_cos, nonlin = _flux(n_periods, GRID.n_modes, 0.5)
+        K = n_periods * (GRID.n_modes + 1)
+        assert n_cos == {8: 216, 36: 960}[n_periods]
+        kt2 = np.zeros(n_cos)
+        kt2[: K + 1] = 0.9 * (np.arange(K + 1) / n_periods) ** 2
+        lin = kt2 * (0.05**2 + swift_hohenberg(kt2))
+        stepper = ev._Etdrk4(lin, 0.05, -kt2 / (2 * n_cos))
+        v = np.zeros(n_cos)
+        v[n_periods], v[2 * n_periods] = 0.1, 0.01
+        stepper.step(v, nonlin)
+        start = v.copy()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            for _ in range(200):
+                stepper.step(v, nonlin)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert np.all(np.isfinite(v)) and v.tobytes() != start.tobytes()
+        assert peak < n_cos * np.dtype(np.float64).itemsize
 
 
 class TestKernelEndToEnd:
