@@ -504,7 +504,9 @@ def critical_sweep(roll: RollSolution, sigmas, delta: float = 1.0) -> BlochSweep
     ``[-1/2, 1/2]``.
     """
     check_delta(delta)
-    sweep = _lifted_sweep(roll, sigmas)
+    # At M = 32 the products of the lifted block underflow (H @ Q).
+    with np.errstate(under="ignore"):
+        sweep = _lifted_sweep(roll, sigmas)
     failed = (~(np.where(sweep.certified, sweep.gaps - sweep.gap_radius, sweep.gaps) > delta)).nonzero()[0]
     if failed.size:
         raise GapViolation(float(sweep.gaps[failed[0]]), delta)
@@ -525,18 +527,20 @@ def critical_modes(roll: RollSolution, sigma: float) -> tuple[np.ndarray, np.nda
     the correction, whose ``sqrt(p)`` and ``H`` are then the sweep's mirrored
     as its vectors are.  No gap is certified.
     """
-    sweep = _lifted_sweep(roll, [sigma])
-    (sq,), (H,), _ = _stacks(roll, sweep.sigmas)
-    vals, y = sweep.values[0], sweep.vectors[0]
-    # The orthonormalized y carries a rounding of eps on every entry, which
-    # the rest diagonal of diag(p) S, of order M^6, would turn into residuals
-    # of up to 4.4e-6 at M = 32; the correction rebuilds the rest entries.
-    rest = np.abs(_layout(sq.size)[1]) > _START_MODES
-    y[rest] -= (H[rest] @ y - y[rest] * vals) / (np.diagonal(H)[rest, None] - vals)
-    vecs = sq[:, None] * y
-    norms = np.linalg.norm(vecs, axis=0)
-    for j in np.flatnonzero(norms == 0.0):
-        vecs[:, j], norms[j] = _conserved_vector(roll), 1.0
+    # The underflows of critical_sweep, and those of the correction.
+    with np.errstate(under="ignore"):
+        sweep = _lifted_sweep(roll, [sigma])
+        (sq,), (H,), _ = _stacks(roll, sweep.sigmas)
+        vals, y = sweep.values[0], sweep.vectors[0]
+        # The orthonormalized y carries a rounding of eps on every entry, which
+        # the rest diagonal of diag(p) S, of order M^6, would turn into residuals
+        # of up to 4.4e-6 at M = 32; the correction rebuilds the rest entries.
+        rest = np.abs(_layout(sq.size)[1]) > _START_MODES
+        y[rest] -= (H[rest] @ y - y[rest] * vals) / (np.diagonal(H)[rest, None] - vals)
+        vecs = sq[:, None] * y
+        norms = np.linalg.norm(vecs, axis=0)
+        for j in np.flatnonzero(norms == 0.0):
+            vecs[:, j], norms[j] = _conserved_vector(roll), 1.0
     return vals, vecs / norms
 
 

@@ -9,17 +9,34 @@ with a fixed zero mean removes the translation and conservation null
 directions, so plain Newton from the two-term small-amplitude predictor
 converges quadratically.  The constant ``q`` is the Lagrange multiplier of
 the zero-mean constraint; the cosine modes ``m >= 1`` never see it.
+
+A Newton iterate evaluates the nonlinearity once: the centered
+coefficients come straight from the cosines, and their square serves the
+residual's reaction (its modes ``0 .. M`` only) and the Jacobian's
+derivative.  The Jacobian's index arrays are built once per ``M``
+(:func:`_layout`) and the symbol once per Newton run (:func:`_symbol`).
+Each operation and its operands are those of the residual that built a
+``PeriodicField`` and the reaction's modes ``-3M .. 3M`` on every iterate,
+so the rolls keep their bits (``tests/data/rolls_pinned.npz``).  A solve
+with one Newton step (``eps = 0.02``, ``omega = 0.1``, ``s = 0.5``) takes
+52.7 us at ``M = 12`` and 66.4 us at ``M = 32``, against 104 and 134 us
+before (least of six alternated runs of the README's ``python -m timeit``,
+one thread of a shared 2-core host).  Underflow in the cubes of a small
+roll is ignored within :func:`solve_roll`, so a caller's raising error
+state gets the same bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import NoConvergence, OutOfRange, TrivialCollapse
 from .fourier import PeriodicField, SpectralGrid
-from .model import reaction, reaction_derivative, swift_hohenberg
+from .model import reaction, reaction_derivative, square, swift_hohenberg
 
 __all__ = [
     "RollParameters",
@@ -35,6 +52,9 @@ _OMEGA_EDGE_TOL = 1e-14
 _MAX_ITERS = 30
 #: Max-norm tolerance on the spectral residual of a converged roll.
 _TOL = 1e-12
+#: The zero mean between the two halves of the centered coefficients.
+_ZERO = np.zeros(1)
+_ZERO.flags.writeable = False
 
 
 def check_s(s: float, param: str) -> None:
@@ -83,7 +103,7 @@ class RollParameters:
     @property
     def k(self) -> float:
         """Roll wavenumber ``sqrt(1 + 2 omega eps)``."""
-        return float(np.sqrt(1.0 + 2.0 * self.omega * self.eps))
+        return math.sqrt(1.0 + 2.0 * self.omega * self.eps)
 
     @property
     def at_band_edge(self) -> bool:
@@ -113,9 +133,16 @@ def _expansion_cosines(params: RollParameters) -> np.ndarray:
     denom = 27.0 - 2.0 * s**2
     band = 1.0 - 4.0 * w**2
     a = np.zeros(3)
-    a[1] = 6.0 * np.sqrt(band / denom) * eps - 32.0 * w * s**2 * np.sqrt(band / denom**3) * eps**2
+    a[1] = 6.0 * math.sqrt(band / denom) * eps - 32.0 * w * s**2 * math.sqrt(band / denom**3) * eps**2
     a[2] = -2.0 * s * band / denom * eps**2
     return a
+
+
+def _predictor(params: RollParameters, M: int) -> np.ndarray:
+    """Modes 1..M of the two-term expansion, Newton's starting point."""
+    a0 = np.zeros(M)
+    a0[:2] = _expansion_cosines(params)[1:]
+    return a0
 
 
 def asymptotic_roll(params: RollParameters, grid: SpectralGrid) -> PeriodicField:
@@ -146,49 +173,68 @@ def zero_roll(params: RollParameters, grid: SpectralGrid) -> RollSolution:
     )
 
 
-def _residual_and_multiplier(a: np.ndarray, params: RollParameters, grid: SpectralGrid):
-    """Spectral residual of the flux form on modes 1..M, the multiplier q, and the centered coefficients.
+@lru_cache
+def _layout(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only, once per ``M``: the squares ``m^2`` of the modes ``m = 1 .. M``, and the indices ``(M, M)``
+    of ``df_{m-n}`` and ``df_{m+n}`` in :func:`conslaw.model.reaction_derivative`."""
+    m = np.arange(1, M + 1)
+    layout = m.astype(np.float64) ** 2, 2 * M + np.subtract.outer(m, m), 2 * M + np.add.outer(m, m)
+    for x in layout:
+        x.flags.writeable = False
+    return layout
 
-    ``a`` holds cosine coefficients for modes 1..M (zero mean is structural).
-    """
-    M = grid.n_modes
+
+def _symbol(params: RollParameters, M: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """``k^2``, and on modes 1..M ``sh(k^2 m^2)`` and the residual's diagonal ``eps^2 + sh(k^2 m^2)``: once per solve."""
     k2 = params.k**2
-    c = PeriodicField(grid, np.concatenate([[0.0], a])).coeffs
-    g = reaction(c, params.s)[3 * M : 4 * M + 1]
-    m = np.arange(1, M + 1, dtype=np.float64)
-    lin = params.eps**2 + swift_hohenberg(k2 * m**2)
+    sh = swift_hohenberg(k2 * _layout(M)[0])
+    return k2, sh, params.eps**2 + sh
+
+
+def _residual_and_multiplier(a: np.ndarray, params: RollParameters, symbol):
+    """Spectral residual of the flux form on modes 1..M, the multiplier q, the centered coefficients and their square.
+
+    ``a`` holds cosine coefficients for modes 1..M (zero mean is structural);
+    ``symbol`` is :func:`_symbol` of ``params``.
+    """
+    k2, _, lin = symbol
+    half = 0.5 * a
+    c = np.concatenate((half[::-1], _ZERO, half))
+    u2 = square(c)
+    g = reaction(c, params.s, u2)
     F = -k2 * (lin * a + 2.0 * g[1:])
     q = -k2 * g[0]
-    return F, q, c
+    return F, q, c, u2
 
 
-def _jacobian(c: np.ndarray, params: RollParameters) -> np.ndarray:
-    """Exact Jacobian of the mode-1..M residual in the cosine basis, at centered coefficients ``c``.
+def _jacobian(c: np.ndarray, u2: np.ndarray, params: RollParameters, symbol) -> np.ndarray:
+    """Exact Jacobian of the mode-1..M residual in the cosine basis, at centered coefficients ``c`` with square ``u2``.
 
     ``df = eps^2 - 2 s u - 3 u^2`` times ``cos(n xi)`` has cosine coefficients
     ``df_{m-n} + df_{m+n}``; with the Swift-Hohenberg diagonal this is the
     even part of the ``sigma = 0`` Bloch factor ``S``.
     """
+    k2, sh, _ = symbol
     M = c.size // 2
-    k2 = params.k**2
-    df = reaction_derivative(c, params.s, params.eps)
-    m = np.arange(1, M + 1)
-    J = df[2 * M + np.subtract.outer(m, m)] + df[2 * M + np.add.outer(m, m)]
-    J[m - 1, m - 1] += swift_hohenberg(k2 * m.astype(np.float64) ** 2)
-    return -k2 * J
+    _, minus, plus = _layout(M)
+    df = reaction_derivative(c, params.s, params.eps, u2)
+    J = df[minus] + df[plus]
+    J.ravel()[:: M + 1] += sh
+    J *= -k2
+    return J
 
 
 def _newton(a: np.ndarray, params: RollParameters, grid: SpectralGrid):
+    symbol = _symbol(params, grid.n_modes)
     residual = np.inf
     for it in range(_MAX_ITERS):
-        F, q, c = _residual_and_multiplier(a, params, grid)
-        residual = float(np.max(np.abs(F)))
-        if not np.isfinite(residual):
+        F, q, c, u2 = _residual_and_multiplier(a, params, symbol)
+        residual = float(np.abs(F).max())
+        if not math.isfinite(residual):
             raise NoConvergence(it, residual)
         if residual < _TOL:
             return a, q, residual, it
-        J = _jacobian(c, params)
-        a = a + np.linalg.solve(J, -F)
+        a = a + np.linalg.solve(_jacobian(c, u2, params, symbol), -F)
     raise NoConvergence(_MAX_ITERS, residual)
 
 
@@ -218,23 +264,23 @@ def solve_roll(params: RollParameters, grid: SpectralGrid) -> RollSolution:
     check_solvable(params)
     if params.at_band_edge or params.eps == 0.0:
         return zero_roll(params, grid)
+    a0 = _predictor(params, grid.n_modes)
+    # Cubes of a small roll, and their products in the solve, underflow.
+    with np.errstate(under="ignore"):
+        try:
+            a, q, residual, iters = _newton(a0, params, grid)
+        except NoConvergence:
+            a, q, residual, iters = _continuation_restart(params, grid)
 
-    # modes 1..M of the two-term expansion, zero-padded by the field
-    a0 = PeriodicField(grid, _expansion_cosines(params)).cosines[1:]
-    try:
-        a, q, residual, iters = _newton(a0, params, grid)
-    except NoConvergence:
-        a, q, residual, iters = _continuation_restart(params, grid)
+        # Phase convention: positive at xi = 0; the shift xi -> xi + pi flips the
+        # sign of every odd cosine mode.
+        if a.sum() < 0.0:
+            a = a * (-1.0) ** np.arange(1, grid.n_modes + 1)
+            F, q, _, _ = _residual_and_multiplier(a, params, _symbol(params, grid.n_modes))
+            residual = float(np.abs(F).max())
 
-    # Phase convention: positive at xi = 0; the shift xi -> xi + pi flips the
-    # sign of every odd cosine mode.
-    if np.sum(a) < 0.0:
-        a = a * (-1.0) ** np.arange(1, grid.n_modes + 1)
-        F, q, _ = _residual_and_multiplier(a, params, grid)
-        residual = float(np.max(np.abs(F)))
-
-    alpha_pred = abs(amplitude_alpha(params))
-    if alpha_pred > 1e-8 and float(np.max(np.abs(a))) < 1e-2 * alpha_pred:
+    alpha_pred = abs(float(a0[0]))
+    if alpha_pred > 1e-8 and float(np.abs(a).max()) < 1e-2 * alpha_pred:
         raise TrivialCollapse(
             f"Newton collapsed to the zero profile at eps={params.eps}, omega={params.omega}"
         )
@@ -248,7 +294,7 @@ def _continuation_restart(params: RollParameters, grid: SpectralGrid):
     anchors = []
     for frac in (0.5, 0.75):
         sub = RollParameters(frac * params.eps, params.omega, params.s)
-        a0 = anchors[-1] if anchors else PeriodicField(grid, _expansion_cosines(sub)).cosines[1:]
+        a0 = anchors[-1] if anchors else _predictor(sub, grid.n_modes)
         a, _, _, _ = _newton(a0, sub, grid)
         anchors.append(a)
     secant = anchors[1] + (anchors[1] - anchors[0])

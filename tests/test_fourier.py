@@ -7,8 +7,8 @@ from scipy.fft import next_fast_len
 from conslaw import evolution as ev
 from conslaw.errors import OutOfRange
 from conslaw.fourier import PeriodicField, SpectralGrid, l2_norm
-from conslaw.model import reaction, reaction_derivative, swift_hohenberg
-from conslaw.rolls import RollParameters, _residual_and_multiplier, zero_roll
+from conslaw.model import reaction, reaction_derivative, square, swift_hohenberg
+from conslaw.rolls import RollParameters, _residual_and_multiplier, _symbol, zero_roll
 
 GRID = SpectralGrid(12)
 
@@ -111,7 +111,8 @@ class TestNonlinearRhs:
     """The roll solver's flux-form residual and the integrator's cubic flux."""
 
     def test_zero_is_fixed_point(self):
-        F, q, _ = _residual_and_multiplier(np.zeros(GRID.n_modes), RollParameters(0.1, 0.1, 0.7), GRID)
+        params = RollParameters(0.1, 0.1, 0.7)
+        F, q, _, _ = _residual_and_multiplier(np.zeros(GRID.n_modes), params, _symbol(params, GRID.n_modes))
         assert np.all(F == 0.0) and q == 0.0
 
     def test_cubic_of_small_cosine(self):
@@ -121,7 +122,8 @@ class TestNonlinearRhs:
         delta = 1e-3
         a = np.zeros(GRID.n_modes)
         a[0] = delta
-        F, q, _ = _residual_and_multiplier(a, RollParameters(0.0, 0.0, 0.0), GRID)
+        params = RollParameters(0.0, 0.0, 0.0)
+        F, q, _, _ = _residual_and_multiplier(a, params, _symbol(params, GRID.n_modes))
         assert F[0] == pytest.approx(0.75 * delta**3, rel=1e-12)
         assert F[2] == pytest.approx(0.25 * delta**3, rel=1e-12)
         assert np.max(np.abs(np.delete(F, [0, 2]))) < 1e-22
@@ -196,15 +198,20 @@ class TestProjectKernel:
 
 class TestProducts:
     def test_cubic_dealiasing_exact(self):
-        # the roll solver's cubic keeps every mode of u^3 up to 3M, so its
-        # series equals u^3 everywhere, not only at a set of nodes
+        # the roll residual reads modes 0..M of u^3 by exact convolution: the
+        # projection of u^3 itself, not of its interpolant on the field's own
+        # 2M + 1 nodes, which folds the modes above M back onto them
         rng = np.random.default_rng(6)
         u = random_field(GRID, rng)
-        xi = rng.uniform(0.0, 2.0 * np.pi, size=50)
-        vals = np.cos(np.outer(xi, np.arange(GRID.n_modes + 1))) @ u.cosines
-        r = reaction(u.coeffs, 0.0)
-        series = np.cos(np.outer(xi, np.arange(-3 * GRID.n_modes, 3 * GRID.n_modes + 1))) @ r
-        assert np.max(np.abs(-series - vals**3)) < 1e-13 * np.max(np.abs(vals)) ** 3
+        M = GRID.n_modes
+
+        def cube_modes(n_points):
+            return cosine_matrix(M + 1, n_points).T @ samples(u, n_points) ** 3 / n_points
+
+        r = reaction(u.coeffs, 0.0, square(u.coeffs))
+        scale = np.max(np.abs(samples(u, 6 * M + 1))) ** 3
+        assert np.max(np.abs(-r - cube_modes(6 * M + 1))) < 1e-13 * scale
+        assert np.max(np.abs(-r - cube_modes(2 * M + 1))) > 1e-6 * scale
 
 
 class TestReaction:
@@ -235,8 +242,8 @@ class TestReaction:
         grid = SpectralGrid(n_modes)
         u = random_field(grid, np.random.default_rng(seed), scale)
         vals = samples(u, 8 * n_modes + 1)
-        want = self.project(-s * vals**2 - vals**3, 3 * n_modes)
-        got = reaction(u.coeffs, s)
+        want = self.project(-s * vals**2 - vals**3, n_modes)[n_modes:]
+        got = reaction(u.coeffs, s, square(u.coeffs))
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * (abs(s) + np.max(np.abs(vals))) * np.max(vals**2)
 

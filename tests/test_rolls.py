@@ -1,10 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conslaw import bloch, rolls
-from conslaw.errors import OutOfRange
+from conslaw.errors import NoConvergence, OutOfRange, TrivialCollapse
 from conslaw.fourier import SpectralGrid, l2_norm
-from conslaw.model import reaction_derivative
+from conslaw.model import reaction_derivative, square
 from conslaw.rolls import (
     RollParameters,
     amplitude_alpha,
@@ -13,7 +15,7 @@ from conslaw.rolls import (
     solve_roll,
     zero_roll,
 )
-from conslaw.rolls import _jacobian, _residual_and_multiplier
+from conslaw.rolls import _jacobian, _residual_and_multiplier, _symbol
 
 GRID = SpectralGrid(16)
 EPS_SWEEP = (0.01, 0.02, 0.04, 0.08)
@@ -153,16 +155,17 @@ class TestNewtonInternals:
         rng = np.random.default_rng(11)
         grid = SpectralGrid(8)
         params = RollParameters(0.1, 0.2, 0.9)
+        symbol = _symbol(params, grid.n_modes)
         a = 0.05 * rng.normal(size=grid.n_modes) / (1.0 + np.arange(grid.n_modes)) ** 2
-        _, _, c = _residual_and_multiplier(a, params, grid)
-        J = _jacobian(c, params)
+        _, _, c, u2 = _residual_and_multiplier(a, params, symbol)
+        J = _jacobian(c, u2, params, symbol)
         h = 1e-6
         for n in range(grid.n_modes):
             ap, am = a.copy(), a.copy()
             ap[n] += h
             am[n] -= h
-            Fp, _, _ = _residual_and_multiplier(ap, params, grid)
-            Fm, _, _ = _residual_and_multiplier(am, params, grid)
+            Fp = _residual_and_multiplier(ap, params, symbol)[0]
+            Fm = _residual_and_multiplier(am, params, symbol)[0]
             col = (Fp - Fm) / (2.0 * h)
             assert np.max(np.abs(col - J[:, n])) < 1e-6
 
@@ -178,5 +181,88 @@ class TestNewtonInternals:
         S0 = bloch._symmetric_factors(df, params.k**2, np.array([0.0]))[1][0]
         m = np.arange(1, M + 1)
         even = S0[np.ix_(M + m, M + m)] + S0[np.ix_(M + m, M - m)]
-        J = _jacobian(c, params)
+        J = _jacobian(c, square(c), params, _symbol(params, M))
         assert np.max(np.abs(J - (-params.k**2) * even)) <= 4.0 * np.spacing(np.max(np.abs(S0))) * params.k**2
+
+
+#: Cells where Newton converges to the roll shifted by pi (``np.sum(a) < 0``), which is flipped back.
+FLIP_CELLS = [(8, 0.05, 0.45, 3.6), (12, 0.2, 0.3, -3.6), (32, 0.1, 0.49, -3.3)]
+#: The cell where the direct predictor stalls and only the secant continuation in eps reaches the roll.
+RESTART_CELL = (8, 0.15445027383466858, 0.4081507589604108, 3.2651846456007703)
+
+
+def _pinned_cells():
+    """(M, eps, omega, s) of :class:`TestPinnedRolls`: eight seeded draws per
+    ``M``, then the cells the draws miss."""
+    rng = np.random.default_rng(34)
+    cells = []
+    for M in (8, 12, 16, 32):
+        eps = np.exp(rng.uniform(np.log(1e-3), np.log(0.2), 8)).tolist()
+        omegas, ss = rng.uniform(-0.5, 0.5, 8).tolist(), rng.uniform(-2.5, 2.5, 8).tolist()
+        cells += [(M, e, w, s) for e, w, s in zip(eps, omegas, ss)]
+    return cells + [
+        (32, 1e-3, 0.1, 0.5),  # u^2 and u^3 underflow in the residual
+        (32, 0.2, 0.0, -1.0),
+        (12, 1e-3, 0.499, 0.0),  # the predictor already converged: no iteration
+        (16, 0.05, 0.5, 1.0),  # band edges: the zero roll
+        (8, 0.05, -0.5, -1.0),
+        *FLIP_CELLS,
+        RESTART_CELL,
+    ]
+
+
+class TestPinnedRolls:
+    """``solve_roll`` bit for bit against ``data/rolls_pinned.npz``, written by
+    the residual that built a ``PeriodicField`` on every iterate:
+    ``np.savez_compressed`` of the cells' ``cosines`` (concatenated in cell
+    order), ``q``, ``residual_norm`` and ``newton_iters``."""
+
+    fields = ("cosines", "q", "residual_norm", "newton_iters")
+
+    def test_every_field_matches_the_pinned_rolls(self, monkeypatch):
+        restart, restarted = rolls._continuation_restart, []
+
+        def spy(params, grid):
+            restarted.append((grid.n_modes, params.eps, params.omega, params.s))
+            return restart(params, grid)
+
+        monkeypatch.setattr(rolls, "_continuation_restart", spy)
+        got = {field: [] for field in self.fields}
+        for M, eps, omega, s in _pinned_cells():
+            roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(M))
+            got["cosines"].append(roll.profile.cosines)
+            got["q"].append(roll.q)
+            got["residual_norm"].append(roll.residual_norm)
+            got["newton_iters"].append(roll.newton_iters)
+        assert restarted == [RESTART_CELL]
+        assert set(got["newton_iters"]) >= {0, 1, 2, 3}
+        got["cosines"] = np.concatenate(got["cosines"])
+        with np.load(Path(__file__).parent / "data" / "rolls_pinned.npz") as pinned:
+            assert sorted(pinned.files) == sorted(self.fields)
+            for field in self.fields:
+                a, want = np.asarray(got[field]), pinned[field]
+                assert (a.dtype, a.shape) == (want.dtype, want.shape), field
+                assert a.tobytes() == want.tobytes(), field
+
+    def test_the_flip_cells_converge_to_the_shifted_roll(self, monkeypatch):
+        newton, sums = rolls._newton, []
+
+        def spy(*args):
+            out = newton(*args)
+            sums.append(float(np.sum(out[0])))
+            return out
+
+        monkeypatch.setattr(rolls, "_newton", spy)
+        for M, eps, omega, s in FLIP_CELLS:
+            sums.clear()
+            roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(M))
+            assert sums[-1] < 0.0 < np.sum(roll.profile.cosines)
+
+    def test_collapse_to_the_zero_profile_is_reported(self):
+        with pytest.raises(TrivialCollapse):
+            solve_roll(RollParameters(0.2, 0.4, 3.0), SpectralGrid(12))
+
+    def test_stall_after_the_restart_is_reported(self, monkeypatch):
+        monkeypatch.setattr(rolls, "_MAX_ITERS", 1)
+        with pytest.raises(NoConvergence):
+            solve_roll(RollParameters(0.1, 0.2, 0.9), SpectralGrid(12))
