@@ -23,9 +23,9 @@ returns views it.  At M = 12 a sweep costs more in NumPy calls than in
 arithmetic, so the engine calls NumPy's stacked kernels, ufunc reductions
 and array methods, never the functions that wrap them, which give the same
 bits; indexes its mode blocks by slices; and builds what depends on ``N``
-alone once (:func:`_layout`).  That took the cost before the first member
-from about 320 us to 190 us, and of each member from 20 us to 19 us
-(``python -m timeit``, one BLAS thread; the README gives the command).
+alone once (:func:`_layout`).  The cost before the first member is about
+190 us, and of each member 19 us (``python -m timeit``, one BLAS thread;
+the README gives the command).
 
 One engine, :func:`_lifted_sweep`, solves every Bloch number: the paper's
 Lyapunov-Schmidt split of ``H``, the critical block (Bloch modes
@@ -33,8 +33,8 @@ Lyapunov-Schmidt split of ``H``, the critical block (Bloch modes
 correction (:func:`_lifted_ritz`; E. R. Davidson, J. Comput. Phys. 17
 (1975) 87-94), certified by one stacked 9 x 9 Cholesky factorization per
 member (:func:`_block_certificate`).  One ``eigvalsh`` of a member's ``H``,
-rebuilt from the roll, gives the rest of its spectrum, for every member, on
-read.
+rebuilt from the roll, gives the rest of its spectrum on read, for the
+benchmark's adapter alone (:class:`BlochSpectrum`).
 """
 
 from __future__ import annotations
@@ -102,8 +102,9 @@ class BlochSpectrum:
     ``eigvalsh`` of ``H`` rebuilt from the roll at ``|sigma|`` (accurate to
     ``eps max|w|``, with no radius); no matrix is kept.  Kept only for the
     benchmark (``bench/workloads.py``), which reads them at ``sigma = 0``;
-    no module here does.  It goes, with :func:`critical_curves`, at the
-    next change to the benchmark (ROADMAP item 2).
+    no module here does.  Its other readers are the six tests of this
+    adapter in ``tests/test_bloch.py``.  It goes, with :func:`critical_curves` and
+    those tests, at the next change to the benchmark (ROADMAP item 2).
     """
 
     sigma: float
@@ -549,7 +550,10 @@ def critical_curves(roll: RollSolution, sigmas, delta: float = 1.0) -> list[Bloc
 
     Kept only for the benchmark (``bench/workloads.py``), which reads
     ``eigenvalues`` and ``critical`` at ``sigma = 0``; no module here calls
-    it.  It goes, with :class:`BlochSpectrum`, at the next change to the
+    it.  Its other callers are the tests of this adapter and three
+    one-line entry-point checks (a gap violation, a Bloch number out of
+    range, an empty sweep) in ``tests/test_bloch.py``.  It goes, with
+    :class:`BlochSpectrum` and those tests, at the next change to the
     benchmark (ROADMAP item 2).
     """
     sweep = critical_sweep(roll, sigmas, delta)

@@ -34,13 +34,13 @@ flux calls.  At the rate checks' lengths the calls cost more than the
 arithmetic, so the stepper and the flux bind their ufuncs and the kernel
 once, pass outputs positionally and take no Python-float operand (``2 n2``
 is ``n2 + n2``, exactly): 16.5 us a step at ``L = 27`` (one period at 12
-modes), 19.1 at 108, 24.7 at 216 and 54.8 at 960, against 19.3, 21.8, 28.3
-and 55.3 us with ``out=`` keywords (least of eight alternated runs of the
-README's ``python -m timeit``, one thread of a shared 2-core host).
-Stacking independent stage operations into ``(2, L)`` broadcasts keeps the
-bits but runs slower: a broadcast leaves NumPy's fast path for operands of
-one shape, and costs more than the two 1-D calls it replaces (0.96 against
-0.80 us at ``L = 216``, 2.0 against 1.2 us at 960).
+modes), 19.1 at 108, 24.7 at 216 and 54.8 at 960 (least of eight
+alternated runs of the README's ``python -m timeit``, one thread of a
+shared 2-core host).  Stacking independent stage operations into
+``(2, L)`` broadcasts keeps the bits but runs slower: a broadcast leaves
+NumPy's fast path for operands of one shape, and costs more than the two
+1-D calls it replaces (0.96 against 0.80 us at ``L = 216``, 2.0 against
+1.2 us at 960).
 
 The DCTs call scipy's pocketfft kernel (``scipy.fft._pocketfft.pypocketfft``)
 directly, imported once and bound by each flux, with the arguments

@@ -59,8 +59,8 @@ class PeriodicField:
     def __post_init__(self) -> None:
         a = np.asarray(self.cosines, dtype=np.float64)
         if a.ndim != 1 or a.size > self.grid.n_modes + 1:
-            raise ValueError(
-                f"expected at most {self.grid.n_modes + 1} cosine coefficients, got shape {a.shape}"
+            raise OutOfRange(
+                f"expected at most {self.grid.n_modes + 1} cosine coefficients, got shape {a.shape}", param="cosines"
             )
         padded = np.zeros(self.grid.n_modes + 1)
         padded[: a.size] = a
@@ -79,7 +79,7 @@ class PeriodicField:
 
     def __sub__(self, other: "PeriodicField") -> "PeriodicField":
         if self.grid != other.grid:
-            raise ValueError("fields live on different grids")
+            raise OutOfRange("fields live on different grids", param="grid")
         return PeriodicField(self.grid, self.cosines - other.cosines)
 
 

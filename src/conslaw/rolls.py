@@ -19,11 +19,10 @@ Each operation and its operands are those of the residual that built a
 ``PeriodicField`` and the reaction's modes ``-3M .. 3M`` on every iterate,
 so the rolls keep their bits (``tests/data/rolls_pinned.npz``).  A solve
 with one Newton step (``eps = 0.02``, ``omega = 0.1``, ``s = 0.5``) takes
-52.7 us at ``M = 12`` and 66.4 us at ``M = 32``, against 104 and 134 us
-before (least of six alternated runs of the README's ``python -m timeit``,
-one thread of a shared 2-core host).  Underflow in the cubes of a small
-roll is ignored within :func:`solve_roll`, so a caller's raising error
-state gets the same bits.
+52.7 us at ``M = 12`` and 66.4 us at ``M = 32`` (least of six alternated
+runs of the README's ``python -m timeit``, one thread of a shared 2-core
+host).  Underflow in the cubes of a small roll is ignored within
+:func:`solve_roll`, so a caller's raising error state gets the same bits.
 """
 
 from __future__ import annotations
@@ -273,11 +272,10 @@ def solve_roll(params: RollParameters, grid: SpectralGrid) -> RollSolution:
             a, q, residual, iters = _continuation_restart(params, grid)
 
         # Phase convention: positive at xi = 0; the shift xi -> xi + pi flips the
-        # sign of every odd cosine mode.
+        # sign of every odd cosine mode.  That multiplies mode m of the residual
+        # by (-1)^m and leaves q, exactly, so both are Newton's.
         if a.sum() < 0.0:
             a = a * (-1.0) ** np.arange(1, grid.n_modes + 1)
-            F, q, _, _ = _residual_and_multiplier(a, params, _symbol(params, grid.n_modes))
-            residual = float(np.abs(F).max())
 
     alpha_pred = abs(float(a0[0]))
     if alpha_pred > 1e-8 and float(np.abs(a).max()) < 1e-2 * alpha_pred:

@@ -9,12 +9,7 @@ one BLAS thread, most of it in the dynamic-rate integrations (criterion 8,
 10 to 12 s) and the stability-band map (criterion 5, about 3 s).
 """
 
-import pytest
-
 from conslaw import acceptance
-
-#: The stability-band map and the two criteria that read the dynamic runs.
-SLOW = ("5 stability band", "8 dynamic rates", "9 mass conservation")
 
 
 def _criterion_test(label, fn):
@@ -23,7 +18,7 @@ def _criterion_test(label, fn):
         print(f"{'PASS' if result.passed else 'FAIL'}  criterion {label}: {result.detail}")
         assert result.passed, f"criterion {label}: {result.detail}"
 
-    return pytest.mark.slow(test) if label in SLOW else test
+    return test
 
 
 for _label, _fn in acceptance.CRITERIA:

@@ -104,9 +104,11 @@ def linalg_calls(monkeypatch, *names):
     return calls
 
 
-def spectrum(roll, sigma, **kwargs):
-    """Spectrum at one Bloch number: a sweep of one."""
-    return critical_curves(roll, [sigma], **kwargs)[0]
+def eigvalsh_rest(roll, sigmas):
+    """Each member's dense rest ``(n, N - 3)``, ascending: one ``eigvalsh`` of ``H`` built at ``|sigma|``, less
+    the three values nearest zero."""
+    w = np.linalg.eigvalsh(bloch._stacks(roll, np.abs(np.asarray(sigmas, dtype=float)).reshape(-1))[1])
+    return np.sort(np.take_along_axis(w, np.argsort(np.abs(w), axis=1), axis=1)[:, 3:], axis=1)
 
 
 class TestConstantSymbol:
@@ -173,10 +175,9 @@ class TestAssembly:
 class TestSpectrum:
     def test_threshold_state_triple(self):
         roll = zero_roll(RollParameters(0.0, 0.0, 0.0), GRID)
-        spec = spectrum(roll, 0.0)
-        crit = np.sort(np.abs(spec.critical_values()))
+        crit = np.sort(np.abs(critical_sweep(roll, [0.0]).values[0]))
         assert np.max(crit) < 1e-12
-        others = np.delete(spec.eigenvalues, list(spec.critical))
+        others = eigvalsh_rest(roll, [0.0])[0]
         assert others.max() == pytest.approx(-36.0, abs=1e-9)
         # S0 is exactly singular here, so the conserved vector comes from the shifted solve.
         conserved = critical_modes(roll, 0.0)[1][:, 0]
@@ -188,13 +189,13 @@ class TestSpectrum:
 
     def test_co_periodic_triple_small_eps(self):
         roll = solve_roll(RollParameters(0.05, 0.0, 0.5), GRID)
-        cv = np.sort(spectrum(roll, 0.0).critical_values())
+        cv = critical_sweep(roll, [0.0]).values[0]
         assert abs(cv[0] + 2.0 * 0.05**2) < 5.0 * 0.05**3
         assert np.max(np.abs(cv[1:])) < 1e-9
 
     def test_zero_amplitude_off_center(self):
         roll = zero_roll(RollParameters(0.0, 0.0, 0.0), GRID)
-        nearest = np.max(spectrum(roll, 0.25).critical_values())
+        nearest = np.max(critical_sweep(roll, [0.25]).values[0])
         assert nearest == pytest.approx(-0.0549316, abs=1e-7)
 
     def test_spectrum_real_at_sigma_zero(self):
@@ -206,15 +207,16 @@ class TestSpectrum:
         general = np.linalg.eigvals(B)
         tol = 1e-12 * np.linalg.norm(B, 2)
         assert np.max(np.abs(general.imag)) < tol
-        want = np.sort(spectrum(roll, 0.2).eigenvalues)
+        # The certified triple beside the dense rest.
+        want = np.sort(np.concatenate([critical_sweep(roll, [0.2]).values[0], eigvalsh_rest(roll, [0.2])[0]]))
         assert np.max(np.abs(np.sort(general.real) - want)) < tol
 
     def test_gap_certificate(self):
-        for sigma in (0.0, 0.05, 0.1):
-            roll = solve_roll(RollParameters(0.05, 0.1, 0.8), GRID)
-            spec = spectrum(roll, sigma)
-            others = np.delete(spec.eigenvalues, list(spec.critical))
-            assert others.max() < -3.0
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), GRID)
+        sigmas = [0.0, 0.05, 0.1]
+        assert np.all(critical_sweep(roll, sigmas).gaps > 3.0)
+        others = eigvalsh_rest(roll, sigmas)
+        assert np.all(others.max(axis=1) < -3.0)
 
     def test_sigma_zero_gap_is_minus_the_largest_rest_value(self):
         # Criterion 2 checks gap > 3 for "the rest lies below -3": no sigma = 0
@@ -228,7 +230,7 @@ class TestSpectrum:
     def test_gap_violation_reported(self):
         roll = solve_roll(RollParameters(0.05, 0.0, 0.5), GRID)
         with pytest.raises(GapViolation):
-            spectrum(roll, 0.0, delta=50.0)
+            critical_sweep(roll, [0.0], delta=50.0)
 
     def test_truncation_convergence(self):
         p = RollParameters(0.05, 0.25, 1.0)
@@ -311,8 +313,7 @@ class TestCurves:
 
     def test_two_exact_zeros_at_origin(self):
         roll = solve_roll(RollParameters(0.04, 0.1, 0.6), GRID)
-        spec = critical_curves(roll, [0.0, 0.02])[0]
-        cv = np.sort(np.abs(spec.critical_values()))
+        cv = np.sort(np.abs(critical_sweep(roll, [0.0, 0.02]).values[0]))
         assert cv[1] < 1e-9  # conservation + translation modes
 
     def test_empty_sweep_gives_empty_curves(self):
@@ -354,7 +355,7 @@ class TestCurves:
         assert cost[0] <= cost.min() + 8 * np.spacing(cost.min())
 
     def test_critical_values_cannot_alter_the_spectrum(self):
-        spec = spectrum(solve_roll(RollParameters(0.05, 0.2, 0.8), GRID), 0.1)
+        spec = critical_curves(solve_roll(RollParameters(0.05, 0.2, 0.8), GRID), [0.1])[0]
         want = spec.critical_values().copy()
         spec.critical_values()[:] = 1.0
         assert np.array_equal(spec.critical_values(), want)
@@ -379,14 +380,17 @@ class TestBatchedSweep:
     def test_sweep_equals_single_sigma_loop(self, eps, omega, s, sigmas):
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(8))
         sweep = np.array(sigmas + [0.0] + [-x for x in sigmas])
-        triples = critical_sweep(roll, sweep).values
-        loop = np.array([critical_sweep(roll, [x]).values[0] for x in sweep])
+        batch = critical_sweep(roll, sweep)
+        triples = batch.values
+        singles = [critical_sweep(roll, [x]) for x in sweep]
+        loop = np.array([single.values[0] for single in singles])
         assert np.array_equal(triples, loop)
         assert np.all(np.diff(triples, axis=1) >= 0.0)
+        assert np.array_equal(batch.gaps, [single.gaps[0] for single in singles])
         # Certified members lie within their radius of the reference; sigma = 0
         # is never certified, and its triple lies within 1e-13 of it.
-        # critical_modes and critical_curves run the same engine, so their
-        # triples are these on every member.
+        # critical_modes runs the same engine, so its triples are these on
+        # every member.
         radius = certify(roll, sweep, 1.0)[1]
         certified = np.isfinite(radius)
         assert not certified[len(sigmas)]
@@ -394,20 +398,12 @@ class TestBatchedSweep:
         assert np.all(move[certified] <= radius[certified, None])
         assert np.all(move[len(sigmas)] < 1e-13)
         modes = np.array([critical_modes(roll, x)[0] for x in sweep])
-        spectra = critical_curves(roll, sweep)
         assert np.array_equal(triples, modes)
-        curves = np.array([sp.critical_values() for sp in spectra])
-        assert np.array_equal(triples, curves)
 
-        singles = [spectrum(roll, x) for x in sweep]
-        assert np.array_equal([sp.gap for sp in spectra], [sp.gap for sp in singles])
-        for curve, single in zip(spectra, singles):
-            assert np.array_equal(curve.eigenvalues, single.eigenvalues)
-            assert np.array_equal(curve.critical_values(), single.critical_values())
-
+        # The whole spectra at sigma and -sigma: each triple beside its dense rest.
         n = len(sigmas)
-        for plus, minus in zip(spectra[:n], spectra[n + 1 :]):
-            assert np.max(np.abs(np.sort(plus.eigenvalues) - np.sort(minus.eigenvalues))) < 1e-9
+        full = np.sort(np.concatenate([triples, eigvalsh_rest(roll, sweep)], axis=1), axis=1)
+        assert np.max(np.abs(full[:n] - full[n + 1 :])) < 1e-9
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
@@ -417,17 +413,17 @@ class TestBatchedSweep:
         n_modes=st.sampled_from([8, 12, 32]),
     )
     def test_spectrum_triples_match_the_eigensolve_path(self, eps, omega, s, n_modes):
-        # critical_curves corrects the lifted start block where the reference
+        # critical_sweep corrects the lifted start block where the reference
         # refines two inverse-iteration steps from eigh's vectors.
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
         small = np.array([1e-12, 1e-6, 1e-5, 1e-4])
         sweep = np.concatenate([-small, small, np.linspace(-0.5, 0.5, 41)])
-        got = np.sort([spec.critical_values() for spec in critical_curves(roll, sweep)], axis=1)
+        got = critical_sweep(roll, sweep).values
         move = np.max(np.abs(got - reference_triples(roll, sweep)), axis=1)
         inner = np.abs(sweep) < 0.5
         # Where the two part by 1e-13, the 40-digit oracle decides: near the
         # zone edge it is the reference that is off (by 1.2e-13 at
-        # sigma = -0.475, M = 32, where critical_curves is 2e-16 off).  This
+        # sigma = -0.475, M = 32, where critical_sweep is 2e-16 off).  This
         # holds the uncertified members (sigma = 0, and 1e-12 where the
         # certificate fails) to 1e-13.  H at -sigma is H at sigma under
         # m -> -m, exactly (asserted at 1/2 in TestFixedBlockTriples), so one
@@ -455,7 +451,7 @@ class TestBatchedSweep:
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), GRID)
         # Both 0.3 and 0.45 violate; 0.45 has the smaller gap but comes later.
         sweep = [0.1, 0.3, 0.0, 0.45]
-        gaps = [spectrum(roll, x).gap for x in sweep]
+        gaps = [critical_sweep(roll, [x]).gaps[0] for x in sweep]
         delta = 0.5 * (gaps[0] + gaps[1])
         assert gaps[3] < gaps[1] <= delta < min(gaps[0], gaps[2])
         for fn in (critical_sweep, critical_curves):
@@ -496,7 +492,7 @@ class TestBatchedSweep:
             # gap check with the certified gap, and without a warning.
             with pytest.raises(GapViolation) as info:
                 certify(roll, [0.1, 0.3], delta)
-            assert info.value.gap == spectrum(roll, 0.1).gap
+            assert info.value.gap == critical_sweep(roll, [0.1]).gaps[0]
 
 
 class TestMirror:
@@ -556,10 +552,10 @@ class TestMirror:
         for name in shared:
             assert getattr(out, name)[8].tobytes() == getattr(alone, name)[0].tobytes()
         assert vecs[8].tobytes() == alone.vectors[0][::-1].tobytes()
-        spectra = critical_curves(roll, sweep)
+        # A dense rest is built at |sigma|, so a twin's whole spectrum is its own, bit for bit.
+        full = np.concatenate([out.values, eigvalsh_rest(roll, sweep)], axis=1)
         for i, j in [(0, 1), (6, 7)]:
-            assert spectra[j].eigenvalues.tobytes() == spectra[i].eigenvalues.tobytes()
-            assert spectra[j].critical == spectra[i].critical
+            assert full[j].tobytes() == full[i].tobytes()
 
 
 class TestWorkspace:
@@ -917,11 +913,10 @@ class TestSweepRecord:
             assert isinstance(sweep, BlochSweep) and tuple(sweep_arrays(sweep)) == self.fields
             for field, a in sweep_arrays(sweep).items():
                 got[f"{name}.{field}"] = a
-            # The rest of each uncertified member, ascending, as its spectrum reads it.
+            # The dense rest of each uncertified member, ascending.
+            miss = ~sweep.certified
             rest = np.full((len(sigmas), 22), np.nan)
-            for i, spec in enumerate(critical_curves(roll, sigmas)):
-                if not got[f"{name}.certified"][i]:
-                    rest[i] = np.delete(spec.eigenvalues, spec.critical)[::-1]
+            rest[miss] = eigvalsh_rest(roll, sweep.sigmas[miss])
             got[f"{name}.rest"] = rest
             if name == "around_zero":
                 got["around_zero.sq"], got["around_zero.H"] = bloch._stacks(roll, np.array(sigmas))[:2]
@@ -958,12 +953,12 @@ class TestZeroBatch:
     def test_one_eigensolve_and_one_rayleigh_ritz_step_per_batch(self, monkeypatch):
         roll = solve_roll(self.params, SpectralGrid(12))
         calls = linalg_calls(monkeypatch, "eigh", "eigvalsh")
-        critical_curves(roll, self.sweep)
+        critical_sweep(roll, self.sweep)
         # The four distinct |sigma| (0.0, -0.0 and 5e-14 are all zero) get two
         # 5 x 5 Rayleigh-Ritz steps, on their lifted start block and after its
         # Davidson corrections.  The zero member is uncertified, and one
         # eigvalsh of its H gives its rest; the three others are certified, so
-        # no eigvalsh runs for them until a spectrum is read.
+        # no eigvalsh runs for them.
         assert calls == [("eigh", (4, 5, 5)), ("eigh", (4, 5, 5)), ("eigvalsh", (1, 25, 25))]
 
     def test_no_linear_solve_or_full_eigh_of_H(self, monkeypatch):
@@ -973,7 +968,6 @@ class TestZeroBatch:
         radius = certify(roll, sweep, 1.0)[1]
         assert np.array_equal(np.isfinite(radius), np.abs(sweep) >= bloch._SIGMA_ZERO_TOL)
         critical_sweep(roll, sweep)
-        critical_curves(roll, sweep)
         for sigma in (0.0, 0.2, 0.5, -0.5):
             critical_modes(roll, sigma)
         assert all(shape[-1] != 25 for _, shape in calls), "a solve or eigh of an N x N matrix"
@@ -1033,9 +1027,9 @@ class TestFixedBlockTriples:
         certified = np.isfinite(radius)
         assert np.all(np.abs(vals - want)[certified] <= radius[certified, None])
         assert np.all(np.abs(vals - want) < 1e-13)
-        # Uncertified members are critical_curves' own values.
-        curves = np.sort([spec.critical_values() for spec in critical_curves(roll, sweep)], axis=1)
-        assert np.array_equal(vals[~certified], curves[~certified])
+        # Uncertified members keep the engine's own values.
+        lifted = bloch._lifted_sweep(roll, sweep).values
+        assert np.array_equal(vals[~certified], lifted[~certified])
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(**{**cells, "n_modes": st.sampled_from([8, 12, 32])})
@@ -1168,7 +1162,7 @@ class TestFixedBlockTriples:
         w = np.take_along_axis(w, np.argsort(np.abs(w), axis=1), axis=1)
         want = -np.sort(-np.concatenate([vals[off], w[:, 3:]], axis=1), axis=1)
         spectra = [spec for spec, x in zip(critical_curves(roll, sweep), off) if x]
-        singles = [spectrum(roll, x) for x in sweep[off]]
+        singles = [critical_curves(roll, [x])[0] for x in sweep[off]]
         for got, single, row in zip(spectra, singles, want):
             assert np.array_equal(got.eigenvalues, row)
             assert np.array_equal(single.eigenvalues, row)

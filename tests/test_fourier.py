@@ -71,6 +71,20 @@ class TestGridAndField:
         with pytest.raises(ValueError):
             u.cosines[0] = 1.0
 
+    @pytest.mark.parametrize(
+        "misfit, param",
+        [
+            (lambda: cosine(GRID, GRID.n_modes + 1), "cosines"),
+            (lambda: PeriodicField(GRID, np.zeros((2, 3))), "cosines"),
+            (lambda: cosine(GRID, 1) - cosine(SpectralGrid(16), 1), "grid"),
+        ],
+        ids=["too_many_cosines", "not_one_dimensional", "across_grids"],
+    )
+    def test_misfits_raise_out_of_range_naming_the_parameter(self, misfit, param):
+        with pytest.raises(OutOfRange) as info:
+            misfit()
+        assert info.value.param == param
+
 
 class TestLinearSymbol:
     """The shared symbol ``k^2 n^2 (eps^2 + swift_hohenberg(k^2 n^2))``."""

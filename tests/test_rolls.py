@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conslaw import bloch, rolls
 from conslaw.errors import NoConvergence, OutOfRange, TrivialCollapse
@@ -183,6 +185,31 @@ class TestNewtonInternals:
         even = S0[np.ix_(M + m, M + m)] + S0[np.ix_(M + m, M - m)]
         J = _jacobian(c, square(c), params, _symbol(params, M))
         assert np.max(np.abs(J - (-params.k**2) * even)) <= 4.0 * np.spacing(np.max(np.abs(S0))) * params.k**2
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_modes=st.integers(8, 32),
+        scale=st.floats(1e-4, 1.0),
+        eps=st.floats(0.0, 0.2),
+        omega=st.floats(-0.5, 0.5),
+        s=st.floats(-3.6, 3.6),
+    )
+    def test_phase_flip_signs_the_residual_and_keeps_the_multiplier(self, seed, n_modes, scale, eps, omega, s):
+        # solve_roll keeps Newton's residual norm and q after flipping the odd
+        # cosines (xi -> xi + pi): each product in the square and the reaction
+        # on output mode m picks up the same sign (-1)^m, so mode m of the
+        # residual is multiplied by it, exactly (up to the sign of a zero), and
+        # q, on mode 0, keeps its bits.
+        params = RollParameters(eps, omega, s)
+        symbol = _symbol(params, n_modes)
+        sign = (-1.0) ** np.arange(1, n_modes + 1)
+        a = scale * np.random.default_rng(seed).normal(size=n_modes)
+        F, q, _, _ = _residual_and_multiplier(a, params, symbol)
+        F_flip, q_flip, _, _ = _residual_and_multiplier(a * sign, params, symbol)
+        assert np.array_equal(F_flip, sign * F)
+        assert np.abs(F_flip).max().tobytes() == np.abs(F).max().tobytes()
+        assert q_flip.tobytes() == q.tobytes()
 
 
 #: Cells where Newton converges to the roll shifted by pi (``np.sum(a) < 0``), which is flipped back.
