@@ -15,13 +15,12 @@ coefficients come straight from the cosines, and their square serves the
 residual's reaction (its modes ``0 .. M`` only) and the Jacobian's
 derivative.  The Jacobian's index arrays are built once per ``M``
 (:func:`_layout`) and the symbol once per Newton run (:func:`_symbol`).
-Each operation and its operands are those of the residual that built a
-``PeriodicField`` and the reaction's modes ``-3M .. 3M`` on every iterate,
-so the rolls keep their bits (``tests/data/rolls_pinned.npz``).  A solve
-with one Newton step (``eps = 0.02``, ``omega = 0.1``, ``s = 0.5``) takes
-52.7 us at ``M = 12`` and 66.4 us at ``M = 32`` (least of six alternated
-runs of the README's ``python -m timeit``, one thread of a shared 2-core
-host).  Underflow in the cubes of a small roll is ignored within
+On every pinned cell the cosines, ``q``, residual norm and Newton count of
+a solved roll equal, bit for bit, those in ``tests/data/rolls_pinned.npz``.
+A solve with one Newton step (``eps = 0.02``, ``omega = 0.1``, ``s = 0.5``)
+takes 52.7 us at ``M = 12`` and 66.4 us at ``M = 32`` (least of six
+alternated runs of the README's ``python -m timeit``, one thread of a shared
+2-core host).  Underflow in the cubes of a small roll is ignored within
 :func:`solve_roll`, so a caller's raising error state gets the same bits.
 """
 

@@ -4,9 +4,8 @@ Criteria and tolerances live in conslaw.acceptance; these tests only assert
 and report.  The tests are made from ``acceptance.CRITERIA`` by one factory
 and named after each label ("1 existence order" becomes
 ``test_criterion_1_existence_order``), so every criterion is tested and each
-test keeps its own id.  The module takes about 15 s on a 2-core machine with
-one BLAS thread, most of it in the dynamic-rate integrations (criterion 8,
-10 to 12 s) and the stability-band map (criterion 5, about 3 s).
+test keeps its own id.  Most of the module's time goes to the dynamic-rate
+integrations (criterion 8), then to the stability-band map (criterion 5).
 """
 
 from conslaw import acceptance

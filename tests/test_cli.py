@@ -336,12 +336,24 @@ class TestCompareAndEvolve:
         assert lines[0].split(",")[0] == "sigma_hat"
         assert len(lines) == 4
 
-    def test_evolve_mass_column_constant(self, capsys):
-        code, out, err = run(
-            capsys, "evolve", "--eps", "0.02", "--omega", "0", "--s", "0",
-            "--sigma", "0.25", "--periods", "4", "--dt", "0.1", "--t-final", "10",
-            "--modes", "10",
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(
+                ("--eps", "0.02", "--omega", "0", "--s", "0", "--sigma", "0.25", "--periods", "4",
+                 "--dt", "0.1", "--t-final", "10", "--modes", "10"),
+                id="quarter",
+            ),
+            pytest.param(
+                # the zone edge: the seed repeats on 2 of the 4 periods
+                ("--eps", "0.05", "--omega", "0.1", "--s", "0.5", "--modes", "12", "--sigma", "0.5",
+                 "--periods", "4", "--t-final", "5"),
+                id="zone_edge",
+            ),
+        ],
+    )
+    def test_evolve_mass_column_constant(self, capsys, argv):
+        code, out, err = run(capsys, "evolve", *argv)
         assert code == 0
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         masses = {row[2] for row in rows}

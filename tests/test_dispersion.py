@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,7 +9,7 @@ from conslaw import dispersion as dsp
 from conslaw.bloch import critical_modes, critical_sweep
 from conslaw.errors import InvariantViolation, OutOfRange
 from conslaw.fourier import SpectralGrid
-from conslaw.rolls import RollParameters, solve_roll
+from conslaw.rolls import RollParameters, solve_roll, zero_roll
 
 
 def char_poly_oracle(m: np.ndarray) -> tuple[float, float, float]:
@@ -176,6 +178,8 @@ class TestPredicate:
         assert dsp.stability_predicate(0.0, 0.0) is dsp.Stability.STABLE
         assert dsp.stability_predicate(0.4, 0.0) is dsp.Stability.UNSTABLE
         assert dsp.stability_predicate(0.0, 1.2) is dsp.Stability.UNSTABLE
+        # On the band edge omega^2 = 1/12 the product is 4.4e-16, within the boundary band.
+        assert dsp.stability_predicate(np.sqrt(1.0 / 12.0), 0.0) is dsp.Stability.BOUNDARY
 
     def test_band_edges(self):
         assert dsp.sideband_product(0.0, np.sqrt(27.0 / 38.0)) == pytest.approx(0.0, abs=1e-12)
@@ -277,6 +281,22 @@ class TestNumericalClassifier:
         assert verdict.verdict is want
         if want is dsp.Stability.UNSTABLE:
             assert verdict.witness_lambda > 0.0
+
+    def test_zero_roll_at_eps_zero_is_stable(self):
+        # The eps-scaled fit window is empty at eps = 0, so the neutral curves
+        # are fitted on the three smallest positive Bloch numbers.
+        roll = zero_roll(RollParameters(0.0, 0.1, 0.5), SpectralGrid(12))
+        assert dsp.classify_numerically(roll).verdict is dsp.Stability.STABLE
+
+    def test_flat_neutral_curves_are_a_boundary(self, monkeypatch):
+        # Curves held at -1e-12 stay below the instability threshold, but their
+        # fitted sigma^2 coefficients are 0: no diffusive decay.
+        def flat_sweep(roll, sigmas, delta):
+            return SimpleNamespace(values=np.full((len(sigmas), 3), -1e-12))
+
+        monkeypatch.setattr(dsp, "critical_sweep", flat_sweep)
+        roll = solve_roll(RollParameters(0.02, 0.0, 0.0), SpectralGrid(12))
+        assert dsp.classify_numerically(roll) == dsp.StabilityVerdict(dsp.Stability.BOUNDARY)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(

@@ -221,6 +221,13 @@ class TestComparison:
         with pytest.raises(OutOfRange):
             mgl.compare_exact_vs_mgl(roll, [6.0])
 
+    def test_zero_eps_rejected(self):
+        # sigma_hat = sigma / eps has no meaning on the zero roll at eps = 0.
+        roll = zero_roll(RollParameters(0.0, 0.1, 0.5), SpectralGrid(12))
+        with pytest.raises(OutOfRange) as info:
+            mgl.compare_exact_vs_mgl(roll, [0.5])
+        assert info.value.param == "eps"
+
     def test_zone_checked_for_every_sigma_hat_before_any_solve(self, monkeypatch):
         roll = solve_roll(RollParameters(0.1, 0.0, 0.5), GRID)
 

@@ -289,6 +289,13 @@ class TestPinnedRolls:
         with pytest.raises(TrivialCollapse):
             solve_roll(RollParameters(0.2, 0.4, 3.0), SpectralGrid(12))
 
+    def test_non_finite_residual_stops_newton_at_once(self):
+        # Cosines of 1e200 overflow the square; the residual is NaN at iterate 0.
+        params, grid = RollParameters(0.05, 0.1, 0.5), SpectralGrid(12)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NoConvergence) as info:
+            rolls._newton(np.full(grid.n_modes, 1e200), params, grid)
+        assert info.value.iterations == 0 and np.isnan(info.value.residual)
+
     def test_stall_after_the_restart_is_reported(self, monkeypatch):
         monkeypatch.setattr(rolls, "_MAX_ITERS", 1)
         with pytest.raises(NoConvergence):
