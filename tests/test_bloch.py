@@ -6,7 +6,6 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 from functools import partial
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -24,6 +23,7 @@ from conslaw.model import reaction_derivative, swift_hohenberg
 from conslaw.rolls import RollParameters, solve_roll, zero_roll
 
 from eigensolve_reference import certificate_inputs, full_certificate, reference_triples
+from pinned import assert_pinned, cholesky_calls, linalg_calls
 
 GRID = SpectralGrid(16)
 
@@ -71,37 +71,6 @@ def certify(roll, sigmas, delta=1.0):
 def sweep_arrays(sweep):
     """The arrays a sweep record holds, by field name in field order."""
     return {f.name: getattr(sweep, f.name) for f in dataclasses.fields(sweep)}
-
-
-def cholesky_calls(monkeypatch):
-    """The shapes of the stacks ``bloch._cholesky`` factors from here on, in call order."""
-    calls = []
-    kernel = bloch.cholesky_lo
-
-    def spy(A, **kwargs):
-        calls.append(A.shape)
-        return kernel(A, **kwargs)
-
-    monkeypatch.setattr(bloch, "cholesky_lo", spy)
-    return calls
-
-
-def linalg_calls(monkeypatch, *names):
-    """``(name, shape)`` of each call, from here on, of the ``np.linalg`` functions named and of ``bloch``'s binding of their stacked kernels."""
-    calls = []
-
-    def spy(name, f):
-        def wrapped(a, *args, **kwargs):
-            calls.append((name, np.shape(a)))
-            return f(a, *args, **kwargs)
-
-        return wrapped
-
-    for name in names:
-        monkeypatch.setattr(bloch.np.linalg, name, spy(name, getattr(np.linalg, name)))
-        if hasattr(bloch, f"{name}_lo"):
-            monkeypatch.setattr(bloch, f"{name}_lo", spy(name, getattr(bloch, f"{name}_lo")))
-    return calls
 
 
 def eigvalsh_rest(roll, sigmas):
@@ -528,13 +497,12 @@ class TestMirror:
         # H to the correction.  The member the correction rebuilds at -sigma is
         # the sweep's mirrored, bit for bit (test_stacks_at_minus_sigma_are_reversed).
         cases = {"m12": ((0.05, 0.1, 0.8), 12), "m32": ((0.04, 0.1, 0.5), 32)}
-        i = self.modes_sigmas.index(sigma)
-        with np.load(Path(__file__).parent / "data" / "modes_m12.npz") as pinned:
-            assert pinned["sigmas"].tolist() == self.modes_sigmas
-            for name, (params, n_modes) in cases.items():
-                vals, vecs = critical_modes(solve_roll(RollParameters(*params), SpectralGrid(n_modes)), sigma)
-                assert vals.tobytes() == pinned[f"{name}.values"][i].tobytes(), name
-                assert vecs.tobytes() == pinned[f"{name}.vectors"][i].tobytes(), name
+        got = {"sigmas": sigma}
+        for name, (params, n_modes) in cases.items():
+            got[f"{name}.values"], got[f"{name}.vectors"] = critical_modes(
+                solve_roll(RollParameters(*params), SpectralGrid(n_modes)), sigma
+            )
+        assert_pinned("modes_m12.npz", got, row=self.modes_sigmas.index(sigma))
 
     def test_negative_members_are_their_twins_mirrored(self):
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
@@ -659,30 +627,8 @@ class TestWorkspace:
 
 
 class TestCholeskyKernel:
-    """``bloch._cholesky`` binds NumPy's private stacked kernel; a NumPy release
-    that moves it or changes what it returns fails here first."""
-
-    @pytest.mark.parametrize("N", [5, 25, 65])
-    def test_kernel_matches_numpy_cholesky(self, N):
-        rng = np.random.default_rng(N)
-        G = rng.standard_normal((4, N, N))
-        A = G @ G.swapaxes(1, 2) + N * np.eye(N)
-        assert A.flags.c_contiguous
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            L = bloch._cholesky(A)
-            assert L.tobytes() == np.linalg.cholesky(A).tobytes()
-            A[2] -= 2 * np.max(np.linalg.eigvalsh(A[2])) * np.eye(N)  # negative definite
-            L = bloch._cholesky(A)
-            assert np.all(np.isnan(L[2]))
-            for i in (0, 1, 3):
-                assert L[i].tobytes() == np.linalg.cholesky(A[i]).tobytes()
-            A[1, 0, 0] = np.nan
-            L = bloch._cholesky(A)
-        assert not np.isfinite(np.diagonal(L[1])).all()
-        assert np.all(np.isnan(L[2]))
-        for i in (0, 3):
-            assert L[i].tobytes() == np.linalg.cholesky(A[i]).tobytes()
+    """A sweep factors one stacked Cholesky; ``tests/test_kernels.py`` holds the
+    binding ``bloch._cholesky`` to ``np.linalg.cholesky``."""
 
     @pytest.mark.parametrize(
         "sweep, distinct",
@@ -808,58 +754,9 @@ class TestBlockCertificate:
         assert calls == [(0, 9, 9)] * 4
 
 
-class TestQrKernel:
-    """``bloch._orthonormal`` binds NumPy's private QR kernels; a NumPy release
-    that moves them or changes what they return fails here first."""
-
-    @pytest.mark.parametrize("N", [9, 25, 65])
-    def test_kernel_matches_numpy_qr(self, N):
-        rng = np.random.default_rng(N)
-        contiguous = rng.standard_normal((4, N, 5))
-        transposed = rng.standard_normal((4, 5, N)).swapaxes(1, 2)
-        assert contiguous.flags.c_contiguous and not transposed.flags.c_contiguous
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for Y in (contiguous, transposed):
-                want = np.linalg.qr(Y)[0]
-                got = bloch._orthonormal(Y.copy(order="K"))
-                assert got.tobytes() == want.tobytes()
-
-
 class TestEighKernel:
-    """``bloch._eigh`` binds NumPy's private stacked ``eigh`` and ``eigvalsh``
-    kernels; a NumPy release that moves them or changes what they return
-    fails here first."""
-
-    @pytest.mark.parametrize("N", [5, 25, 65])
-    def test_kernels_match_numpy_eigh_and_eigvalsh(self, N):
-        rng = np.random.default_rng(N)
-        contiguous = rng.standard_normal((4, N, N))
-        transposed = rng.standard_normal((4, N, N)).swapaxes(1, 2)
-        assert contiguous.flags.c_contiguous and not transposed.flags.c_contiguous
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for A in (contiguous, transposed):
-                want_w, want_v = np.linalg.eigh(A)
-                got_w, got_v = bloch._eigh(A)
-                assert got_w.tobytes() == want_w.tobytes()
-                assert got_v.tobytes() == want_v.tobytes()
-                assert bloch._eigh(A, vectors=False).tobytes() == np.linalg.eigvalsh(A).tobytes()
-
-    def test_a_failed_member_is_nan_and_the_others_keep_their_bits(self):
-        A = np.random.default_rng(0).standard_normal((3, 25, 25))
-        A[1, 0, 0] = np.nan
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.eigh(A)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            w, v = bloch._eigh(A)
-            values = bloch._eigh(A, vectors=False)
-        assert np.isnan(w[1]).all() and np.isnan(v[1]).all() and np.isnan(values[1]).all()
-        for i in (0, 2):
-            assert w[i].tobytes() == np.linalg.eigh(A[i])[0].tobytes()
-            assert v[i].tobytes() == np.linalg.eigh(A[i])[1].tobytes()
-            assert values[i].tobytes() == np.linalg.eigvalsh(A[i]).tobytes()
+    """A NaN member of ``bloch._eigh`` fails the sweep; ``tests/test_kernels.py``
+    holds the binding to ``np.linalg.eigh`` and ``np.linalg.eigvalsh``."""
 
     @pytest.mark.parametrize(
         "kernel, call, member",
@@ -920,12 +817,7 @@ class TestSweepRecord:
             got[f"{name}.rest"] = rest
             if name == "around_zero":
                 got["around_zero.sq"], got["around_zero.H"] = bloch._stacks(roll, np.array(sigmas))[:2]
-        with np.load(Path(__file__).parent / "data" / "sweep_m12.npz") as pinned:
-            assert sorted(got) == sorted(pinned.files)
-            for key, a in got.items():
-                want = pinned[key]
-                assert (a.dtype, a.shape) == (want.dtype, want.shape), key
-                assert a.tobytes() == want.tobytes(), key
+        assert_pinned("sweep_m12.npz", got)
         # Members at |sigma| = 1e-10 fail the certificate and sigma = 0 is never certified.
         assert not got["around_zero.certified"].any()
         assert got["stable.certified"].all() and got["unstable.certified"].all()

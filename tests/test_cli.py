@@ -7,7 +7,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import conslaw
@@ -15,8 +14,7 @@ from conslaw import acceptance, cli
 from conslaw.cli import main
 from conslaw.errors import OutOfRange
 
-
-DATA = Path(__file__).parent / "data"
+from pinned import DATA
 
 
 def run(capsys, *argv):
@@ -371,8 +369,7 @@ class TestCompareAndEvolve:
 
 
 class TestGoldenBytes:
-    """Stdout bytes at fixed arguments, as written once the roll solver and the
-    Bloch assembly read the one exact-convolution nonlinearity of ``conslaw.model``."""
+    """Every subcommand's stdout at fixed arguments, byte for byte against its fixture."""
 
     @pytest.mark.parametrize(
         "fixture,argv",
@@ -409,61 +406,38 @@ class TestGoldenBytes:
                 ("spectrum", "--eps", "0.05", "--omega", "0.1", "--s", "0.8", "--modes", "12",
                  "--sigma-min=-1e-10", "--sigma-max", "1e-10", "--sigma-steps", "3", "--format", "json"),
             ),
+            (
+                "evolve_m12.csv",
+                ("evolve", "--eps", "0.05", "--omega", "0", "--s", "1.2", "--sigma", "0.125",
+                 "--periods", "8", "--dt", "0.05", "--t-final", "50", "--modes", "12"),
+            ),
+            (
+                # negative, decaying Bloch number on another domain
+                "evolve_p12_m12.csv",
+                ("evolve", "--eps", "0.05", "--omega", "0.1", "--s", "0.5", "--sigma", "-0.25",
+                 "--periods", "12", "--dt", "0.1", "--t-final", "60", "--modes", "12"),
+            ),
+            (
+                # sigma = 0 repeats on one period of the eight (g = 8)
+                "evolve_p8_s0_m12.csv",
+                ("evolve", "--eps", "0.05", "--omega", "0.1", "--s", "0.5", "--sigma", "0",
+                 "--periods", "8", "--dt", "0.1", "--t-final", "20", "--modes", "12"),
+            ),
+            (
+                # sigma = 1/4 repeats on four periods of the sixteen (g = 4)
+                "evolve_p16_m12.csv",
+                ("evolve", "--eps", "0.05", "--omega", "0.1", "--s", "0.5", "--sigma", "0.25",
+                 "--periods", "16", "--dt", "0.2", "--t-final", "60", "--modes", "12"),
+            ),
+            (
+                # each criterion's verdict and check count; after test_acceptance.py,
+                # criteria 8 and 9 read its cached runs
+                "verify.txt",
+                ("verify",),
+            ),
         ],
     )
     def test_stdout_matches_fixture(self, capsys, fixture, argv):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == (DATA / fixture).read_text()
-
-
-class TestGoldenEvolve:
-    """``evolve`` output as written by the complex-spectrum integrator.
-
-    The even-subspace integrator and the convolved roll reproduce ``t`` and
-    the mass exactly and the norms to 1.7e-12 relative, so norms compare to
-    1e-10 relative and these fixtures need no re-capture.  The two fixtures
-    at ``g = gcd(periods, sigma * periods) > 1`` were written on the whole
-    domain, before ``evolve`` ran each seed on the ``periods / g`` periods it
-    repeats on.
-    """
-
-    @pytest.mark.parametrize(
-        "fixture,argv",
-        [
-            (
-                "evolve_m12.csv",
-                ("--eps", "0.05", "--omega", "0", "--s", "1.2", "--sigma", "0.125",
-                 "--periods", "8", "--dt", "0.05", "--t-final", "50", "--modes", "12"),
-            ),
-            (
-                # negative, decaying Bloch number on another domain
-                "evolve_p12_m12.csv",
-                ("--eps", "0.05", "--omega", "0.1", "--s", "0.5", "--sigma", "-0.25",
-                 "--periods", "12", "--dt", "0.1", "--t-final", "60", "--modes", "12"),
-            ),
-            (
-                # sigma = 0 repeats on one period of the eight (g = 8)
-                "evolve_p8_s0_m12.csv",
-                ("--eps", "0.05", "--omega", "0.1", "--s", "0.5", "--sigma", "0",
-                 "--periods", "8", "--dt", "0.1", "--t-final", "20", "--modes", "12"),
-            ),
-            (
-                # sigma = 1/4 repeats on four periods of the sixteen (g = 4)
-                "evolve_p16_m12.csv",
-                ("--eps", "0.05", "--omega", "0.1", "--s", "0.5", "--sigma", "0.25",
-                 "--periods", "16", "--dt", "0.2", "--t-final", "60", "--modes", "12"),
-            ),
-        ],
-    )
-    def test_stdout_matches_fixture(self, capsys, fixture, argv):
-        code, out, _ = run(capsys, "evolve", *argv)
-        assert code == 0
-        got = [line.split(",") for line in out.splitlines()]
-        want = [line.split(",") for line in (DATA / fixture).read_text().splitlines()]
-        assert got[0] == want[0] == ["t", "perturbation_norm", "mass"]
-        assert len(got) == len(want)
-        assert [(r[0], r[2]) for r in got] == [(r[0], r[2]) for r in want]
-        norms_got = np.array([float(r[1]) for r in got[1:]])
-        norms_want = np.array([float(r[1]) for r in want[1:]])
-        np.testing.assert_allclose(norms_got, norms_want, rtol=1e-10, atol=0.0)

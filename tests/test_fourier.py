@@ -178,10 +178,6 @@ class TestInnerProduct:
     def test_constant_norm(self):
         assert l2_norm(cosine(GRID, 0)) ** 2 == pytest.approx(2.0)
 
-    def test_grid_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            cosine(GRID, 1) - cosine(SpectralGrid(16), 1)
-
     def test_parseval_matches_quadrature(self):
         rng = np.random.default_rng(4)
         u, v = random_field(GRID, rng), random_field(GRID, rng)
@@ -205,9 +201,6 @@ class TestProjectKernel:
 
     def test_orthogonal_harmonic(self):
         assert self.kernel_coordinates(cosine(GRID, 2)) == pytest.approx((0.0, 0.0))
-        # a harmonic above M does not fit the grid
-        with pytest.raises(ValueError):
-            cosine(GRID, GRID.n_modes + 1)
 
 
 class TestProducts:

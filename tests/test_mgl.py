@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -12,9 +10,9 @@ from conslaw.fourier import SpectralGrid
 from conslaw.rolls import RollParameters, amplitude_alpha, solve_roll, zero_roll
 
 from eigensolve_reference import reference_triples
+from pinned import DATA, linalg_calls
 
 GRID = SpectralGrid(14)
-DATA = Path(__file__).parent / "data"
 
 
 def mgl_rhs(params, A, B, length):
@@ -86,6 +84,11 @@ class TestSmallSigma:
         assert mgl.mgl_small_sigma(mgl.MglParameters(0.0, 0.0)) == pytest.approx((-4.0, -4.0, -1.0))
 
     def test_agrees_with_exact_reduction(self):
+        # Under sigma = eps sigma_hat and D = diag(1, 1, eps), the amplitude
+        # system's matrix is D^-1 M D / eps^2, M the leading reduced matrix:
+        # to 4.2e-16 of max(1, max|entry|) over these draws, bound at 4 ulp.
+        eps = 0.01
+        d = np.array([1.0, 1.0, eps])
         rng = np.random.default_rng(17)
         n = 0
         while n < 100:
@@ -95,8 +98,13 @@ class TestSmallSigma:
                 continue
             n += 1
             ours = mgl.mgl_small_sigma(mgl.MglParameters(w, s))
-            exact = dsp.small_sigma_expansion(RollParameters(0.01, w, s))
+            exact = dsp.small_sigma_expansion(RollParameters(eps, w, s))
             assert np.max(np.abs(np.array(ours) - np.array(exact))) < 1e-12
+            for sh in (-50.0, -3.0, 0.0, 0.5, 7.0, 50.0):
+                got = mgl.mgl_dispersion_matrix(mgl.MglParameters(w, s), sh).matrix
+                m = dsp.leading_reduced_matrix(RollParameters(eps, w, s), eps * sh)
+                want = m * d / d[:, None] / eps**2
+                assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * max(1.0, np.max(np.abs(want)))
 
     def test_recovered_by_quadratic_fit(self):
         p = mgl.MglParameters(0.2, 0.8)
@@ -260,19 +268,7 @@ class TestComparison:
 
     def test_runs_a_full_eigensolve_only_at_sigma_hat_zero(self, monkeypatch):
         roll = solve_roll(RollParameters(0.04, 0.25, 1.0), SpectralGrid(12))
-        calls = []
-
-        def spy(name, f):
-            def wrapped(a, *args, **kwargs):
-                calls.append((name, np.shape(a)))
-                return f(a, *args, **kwargs)
-
-            return wrapped
-
-        for name in ("eigh", "eigvalsh", "solve"):
-            monkeypatch.setattr(bloch.np.linalg, name, spy(name, getattr(np.linalg, name)))
-        for name in ("eigh_lo", "eigvalsh_lo"):
-            monkeypatch.setattr(bloch, name, spy(name[:-3], getattr(bloch, name)))
+        calls = linalg_calls(monkeypatch, "eigh", "eigvalsh", "solve")
         mgl.compare_exact_vs_mgl(roll, np.linspace(-1.0, 1.0, 11))
         # The nine distinct |sigma| (in floating point only +-1 and +-0.8 are
         # exact mirrors): the Rayleigh-Ritz steps on the lifted start block and

@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +16,8 @@ from conslaw.rolls import (
     zero_roll,
 )
 from conslaw.rolls import _jacobian, _residual_and_multiplier, _symbol
+
+from pinned import assert_pinned
 
 GRID = SpectralGrid(16)
 EPS_SWEEP = (0.01, 0.02, 0.04, 0.08)
@@ -264,12 +264,7 @@ class TestPinnedRolls:
         assert restarted == [RESTART_CELL]
         assert set(got["newton_iters"]) >= {0, 1, 2, 3}
         got["cosines"] = np.concatenate(got["cosines"])
-        with np.load(Path(__file__).parent / "data" / "rolls_pinned.npz") as pinned:
-            assert sorted(pinned.files) == sorted(self.fields)
-            for field in self.fields:
-                a, want = np.asarray(got[field]), pinned[field]
-                assert (a.dtype, a.shape) == (want.dtype, want.shape), field
-                assert a.tobytes() == want.tobytes(), field
+        assert_pinned("rolls_pinned.npz", got)
 
     def test_the_flip_cells_converge_to_the_shifted_roll(self, monkeypatch):
         newton, sums = rolls._newton, []
