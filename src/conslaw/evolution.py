@@ -49,9 +49,10 @@ directly, imported once and bound by each flux, with the arguments
 caller's.  At the rate checks' sizes the wrapper chain (array coercion, copy
 and normalization checks, worker lookup) costs as much as the transform; the
 README gives the times.  The kernel sits in a private scipy module; the
-binding was verified on scipy 1.17.1, and the DCT rows of
-``tests/test_kernels.py`` require it to equal ``scipy.fftpack.dct`` bit for
-bit, so a scipy that moves or changes it fails there first.
+binding was verified on scipy 1.17.1, and
+``tests/test_evolution.py::TestKernel`` requires it to equal
+``scipy.fftpack.dct`` bit for bit, so a scipy that moves or changes it fails
+there first.
 """
 
 from __future__ import annotations

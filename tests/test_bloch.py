@@ -627,8 +627,33 @@ class TestWorkspace:
 
 
 class TestCholeskyKernel:
-    """A sweep factors one stacked Cholesky; ``tests/test_kernels.py`` holds the
-    binding ``bloch._cholesky`` to ``np.linalg.cholesky``."""
+    """``bloch._cholesky`` binds NumPy's private stacked kernel; a NumPy release
+    that moves it or changes what it returns fails here first."""
+
+    @pytest.mark.parametrize("N", [5, 25, 65])
+    def test_kernel_matches_numpy_cholesky(self, N):
+        rng = np.random.default_rng(N)
+        G = rng.standard_normal((4, N, N))
+        A = G @ G.swapaxes(1, 2) + N * np.eye(N)
+        assert A.flags.c_contiguous
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            L = bloch._cholesky(A)
+            assert L.tobytes() == np.linalg.cholesky(A).tobytes()
+            transposed = A.swapaxes(1, 2)
+            assert not transposed.flags.c_contiguous
+            assert bloch._cholesky(transposed).tobytes() == np.linalg.cholesky(transposed).tobytes()
+            A[2] -=2 * np.max(np.linalg.eigvalsh(A[2])) * np.eye(N)  # negative definite
+            L = bloch._cholesky(A)
+            assert np.all(np.isnan(L[2]))
+            for i in (0, 1, 3):
+                assert L[i].tobytes() == np.linalg.cholesky(A[i]).tobytes()
+            A[1, 0, 0] = np.nan
+            L = bloch._cholesky(A)
+        assert not np.isfinite(np.diagonal(L[1])).all()
+        assert np.all(np.isnan(L[2]))
+        for i in (0, 3):
+            assert L[i].tobytes() == np.linalg.cholesky(A[i]).tobytes()
 
     @pytest.mark.parametrize(
         "sweep, distinct",
@@ -754,9 +779,58 @@ class TestBlockCertificate:
         assert calls == [(0, 9, 9)] * 4
 
 
+class TestQrKernel:
+    """``bloch._orthonormal`` binds NumPy's private QR kernels; a NumPy release
+    that moves them or changes what they return fails here first."""
+
+    @pytest.mark.parametrize("N", [9, 25, 65])
+    def test_kernel_matches_numpy_qr(self, N):
+        rng = np.random.default_rng(N)
+        contiguous = rng.standard_normal((4, N, 5))
+        transposed = rng.standard_normal((4, 5, N)).swapaxes(1, 2)
+        assert contiguous.flags.c_contiguous and not transposed.flags.c_contiguous
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for Y in (contiguous, transposed):
+                want = np.linalg.qr(Y)[0]
+                got = bloch._orthonormal(Y.copy(order="K"))
+                assert got.tobytes() == want.tobytes()
+
+
 class TestEighKernel:
-    """A NaN member of ``bloch._eigh`` fails the sweep; ``tests/test_kernels.py``
-    holds the binding to ``np.linalg.eigh`` and ``np.linalg.eigvalsh``."""
+    """``bloch._eigh`` binds NumPy's private stacked ``eigh`` and ``eigvalsh``
+    kernels; a NumPy release that moves them or changes what they return
+    fails here first."""
+
+    @pytest.mark.parametrize("N", [5, 25, 65])
+    def test_kernels_match_numpy_eigh_and_eigvalsh(self, N):
+        rng = np.random.default_rng(N)
+        contiguous = rng.standard_normal((4, N, N))
+        transposed = rng.standard_normal((4, N, N)).swapaxes(1, 2)
+        assert contiguous.flags.c_contiguous and not transposed.flags.c_contiguous
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for A in (contiguous, transposed):
+                want_w, want_v = np.linalg.eigh(A)
+                got_w, got_v = bloch._eigh(A)
+                assert got_w.tobytes() == want_w.tobytes()
+                assert got_v.tobytes() == want_v.tobytes()
+                assert bloch._eigh(A, vectors=False).tobytes() == np.linalg.eigvalsh(A).tobytes()
+
+    def test_a_failed_member_is_nan_and_the_others_keep_their_bits(self):
+        A = np.random.default_rng(0).standard_normal((3, 25, 25))
+        A[1, 0, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigh(A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, v = bloch._eigh(A)
+            values = bloch._eigh(A, vectors=False)
+        assert np.isnan(w[1]).all() and np.isnan(v[1]).all() and np.isnan(values[1]).all()
+        for i in (0, 2):
+            assert w[i].tobytes() == np.linalg.eigh(A[i])[0].tobytes()
+            assert v[i].tobytes() == np.linalg.eigh(A[i])[1].tobytes()
+            assert values[i].tobytes() == np.linalg.eigvalsh(A[i]).tobytes()
 
     @pytest.mark.parametrize(
         "kernel, call, member",

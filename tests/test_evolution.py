@@ -262,6 +262,32 @@ class TestStepper:
         assert np.all(got[~keep] == 0.0)
 
 
+#: The DCT lengths of the dynamic checks, next_fast_len(2K + 1, real=True):
+#: 1 to 36 periods at M = 12 (the domains that the seeds repeat on
+#: included), and 36 periods at M = 16.
+KERNEL_SIZES = (27, 54, 81, 108, 216, 240, 320, 432, 480, 625, 960, 1250)
+
+
+class TestKernel:
+    """The pocketfft kernel that ``evolution`` binds must be the transform
+    ``scipy.fftpack.dct`` computes, bit for bit, on every size the rate
+    checks run."""
+
+    @pytest.mark.parametrize("kind", [2, 3])
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_kernel_matches_fftpack(self, n, kind):
+        x = np.random.default_rng(n + kind).standard_normal(n)
+        keep = x.copy()
+        want = fftpack.dct(x, kind)
+        out = np.empty(n)
+        assert ev.dct(x, kind, (0,), 0, out, 1) is out
+        assert out.tobytes() == want.tobytes()
+        assert x.tobytes() == keep.tobytes()
+        # in place, as the nonlinearity's DCT-II runs
+        assert ev.dct(x, kind, (0,), 0, x, 1) is x
+        assert x.tobytes() == want.tobytes()
+
+
 def _flux(n_periods: int, n_modes: int, s: float):
     """A nonlinearity as ``evolve`` builds it, on an ``n_periods`` domain, and its length."""
     n_cos = next_fast_len(2 * n_periods * (n_modes + 1) + 1, real=True)

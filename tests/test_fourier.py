@@ -178,6 +178,10 @@ class TestInnerProduct:
     def test_constant_norm(self):
         assert l2_norm(cosine(GRID, 0)) ** 2 == pytest.approx(2.0)
 
+    def test_grid_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            cosine(GRID, 1) - cosine(SpectralGrid(16), 1)
+
     def test_parseval_matches_quadrature(self):
         rng = np.random.default_rng(4)
         u, v = random_field(GRID, rng), random_field(GRID, rng)
