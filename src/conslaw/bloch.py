@@ -32,7 +32,8 @@ Lyapunov-Schmidt split of ``H``, the critical block (Bloch modes
 ``|m| <= 2``) lifted onto the hard-damped rest and refined by Davidson's
 correction (:func:`_lifted_ritz`; E. R. Davidson, J. Comput. Phys. 17
 (1975) 87-94), certified by one stacked 9 x 9 Cholesky factorization per
-member (:func:`_block_certificate`).  One ``eigvalsh`` of a member's ``H``,
+member (:func:`_block_certificate`); at ``sigma = 0`` the same steps run
+on the even and odd blocks of ``H`` (:func:`_parity_member`).  One ``eigvalsh`` of a member's ``H``,
 rebuilt from the roll, gives the rest of its spectrum on read, for the
 benchmark's adapter alone (:class:`BlochSpectrum`).
 """
@@ -81,12 +82,13 @@ _START_MODES = 2
 #: its Gershgorin row sum, so the block alone carries the certificate.
 _BLOCK_MODES = 4
 #: The Gershgorin row sums and the Schur term of the certificate are sums of
-#: at most ``N`` products, whose rounding is at most ``gamma_N``, about
+#: at most ``N`` products (``M`` on a parity block, whose entries carry one
+#: rounding more), whose rounding is at most ``gamma_N``, about
 #: ``N eps / 2``, relative to the sums of their absolute values (Higham,
 #: Accuracy and Stability of Numerical Algorithms, section 3.1), and each
 #: ``|H_ij|`` exceeds its bound ``sq_i sq_j |T_ij|`` by at most three
 #: roundings.  Both are inflated by ``_SCHUR_ULPS N eps``, which covers that
-#: with a factor of about 4 to spare.
+#: with a factor of about 4 to spare (2.6 on a parity block at M = 8).
 _SCHUR_ULPS = 2
 _EPS = np.finfo(np.float64).eps
 
@@ -146,13 +148,11 @@ def _rows(N: int, m: int) -> slice:
 
 
 @lru_cache
-def _layout(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only, once per ``N = 2M + 1``: the index ``(N, N)`` of ``g_{m - n}`` in :func:`conslaw.model.reaction_derivative`,
-    the modes ``-M .. M``, the mask ``(N, N)`` off the diagonal and the certificate block's rows and columns, and ``I_5``."""
+def _layout(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only, once per ``N = 2M + 1``: the index ``(N, N)`` of ``g_{m - n}`` in :func:`conslaw.model.reaction_derivative`
+    and the modes ``-M .. M``."""
     modes = np.arange(N) - N // 2
-    outside = np.abs(modes) > _BLOCK_MODES
-    outer = np.logical_and.outer(outside, outside) & (modes[:, None] != modes)
-    layout = np.subtract.outer(modes, modes) + (N - 1), modes, outer, np.eye(2 * _START_MODES + 1)
+    layout = np.subtract.outer(modes, modes) + (N - 1), modes
     for a in layout:
         a.flags.writeable = False
     return layout
@@ -222,8 +222,7 @@ def _rayleigh_ritz(H: np.ndarray, Q: np.ndarray):
     HQ = H @ Q
     G = Q.swapaxes(1, 2) @ HQ
     G = 0.5 * (G + G.swapaxes(1, 2))
-    ritz, R = _eigh(G)
-    return ritz, R, HQ
+    return (*_eigh(G), HQ)
 
 
 def _stacks(roll: RollSolution, sigmas: np.ndarray, out: np.ndarray | None = None):
@@ -271,13 +270,14 @@ def _conserved_vector(roll: RollSolution) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _lifted_ritz(H: np.ndarray):
+def _lifted_ritz(H: np.ndarray, c: slice):
     """The five Ritz values ``theta`` ``(n, 5)``, ascending, the vectors ``Y``
     ``(n, N, 4)`` of the four largest, ``rho = theta[:, 1:]``, and two radii:
     ``r3``, over the top three pairs, and ``r4``, over all four.
 
-    Rayleigh-Ritz on the lifted start block (the first-order reduction): unit
-    vectors on ``c``, ``-H[i, c] / H[i, i]`` on every rest row ``i``.  Each of
+    Rayleigh-Ritz on the lifted start block, the five rows ``c`` (the
+    first-order reduction): unit vectors on ``c``, ``-H[i, c] / H[i, i]`` on
+    every rest row ``i``.  Each of
     the four largest Ritz vectors ``t`` then gets ``_CORRECTIONS`` Davidson
     corrections ``t_i -= (H t - q t)_i / (H[i, i] - q)`` on the rest rows, ``q``
     its fresh Rayleigh quotient: the lift applied again at each Ritz value,
@@ -288,14 +288,11 @@ def _lifted_ritz(H: np.ndarray):
     below the fifth eigenvalue (Cauchy interlacing); it is returned only as
     an estimate of where that lies.
     """
-    c = _rows(H.shape[1], _START_MODES)
     d = H.diagonal(0, 1, 2)
-    # Only rest rows are divided: at sigma = 0 the m = 0 row of H and its
-    # diagonal are exactly zero.
     Y = H[:, :, c].copy()
     for rest in (slice(None, c.start), slice(c.stop, None)):
         Y[:, rest] /= -d[:, rest, None]
-    Y[:, c] = _layout(H.shape[1])[3]
+    Y[:, c] = np.eye(c.stop - c.start)
     Q = _orthonormal(Y)
     _, R, _ = _rayleigh_ritz(H, Q)
     # The Ritz vectors as rows, so that H t is t H (H is symmetric) and each
@@ -321,37 +318,39 @@ def _lifted_ritz(H: np.ndarray):
     return theta, Y, r3, r4
 
 
-def _block_certificate(sq: np.ndarray, H: np.ndarray, T: np.ndarray, Y: np.ndarray, c: np.ndarray, tau: np.ndarray):
+def _block_certificate(sq: np.ndarray, H: np.ndarray, T: np.ndarray, Y: np.ndarray, c: np.ndarray, tau: np.ndarray, block: slice):
     """The members ``(n,)`` whose ``A = c Y Y^T + tau I - H`` is certified positive definite from its block.
 
-    ``l`` is the block of Bloch modes ``|m| <= _BLOCK_MODES`` and ``h`` the outer rows.
+    ``l`` is the block, the rows ``block``, and ``h`` the outer rows.
     With ``c > 0``, checked, ``c Y_h Y_h^T`` is positive semidefinite, so
     ``A_hh >= tau I - H_hh >= g I``, where Gershgorin's theorem gives
 
         g = min_{i in h} (tau - H_ii - sum_{j in h, j != i} sq_i sq_j |T_ij|)
 
-    from ``|H_ij| <= sq_i sq_j |T_ij|`` (:func:`_stacks`): the row sums are
-    one ``(n, N) @ (N, N)`` product with ``|T|`` zero off the outer rows and
-    columns.  When ``g > 0``, ``A_lh A_hh^{-1} A_hl <= A_lh A_hl / g``, so
-    ``A`` is positive definite when ``A_ll - A_lh A_hl / g`` is (the
-    Schur-complement criterion; Horn & Johnson, Matrix Analysis): one stacked
-    Cholesky of ``(n, 9, 9)`` matrices (:func:`_cholesky`), with
-    ``A_l. = c Y_l Y^T - H_l.`` formed from a contiguous row slice of ``H``.
+    from ``|H_ij| <= sq_i sq_j |T_ij|`` (:func:`_stacks`; ``sq`` ``(n, N)``
+    or one row for all): the row sums are one ``(n, N) @ (N, N)`` product
+    with ``|T|`` zero off the outer rows and columns.  When ``g > 0``,
+    ``A_lh A_hh^{-1} A_hl <= A_lh A_hl / g``, so ``A`` is positive definite
+    when ``A_ll - A_lh A_hl / g`` is (the Schur-complement criterion; Horn &
+    Johnson, Matrix Analysis): one stacked Cholesky of the ``(n, k, k)``
+    blocks (:func:`_cholesky`), with ``A_l. = c Y_l Y^T - H_l.`` formed from
+    a contiguous row slice of ``H``.
 
     The row sums are scaled by ``1 + _SCHUR_ULPS N eps``.  The rounding of
     ``P = A_lh A_hl`` is at most ``gamma_N d_i d_j`` in entry ``(i, j)``,
     with ``d_i^2 = P_ii``, so at most ``gamma_N tr(P)`` in the 2-norm, and
     ``_SCHUR_ULPS N eps tr(P)`` is added to ``P``'s diagonal.
     """
-    n, N = sq.shape
-    block, k = _rows(N, _BLOCK_MODES), 2 * _BLOCK_MODES + 1
+    n, N = H.shape[:2]
     Al = np.matmul(Y[:, block], Y.swapaxes(1, 2))
     Al *= c[:, None, None]
     Al -= H[:, block]
     A = Al[:, :, block].copy()
+    k = A.shape[1]
     A.reshape(n, k * k)[:, :: k + 1] += tau[:, None]
     # |T| on the outer rows and columns, off the diagonal; zero elsewhere.
-    Th = np.where(_layout(N)[2], np.abs(T), 0.0)
+    Th = np.abs(T - np.diag(np.diagonal(T)))
+    Th[block] = 0.0
     slack = 1.0 + _SCHUR_ULPS * N * _EPS
     disc = tau[:, None] - H.diagonal(0, 1, 2) - slack * sq * (sq @ Th)
     disc[:, block] = np.inf
@@ -364,6 +363,56 @@ def _block_certificate(sq: np.ndarray, H: np.ndarray, T: np.ndarray, Y: np.ndarr
     A -= P / np.where(g > 0.0, g, np.inf)[:, None, None]
     L = _cholesky(A, out=A)
     return (c > 0.0) & (g > 0.0) & np.isfinite(L.diagonal(0, 1, 2)).all(axis=1)
+
+
+def _certified_ritz(sq: np.ndarray, H: np.ndarray, T: np.ndarray, start: slice, block: slice):
+    """:func:`_lifted_ritz` from the rows ``start`` and :func:`_block_certificate` on the rows ``block``.
+
+    Returns ``theta``, ``Y``, ``r3``, ``r4`` and the members ``(n,)`` whose
+    four largest eigenvalues are certified, with ``tau`` and ``c`` placed as
+    :func:`_lifted_sweep` says.
+    """
+    theta, Y, r3, r4 = _lifted_ritz(H, start)
+    tau = 0.5 * (theta[:, 1] - r4 + theta[:, 0])
+    certified = _block_certificate(sq, H, T, Y, 2.0 * (theta[:, -1] - tau), tau, block) & (tau < theta[:, 1] - r4)
+    return theta, Y, r3, r4, certified
+
+
+def _parity_member(sq: np.ndarray, H: np.ndarray, T: np.ndarray):
+    """The member at ``sigma = 0``, from its ``sq`` ``(N,)`` and ``H`` ``(N, N)``, as :func:`_certified_ritz` gives a member.
+
+    ``H`` equals its own reversal in ``m`` bit for bit, and its ``m = 0`` row
+    and column vanish (conservation law).  With ``P = H[M+1:, M+1:]`` and
+    ``X = H[M+1:, M-1::-1]`` (modes ``1 .. M`` against ``1 .. M`` and
+    ``-1 .. -M``), the even block ``E = P + X`` and the odd block
+    ``O = P - X`` are exactly symmetric, and the spectrum of ``H`` is ``{0}``
+    with theirs.  Both blocks are one ``(2, M, M)`` stack for
+    :func:`_certified_ritz`, started on modes ``1 .. 5`` and certified on
+    ``1 .. 4`` with ``|E_ij|, |O_ij| <= sq_i sq_j (|T_P| + |T_X|)_ij``.
+
+    The member's ``theta`` ``(1, 5)`` holds the triple ``{0.0, top(E),
+    top(O)}``, ascending, ``0.0`` first among ties, in its last three places
+    and ``rho_4 = max(second(E), second(O))`` in its second; its first, the
+    fifth Ritz value, is not solved and is NaN.  Its ``Y`` ``(1, N, 4)``
+    holds ``e_0`` and each block's top Ritz vector ``y`` unfolded to
+    ``(+-y[::-1], 0, y) / sqrt(2)``, in the triple's order, after a
+    placeholder.  ``r3`` and ``r4`` are the larger of the blocks' (``0.0`` is
+    exact, and the seconds, the cosine and sine modes of ``m = +-2``, may lie
+    3e-11 apart, so either block's may be ``lambda_4``).  Raises
+    :class:`InvariantViolation` unless both blocks are certified and the
+    triple is nearest zero (``max`` of the triple ``+ r4 < -(rho_4 + r4)``).
+    """
+    M, start = sq.size // 2, slice(0, 2 * _START_MODES + 1)
+    (P, X), (TP, TX) = ((A[M + 1 :, M + 1 :], A[M + 1 :, M - 1 :: -1]) for A in (H, T))
+    blocks, bound = np.stack([P + X, P - X]), np.abs(TP) + np.abs(TX)
+    theta, Y, r3, r4, certified = _certified_ritz(sq[None, M + 1 :], blocks, bound, start, slice(0, _BLOCK_MODES))
+    vals, rho4, r4 = np.array([0.0, *theta[:, -1]]), theta[:, -2].max(), r4.max()
+    if not (certified.all() and vals.max() + r4 < -(rho4 + r4)):
+        raise InvariantViolation(f"the parity blocks at sigma = 0 are not certified: Ritz values {theta.tolist()}")
+    y = Y[:, :, -1].T / np.sqrt(2.0)
+    y = np.column_stack([np.eye(sq.size)[M], np.vstack([y[::-1] * [1.0, -1.0], [0.0, 0.0], y])])
+    order = np.argsort(vals, kind="stable")
+    return np.array([[np.nan, rho4, *vals[order]]]), y[None, :, np.r_[0, order]], r3.max(keepdims=True), np.array([r4]), [True]
 
 
 def _split(w: np.ndarray):
@@ -424,22 +473,19 @@ def _lifted_sweep(roll: RollSolution, sigmas) -> BlochSweep:
     carry a stated slack for their own rounding, the rest of the arithmetic
     none.
 
-    Two kinds of member are uncertified.  At ``sigma = 0``, ``lambda_4`` and
-    ``lambda_5`` (the cosine and sine modes of ``m = +-2``) are split by as
-    little as 3e-11, inside the radius the certificate would need.  At
-    ``0 < |sigma| < 1e-8`` it may fail, not by rounding: ``tau`` is placed
-    from ``theta_5``, which gets no Davidson correction (see the README).
-    An uncertified member keeps its lifted triple when it lies within
-    ``r3 + _MATCH_ULPS eps max|w|`` of the three values nearest zero of one
-    ``eigvalsh``, whose rest gives its gap, ``-max`` of the rest; otherwise
-    :class:`InvariantViolation` is raised.
+    At ``sigma = 0`` the conservation law and translation give two exact
+    zeros, and ``lambda_4`` and ``lambda_5`` (the cosine and sine modes of
+    ``m = +-2``) are split by as little as 3e-11, inside the radius the
+    certificate would need.  That member, if any, is solved on its even and
+    odd blocks by :func:`_parity_member`, with the same steps, and is
+    certified or raises :class:`InvariantViolation`.
 
-    At ``sigma = 0`` the ``m = 0`` row and column of ``H`` vanish (conservation
-    law), and the conserved ``e_0`` (``H e_0 = 0``) may be rotated with
-    the translation mode, whose value is as near zero, so it is set, with the
-    value ``0.0``, first among equal values.  ``H`` commutes with ``m -> -m``:
-    beside it are the even and the odd part of largest norm of the three
-    Ritz vectors less their ``m = 0`` entries, with their Rayleigh quotients.
+    Elsewhere a member is uncertified only at ``0 < |sigma| < 1e-8``, and not
+    always there: ``tau`` is placed from ``theta_5``, which gets no Davidson
+    correction (see the README).  An uncertified member keeps its lifted
+    triple when it lies within ``r3 + _MATCH_ULPS eps max|w|`` of the three
+    values nearest zero of one ``eigvalsh``, whose rest gives its gap,
+    ``-max`` of the rest; otherwise :class:`InvariantViolation` is raised.
 
     ``H`` at ``-sigma`` is ``H`` at ``sigma`` reversed in ``m``, bit for bit
     (the roll is even): each distinct ``|sigma|`` (zero within
@@ -450,41 +496,28 @@ def _lifted_sweep(roll: RollSolution, sigmas) -> BlochSweep:
     mags = np.where(np.abs(sigmas) < _SIGMA_ZERO_TOL, 0.0, np.abs(sigmas))
     # Distinct and ascending already (one member, the classifier's grid), they are what np.unique would return.
     mags, twin = (mags, np.arange(mags.size)) if (mags[1:] > mags[:-1]).all() else np.unique(mags, return_inverse=True)
-    work = _workspace_stacks(mags.size, 2 * roll.profile.grid.n_modes + 1)
-    sq, H, T = _stacks(roll, mags, work)
-    N = sq.shape[1]
-    zero = sq[:, N // 2] == 0.0
-    theta, Y, r3, r4 = _lifted_ritz(H)
-    rho4, top = theta[:, 1], theta[:, -1]
-    vals, vecs = theta[:, 2:].copy(), Y[:, :, 1:].copy()
-    for i in zero.nonzero()[0]:
-        y = vecs[i]
-        y[N // 2] = 0.0
-        parts = [part[:, np.argmax(np.linalg.norm(part, axis=0))] for part in (y + y[::-1], y - y[::-1])]
-        y = np.column_stack([np.eye(N)[N // 2], *parts])
-        y /= np.linalg.norm(y, axis=0)
-        vals[i] = np.sum(y * (H[i] @ y), axis=0)
-        vals[i, 0] = 0.0
-        order = np.argsort(vals[i], kind="stable")
-        vals[i], vecs[i] = vals[i, order], y[:, order]
-    tau = 0.5 * (rho4 - r4 + theta[:, 0])
-    certified = _block_certificate(sq, H, T, Y, 2.0 * (top - tau), tau)
-    certified &= (tau < rho4 - r4) & (top + r4 < -(rho4 + r4)) & ~zero
+    N = 2 * roll.profile.grid.n_modes + 1
+    sq, H, T = _stacks(roll, mags, _workspace_stacks(mags.size, N))
+    # A zero member is the first; it is solved on its parity blocks, the others whole.
+    z = np.count_nonzero(mags[:1] == 0.0)
+    theta, Y, r3, r4, certified = _certified_ritz(sq[z:], H[z:], T, _rows(N, _START_MODES), _rows(N, _BLOCK_MODES))
+    if z:
+        theta, Y, r3, r4, certified = map(np.concatenate, zip(_parity_member(sq[0], H[0], T), (theta, Y, r3, r4, certified)))
+    vals, rho4, gaps = theta[:, 2:], theta[:, 1], -theta[:, 1]
+    certified &= theta[:, -1] + r4 < -(rho4 + r4)
     radius = np.where(certified, np.where(vals[:, 0] - r3 > rho4 + r4, r3, r4), np.nan)
-    gaps = -rho4
     miss = (~certified).nonzero()[0]
     if miss.size:
         near, rest, wmax = _split(_eigh(H[miss], vectors=False))
-        tol = r3[miss] + _MATCH_ULPS * _EPS * wmax
-        bad = miss[~(np.abs(vals[miss] - near).max(axis=1) <= tol)]
+        bad = miss[~(np.abs(vals[miss] - near).max(axis=1) <= r3[miss] + _MATCH_ULPS * _EPS * wmax)]
         if bad.size:
             raise InvariantViolation(f"lifted triple {vals[bad[0]]} at |sigma| = {mags[bad[0]]} misses eigvalsh")
         gaps[miss] = -np.maximum.reduce(rest, axis=1)
-    solved = vals, radius, gaps, np.where(certified, r4, np.nan), certified
-    vecs = vecs[twin]
+    solved = vals, radius, gaps, np.where(certified, r4, np.nan), certified, Y[:, :, 1:]
+    *solved, vecs = (a[twin] for a in solved)
     neg = (sigmas <= -_SIGMA_ZERO_TOL).nonzero()[0]
     vecs[neg] = vecs[neg, ::-1]
-    return BlochSweep(sigmas, *(a[twin] for a in solved), vecs)
+    return BlochSweep(sigmas, *solved, vecs)
 
 
 def check_delta(delta: float) -> None:
@@ -497,9 +530,10 @@ def critical_sweep(roll: RollSolution, sigmas, delta: float = 1.0) -> BlochSweep
     """The critical triples and the gaps below them over a sigma sweep, as one :class:`BlochSweep`.
 
     The record of :func:`_lifted_sweep`, which solves every member with no
-    full eigensolve, checked for ``lambda_4 < -delta``: a certified member
-    passes when ``rho_4 + r4 < -delta``, an uncertified one when its gap
-    exceeds ``delta``.  The first member in sweep order that does not pass
+    full eigensolve and certifies it (but, on some cells, at
+    ``0 < |sigma| < 1e-8``), checked for ``lambda_4 < -delta``: a certified
+    member passes when ``rho_4 + r4 < -delta``, an uncertified one when its
+    gap exceeds ``delta``.  The first member in sweep order that does not pass
     raises :class:`GapViolation` with its gap.  Raises :class:`OutOfRange`
     unless ``delta`` is positive and finite and every Bloch number lies in
     ``[-1/2, 1/2]``.

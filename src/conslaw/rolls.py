@@ -77,7 +77,7 @@ def check_open_band(omega: float, param: str) -> None:
 class RollParameters:
     """Bifurcation parameter ``eps``, band coordinate ``omega``, quadratic ``s``.
 
-    Requires ``0 <= eps``, ``|omega| <= 1/2``, ``27 - 2 s^2 > 0`` and
+    Requires ``0 <= eps < inf``, ``|omega| <= 1/2``, ``27 - 2 s^2 > 0`` and
     ``1 + 2 omega eps > 0``; the roll wavenumber ``k = sqrt(1 + 2 omega eps)``
     is derived.
     """
@@ -87,8 +87,8 @@ class RollParameters:
     s: float
 
     def __post_init__(self) -> None:
-        if not self.eps >= 0.0:
-            raise OutOfRange(f"eps must be >= 0, got {self.eps}", param="eps")
+        if not 0.0 <= self.eps < np.inf:
+            raise OutOfRange(f"eps must be >= 0 and finite, got {self.eps}", param="eps")
         check_band(self.omega, "omega")
         check_s(self.s, "s")
         if not 1.0 + 2.0 * self.omega * self.eps > 0.0:

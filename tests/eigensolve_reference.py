@@ -61,15 +61,17 @@ def reference_triples(roll, sigmas):
 
 
 def certificate_inputs(roll, sigmas):
-    """``sq, H, T, Y, c, tau`` of the engine's inertia certificate over a sweep built at ``sigmas``.
+    """``sq, H, T, Y, c, tau, rows`` of the engine's inertia certificate over a sweep built at ``sigmas``.
 
     ``tau`` lies halfway between ``rho_4 - r4`` and the fifth Ritz value, and
-    ``c = 2 (max rho - tau)``, as in ``bloch._lifted_sweep``.
+    ``c = 2 (max rho - tau)``, as in ``bloch._lifted_sweep``; ``rows`` are the
+    block's, the Bloch modes ``|m| <= 4``.
     """
     sq, H, T = bloch._stacks(roll, np.asarray(sigmas, dtype=float).reshape(-1))
-    theta, Y, _, r4 = bloch._lifted_ritz(H)
+    N = H.shape[1]
+    theta, Y, _, r4 = bloch._lifted_ritz(H, bloch._rows(N, bloch._START_MODES))
     tau = 0.5 * (theta[:, 1] - r4 + theta[:, 0])
-    return sq, H, T, Y, 2.0 * (theta[:, -1] - tau), tau
+    return sq, H, T, Y, 2.0 * (theta[:, -1] - tau), tau, bloch._rows(N, bloch._BLOCK_MODES)
 
 
 def full_certificate(H, Y, c, tau):

@@ -188,13 +188,18 @@ class TestSpectrum:
         assert np.all(others.max(axis=1) < -3.0)
 
     def test_sigma_zero_gap_is_minus_the_largest_rest_value(self):
-        # Criterion 2 checks gap > 3 for "the rest lies below -3": no sigma = 0
-        # member is certified, so its gap is -max of the very eigvalsh rest
-        # that its eigenvalues hold beside the triple, bit for bit.
+        # Criterion 2 checks gap > 3 for "the rest lies below -3".  Each
+        # sigma = 0 member is certified on its parity blocks, and its gap lies
+        # within its radius of -max of the eigvalsh rest that its eigenvalues
+        # hold beside the triple, to that eigvalsh's rounding N eps max|w|.
         for w, s in acceptance.PARAM_SETS:
             for e in acceptance.EPS_SWEEP:
-                spec = critical_curves(acceptance._roll(e, w, s), [0.0])[0]
-                assert spec.gap == -np.delete(spec.eigenvalues, list(spec.critical)).max()
+                roll = acceptance._roll(e, w, s)
+                sweep, spec = critical_sweep(roll, [0.0]), critical_curves(roll, [0.0])[0]
+                assert sweep.certified[0] and spec.gap == sweep.gaps[0]
+                u = spec.eigenvalues.size * np.finfo(float).eps * np.abs(spec.eigenvalues).max()
+                rest = np.delete(spec.eigenvalues, list(spec.critical))
+                assert abs(spec.gap + rest.max()) <= sweep.gap_radius[0] + u
 
     def test_gap_violation_reported(self):
         roll = solve_roll(RollParameters(0.05, 0.0, 0.5), GRID)
@@ -244,10 +249,10 @@ class TestSpectrum:
         n_modes=st.sampled_from([8, 12, 16]),
     )
     def test_translation_vector_is_the_kernel_mode(self, eps, omega, s, n_modes):
-        # At sigma = 0 the conserved and translation Ritz vectors may rotate
-        # into each other.  e_0 is set, and beside it are the even and the odd
-        # part of the Ritz vectors less their m = 0 entries, so the translation
-        # column is odd and has no conserved part: it is the kernel mode m c_m,
+        # At sigma = 0 the conserved and translation values may both be zero.
+        # e_0 is set, and beside it are the top Ritz vectors of the even and
+        # the odd block, unfolded, so the translation column is odd and has no
+        # conserved part: it is the kernel mode m c_m,
         # to 1e-10 (m c_m is a kernel vector only to the roll's residual; the
         # median distance is 2e-15).
         grid = SpectralGrid(n_modes)
@@ -357,15 +362,13 @@ class TestBatchedSweep:
         assert np.all(np.diff(triples, axis=1) >= 0.0)
         assert np.array_equal(batch.gaps, [single.gaps[0] for single in singles])
         # Certified members lie within their radius of the reference; sigma = 0
-        # is never certified, and its triple lies within 1e-13 of it.
-        # critical_modes runs the same engine, so its triples are these on
-        # every member.
+        # is certified, on its parity blocks.  critical_modes runs the same
+        # engine, so its triples are these on every member.
         radius = certify(roll, sweep, 1.0)[1]
         certified = np.isfinite(radius)
-        assert not certified[len(sigmas)]
+        assert certified[len(sigmas)]
         move = np.abs(triples - reference_triples(roll, sweep))
         assert np.all(move[certified] <= radius[certified, None])
-        assert np.all(move[len(sigmas)] < 1e-13)
         modes = np.array([critical_modes(roll, x)[0] for x in sweep])
         assert np.array_equal(triples, modes)
 
@@ -387,33 +390,33 @@ class TestBatchedSweep:
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
         small = np.array([1e-12, 1e-6, 1e-5, 1e-4])
         sweep = np.concatenate([-small, small, np.linspace(-0.5, 0.5, 41)])
-        got = critical_sweep(roll, sweep).values
+        got, radius = certify(roll, sweep)
         move = np.max(np.abs(got - reference_triples(roll, sweep)), axis=1)
-        inner = np.abs(sweep) < 0.5
-        # Where the two part by 1e-13, the 40-digit oracle decides: near the
-        # zone edge it is the reference that is off (by 1.2e-13 at
+        inner, zero = np.abs(sweep) < 0.5, sweep == 0.0
+        # Off zero, where the two part by 1e-13, the 40-digit oracle decides:
+        # near the zone edge it is the reference that is off (by 1.2e-13 at
         # sigma = -0.475, M = 32, where critical_sweep is 2e-16 off).  This
-        # holds the uncertified members (sigma = 0, and 1e-12 where the
-        # certificate fails) to 1e-13.  H at -sigma is H at sigma under
-        # m -> -m, exactly (asserted at 1/2 in TestFixedBlockTriples), so one
-        # oracle serves both.
-        apart = inner & (move >= 1e-13)
+        # holds the uncertified members (1e-12, where the certificate fails)
+        # to 1e-13.  H at -sigma is H at sigma under m -> -m, exactly
+        # (asserted at 1/2 in TestFixedBlockTriples), so one oracle serves
+        # both.
+        apart = inner & ~zero & (move >= 1e-13)
         if apart.any():
             mags, pair = np.unique(np.abs(sweep[apart]), return_inverse=True)
             assert np.all(np.abs(got[apart] - oracle_triples(roll, mags)[pair]) < 1e-13)
-        # At |sigma| = 1e-12, where (k sigma)^2 is far below eps max|w|, a
+        # At sigma = 0, solved on its even and odd blocks, and at
+        # |sigma| = 1e-12, where (k sigma)^2 is far below eps max|w|, a
         # certified member lies within its radius of the reference.
-        tiny = np.abs(sweep) == 1e-12
-        radius = certify(roll, sweep[tiny])[1]
-        certified = np.isfinite(radius)
-        assert np.all(move[tiny][certified] <= radius[certified])
+        assert np.isfinite(radius[zero]).all()
+        near = (zero | (np.abs(sweep) == 1e-12)) & np.isfinite(radius)
+        assert np.all(move[near] <= radius[near])
         # At |sigma| = 1/2 the third value is one of a pair split by as little
         # as 1e-7, and the reference may resolve to its other member (by up
         # to about 9e-7 at M = 32): within the lifted four-pair radius r4 plus
         # 16 eps max|w|.
         H = bloch._stacks(roll, sweep[~inner])[1]
         u = np.finfo(float).eps * np.abs(np.linalg.eigvalsh(H)).max(axis=1)
-        tol = bloch._lifted_ritz(H)[3] + bloch._MATCH_ULPS * u
+        tol = bloch._lifted_ritz(H, bloch._rows(H.shape[1], bloch._START_MODES))[3] + bloch._MATCH_ULPS * u
         assert np.all(move[~inner] <= tol)
 
     def test_gap_violation_reports_first_sigma_in_sweep_order(self):
@@ -674,9 +677,12 @@ class TestCholeskyKernel:
         calls = cholesky_calls(monkeypatch)
         monkeypatch.setattr(bloch.np.linalg, "cholesky", no_retry)
         critical_sweep(roll, sweep)
-        # One 9 x 9 block (|m| <= 4) per distinct |sigma|, never an N x N
-        # matrix; 0.0, -0.0 and 5e-14 are all zero.
-        assert calls == [(distinct, 9, 9)]
+        # One 9 x 9 block (|m| <= 4) per distinct |sigma| off zero, never an
+        # N x N matrix; then, if the sweep holds sigma = 0 (0.0, -0.0 and 5e-14
+        # are all zero), the 4 x 4 blocks (modes 1 .. 4) of its even and odd
+        # parts.
+        zero = int(np.any(np.abs(sweep) < bloch._SIGMA_ZERO_TOL))
+        assert calls == [(distinct - zero, 9, 9)] + [(2, 4, 4)] * zero
 
     def test_failed_members_keep_their_triples(self):
         # Members at 0 < |sigma| <= 1e-10 fail the certificate (a NaN factor);
@@ -716,8 +722,8 @@ class TestBlockCertificate:
     )
     def test_block_certifies_what_the_whole_matrix_does(self, eps, omega, s, n_modes):
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
-        sq, H, T, Y, c, tau = certificate_inputs(roll, self.grids(eps))
-        block = bloch._block_certificate(sq, H, T, Y, c, tau)
+        sq, H, T, Y, c, tau, rows = certificate_inputs(roll, self.grids(eps))
+        block = bloch._block_certificate(sq, H, T, Y, c, tau, rows)
         assert np.array_equal(block, full_certificate(H, Y, c, tau))
         # What the certificate proves: the fifth eigenvalue lies below tau,
         # here to eigvalsh's rounding N eps max|w|.  Near sigma = 0 tau lies
@@ -735,8 +741,8 @@ class TestBlockCertificate:
         # to see a coupling of the block to an outer row, and the Gershgorin
         # row sums one between two outer rows.
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
-        sq, H, T, Y, c, tau = certificate_inputs(roll, [0.2])
-        assert bloch._block_certificate(sq, H, T, Y, c, tau).all()
+        sq, H, T, Y, c, tau, block = certificate_inputs(roll, [0.2])
+        assert bloch._block_certificate(sq, H, T, Y, c, tau, block).all()
         i, j = 12 + np.array(rows)
         A = c[0] * Y[0] @ Y[0].T + tau[0] * np.eye(25) - H[0]
         T = T.copy()
@@ -744,17 +750,17 @@ class TestBlockCertificate:
         H = H.copy()
         H[0, i, j] = H[0, j, i] = sq[0, i] * sq[0, j] * T[i, j]
         assert not full_certificate(H, Y, c, tau).any()
-        assert not bloch._block_certificate(sq, H, T, Y, c, tau).any()
+        assert not bloch._block_certificate(sq, H, T, Y, c, tau, block).any()
 
     def test_zero_roll_is_certified_off_sigma_zero(self):
         # At eps = 0 the roll is zero, T vanishes and H is diagonal: every
         # Gershgorin row sum is zero.
         roll = zero_roll(RollParameters(0.0, 0.0, 0.0), SpectralGrid(12))
         sigmas = self.grids(0.01)
-        sq, H, T, Y, c, tau = certificate_inputs(roll, sigmas)
+        sq, H, T, Y, c, tau, rows = certificate_inputs(roll, sigmas)
         assert not T.any()
         assert np.array_equal(H, np.eye(25) * np.diagonal(H, axis1=1, axis2=2)[:, None, :])
-        block = bloch._block_certificate(sq, H, T, Y, c, tau)
+        block = bloch._block_certificate(sq, H, T, Y, c, tau, rows)
         assert np.array_equal(block, full_certificate(H, Y, c, tau))
         radius = certify(roll, sigmas)[1]
         assert np.array_equal(np.isfinite(radius), block)
@@ -834,15 +840,16 @@ class TestEighKernel:
 
     @pytest.mark.parametrize(
         "kernel, call, member",
-        [("eigh_lo", 0, 0), ("eigh_lo", 0, 2), ("eigh_lo", 1, 1), ("eigvalsh_lo", 0, 0)],
-        ids=["start_block", "start_block_last", "corrected", "uncertified_rest"],
+        [("eigh_lo", 0, 0), ("eigh_lo", 0, 2), ("eigh_lo", 1, 1), ("eigvalsh_lo", 0, 0), ("eigh_lo", 2, 1)],
+        ids=["start_block", "start_block_last", "corrected", "uncertified_rest", "parity_block"],
     )
     def test_a_nan_member_raises_a_typed_error(self, kernel, call, member, monkeypatch):
         # The kernels return NaN where np.linalg raises LinAlgError.  A NaN
         # member must fail the sweep with a typed error, and no warning.
-        # 0.0 is uncertified, so its rest comes from the one eigvalsh call.
+        # 1e-12 is uncertified, so its rest comes from the one eigvalsh call;
+        # 0.0 is solved last, on its even and odd blocks.
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
-        sweep = [0.0, 0.1, 0.3]
+        sweep = [0.0, 1e-12, 0.1, 0.3]
         bound, calls = getattr(bloch, kernel), []
 
         def failing(A, **kwargs):
@@ -892,8 +899,8 @@ class TestSweepRecord:
             if name == "around_zero":
                 got["around_zero.sq"], got["around_zero.H"] = bloch._stacks(roll, np.array(sigmas))[:2]
         assert_pinned("sweep_m12.npz", got)
-        # Members at |sigma| = 1e-10 fail the certificate and sigma = 0 is never certified.
-        assert not got["around_zero.certified"].any()
+        # Members at |sigma| = 1e-10 fail the certificate; sigma = 0 is certified on its parity blocks.
+        assert got["around_zero.certified"].tolist() == [False, True, False]
         assert got["stable.certified"].all() and got["unstable.certified"].all()
 
     def test_curves_are_the_record_member_by_member(self):
@@ -911,7 +918,8 @@ class TestSweepRecord:
 
 
 class TestZeroBatch:
-    """A sweep through sigma = 0 is one batch, whose zero members are never certified."""
+    """A sweep through sigma = 0 is one batch, whose zero members are solved once, on the even and odd
+    blocks of H(0), and certified."""
 
     params = RollParameters(0.05, 0.1, 0.8)
     sweep = [0.1, 0.0, 0.2, -0.0, 5e-14, -0.3]
@@ -919,20 +927,20 @@ class TestZeroBatch:
     def test_one_eigensolve_and_one_rayleigh_ritz_step_per_batch(self, monkeypatch):
         roll = solve_roll(self.params, SpectralGrid(12))
         calls = linalg_calls(monkeypatch, "eigh", "eigvalsh")
-        critical_sweep(roll, self.sweep)
-        # The four distinct |sigma| (0.0, -0.0 and 5e-14 are all zero) get two
-        # 5 x 5 Rayleigh-Ritz steps, on their lifted start block and after its
-        # Davidson corrections.  The zero member is uncertified, and one
-        # eigvalsh of its H gives its rest; the three others are certified, so
-        # no eigvalsh runs for them.
-        assert calls == [("eigh", (4, 5, 5)), ("eigh", (4, 5, 5)), ("eigvalsh", (1, 25, 25))]
+        assert critical_sweep(roll, self.sweep).certified.all()
+        # The three distinct |sigma| off zero get two 5 x 5 Rayleigh-Ritz
+        # steps, on their lifted start block and after its Davidson
+        # corrections; the zero member (0.0, -0.0 and 5e-14 are all zero) gets
+        # the same two on its even and odd blocks.  Every member is certified,
+        # so no eigvalsh runs.
+        assert calls == [("eigh", (3, 5, 5)), ("eigh", (3, 5, 5)), ("eigh", (2, 5, 5)), ("eigh", (2, 5, 5))]
 
     def test_no_linear_solve_or_full_eigh_of_H(self, monkeypatch):
         roll = solve_roll(self.params, SpectralGrid(12))
         sweep = np.array(self.sweep + [0.5, -0.5])
         calls = linalg_calls(monkeypatch, "solve", "eigh")
         radius = certify(roll, sweep, 1.0)[1]
-        assert np.array_equal(np.isfinite(radius), np.abs(sweep) >= bloch._SIGMA_ZERO_TOL)
+        assert np.isfinite(radius).all()
         critical_sweep(roll, sweep)
         for sigma in (0.0, 0.2, 0.5, -0.5):
             critical_modes(roll, sigma)
@@ -957,9 +965,70 @@ class TestZeroBatch:
             assert np.array_equal(vals[i], alone)
         assert 0.0 in vals[4]
         if radius is not None:
-            zero = np.array([False, True, False, True, True, False])
-            assert np.all(np.isnan(radius[zero])) and np.all(np.isfinite(radius[~zero]))
-            assert np.all(np.abs(vals - reference_triples(roll, self.sweep))[zero] < 1e-13)
+            assert np.isfinite(radius).all()
+            assert np.all(np.abs(vals - reference_triples(roll, self.sweep)) <= radius[:, None])
+
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        eps=st.floats(0.0, 0.2),
+        omega=st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True),
+        s=st.floats(-3.4, 3.4),
+        n_modes=st.sampled_from([8, 12, 16, 32]),
+    )
+    def test_parity_blocks_hold_the_spectrum_of_h0(self, eps, omega, s, n_modes):
+        # H(0) is its own reversal in m and its m = 0 row and column vanish, so
+        # E = P + X and O = P - X are exactly symmetric, and with 0 they hold
+        # its spectrum: to eigvalsh's rounding N eps max|w|.
+        roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
+        H = bloch._stacks(roll, np.zeros(1))[1][0]
+        M = n_modes
+        P, X = H[M + 1 :, M + 1 :], H[M + 1 :, M - 1 :: -1]
+        E, O = P + X, P - X
+        assert np.array_equal(E, E.T) and np.array_equal(O, O.T)
+        w = np.linalg.eigvalsh(H)
+        blocks = np.sort(np.concatenate([[0.0], np.linalg.eigvalsh(E), np.linalg.eigvalsh(O)]))
+        u = H.shape[0] * np.finfo(float).eps * np.abs(w).max()
+        assert np.all(np.abs(blocks - w) <= u)
+
+    def test_every_zero_member_is_certified(self):
+        # Criterion 2's 16 cells at M = 16, and 40 seeded cells (eps = 0 among
+        # them) at M = 8 to 32.
+        cells = [(e, w, s, 16) for w, s in acceptance.PARAM_SETS for e in acceptance.EPS_SWEEP]
+        rng = np.random.default_rng(38)
+        for i in range(40):
+            eps = 0.0 if i % 10 == 0 else rng.uniform(0.0, 0.2)
+            cells.append((eps, rng.uniform(-0.45, 0.45), rng.uniform(-3.4, 3.4), (8, 12, 16, 32)[i % 4]))
+        for eps, omega, s, n_modes in cells:
+            roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
+            sweep = critical_sweep(roll, [0.0], 1e-300)
+            assert sweep.certified[0] and np.isfinite(sweep.radius[0]) and np.isfinite(sweep.gap_radius[0])
+            assert 0.0 in sweep.values[0]
+
+    def test_zero_roll_gives_three_orthonormal_modes(self):
+        # At eps = 0, H(0) is diagonal and top(E) = top(O) = 0: three exact
+        # zeros, which still give the conserved mode and two of opposite parity.
+        roll = zero_roll(RollParameters(0.0, 0.0, 0.0), SpectralGrid(12))
+        vals, vecs = critical_modes(roll, 0.0)
+        assert np.array_equal(vals, np.zeros(3))
+        assert np.allclose(vecs.T @ vecs, np.eye(3), rtol=0.0, atol=1e-15)
+
+    def test_a_failed_parity_certificate_raises(self, monkeypatch):
+        # No eigvalsh stands behind the blocks: where their certificate fails,
+        # the solve raises.
+        roll = solve_roll(self.params, SpectralGrid(12))
+        certificate = bloch._block_certificate
+
+        def failing(sq, H, *args):
+            got = certificate(sq, H, *args)
+            return got & (H.shape[1] == 25)
+
+        monkeypatch.setattr(bloch, "_block_certificate", failing)
+        calls = linalg_calls(monkeypatch, "eigvalsh")
+        assert critical_sweep(roll, [0.1]).certified.all()
+        with pytest.raises(InvariantViolation, match="parity blocks"):
+            critical_sweep(roll, self.sweep)
+        assert calls == []
 
 
 class TestFixedBlockTriples:
@@ -1034,7 +1103,7 @@ class TestFixedBlockTriples:
         # repeats a critical value: the correction there is 0 / 0.
         d = np.array([-300.0, -0.5, -5.0, -1.0, -0.5, -0.25, -3.0, -200.0, -100.0])
         H = np.diag(d)[None]
-        theta, Y, r3, r4 = bloch._lifted_ritz(H)
+        theta, Y, r3, r4 = bloch._lifted_ritz(H, bloch._rows(9, bloch._START_MODES))
         assert np.array_equal(theta[0], [-5.0, -3.0, -1.0, -0.5, -0.25])
         # A zero residual leaves the rounding floor alone: eps ||G||_2 = 5 eps.
         assert r3[0] == r4[0] == bloch._ROUNDING_ULPS * np.finfo(float).eps * 5.0
@@ -1085,18 +1154,11 @@ class TestFixedBlockTriples:
         sweep = np.array([0.5, -0.5, 0.45, 0.2, 1e-6, 0.0])
         out = critical_sweep(roll, sweep, 1.0)
         vals, radius, gaps, gap_radius = out.values, out.radius, out.gaps, out.gap_radius
-        certified = np.isfinite(radius)
-        assert np.array_equal(out.certified, certified) and np.array_equal(np.isfinite(gap_radius), certified)
-        assert np.array_equal(certified, sweep != 0.0)
+        # Every member is certified, sigma = 0 on its even and odd blocks.
+        assert out.certified.all() and np.isfinite(radius).all() and np.isfinite(gap_radius).all()
         w = oracle_eigenvalues(roll, sweep)
-        miss = np.abs(vals - w[:, 2::-1])
-        assert np.all(miss[certified] <= radius[certified, None])
-        assert np.all(np.abs(-gaps - w[:, 3])[certified] <= gap_radius[certified])
-        # Uncertified, at sigma = 0: the triple within 1e-13, and the gap, from
-        # eigvalsh, within its rounding N eps max|w|.
-        assert np.all(miss[~certified] < 1e-13)
-        u = w.shape[1] * np.finfo(float).eps * np.abs(w).max(axis=1)
-        assert np.all(np.abs(-gaps - w[:, 3])[~certified] <= u[~certified])
+        assert np.all(np.abs(vals - w[:, 2::-1]) <= radius[:, None])
+        assert np.all(np.abs(-gaps - w[:, 3]) <= gap_radius)
 
     def test_certified_curves_run_no_full_eigensolve_until_read(self, monkeypatch):
         # The whole zone at M = 32 without sigma = 0: every member certified.
@@ -1175,18 +1237,17 @@ class TestFixedBlockTriples:
                 radius = certify(roll, [got.witness_sigma], 1.0)[1][0]
                 assert abs(got.witness_lambda - want.witness_lambda) < radius
 
-    @pytest.mark.parametrize("sigma", [0.0, 1e-12])
+    @pytest.mark.parametrize("sigma", [1e-12])
     def test_an_uncertified_triple_that_misses_eigvalsh_raises(self, sigma, monkeypatch):
         # An uncertified member keeps its lifted triple only where eigvalsh
         # agrees; otherwise the solve raises, and takes no other path.  The
-        # least value of the triple moves by about 1e-6 (at sigma = 0 through
-        # the Ritz vector whose Rayleigh quotient gives it there).
+        # least value of the triple moves by about 1e-6.
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
         assert np.isnan(certify(roll, [sigma])[1][0])
         lifted = bloch._lifted_ritz
 
-        def perturbed(H):
-            theta, Y, *radii = lifted(H)
+        def perturbed(H, start):
+            theta, Y, *radii = lifted(H, start)
             theta[:, 2] += 1e-6
             Y[:, :, 1] += 1e-3 * Y[:, :, 0]
             return (theta, Y, *radii)

@@ -125,6 +125,7 @@ class TestValidation:
             # a required gap must be finite, as t_final must
             (("spectrum", *ROLL, "--modes", "12", "--delta", "inf"), "--delta"),
             (("map", "--eps", "0.02", "--steps", "2", "--delta", "inf", "--jobs", "2"), "--delta"),
+            ((*EVOLVE, "--dt", "inf"), "--dt"),
         ],
     )
     def test_rejects_bad_flags(self, capsys, monkeypatch, argv, needle):

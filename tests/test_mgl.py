@@ -266,16 +266,16 @@ class TestComparison:
         for row, sh in zip(rows, grid):
             assert row.lambda_mgl.tobytes() == mgl.mgl_dispersion_matrix(params, sh).eigenvalues.tobytes()
 
-    def test_runs_a_full_eigensolve_only_at_sigma_hat_zero(self, monkeypatch):
+    def test_runs_no_full_eigensolve(self, monkeypatch):
         roll = solve_roll(RollParameters(0.04, 0.25, 1.0), SpectralGrid(12))
         calls = linalg_calls(monkeypatch, "eigh", "eigvalsh", "solve")
         mgl.compare_exact_vs_mgl(roll, np.linspace(-1.0, 1.0, 11))
         # The nine distinct |sigma| (in floating point only +-1 and +-0.8 are
         # exact mirrors): the Rayleigh-Ritz steps on the lifted start block and
-        # after its Davidson corrections, with no linear solve.  The
-        # sigma_hat = 0 member is not certified, so one eigvalsh of its H
-        # checks its triple and gives its gap.
-        assert calls == [("eigh", (9, 5, 5)), ("eigh", (9, 5, 5)), ("eigvalsh", (1, 25, 25))]
+        # after its Davidson corrections, with no linear solve, for the eight
+        # off zero, then for the even and odd blocks of sigma_hat = 0.  Every
+        # member is certified, so no eigvalsh runs.
+        assert calls == [("eigh", (8, 5, 5)), ("eigh", (8, 5, 5)), ("eigh", (2, 5, 5)), ("eigh", (2, 5, 5))]
 
     def test_builds_each_batch_once(self, monkeypatch):
         roll = solve_roll(RollParameters(0.04, 0.25, 1.0), SpectralGrid(12))
@@ -288,15 +288,16 @@ class TestComparison:
 
         monkeypatch.setattr(bloch, "_symmetric_factors", spy)
         mgl.compare_exact_vs_mgl(roll, np.linspace(-1.0, 1.0, 11))
-        # One batch of the nine distinct |sigma|; the uncertified
-        # sigma_hat = 0 member keeps its H, so nothing is rebuilt.
+        # One batch of the nine distinct |sigma|; the parity blocks of the
+        # sigma_hat = 0 member come from its H in that batch, so nothing is
+        # rebuilt.
         assert sizes == [9]
 
     def test_golden_compare_lies_within_the_enclosures(self):
         # tests/data/compare_m32.csv holds the lifted triples: each lies within
         # its residual radius (scaled by 1/eps^2, plus the rounding of that
-        # division) of the reference eigensolve's value.  The sigma_hat = 0 row
-        # is uncertified, and lies within 1e-13 (so scaled) of it.
+        # division) of the reference eigensolve's value, the sigma_hat = 0 row
+        # among them.
         eps = 0.04
         lines = (DATA / "compare_m32.csv").read_text().splitlines()[1:]
         table = np.array([[float(x) for x in line.split(",")] for line in lines])
@@ -304,9 +305,7 @@ class TestComparison:
         assert np.array_equal(table[:, 0], np.linspace(-1.0, 1.0, 11))
         roll = solve_roll(RollParameters(eps, 0.25, 1.0), SpectralGrid(32))
         radius = critical_sweep(roll, sigmas).radius
-        zero = table[:, 0] == 0.0
-        assert np.all(np.isnan(radius[zero])) and np.all(np.isfinite(radius[~zero]))
-        radius[zero] = 1e-13
+        assert np.isfinite(radius).all()
         got, want = table[:, 1:4], reference_triples(roll, sigmas) / eps**2
         bound = radius[:, None] / eps**2 + 4.0 * np.spacing(np.abs(want))
         assert np.all(np.abs(got - want) <= bound)

@@ -29,7 +29,7 @@ class TestParameters:
 
     @pytest.mark.parametrize(
         "eps,omega,s",
-        [(-0.1, 0.0, 0.0), (0.1, 0.6, 0.0), (0.1, 0.0, 3.8), (0.1, 0.5 + 1e-14, 0.0)],
+        [(-0.1, 0.0, 0.0), (0.1, 0.6, 0.0), (0.1, 0.0, 3.8), (0.1, 0.5 + 1e-14, 0.0), (np.inf, 0.1, 0.0)],
     )
     def test_invalid_parameters(self, eps, omega, s):
         with pytest.raises(OutOfRange):
