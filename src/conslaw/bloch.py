@@ -33,9 +33,12 @@ Lyapunov-Schmidt split of ``H``, the critical block (Bloch modes
 correction (:func:`_lifted_ritz`; E. R. Davidson, J. Comput. Phys. 17
 (1975) 87-94), certified by one stacked 9 x 9 Cholesky factorization per
 member (:func:`_block_certificate`); at ``sigma = 0`` the same steps run
-on the even and odd blocks of ``H`` (:func:`_parity_member`).  One ``eigvalsh`` of a member's ``H``,
-rebuilt from the roll, gives the rest of its spectrum on read, for the
-benchmark's adapter alone (:class:`BlochSpectrum`).
+on the even and odd blocks of ``H`` (:func:`_parity_member`).  The
+classifier solves only the members that an inertia test on ``S`` cannot
+settle (:func:`_settled_members`), which builds no ``N x N`` matrix.  One
+``eigvalsh`` of a member's ``H``, rebuilt from the roll, gives the rest of
+its spectrum on read, for the benchmark's adapter alone
+(:class:`BlochSpectrum`).
 """
 
 from __future__ import annotations
@@ -158,22 +161,32 @@ def _layout(N: int) -> tuple[np.ndarray, np.ndarray]:
     return layout
 
 
-def _symmetric_factors(df: np.ndarray, k2: float, sigmas: np.ndarray, out: np.ndarray | None = None):
-    """Prefactors ``p`` ``(n, N)``, symmetric factors ``S`` ``(n, N, N)`` and their Toeplitz part ``T`` ``(N, N)``.
+def _symbols(df: np.ndarray, k2: float, sigmas: np.ndarray):
+    """Prefactors ``p`` ``(n, N)``, the diagonal symbol ``sh(p)`` ``(n, N)`` and the Toeplitz part ``T`` ``(N, N)`` of ``S``.
 
     The Toeplitz multiplication part is the same at every Bloch number, so it
     is gathered and symmetrized once; only the diagonal symbol varies, and
-    off the diagonal ``S`` is ``T``.  ``S`` is written into ``out``, a
-    C-contiguous ``(n, N, N)`` stack, if given.
+    off the diagonal ``S`` is ``T``.
     """
     N = (df.size + 1) // 2
     toeplitz, modes = _layout(N)[:2]
     T = df[toeplitz]
     T = 0.5 * (T + T.T)
     kt2 = k2 * (modes + sigmas[:, None]) ** 2
+    return kt2, swift_hohenberg(kt2), T
+
+
+def _symmetric_factors(df: np.ndarray, k2: float, sigmas: np.ndarray, out: np.ndarray | None = None):
+    """Prefactors ``p`` ``(n, N)``, symmetric factors ``S`` ``(n, N, N)`` and their Toeplitz part ``T`` ``(N, N)``.
+
+    ``S`` is ``T`` plus the diagonal symbol of :func:`_symbols`, written into
+    ``out``, a C-contiguous ``(n, N, N)`` stack, if given.
+    """
+    kt2, sh, T = _symbols(df, k2, sigmas)
+    N = T.shape[0]
     S = np.empty((sigmas.size, N, N)) if out is None else out
     S[...] = T
-    S.reshape(sigmas.size, N * N)[:, :: N + 1] += swift_hohenberg(kt2)
+    S.reshape(sigmas.size, N * N)[:, :: N + 1] += sh
     return kt2, S, T
 
 
@@ -412,7 +425,10 @@ def _parity_member(sq: np.ndarray, H: np.ndarray, T: np.ndarray):
     y = Y[:, :, -1].T / np.sqrt(2.0)
     y = np.column_stack([np.eye(sq.size)[M], np.vstack([y[::-1] * [1.0, -1.0], [0.0, 0.0], y])])
     order = np.argsort(vals, kind="stable")
-    return np.array([[np.nan, rho4, *vals[order]]]), y[None, :, np.r_[0, order]], r3.max(keepdims=True), np.array([r4]), [True]
+    # C-contiguous, as the whole pass's Y is: critical_modes' product with the
+    # vectors rounds by their layout.
+    Y = np.ascontiguousarray(y[None, :, np.r_[0, order]])
+    return np.array([[np.nan, rho4, *vals[order]]]), Y, r3.max(keepdims=True), np.array([r4]), np.ones(1, bool)
 
 
 def _split(w: np.ndarray):
@@ -498,11 +514,15 @@ def _lifted_sweep(roll: RollSolution, sigmas) -> BlochSweep:
     mags, twin = (mags, np.arange(mags.size)) if (mags[1:] > mags[:-1]).all() else np.unique(mags, return_inverse=True)
     N = 2 * roll.profile.grid.n_modes + 1
     sq, H, T = _stacks(roll, mags, _workspace_stacks(mags.size, N))
-    # A zero member is the first; it is solved on its parity blocks, the others whole.
+    # A zero member is the first; it is solved on its parity blocks, after
+    # the others, whole.  A sweep of zero alone runs no whole pass.
     z = np.count_nonzero(mags[:1] == 0.0)
-    theta, Y, r3, r4, certified = _certified_ritz(sq[z:], H[z:], T, _rows(N, _START_MODES), _rows(N, _BLOCK_MODES))
+    parts = []
+    if mags.size > z or not z:
+        parts.append(_certified_ritz(sq[z:], H[z:], T, _rows(N, _START_MODES), _rows(N, _BLOCK_MODES)))
     if z:
-        theta, Y, r3, r4, certified = map(np.concatenate, zip(_parity_member(sq[0], H[0], T), (theta, Y, r3, r4, certified)))
+        parts.insert(0, _parity_member(sq[0], H[0], T))
+    theta, Y, r3, r4, certified = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     vals, rho4, gaps = theta[:, 2:], theta[:, 1], -theta[:, 1]
     certified &= theta[:, -1] + r4 < -(rho4 + r4)
     radius = np.where(certified, np.where(vals[:, 0] - r3 > rho4 + r4, r3, r4), np.nan)
@@ -524,6 +544,82 @@ def check_delta(delta: float) -> None:
     """Raise :class:`OutOfRange` unless the required gap ``delta`` is positive and finite."""
     if not 0.0 < delta < np.inf:
         raise OutOfRange(f"delta must be positive and finite, got {delta}", param="delta")
+
+
+def _settled_members(roll: RollSolution, sigmas: np.ndarray, delta: float) -> np.ndarray:
+    """The members ``(n,)`` of a checked sweep whose ``H`` is proved to have no positive eigenvalue and ``lambda_4 < -delta``.
+
+    Built from ``T`` and the diagonal ``d = diag(T) + sh(p)`` of ``S`` alone;
+    no ``N x N`` matrix is formed.  A member is settled when all three hold:
+
+    - ``sigma`` is not zero (within ``_SIGMA_ZERO_TOL``).  Then ``p > 0``, so
+      ``H = diag(sq) S diag(sq)`` is congruent to ``S`` and has its inertia
+      (Sylvester's law): ``H`` is negative definite when ``-S`` is positive
+      definite.  At zero ``p_0 = 0`` and the congruence fails.
+    - ``-S`` is certified positive definite from its block ``l`` of modes
+      ``|m| <= 4``, as :func:`_block_certificate` certifies its ``A``: on
+      the outer rows ``h``, ``-S_hh >= g I`` with Gershgorin's
+      ``g = min_i (-d_i - sum_{j in h, j != i} |T_ij|)``, and, when ``g > 0``,
+      ``-S`` is positive definite when ``-S_ll - P / g`` is, with
+      ``P = T_lh T_hl``, which does not depend on ``sigma``.  One stacked
+      Cholesky factors those ``k x k`` blocks.
+    - ``lambda_4(H) <= lambda_max(H_hh)`` over the rows ``hh`` of
+      ``|m| >= 2`` (Cauchy interlacing), whose Gershgorin bound
+      ``max_i (H_ii + sum_{j != i} sq_i sq_j |T_ij|)``, ``i`` and ``j`` in
+      ``hh``, lies below ``-delta``.  ``H_ii = (d_i sq_i) sq_i`` has the
+      bits :func:`_stacks` gives it.
+
+    Like :func:`_lifted_sweep`'s certificate this is a floating-point proof
+    with stated slack, not interval arithmetic.  The row sums and ``P``
+    carry :func:`_block_certificate`'s slack, and the diagonal of each
+    factored block is shrunk by ``_SCHUR_ULPS k (k + 1) eps`` relative: a
+    Cholesky factorization that completes is exact for a matrix within
+    ``gamma_{k+1} / (1 - gamma_{k+1}) a_i a_j`` of its input in entry
+    ``(i, j)``, ``a_i^2`` its diagonal (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 10.1), so within about ``k (k + 1) eps / 2``
+    relative in the 2-norm of the matrix scaled to a unit diagonal, and the
+    shrink covers that with a factor of about 4 to spare.  The rest of the
+    arithmetic carries none, the forming of ``S`` and ``H`` among it: the
+    congruence holds for ``S`` as built and ``diag(sq) S diag(sq)`` exactly,
+    each ``H_ij`` lying within three roundings of it.  Raises
+    :class:`OutOfRange` unless ``delta`` is positive and finite.
+    """
+    check_delta(delta)
+    df = reaction_derivative(roll.profile.coeffs, roll.params.s, roll.params.eps)
+    p, sh, T = _symbols(df, roll.params.k**2, sigmas)
+    n, N = p.shape
+    d, sq = T.diagonal() + sh, np.sqrt(p)
+    block, crit = _rows(N, _BLOCK_MODES), _rows(N, 1)
+    slack = 1.0 + _SCHUR_ULPS * N * _EPS
+    # |T| off the diagonal; its block rows zeroed, the outer rows' Gershgorin sums are its column sums.
+    Tabs = np.abs(T)
+    Tabs.reshape(N * N)[:: N + 1] = 0.0
+    Th = Tabs.copy()
+    Th[block] = 0.0
+    disc = -d - slack * np.add.reduce(Th, axis=0)
+    disc[:, block] = np.inf
+    g = np.minimum.reduce(disc, axis=1)
+    Tl = T[block].copy()
+    Tl[:, block] = 0.0
+    P = Tl @ Tl.T
+    k = P.shape[0]
+    P.reshape(k * k)[:: k + 1] += (slack - 1.0) * P.trace()
+    A = np.empty((n, k, k))
+    A[...] = -T[block, block]
+    A.reshape(n, k * k)[:, :: k + 1] = -d[:, block]
+    # A member with g <= 0 (or NaN) is not settled; its Schur term is left out.
+    A -= P / np.where(g > 0.0, g, np.inf)[:, None, None]
+    A.reshape(n, k * k)[:, :: k + 1] *= 1.0 - _SCHUR_ULPS * k * (k + 1) * _EPS
+    L = _cholesky(A, out=A)
+    Tabs[crit] = 0.0
+    top = (d * sq) * sq + slack * sq * (sq @ Tabs)
+    top[:, crit] = -np.inf
+    return (
+        (np.abs(sigmas) >= _SIGMA_ZERO_TOL)
+        & (g > 0.0)
+        & np.isfinite(L.diagonal(0, 1, 2)).all(axis=1)
+        & (np.maximum.reduce(top, axis=1) < -delta)
+    )
 
 
 def critical_sweep(roll: RollSolution, sigmas, delta: float = 1.0) -> BlochSweep:

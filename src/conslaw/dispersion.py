@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _checked_sigmas, critical_sweep
+from .bloch import _checked_sigmas, _settled_members, critical_sweep
 from .errors import InvariantViolation
 from .rolls import RollParameters, RollSolution, check_open_band, check_s
 
@@ -250,25 +250,47 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
     law and translation fix two zeros beside an amplitude mode near
     ``-2 (1 - 4 omega^2) eps^2 < 0``, so instability enters only at
     ``sigma != 0``.
+
+    Only the members that can change the verdict are solved.
+    ``bloch._settled_members`` proves from ``S``'s diagonal and Toeplitz
+    part alone, by inertia, that a member's ``H`` has no positive eigenvalue
+    and ``lambda_4 < -delta``: it holds no unstable value and passes the gap
+    check.  The other members are swept first, in grid order; the witness is
+    the first maximum over their curves, the member a sweep of the whole
+    grid would name.  Only when none rises above ``1e-10`` are the settled
+    members of the fit window swept too.  A stacked sweep gives each member
+    the bits of a sweep of it alone, so verdict and witness are those of a
+    sweep of the whole grid.  So is a gap error, the first member in grid
+    order that fails: a settled member passes, unless its ``lambda_4`` lies
+    within the ``2 r4`` by which the sweep's check ``rho_4 + r4 < -delta``
+    is the stricter.
     """
     eps = roll.params.eps
     sigmas = _default_sigma_grid(eps)
+    # The products of a small roll's T underflow at M = 32, as the sweep's do.
+    with np.errstate(under="ignore"):
+        settled = _settled_members(roll, sigmas, delta)
     # All critical eigenvalues are real (the operator is similar to a real
     # symmetric matrix), so per-sigma ascending order is the curve
     # assignment: between real triples it has the least total distance.
-    curves = critical_sweep(roll, sigmas, delta).values.T
-
-    worst = np.unravel_index(np.argmax(curves), curves.shape)
-    if curves[worst] > 1e-10:
-        return StabilityVerdict(
-            verdict=Stability.UNSTABLE,
-            witness_sigma=float(sigmas[worst[1]]),
-            witness_lambda=float(curves[worst]),
-        )
+    curves = np.full((3, sigmas.size), np.nan)
+    solved = (~settled).nonzero()[0]
+    if solved.size:
+        sub = curves[:, solved] = critical_sweep(roll, sigmas[solved], delta).values.T
+        worst = np.unravel_index(np.argmax(sub), sub.shape)
+        if sub[worst] > 1e-10:
+            return StabilityVerdict(
+                verdict=Stability.UNSTABLE,
+                witness_sigma=float(sigmas[solved[worst[1]]]),
+                witness_lambda=float(sub[worst]),
+            )
 
     fit_mask = (sigmas > 0.0) & (sigmas <= 0.75 * eps)
     if np.count_nonzero(fit_mask) < 3:
         fit_mask = (sigmas > 0.0) & (sigmas <= np.sort(sigmas[sigmas > 0.0])[2])
+    rest = (fit_mask & settled).nonzero()[0]
+    if rest.size:
+        curves[:, rest] = critical_sweep(roll, sigmas[rest], delta).values.T
     X = np.column_stack([np.ones(np.count_nonzero(fit_mask)), sigmas[fit_mask] ** 2])
     coefs = [np.linalg.lstsq(X, curves[j, fit_mask], rcond=None)[0][1] for j in (1, 2)]
     if all(cj <= -1e-6 * eps**2 for cj in coefs):

@@ -935,6 +935,15 @@ class TestZeroBatch:
         # so no eigvalsh runs.
         assert calls == [("eigh", (3, 5, 5)), ("eigh", (3, 5, 5)), ("eigh", (2, 5, 5)), ("eigh", (2, 5, 5))]
 
+    def test_a_sweep_of_zero_alone_runs_only_the_parity_pass(self, monkeypatch):
+        roll = solve_roll(self.params, SpectralGrid(12))
+        calls = linalg_calls(monkeypatch, "eigh", "eigvalsh")
+        factored = cholesky_calls(monkeypatch)
+        assert critical_sweep(roll, [0.0]).certified.all()
+        # No whole pass on an empty stack: only the even and odd blocks.
+        assert calls == [("eigh", (2, 5, 5))] * 2
+        assert factored == [(2, 4, 4)]
+
     def test_no_linear_solve_or_full_eigh_of_H(self, monkeypatch):
         roll = solve_roll(self.params, SpectralGrid(12))
         sweep = np.array(self.sweep + [0.5, -0.5])
@@ -1029,6 +1038,97 @@ class TestZeroBatch:
         with pytest.raises(InvariantViolation, match="parity blocks"):
             critical_sweep(roll, self.sweep)
         assert calls == []
+
+
+class TestSettledMembers:
+    """``bloch._settled_members`` proves, from ``T`` and the diagonal of ``S``
+    alone, that a member's ``H`` has no positive eigenvalue and that
+    ``lambda_4 < -delta``; the classifier skips the members it settles."""
+
+    @staticmethod
+    def sweep(eps):
+        """The classifier's grid, the whole zone and members near zero, ``sigma = 0`` among them."""
+        return np.concatenate([_default_sigma_grid(eps), np.linspace(-0.5, 0.5, 41), [5e-14, 1e-9, -1e-6]])
+
+    def test_settled_members_hold_no_positive_value_and_pass_the_gap(self):
+        # Against a dense eigvalsh of each settled H, which resolves the top
+        # value only to its rounding N eps max|w|: the small-sigma members of
+        # the triple lie under it, at M = 32 by far.
+        rng = np.random.default_rng(39)
+        settled_any = 0
+        for i in range(40):
+            eps, n_modes, delta = rng.uniform(0.005, 0.08), (8, 12, 16, 32)[i % 4], (1.0, 3.0, 10.0)[i % 3]
+            roll = solve_roll(RollParameters(eps, rng.uniform(-0.45, 0.45), rng.uniform(-1.5, 1.5)), SpectralGrid(n_modes))
+            sigmas = self.sweep(eps)
+            settled = bloch._settled_members(roll, sigmas, delta)
+            assert not settled[np.abs(sigmas) < bloch._SIGMA_ZERO_TOL].any()
+            w = np.linalg.eigvalsh(bloch._stacks(roll, sigmas[settled])[1])
+            u = w.shape[1] * np.finfo(float).eps * np.abs(w).max(axis=1, initial=0.0)
+            assert np.all(w[:, -1] < u)
+            assert np.all(w[:, -4] < -delta)
+            settled_any += np.count_nonzero(settled)
+        assert settled_any > 0.5 * 40 * self.sweep(0.02).size
+
+    def test_small_members_hold_no_positive_value_by_the_oracle(self):
+        # Where eigvalsh cannot tell the sign: the settled members of the fit
+        # window, whose top values are of order -sigma^2, by the 40-digit oracle.
+        roll = solve_roll(RollParameters(0.005, 0.1, 0.5), SpectralGrid(8))
+        grid = _default_sigma_grid(0.005)
+        small = grid[: np.count_nonzero(grid <= 0.75 * 0.005)]
+        settled = bloch._settled_members(roll, small, 1.0)
+        assert settled.all()
+        top = oracle_eigenvalues(roll, small)[:, 0]
+        assert np.all(top < 0.0) and top.max() > -1e-6
+
+    @pytest.mark.parametrize("rows", [(0, 1), (1, 6)], ids=["in_block", "block_to_outer"])
+    def test_a_strong_coupling_unsettles_the_member(self, rows, monkeypatch):
+        # One symmetric coupling T_ij between the rows of the Bloch modes
+        # m = rows, twice the geometric mean of -S_ii and -S_jj: -S is then
+        # indefinite, and so is H.  Rows of |m| <= 1 are outside the lambda_4
+        # bound, so only the factored block or its Schur term can see it.
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
+        sigma = np.array([0.2])
+        assert bloch._settled_members(roll, sigma, 1.0).all()
+        symbols = bloch._symbols
+
+        def coupled(df, k2, sigmas):
+            p, sh, T = symbols(df, k2, sigmas)
+            d, (i, j) = T.diagonal() + sh[0], 12 + np.array(rows)
+            T = T.copy()
+            T[i, j] = T[j, i] = 2.0 * np.sqrt(d[i] * d[j])
+            return p, sh, T
+
+        monkeypatch.setattr(bloch, "_symbols", coupled)
+        assert not bloch._settled_members(roll, sigma, 1.0).any()
+        assert np.linalg.eigvalsh(bloch._stacks(roll, sigma)[1])[0, -1] > 0.0
+
+    def test_a_margin_under_the_rounding_is_not_settled(self):
+        # Near zero the least eigenvalue of -S is of order (k sigma)^2, under
+        # the rounding of its Cholesky factor at sigma < 1e-8, where a
+        # factorization of -S itself completes on some members.  The shrink
+        # of the block's diagonal leaves them unsettled.
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
+        assert not bloch._settled_members(roll, np.geomspace(1e-9, 5e-9, 4), 1.0).any()
+        assert bloch._settled_members(roll, np.geomspace(2e-8, 1e-5, 12), 1.0).all()
+
+    def test_sigma_zero_is_never_settled(self):
+        # At eps = 0 the classifier's grid holds sigma = 0 beside the coarse
+        # members, and the zero roll's H is diagonal.
+        roll = zero_roll(RollParameters(0.0, 0.1, 0.5), SpectralGrid(12))
+        grid = _default_sigma_grid(0.0)
+        assert grid[0] == 0.0
+        settled = bloch._settled_members(roll, grid, 1.0)
+        assert not settled[0] and settled[1:].all()
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
+        assert not bloch._settled_members(roll, np.array([0.0, -0.0, 5e-14, -5e-14]), 1.0).any()
+
+    def test_a_huge_delta_settles_nothing(self):
+        roll = solve_roll(RollParameters(0.02, 0.1, 0.5), SpectralGrid(12))
+        grid = _default_sigma_grid(0.02)
+        assert bloch._settled_members(roll, grid, 1.0).all()
+        assert not bloch._settled_members(roll, grid, 1e308).any()
+        with pytest.raises(OutOfRange, match="delta"):
+            bloch._settled_members(roll, grid, 0.0)
 
 
 class TestFixedBlockTriples:

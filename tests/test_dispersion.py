@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conslaw import dispersion as dsp
 from conslaw.bloch import critical_modes, critical_sweep
-from conslaw.errors import InvariantViolation, OutOfRange
+from conslaw.errors import GapViolation, InvariantViolation, OutOfRange
 from conslaw.fourier import SpectralGrid
 from conslaw.rolls import RollParameters, solve_roll, zero_roll
 
@@ -268,6 +268,75 @@ class TestSignOfS:
     @given(omega=st.floats(-0.49, 0.49), s=st.floats(0.0, 3.6))
     def test_closed_form_predicate_agrees(self, omega, s):
         assert dsp.stability_predicate(omega, -s) is dsp.stability_predicate(omega, s)
+
+
+class TestSettledMembers:
+    """The classifier solves only the members ``bloch._settled_members`` cannot settle, with the bits of a
+    sweep of the whole grid."""
+
+    @staticmethod
+    def full_grid(roll, delta=1.0):
+        """The verdict with no member settled: every member of the grid solved in one sweep."""
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(dsp, "_settled_members", lambda roll, sigmas, delta: np.zeros(sigmas.size, bool))
+            return dsp.classify_numerically(roll, delta)
+
+    @staticmethod
+    def solved(monkeypatch):
+        """The Bloch numbers each ``critical_sweep`` of the classifier solves from here on, in call order."""
+        calls = []
+        sweep = dsp.critical_sweep
+
+        def spy(roll, sigmas, delta):
+            calls.append(np.array(sigmas))
+            return sweep(roll, sigmas, delta)
+
+        monkeypatch.setattr(dsp, "critical_sweep", spy)
+        return calls
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        eps=st.floats(0.005, 0.08),
+        omega=st.floats(-0.45, 0.45),
+        s=st.floats(-1.5, 1.5),
+        n_modes=st.sampled_from([8, 12, 16]),
+    )
+    def test_verdict_and_witness_are_the_full_grid_bits(self, eps, omega, s, n_modes):
+        roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
+        got, want = dsp.classify_numerically(roll), self.full_grid(roll)
+        assert got.verdict is want.verdict
+        for a, b in [(got.witness_sigma, want.witness_sigma), (got.witness_lambda, want.witness_lambda)]:
+            assert (a is None and b is None) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+    def test_members_solved(self, monkeypatch):
+        grid = dsp._default_sigma_grid(0.02)
+        fit = grid[grid <= 0.75 * 0.02]
+        assert (grid.size, fit.size) == (37, 23)
+        calls = self.solved(monkeypatch)
+        stable = solve_roll(RollParameters(0.02, 0.1, 0.5), SpectralGrid(12))
+        assert dsp.classify_numerically(stable).verdict is dsp.Stability.STABLE
+        # Every member is settled, so only the fit window is solved, in one sweep.
+        assert len(calls) == 1 and np.array_equal(calls[0], fit)
+        calls.clear()
+        unstable = solve_roll(RollParameters(0.02, 0.4, 0.0), SpectralGrid(12))
+        assert dsp.classify_numerically(unstable).verdict is dsp.Stability.UNSTABLE
+        assert len(calls) == 1 and calls[0].size < grid.size
+        assert np.array_equal(calls[0], grid[~dsp._settled_members(unstable, grid, 1.0)])
+
+    @pytest.mark.parametrize("omega, s", [(0.1, 0.5), (0.4, 0.0)], ids=["stable", "unstable"])
+    def test_gap_errors_are_the_full_grid_sweeps(self, omega, s):
+        # A delta between the least and the largest gap of the grid fails some
+        # members; the first of them in grid order is the one reported.
+        roll = solve_roll(RollParameters(0.02, omega, s), SpectralGrid(12))
+        grid = dsp._default_sigma_grid(0.02)
+        gaps = critical_sweep(roll, grid).gaps
+        delta = 0.5 * (gaps.min() + gaps.max())
+        with pytest.raises(GapViolation) as want:
+            critical_sweep(roll, grid, delta)
+        with pytest.raises(GapViolation) as got:
+            dsp.classify_numerically(roll, delta)
+        assert np.float64(got.value.gap).tobytes() == np.float64(want.value.gap).tobytes()
+        assert self.full_grid(roll, 0.9 * gaps.min()) == dsp.classify_numerically(roll, 0.9 * gaps.min())
 
 
 class TestNumericalClassifier:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conslaw import bloch
+from conslaw import dispersion as dsp
 from conslaw import evolution as ev
 from conslaw.fourier import SpectralGrid
 from conslaw.rolls import RollParameters, solve_roll
@@ -37,6 +38,10 @@ CALLS = {
     "critical_sweep": lambda: _fields(bloch.critical_sweep(solve_roll(*ROLL_M32), [0.0, 0.1, -0.2, 0.5])),
     "critical_modes": lambda: bloch.critical_modes(solve_roll(*ROLL_M32), 0.1),
     "critical_modes_zero": lambda: bloch.critical_modes(solve_roll(*ROLL_M32), 0.0),
+    # the settled-member test's T_lh T_hl underflows for a small roll at M = 32
+    "classify_numerically": lambda: dataclasses.astuple(
+        dsp.classify_numerically(solve_roll(RollParameters(1e-3, 0.4, 0.0), SpectralGrid(32)))
+    )[1:],
     # exp(dt * lin) underflows on the stiff modes
     "evolve": lambda: _fields(
         ev.evolve(solve_roll(*ROLL_M12), ev.EvolutionConfig(n_periods=8, dt=0.05, seed_sigma=1 / 8, t_final=2.0))
