@@ -27,6 +27,14 @@ alone once (:func:`_layout`).  The cost before the first member is about
 190 us, and of each member 19 us (``python -m timeit``, one BLAS thread;
 the README gives the command).
 
+What depends on the roll alone is built once per roll, on first request,
+and dropped with the roll (:func:`_operator`): the Toeplitz part ``T`` of
+``S``, the masked ``|T|`` of the certificate and, from the first sweep
+through ``sigma = 0``, that member solved.  So a sweep, the classifier's
+settle test, :func:`critical_modes` and the conserved vector read one
+``T``, and the zone sweep and the comparison of one roll solve
+``sigma = 0`` once between them.
+
 One engine, :func:`_lifted_sweep`, solves every Bloch number: the paper's
 Lyapunov-Schmidt split of ``H``, the critical block (Bloch modes
 ``|m| <= 2``) lifted onto the hard-damped rest and refined by Davidson's
@@ -44,6 +52,7 @@ its spectrum on read, for the benchmark's adapter alone
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -155,39 +164,102 @@ def _layout(N: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only, once per ``N = 2M + 1``: the index ``(N, N)`` of ``g_{m - n}`` in :func:`conslaw.model.reaction_derivative`
     and the modes ``-M .. M``."""
     modes = np.arange(N) - N // 2
-    layout = np.subtract.outer(modes, modes) + (N - 1), modes
-    for a in layout:
+    return _read_only(np.subtract.outer(modes, modes) + (N - 1), modes)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each made read-only."""
+    for a in arrays:
         a.flags.writeable = False
-    return layout
+    return arrays
 
 
-def _symbols(df: np.ndarray, k2: float, sigmas: np.ndarray):
-    """Prefactors ``p`` ``(n, N)``, the diagonal symbol ``sh(p)`` ``(n, N)`` and the Toeplitz part ``T`` ``(N, N)`` of ``S``.
+def _toeplitz(df: np.ndarray) -> np.ndarray:
+    """The symmetrized Toeplitz part ``T`` ``(N, N)`` of ``S``, gathered from the reaction coefficients ``df``.
 
-    The Toeplitz multiplication part is the same at every Bloch number, so it
-    is gathered and symmetrized once; only the diagonal symbol varies, and
-    off the diagonal ``S`` is ``T``.
+    The multiplication part is the same at every Bloch number; only the
+    diagonal symbol varies, and off the diagonal ``S`` is ``T``.
     """
-    N = (df.size + 1) // 2
-    toeplitz, modes = _layout(N)[:2]
-    T = df[toeplitz]
-    T = 0.5 * (T + T.T)
-    kt2 = k2 * (modes + sigmas[:, None]) ** 2
-    return kt2, swift_hohenberg(kt2), T
+    T = df[_layout((df.size + 1) // 2)[0]]
+    return 0.5 * (T + T.T)
 
 
-def _symmetric_factors(df: np.ndarray, k2: float, sigmas: np.ndarray, out: np.ndarray | None = None):
-    """Prefactors ``p`` ``(n, N)``, symmetric factors ``S`` ``(n, N, N)`` and their Toeplitz part ``T`` ``(N, N)``.
+def _outer_abs(T: np.ndarray, block: slice) -> np.ndarray:
+    """``|T|`` off the diagonal with the rows ``block`` zeroed: the Gershgorin row sums of :func:`_block_certificate`."""
+    Th = np.abs(T)
+    Th.reshape(Th.size)[:: Th.shape[0] + 1] = 0.0
+    Th[block] = 0.0
+    return Th
+
+
+@dataclass(eq=False)
+class _Operator:
+    """What a roll's Bloch operator is at every Bloch number, built once per roll by :func:`_operator`.
+
+    ``k2 = k^2``; the Toeplitz part ``T`` ``(N, N)`` (:func:`_toeplitz`); and
+    ``outer``, :func:`_outer_abs` of ``T`` on the block of ``|m| <= 4``,
+    which :func:`_block_certificate` reads on every whole pass.  ``zero`` is
+    the ``sigma = 0`` member as :func:`_parity_member` returns it, set by the
+    first sweep through zero.  Every array is read-only.  The record holds
+    no reference to the roll, so it is dropped with it.
+    """
+
+    k2: float
+    T: np.ndarray
+    outer: np.ndarray
+    zero: tuple[np.ndarray, ...] | None = None
+
+
+#: Each live roll's record.  A roll hashes and compares by its fields, its
+#: profile by identity, so rolls solved apart never share a record, and an
+#: entry lives exactly as long as its roll.
+_operators: weakref.WeakKeyDictionary[RollSolution, _Operator] = weakref.WeakKeyDictionary()
+
+
+def _operator(roll: RollSolution) -> _Operator:
+    """The roll's :class:`_Operator`, built on first request: the one place the reaction and ``T`` are built."""
+    op = _operators.get(roll)
+    if op is None:
+        # Built under the record's own error state, not its first caller's:
+        # a small roll's reaction underflows.
+        with np.errstate(under="ignore"):
+            T = _toeplitz(reaction_derivative(roll.profile.coeffs, roll.params.s, roll.params.eps))
+            outer = _outer_abs(T, _rows(T.shape[0], _BLOCK_MODES))
+        op = _operators.setdefault(roll, _Operator(roll.params.k**2, *_read_only(T, outer)))
+    return op
+
+
+def _zero_member(roll: RollSolution, op: _Operator) -> tuple[np.ndarray, ...]:
+    """The roll's ``sigma = 0`` member, solved by :func:`_parity_member` on first request and kept in ``op``.
+
+    Its ``H`` is built in a stack of its own, with the bits a sweep's stack
+    gives it: ``H`` is built elementwise.
+    """
+    if op.zero is None:
+        with np.errstate(under="ignore"):
+            (sq,), (H,) = _stacks(roll, np.zeros(1))
+            op.zero = _read_only(*_parity_member(sq, H, op.T))
+    return op.zero
+
+
+def _symbols(op: _Operator, sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefactors ``p`` ``(n, N)`` and the diagonal symbol ``sh(p)`` ``(n, N)`` of ``S``."""
+    kt2 = op.k2 * (_layout(op.T.shape[0])[1] + sigmas[:, None]) ** 2
+    return kt2, swift_hohenberg(kt2)
+
+
+def _symmetric_factors(op: _Operator, sigmas: np.ndarray, out: np.ndarray | None = None):
+    """Prefactors ``p`` ``(n, N)`` and symmetric factors ``S`` ``(n, N, N)``.
 
     ``S`` is ``T`` plus the diagonal symbol of :func:`_symbols`, written into
     ``out``, a C-contiguous ``(n, N, N)`` stack, if given.
     """
-    kt2, sh, T = _symbols(df, k2, sigmas)
-    N = T.shape[0]
+    kt2, sh = _symbols(op, sigmas)
+    N = op.T.shape[0]
     S = np.empty((sigmas.size, N, N)) if out is None else out
-    S[...] = T
+    S[...] = op.T
     S.reshape(sigmas.size, N * N)[:, :: N + 1] += sh
-    return kt2, S, T
+    return kt2, S
 
 
 #: Each thread's ``stacks``, two C-contiguous ``(n_cap, N, N)`` stacks kept
@@ -239,17 +311,17 @@ def _rayleigh_ritz(H: np.ndarray, Q: np.ndarray):
 
 
 def _stacks(roll: RollSolution, sigmas: np.ndarray, out: np.ndarray | None = None):
-    """``sq = sqrt(p)`` ``(n, N)``, the symmetric ``H = diag(sq) S diag(sq)`` of a checked sweep and ``S``'s Toeplitz part ``T``.
+    """``sq = sqrt(p)`` ``(n, N)`` and the symmetric ``H = diag(sq) S diag(sq)`` of a checked sweep.
 
     Bloch numbers within ``_SIGMA_ZERO_TOL`` of zero are built at exactly
     zero, where ``sq`` and so the ``m = 0`` row and column of ``H`` vanish.
     Off the diagonal, ``H[i, j]`` is ``sq_i sq_j T[i, j]`` to within three
-    roundings.  ``out`` ``(2, n, N, N)``, if given, holds ``S`` in
-    ``out[0]`` and ``H`` in ``out[1]``; each must be C-contiguous.
+    roundings, ``T`` the roll's (:func:`_operator`).  ``out`` ``(2, n, N, N)``,
+    if given, holds ``S`` in ``out[0]`` and ``H`` in ``out[1]``; each must be
+    C-contiguous.
     """
-    df = reaction_derivative(roll.profile.coeffs, roll.params.s, roll.params.eps)
     sigmas = np.where(np.abs(sigmas) < _SIGMA_ZERO_TOL, 0.0, sigmas)
-    p, S, T = _symmetric_factors(df, roll.params.k**2, sigmas, None if out is None else out[0])
+    p, S = _symmetric_factors(_operator(roll), sigmas, None if out is None else out[0])
     sq = np.sqrt(p)
     S *= sq[:, :, None]
     S *= sq[:, None, :]
@@ -257,7 +329,7 @@ def _stacks(roll: RollSolution, sigmas: np.ndarray, out: np.ndarray | None = Non
     # overlapping transpose.  Addition commutes, so H is exactly symmetric.
     H = np.add(S, S.swapaxes(1, 2), out=None if out is None else out[1])
     H *= 0.5
-    return sq, H, T
+    return sq, H
 
 
 def _conserved_vector(roll: RollSolution) -> np.ndarray:
@@ -269,8 +341,7 @@ def _conserved_vector(roll: RollSolution) -> np.ndarray:
     threshold state it is exactly singular, and the solve is shifted by
     ``1e-10 I``.
     """
-    df = reaction_derivative(roll.profile.coeffs, roll.params.s, roll.params.eps)
-    S0 = _symmetric_factors(df, roll.params.k**2, np.zeros(1))[1][0]
+    S0 = _symmetric_factors(_operator(roll), np.zeros(1))[1][0]
     M = S0.shape[0] // 2
     E = S0[M:, M:].copy()
     E[:, 1:] += S0[M:, M - 1 :: -1]
@@ -331,7 +402,7 @@ def _lifted_ritz(H: np.ndarray, c: slice):
     return theta, Y, r3, r4
 
 
-def _block_certificate(sq: np.ndarray, H: np.ndarray, T: np.ndarray, Y: np.ndarray, c: np.ndarray, tau: np.ndarray, block: slice):
+def _block_certificate(sq: np.ndarray, H: np.ndarray, outer: np.ndarray, Y: np.ndarray, c: np.ndarray, tau: np.ndarray, block: slice):
     """The members ``(n,)`` whose ``A = c Y Y^T + tau I - H`` is certified positive definite from its block.
 
     ``l`` is the block, the rows ``block``, and ``h`` the outer rows.
@@ -342,7 +413,7 @@ def _block_certificate(sq: np.ndarray, H: np.ndarray, T: np.ndarray, Y: np.ndarr
 
     from ``|H_ij| <= sq_i sq_j |T_ij|`` (:func:`_stacks`; ``sq`` ``(n, N)``
     or one row for all): the row sums are one ``(n, N) @ (N, N)`` product
-    with ``|T|`` zero off the outer rows and columns.  When ``g > 0``,
+    with ``outer``, :func:`_outer_abs` of ``T`` on ``block``.  When ``g > 0``,
     ``A_lh A_hh^{-1} A_hl <= A_lh A_hl / g``, so ``A`` is positive definite
     when ``A_ll - A_lh A_hl / g`` is (the Schur-complement criterion; Horn &
     Johnson, Matrix Analysis): one stacked Cholesky of the ``(n, k, k)``
@@ -361,11 +432,8 @@ def _block_certificate(sq: np.ndarray, H: np.ndarray, T: np.ndarray, Y: np.ndarr
     A = Al[:, :, block].copy()
     k = A.shape[1]
     A.reshape(n, k * k)[:, :: k + 1] += tau[:, None]
-    # |T| on the outer rows and columns, off the diagonal; zero elsewhere.
-    Th = np.abs(T - np.diag(np.diagonal(T)))
-    Th[block] = 0.0
     slack = 1.0 + _SCHUR_ULPS * N * _EPS
-    disc = tau[:, None] - H.diagonal(0, 1, 2) - slack * sq * (sq @ Th)
+    disc = tau[:, None] - H.diagonal(0, 1, 2) - slack * sq * (sq @ outer)
     disc[:, block] = np.inf
     g = np.minimum.reduce(disc, axis=1)
     Al[:, :, block] = 0.0
@@ -378,8 +446,8 @@ def _block_certificate(sq: np.ndarray, H: np.ndarray, T: np.ndarray, Y: np.ndarr
     return (c > 0.0) & (g > 0.0) & np.isfinite(L.diagonal(0, 1, 2)).all(axis=1)
 
 
-def _certified_ritz(sq: np.ndarray, H: np.ndarray, T: np.ndarray, start: slice, block: slice):
-    """:func:`_lifted_ritz` from the rows ``start`` and :func:`_block_certificate` on the rows ``block``.
+def _certified_ritz(sq: np.ndarray, H: np.ndarray, outer: np.ndarray, start: slice, block: slice):
+    """:func:`_lifted_ritz` from the rows ``start`` and :func:`_block_certificate` on the rows ``block``, with its ``outer``.
 
     Returns ``theta``, ``Y``, ``r3``, ``r4`` and the members ``(n,)`` whose
     four largest eigenvalues are certified, with ``tau`` and ``c`` placed as
@@ -387,7 +455,7 @@ def _certified_ritz(sq: np.ndarray, H: np.ndarray, T: np.ndarray, start: slice, 
     """
     theta, Y, r3, r4 = _lifted_ritz(H, start)
     tau = 0.5 * (theta[:, 1] - r4 + theta[:, 0])
-    certified = _block_certificate(sq, H, T, Y, 2.0 * (theta[:, -1] - tau), tau, block) & (tau < theta[:, 1] - r4)
+    certified = _block_certificate(sq, H, outer, Y, 2.0 * (theta[:, -1] - tau), tau, block) & (tau < theta[:, 1] - r4)
     return theta, Y, r3, r4, certified
 
 
@@ -415,10 +483,10 @@ def _parity_member(sq: np.ndarray, H: np.ndarray, T: np.ndarray):
     :class:`InvariantViolation` unless both blocks are certified and the
     triple is nearest zero (``max`` of the triple ``+ r4 < -(rho_4 + r4)``).
     """
-    M, start = sq.size // 2, slice(0, 2 * _START_MODES + 1)
+    M, start, block = sq.size // 2, slice(0, 2 * _START_MODES + 1), slice(0, _BLOCK_MODES)
     (P, X), (TP, TX) = ((A[M + 1 :, M + 1 :], A[M + 1 :, M - 1 :: -1]) for A in (H, T))
-    blocks, bound = np.stack([P + X, P - X]), np.abs(TP) + np.abs(TX)
-    theta, Y, r3, r4, certified = _certified_ritz(sq[None, M + 1 :], blocks, bound, start, slice(0, _BLOCK_MODES))
+    blocks, outer = np.stack([P + X, P - X]), _outer_abs(np.abs(TP) + np.abs(TX), block)
+    theta, Y, r3, r4, certified = _certified_ritz(sq[None, M + 1 :], blocks, outer, start, block)
     vals, rho4, r4 = np.array([0.0, *theta[:, -1]]), theta[:, -2].max(), r4.max()
     if not (certified.all() and vals.max() + r4 < -(rho4 + r4)):
         raise InvariantViolation(f"the parity blocks at sigma = 0 are not certified: Ritz values {theta.tolist()}")
@@ -507,28 +575,37 @@ def _lifted_sweep(roll: RollSolution, sigmas) -> BlochSweep:
     (the roll is even): each distinct ``|sigma|`` (zero within
     ``_SIGMA_ZERO_TOL``) is solved once; a member at ``-sigma`` takes its
     twin's values and radii, its vectors reversed.
+
+    The whole pass runs on the members off zero, with the roll's ``T`` and
+    masked ``|T|`` (:func:`_operator`).  The zero member is solved once per
+    roll, in a stack of its own, by the first sweep through zero, and kept,
+    read-only, until the roll is dropped; ``H`` is built elementwise, so it
+    has the bits it would have in this sweep's stack.
     """
     sigmas = _checked_sigmas(sigmas, "sigma")
     mags = np.where(np.abs(sigmas) < _SIGMA_ZERO_TOL, 0.0, np.abs(sigmas))
     # Distinct and ascending already (one member, the classifier's grid), they are what np.unique would return.
     mags, twin = (mags, np.arange(mags.size)) if (mags[1:] > mags[:-1]).all() else np.unique(mags, return_inverse=True)
-    N = 2 * roll.profile.grid.n_modes + 1
-    sq, H, T = _stacks(roll, mags, _workspace_stacks(mags.size, N))
-    # A zero member is the first; it is solved on its parity blocks, after
-    # the others, whole.  A sweep of zero alone runs no whole pass.
+    op, N = _operator(roll), 2 * roll.profile.grid.n_modes + 1
+    # A zero member is the first.  The others are solved whole, in one
+    # pass, which a sweep of zero alone skips; the zero member is the
+    # roll's, solved on its parity blocks by the first sweep through zero.
     z = np.count_nonzero(mags[:1] == 0.0)
     parts = []
     if mags.size > z or not z:
-        parts.append(_certified_ritz(sq[z:], H[z:], T, _rows(N, _START_MODES), _rows(N, _BLOCK_MODES)))
+        sq, H = _stacks(roll, mags[z:], _workspace_stacks(mags.size - z, N))
+        parts.append(_certified_ritz(sq, H, op.outer, _rows(N, _START_MODES), _rows(N, _BLOCK_MODES)))
     if z:
-        parts.insert(0, _parity_member(sq[0], H[0], T))
+        parts.insert(0, _zero_member(roll, op))
     theta, Y, r3, r4, certified = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     vals, rho4, gaps = theta[:, 2:], theta[:, 1], -theta[:, 1]
-    certified &= theta[:, -1] + r4 < -(rho4 + r4)
+    # Not in place: a sweep of zero alone holds the record's own arrays.
+    certified = certified & (theta[:, -1] + r4 < -(rho4 + r4))
     radius = np.where(certified, np.where(vals[:, 0] - r3 > rho4 + r4, r3, r4), np.nan)
+    # The zero member is certified or has raised, so every miss lies in H.
     miss = (~certified).nonzero()[0]
     if miss.size:
-        near, rest, wmax = _split(_eigh(H[miss], vectors=False))
+        near, rest, wmax = _split(_eigh(H[miss - z], vectors=False))
         bad = miss[~(np.abs(vals[miss] - near).max(axis=1) <= r3[miss] + _MATCH_ULPS * _EPS * wmax)]
         if bad.size:
             raise InvariantViolation(f"lifted triple {vals[bad[0]]} at |sigma| = {mags[bad[0]]} misses eigvalsh")
@@ -585,18 +662,14 @@ def _settled_members(roll: RollSolution, sigmas: np.ndarray, delta: float) -> np
     :class:`OutOfRange` unless ``delta`` is positive and finite.
     """
     check_delta(delta)
-    df = reaction_derivative(roll.profile.coeffs, roll.params.s, roll.params.eps)
-    p, sh, T = _symbols(df, roll.params.k**2, sigmas)
-    n, N = p.shape
+    op = _operator(roll)
+    p, sh = _symbols(op, sigmas)
+    T, (n, N) = op.T, p.shape
     d, sq = T.diagonal() + sh, np.sqrt(p)
     block, crit = _rows(N, _BLOCK_MODES), _rows(N, 1)
     slack = 1.0 + _SCHUR_ULPS * N * _EPS
-    # |T| off the diagonal; its block rows zeroed, the outer rows' Gershgorin sums are its column sums.
-    Tabs = np.abs(T)
-    Tabs.reshape(N * N)[:: N + 1] = 0.0
-    Th = Tabs.copy()
-    Th[block] = 0.0
-    disc = -d - slack * np.add.reduce(Th, axis=0)
+    # |T| off the diagonal with its block rows zeroed: the outer rows' Gershgorin sums are its column sums.
+    disc = -d - slack * np.add.reduce(op.outer, axis=0)
     disc[:, block] = np.inf
     g = np.minimum.reduce(disc, axis=1)
     Tl = T[block].copy()
@@ -611,7 +684,7 @@ def _settled_members(roll: RollSolution, sigmas: np.ndarray, delta: float) -> np
     A -= P / np.where(g > 0.0, g, np.inf)[:, None, None]
     A.reshape(n, k * k)[:, :: k + 1] *= 1.0 - _SCHUR_ULPS * k * (k + 1) * _EPS
     L = _cholesky(A, out=A)
-    Tabs[crit] = 0.0
+    Tabs = _outer_abs(T, crit)
     top = (d * sq) * sq + slack * sq * (sq @ Tabs)
     top[:, crit] = -np.inf
     return (
@@ -656,12 +729,15 @@ def critical_modes(roll: RollSolution, sigma: float) -> tuple[np.ndarray, np.nda
     zero (:func:`_conserved_vector`).  The member is assembled twice, bitwise
     the same: once in the sweep, at ``|sigma|``, and once at ``sigma`` for
     the correction, whose ``sqrt(p)`` and ``H`` are then the sweep's mirrored
-    as its vectors are.  No gap is certified.
+    as its vectors are.  Both, and the conserved vector, read the roll's
+    ``T``, built once per roll; at ``sigma = 0`` the sweep's member is the
+    one the roll's first sweep through zero solved (:func:`_operator`).
+    Both are dropped with the roll.  No gap is certified.
     """
     # The underflows of critical_sweep, and those of the correction.
     with np.errstate(under="ignore"):
         sweep = _lifted_sweep(roll, [sigma])
-        (sq,), (H,), _ = _stacks(roll, sweep.sigmas)
+        (sq,), (H,) = _stacks(roll, sweep.sigmas)
         vals, y = sweep.values[0], sweep.vectors[0]
         # The orthonormalized y carries a rounding of eps on every entry, which
         # the rest diagonal of diag(p) S, of order M^6, would turn into residuals

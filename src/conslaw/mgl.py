@@ -147,19 +147,11 @@ def compare_exact_vs_mgl(roll: RollSolution, sigma_hat_grid, delta: float = 1.0)
     mglp = MglParameters(roll.params.omega, roll.params.s)
     sigma_hats = [float(sh) for sh in sigma_hat_grid]
     sigmas = _checked_sigmas(eps * np.array(sigma_hats), "sigma_hat")
-    triples = critical_sweep(roll, sigmas, delta).values
+    exact = critical_sweep(roll, sigmas, delta).values / eps**2
     mgl_triples = _sorted_eigenvalues(_dispersion_matrices(mglp, sigma_hats))
-    rows: list[ComparisonRow] = []
-    for sh, vals, mgl_vals in zip(sigma_hats, triples, mgl_triples):
-        exact = vals / eps**2
-        deviation = float(np.max(np.abs(exact - mgl_vals)))
-        rows.append(
-            ComparisonRow(
-                sigma_hat=sh,
-                lambda_exact=exact,
-                lambda_mgl=mgl_vals,
-                deviation=deviation,
-            )
-        )
-    return rows
+    deviation = np.abs(exact - mgl_triples).max(axis=1)
+    return [
+        ComparisonRow(sigma_hat=sh, lambda_exact=e, lambda_mgl=m, deviation=float(d))
+        for sh, e, m, d in zip(sigma_hats, exact, mgl_triples, deviation)
+    ]
 

@@ -46,7 +46,7 @@ def _near_zero(H, k):
 def reference_triples(roll, sigmas):
     """Critical triples ``(n, 3)``, ascending, of a sweep by eigensolve and inverse iteration."""
     sigmas = np.asarray(sigmas, dtype=float).reshape(-1)
-    sq, H, _ = bloch._stacks(roll, sigmas)
+    sq, H = bloch._stacks(roll, sigmas)
     N = H.shape[1]
     zero = sq[:, N // 2] == 0.0
     vals = np.empty((sigmas.size, 3))
@@ -61,17 +61,18 @@ def reference_triples(roll, sigmas):
 
 
 def certificate_inputs(roll, sigmas):
-    """``sq, H, T, Y, c, tau, rows`` of the engine's inertia certificate over a sweep built at ``sigmas``.
+    """``sq, H, outer, Y, c, tau, rows`` of the engine's inertia certificate over a sweep built at ``sigmas``.
 
-    ``tau`` lies halfway between ``rho_4 - r4`` and the fifth Ritz value, and
-    ``c = 2 (max rho - tau)``, as in ``bloch._lifted_sweep``; ``rows`` are the
-    block's, the Bloch modes ``|m| <= 4``.
+    ``outer`` is the roll's masked ``|T|``; ``tau`` lies halfway between
+    ``rho_4 - r4`` and the fifth Ritz value, and ``c = 2 (max rho - tau)``,
+    as in ``bloch._lifted_sweep``; ``rows`` are the block's, the Bloch modes
+    ``|m| <= 4``.
     """
-    sq, H, T = bloch._stacks(roll, np.asarray(sigmas, dtype=float).reshape(-1))
+    sq, H = bloch._stacks(roll, np.asarray(sigmas, dtype=float).reshape(-1))
     N = H.shape[1]
     theta, Y, _, r4 = bloch._lifted_ritz(H, bloch._rows(N, bloch._START_MODES))
     tau = 0.5 * (theta[:, 1] - r4 + theta[:, 0])
-    return sq, H, T, Y, 2.0 * (theta[:, -1] - tau), tau, bloch._rows(N, bloch._BLOCK_MODES)
+    return sq, H, bloch._operator(roll).outer, Y, 2.0 * (theta[:, -1] - tau), tau, bloch._rows(N, bloch._BLOCK_MODES)
 
 
 def full_certificate(H, Y, c, tau):

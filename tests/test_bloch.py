@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import itertools
 import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 from functools import partial
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conslaw import acceptance, bloch
+from conslaw import acceptance, bloch, mgl
 from conslaw import dispersion as dsp
 from conslaw.bloch import BlochSweep, critical_curves, critical_modes, critical_sweep
 from conslaw.dispersion import _default_sigma_grid, classify_numerically, growth_prefactor
@@ -36,14 +38,13 @@ def constant_symbol(m, sigma):
 
 def bloch_matrix(roll, sigma):
     """Dense Bloch matrix ``diag(p) S`` at one Bloch number, from the solver's own factors."""
-    p, S, _ = symmetric_factors(roll, sigma)
+    p, S = symmetric_factors(roll, sigma)
     return p[0][:, None] * S[0]
 
 
 def symmetric_factors(roll, sigma):
-    """The solver's factors ``p`` and ``S``, and ``S``'s Toeplitz part ``T``, at one Bloch number."""
-    df = reaction_derivative(roll.profile.coeffs, roll.params.s, roll.params.eps)
-    return bloch._symmetric_factors(df, roll.params.k**2, np.array([sigma]))
+    """The solver's factors ``p`` and ``S`` at one Bloch number."""
+    return bloch._symmetric_factors(bloch._operator(roll), np.array([sigma]))
 
 
 def oracle_eigenvalues(roll, sigmas):
@@ -308,7 +309,7 @@ class TestCurves:
         # The rest is read from the eigvalsh of the member's rebuilt H: here
         # three zeros, taken as the values nearest zero, and a rest of -50, -50.
         H = np.diag([-50.0, -50.0, 0.0, 0.0, 0.0])[None]
-        monkeypatch.setattr(bloch, "_stacks", lambda roll, sigmas: (None, H, None))
+        monkeypatch.setattr(bloch, "_stacks", lambda roll, sigmas: (None, H))
         spectra = [bloch.BlochSpectrum(sigma, 50.0, triple, None) for sigma, triple in zip([0.1, 0.2], vals)]
         # Eigenvalues are stored descending, so the ascending triple sits at 2, 1, 0.
         assert [spec.critical for spec in spectra] == [(2, 1, 0), (2, 1, 0)]
@@ -437,6 +438,7 @@ class TestBatchedSweep:
         def no_assembly(*args):
             raise AssertionError("assembled before the range check")
 
+        monkeypatch.setattr(bloch, "_toeplitz", no_assembly)
         monkeypatch.setattr(bloch, "_symmetric_factors", no_assembly)
         for fn in (critical_sweep, critical_curves):
             with pytest.raises(OutOfRange, match="Bloch number 0.6 lies"):
@@ -480,8 +482,8 @@ class TestMirror:
     )
     def test_stacks_at_minus_sigma_are_reversed(self, eps, omega, s, sigma, n_modes):
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
-        sq, H, _ = bloch._stacks(roll, np.array([sigma]))
-        sq_minus, H_minus, _ = bloch._stacks(roll, np.array([-sigma]))
+        sq, H = bloch._stacks(roll, np.array([sigma]))
+        sq_minus, H_minus = bloch._stacks(roll, np.array([-sigma]))
         assert H_minus.tobytes() == H[:, ::-1, ::-1].tobytes()
         assert sq_minus.tobytes() == sq[:, ::-1].tobytes()
 
@@ -570,7 +572,8 @@ class TestWorkspace:
         self.drop_workspace()
         bloch._lifted_sweep(zone, sweep)
         work = bloch._workspace.stacks
-        assert work.shape == (2, 35, 65, 65)
+        # The 35 distinct |sigma| but zero, which the roll's record holds.
+        assert work.shape == (2, 34, 65, 65)
         bloch._lifted_sweep(zone, one)
         assert bloch._workspace.stacks is work
         bloch._lifted_sweep(cell, grid)
@@ -578,7 +581,8 @@ class TestWorkspace:
 
     def test_a_repeated_sweep_allocates_less_than_one_stack(self):
         # NumPy reports its data buffers to tracemalloc.  Built afresh, the
-        # sweep allocates two (35, 65, 65) stacks: S and H.
+        # sweep allocates two (34, 65, 65) stacks, S and H, of the members off
+        # zero.
         roll = solve_roll(RollParameters(0.04, 0.1, 0.5), SpectralGrid(32))
         sweep = np.linspace(-0.5, 0.5, 41)
         assert np.unique(np.abs(sweep)).size == 35
@@ -595,7 +599,7 @@ class TestWorkspace:
             if not tracing:
                 tracemalloc.stop()
         assert got.tobytes() == want.tobytes()
-        assert peak < 35 * 65 * 65 * np.dtype(np.float64).itemsize
+        assert peak < 34 * 65 * 65 * np.dtype(np.float64).itemsize
 
     @pytest.mark.parametrize("n_modes", [(12, 32), (32, 32)])
     def test_two_threads_give_the_serial_bits(self, n_modes):
@@ -627,6 +631,131 @@ class TestWorkspace:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [[want] * repeats for want in serial]
+
+
+class TestOperatorRecord:
+    """What depends on the roll alone, ``T``, its masked ``|T|`` and the solved ``sigma = 0`` member, is built once
+    per roll (``bloch._operator``), read-only, and dropped with the roll."""
+
+    params = RollParameters(0.04, 0.1, 0.5)
+
+    def test_one_parity_solve_per_roll(self, monkeypatch):
+        # A dispersion op (the zone and the comparison, both through zero) and
+        # the modes at sigma = 0, on a roll that nothing has swept.
+        roll = solve_roll(self.params, SpectralGrid(12))
+        parity, calls = bloch._parity_member, []
+
+        def spy(sq, H, T):
+            calls.append(H.shape)
+            return parity(sq, H, T)
+
+        monkeypatch.setattr(bloch, "_parity_member", spy)
+        critical_curves(roll, np.linspace(-0.5, 0.5, 41))
+        mgl.compare_exact_vs_mgl(roll, np.linspace(-1.0, 1.0, 11))
+        critical_modes(roll, 0.0)
+        assert calls == [(25, 25)]
+        # The same roll solved again has a record of its own.
+        critical_sweep(solve_roll(self.params, SpectralGrid(12)), [0.0])
+        assert calls == [(25, 25)] * 2
+
+    @staticmethod
+    def outcome(roll, sweep):
+        """Every field of the sweep, and the modes at ``sigma = 0``, as bytes; or the error the sweep raised."""
+        try:
+            got = sweep_arrays(critical_sweep(roll, sweep, 1e-300))
+        except InvariantViolation as error:
+            return str(error)
+        got["modes.values"], got["modes.vectors"] = critical_modes(roll, 0.0)
+        return {name: np.asarray(a).tobytes() for name, a in got.items()}
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        eps=st.just(0.0) | st.floats(0.005, 0.08),
+        omega=st.floats(-0.45, 0.45),
+        s=st.floats(-1.4, 1.4),
+        n_modes=st.sampled_from([8, 12, 16, 32]),
+        sigmas=st.lists(st.floats(-0.5, 0.5), max_size=6),
+        before=st.lists(st.floats(-0.5, 0.5), max_size=4),
+    )
+    def test_a_warm_record_gives_the_cold_bits(self, eps, omega, s, n_modes, sigmas, before):
+        # Cold: a roll nothing has swept.  Warm: the same roll solved again,
+        # swept through zero, settled and its modes taken before.
+        params, grid = RollParameters(eps, omega, s), SpectralGrid(n_modes)
+        sweep = sigmas[: len(sigmas) // 2] + [0.0] + sigmas[len(sigmas) // 2 :]
+        cold = self.outcome(solve_roll(params, grid), sweep)
+        roll = solve_roll(params, grid)
+        try:
+            critical_sweep(roll, before + [0.0], 1e-300)
+        except InvariantViolation:
+            pass
+        bloch._settled_members(roll, np.array(before + sigmas), 1.0)
+        critical_modes(roll, 0.0)
+        assert bloch._operator(roll).zero is not None
+        assert self.outcome(roll, sweep) == cold
+
+    def test_rolls_solved_apart_never_share_a_record(self):
+        a, b = (solve_roll(self.params, SpectralGrid(12)) for _ in range(2))
+        assert np.array_equal(a.profile.cosines, b.profile.cosines) and a != b
+        critical_sweep(a, [0.0, 0.1])
+        assert bloch._operator(a) is bloch._operator(a) and bloch._operator(b) is not bloch._operator(a)
+        assert bloch._operator(b).zero is None
+        # A copy of the record's fields, its profile among them, is the same roll.
+        assert bloch._operator(dataclasses.replace(a)) is bloch._operator(a)
+
+    def test_the_record_goes_with_its_roll(self):
+        roll = solve_roll(self.params, SpectralGrid(12))
+        critical_sweep(roll, [0.0, 0.1])
+        record = weakref.ref(bloch._operator(roll))
+        assert record().zero is not None
+        del roll
+        gc.collect()
+        assert record() is None
+
+    def test_threads_sharing_a_cold_roll_give_the_serial_bits(self):
+        # Four threads on two cores, each sweeping rolls that nothing has
+        # swept through zero at once: the first sweep of each builds the
+        # record and solves its zero member while the others may be doing
+        # the same.
+        sweep, repeats = [0.25, 0.0, -0.1], 6
+        want = self.outcome(solve_roll(self.params, SpectralGrid(12)), sweep)
+        rolls = [solve_roll(self.params, SpectralGrid(12)) for _ in range(repeats)]
+        results = [[] for _ in range(4)]
+        start = threading.Barrier(4, timeout=60)
+
+        def run(i):
+            for roll in rolls:
+                start.wait()
+                results[i].append(self.outcome(roll, sweep))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[want] * repeats] * 4
+
+    @pytest.mark.parametrize("sigmas", [[0.0], [0.1, 0.0, -0.2]], ids=["zero_alone", "through_zero"])
+    def test_the_record_is_read_only(self, sigmas):
+        roll = solve_roll(self.params, SpectralGrid(12))
+        want = sweep_arrays(critical_sweep(roll, sigmas))
+        op = bloch._operator(roll)
+        held = (op.T, op.outer, *op.zero)
+        assert not any(a.flags.writeable for a in held)
+        with pytest.raises(ValueError, match="read-only"):
+            op.T[0, 0] = 1.0
+        # Writing into what a sweep returns leaves the next sweep's bits alone.
+        got = sweep_arrays(critical_sweep(roll, sigmas))
+        assert not any(np.shares_memory(a, b) for a in got.values() for b in held)
+        for a in got.values():
+            a[...] = 1
+        again = sweep_arrays(critical_sweep(roll, sigmas))
+        assert {k: a.tobytes() for k, a in again.items()} == {k: a.tobytes() for k, a in want.items()}
 
 
 class TestCholeskyKernel:
@@ -722,8 +851,8 @@ class TestBlockCertificate:
     )
     def test_block_certifies_what_the_whole_matrix_does(self, eps, omega, s, n_modes):
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
-        sq, H, T, Y, c, tau, rows = certificate_inputs(roll, self.grids(eps))
-        block = bloch._block_certificate(sq, H, T, Y, c, tau, rows)
+        sq, H, outer, Y, c, tau, rows = certificate_inputs(roll, self.grids(eps))
+        block = bloch._block_certificate(sq, H, outer, Y, c, tau, rows)
         assert np.array_equal(block, full_certificate(H, Y, c, tau))
         # What the certificate proves: the fifth eigenvalue lies below tau,
         # here to eigvalsh's rounding N eps max|w|.  Near sigma = 0 tau lies
@@ -741,26 +870,26 @@ class TestBlockCertificate:
         # to see a coupling of the block to an outer row, and the Gershgorin
         # row sums one between two outer rows.
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
-        sq, H, T, Y, c, tau, block = certificate_inputs(roll, [0.2])
-        assert bloch._block_certificate(sq, H, T, Y, c, tau, block).all()
+        sq, H, outer, Y, c, tau, block = certificate_inputs(roll, [0.2])
+        assert bloch._block_certificate(sq, H, outer, Y, c, tau, block).all()
         i, j = 12 + np.array(rows)
         A = c[0] * Y[0] @ Y[0].T + tau[0] * np.eye(25) - H[0]
-        T = T.copy()
+        T = bloch._operator(roll).T.copy()
         T[i, j] = T[j, i] = 2.0 * np.sqrt(A[i, i] * A[j, j]) / (sq[0, i] * sq[0, j])
         H = H.copy()
         H[0, i, j] = H[0, j, i] = sq[0, i] * sq[0, j] * T[i, j]
         assert not full_certificate(H, Y, c, tau).any()
-        assert not bloch._block_certificate(sq, H, T, Y, c, tau, block).any()
+        assert not bloch._block_certificate(sq, H, bloch._outer_abs(T, block), Y, c, tau, block).any()
 
     def test_zero_roll_is_certified_off_sigma_zero(self):
         # At eps = 0 the roll is zero, T vanishes and H is diagonal: every
         # Gershgorin row sum is zero.
         roll = zero_roll(RollParameters(0.0, 0.0, 0.0), SpectralGrid(12))
         sigmas = self.grids(0.01)
-        sq, H, T, Y, c, tau, rows = certificate_inputs(roll, sigmas)
-        assert not T.any()
+        sq, H, outer, Y, c, tau, rows = certificate_inputs(roll, sigmas)
+        assert not bloch._operator(roll).T.any()
         assert np.array_equal(H, np.eye(25) * np.diagonal(H, axis1=1, axis2=2)[:, None, :])
-        block = bloch._block_certificate(sq, H, T, Y, c, tau, rows)
+        block = bloch._block_certificate(sq, H, outer, Y, c, tau, rows)
         assert np.array_equal(block, full_certificate(H, Y, c, tau))
         radius = certify(roll, sigmas)[1]
         assert np.array_equal(np.isfinite(radius), block)
@@ -1089,18 +1218,19 @@ class TestSettledMembers:
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
         sigma = np.array([0.2])
         assert bloch._settled_members(roll, sigma, 1.0).all()
-        symbols = bloch._symbols
+        d, (i, j) = symmetric_factors(roll, 0.2)[1][0].diagonal(), 12 + np.array(rows)
+        toeplitz = bloch._toeplitz
 
-        def coupled(df, k2, sigmas):
-            p, sh, T = symbols(df, k2, sigmas)
-            d, (i, j) = T.diagonal() + sh[0], 12 + np.array(rows)
-            T = T.copy()
+        def coupled(df):
+            T = toeplitz(df)
             T[i, j] = T[j, i] = 2.0 * np.sqrt(d[i] * d[j])
-            return p, sh, T
+            return T
 
-        monkeypatch.setattr(bloch, "_symbols", coupled)
-        assert not bloch._settled_members(roll, sigma, 1.0).any()
-        assert np.linalg.eigvalsh(bloch._stacks(roll, sigma)[1])[0, -1] > 0.0
+        monkeypatch.setattr(bloch, "_toeplitz", coupled)
+        # The same roll solved again, which nothing has swept: its record is built with the coupling.
+        fresh = solve_roll(roll.params, roll.profile.grid)
+        assert not bloch._settled_members(fresh, sigma, 1.0).any()
+        assert np.linalg.eigvalsh(bloch._stacks(fresh, sigma)[1])[0, -1] > 0.0
 
     def test_a_margin_under_the_rounding_is_not_settled(self):
         # Near zero the least eigenvalue of -S is of order (k sigma)^2, under

@@ -282,16 +282,18 @@ class TestComparison:
         factors = bloch._symmetric_factors
         sizes = []
 
-        def spy(df, k2, sigmas, *args):
+        def spy(op, sigmas, *args):
             sizes.append(sigmas.size)
-            return factors(df, k2, sigmas, *args)
+            return factors(op, sigmas, *args)
 
         monkeypatch.setattr(bloch, "_symmetric_factors", spy)
         mgl.compare_exact_vs_mgl(roll, np.linspace(-1.0, 1.0, 11))
-        # One batch of the nine distinct |sigma|; the parity blocks of the
-        # sigma_hat = 0 member come from its H in that batch, so nothing is
-        # rebuilt.
-        assert sizes == [9]
+        # One batch of the eight distinct |sigma| off zero, then the
+        # sigma_hat = 0 member alone, whose parity blocks the roll's record
+        # keeps: a second compare builds the batch only.
+        assert sizes == [8, 1]
+        mgl.compare_exact_vs_mgl(roll, np.linspace(-1.0, 1.0, 11))
+        assert sizes == [8, 1, 8]
 
     def test_golden_compare_lies_within_the_enclosures(self):
         # tests/data/compare_m32.csv holds the lifted triples: each lies within

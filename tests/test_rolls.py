@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conslaw import bloch, rolls
 from conslaw.errors import NoConvergence, OutOfRange, TrivialCollapse
 from conslaw.fourier import SpectralGrid, l2_norm
-from conslaw.model import reaction_derivative, square
+from conslaw.model import square
 from conslaw.rolls import (
     RollParameters,
     amplitude_alpha,
@@ -179,8 +179,7 @@ class TestNewtonInternals:
         roll = solve_roll(params, GRID)
         M = GRID.n_modes
         c = roll.profile.coeffs
-        df = reaction_derivative(c, params.s, params.eps)
-        S0 = bloch._symmetric_factors(df, params.k**2, np.array([0.0]))[1][0]
+        S0 = bloch._symmetric_factors(bloch._operator(roll), np.array([0.0]))[1][0]
         m = np.arange(1, M + 1)
         even = S0[np.ix_(M + m, M + m)] + S0[np.ix_(M + m, M - m)]
         J = _jacobian(c, square(c), params, _symbol(params, M))
