@@ -39,14 +39,15 @@ One engine, :func:`_lifted_sweep`, solves every Bloch number: the paper's
 Lyapunov-Schmidt split of ``H``, the critical block (Bloch modes
 ``|m| <= 2``) lifted onto the hard-damped rest and refined by Davidson's
 correction (:func:`_lifted_ritz`; E. R. Davidson, J. Comput. Phys. 17
-(1975) 87-94), certified by one stacked 9 x 9 Cholesky factorization per
-member (:func:`_block_certificate`); at ``sigma = 0`` the same steps run
+(1975) 87-94), each member certified; at ``sigma = 0`` the same steps run
 on the even and odd blocks of ``H`` (:func:`_parity_member`).  The
 classifier solves only the members that an inertia test on ``S`` cannot
-settle (:func:`_settled_members`), which builds no ``N x N`` matrix.  One
-``eigvalsh`` of a member's ``H``, rebuilt from the roll, gives the rest of
-its spectrum on read, for the benchmark's adapter alone
-(:class:`BlochSpectrum`).
+settle (:func:`_settled_members`), which builds no ``N x N`` matrix.  Every
+certificate is the split again, proved by one kernel
+(:func:`_schur_certificate`): Gershgorin's theorem on the rest and one
+stacked Cholesky of a Schur-complement bound on the 9 x 9 block of
+``|m| <= 4``.  Here only the benchmark's adapter (:class:`BlochSpectrum`) runs
+an ``eigvalsh`` of ``H``, for the rest of a spectrum on read.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.linalg._umath_linalg import cholesky_lo, eigh_lo, eigvalsh_lo, qr_r_raw, qr_reduced
+from numpy.linalg._umath_linalg import cholesky_lo, eigh_lo, qr_r_raw, qr_reduced
 
 from .errors import GapViolation, InvariantViolation, OutOfRange
 from .model import reaction_derivative, swift_hohenberg
@@ -72,7 +73,8 @@ _SIGMA_ZERO_TOL = 1e-13
 #: split by as little as 3e-7.  The fifth is left alone (at the zone edge its
 #: mirror mode lies in the rest, so its ``H[i, i] - q`` may vanish; the top
 #: four stay about 130 from every rest diagonal), and may lie so far below
-#: ``lambda_5`` that members at ``0 < |sigma| < 1e-8`` go uncertified.
+#: ``lambda_5`` that members at ``0 < |sigma| < 1e-8`` fail the rank-4
+#: certificate and need the rank-3 one (:func:`_lifted_sweep`).
 _CORRECTIONS = 2
 #: The radii of the lifted Ritz values are floored at ``_ROUNDING_ULPS eps
 #: ||G||_2`` (``G = Q^T H Q``, so ``||G||_2`` is the largest ``|theta|``), the
@@ -81,9 +83,6 @@ _CORRECTIONS = 2
 #: estimate takes the multiple as 1; Users' Guide, section 4.7); 8 leaves
 #: room for the rounding of ``G``'s entries and its symmetrization.
 _ROUNDING_ULPS = 8
-#: An uncertified member's lifted triple must match ``eigvalsh`` to within
-#: its radius plus ``_MATCH_ULPS`` times ``u = eps max|w|``.
-_MATCH_ULPS = 16
 #: The critical block of the lifted start block, Bloch modes |m| <= 2.  A
 #: small roll's triple lives at m = -1, 0, 1 (at m = -2, -1, 0 near
 #: sigma = -1/2); the |m| = 2 neighbours let Rayleigh-Ritz resolve it.
@@ -93,14 +92,20 @@ _START_MODES = 2
 #: diagonal lies below about ``-k^2 m^2 (k^2 m^2 - 1)^2``, which dominates
 #: its Gershgorin row sum, so the block alone carries the certificate.
 _BLOCK_MODES = 4
-#: The Gershgorin row sums and the Schur term of the certificate are sums of
-#: at most ``N`` products (``M`` on a parity block, whose entries carry one
-#: rounding more), whose rounding is at most ``gamma_N``, about
-#: ``N eps / 2``, relative to the sums of their absolute values (Higham,
-#: Accuracy and Stability of Numerical Algorithms, section 3.1), and each
-#: ``|H_ij|`` exceeds its bound ``sq_i sq_j |T_ij|`` by at most three
-#: roundings.  Both are inflated by ``_SCHUR_ULPS N eps``, which covers that
-#: with a factor of about 4 to spare (2.6 on a parity block at M = 8).
+#: The slack of :func:`_schur_certificate` for its own rounding.  Its
+#: Gershgorin row sums and Schur term ``P`` are sums of at most ``N``
+#: products (``M`` on a parity block, whose entries carry one rounding more),
+#: whose rounding is at most ``gamma_N``, about ``N eps / 2``, relative to the
+#: sums of their absolute values (Higham, Accuracy and Stability of Numerical
+#: Algorithms, section 3.1), so at most ``gamma_N tr(P)`` in ``P``'s 2-norm,
+#: and each ``|H_ij|`` exceeds its bound ``sq_i sq_j |T_ij|`` by at most three
+#: roundings.  The row sums and ``P``'s diagonal are inflated by
+#: ``_SCHUR_ULPS N eps`` (``tr(P)`` times that), about 4 times the rounding
+#: (2.6 on a parity block at M = 8).  A Cholesky factorization of a ``k x k``
+#: matrix that completes is exact for one within about ``k (k + 1) eps / 2``
+#: of it, relative in the 2-norm of the matrix scaled to a unit diagonal
+#: (section 10.1), so the factored diagonal is shrunk by
+#: ``_SCHUR_ULPS k (k + 1) eps``, relative, about 4 times that.
 _SCHUR_ULPS = 2
 _EPS = np.finfo(np.float64).eps
 
@@ -131,8 +136,8 @@ class BlochSpectrum:
 
     @cached_property
     def _full(self) -> tuple[np.ndarray, tuple[int, int, int]]:
-        H = _stacks(self._roll, np.array([abs(self.sigma)]))[1]
-        allvals = np.concatenate([self._triple, _split(np.linalg.eigvalsh(H))[1][0]])
+        w = np.linalg.eigvalsh(_stacks(self._roll, np.array([abs(self.sigma)]))[1])[0]
+        allvals = np.concatenate([self._triple, w[np.argsort(np.abs(w))[3:]]])
         order = np.argsort(-allvals, kind="stable")
         return allvals[order], tuple(int(j) for j in np.argsort(order)[:3])
 
@@ -292,10 +297,10 @@ def _orthonormal(Y: np.ndarray) -> np.ndarray:
     return qr_reduced(Y, qr_r_raw(Y, signature="d->d"), signature="dd->d")
 
 
-def _eigh(A: np.ndarray, vectors: bool = True):
-    """Ascending eigenvalues ``(n, N)`` of a symmetric stack, and eigenvectors if ``vectors``: ``eigh``, else ``eigvalsh``."""
+def _eigh(A: np.ndarray):
+    """Ascending eigenvalues ``(n, N)`` and eigenvectors ``(n, N, N)`` of a symmetric stack: ``eigh``."""
     with np.errstate(all="ignore"):
-        return eigh_lo(A, signature="d->dd") if vectors else eigvalsh_lo(A, signature="d->d")
+        return eigh_lo(A, signature="d->dd")
 
 
 def _rayleigh_ritz(H: np.ndarray, Q: np.ndarray):
@@ -339,17 +344,25 @@ def _conserved_vector(roll: RollSolution) -> np.ndarray:
     ``m c_m``, is odd, so folded onto the even vectors (``v_{-m} = v_m``,
     unknowns ``v_0 .. v_M``) it is non-singular for ``eps > 0``.  At the
     threshold state it is exactly singular, and the solve is shifted by
-    ``1e-10 I``.
+    ``1e-10 I``.  The solution is ``1 / eps`` times the cosine mode of
+    ``m = +-1`` (the amplitude mode, whose eigenvalue is of order ``eps^2``
+    and its ``m = 0`` entry of order ``eps``), plus a part of order one: its
+    direction lies within about ``eps`` of that mode.  Below about eps =
+    1e-154 its norm overflows, below about 1e-308 its entries do.  Where the
+    solution's largest entry reaches ``2^500`` (eps below about 1e-150),
+    ``v`` is that mode, exact to working precision.
     """
     S0 = _symmetric_factors(_operator(roll), np.zeros(1))[1][0]
     M = S0.shape[0] // 2
     E = S0[M:, M:].copy()
     E[:, 1:] += S0[M:, M - 1 :: -1]
-    e0 = np.eye(M + 1)[0]
+    e0, e1 = np.eye(M + 1)[:2]
     try:
         a = np.linalg.solve(E, e0)
     except np.linalg.LinAlgError:
         a = np.linalg.solve(E + 1e-10 * np.eye(M + 1), e0)
+    if not np.abs(a).max() < 2.0**500:
+        a = e1
     v = np.concatenate([a[:0:-1], a])
     return v / np.linalg.norm(v)
 
@@ -402,48 +415,54 @@ def _lifted_ritz(H: np.ndarray, c: slice):
     return theta, Y, r3, r4
 
 
-def _block_certificate(sq: np.ndarray, H: np.ndarray, outer: np.ndarray, Y: np.ndarray, c: np.ndarray, tau: np.ndarray, block: slice):
-    """The members ``(n,)`` whose ``A = c Y Y^T + tau I - H`` is certified positive definite from its block.
+def _schur_certificate(A: np.ndarray, C: np.ndarray, d: np.ndarray, r: np.ndarray, block: slice) -> np.ndarray:
+    """The members ``(n,)`` of a symmetric stack ``X`` proved positive definite from a ``k x k`` block.
 
-    ``l`` is the block, the rows ``block``, and ``h`` the outer rows.
-    With ``c > 0``, checked, ``c Y_h Y_h^T`` is positive semidefinite, so
-    ``A_hh >= tau I - H_hh >= g I``, where Gershgorin's theorem gives
-
-        g = min_{i in h} (tau - H_ii - sum_{j in h, j != i} sq_i sq_j |T_ij|)
-
-    from ``|H_ij| <= sq_i sq_j |T_ij|`` (:func:`_stacks`; ``sq`` ``(n, N)``
-    or one row for all): the row sums are one ``(n, N) @ (N, N)`` product
-    with ``outer``, :func:`_outer_abs` of ``T`` on ``block``.  When ``g > 0``,
-    ``A_lh A_hh^{-1} A_hl <= A_lh A_hl / g``, so ``A`` is positive definite
-    when ``A_ll - A_lh A_hl / g`` is (the Schur-complement criterion; Horn &
-    Johnson, Matrix Analysis): one stacked Cholesky of the ``(n, k, k)``
-    blocks (:func:`_cholesky`), with ``A_l. = c Y_l Y^T - H_l.`` formed from
-    a contiguous row slice of ``H``.
-
-    The row sums are scaled by ``1 + _SCHUR_ULPS N eps``.  The rounding of
-    ``P = A_lh A_hl`` is at most ``gamma_N d_i d_j`` in entry ``(i, j)``,
-    with ``d_i^2 = P_ii``, so at most ``gamma_N tr(P)`` in the 2-norm, and
-    ``_SCHUR_ULPS N eps tr(P)`` is added to ``P``'s diagonal.
+    ``l`` is the block, the rows ``block``, and ``h`` the rest.  ``A``
+    ``(n, k, k)``, C-contiguous and written over, is ``X_ll``; ``C`` is
+    ``X_lh`` as the rows ``(n, k, N)`` zeroed on the columns ``block``, or
+    one ``(k, N)`` for all; and ``X_hh >= diag(d_h) - E``, ``E`` symmetric
+    with absolute row sums at most ``r_h`` (``d`` ``(n, N)``, ``r``
+    ``(n, N)`` or ``(N,)``).  Gershgorin's theorem gives ``X_hh >= g I``,
+    ``g = min_{i in h} (d_i - r_i)``, and when ``g > 0`` ``X`` is positive
+    definite when ``A - C C^T / g`` is (the Schur-complement criterion;
+    Horn & Johnson, Matrix Analysis): one stacked Cholesky, the only one in
+    this module, every certificate's.  It carries ``_SCHUR_ULPS`` slack on
+    ``r``, on the trace of ``P = C C^T`` and on the factored diagonal.
     """
-    n, N = H.shape[:2]
+    n, k, N = A.shape[0], A.shape[1], d.shape[-1]
+    slack = 1.0 + _SCHUR_ULPS * N * _EPS
+    disc = d - slack * r
+    disc[:, block] = np.inf
+    g = np.minimum.reduce(disc, axis=1)
+    P = np.matmul(C, C.swapaxes(-1, -2))
+    diag = P.reshape(-1, k * k)[:, :: k + 1]
+    diag += (slack - 1.0) * np.add.reduce(diag, axis=1, keepdims=True)
+    # A member with g <= 0 (or NaN) is not certified; its Schur term is
+    # left out, so that nothing divides by zero.
+    A -= P / np.where(g > 0.0, g, np.inf)[:, None, None]
+    A.reshape(n, k * k)[:, :: k + 1] *= 1.0 - _SCHUR_ULPS * k * (k + 1) * _EPS
+    L = _cholesky(A, out=A)
+    return (g > 0.0) & np.isfinite(L.diagonal(0, 1, 2)).all(axis=1)
+
+
+def _block_certificate(sq: np.ndarray, H: np.ndarray, outer: np.ndarray, Y: np.ndarray, c: np.ndarray, tau: np.ndarray, block: slice):
+    """The members ``(n,)`` whose ``A = c Y Y^T + tau I - H`` :func:`_schur_certificate` proves positive definite.
+
+    ``Y`` is ``(n, N, j)``, of any rank ``j``.  With ``c > 0``, checked,
+    ``A_hh >= tau I - H_hh``, and ``|H_ij| <= sq_i sq_j |T_ij|``
+    (:func:`_stacks`; ``sq`` ``(n, N)`` or one row for all) bounds its row
+    sums by one ``(n, N) @ (N, N)`` product with ``outer``,
+    :func:`_outer_abs` of ``T`` on ``block``.
+    """
     Al = np.matmul(Y[:, block], Y.swapaxes(1, 2))
     Al *= c[:, None, None]
     Al -= H[:, block]
     A = Al[:, :, block].copy()
     k = A.shape[1]
-    A.reshape(n, k * k)[:, :: k + 1] += tau[:, None]
-    slack = 1.0 + _SCHUR_ULPS * N * _EPS
-    disc = tau[:, None] - H.diagonal(0, 1, 2) - slack * sq * (sq @ outer)
-    disc[:, block] = np.inf
-    g = np.minimum.reduce(disc, axis=1)
+    A.reshape(A.shape[0], k * k)[:, :: k + 1] += tau[:, None]
     Al[:, :, block] = 0.0
-    P = np.matmul(Al, Al.swapaxes(1, 2))
-    P.reshape(n, k * k)[:, :: k + 1] += (slack - 1.0) * P.trace(0, 1, 2)[:, None]
-    # A member with g <= 0 (or NaN) is not certified; its Schur term is
-    # left out, so that nothing divides by zero.
-    A -= P / np.where(g > 0.0, g, np.inf)[:, None, None]
-    L = _cholesky(A, out=A)
-    return (c > 0.0) & (g > 0.0) & np.isfinite(L.diagonal(0, 1, 2)).all(axis=1)
+    return (c > 0.0) & _schur_certificate(A, Al, tau[:, None] - H.diagonal(0, 1, 2), sq * (sq @ outer), block)
 
 
 def _certified_ritz(sq: np.ndarray, H: np.ndarray, outer: np.ndarray, start: slice, block: slice):
@@ -499,12 +518,6 @@ def _parity_member(sq: np.ndarray, H: np.ndarray, T: np.ndarray):
     return np.array([[np.nan, rho4, *vals[order]]]), Y, r3.max(keepdims=True), np.array([r4]), np.ones(1, bool)
 
 
-def _split(w: np.ndarray):
-    """The three of each row of ``w`` nearest zero, the rest, each ascending, and ``max|w|``."""
-    w = np.take_along_axis(w, np.argsort(np.abs(w), axis=1), axis=1)
-    return np.sort(w[:, :3], axis=1), np.sort(w[:, 3:], axis=1), np.abs(w[:, -1])
-
-
 @dataclass(frozen=True)
 class BlochSweep:
     """A Bloch sweep as solved: the critical triple and the gap below it at each of the checked ``sigmas`` ``(n,)``.
@@ -513,9 +526,9 @@ class BlochSweep:
     (between two real triples the ascending assignment has the least total
     distance, so the ``i``-th least values trace curve ``i``), and the gaps
     ``gaps`` ``(n,)``, ``-lambda_4``, with their ``radius`` and ``gap_radius``
-    ``(n,)``, NaN where ``certified`` is false (see :func:`_lifted_sweep`).
-    ``vectors`` ``(n, N, 3)`` are the triples' Ritz vectors of the
-    symmetrized ``H = sqrt(p) S sqrt(p)``, not Bloch eigenvectors:
+    ``(n,)``: every member is certified (one that is not raises; see
+    :func:`_lifted_sweep`).  ``vectors`` ``(n, N, 3)`` are the triples' Ritz
+    vectors of the symmetrized ``H = sqrt(p) S sqrt(p)``, not Bloch eigenvectors:
     :func:`critical_modes` gives those.  Nothing that can be rebuilt from
     the roll is kept: a reader needing a member's matrices or its rest
     rebuilds them with :func:`_stacks`.
@@ -526,12 +539,11 @@ class BlochSweep:
     radius: np.ndarray
     gaps: np.ndarray
     gap_radius: np.ndarray
-    certified: np.ndarray
     vectors: np.ndarray
 
 
 def _lifted_sweep(roll: RollSolution, sigmas) -> BlochSweep:
-    """Critical triples, their vectors, gaps and radii over a sweep, with no full eigensolve.
+    """Critical triples, their vectors, gaps and radii over a sweep, every member certified, with no full eigensolve.
 
     :func:`_lifted_ritz` gives the four largest Ritz pairs ``(rho, Y)``, the
     fifth Ritz value ``theta_5`` and the radii ``r3`` and ``r4``.  With ``tau``
@@ -548,28 +560,34 @@ def _lifted_sweep(roll: RollSolution, sigmas) -> BlochSweep:
     - with ``max rho + r4 < -(rho_4 + r4)``, also checked, the top three are
       the eigenvalues nearest zero.
 
-    A certified member's triple is the top three ``rho`` and its gap is
-    ``-rho_4``, within ``r4``.  The three eigenvalues within ``r3`` of the
+    A member certified so has its triple, the top three ``rho``, and its
+    gap, ``-rho_4``, within ``r4``.  The three eigenvalues within ``r3`` of the
     triple (Kahan) lie above ``rho_4 + r4``, so are the top three, once the
     least of the triple less ``r3`` does; the triple's radius is then ``r3``,
-    else ``r4``.  These are floating-point certificates, not interval
-    arithmetic: the radii and the block certificate's row sums and Schur term
-    carry a stated slack for their own rounding, the rest of the arithmetic
-    none.
+    else ``r4``.
+
+    Near ``sigma = 0`` ``lambda_4`` and ``lambda_5`` meet and ``tau`` is
+    placed from the uncorrected ``theta_5``, so this rank-4 certificate may
+    fail at ``0 < |sigma| < 1e-8`` (see the README).  Those members alone get
+    a rank-3 one, which needs no ``lambda_5``: ``tau3 = rho_4 + 2 r4``, ``Y3``
+    the top three vectors and ``c = 2 (max rho - tau3)``.  A positive
+    definite ``c Y3 Y3^T + tau3 I - H`` puts ``lambda_4`` below ``tau3``
+    (interlacing for a rank-3 update).  With ``tau3 < min(triple) - r3`` and
+    ``max rho + r3 < -tau3``, both checked, the eigenvalues within ``r3`` of
+    the triple (Kahan) are the top three and nearest zero, so its radius is
+    ``r3``; the one within ``r4`` of ``rho_4`` lies below ``tau3``, so
+    ``lambda_4`` lies in ``[rho_4 - r4, rho_4 + 2 r4]`` and the gap's radius
+    is ``2 r4``.  A member that fails both certificates raises
+    :class:`InvariantViolation`.  These are floating-point certificates, not
+    interval arithmetic: the radii and :func:`_schur_certificate` carry a
+    stated slack for their own rounding, the rest of the arithmetic none.
 
     At ``sigma = 0`` the conservation law and translation give two exact
     zeros, and ``lambda_4`` and ``lambda_5`` (the cosine and sine modes of
     ``m = +-2``) are split by as little as 3e-11, inside the radius the
     certificate would need.  That member, if any, is solved on its even and
-    odd blocks by :func:`_parity_member`, with the same steps, and is
+    odd blocks by :func:`_parity_member`, with the rank-4 steps, and is
     certified or raises :class:`InvariantViolation`.
-
-    Elsewhere a member is uncertified only at ``0 < |sigma| < 1e-8``, and not
-    always there: ``tau`` is placed from ``theta_5``, which gets no Davidson
-    correction (see the README).  An uncertified member keeps its lifted
-    triple when it lies within ``r3 + _MATCH_ULPS eps max|w|`` of the three
-    values nearest zero of one ``eigvalsh``, whose rest gives its gap,
-    ``-max`` of the rest; otherwise :class:`InvariantViolation` is raised.
 
     ``H`` at ``-sigma`` is ``H`` at ``sigma`` reversed in ``m``, bit for bit
     (the roll is even): each distinct ``|sigma|`` (zero within
@@ -587,6 +605,7 @@ def _lifted_sweep(roll: RollSolution, sigmas) -> BlochSweep:
     # Distinct and ascending already (one member, the classifier's grid), they are what np.unique would return.
     mags, twin = (mags, np.arange(mags.size)) if (mags[1:] > mags[:-1]).all() else np.unique(mags, return_inverse=True)
     op, N = _operator(roll), 2 * roll.profile.grid.n_modes + 1
+    block = _rows(N, _BLOCK_MODES)
     # A zero member is the first.  The others are solved whole, in one
     # pass, which a sweep of zero alone skips; the zero member is the
     # roll's, solved on its parity blocks by the first sweep through zero.
@@ -594,23 +613,23 @@ def _lifted_sweep(roll: RollSolution, sigmas) -> BlochSweep:
     parts = []
     if mags.size > z or not z:
         sq, H = _stacks(roll, mags[z:], _workspace_stacks(mags.size - z, N))
-        parts.append(_certified_ritz(sq, H, op.outer, _rows(N, _START_MODES), _rows(N, _BLOCK_MODES)))
+        parts.append(_certified_ritz(sq, H, op.outer, _rows(N, _START_MODES), block))
     if z:
         parts.insert(0, _zero_member(roll, op))
     theta, Y, r3, r4, certified = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    vals, rho4, gaps = theta[:, 2:], theta[:, 1], -theta[:, 1]
-    # Not in place: a sweep of zero alone holds the record's own arrays.
-    certified = certified & (theta[:, -1] + r4 < -(rho4 + r4))
-    radius = np.where(certified, np.where(vals[:, 0] - r3 > rho4 + r4, r3, r4), np.nan)
+    vals, rho4, top = theta[:, 2:], theta[:, 1], theta[:, -1]
+    certified = certified & (top + r4 < -(rho4 + r4))
+    radius = np.where(certified, np.where(vals[:, 0] - r3 > rho4 + r4, r3, r4), r3)
+    gap_radius = np.where(certified, r4, 2.0 * r4)
     # The zero member is certified or has raised, so every miss lies in H.
     miss = (~certified).nonzero()[0]
     if miss.size:
-        near, rest, wmax = _split(_eigh(H[miss - z], vectors=False))
-        bad = miss[~(np.abs(vals[miss] - near).max(axis=1) <= r3[miss] + _MATCH_ULPS * _EPS * wmax)]
+        tau3, h = rho4[miss] + 2.0 * r4[miss], miss - z
+        rank3 = _block_certificate(sq[h], H[h], op.outer, Y[miss, :, 1:], 2.0 * (top[miss] - tau3), tau3, block)
+        bad = miss[~(rank3 & (tau3 < vals[miss, 0] - r3[miss]) & (top[miss] + r3[miss] < -tau3))]
         if bad.size:
-            raise InvariantViolation(f"lifted triple {vals[bad[0]]} at |sigma| = {mags[bad[0]]} misses eigvalsh")
-        gaps[miss] = -np.maximum.reduce(rest, axis=1)
-    solved = vals, radius, gaps, np.where(certified, r4, np.nan), certified, Y[:, :, 1:]
+            raise InvariantViolation(f"neither certificate holds for the triple {vals[bad[0]]} at |sigma| = {mags[bad[0]]}")
+    solved = vals, radius, -rho4, gap_radius, Y[:, :, 1:]
     *solved, vecs = (a[twin] for a in solved)
     neg = (sigmas <= -_SIGMA_ZERO_TOL).nonzero()[0]
     vecs[neg] = vecs[neg, ::-1]
@@ -634,12 +653,10 @@ def _settled_members(roll: RollSolution, sigmas: np.ndarray, delta: float) -> np
       (Sylvester's law): ``H`` is negative definite when ``-S`` is positive
       definite.  At zero ``p_0 = 0`` and the congruence fails.
     - ``-S`` is certified positive definite from its block ``l`` of modes
-      ``|m| <= 4``, as :func:`_block_certificate` certifies its ``A``: on
-      the outer rows ``h``, ``-S_hh >= g I`` with Gershgorin's
-      ``g = min_i (-d_i - sum_{j in h, j != i} |T_ij|)``, and, when ``g > 0``,
-      ``-S`` is positive definite when ``-S_ll - P / g`` is, with
-      ``P = T_lh T_hl``, which does not depend on ``sigma``.  One stacked
-      Cholesky factors those ``k x k`` blocks.
+      ``|m| <= 4`` by :func:`_schur_certificate`: on the outer rows ``h``,
+      ``-S_hh`` has the diagonal ``-d`` and off-diagonal row sums
+      ``sum_{j in h, j != i} |T_ij|``, and the coupling rows are ``T_lh``,
+      whose ``P = T_lh T_hl`` does not depend on ``sigma`` and is formed once.
     - ``lambda_4(H) <= lambda_max(H_hh)`` over the rows ``hh`` of
       ``|m| >= 2`` (Cauchy interlacing), whose Gershgorin bound
       ``max_i (H_ii + sum_{j != i} sq_i sq_j |T_ij|)``, ``i`` and ``j`` in
@@ -647,16 +664,9 @@ def _settled_members(roll: RollSolution, sigmas: np.ndarray, delta: float) -> np
       bits :func:`_stacks` gives it.
 
     Like :func:`_lifted_sweep`'s certificate this is a floating-point proof
-    with stated slack, not interval arithmetic.  The row sums and ``P``
-    carry :func:`_block_certificate`'s slack, and the diagonal of each
-    factored block is shrunk by ``_SCHUR_ULPS k (k + 1) eps`` relative: a
-    Cholesky factorization that completes is exact for a matrix within
-    ``gamma_{k+1} / (1 - gamma_{k+1}) a_i a_j`` of its input in entry
-    ``(i, j)``, ``a_i^2`` its diagonal (Higham, Accuracy and Stability of
-    Numerical Algorithms, section 10.1), so within about ``k (k + 1) eps / 2``
-    relative in the 2-norm of the matrix scaled to a unit diagonal, and the
-    shrink covers that with a factor of about 4 to spare.  The rest of the
-    arithmetic carries none, the forming of ``S`` and ``H`` among it: the
+    with stated slack, not interval arithmetic: the row sums, ``P`` and the
+    factorization carry :func:`_schur_certificate`'s, the rest of the
+    arithmetic none, the forming of ``S`` and ``H`` among it: the
     congruence holds for ``S`` as built and ``diag(sq) S diag(sq)`` exactly,
     each ``H_ij`` lying within three roundings of it.  Raises
     :class:`OutOfRange` unless ``delta`` is positive and finite.
@@ -667,51 +677,35 @@ def _settled_members(roll: RollSolution, sigmas: np.ndarray, delta: float) -> np
     T, (n, N) = op.T, p.shape
     d, sq = T.diagonal() + sh, np.sqrt(p)
     block, crit = _rows(N, _BLOCK_MODES), _rows(N, 1)
-    slack = 1.0 + _SCHUR_ULPS * N * _EPS
-    # |T| off the diagonal with its block rows zeroed: the outer rows' Gershgorin sums are its column sums.
-    disc = -d - slack * np.add.reduce(op.outer, axis=0)
-    disc[:, block] = np.inf
-    g = np.minimum.reduce(disc, axis=1)
     Tl = T[block].copy()
     Tl[:, block] = 0.0
-    P = Tl @ Tl.T
-    k = P.shape[0]
-    P.reshape(k * k)[:: k + 1] += (slack - 1.0) * P.trace()
+    k = Tl.shape[0]
     A = np.empty((n, k, k))
     A[...] = -T[block, block]
     A.reshape(n, k * k)[:, :: k + 1] = -d[:, block]
-    # A member with g <= 0 (or NaN) is not settled; its Schur term is left out.
-    A -= P / np.where(g > 0.0, g, np.inf)[:, None, None]
-    A.reshape(n, k * k)[:, :: k + 1] *= 1.0 - _SCHUR_ULPS * k * (k + 1) * _EPS
-    L = _cholesky(A, out=A)
-    Tabs = _outer_abs(T, crit)
-    top = (d * sq) * sq + slack * sq * (sq @ Tabs)
+    # |T| off the diagonal with its block rows zeroed: the outer rows' Gershgorin sums are its column sums.
+    definite = _schur_certificate(A, Tl, -d, np.add.reduce(op.outer, axis=0), block)
+    top = (d * sq) * sq + (1.0 + _SCHUR_ULPS * N * _EPS) * sq * (sq @ _outer_abs(T, crit))
     top[:, crit] = -np.inf
-    return (
-        (np.abs(sigmas) >= _SIGMA_ZERO_TOL)
-        & (g > 0.0)
-        & np.isfinite(L.diagonal(0, 1, 2)).all(axis=1)
-        & (np.maximum.reduce(top, axis=1) < -delta)
-    )
+    return (np.abs(sigmas) >= _SIGMA_ZERO_TOL) & definite & (np.maximum.reduce(top, axis=1) < -delta)
 
 
 def critical_sweep(roll: RollSolution, sigmas, delta: float = 1.0) -> BlochSweep:
     """The critical triples and the gaps below them over a sigma sweep, as one :class:`BlochSweep`.
 
-    The record of :func:`_lifted_sweep`, which solves every member with no
-    full eigensolve and certifies it (but, on some cells, at
-    ``0 < |sigma| < 1e-8``), checked for ``lambda_4 < -delta``: a certified
-    member passes when ``rho_4 + r4 < -delta``, an uncertified one when its
-    gap exceeds ``delta``.  The first member in sweep order that does not pass
-    raises :class:`GapViolation` with its gap.  Raises :class:`OutOfRange`
-    unless ``delta`` is positive and finite and every Bloch number lies in
+    The record of :func:`_lifted_sweep`, which solves and certifies every
+    member with no full eigensolve, checked for ``lambda_4 < -delta``: a
+    member passes when its gap less its ``gap_radius`` exceeds ``delta``.
+    The first member in sweep order that does not pass raises
+    :class:`GapViolation` with its gap.  Raises :class:`OutOfRange` unless
+    ``delta`` is positive and finite and every Bloch number lies in
     ``[-1/2, 1/2]``.
     """
     check_delta(delta)
     # At M = 32 the products of the lifted block underflow (H @ Q).
     with np.errstate(under="ignore"):
         sweep = _lifted_sweep(roll, sigmas)
-    failed = (~(np.where(sweep.certified, sweep.gaps - sweep.gap_radius, sweep.gaps) > delta)).nonzero()[0]
+    failed = (~(sweep.gaps - sweep.gap_radius > delta)).nonzero()[0]
     if failed.size:
         raise GapViolation(float(sweep.gaps[failed[0]]), delta)
     return sweep

@@ -242,10 +242,8 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
     The triples are the ``values`` of ``bloch.critical_sweep``: the
     critical modes lifted onto the rest (the first-order Lyapunov-Schmidt
     reduction) and refined by Davidson corrections, with the triple and the
-    gap certified by the Cholesky factorization of a 9 x 9 Schur-complement
-    bound rather than read off a full eigensolve; a Bloch number whose
-    certificate fails (on some cells, at ``0 < |sigma| < 1e-8``) keeps its
-    lifted triple once it is checked against ``eigvalsh``.
+    gap of every Bloch number certified by the Cholesky factorization of a
+    9 x 9 Schur-complement bound rather than read off a full eigensolve.
     The sweep has no ``sigma = 0`` for ``eps > 0``: there the conservation
     law and translation fix two zeros beside an amplitude mode near
     ``-2 (1 - 4 omega^2) eps^2 < 0``, so instability enters only at

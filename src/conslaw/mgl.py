@@ -134,9 +134,7 @@ def compare_exact_vs_mgl(roll: RollSolution, sigma_hat_grid, delta: float = 1.0)
 
     The exact triples are the ``values`` of ``bloch.critical_sweep``,
     ascending: lifted, Davidson-corrected and certified (``sigma_hat = 0``
-    on the even and odd blocks of its matrix), or, where the certificate
-    fails (on some cells, at ``0 < |sigma| < 1e-8``), checked against
-    ``eigvalsh``.  The amplitude-system
+    on the even and odd blocks of its matrix).  The amplitude-system
     eigenvalues are sorted by real part, from one stacked ``eigvals`` of the
     matrices of :func:`mgl_dispersion_matrix`.  Paired in that order, two
     real triples are at their least total distance (monotone rearrangement).

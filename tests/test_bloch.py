@@ -64,7 +64,7 @@ def oracle_triples(roll, sigmas):
 
 
 def certify(roll, sigmas, delta=1.0):
-    """Triples and their radii (NaN where uncertified) of :func:`critical_sweep`."""
+    """Triples and their radii of :func:`critical_sweep`."""
     sweep = critical_sweep(roll, sigmas, delta)
     return sweep.values, sweep.radius
 
@@ -79,6 +79,19 @@ def eigvalsh_rest(roll, sigmas):
     the three values nearest zero."""
     w = np.linalg.eigvalsh(bloch._stacks(roll, np.abs(np.asarray(sigmas, dtype=float)).reshape(-1))[1])
     return np.sort(np.take_along_axis(w, np.argsort(np.abs(w), axis=1), axis=1)[:, 3:], axis=1)
+
+
+def rank3_members(monkeypatch):
+    """The member count of each rank-3 pass (``Y`` of three columns) of ``bloch._block_certificate`` from here on."""
+    calls, certificate = [], bloch._block_certificate
+
+    def spy(sq, H, outer, Y, *args):
+        if Y.shape[2] == 3:
+            calls.append(Y.shape[0])
+        return certificate(sq, H, outer, Y, *args)
+
+    monkeypatch.setattr(bloch, "_block_certificate", spy)
+    return calls
 
 
 class TestConstantSymbol:
@@ -197,7 +210,7 @@ class TestSpectrum:
             for e in acceptance.EPS_SWEEP:
                 roll = acceptance._roll(e, w, s)
                 sweep, spec = critical_sweep(roll, [0.0]), critical_curves(roll, [0.0])[0]
-                assert sweep.certified[0] and spec.gap == sweep.gaps[0]
+                assert spec.gap == sweep.gaps[0]
                 u = spec.eigenvalues.size * np.finfo(float).eps * np.abs(spec.eigenvalues).max()
                 rest = np.delete(spec.eigenvalues, list(spec.critical))
                 assert abs(spec.gap + rest.max()) <= sweep.gap_radius[0] + u
@@ -226,11 +239,10 @@ class TestSpectrum:
     )
     def test_conjugation_symmetry(self, eps, omega, s, n_modes, sigma):
         # sigma -> -sigma is complex conjugation, so the two triples agree
-        # within the two enclosures (to roundoff where uncertified)
+        # within the two enclosures
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
         (plus, minus), radius = certify(roll, [sigma, -sigma], 1.0)
-        # an uncertified member counts half of the 1e-12 of two such members
-        assert np.max(np.abs(plus - minus)) <= np.sum(np.nan_to_num(radius, nan=0.5e-12))
+        assert np.max(np.abs(plus - minus)) <= np.sum(radius)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.2, 0.5])
     def test_critical_eigenvectors_are_eigenvectors(self, sigma):
@@ -275,6 +287,27 @@ class TestSpectrum:
         _, vecs = critical_modes(roll, 0.0)
         v = vecs[:, np.argmax(np.abs(vecs[M]))]  # the mode with a mean
         assert np.linalg.norm(v - v[::-1]) <= 1e-14 * np.linalg.norm(v)
+
+    @pytest.mark.parametrize(
+        "eps, omega, s, n_modes",
+        [(4.29e-204, 0.0, 1.0, 8), (1e-310, 0.0, 1.0, 8), (1e-140, 0.1, -0.7, 12), (3e-160, 0.1, -0.7, 12), (1e-310, -0.3, 0.4, 32)],
+    )
+    def test_conserved_mode_vector_is_a_unit_vector_at_tiny_eps(self, eps, omega, s, n_modes):
+        # The solve of S0 v = e_0 grows like 1 / eps: at 4.29e-204 its norm
+        # overflowed, at 1e-310 its entries did.  Its direction lies within
+        # about eps of the even cosine mode of m = +-1, which it is below
+        # eps = 1e-150; at 1e-140 the solve still gives it.
+        roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, vecs = critical_modes(roll, 0.0)
+            v = bloch._conserved_vector(roll)
+        assert 0.0 in vals and np.abs(vals).max() < 1e-250
+        assert np.all(np.abs(np.linalg.norm(vecs, axis=0) - 1.0) <= 1e-15)
+        assert np.any(np.all(vecs == v[:, None], axis=0))
+        M = n_modes
+        assert np.allclose(np.abs(v[[M - 1, M + 1]]), np.sqrt(0.5), rtol=0.0, atol=1e-15) and v[M - 1] == v[M + 1]
+        assert np.abs(np.delete(v, [M - 1, M + 1])).max() <= 1e-15
 
 
 class TestCurves:
@@ -362,14 +395,12 @@ class TestBatchedSweep:
         assert np.array_equal(triples, loop)
         assert np.all(np.diff(triples, axis=1) >= 0.0)
         assert np.array_equal(batch.gaps, [single.gaps[0] for single in singles])
-        # Certified members lie within their radius of the reference; sigma = 0
-        # is certified, on its parity blocks.  critical_modes runs the same
+        # Every member lies within its radius of the reference; sigma = 0 is
+        # certified on its parity blocks.  critical_modes runs the same
         # engine, so its triples are these on every member.
         radius = certify(roll, sweep, 1.0)[1]
-        certified = np.isfinite(radius)
-        assert certified[len(sigmas)]
         move = np.abs(triples - reference_triples(roll, sweep))
-        assert np.all(move[certified] <= radius[certified, None])
+        assert np.all(move <= radius[:, None])
         modes = np.array([critical_modes(roll, x)[0] for x in sweep])
         assert np.array_equal(triples, modes)
 
@@ -417,7 +448,7 @@ class TestBatchedSweep:
         # 16 eps max|w|.
         H = bloch._stacks(roll, sweep[~inner])[1]
         u = np.finfo(float).eps * np.abs(np.linalg.eigvalsh(H)).max(axis=1)
-        tol = bloch._lifted_ritz(H, bloch._rows(H.shape[1], bloch._START_MODES))[3] + bloch._MATCH_ULPS * u
+        tol = bloch._lifted_ritz(H, bloch._rows(H.shape[1], bloch._START_MODES))[3] + 16 * u
         assert np.all(move[~inner] <= tol)
 
     def test_gap_violation_reports_first_sigma_in_sweep_order(self):
@@ -515,7 +546,7 @@ class TestMirror:
         out = bloch._lifted_sweep(roll, sweep)
         vecs = out.vectors
         # What a member at -sigma shares with its twin, besides its mirrored vectors.
-        shared = ("values", "radius", "gaps", "gap_radius", "certified")
+        shared = ("values", "radius", "gaps", "gap_radius")
         for i, j, mirrored in [(0, 1, True), (0, 2, False), (3, 4, False), (3, 5, False), (6, 7, True)]:
             for name in shared:
                 a = getattr(out, name)
@@ -788,16 +819,16 @@ class TestCholeskyKernel:
             assert L[i].tobytes() == np.linalg.cholesky(A[i]).tobytes()
 
     @pytest.mark.parametrize(
-        "sweep, distinct",
+        "sweep, distinct, rank3",
         [
-            ([1e-12, 1e-10, 0.1, 0.2, 0.3], 5),
-            ([-1e-10, 0.0, 1e-10], 2),
-            ([0.1, 0.0, 0.2, -0.0, 5e-14, -0.3], 4),
-            (TestMirror.sweep, 4),
+            ([1e-12, 1e-10, 0.1, 0.2, 0.3], 5, 2),
+            ([-1e-10, 0.0, 1e-10], 2, 1),
+            ([0.1, 0.0, 0.2, -0.0, 5e-14, -0.3], 4, 0),
+            (TestMirror.sweep, 4, 0),
         ],
         ids=["tiny", "around_zero", "zero_batch", "mirrors"],
     )
-    def test_one_stacked_call_per_sweep(self, sweep, distinct, monkeypatch):
+    def test_one_stacked_call_per_sweep(self, sweep, distinct, rank3, monkeypatch):
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
 
         def no_retry(*args, **kwargs):
@@ -809,13 +840,15 @@ class TestCholeskyKernel:
         # One 9 x 9 block (|m| <= 4) per distinct |sigma| off zero, never an
         # N x N matrix; then, if the sweep holds sigma = 0 (0.0, -0.0 and 5e-14
         # are all zero), the 4 x 4 blocks (modes 1 .. 4) of its even and odd
-        # parts.
+        # parts; then, if any member at 0 < |sigma| <= 1e-10 fails the rank-4
+        # certificate, one 9 x 9 block per such member for the rank-3 pass.
         zero = int(np.any(np.abs(sweep) < bloch._SIGMA_ZERO_TOL))
-        assert calls == [(distinct - zero, 9, 9)] + [(2, 4, 4)] * zero
+        assert calls == [(distinct - zero, 9, 9)] + [(2, 4, 4)] * zero + [(rank3, 9, 9)] * (rank3 > 0)
 
     def test_failed_members_keep_their_triples(self):
-        # Members at 0 < |sigma| <= 1e-10 fail the certificate (a NaN factor);
-        # the triples are those of a member-by-member retry, bitwise.
+        # Members at 0 < |sigma| <= 1e-10 fail the rank-4 certificate (a NaN
+        # factor) and are certified by the rank-3 one; the triples are those
+        # of a member-by-member retry, bitwise.
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
         sweep = [1e-12, 1e-10, 0.1, 0.2, 0.3]
         want = np.array([
@@ -826,8 +859,7 @@ class TestCholeskyKernel:
             [-0.8575110366304612, -0.12897932772910994, -0.07316581744367288],
         ])
         assert critical_sweep(roll, sweep).values.tobytes() == want.tobytes()
-        radius = certify(roll, sweep)[1]
-        assert np.all(np.isnan(radius[:2])) and np.all(np.isfinite(radius[2:]))
+        assert np.all(np.isfinite(certify(roll, sweep)[1]))
 
 
 class TestBlockCertificate:
@@ -908,7 +940,6 @@ class TestBlockCertificate:
             "radius": (0,),
             "gaps": (0,),
             "gap_radius": (0,),
-            "certified": (0,),
             "vectors": (0, 25, 3),
         }
         assert calls == [(0, 9, 9)] * 4
@@ -933,9 +964,8 @@ class TestQrKernel:
 
 
 class TestEighKernel:
-    """``bloch._eigh`` binds NumPy's private stacked ``eigh`` and ``eigvalsh``
-    kernels; a NumPy release that moves them or changes what they return
-    fails here first."""
+    """``bloch._eigh`` binds NumPy's private stacked ``eigh`` kernel; a NumPy
+    release that moves it or changes what it returns fails here first."""
 
     @pytest.mark.parametrize("N", [5, 25, 65])
     def test_kernels_match_numpy_eigh_and_eigvalsh(self, N):
@@ -950,7 +980,6 @@ class TestEighKernel:
                 got_w, got_v = bloch._eigh(A)
                 assert got_w.tobytes() == want_w.tobytes()
                 assert got_v.tobytes() == want_v.tobytes()
-                assert bloch._eigh(A, vectors=False).tobytes() == np.linalg.eigvalsh(A).tobytes()
 
     def test_a_failed_member_is_nan_and_the_others_keep_their_bits(self):
         A = np.random.default_rng(0).standard_normal((3, 25, 25))
@@ -960,36 +989,32 @@ class TestEighKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w, v = bloch._eigh(A)
-            values = bloch._eigh(A, vectors=False)
-        assert np.isnan(w[1]).all() and np.isnan(v[1]).all() and np.isnan(values[1]).all()
+        assert np.isnan(w[1]).all() and np.isnan(v[1]).all()
         for i in (0, 2):
             assert w[i].tobytes() == np.linalg.eigh(A[i])[0].tobytes()
             assert v[i].tobytes() == np.linalg.eigh(A[i])[1].tobytes()
-            assert values[i].tobytes() == np.linalg.eigvalsh(A[i]).tobytes()
 
     @pytest.mark.parametrize(
-        "kernel, call, member",
-        [("eigh_lo", 0, 0), ("eigh_lo", 0, 2), ("eigh_lo", 1, 1), ("eigvalsh_lo", 0, 0), ("eigh_lo", 2, 1)],
-        ids=["start_block", "start_block_last", "corrected", "uncertified_rest", "parity_block"],
+        "call, member", [(0, 0), (0, 2), (1, 1), (2, 1)], ids=["start_block", "start_block_last", "corrected", "parity_block"]
     )
-    def test_a_nan_member_raises_a_typed_error(self, kernel, call, member, monkeypatch):
-        # The kernels return NaN where np.linalg raises LinAlgError.  A NaN
+    def test_a_nan_member_raises_a_typed_error(self, call, member, monkeypatch):
+        # The kernel returns NaN where np.linalg raises LinAlgError.  A NaN
         # member must fail the sweep with a typed error, and no warning.
-        # 1e-12 is uncertified, so its rest comes from the one eigvalsh call;
-        # 0.0 is solved last, on its even and odd blocks.
+        # 1e-12 fails the rank-4 certificate, so a NaN there also meets the
+        # rank-3 pass; 0.0 is solved last, on its even and odd blocks.
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
         sweep = [0.0, 1e-12, 0.1, 0.3]
-        bound, calls = getattr(bloch, kernel), []
+        bound, calls = bloch.eigh_lo, []
 
         def failing(A, **kwargs):
             out = bound(A, **kwargs)
             if len(calls) == call:
-                for a in out if isinstance(out, tuple) else (out,):
+                for a in out:
                     a[member] = np.nan
             calls.append(A.shape)
             return out
 
-        monkeypatch.setattr(bloch, kernel, failing)
+        monkeypatch.setattr(bloch, "eigh_lo", failing)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises((InvariantViolation, GapViolation)):
@@ -1000,17 +1025,17 @@ class TestEighKernel:
 class TestSweepRecord:
     """The public sweep record, :class:`BlochSweep`, bit for bit, against ``data/sweep_m12.npz``: at
     M = 12, the classifier's grid at eps = 0.02 in a stable and an unstable cell, and the +-1e-10 sweep
-    whose certificate fails.  The file holds ``np.savez_compressed`` of arrays keyed ``case.field``, as
-    written when the record also held each uncertified member's ``eigvalsh`` ``rest`` (NaN where
-    certified) and, for the last case, the members' ``sq`` and ``H``.  Those are now rebuilt on read,
-    and held to the file here too."""
+    whose members off zero fail the rank-4 certificate and pass the rank-3 one.  The file holds
+    ``np.savez_compressed`` of arrays keyed ``case.field``, as written when the record also held, for
+    the last case, the members' ``sq`` and ``H``.  Those are now rebuilt on read, and held to the file
+    here too."""
 
     cases = {
         "stable": ((0.02, 0.1, 0.5), _default_sigma_grid(0.02)),
         "unstable": ((0.02, 0.4, 0.5), _default_sigma_grid(0.02)),
         "around_zero": ((0.05, 0.1, 0.8), [-1e-10, 0.0, 1e-10]),
     }
-    fields = ("sigmas", "values", "radius", "gaps", "gap_radius", "certified", "vectors")
+    fields = ("sigmas", "values", "radius", "gaps", "gap_radius", "vectors")
 
     def test_every_field_matches_the_pinned_record(self):
         got = {}
@@ -1020,17 +1045,9 @@ class TestSweepRecord:
             assert isinstance(sweep, BlochSweep) and tuple(sweep_arrays(sweep)) == self.fields
             for field, a in sweep_arrays(sweep).items():
                 got[f"{name}.{field}"] = a
-            # The dense rest of each uncertified member, ascending.
-            miss = ~sweep.certified
-            rest = np.full((len(sigmas), 22), np.nan)
-            rest[miss] = eigvalsh_rest(roll, sweep.sigmas[miss])
-            got[f"{name}.rest"] = rest
             if name == "around_zero":
                 got["around_zero.sq"], got["around_zero.H"] = bloch._stacks(roll, np.array(sigmas))[:2]
         assert_pinned("sweep_m12.npz", got)
-        # Members at |sigma| = 1e-10 fail the certificate; sigma = 0 is certified on its parity blocks.
-        assert got["around_zero.certified"].tolist() == [False, True, False]
-        assert got["stable.certified"].all() and got["unstable.certified"].all()
 
     def test_curves_are_the_record_member_by_member(self):
         # The benchmark reads critical_curves; spectrum prints the record.
@@ -1056,7 +1073,7 @@ class TestZeroBatch:
     def test_one_eigensolve_and_one_rayleigh_ritz_step_per_batch(self, monkeypatch):
         roll = solve_roll(self.params, SpectralGrid(12))
         calls = linalg_calls(monkeypatch, "eigh", "eigvalsh")
-        assert critical_sweep(roll, self.sweep).certified.all()
+        critical_sweep(roll, self.sweep)
         # The three distinct |sigma| off zero get two 5 x 5 Rayleigh-Ritz
         # steps, on their lifted start block and after its Davidson
         # corrections; the zero member (0.0, -0.0 and 5e-14 are all zero) gets
@@ -1068,7 +1085,7 @@ class TestZeroBatch:
         roll = solve_roll(self.params, SpectralGrid(12))
         calls = linalg_calls(monkeypatch, "eigh", "eigvalsh")
         factored = cholesky_calls(monkeypatch)
-        assert critical_sweep(roll, [0.0]).certified.all()
+        critical_sweep(roll, [0.0])
         # No whole pass on an empty stack: only the even and odd blocks.
         assert calls == [("eigh", (2, 5, 5))] * 2
         assert factored == [(2, 4, 4)]
@@ -1140,7 +1157,7 @@ class TestZeroBatch:
         for eps, omega, s, n_modes in cells:
             roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
             sweep = critical_sweep(roll, [0.0], 1e-300)
-            assert sweep.certified[0] and np.isfinite(sweep.radius[0]) and np.isfinite(sweep.gap_radius[0])
+            assert np.isfinite(sweep.radius[0]) and np.isfinite(sweep.gap_radius[0])
             assert 0.0 in sweep.values[0]
 
     def test_zero_roll_gives_three_orthonormal_modes(self):
@@ -1163,10 +1180,54 @@ class TestZeroBatch:
 
         monkeypatch.setattr(bloch, "_block_certificate", failing)
         calls = linalg_calls(monkeypatch, "eigvalsh")
-        assert critical_sweep(roll, [0.1]).certified.all()
+        critical_sweep(roll, [0.1])
         with pytest.raises(InvariantViolation, match="parity blocks"):
             critical_sweep(roll, self.sweep)
         assert calls == []
+
+
+class TestSchurCertificate:
+    """Every certificate, the engine's rank-4 and rank-3 passes, its parity blocks and the classifier's
+    settle test, is proved by one kernel, ``bloch._schur_certificate``, the one caller of ``bloch._cholesky``."""
+
+    def test_every_factorization_is_the_kernels_and_no_eigensolve_is_of_H(self, monkeypatch):
+        roll = solve_roll(RollParameters(0.02, 0.1, 0.5), SpectralGrid(12))
+        calls, kernel = [], bloch._cholesky
+
+        def spy(A, out=None):
+            caller = sys._getframe(1)
+            calls.append(((caller.f_code.co_name, caller.f_back.f_code.co_name, caller.f_back.f_back.f_code.co_name), A.shape))
+            return kernel(A, out=out)
+
+        monkeypatch.setattr(bloch, "_cholesky", spy)
+        eigensolves = linalg_calls(monkeypatch, "eigh", "eigvalsh")
+        classify_numerically(roll)
+        critical_sweep(roll, np.linspace(-0.5, 0.5, 41))
+        critical_sweep(roll, [1e-12, -1e-12])
+        for sigma in (0.0, 1e-12, 0.3):
+            critical_modes(roll, sigma)
+        assert {frames[0] for frames, _ in calls} == {"_schur_certificate"}
+        # The settle test, the rank-4 pass, the parity blocks and the rank-3 pass.
+        assert {(frames[1:], shape) for frames, shape in calls} >= {
+            (("_settled_members", "classify_numerically"), (37, 9, 9)),
+            (("_block_certificate", "_certified_ritz"), (34, 9, 9)),
+            (("_block_certificate", "_certified_ritz"), (2, 4, 4)),
+            (("_block_certificate", "_lifted_sweep"), (1, 9, 9)),
+        }
+        assert eigensolves and all(shape[-1] == 5 for _, shape in eigensolves)
+
+    def test_a_kernel_that_proves_nothing_settles_and_certifies_nothing(self, monkeypatch):
+        roll = solve_roll(RollParameters(0.02, 0.1, 0.5), SpectralGrid(12))
+        grid = _default_sigma_grid(0.02)
+        assert bloch._settled_members(roll, grid, 1.0).all()
+        monkeypatch.setattr(bloch, "_schur_certificate", lambda A, *args: np.zeros(A.shape[0], bool))
+        assert not bloch._settled_members(roll, grid, 1.0).any()
+        with pytest.raises(InvariantViolation, match="neither certificate"):
+            critical_sweep(roll, [0.1])
+        with pytest.raises(InvariantViolation, match="neither certificate"):
+            classify_numerically(roll)
+        with pytest.raises(InvariantViolation, match="parity blocks"):
+            critical_sweep(roll, [0.0])
 
 
 class TestSettledMembers:
@@ -1289,12 +1350,8 @@ class TestFixedBlockTriples:
         H = bloch._stacks(roll, sweep[-2:])[1]
         assert np.array_equal(H[1], H[0][::-1, ::-1])
         want[-2:] = oracle_triples(roll, sweep[-2:-1])
-        certified = np.isfinite(radius)
-        assert np.all(np.abs(vals - want)[certified] <= radius[certified, None])
+        assert np.all(np.abs(vals - want) <= radius[:, None])
         assert np.all(np.abs(vals - want) < 1e-13)
-        # Uncertified members keep the engine's own values.
-        lifted = bloch._lifted_sweep(roll, sweep).values
-        assert np.array_equal(vals[~certified], lifted[~certified])
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(**{**cells, "n_modes": st.sampled_from([8, 12, 32])})
@@ -1311,22 +1368,35 @@ class TestFixedBlockTriples:
         assert np.all(move <= radius[:, None])
         assert np.all(move < 1e-13)
 
-    def test_members_from_2e_8_to_the_zone_edge_are_certified(self):
-        # Off sigma = 0 the certificate may fail below |sigma| = 1e-8 (up to
-        # 8.7e-9 on 400 seeded cells; see the README).  One cell inside that
-        # window, then 40 seeded cells, each on 61 magnitudes per sign from
-        # 1e-12 to 1e-6 and the whole zone.
+    def test_members_from_2e_8_to_the_zone_edge_are_certified(self, monkeypatch):
+        # Off sigma = 0 the rank-4 certificate may fail below |sigma| = 1e-8
+        # (up to 8.7e-9 on 400 seeded cells; see the README), and only there
+        # does the rank-3 pass run.  One cell inside that window, then 40
+        # seeded cells, each on 61 magnitudes per sign from 1e-12 to 1e-6 and
+        # the whole zone: every member is certified (none raises), and the
+        # same sweep from |sigma| = 2e-8 on runs no rank-3 pass.
+        rank3 = rank3_members(monkeypatch)
         cell = solve_roll(RollParameters(0.0631, -0.096, -1.345), SpectralGrid(12))
-        certified = bloch._lifted_sweep(cell, [1e-9, 2e-9, 5e-9, -5e-9, 1e-8, -1e-8]).certified
-        assert certified.tolist() == [False] * 4 + [True] * 2
+        bloch._lifted_sweep(cell, [1e-9, 2e-9, 5e-9, -5e-9, 1e-8, -1e-8])
+        assert rank3 == [3]
         small = np.logspace(-12, -6, 61)
         sweep = np.concatenate([-small, small, np.linspace(-0.5, 0.5, 41)])
-        outside = np.abs(sweep) >= 2e-8
+        outside = sweep[np.abs(sweep) >= 2e-8]
         rng = np.random.default_rng(31)
+        reached = 0
         for i in range(40):
             params = RollParameters(rng.uniform(0.01, 0.08), rng.uniform(-0.45, 0.45), rng.uniform(-1.4, 1.4))
             roll = solve_roll(params, SpectralGrid((8, 12, 16, 32)[i % 4]))
-            assert bloch._lifted_sweep(roll, sweep).certified[outside].all(), params
+            rank3.clear()
+            out = bloch._lifted_sweep(roll, sweep)
+            assert np.isfinite(out.radius).all() and np.isfinite(out.gap_radius).all(), params
+            reached += sum(rank3)
+            rank3.clear()
+            bloch._lifted_sweep(roll, outside)
+            assert rank3 == [], params
+        # Members of the whole sweeps that the rank-3 pass certified: 645 of
+        # the 2,440 distinct magnitudes up to 1e-6, on x86-64.
+        assert reached > 300
 
     def test_zero_residual_over_zero_denominator_is_no_correction(self):
         # A diagonal H, as of the zero-amplitude roll, whose rest diagonal
@@ -1373,9 +1443,8 @@ class TestFixedBlockTriples:
         # inside it too.
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
         vals, radius = certify(roll, sigmas)
-        certified = np.isfinite(radius)
         want = reference_triples(roll, sigmas)
-        assert np.all(np.abs(vals - want)[certified] <= radius[certified, None])
+        assert np.all(np.abs(vals - want) <= radius[:, None])
 
     @pytest.mark.parametrize("n_modes", [8, 12])
     @pytest.mark.parametrize("params", [(0.03, 0.15, 0.6), (0.07, -0.3, -1.1), (0.006, 0.4, 1.3)])
@@ -1385,7 +1454,7 @@ class TestFixedBlockTriples:
         out = critical_sweep(roll, sweep, 1.0)
         vals, radius, gaps, gap_radius = out.values, out.radius, out.gaps, out.gap_radius
         # Every member is certified, sigma = 0 on its even and odd blocks.
-        assert out.certified.all() and np.isfinite(radius).all() and np.isfinite(gap_radius).all()
+        assert np.isfinite(radius).all() and np.isfinite(gap_radius).all()
         w = oracle_eigenvalues(roll, sweep)
         assert np.all(np.abs(vals - w[:, 2::-1]) <= radius[:, None])
         assert np.all(np.abs(-gaps - w[:, 3]) <= gap_radius)
@@ -1468,23 +1537,53 @@ class TestFixedBlockTriples:
                 assert abs(got.witness_lambda - want.witness_lambda) < radius
 
     @pytest.mark.parametrize("sigma", [1e-12])
-    def test_an_uncertified_triple_that_misses_eigvalsh_raises(self, sigma, monkeypatch):
-        # An uncertified member keeps its lifted triple only where eigvalsh
-        # agrees; otherwise the solve raises, and takes no other path.  The
-        # least value of the triple moves by about 1e-6.
+    def test_a_member_failing_both_certificates_raises(self, sigma, monkeypatch):
+        # A member that fails the rank-4 certificate gets the rank-3 one; where
+        # that fails too, the solve raises, and takes no other path.
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
-        assert np.isnan(certify(roll, [sigma])[1][0])
-        lifted = bloch._lifted_ritz
+        certificate, rank3 = bloch._block_certificate, rank3_members(monkeypatch)
+        assert np.isfinite(certify(roll, [sigma])[1][0]) and rank3 == [1]
 
-        def perturbed(H, start):
-            theta, Y, *radii = lifted(H, start)
-            theta[:, 2] += 1e-6
-            Y[:, :, 1] += 1e-3 * Y[:, :, 0]
-            return (theta, Y, *radii)
+        def failing(sq, H, outer, Y, *args):
+            return certificate(sq, H, outer, Y, *args) & (Y.shape[2] == 4)
 
-        monkeypatch.setattr(bloch, "_lifted_ritz", perturbed)
-        with pytest.raises(InvariantViolation, match="misses eigvalsh"):
-            critical_sweep(roll, [sigma])
+        monkeypatch.setattr(bloch, "_block_certificate", failing)
+        calls = linalg_calls(monkeypatch, "eigvalsh")
+        critical_sweep(roll, [0.1, 0.0])
+        with pytest.raises(InvariantViolation, match="neither certificate"):
+            critical_sweep(roll, [sigma, 0.1])
+        assert calls == []
+
+    @pytest.mark.parametrize("n_modes", [8, 12])
+    @pytest.mark.parametrize("params", [(0.0631, -0.096, -1.345), (0.07, -0.3, -1.1)])
+    def test_the_rank_3_enclosures_hold_the_oracle(self, params, n_modes, monkeypatch):
+        # At sigma = 1e-9 these cells fail the rank-4 certificate.  The triple
+        # lies within r3 of the 40-digit oracle, and lambda_4 in
+        # [rho_4 - r4, rho_4 + 2 r4]: gap_radius is 2 r4.
+        roll = solve_roll(RollParameters(*params), SpectralGrid(n_modes))
+        rank3 = rank3_members(monkeypatch)
+        out = critical_sweep(roll, [1e-9], 1.0)
+        assert rank3 == [1]
+        w = oracle_eigenvalues(roll, [1e-9])[0]
+        assert np.all(np.abs(out.values[0] - w[2::-1]) <= out.radius[0])
+        rho4, r4 = -out.gaps[0], out.gap_radius[0] / 2.0
+        assert rho4 - r4 <= w[3] <= rho4 + 2.0 * r4
+
+    def test_every_member_near_zero_is_certified(self, monkeypatch):
+        # Criterion 2's 16 cells at M = 16, and 40 seeded cells at M = 8 to
+        # 32, on 11 magnitudes per sign from 1e-12 to 1e-7, where the rank-4
+        # certificate fails on about a quarter of the members.
+        cells = [(e, w, s, 16) for w, s in acceptance.PARAM_SETS for e in acceptance.EPS_SWEEP]
+        rng = np.random.default_rng(41)
+        for i in range(40):
+            cells.append((rng.uniform(0.005, 0.08), rng.uniform(-0.45, 0.45), rng.uniform(-1.4, 1.4), (8, 12, 16, 32)[i % 4]))
+        small = np.geomspace(1e-12, 1e-7, 11)
+        rank3 = rank3_members(monkeypatch)
+        for eps, omega, s, n_modes in cells:
+            roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
+            out = critical_sweep(roll, np.concatenate([-small, small]), 1e-300)
+            assert np.isfinite(out.radius).all() and np.isfinite(out.gap_radius).all()
+        assert sum(rank3) > 0.2 * len(cells) * small.size
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(**cells)

@@ -236,7 +236,7 @@ class TestSpectrum:
         assert len(rows) == 2 and "gap" in rows[0]
 
     def test_negative_exponent_in_the_equals_form(self, capsys):
-        # The +-1e-10 members fail the certificate: a NaN member of the block Cholesky.
+        # The +-1e-10 members fail the rank-4 certificate and pass the rank-3 one.
         code, out, _ = run(
             capsys, "spectrum", "--eps", "0.05", "--omega", "0.1", "--s", "0.8", "--modes", "12",
             "--sigma-min=-1e-10", "--sigma-max=1e-10", "--sigma-steps", "3",
@@ -396,13 +396,13 @@ class TestGoldenBytes:
                 ("solve", "--eps", "0.1", "--omega", "0.2", "--s", "0.8", "--modes", "16"),
             ),
             (
-                # the whole zone at M = 32, as JSON: certified but at sigma = 0
+                # the whole zone at M = 32, as JSON: sigma = 0 on its parity blocks
                 "spectrum_zone_m32.json",
                 ("spectrum", "--eps", "0.04", "--omega", "0.1", "--s", "0.5", "--sigma-min", "-0.5",
                  "--sigma-max", "0.5", "--sigma-steps", "41", "--modes", "32", "--format", "json"),
             ),
             (
-                # sigma = 0 and +-1e-10 at M = 12, as JSON: no member certified
+                # sigma = 0 and +-1e-10 at M = 12, as JSON: +-1e-10 certified by the rank-3 pass
                 "spectrum_zero_m12.json",
                 ("spectrum", "--eps", "0.05", "--omega", "0.1", "--s", "0.8", "--modes", "12",
                  "--sigma-min=-1e-10", "--sigma-max", "1e-10", "--sigma-steps", "3", "--format", "json"),
