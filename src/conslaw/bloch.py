@@ -41,8 +41,11 @@ Lyapunov-Schmidt split of ``H``, the critical block (Bloch modes
 correction (:func:`_lifted_ritz`; E. R. Davidson, J. Comput. Phys. 17
 (1975) 87-94), each member certified; at ``sigma = 0`` the same steps run
 on the even and odd blocks of ``H`` (:func:`_parity_member`).  The
-classifier solves only the members that an inertia test on ``S`` cannot
-settle (:func:`_settled_members`), which builds no ``N x N`` matrix.  Every
+classifier solves only the members that an inertia test on
+``S - level diag(1/p)`` cannot settle (:func:`_settled_members`), which
+builds no ``N x N`` matrix: below ``level = 0``, or below its witness's top
+value less :func:`_ritz_margin`, the a priori bound on how far a computed
+top Ritz value can exceed ``lambda_1``.  Every
 certificate is the split again, proved by one kernel
 (:func:`_schur_certificate`): Gershgorin's theorem on the rest and one
 stacked Cholesky of a Schur-complement bound on the 9 x 9 block of
@@ -107,6 +110,28 @@ _BLOCK_MODES = 4
 #: (section 10.1), so the factored diagonal is shrunk by
 #: ``_SCHUR_ULPS k (k + 1) eps``, relative, about 4 times that.
 _SCHUR_ULPS = 2
+#: The factor of :func:`_ritz_margin`, ``m = _MARGIN_ULPS (N + 1) eps h``,
+#: ``h >= ||H||_2``.  With ``k = 5`` Ritz vectors, unit roundoff ``u = eps / 2``
+#: and ``gamma_N = N u / (1 - N u)`` (Higham, Accuracy and Stability of
+#: Numerical Algorithms, 2nd ed., section 3.1), the computed top Ritz value
+#: exceeds ``lambda_1`` of ``diag(sq) S diag(sq)`` by at most the sum of
+#: (Weyl's inequality for each perturbation of ``G``):
+#:
+#: - ``||Q^T Q - I||_2 |lambda_1|``, the departure of the Householder ``Q``
+#:   from orthonormality, at most ``2 sqrt(k) gamma~_{Nk}`` (section 19.3,
+#:   ``||Q - Q_exact||_F <= sqrt(k) gamma~_{Nk}``, its unstated constant
+#:   taken as 1): ``5 sqrt(5) N eps h``, 11.2 ``N eps h``;
+#: - ``H Q``: ``gamma_N || |H| |Q| ||_F <= gamma_N sqrt(k) h``, 1.12 ``N eps h``;
+#: - ``Q^T (H Q)``: ``gamma_N ||Q||_F ||H Q||_F <= gamma_N k h``, 2.5 ``N eps h``;
+#: - the symmetrization of ``G``, ``u k h``, and the 5 x 5 ``eigh``,
+#:   ``_ROUNDING_ULPS eps ||G||_2``: 2.5 and 8 ``eps h``;
+#: - ``H`` as built, within three roundings of ``diag(sq) S diag(sq)``
+#:   entrywise, and ``sq^2 / p`` within two of one in the level's shift:
+#:   2.5 ``eps h``.
+#:
+#: In all ``14.8 N eps h + 13 eps h``, below ``16 (N + 1) eps h``, which
+#: also covers the second-order terms and the rounding of ``h`` itself.
+_MARGIN_ULPS = 16
 _EPS = np.finfo(np.float64).eps
 
 
@@ -642,21 +667,25 @@ def check_delta(delta: float) -> None:
         raise OutOfRange(f"delta must be positive and finite, got {delta}", param="delta")
 
 
-def _settled_members(roll: RollSolution, sigmas: np.ndarray, delta: float) -> np.ndarray:
-    """The members ``(n,)`` of a checked sweep whose ``H`` is proved to have no positive eigenvalue and ``lambda_4 < -delta``.
+def _settled_members(roll: RollSolution, sigmas: np.ndarray, delta: float, level: float = 0.0) -> np.ndarray:
+    """The members ``(n,)`` of a checked sweep whose ``H`` is proved to have ``lambda_1 < level`` and ``lambda_4 < -delta``.
 
     Built from ``T`` and the diagonal ``d = diag(T) + sh(p)`` of ``S`` alone;
     no ``N x N`` matrix is formed.  A member is settled when all three hold:
 
     - ``sigma`` is not zero (within ``_SIGMA_ZERO_TOL``).  Then ``p > 0``, so
-      ``H = diag(sq) S diag(sq)`` is congruent to ``S`` and has its inertia
-      (Sylvester's law): ``H`` is negative definite when ``-S`` is positive
-      definite.  At zero ``p_0 = 0`` and the congruence fails.
-    - ``-S`` is certified positive definite from its block ``l`` of modes
-      ``|m| <= 4`` by :func:`_schur_certificate`: on the outer rows ``h``,
-      ``-S_hh`` has the diagonal ``-d`` and off-diagonal row sums
-      ``sum_{j in h, j != i} |T_ij|``, and the coupling rows are ``T_lh``,
-      whose ``P = T_lh T_hl`` does not depend on ``sigma`` and is formed once.
+      ``H - level I = diag(sq) (S - level diag(1/p)) diag(sq)`` is congruent
+      to ``S - level diag(1/p)`` and has its inertia (Sylvester's law):
+      ``lambda_1(H) < level`` when ``-(S - level diag(1/p))`` is positive
+      definite.  At zero ``p_0 = 0`` and the congruence fails; a zero member
+      is never settled, at any level, and its ``1/p`` is never formed.
+    - ``-(S - level diag(1/p))`` is certified positive definite from its
+      block ``l`` of modes ``|m| <= 4`` by :func:`_schur_certificate`: on the
+      outer rows ``h`` it has the diagonal ``level / p - d`` and off-diagonal
+      row sums ``sum_{j in h, j != i} |T_ij|``, and the coupling rows are
+      ``T_lh``, whose ``P = T_lh T_hl`` does not depend on ``sigma`` or the
+      level and is formed once.  At the default ``level = 0.0`` the shift is
+      not formed, and the certificate is ``-S``'s, bit for bit.
     - ``lambda_4(H) <= lambda_max(H_hh)`` over the rows ``hh`` of
       ``|m| >= 2`` (Cauchy interlacing), whose Gershgorin bound
       ``max_i (H_ii + sum_{j != i} sq_i sq_j |T_ij|)``, ``i`` and ``j`` in
@@ -666,28 +695,53 @@ def _settled_members(roll: RollSolution, sigmas: np.ndarray, delta: float) -> np
     Like :func:`_lifted_sweep`'s certificate this is a floating-point proof
     with stated slack, not interval arithmetic: the row sums, ``P`` and the
     factorization carry :func:`_schur_certificate`'s, the rest of the
-    arithmetic none, the forming of ``S`` and ``H`` among it: the
+    arithmetic none, the forming of ``S``, ``1/p`` and ``H`` among it: the
     congruence holds for ``S`` as built and ``diag(sq) S diag(sq)`` exactly,
-    each ``H_ij`` lying within three roundings of it.  Raises
-    :class:`OutOfRange` unless ``delta`` is positive and finite.
+    each ``H_ij`` lying within three roundings of it, and ``sq^2 / p``
+    within two of one.  Raises :class:`OutOfRange` unless ``delta`` is
+    positive and finite.
     """
     check_delta(delta)
     op = _operator(roll)
     p, sh = _symbols(op, sigmas)
     T, (n, N) = op.T, p.shape
     d, sq = T.diagonal() + sh, np.sqrt(p)
+    off = np.abs(sigmas) >= _SIGMA_ZERO_TOL
+    # The diagonal of S - level diag(1/p), on the members off zero alone.
+    dl = d - np.divide(level, p, out=np.zeros_like(p), where=off[:, None]) if level else d
     block, crit = _rows(N, _BLOCK_MODES), _rows(N, 1)
     Tl = T[block].copy()
     Tl[:, block] = 0.0
     k = Tl.shape[0]
     A = np.empty((n, k, k))
     A[...] = -T[block, block]
-    A.reshape(n, k * k)[:, :: k + 1] = -d[:, block]
+    A.reshape(n, k * k)[:, :: k + 1] = -dl[:, block]
     # |T| off the diagonal with its block rows zeroed: the outer rows' Gershgorin sums are its column sums.
-    definite = _schur_certificate(A, Tl, -d, np.add.reduce(op.outer, axis=0), block)
+    definite = _schur_certificate(A, Tl, -dl, np.add.reduce(op.outer, axis=0), block)
     top = (d * sq) * sq + (1.0 + _SCHUR_ULPS * N * _EPS) * sq * (sq @ _outer_abs(T, crit))
     top[:, crit] = -np.inf
-    return (np.abs(sigmas) >= _SIGMA_ZERO_TOL) & definite & (np.maximum.reduce(top, axis=1) < -delta)
+    return off & definite & (np.maximum.reduce(top, axis=1) < -delta)
+
+
+def _ritz_margin(roll: RollSolution, sigmas: np.ndarray) -> float:
+    """An a priori bound ``m`` on how far the computed top Ritz value of any member of a checked sweep off zero can exceed
+    ``lambda_1`` of its ``H``: ``m = _MARGIN_ULPS (N + 1) eps h``, ``h`` the largest Gershgorin row sum of ``|H|`` over
+    the sweep, from ``|H_ii| = |d_i| p_i`` and ``|H_ij| <= sq_i sq_j |T_ij|`` (:func:`_stacks`), so ``||H||_2 <= h``.
+
+    Exact Rayleigh-Ritz on orthonormal columns gives no value above
+    ``lambda_1`` (Courant-Fischer; Parlett, The Symmetric Eigenvalue
+    Problem, ch. 10-11), so only rounding enters ``m``: that of the final
+    step of :func:`_lifted_ritz` and of ``H`` as built, against the
+    ``diag(sq) S diag(sq)`` of which :func:`_settled_members` proves
+    ``lambda_1 < level`` (``_MARGIN_ULPS`` states each term).  So a member
+    settled at ``level`` has a computed top Ritz value below ``level + m``.
+    Known before any member is solved; ``h`` grows with ``M^6``.
+    """
+    op = _operator(roll)
+    p, sh = _symbols(op, sigmas)
+    sq, N = np.sqrt(p), p.shape[1]
+    rows = np.abs((op.T.diagonal() + sh) * p) + sq * (sq @ _outer_abs(op.T, slice(0, 0)))
+    return _MARGIN_ULPS * (N + 1) * _EPS * float(np.maximum.reduce(rows, axis=None, initial=0.0))
 
 
 def critical_sweep(roll: RollSolution, sigmas, delta: float = 1.0) -> BlochSweep:

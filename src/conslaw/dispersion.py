@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _checked_sigmas, _settled_members, critical_sweep
-from .errors import InvariantViolation
+from .bloch import _checked_sigmas, _ritz_margin, _settled_members, critical_sweep
+from .errors import GapViolation, InvariantViolation
 from .rolls import RollParameters, RollSolution, check_open_band, check_s
 
 __all__ = [
@@ -232,6 +232,41 @@ def _default_sigma_grid(eps: float) -> np.ndarray:
     return grid
 
 
+def _predicted_peak(params: RollParameters, sigmas: np.ndarray) -> tuple[int, float] | None:
+    """The member of a Bloch grid where the largest root of the leading reduced cubic peaks, and that root; ``None``
+    where the root is positive at no member.
+
+    The leading reduced matrix is similar to a real symmetric one (its
+    off-diagonal products are ``64 omega^2 sigma^2 eps^2`` and
+    ``72 s^2 A sigma^2 eps^2``, both nonnegative), so the cubic's roots are
+    real, and it has a positive root exactly where one of its coefficients
+    is negative.  Of ``a2 = P20 + P22 s2``, ``a1 = s2 (P12 + P14 s2)`` and
+    ``a0 = s2^2 (P04 + 16 s2)`` (:func:`p_symbols`, ``s2 = sigma^2``) each
+    factor grows with ``s2``, so that is decided at the grid's first, least
+    member alone, before any array is formed (it is positive but at
+    ``eps = 0``, where every ``P`` but ``P14`` and ``P22`` vanishes and no
+    root is positive).  Otherwise the largest roots
+    come from the trigonometric form of the depressed cubic, over the whole
+    grid at once; neither :func:`cardano_roots` nor :func:`companion_roots`,
+    criterion 6's cross-checked pair, is called.  A prediction only: the
+    classifier proves what it skips.
+    """
+    P04, P12, P14, P20, P22 = p_symbols(params)
+    s2 = float(sigmas[0]) ** 2
+    if min(P20 + P22 * s2, P12 + P14 * s2, P04 + 16.0 * s2) >= 0.0:
+        return None
+    s2 = sigmas * sigmas
+    a2, a1, a0 = P20 + P22 * s2, s2 * (P12 + P14 * s2), s2 * s2 * (P04 + 16.0 * s2)
+    # lambda = t - a2 / 3 with t^3 - 3 r^2 t + q = 0; t = 2 r cos(theta), where
+    # cos(3 theta) = -q / (2 r^3), is largest at the least theta.
+    r = np.sqrt(np.maximum(a2 * a2 / 9.0 - a1 / 3.0, 0.0))
+    q = a2 * (2.0 * a2 * a2 - 9.0 * a1) / 27.0 + a0
+    cos3 = np.divide(-q, 2.0 * r**3, out=np.zeros_like(q), where=r > 0.0)
+    top = 2.0 * r * np.cos(np.arccos(np.clip(cos3, -1.0, 1.0)) / 3.0) - a2 / 3.0
+    j = int(np.argmax(top))
+    return j, float(top[j])
+
+
 def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVerdict:
     """Verdict from the computed critical curves over a sigma sweep.
 
@@ -249,46 +284,85 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
     ``-2 (1 - 4 omega^2) eps^2 < 0``, so instability enters only at
     ``sigma != 0``.
 
-    Only the members that can change the verdict are solved.
-    ``bloch._settled_members`` proves from ``S``'s diagonal and Toeplitz
-    part alone, by inertia, that a member's ``H`` has no positive eigenvalue
-    and ``lambda_4 < -delta``: it holds no unstable value and passes the gap
-    check.  The other members are swept first, in grid order; the witness is
-    the first maximum over their curves, the member a sweep of the whole
-    grid would name.  Only when none rises above ``1e-10`` are the settled
-    members of the fit window swept too.  A stacked sweep gives each member
-    the bits of a sweep of it alone, so verdict and witness are those of a
-    sweep of the whole grid.  So is a gap error, the first member in grid
-    order that fails: a settled member passes, unless its ``lambda_4`` lies
-    within the ``2 r4`` by which the sweep's check ``rho_4 + r4 < -delta``
-    is the stricter.
+    Only the members that can change the verdict are solved, each with the
+    bits a sweep of the whole grid gives it (a stacked sweep gives each
+    member the bits of a sweep of it alone), so verdict and witness are that
+    sweep's.  ``bloch._settled_members`` proves from ``S``'s diagonal and
+    Toeplitz part alone, by inertia, that a member's ``H`` has
+    ``lambda_1 < level`` and ``lambda_4 < -delta``.
+
+    Where the leading reduced cubic predicts growth (:func:`_predicted_peak`),
+    the member of its peak is solved first.  When that member's top value
+    ``b`` exceeds ``1e-10`` by more than ``m``, the a priori bound on how far
+    a computed top Ritz value can exceed ``lambda_1`` (``bloch._ritz_margin``),
+    the other members are tested at ``level = b - m``.  A member settled
+    there has a computed top value below ``b``, so cannot be the maximum, and
+    only the others are solved; the witness is the first maximum over the
+    solved members, in grid order, the member a sweep of the whole grid
+    names.  ``m`` grows with ``M^6`` and is known first: where the predicted
+    peak does not clear ``m + 1e-10`` (mostly at M = 32), that path is not
+    taken.
+
+    Otherwise, and where a sweep of that path raises :class:`GapViolation`,
+    the grid is settled at ``level = 0``, and any member already solved is
+    reused.  The members not settled are swept, and the witness is the first
+    maximum over their curves.  Only when none rises above ``1e-10`` are the
+    settled members of the fit window swept too.  So a gap error is that of
+    a sweep of the whole grid, the first member in grid order that fails: a
+    settled member passes, unless its ``lambda_4`` lies within the ``2 r4``
+    by which the sweep's check ``rho_4 + r4 < -delta`` is the stricter.
     """
     eps = roll.params.eps
     sigmas = _default_sigma_grid(eps)
-    # The products of a small roll's T underflow at M = 32, as the sweep's do.
-    with np.errstate(under="ignore"):
-        settled = _settled_members(roll, sigmas, delta)
     # All critical eigenvalues are real (the operator is similar to a real
     # symmetric matrix), so per-sigma ascending order is the curve
     # assignment: between real triples it has the least total distance.
     curves = np.full((3, sigmas.size), np.nan)
-    solved = (~settled).nonzero()[0]
-    if solved.size:
-        sub = curves[:, solved] = critical_sweep(roll, sigmas[solved], delta).values.T
+    done = -1  # the predicted member, once solved
+
+    def sweep(members: np.ndarray) -> None:
+        """Sweep the ``members`` (grid indices, ascending) into ``curves``, in one sweep; ``done`` is solved already."""
+        new = members if done < 0 else members[members != done]
+        if new.size:
+            curves[:, new] = critical_sweep(roll, sigmas[new], delta).values.T
+
+    def unstable(members: np.ndarray) -> StabilityVerdict | None:
+        """UNSTABLE at the first maximum over the ``members``' curves, where it exceeds ``1e-10``."""
+        sweep(members)
+        sub = curves[:, members]
         worst = np.unravel_index(np.argmax(sub), sub.shape)
         if sub[worst] > 1e-10:
-            return StabilityVerdict(
-                verdict=Stability.UNSTABLE,
-                witness_sigma=float(sigmas[solved[worst[1]]]),
-                witness_lambda=float(sub[worst]),
-            )
+            return StabilityVerdict(Stability.UNSTABLE, float(sigmas[members[worst[1]]]), float(sub[worst]))
+        return None
+
+    # The products of a small roll's T underflow at M = 32, as the sweep's do.
+    with np.errstate(under="ignore"):
+        peak = _predicted_peak(roll.params, sigmas)
+        margin = np.inf if peak is None else _ritz_margin(roll, sigmas)
+        if peak is not None and peak[1] - margin > 1e-10:
+            try:
+                sweep(np.array([peak[0]]))
+                done = peak[0]
+                level = curves[2, done] - margin
+                if level > 1e-10:
+                    keep = ~_settled_members(roll, sigmas, delta, level)
+                    keep[done] = True
+                    return unstable(keep.nonzero()[0])
+            except GapViolation:
+                pass
+        settled = _settled_members(roll, sigmas, delta)
+    solved = (~settled).nonzero()[0]
+    if solved.size:
+        verdict = unstable(solved)
+        if verdict is not None:
+            return verdict
 
     fit_mask = (sigmas > 0.0) & (sigmas <= 0.75 * eps)
     if np.count_nonzero(fit_mask) < 3:
         fit_mask = (sigmas > 0.0) & (sigmas <= np.sort(sigmas[sigmas > 0.0])[2])
     rest = (fit_mask & settled).nonzero()[0]
     if rest.size:
-        curves[:, rest] = critical_sweep(roll, sigmas[rest], delta).values.T
+        sweep(rest)
     X = np.column_stack([np.ones(np.count_nonzero(fit_mask)), sigmas[fit_mask] ** 2])
     coefs = [np.linalg.lstsq(X, curves[j, fit_mask], rcond=None)[0][1] for j in (1, 2)]
     if all(cj <= -1e-6 * eps**2 for cj in coefs):

@@ -1311,7 +1311,44 @@ class TestSettledMembers:
         settled = bloch._settled_members(roll, grid, 1.0)
         assert not settled[0] and settled[1:].all()
         roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
-        assert not bloch._settled_members(roll, np.array([0.0, -0.0, 5e-14, -5e-14]), 1.0).any()
+        zeros = np.array([0.0, -0.0, 5e-14, -5e-14])
+        assert not bloch._settled_members(roll, zeros, 1.0).any()
+        # Nor at a positive level, where 1/p is never formed for them: no warning.
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            for level in (1e-300, 1e-10, 1e-4, 1.0):
+                assert not bloch._settled_members(roll, zeros, 1.0, level).any()
+
+    def test_members_settled_at_a_level_lie_below_it(self):
+        # Seeded cells, each at levels from its own triples over the
+        # classifier's grid: the largest top value b, b less the margin, as
+        # the classifier tests, and the median top value.  Against a dense
+        # eigvalsh of each settled H; where its rounding N eps max|w| cannot
+        # tell the top value from the level, the 40-digit oracle decides.  At
+        # level 0.0 the array is the default call's, and at 5e-324, whose
+        # shift rounds away, the shifted path gives it too.
+        rng = np.random.default_rng(42)
+        settled_at, oracle_members = [], 0
+        for i in range(12):
+            eps, n_modes = rng.uniform(0.005, 0.08), (8, 12, 16)[i % 3]
+            roll = solve_roll(RollParameters(eps, rng.uniform(-0.45, 0.45), rng.uniform(-1.5, 1.5)), SpectralGrid(n_modes))
+            sigmas, grid = self.sweep(eps), _default_sigma_grid(eps)
+            tops = critical_sweep(roll, grid).values[:, 2]
+            default = bloch._settled_members(roll, sigmas, 1.0)
+            for level in (0.0, -0.0, 5e-324):
+                assert np.array_equal(bloch._settled_members(roll, sigmas, 1.0, level), default)
+            w = np.linalg.eigvalsh(bloch._stacks(roll, sigmas)[1])
+            u = w.shape[1] * np.finfo(float).eps * np.abs(w).max(axis=1)
+            for level in (tops.max(), tops.max() - bloch._ritz_margin(roll, grid), np.median(tops)):
+                settled = bloch._settled_members(roll, sigmas, 1.0, level)
+                assert np.all(w[settled, -1] < level + u[settled])
+                unsure = settled & (w[:, -1] >= level - u)
+                if unsure.any():
+                    oracle_members += np.count_nonzero(unsure)
+                    assert np.all(oracle_eigenvalues(roll, sigmas[unsure])[:, 0] < level)
+                settled_at.append(np.count_nonzero(settled))
+        assert sum(settled_at) > 0.5 * len(settled_at) * self.sweep(0.02).size
+        assert oracle_members > 0
 
     def test_a_huge_delta_settles_nothing(self):
         roll = solve_roll(RollParameters(0.02, 0.1, 0.5), SpectralGrid(12))
@@ -1458,6 +1495,18 @@ class TestFixedBlockTriples:
         w = oracle_eigenvalues(roll, sweep)
         assert np.all(np.abs(vals - w[:, 2::-1]) <= radius[:, None])
         assert np.all(np.abs(-gaps - w[:, 3]) <= gap_radius)
+        # Off zero, each computed top Ritz value lies less than the a priori
+        # margin above lambda_1.
+        off = sweep != 0.0
+        assert np.all(vals[off, 2] - w[off, 0] < bloch._ritz_margin(roll, sweep[off]))
+
+    def test_top_ritz_values_lie_within_the_margin_of_the_oracle_at_m_32(self):
+        # Where the margin is largest (it grows with M^6), at a member near the
+        # growth peak of an unstable cell.
+        roll = solve_roll(RollParameters(0.02, 0.4, 0.0), SpectralGrid(32))
+        sweep = np.array([0.007])
+        top = critical_sweep(roll, sweep).values[:, 2]
+        assert np.all(top - oracle_eigenvalues(roll, sweep)[:, 0] < bloch._ritz_margin(roll, sweep))
 
     def test_certified_curves_run_no_full_eigensolve_until_read(self, monkeypatch):
         # The whole zone at M = 32 without sigma = 0: every member certified.

@@ -311,12 +311,32 @@ class TestMap:
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        argv = ("map", "--eps", "0.02", "--steps", "2", "--modes", "8")
+        # Four cells and four tasks: s from -1.4 to 1.5 has no exactly
+        # mirrored pair to fold.
+        argv = ("map", "--eps", "0.02", "--steps", "2", "--modes", "8", "--s-min", "-1.4")
         code, out, _ = run(capsys, *argv, "--jobs", jobs)
         assert code == 0
         # No pool at all when one worker would do.
         assert sizes == ([] if workers is None else [workers])
         assert out == run(capsys, *argv, "--jobs", "1")[1]
+
+    @pytest.mark.parametrize("s_range, solves", [(("-1.5", "1.5"), 8), (("-1.4", "1.5"), 16)], ids=["mirrored", "apart"])
+    def test_each_exactly_mirrored_pair_is_solved_once(self, capsys, monkeypatch, s_range, solves):
+        # linspace(-1.5, 1.5, 4) mirrors both pairs of s exactly; with
+        # -1.4 .. 1.5 no cell has its mirror, and every cell is solved.
+        solved, solve = [], cli.solve_roll
+
+        def spy(params, grid):
+            solved.append((params.omega, params.s))
+            return solve(params, grid)
+
+        monkeypatch.setattr(cli, "solve_roll", spy)
+        argv = ("map", "--eps", "0.02", "--steps", "4", "--modes", "8", "--s-min", s_range[0], "--s-max", s_range[1])
+        code, out, _ = run(capsys, *argv, "--jobs", "1")
+        assert code == 0 and len(solved) == solves
+        assert len({(omega, abs(s)) for omega, s in solved}) == solves
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 16 and {(float(r[1]), float(r[0])) for r in rows} >= set(solved)
 
     def test_predicate_only_is_fast_path(self, capsys):
         code, out, _ = run(capsys, "map", "--eps", "0.02", "--steps", "2", "--mode", "predicate")

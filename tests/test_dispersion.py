@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conslaw import bloch
 from conslaw import dispersion as dsp
 from conslaw.bloch import critical_modes, critical_sweep
 from conslaw.errors import GapViolation, InvariantViolation, OutOfRange
@@ -271,14 +272,14 @@ class TestSignOfS:
 
 
 class TestSettledMembers:
-    """The classifier solves only the members ``bloch._settled_members`` cannot settle, with the bits of a
-    sweep of the whole grid."""
+    """The classifier solves only the members ``bloch._settled_members`` cannot settle, at level zero or at the
+    level its predicted member sets, with the bits of a sweep of the whole grid."""
 
     @staticmethod
     def full_grid(roll, delta=1.0):
-        """The verdict with no member settled: every member of the grid solved in one sweep."""
+        """The verdict with no member settled at any level: every member of the grid solved."""
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(dsp, "_settled_members", lambda roll, sigmas, delta: np.zeros(sigmas.size, bool))
+            m.setattr(dsp, "_settled_members", lambda roll, sigmas, delta, level=0.0: np.zeros(sigmas.size, bool))
             return dsp.classify_numerically(roll, delta)
 
     @staticmethod
@@ -315,13 +316,50 @@ class TestSettledMembers:
         calls = self.solved(monkeypatch)
         stable = solve_roll(RollParameters(0.02, 0.1, 0.5), SpectralGrid(12))
         assert dsp.classify_numerically(stable).verdict is dsp.Stability.STABLE
-        # Every member is settled, so only the fit window is solved, in one sweep.
+        # No growth is predicted and every member is settled, so only the fit
+        # window is solved, in one sweep.
+        assert dsp._predicted_peak(stable.params, grid) is None
         assert len(calls) == 1 and np.array_equal(calls[0], fit)
         calls.clear()
         unstable = solve_roll(RollParameters(0.02, 0.4, 0.0), SpectralGrid(12))
-        assert dsp.classify_numerically(unstable).verdict is dsp.Stability.UNSTABLE
-        assert len(calls) == 1 and calls[0].size < grid.size
-        assert np.array_equal(calls[0], grid[~dsp._settled_members(unstable, grid, 1.0)])
+        verdict = dsp.classify_numerically(unstable)
+        assert verdict.verdict is dsp.Stability.UNSTABLE
+        # The predicted member first, then the one member the level test
+        # could not exclude: the witness, one grid member below the prediction.
+        j = dsp._predicted_peak(unstable.params, grid)[0]
+        level = critical_sweep(unstable, grid[[j]]).values[0, 2] - bloch._ritz_margin(unstable, grid)
+        kept = ~dsp._settled_members(unstable, grid, 1.0, level)
+        assert np.flatnonzero(kept).tolist() == [j - 1, j]
+        assert [c.tolist() for c in calls] == [[grid[j]], [grid[j - 1]]]
+        assert verdict.witness_sigma == grid[j - 1]
+
+    @pytest.mark.parametrize(
+        "omega, s, case",
+        [(0.1, 0.5, "mispredicted"), (0.4, 0.0, "level_at_zero"), (0.4, 0.0, "margin_too_wide")],
+    )
+    def test_every_other_case_is_the_level_zero_path(self, omega, s, case, monkeypatch):
+        # A stable cell whose growth is mispredicted at a fit member; an
+        # unstable cell whose b - m does not clear 1e-10; and one whose margin
+        # the predicted peak does not clear, as mostly at M = 32.  Each gives
+        # the verdict of the unpatched classifier, and solves a member once.
+        roll = solve_roll(RollParameters(0.02, omega, s), SpectralGrid(12))
+        grid = dsp._default_sigma_grid(0.02)
+        want = dsp.classify_numerically(roll)
+        settled = dsp._settled_members(roll, grid, 1.0)
+        j = 5 if case == "mispredicted" else dsp._predicted_peak(roll.params, grid)[0]
+        # A margin of b puts the level at zero; one of 1.0, the patched peak, skips the predicted member.
+        margin = 1.0 if case == "margin_too_wide" else critical_sweep(roll, grid[[j]]).values[0, 2]
+        monkeypatch.setattr(dsp, "_predicted_peak", lambda params, sigmas: (j, 1.0))
+        monkeypatch.setattr(dsp, "_ritz_margin", lambda roll, sigmas: margin)
+        calls = self.solved(monkeypatch)
+        assert dsp.classify_numerically(roll) == want
+        first = np.arange(grid.size) == j
+        if case == "mispredicted":
+            assert settled.all() and [c.tolist() for c in calls] == [[grid[j]], grid[(grid <= 0.75 * 0.02) & ~first].tolist()]
+        elif case == "level_at_zero":
+            assert [c.tolist() for c in calls] == [[grid[j]], grid[~settled & ~first].tolist()]
+        else:
+            assert [c.tolist() for c in calls] == [grid[~settled].tolist()]
 
     @pytest.mark.parametrize("omega, s", [(0.1, 0.5), (0.4, 0.0)], ids=["stable", "unstable"])
     def test_gap_errors_are_the_full_grid_sweeps(self, omega, s):
