@@ -128,21 +128,17 @@ def stability_band() -> CriterionResult:
     e = 0.02
     grid = SpectralGrid(12)
 
-    # The roll at -s is the roll at s mirrored, with the same verdict, so each
-    # exactly mirrored pair (10 of the 15 pairs of s) is classified once.
-    agree = total = 0
-    verdicts: dict[tuple[float, float], dsp.Stability] = {}
-    for s in np.linspace(-1.5, 1.5, 30):
-        for w in np.linspace(-0.45, 0.45, 30):
-            if abs(dsp.sideband_product(w, s)) <= 0.05:
-                continue
-            pred = dsp.stability_predicate(w, s)
-            pair = (float(w), abs(float(s)))
-            if pair not in verdicts:
-                verdicts[pair] = dsp.classify_numerically(solve_roll(RollParameters(e, w, s), grid)).verdict
-            total += 1
-            agree += int(pred == verdicts[pair])
-    frac = agree / total
+    cells = [
+        RollParameters(e, w, s)
+        for s in np.linspace(-1.5, 1.5, 30)
+        for w in np.linspace(-0.45, 0.45, 30)
+        if abs(dsp.sideband_product(w, s)) > 0.05
+    ]
+    # Each exactly mirrored pair (omega, +-s), 10 of the 15 pairs of s, is classified once.
+    firsts, index = dsp._fold_mirrors(cells)
+    verdicts = [dsp.classify_numerically(solve_roll(p, grid)).verdict for p in firsts]
+    agree = sum(dsp.stability_predicate(p.omega, p.s) == verdicts[j] for p, j in zip(cells, index))
+    frac = agree / len(cells)
 
     def flip(values: np.ndarray, roll_of) -> tuple[float, float] | None:
         verdicts = [dsp.classify_numerically(roll_of(v)).verdict for v in values]
@@ -156,7 +152,7 @@ def stability_band() -> CriterionResult:
     w_flip = flip(np.arange(0.25, 0.34, 0.01), lambda w: solve_roll(RollParameters(e, w, 0.0), grid))
 
     checks = [
-        (frac >= 0.95, f"agreement {frac:.3f} < 0.95 ({agree}/{total})"),
+        (frac >= 0.95, f"agreement {frac:.3f} < 0.95 ({agree}/{len(cells)})"),
         (
             s_flip is not None and s_star - 0.02 <= s_flip[0] and s_flip[1] <= s_star + 0.02,
             f"s* flip {s_flip} not within {s_star} +- 0.02",

@@ -43,9 +43,9 @@ correction (:func:`_lifted_ritz`; E. R. Davidson, J. Comput. Phys. 17
 on the even and odd blocks of ``H`` (:func:`_parity_member`).  The
 classifier solves only the members that an inertia test on
 ``S - level diag(1/p)`` cannot settle (:func:`_settled_members`), which
-builds no ``N x N`` matrix: below ``level = 0``, or below its witness's top
-value less :func:`_ritz_margin`, the a priori bound on how far a computed
-top Ritz value can exceed ``lambda_1``.  Every
+builds no ``N x N`` matrix, at one level: its predicted member's top value
+less :func:`_ritz_margin`, the a priori bound on how far a computed top
+Ritz value can exceed ``lambda_1``, or zero where that is not positive.  Every
 certificate is the split again, proved by one kernel
 (:func:`_schur_certificate`): Gershgorin's theorem on the rest and one
 stacked Cholesky of a Schur-complement bound on the 9 x 9 block of

@@ -151,14 +151,9 @@ def _cmd_map(o: argparse.Namespace) -> int:
     numeric = [("", None, None)] * len(cells)
     if o.mode != "predicate":
         check_delta(o.delta)
-        # The roll at -s is the roll at s mirrored, and its verdict and witness
-        # are the same bits, so each exactly mirrored pair is classified once,
-        # at its first cell; a pair linspace does not mirror exactly is two.
-        pairs = [(p.omega, abs(p.s)) for p in cells]
-        first: dict[tuple[float, float], RollParameters] = {}
-        for pair, p in zip(pairs, cells):
-            first.setdefault(pair, p)
-        tasks = [(p, grid, o.delta) for p in first.values()]
+        # Each exactly mirrored pair (omega, +-s) is classified once, at its first cell.
+        firsts, index = dsp._fold_mirrors(cells)
+        tasks = [(p, grid, o.delta) for p in firsts]
         # The pool forks all its workers up front, so never more than there are tasks.
         workers = min(len(tasks), o.jobs or os.cpu_count() or 1)
         if workers == 1:
@@ -166,8 +161,7 @@ def _cmd_map(o: argparse.Namespace) -> int:
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 solved = list(pool.map(_numeric_cell, tasks, chunksize=8))
-        verdicts = dict(zip(first, solved))
-        numeric = [verdicts[pair] for pair in pairs]
+        numeric = [solved[j] for j in index]
     rows = [
         [p.s, p.omega, pred if o.mode != "numeric" else "", verdict, pi, wit_sigma, wit_lambda]
         for p, (pred, pi), (verdict, wit_sigma, wit_lambda) in zip(cells, closed, numeric)

@@ -289,28 +289,29 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
     member the bits of a sweep of it alone), so verdict and witness are that
     sweep's.  ``bloch._settled_members`` proves from ``S``'s diagonal and
     Toeplitz part alone, by inertia, that a member's ``H`` has
-    ``lambda_1 < level`` and ``lambda_4 < -delta``.
+    ``lambda_1 < level`` and ``lambda_4 < -delta``; ``bloch._ritz_margin``
+    bounds by ``m`` how far a computed top Ritz value can exceed
+    ``lambda_1``, so a member settled at ``level`` has a computed top value
+    below ``level + m``.  One pass:
 
-    Where the leading reduced cubic predicts growth (:func:`_predicted_peak`),
-    the member of its peak is solved first.  When that member's top value
-    ``b`` exceeds ``1e-10`` by more than ``m``, the a priori bound on how far
-    a computed top Ritz value can exceed ``lambda_1`` (``bloch._ritz_margin``),
-    the other members are tested at ``level = b - m``.  A member settled
-    there has a computed top value below ``b``, so cannot be the maximum, and
-    only the others are solved; the witness is the first maximum over the
-    solved members, in grid order, the member a sweep of the whole grid
-    names.  ``m`` grows with ``M^6`` and is known first: where the predicted
-    peak does not clear ``m + 1e-10`` (mostly at M = 32), that path is not
-    taken.
+    - Where the leading reduced cubic predicts growth (:func:`_predicted_peak`)
+      and its peak clears ``1e-10 + m``, the member of that peak is solved
+      first, and its top value ``b`` sets ``level = max(b - m, 0)``;
+      otherwise, and where that sweep raises :class:`GapViolation`,
+      ``level = 0``.
+    - The grid is settled once at that level, and the members it leaves
+      that are not solved yet are swept, in one sweep.  A member settled at
+      ``b - m`` has a computed top value below ``b``, so cannot be the
+      maximum: the witness is the first maximum over the unsettled members
+      and the one already solved, in grid order, the member a sweep of the
+      whole grid names.
+    - Only when no solved value rises above ``1e-10`` is the rest of the fit
+      window swept.
 
-    Otherwise, and where a sweep of that path raises :class:`GapViolation`,
-    the grid is settled at ``level = 0``, and any member already solved is
-    reused.  The members not settled are swept, and the witness is the first
-    maximum over their curves.  Only when none rises above ``1e-10`` are the
-    settled members of the fit window swept too.  So a gap error is that of
-    a sweep of the whole grid, the first member in grid order that fails: a
-    settled member passes, unless its ``lambda_4`` lies within the ``2 r4``
-    by which the sweep's check ``rho_4 + r4 < -delta`` is the stricter.
+    So a gap error is that of a sweep of the whole grid, the first member in
+    grid order that fails: a settled member passes, unless its
+    ``lambda_4`` lies within the ``2 r4`` by which the sweep's check
+    ``rho_4 + r4 < -delta`` is the stricter.
     """
     eps = roll.params.eps
     sigmas = _default_sigma_grid(eps)
@@ -318,53 +319,53 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
     # symmetric matrix), so per-sigma ascending order is the curve
     # assignment: between real triples it has the least total distance.
     curves = np.full((3, sigmas.size), np.nan)
-    done = -1  # the predicted member, once solved
+    solved = np.zeros(sigmas.size, dtype=bool)
 
-    def sweep(members: np.ndarray) -> None:
-        """Sweep the ``members`` (grid indices, ascending) into ``curves``, in one sweep; ``done`` is solved already."""
-        new = members if done < 0 else members[members != done]
+    def solve(members: np.ndarray) -> None:
+        """Sweep the ``members`` (a mask over the grid) not solved yet into ``curves``, in one sweep."""
+        new = (members & ~solved).nonzero()[0]
         if new.size:
             curves[:, new] = critical_sweep(roll, sigmas[new], delta).values.T
-
-    def unstable(members: np.ndarray) -> StabilityVerdict | None:
-        """UNSTABLE at the first maximum over the ``members``' curves, where it exceeds ``1e-10``."""
-        sweep(members)
-        sub = curves[:, members]
-        worst = np.unravel_index(np.argmax(sub), sub.shape)
-        if sub[worst] > 1e-10:
-            return StabilityVerdict(Stability.UNSTABLE, float(sigmas[members[worst[1]]]), float(sub[worst]))
-        return None
+            solved[new] = True
 
     # The products of a small roll's T underflow at M = 32, as the sweep's do.
     with np.errstate(under="ignore"):
         peak = _predicted_peak(roll.params, sigmas)
         margin = np.inf if peak is None else _ritz_margin(roll, sigmas)
+        level = 0.0
         if peak is not None and peak[1] - margin > 1e-10:
             try:
-                sweep(np.array([peak[0]]))
-                done = peak[0]
-                level = curves[2, done] - margin
-                if level > 1e-10:
-                    keep = ~_settled_members(roll, sigmas, delta, level)
-                    keep[done] = True
-                    return unstable(keep.nonzero()[0])
+                solve(np.arange(sigmas.size) == peak[0])
+                level = max(curves[2, peak[0]] - margin, 0.0)
             except GapViolation:
                 pass
-        settled = _settled_members(roll, sigmas, delta)
-    solved = (~settled).nonzero()[0]
-    if solved.size:
-        verdict = unstable(solved)
-        if verdict is not None:
-            return verdict
+        watch = ~_settled_members(roll, sigmas, delta, level) | solved
+    solve(watch)
+    if watch.any():
+        sub = curves[:, watch]
+        worst = np.unravel_index(np.argmax(sub), sub.shape)
+        if sub[worst] > 1e-10:
+            return StabilityVerdict(Stability.UNSTABLE, float(sigmas[watch][worst[1]]), float(sub[worst]))
 
     fit_mask = (sigmas > 0.0) & (sigmas <= 0.75 * eps)
     if np.count_nonzero(fit_mask) < 3:
         fit_mask = (sigmas > 0.0) & (sigmas <= np.sort(sigmas[sigmas > 0.0])[2])
-    rest = (fit_mask & settled).nonzero()[0]
-    if rest.size:
-        sweep(rest)
+    solve(fit_mask)
     X = np.column_stack([np.ones(np.count_nonzero(fit_mask)), sigmas[fit_mask] ** 2])
     coefs = [np.linalg.lstsq(X, curves[j, fit_mask], rcond=None)[0][1] for j in (1, 2)]
     if all(cj <= -1e-6 * eps**2 for cj in coefs):
         return StabilityVerdict(Stability.STABLE)
     return StabilityVerdict(Stability.BOUNDARY)
+
+
+def _fold_mirrors(cells: list[RollParameters]) -> tuple[list[RollParameters], list[int]]:
+    """The first cell of each exactly mirrored pair ``(omega, +-s)``, in order, and the index of each cell's among them.
+
+    The roll at ``-s`` is the roll at ``s`` mirrored, and its verdict and
+    witness are the same bits, so one classification serves the pair.  A
+    pair whose ``s`` are not exact negatives stays two cells.
+    """
+    slot: dict[tuple[float, float], int] = {}
+    index = [slot.setdefault((p.omega, abs(p.s)), len(slot)) for p in cells]
+    # Slots are numbered in the order of their first cells.
+    return [cells[i] for i in np.unique(index, return_index=True)[1]], index

@@ -456,6 +456,11 @@ class TestGoldenBytes:
                 "verify.txt",
                 ("verify",),
             ),
+            (
+                # the default M = 32, where the classifier mostly settles its grid at level zero
+                "map_both_steps4_m32.csv",
+                ("map", "--eps", "0.02", "--mode", "both", "--steps", "4", "--jobs", "1"),
+            ),
         ],
     )
     def test_stdout_matches_fixture(self, capsys, fixture, argv):

@@ -270,10 +270,23 @@ class TestSignOfS:
     def test_closed_form_predicate_agrees(self, omega, s):
         assert dsp.stability_predicate(omega, -s) is dsp.stability_predicate(omega, s)
 
+    def test_fold_keeps_the_first_cell_of_each_exactly_mirrored_pair(self):
+        # 0.1 + 0.2 is not 0.3, so (0.1, 0.1 + 0.2) has no mirror among these;
+        # -0.0 mirrors 0.0, and omega is never folded.
+        cells = [
+            RollParameters(0.02, w, s)
+            for w, s in [(0.1, -0.3), (0.2, -0.3), (0.1, 0.3), (0.1, 0.1 + 0.2), (0.2, 0.3), (-0.1, 0.3),
+                         (0.1, 0.0), (0.1, -0.3), (0.1, -0.0)]
+        ]
+        firsts, index = dsp._fold_mirrors(cells)
+        assert [id(p) for p in firsts] == [id(cells[i]) for i in (0, 1, 3, 5, 6)]
+        assert index == [0, 1, 0, 2, 1, 3, 4, 0, 4]
+        assert [firsts[j].omega for j in index] == [p.omega for p in cells]
+
 
 class TestSettledMembers:
-    """The classifier solves only the members ``bloch._settled_members`` cannot settle, at level zero or at the
-    level its predicted member sets, with the bits of a sweep of the whole grid."""
+    """The classifier solves only the members ``bloch._settled_members`` cannot settle, at the one level its
+    predicted member sets (zero where none is solved), with the bits of a sweep of the whole grid."""
 
     @staticmethod
     def full_grid(roll, delta=1.0):
@@ -300,7 +313,7 @@ class TestSettledMembers:
         eps=st.floats(0.005, 0.08),
         omega=st.floats(-0.45, 0.45),
         s=st.floats(-1.5, 1.5),
-        n_modes=st.sampled_from([8, 12, 16]),
+        n_modes=st.sampled_from([8, 12, 16, 32]),
     )
     def test_verdict_and_witness_are_the_full_grid_bits(self, eps, omega, s, n_modes):
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
@@ -333,33 +346,39 @@ class TestSettledMembers:
         assert [c.tolist() for c in calls] == [[grid[j]], [grid[j - 1]]]
         assert verdict.witness_sigma == grid[j - 1]
 
-    @pytest.mark.parametrize(
-        "omega, s, case",
-        [(0.1, 0.5, "mispredicted"), (0.4, 0.0, "level_at_zero"), (0.4, 0.0, "margin_too_wide")],
-    )
-    def test_every_other_case_is_the_level_zero_path(self, omega, s, case, monkeypatch):
-        # A stable cell whose growth is mispredicted at a fit member; an
-        # unstable cell whose b - m does not clear 1e-10; and one whose margin
-        # the predicted peak does not clear, as mostly at M = 32.  Each gives
-        # the verdict of the unpatched classifier, and solves a member once.
+    @pytest.mark.parametrize("case", ["predicted", "level_at_zero", "margin_too_wide", "mispredicted"])
+    def test_one_pass_sweeps_each_member_once(self, case, monkeypatch):
+        # An unstable cell: its predicted member, then the members not settled
+        # at b - m; a b - m below zero, where the grid settles at level zero and
+        # the predicted member is reused; a margin the predicted peak does not
+        # clear, as mostly at M = 32, where that member is never solved.  And a
+        # stable cell whose growth is mispredicted at a fit member, where only
+        # the fit window is swept.  Each gives the verdict of the unpatched
+        # classifier, and sweeps no Bloch number twice.
+        omega, s = (0.1, 0.5) if case == "mispredicted" else (0.4, 0.0)
         roll = solve_roll(RollParameters(0.02, omega, s), SpectralGrid(12))
         grid = dsp._default_sigma_grid(0.02)
         want = dsp.classify_numerically(roll)
-        settled = dsp._settled_members(roll, grid, 1.0)
         j = 5 if case == "mispredicted" else dsp._predicted_peak(roll.params, grid)[0]
-        # A margin of b puts the level at zero; one of 1.0, the patched peak, skips the predicted member.
-        margin = 1.0 if case == "margin_too_wide" else critical_sweep(roll, grid[[j]]).values[0, 2]
+        b = critical_sweep(roll, grid[[j]]).values[0, 2]
+        # A margin of 2 b puts b - m below zero; one of 1.0, the patched peak, skips the predicted member.
+        margin = {"level_at_zero": 2.0 * b, "margin_too_wide": 1.0}.get(case, bloch._ritz_margin(roll, grid))
         monkeypatch.setattr(dsp, "_predicted_peak", lambda params, sigmas: (j, 1.0))
         monkeypatch.setattr(dsp, "_ritz_margin", lambda roll, sigmas: margin)
         calls = self.solved(monkeypatch)
         assert dsp.classify_numerically(roll) == want
+        swept = np.concatenate(calls)
+        assert np.unique(swept).size == swept.size
         first = np.arange(grid.size) == j
+        if case == "margin_too_wide":
+            assert [c.tolist() for c in calls] == [grid[~dsp._settled_members(roll, grid, 1.0)].tolist()]
+            return
+        assert bool(b - margin > 0.0) is (case == "predicted")
+        rest = ~dsp._settled_members(roll, grid, 1.0, max(b - margin, 0.0)) & ~first
         if case == "mispredicted":
-            assert settled.all() and [c.tolist() for c in calls] == [[grid[j]], grid[(grid <= 0.75 * 0.02) & ~first].tolist()]
-        elif case == "level_at_zero":
-            assert [c.tolist() for c in calls] == [[grid[j]], grid[~settled & ~first].tolist()]
-        else:
-            assert [c.tolist() for c in calls] == [grid[~settled].tolist()]
+            assert not rest.any()
+            rest = (grid <= 0.75 * 0.02) & ~first
+        assert rest.any() and [c.tolist() for c in calls] == [[grid[j]], grid[rest].tolist()]
 
     @pytest.mark.parametrize("omega, s", [(0.1, 0.5), (0.4, 0.0)], ids=["stable", "unstable"])
     def test_gap_errors_are_the_full_grid_sweeps(self, omega, s):
