@@ -43,9 +43,11 @@ correction (:func:`_lifted_ritz`; E. R. Davidson, J. Comput. Phys. 17
 on the even and odd blocks of ``H`` (:func:`_parity_member`).  The
 classifier solves only the members that an inertia test on
 ``S - level diag(1/p)`` cannot settle (:func:`_settled_members`), which
-builds no ``N x N`` matrix, at one level: its predicted member's top value
-less :func:`_ritz_margin`, the a priori bound on how far a computed top
-Ritz value can exceed ``lambda_1``, or zero where that is not positive.  Every
+builds no ``N x N`` matrix, at one level per member: where its predicted
+member's top value exceeds ``1e-10`` plus :func:`_ritz_margin`, the a
+priori bound on how far a computed top Ritz value can exceed ``lambda_1``,
+that value less the bound; else the decay rate that a stable verdict
+needs at the member.  Every
 certificate is the split again, proved by one kernel
 (:func:`_schur_certificate`): Gershgorin's theorem on the rest and one
 stacked Cholesky of a Schur-complement bound on the 9 x 9 block of
@@ -667,8 +669,10 @@ def check_delta(delta: float) -> None:
         raise OutOfRange(f"delta must be positive and finite, got {delta}", param="delta")
 
 
-def _settled_members(roll: RollSolution, sigmas: np.ndarray, delta: float, level: float = 0.0) -> np.ndarray:
+def _settled_members(roll: RollSolution, sigmas: np.ndarray, delta: float, level: float | np.ndarray = 0.0) -> np.ndarray:
     """The members ``(n,)`` of a checked sweep whose ``H`` is proved to have ``lambda_1 < level`` and ``lambda_4 < -delta``.
+
+    ``level`` is one value for every member or one per member, ``(n,)``.
 
     Built from ``T`` and the diagonal ``d = diag(T) + sh(p)`` of ``S`` alone;
     no ``N x N`` matrix is formed.  A member is settled when all three hold:
@@ -684,8 +688,8 @@ def _settled_members(roll: RollSolution, sigmas: np.ndarray, delta: float, level
       outer rows ``h`` it has the diagonal ``level / p - d`` and off-diagonal
       row sums ``sum_{j in h, j != i} |T_ij|``, and the coupling rows are
       ``T_lh``, whose ``P = T_lh T_hl`` does not depend on ``sigma`` or the
-      level and is formed once.  At the default ``level = 0.0`` the shift is
-      not formed, and the certificate is ``-S``'s, bit for bit.
+      level and is formed once.  At ``level = 0.0`` the shift is zero, and
+      ``d - 0.0`` is ``d``: the certificate is ``-S``'s, bit for bit.
     - ``lambda_4(H) <= lambda_max(H_hh)`` over the rows ``hh`` of
       ``|m| >= 2`` (Cauchy interlacing), whose Gershgorin bound
       ``max_i (H_ii + sum_{j != i} sq_i sq_j |T_ij|)``, ``i`` and ``j`` in
@@ -708,7 +712,7 @@ def _settled_members(roll: RollSolution, sigmas: np.ndarray, delta: float, level
     d, sq = T.diagonal() + sh, np.sqrt(p)
     off = np.abs(sigmas) >= _SIGMA_ZERO_TOL
     # The diagonal of S - level diag(1/p), on the members off zero alone.
-    dl = d - np.divide(level, p, out=np.zeros_like(p), where=off[:, None]) if level else d
+    dl = d - np.divide(np.reshape(level, (-1, 1)), p, out=np.zeros_like(p), where=off[:, None])
     block, crit = _rows(N, _BLOCK_MODES), _rows(N, 1)
     Tl = T[block].copy()
     Tl[:, block] = 0.0

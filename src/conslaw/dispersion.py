@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _checked_sigmas, _ritz_margin, _settled_members, critical_sweep
+from .bloch import _SIGMA_ZERO_TOL, _checked_sigmas, _ritz_margin, _settled_members, critical_sweep
 from .errors import GapViolation, InvariantViolation
 from .rolls import RollParameters, RollSolution, check_open_band, check_s
 
@@ -270,9 +270,10 @@ def _predicted_peak(params: RollParameters, sigmas: np.ndarray) -> tuple[int, fl
 def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVerdict:
     """Verdict from the computed critical curves over a sigma sweep.
 
-    Unstable when any critical curve rises above ``1e-10``; stable when all
-    stay below and the fitted sigma^2 coefficients of the two neutral curves
-    are negative (diffusive decay); boundary otherwise.
+    Unstable when a solved critical curve rises above ``1e-10``.  Otherwise
+    stable when every member off ``sigma = 0`` is shown to decay at
+    ``decay = -1e-6 eps^2 sigma^2`` at least, and boundary where some member
+    is shown neither to grow nor to decay at that rate.
 
     The triples are the ``values`` of ``bloch.critical_sweep``: the
     critical modes lifted onto the rest (the first-order Lyapunov-Schmidt
@@ -286,35 +287,42 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
 
     Only the members that can change the verdict are solved, each with the
     bits a sweep of the whole grid gives it (a stacked sweep gives each
-    member the bits of a sweep of it alone), so verdict and witness are that
-    sweep's.  ``bloch._settled_members`` proves from ``S``'s diagonal and
-    Toeplitz part alone, by inertia, that a member's ``H`` has
-    ``lambda_1 < level`` and ``lambda_4 < -delta``; ``bloch._ritz_margin``
-    bounds by ``m`` how far a computed top Ritz value can exceed
-    ``lambda_1``, so a member settled at ``level`` has a computed top value
-    below ``level + m``.  One pass:
+    member the bits of a sweep of it alone).  ``bloch._settled_members``
+    proves from ``S``'s diagonal and Toeplitz part alone, by inertia, that a
+    member's ``H`` has ``lambda_1 < level`` and ``lambda_4 < -delta``;
+    ``bloch._ritz_margin`` bounds by ``m`` how far a computed top Ritz value
+    can exceed ``lambda_1``.  One pass:
 
     - Where the leading reduced cubic predicts growth (:func:`_predicted_peak`)
       and its peak clears ``1e-10 + m``, the member of that peak is solved
-      first, and its top value ``b`` sets ``level = max(b - m, 0)``;
-      otherwise, and where that sweep raises :class:`GapViolation`,
-      ``level = 0``.
-    - The grid is settled once at that level, and the members it leaves
-      that are not solved yet are swept, in one sweep.  A member settled at
-      ``b - m`` has a computed top value below ``b``, so cannot be the
-      maximum: the witness is the first maximum over the unsettled members
-      and the one already solved, in grid order, the member a sweep of the
-      whole grid names.
-    - Only when no solved value rises above ``1e-10`` is the rest of the fit
-      window swept.
+      first.  Where its top value ``b`` exceeds ``1e-10 + m`` the cell is
+      unstable, and the grid is settled at ``level = b - m``.  Everywhere
+      else (no member solved first, a :class:`GapViolation` from its sweep,
+      or ``b`` within ``1e-10 + m``) the level is ``decay``, one value per
+      member.
+    - The grid is settled once, and the members it leaves that are not
+      solved yet are swept, in one sweep.  The witness is the first maximum
+      over the unsettled members and the one already solved, in grid order.
+    - With no solved value above ``1e-10``, the cell is stable where each
+      member off zero is settled at ``decay`` or solved below it.
 
-    So a gap error is that of a sweep of the whole grid, the first member in
+    So a stable verdict carries, at each grid member off zero, the settle
+    test's floating-point certificate of ``lambda_1 < decay`` or a computed
+    top value below ``decay``; between members it is sampled.  On the
+    ``b - m`` path the witness is the whole-grid sweep's by proof: a member
+    settled at ``b - m`` has a computed top value below ``b``, so cannot be
+    the maximum.  At ``decay`` nothing bounds a settled member's computed
+    value below the witness, which may lie below ``m``; there the verdict
+    and witness are checked against the whole-grid sweep's bits, not proved.
+
+    A gap error is that of a sweep of the whole grid, the first member in
     grid order that fails: a settled member passes, unless its
     ``lambda_4`` lies within the ``2 r4`` by which the sweep's check
     ``rho_4 + r4 < -delta`` is the stricter.
     """
     eps = roll.params.eps
     sigmas = _default_sigma_grid(eps)
+    decay = -1e-6 * eps**2 * sigmas**2
     # All critical eigenvalues are real (the operator is similar to a real
     # symmetric matrix), so per-sigma ascending order is the curve
     # assignment: between real triples it has the least total distance.
@@ -332,28 +340,23 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
     with np.errstate(under="ignore"):
         peak = _predicted_peak(roll.params, sigmas)
         margin = np.inf if peak is None else _ritz_margin(roll, sigmas)
-        level = 0.0
+        level = decay
         if peak is not None and peak[1] - margin > 1e-10:
             try:
                 solve(np.arange(sigmas.size) == peak[0])
-                level = max(curves[2, peak[0]] - margin, 0.0)
+                if curves[2, peak[0]] > 1e-10 + margin:
+                    level = curves[2, peak[0]] - margin
             except GapViolation:
                 pass
-        watch = ~_settled_members(roll, sigmas, delta, level) | solved
+        settled = _settled_members(roll, sigmas, delta, level)
+    watch = ~settled | solved
     solve(watch)
     if watch.any():
         sub = curves[:, watch]
         worst = np.unravel_index(np.argmax(sub), sub.shape)
         if sub[worst] > 1e-10:
             return StabilityVerdict(Stability.UNSTABLE, float(sigmas[watch][worst[1]]), float(sub[worst]))
-
-    fit_mask = (sigmas > 0.0) & (sigmas <= 0.75 * eps)
-    if np.count_nonzero(fit_mask) < 3:
-        fit_mask = (sigmas > 0.0) & (sigmas <= np.sort(sigmas[sigmas > 0.0])[2])
-    solve(fit_mask)
-    X = np.column_stack([np.ones(np.count_nonzero(fit_mask)), sigmas[fit_mask] ** 2])
-    coefs = [np.linalg.lstsq(X, curves[j, fit_mask], rcond=None)[0][1] for j in (1, 2)]
-    if all(cj <= -1e-6 * eps**2 for cj in coefs):
+    if np.all(settled | (curves[2] < decay) | (np.abs(sigmas) < _SIGMA_ZERO_TOL)):
         return StabilityVerdict(Stability.STABLE)
     return StabilityVerdict(Stability.BOUNDARY)
 

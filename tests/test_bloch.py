@@ -57,6 +57,19 @@ def oracle_eigenvalues(roll, sigmas):
     return np.array(spectra)
 
 
+def oracle_below(roll, sigmas, levels):
+    """Whether each ``H`` has ``lambda_1 < level``: a 40-digit ``mpmath.cholesky`` of ``level I - H`` completes."""
+    below = []
+    with mpmath.workdps(40):
+        for h, level in zip(bloch._stacks(roll, np.asarray(sigmas, dtype=float))[1], levels):
+            try:
+                mpmath.cholesky(mpmath.mpf(level) * mpmath.eye(h.shape[0]) - mpmath.matrix(h.tolist()))
+                below.append(True)
+            except ValueError:
+                below.append(False)
+    return np.array(below)
+
+
 def oracle_triples(roll, sigmas):
     """The three eigenvalues nearest zero of each ``H``, ascending, from :func:`oracle_eigenvalues`."""
     w = oracle_eigenvalues(roll, sigmas)
@@ -1260,8 +1273,9 @@ class TestSettledMembers:
         assert settled_any > 0.5 * 40 * self.sweep(0.02).size
 
     def test_small_members_hold_no_positive_value_by_the_oracle(self):
-        # Where eigvalsh cannot tell the sign: the settled members of the fit
-        # window, whose top values are of order -sigma^2, by the 40-digit oracle.
+        # Where eigvalsh cannot tell the sign: the settled small members
+        # (sigma <= 0.75 eps), whose top values are of order -sigma^2, by the
+        # 40-digit oracle.
         roll = solve_roll(RollParameters(0.005, 0.1, 0.5), SpectralGrid(8))
         grid = _default_sigma_grid(0.005)
         small = grid[: np.count_nonzero(grid <= 0.75 * 0.005)]
@@ -1322,11 +1336,12 @@ class TestSettledMembers:
     def test_members_settled_at_a_level_lie_below_it(self):
         # Seeded cells, each at levels from its own triples over the
         # classifier's grid: the largest top value b, b less the margin, as
-        # the classifier tests, and the median top value.  Against a dense
-        # eigvalsh of each settled H; where its rounding N eps max|w| cannot
-        # tell the top value from the level, the 40-digit oracle decides.  At
-        # level 0.0 the array is the default call's, and at 5e-324, whose
-        # shift rounds away, the shifted path gives it too.
+        # the classifier tests, the median top value, and the classifier's
+        # decay level, one value per member.  Against a dense eigvalsh of each
+        # settled H; where its rounding N eps max|w| cannot tell the top value
+        # from the level, a 40-digit Cholesky of level I - H decides.  At level 0.0 the
+        # array is the default call's, and so it is at -0.0 and at 5e-324,
+        # whose shift rounds away.
         rng = np.random.default_rng(42)
         settled_at, oracle_members = [], 0
         for i in range(12):
@@ -1339,13 +1354,15 @@ class TestSettledMembers:
                 assert np.array_equal(bloch._settled_members(roll, sigmas, 1.0, level), default)
             w = np.linalg.eigvalsh(bloch._stacks(roll, sigmas)[1])
             u = w.shape[1] * np.finfo(float).eps * np.abs(w).max(axis=1)
-            for level in (tops.max(), tops.max() - bloch._ritz_margin(roll, grid), np.median(tops)):
+            decay = -1e-6 * eps**2 * sigmas**2
+            for level in (tops.max(), tops.max() - bloch._ritz_margin(roll, grid), np.median(tops), decay):
                 settled = bloch._settled_members(roll, sigmas, 1.0, level)
-                assert np.all(w[settled, -1] < level + u[settled])
+                level = np.broadcast_to(level, sigmas.shape)
+                assert np.all(w[settled, -1] < level[settled] + u[settled])
                 unsure = settled & (w[:, -1] >= level - u)
                 if unsure.any():
                     oracle_members += np.count_nonzero(unsure)
-                    assert np.all(oracle_eigenvalues(roll, sigmas[unsure])[:, 0] < level)
+                    assert oracle_below(roll, sigmas[unsure], level[unsure]).all()
                 settled_at.append(np.count_nonzero(settled))
         assert sum(settled_at) > 0.5 * len(settled_at) * self.sweep(0.02).size
         assert oracle_members > 0
@@ -1545,12 +1562,16 @@ class TestFixedBlockTriples:
             assert np.array_equal(got.eigenvalues[list(got.critical)], got.critical_values())
 
     def test_classifier_runs_no_full_eigensolve(self, monkeypatch):
-        roll = solve_roll(RollParameters(0.02, 0.1, 0.5), SpectralGrid(12))
+        stable = solve_roll(RollParameters(0.02, 0.1, 0.5), SpectralGrid(12))
+        unstable = solve_roll(RollParameters(0.02, 0.4, 0.0), SpectralGrid(12))
         calls = linalg_calls(monkeypatch, "eigh", "eigvalsh")
-        classify_numerically(roll)
-        # Only the two Rayleigh-Ritz steps of the lifted start block: the grid
-        # has no sigma = 0, so there is a single batch.
-        assert [shape[1:] for _, shape in calls] == [(5, 5), (5, 5)]
+        # The stable cell's grid is settled whole, so nothing is solved.
+        classify_numerically(stable)
+        assert calls == []
+        # The unstable cell's sweeps call only the two Rayleigh-Ritz steps of
+        # the lifted start block each: the grid has no sigma = 0.
+        classify_numerically(unstable)
+        assert calls and all(shape[1:] == (5, 5) for _, shape in calls)
 
     @pytest.mark.parametrize("eps", [0.01, 0.02])
     def test_both_solve_paths_reach_the_same_verdicts(self, eps, monkeypatch):

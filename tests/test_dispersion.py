@@ -286,7 +286,12 @@ class TestSignOfS:
 
 class TestSettledMembers:
     """The classifier solves only the members ``bloch._settled_members`` cannot settle, at the one level its
-    predicted member sets (zero where none is solved), with the bits of a sweep of the whole grid."""
+    predicted member sets (the decay level elsewhere), with the bits of a sweep of the whole grid."""
+
+    @staticmethod
+    def decay(grid):
+        """The classifier's decay level at eps = 0.02, one value per member."""
+        return -1e-6 * 0.02**2 * grid**2
 
     @staticmethod
     def full_grid(roll, delta=1.0):
@@ -324,16 +329,15 @@ class TestSettledMembers:
 
     def test_members_solved(self, monkeypatch):
         grid = dsp._default_sigma_grid(0.02)
-        fit = grid[grid <= 0.75 * 0.02]
-        assert (grid.size, fit.size) == (37, 23)
+        assert grid.size == 37
         calls = self.solved(monkeypatch)
         stable = solve_roll(RollParameters(0.02, 0.1, 0.5), SpectralGrid(12))
         assert dsp.classify_numerically(stable).verdict is dsp.Stability.STABLE
-        # No growth is predicted and every member is settled, so only the fit
-        # window is solved, in one sweep.
+        # No growth is predicted and every member is settled at the decay
+        # level, so nothing is solved.
         assert dsp._predicted_peak(stable.params, grid) is None
-        assert len(calls) == 1 and np.array_equal(calls[0], fit)
-        calls.clear()
+        assert dsp._settled_members(stable, grid, 1.0, self.decay(grid)).all()
+        assert calls == []
         unstable = solve_roll(RollParameters(0.02, 0.4, 0.0), SpectralGrid(12))
         verdict = dsp.classify_numerically(unstable)
         assert verdict.verdict is dsp.Stability.UNSTABLE
@@ -349,12 +353,12 @@ class TestSettledMembers:
     @pytest.mark.parametrize("case", ["predicted", "level_at_zero", "margin_too_wide", "mispredicted"])
     def test_one_pass_sweeps_each_member_once(self, case, monkeypatch):
         # An unstable cell: its predicted member, then the members not settled
-        # at b - m; a b - m below zero, where the grid settles at level zero and
-        # the predicted member is reused; a margin the predicted peak does not
-        # clear, as mostly at M = 32, where that member is never solved.  And a
-        # stable cell whose growth is mispredicted at a fit member, where only
-        # the fit window is swept.  Each gives the verdict of the unpatched
-        # classifier, and sweeps no Bloch number twice.
+        # at b - m; a b - m below zero, where the grid settles at the decay
+        # level and the predicted member is reused; a margin the predicted
+        # peak does not clear, as mostly at M = 32, where that member is never
+        # solved.  And a stable cell whose growth is mispredicted at a small
+        # member, where only that member is swept.  Each gives the verdict of
+        # the unpatched classifier, and sweeps no Bloch number twice.
         omega, s = (0.1, 0.5) if case == "mispredicted" else (0.4, 0.0)
         roll = solve_roll(RollParameters(0.02, omega, s), SpectralGrid(12))
         grid = dsp._default_sigma_grid(0.02)
@@ -371,13 +375,15 @@ class TestSettledMembers:
         assert np.unique(swept).size == swept.size
         first = np.arange(grid.size) == j
         if case == "margin_too_wide":
-            assert [c.tolist() for c in calls] == [grid[~dsp._settled_members(roll, grid, 1.0)].tolist()]
+            unsettled = ~dsp._settled_members(roll, grid, 1.0, self.decay(grid))
+            assert [c.tolist() for c in calls] == [grid[unsettled].tolist()]
             return
-        assert bool(b - margin > 0.0) is (case == "predicted")
-        rest = ~dsp._settled_members(roll, grid, 1.0, max(b - margin, 0.0)) & ~first
+        assert bool(b > 1e-10 + margin) is (case == "predicted")
+        level = b - margin if case == "predicted" else self.decay(grid)
+        rest = ~dsp._settled_members(roll, grid, 1.0, level) & ~first
         if case == "mispredicted":
-            assert not rest.any()
-            rest = (grid <= 0.75 * 0.02) & ~first
+            assert not rest.any() and [c.tolist() for c in calls] == [[grid[j]]]
+            return
         assert rest.any() and [c.tolist() for c in calls] == [[grid[j]], grid[rest].tolist()]
 
     @pytest.mark.parametrize("omega, s", [(0.1, 0.5), (0.4, 0.0)], ids=["stable", "unstable"])
@@ -399,7 +405,13 @@ class TestSettledMembers:
 class TestNumericalClassifier:
     @pytest.mark.parametrize(
         "omega,s,want",
-        [(0.0, 0.0, dsp.Stability.STABLE), (0.4, 0.0, dsp.Stability.UNSTABLE), (0.0, 1.2, dsp.Stability.UNSTABLE)],
+        [
+            (0.0, 0.0, dsp.Stability.STABLE),
+            (0.4, 0.0, dsp.Stability.UNSTABLE),
+            (0.0, 1.2, dsp.Stability.UNSTABLE),
+            # Pi = -0.0059: five small members compute top values of 5e-11 to 1e-10, neither growth nor decay.
+            (0.11651612004589557, 0.796089480544599, dsp.Stability.BOUNDARY),
+        ],
     )
     def test_examples(self, omega, s, want):
         roll = solve_roll(RollParameters(0.02, omega, s), SpectralGrid(12))
@@ -409,18 +421,22 @@ class TestNumericalClassifier:
             assert verdict.witness_lambda > 0.0
 
     def test_zero_roll_at_eps_zero_is_stable(self):
-        # The eps-scaled fit window is empty at eps = 0, so the neutral curves
-        # are fitted on the three smallest positive Bloch numbers.
+        # At eps = 0 the grid holds sigma = 0, which the decay rule leaves out,
+        # and the decay level is zero: every other member is settled below it.
         roll = zero_roll(RollParameters(0.0, 0.1, 0.5), SpectralGrid(12))
         assert dsp.classify_numerically(roll).verdict is dsp.Stability.STABLE
 
     def test_flat_neutral_curves_are_a_boundary(self, monkeypatch):
-        # Curves held at -1e-12 stay below the instability threshold, but their
-        # fitted sigma^2 coefficients are 0: no diffusive decay.
+        # Curves held at -1e-12, with no member settled, stay below the
+        # instability threshold, but above the decay level -1e-6 eps^2 sigma^2
+        # at the larger members: no diffusive decay.
         def flat_sweep(roll, sigmas, delta):
             return SimpleNamespace(values=np.full((len(sigmas), 3), -1e-12))
 
         monkeypatch.setattr(dsp, "critical_sweep", flat_sweep)
+        monkeypatch.setattr(
+            dsp, "_settled_members", lambda roll, sigmas, delta, level: np.zeros(sigmas.size, bool)
+        )
         roll = solve_roll(RollParameters(0.02, 0.0, 0.0), SpectralGrid(12))
         assert dsp.classify_numerically(roll) == dsp.StabilityVerdict(dsp.Stability.BOUNDARY)
 
@@ -437,6 +453,19 @@ class TestNumericalClassifier:
         assume(abs(dsp.sideband_product(omega, s)) >= 0.05)
         roll = solve_roll(RollParameters(eps, omega, s), SpectralGrid(n_modes))
         assert dsp.classify_numerically(roll).verdict is dsp.stability_predicate(omega, s)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-5])
+    def test_verdict_is_the_closed_form_band_at_small_eps(self, eps):
+        # Growth rates scale like eps^2, near or under the absolute 1e-10
+        # threshold here: an unstable cell may read BOUNDARY, but never
+        # STABLE, since its growing members are neither settled at the decay
+        # level nor solved below it.  Every stable cell still reads STABLE.
+        rng = np.random.default_rng(19)
+        cells = rng.uniform((-0.45, -1.5), (0.45, 1.5), (60, 2))
+        cells = [(w, s) for w, s in cells if abs(dsp.sideband_product(w, s)) > 0.05]
+        for omega, s in cells:
+            got = dsp.classify_numerically(solve_roll(RollParameters(eps, omega, s), SpectralGrid(12))).verdict
+            assert (got is dsp.Stability.STABLE) is (dsp.stability_predicate(omega, s) is dsp.Stability.STABLE)
 
     def test_exact_vs_reduced_order(self):
         # reduced-matrix eigenvalues track the Bloch criticals within
