@@ -16,7 +16,9 @@ critical eigenvalues come from a small Rayleigh-Ritz problem instead.
 A sweep is solved as one batch: :func:`_stacks` gathers its matrices into
 one ``(n_sigma, N, N)`` stack for each LAPACK call.  Stacked calls give the
 bits of one call per matrix, so one Bloch number is a sweep of one, and
-each distinct ``|sigma|`` is solved once (:func:`_lifted_sweep`).  Its two
+each distinct ``|sigma|`` is solved once (:func:`_lifted_sweep`); a sweep
+that is distinct, ascending and positive, as the classifier's grid, is
+recorded as solved, with no gather.  Its two
 ``N x N`` stacks, ``S`` and ``H``, live in a per-thread workspace kept
 between sweeps (:func:`_workspace_stacks`; see the README); nothing a sweep
 returns views it.  At M = 12 a sweep costs more in NumPy calls than in
@@ -44,10 +46,11 @@ on the even and odd blocks of ``H`` (:func:`_parity_member`).  The
 classifier solves only the members that an inertia test on
 ``S - level diag(1/p)`` cannot settle (:func:`_settled_members`), which
 builds no ``N x N`` matrix, at one level per member: where its predicted
-member's top value exceeds ``1e-10`` plus :func:`_ritz_margin`, the a
-priori bound on how far a computed top Ritz value can exceed ``lambda_1``,
-that value less the bound; else the decay rate that a stable verdict
-needs at the member.  Every
+member's top value ``b`` exceeds ``1e-10`` plus ``m(b)``, ``b - m(b)``;
+else the decay rate that a stable verdict needs at the member.
+:func:`_ritz_margin` gives ``m(L)``, the a priori bound on how far the
+computed top Ritz value of a member settled at level ``L`` can exceed
+``L``, sized by ``L`` and by ``eps ||H||``.  Every
 certificate is the split again, proved by one kernel
 (:func:`_schur_certificate`): Gershgorin's theorem on the rest and one
 stacked Cholesky of a Schur-complement bound on the 9 x 9 block of
@@ -112,28 +115,37 @@ _BLOCK_MODES = 4
 #: (section 10.1), so the factored diagonal is shrunk by
 #: ``_SCHUR_ULPS k (k + 1) eps``, relative, about 4 times that.
 _SCHUR_ULPS = 2
-#: The factor of :func:`_ritz_margin`, ``m = _MARGIN_ULPS (N + 1) eps h``,
-#: ``h >= ||H||_2``.  With ``k = 5`` Ritz vectors, unit roundoff ``u = eps / 2``
-#: and ``gamma_N = N u / (1 - N u)`` (Higham, Accuracy and Stability of
-#: Numerical Algorithms, 2nd ed., section 3.1), the computed top Ritz value
-#: exceeds ``lambda_1`` of ``diag(sq) S diag(sq)`` by at most the sum of
-#: (Weyl's inequality for each perturbation of ``G``):
+#: The factors of :func:`_ritz_margin`, ``m(L) = (N + 1) eps (_MARGIN_ULPS h +
+#: _LEVEL_ULPS |L|)``, ``h >= ||H||_2``, for a member settled at level ``L``.
+#: With ``k = 5`` Ritz vectors, unit roundoff ``u = eps / 2`` and
+#: ``gamma_N = N u / (1 - N u)`` (Higham, Accuracy and Stability of Numerical
+#: Algorithms, 2nd ed., section 3.1), its computed top Ritz value exceeds
+#: ``L``, which the settle test proves above ``lambda_1`` of
+#: ``diag(sq) S diag(sq)``, by at most the sum of (Weyl's inequality for each
+#: perturbation of ``G``):
 #:
-#: - ``||Q^T Q - I||_2 |lambda_1|``, the departure of the Householder ``Q``
-#:   from orthonormality, at most ``2 sqrt(k) gamma~_{Nk}`` (section 19.3,
+#: - ``H`` as built, within three roundings of ``diag(sq) S diag(sq)``
+#:   entrywise: 1.5 ``eps h``;
+#: - the shifted diagonal ``d - L / p`` as built, and ``sq^2 / p`` within two
+#:   roundings of one: 2 ``eps |L|`` and 0.5 ``eps h``;
+#: - the departure of the Householder ``Q`` from orthonormality,
+#:   ``||Q^T Q - I||_2 <= 2 sqrt(k) gamma~_{Nk}`` (section 19.3,
 #:   ``||Q - Q_exact||_F <= sqrt(k) gamma~_{Nk}``, its unstated constant
-#:   taken as 1): ``5 sqrt(5) N eps h``, 11.2 ``N eps h``;
+#:   taken as 1), 11.2 ``N eps``: for the unit top vector ``x`` of
+#:   ``Q^T H Q``, its value is at most ``lambda_1 ||Q x||^2`` (Courant-Fischer),
+#:   so above ``L`` by at most ``11.2 N eps |L|``, whatever the signs of
+#:   ``lambda_1 < L`` (``|L|``, not ``max(L, 0)``: below zero,
+#:   ``lambda_1 ||Q x||^2`` may exceed ``L``);
 #: - ``H Q``: ``gamma_N || |H| |Q| ||_F <= gamma_N sqrt(k) h``, 1.12 ``N eps h``;
 #: - ``Q^T (H Q)``: ``gamma_N ||Q||_F ||H Q||_F <= gamma_N k h``, 2.5 ``N eps h``;
 #: - the symmetrization of ``G``, ``u k h``, and the 5 x 5 ``eigh``,
-#:   ``_ROUNDING_ULPS eps ||G||_2``: 2.5 and 8 ``eps h``;
-#: - ``H`` as built, within three roundings of ``diag(sq) S diag(sq)``
-#:   entrywise, and ``sq^2 / p`` within two of one in the level's shift:
-#:   2.5 ``eps h``.
+#:   ``_ROUNDING_ULPS eps ||G||_2``: 2.5 and 8 ``eps h``.
 #:
-#: In all ``14.8 N eps h + 13 eps h``, below ``16 (N + 1) eps h``, which
+#: In all ``(3.62 N + 12.5) eps h + (11.2 N + 2) eps |L|``, below
+#: ``(N + 1) eps (5 h + 12 |L|)`` at every ``N >= 17`` (``M >= 8``), which
 #: also covers the second-order terms and the rounding of ``h`` itself.
-_MARGIN_ULPS = 16
+_MARGIN_ULPS = 5
+_LEVEL_ULPS = 12
 _EPS = np.finfo(np.float64).eps
 
 
@@ -619,7 +631,12 @@ def _lifted_sweep(roll: RollSolution, sigmas) -> BlochSweep:
     ``H`` at ``-sigma`` is ``H`` at ``sigma`` reversed in ``m``, bit for bit
     (the roll is even): each distinct ``|sigma|`` (zero within
     ``_SIGMA_ZERO_TOL``) is solved once; a member at ``-sigma`` takes its
-    twin's values and radii, its vectors reversed.
+    twin's values and radii, its vectors reversed.  A sweep that is
+    distinct, ascending and positive (from ``_SIGMA_ZERO_TOL`` on), as the
+    classifier's grid and :func:`critical_modes` at ``sigma > 0``, is its
+    own set of magnitudes: its record holds the solved arrays, with no
+    gather.  Every other sweep, the empty one among them, is gathered: no
+    record views the roll's read-only zero member.
 
     The whole pass runs on the members off zero, with the roll's ``T`` and
     masked ``|T|`` (:func:`_operator`).  The zero member is solved once per
@@ -628,9 +645,12 @@ def _lifted_sweep(roll: RollSolution, sigmas) -> BlochSweep:
     has the bits it would have in this sweep's stack.
     """
     sigmas = _checked_sigmas(sigmas, "sigma")
-    mags = np.where(np.abs(sigmas) < _SIGMA_ZERO_TOL, 0.0, np.abs(sigmas))
-    # Distinct and ascending already (one member, the classifier's grid), they are what np.unique would return.
-    mags, twin = (mags, np.arange(mags.size)) if (mags[1:] > mags[:-1]).all() else np.unique(mags, return_inverse=True)
+    # twin None: the sweep is its own magnitudes, and its record the solved arrays.
+    mags, twin = sigmas, None
+    if not (sigmas.size and sigmas[0] >= _SIGMA_ZERO_TOL and (sigmas[1:] > sigmas[:-1]).all()):
+        mags = np.where(np.abs(sigmas) < _SIGMA_ZERO_TOL, 0.0, np.abs(sigmas))
+        # Distinct and ascending already (one member), they are what np.unique would return.
+        mags, twin = (mags, np.arange(mags.size)) if (mags[1:] > mags[:-1]).all() else np.unique(mags, return_inverse=True)
     op, N = _operator(roll), 2 * roll.profile.grid.n_modes + 1
     block = _rows(N, _BLOCK_MODES)
     # A zero member is the first.  The others are solved whole, in one
@@ -657,6 +677,8 @@ def _lifted_sweep(roll: RollSolution, sigmas) -> BlochSweep:
         if bad.size:
             raise InvariantViolation(f"neither certificate holds for the triple {vals[bad[0]]} at |sigma| = {mags[bad[0]]}")
     solved = vals, radius, -rho4, gap_radius, Y[:, :, 1:]
+    if twin is None:
+        return BlochSweep(sigmas, *solved)
     *solved, vecs = (a[twin] for a in solved)
     neg = (sigmas <= -_SIGMA_ZERO_TOL).nonzero()[0]
     vecs[neg] = vecs[neg, ::-1]
@@ -669,10 +691,13 @@ def check_delta(delta: float) -> None:
         raise OutOfRange(f"delta must be positive and finite, got {delta}", param="delta")
 
 
-def _settled_members(roll: RollSolution, sigmas: np.ndarray, delta: float, level: float | np.ndarray = 0.0) -> np.ndarray:
+def _settled_members(
+    roll: RollSolution, sigmas: np.ndarray, delta: float, level: float | np.ndarray = 0.0, symbols: tuple | None = None
+) -> np.ndarray:
     """The members ``(n,)`` of a checked sweep whose ``H`` is proved to have ``lambda_1 < level`` and ``lambda_4 < -delta``.
 
     ``level`` is one value for every member or one per member, ``(n,)``.
+    ``symbols`` is the sweep's :func:`_symbols`, formed here if not given.
 
     Built from ``T`` and the diagonal ``d = diag(T) + sh(p)`` of ``S`` alone;
     no ``N x N`` matrix is formed.  A member is settled when all three hold:
@@ -707,7 +732,7 @@ def _settled_members(roll: RollSolution, sigmas: np.ndarray, delta: float, level
     """
     check_delta(delta)
     op = _operator(roll)
-    p, sh = _symbols(op, sigmas)
+    p, sh = _symbols(op, sigmas) if symbols is None else symbols
     T, (n, N) = op.T, p.shape
     d, sq = T.diagonal() + sh, np.sqrt(p)
     off = np.abs(sigmas) >= _SIGMA_ZERO_TOL
@@ -727,25 +752,32 @@ def _settled_members(roll: RollSolution, sigmas: np.ndarray, delta: float, level
     return off & definite & (np.maximum.reduce(top, axis=1) < -delta)
 
 
-def _ritz_margin(roll: RollSolution, sigmas: np.ndarray) -> float:
-    """An a priori bound ``m`` on how far the computed top Ritz value of any member of a checked sweep off zero can exceed
-    ``lambda_1`` of its ``H``: ``m = _MARGIN_ULPS (N + 1) eps h``, ``h`` the largest Gershgorin row sum of ``|H|`` over
-    the sweep, from ``|H_ii| = |d_i| p_i`` and ``|H_ij| <= sq_i sq_j |T_ij|`` (:func:`_stacks`), so ``||H||_2 <= h``.
+def _ritz_margin(roll: RollSolution, sigmas: np.ndarray, symbols: tuple | None = None):
+    """An a priori bound ``m(L)`` on how far the computed top Ritz value of a member of a checked sweep off zero, settled
+    at level ``L``, can exceed ``L``: ``m(L) = (N + 1) eps (5 h + 12 |L|)`` (``_MARGIN_ULPS``, ``_LEVEL_ULPS``), ``h`` the
+    largest Gershgorin row sum of ``|H|`` over the sweep, from ``|H_ii| = |d_i| p_i`` and ``|H_ij| <= sq_i sq_j |T_ij|``
+    (:func:`_stacks`), so ``||H||_2 <= h``.  Returns ``m``, which takes one level or an array of them.
 
     Exact Rayleigh-Ritz on orthonormal columns gives no value above
     ``lambda_1`` (Courant-Fischer; Parlett, The Symmetric Eigenvalue
     Problem, ch. 10-11), so only rounding enters ``m``: that of the final
     step of :func:`_lifted_ritz` and of ``H`` as built, against the
     ``diag(sq) S diag(sq)`` of which :func:`_settled_members` proves
-    ``lambda_1 < level`` (``_MARGIN_ULPS`` states each term).  So a member
-    settled at ``level`` has a computed top Ritz value below ``level + m``.
-    Known before any member is solved; ``h`` grows with ``M^6``.
+    ``lambda_1 < L`` (``_MARGIN_ULPS`` states each term).  All of it is
+    proportional to ``eps h`` but the departure of ``Q`` from orthonormality,
+    which scales the top value itself, so ``|L|``: a classifier member's
+    ``lambda_1`` is of order ``eps^2 sigma^2``, far below ``h``.  So a member
+    settled at ``L`` has a computed top Ritz value below ``L + m(L)``, and
+    ``m`` grows with ``|L|``.  Known before any member is solved; ``h`` grows
+    with ``M^6``.  ``symbols`` is the sweep's :func:`_symbols`, formed here if
+    not given.
     """
     op = _operator(roll)
-    p, sh = _symbols(op, sigmas)
+    p, sh = _symbols(op, sigmas) if symbols is None else symbols
     sq, N = np.sqrt(p), p.shape[1]
     rows = np.abs((op.T.diagonal() + sh) * p) + sq * (sq @ _outer_abs(op.T, slice(0, 0)))
-    return _MARGIN_ULPS * (N + 1) * _EPS * float(np.maximum.reduce(rows, axis=None, initial=0.0))
+    h = float(np.maximum.reduce(rows, axis=None, initial=0.0))
+    return lambda level: (N + 1) * _EPS * (_MARGIN_ULPS * h + _LEVEL_ULPS * np.abs(level))
 
 
 def critical_sweep(roll: RollSolution, sigmas, delta: float = 1.0) -> BlochSweep:

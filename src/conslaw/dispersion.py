@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _SIGMA_ZERO_TOL, _checked_sigmas, _ritz_margin, _settled_members, critical_sweep
+from .bloch import _SIGMA_ZERO_TOL, _checked_sigmas, _operator, _ritz_margin, _settled_members, _symbols, critical_sweep
 from .errors import GapViolation, InvariantViolation
 from .rolls import RollParameters, RollSolution, check_open_band, check_s
 
@@ -290,16 +290,18 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
     member the bits of a sweep of it alone).  ``bloch._settled_members``
     proves from ``S``'s diagonal and Toeplitz part alone, by inertia, that a
     member's ``H`` has ``lambda_1 < level`` and ``lambda_4 < -delta``;
-    ``bloch._ritz_margin`` bounds by ``m`` how far a computed top Ritz value
-    can exceed ``lambda_1``.  One pass:
+    ``bloch._ritz_margin`` bounds by ``m(L)`` how far the computed top Ritz
+    value of a member settled at level ``L`` can exceed ``L``, and ``m``
+    grows with ``|L|``.  Both read the grid's symbols, formed once.  One
+    pass:
 
     - Where the leading reduced cubic predicts growth (:func:`_predicted_peak`)
-      and its peak clears ``1e-10 + m``, the member of that peak is solved
-      first.  Where its top value ``b`` exceeds ``1e-10 + m`` the cell is
-      unstable, and the grid is settled at ``level = b - m``.  Everywhere
-      else (no member solved first, a :class:`GapViolation` from its sweep,
-      or ``b`` within ``1e-10 + m``) the level is ``decay``, one value per
-      member.
+      and its peak ``c`` clears ``1e-10 + m(c)``, the member of that peak is
+      solved first.  Where its top value ``b`` exceeds ``1e-10 + m(b)`` the
+      cell is unstable, and the grid is settled at ``level = b - m(b)``.
+      Everywhere else (no member solved first, a :class:`GapViolation` from
+      its sweep, or ``b`` within ``1e-10 + m(b)``) the level is ``decay``,
+      one value per member.
     - The grid is settled once, and the members it leaves that are not
       solved yet are swept, in one sweep.  The witness is the first maximum
       over the unsettled members and the one already solved, in grid order.
@@ -309,11 +311,12 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
     So a stable verdict carries, at each grid member off zero, the settle
     test's floating-point certificate of ``lambda_1 < decay`` or a computed
     top value below ``decay``; between members it is sampled.  On the
-    ``b - m`` path the witness is the whole-grid sweep's by proof: a member
-    settled at ``b - m`` has a computed top value below ``b``, so cannot be
-    the maximum.  At ``decay`` nothing bounds a settled member's computed
-    value below the witness, which may lie below ``m``; there the verdict
-    and witness are checked against the whole-grid sweep's bits, not proved.
+    ``b - m(b)`` path the witness is the whole-grid sweep's by proof: a
+    member settled at ``L = b - m(b)``, ``0 < L < b``, has a computed top
+    value below ``L + m(L) <= b``, so cannot be the maximum.  At ``decay``
+    nothing bounds a settled member's computed value below the witness,
+    which may lie below ``m``; there the verdict and witness are checked
+    against the whole-grid sweep's bits, not proved.
 
     A gap error is that of a sweep of the whole grid, the first member in
     grid order that fails: a settled member passes, unless its
@@ -338,17 +341,19 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
 
     # The products of a small roll's T underflow at M = 32, as the sweep's do.
     with np.errstate(under="ignore"):
+        symbols = _symbols(_operator(roll), sigmas)
         peak = _predicted_peak(roll.params, sigmas)
-        margin = np.inf if peak is None else _ritz_margin(roll, sigmas)
+        margin = None if peak is None else _ritz_margin(roll, sigmas, symbols)
         level = decay
-        if peak is not None and peak[1] - margin > 1e-10:
+        if peak is not None and peak[1] - margin(peak[1]) > 1e-10:
             try:
                 solve(np.arange(sigmas.size) == peak[0])
-                if curves[2, peak[0]] > 1e-10 + margin:
-                    level = curves[2, peak[0]] - margin
+                b = curves[2, peak[0]]
+                if b - margin(b) > 1e-10:
+                    level = b - margin(b)
             except GapViolation:
                 pass
-        settled = _settled_members(roll, sigmas, delta, level)
+        settled = _settled_members(roll, sigmas, delta, level, symbols)
     watch = ~settled | solved
     solve(watch)
     if watch.any():

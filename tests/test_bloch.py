@@ -574,6 +574,51 @@ class TestMirror:
         for i, j in [(0, 1), (6, 7)]:
             assert full[j].tobytes() == full[i].tobytes()
 
+    def test_a_distinct_ascending_positive_sweep_is_its_own_record(self):
+        # The classifier's grid is solved with no gather: its record has the
+        # bits of the same members gathered, descending and mirrored.
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
+        grid = _default_sigma_grid(0.05)
+        direct = sweep_arrays(bloch._lifted_sweep(roll, grid))
+        assert direct["sigmas"].tobytes() == grid.tobytes()
+        for sigmas, order, mirrored in [(grid[::-1], slice(None, None, -1), False), (-grid, slice(None), True)]:
+            got = bloch._lifted_sweep(roll, sigmas)
+            for name in ("values", "radius", "gaps", "gap_radius"):
+                assert getattr(got, name)[order].tobytes() == direct[name].tobytes()
+            vecs = got.vectors[order]
+            assert (vecs[:, ::-1] if mirrored else vecs).tobytes() == direct["vectors"].tobytes()
+
+    @pytest.mark.parametrize("sigmas", [[], [5e-14], [5e-14, 0.1], [0.1, 0.2, -0.3]], ids=["empty", "near_zero", "near_zero_first", "mirrored"])
+    def test_other_sweeps_keep_the_gather(self, sigmas):
+        # The empty sweep, a positive sigma below _SIGMA_ZERO_TOL, which is the
+        # roll's read-only zero member, and a mirrored sweep: each member is
+        # its magnitude's (zero's below the tolerance), and each record is
+        # gathered, writable, and shares no memory with the roll's record.
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
+        out = sweep_arrays(bloch._lifted_sweep(roll, sigmas))
+        assert out["values"].shape == (len(sigmas), 3) and out["vectors"].shape == (len(sigmas), 25, 3)
+        for i, sigma in enumerate(sigmas):
+            alone = bloch._lifted_sweep(roll, [abs(sigma) if abs(sigma) >= bloch._SIGMA_ZERO_TOL else 0.0])
+            assert out["values"][i].tobytes() == alone.values[0].tobytes()
+        op = bloch._operator(roll)
+        held = (op.T, op.outer, *(op.zero or ()))
+        assert all(a.flags.writeable for a in out.values())
+        assert not any(np.shares_memory(a, b) for a in out.values() for b in held)
+
+    @pytest.mark.parametrize("sigma", [1e-14, float(_default_sigma_grid(0.05)[20])], ids=["near_zero", "grid"])
+    def test_critical_modes_are_writable_and_share_nothing_with_the_record(self, sigma):
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
+        critical_sweep(roll, [0.0])
+        op = bloch._operator(roll)
+        held = (op.T, op.outer, *op.zero)
+        vals, vecs = critical_modes(roll, sigma)
+        want = vals.tobytes(), vecs.tobytes()
+        assert vals.flags.writeable and vecs.flags.writeable
+        assert not any(np.shares_memory(a, b) for a in (vals, vecs) for b in held)
+        vals[...], vecs[...] = 1.0, 1.0
+        again = critical_modes(roll, sigma)
+        assert (again[0].tobytes(), again[1].tobytes()) == want
+
 
 class TestWorkspace:
     """A sweep's two matrix stacks live in a per-thread workspace reused across sweeps."""
@@ -1355,7 +1400,8 @@ class TestSettledMembers:
             w = np.linalg.eigvalsh(bloch._stacks(roll, sigmas)[1])
             u = w.shape[1] * np.finfo(float).eps * np.abs(w).max(axis=1)
             decay = -1e-6 * eps**2 * sigmas**2
-            for level in (tops.max(), tops.max() - bloch._ritz_margin(roll, grid), np.median(tops), decay):
+            b = tops.max()
+            for level in (b, b - bloch._ritz_margin(roll, grid)(b), np.median(tops), decay):
                 settled = bloch._settled_members(roll, sigmas, 1.0, level)
                 level = np.broadcast_to(level, sigmas.shape)
                 assert np.all(w[settled, -1] < level[settled] + u[settled])
@@ -1366,6 +1412,29 @@ class TestSettledMembers:
                 settled_at.append(np.count_nonzero(settled))
         assert sum(settled_at) > 0.5 * len(settled_at) * self.sweep(0.02).size
         assert oracle_members > 0
+
+    @pytest.mark.parametrize("eps", [0.005, 0.02, 0.08])
+    @pytest.mark.parametrize("n_modes", [8, 12, 16, 32])
+    def test_members_settled_at_a_level_compute_a_top_value_below_it_and_the_margin(self, n_modes, eps):
+        # The inequality the classifier's witness rests on: a member settled
+        # at L computes a top Ritz value below L + m(L).  Seeded cells, every
+        # grid member solved anyway, at levels from its own top values: b - m(b)
+        # as the classifier takes it, b the largest; the median; the decay
+        # level; and each member's own top value less half its margin, which
+        # settles only a member computed that far above its lambda_1.
+        rng = np.random.default_rng(1000 * n_modes + round(1000 * eps))
+        grid = _default_sigma_grid(eps)
+        settled_at_b = 0
+        for _ in range(6):
+            roll = solve_roll(RollParameters(eps, rng.uniform(-0.45, 0.45), rng.uniform(-1.5, 1.5)), SpectralGrid(n_modes))
+            tops = critical_sweep(roll, grid, 1e-300).values[:, 2]
+            m, b = bloch._ritz_margin(roll, grid), tops.max()
+            for level in (b - m(b), np.median(tops), -1e-6 * eps**2 * grid**2, tops - 0.5 * m(tops)):
+                settled = bloch._settled_members(roll, grid, 1.0, level)
+                level = np.broadcast_to(level, grid.shape)[settled]
+                assert np.all(tops[settled] < level + m(level))
+            settled_at_b += np.count_nonzero(bloch._settled_members(roll, grid, 1.0, b - m(b)))
+        assert settled_at_b > 0
 
     def test_a_huge_delta_settles_nothing(self):
         roll = solve_roll(RollParameters(0.02, 0.1, 0.5), SpectralGrid(12))
@@ -1513,17 +1582,17 @@ class TestFixedBlockTriples:
         assert np.all(np.abs(vals - w[:, 2::-1]) <= radius[:, None])
         assert np.all(np.abs(-gaps - w[:, 3]) <= gap_radius)
         # Off zero, each computed top Ritz value lies less than the a priori
-        # margin above lambda_1.
+        # margin at its own lambda_1 above it.
         off = sweep != 0.0
-        assert np.all(vals[off, 2] - w[off, 0] < bloch._ritz_margin(roll, sweep[off]))
+        assert np.all(vals[off, 2] - w[off, 0] < bloch._ritz_margin(roll, sweep[off])(w[off, 0]))
 
     def test_top_ritz_values_lie_within_the_margin_of_the_oracle_at_m_32(self):
         # Where the margin is largest (it grows with M^6), at a member near the
         # growth peak of an unstable cell.
         roll = solve_roll(RollParameters(0.02, 0.4, 0.0), SpectralGrid(32))
         sweep = np.array([0.007])
-        top = critical_sweep(roll, sweep).values[:, 2]
-        assert np.all(top - oracle_eigenvalues(roll, sweep)[:, 0] < bloch._ritz_margin(roll, sweep))
+        top, lam = critical_sweep(roll, sweep).values[:, 2], oracle_eigenvalues(roll, sweep)[:, 0]
+        assert np.all(top - lam < bloch._ritz_margin(roll, sweep)(lam))
 
     def test_certified_curves_run_no_full_eigensolve_until_read(self, monkeypatch):
         # The whole zone at M = 32 without sigma = 0: every member certified.

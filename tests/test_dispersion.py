@@ -297,7 +297,7 @@ class TestSettledMembers:
     def full_grid(roll, delta=1.0):
         """The verdict with no member settled at any level: every member of the grid solved."""
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(dsp, "_settled_members", lambda roll, sigmas, delta, level=0.0: np.zeros(sigmas.size, bool))
+            m.setattr(dsp, "_settled_members", lambda roll, sigmas, delta, level=0.0, symbols=None: np.zeros(sigmas.size, bool))
             return dsp.classify_numerically(roll, delta)
 
     @staticmethod
@@ -344,7 +344,8 @@ class TestSettledMembers:
         # The predicted member first, then the one member the level test
         # could not exclude: the witness, one grid member below the prediction.
         j = dsp._predicted_peak(unstable.params, grid)[0]
-        level = critical_sweep(unstable, grid[[j]]).values[0, 2] - bloch._ritz_margin(unstable, grid)
+        b = critical_sweep(unstable, grid[[j]]).values[0, 2]
+        level = b - bloch._ritz_margin(unstable, grid)(b)
         kept = ~dsp._settled_members(unstable, grid, 1.0, level)
         assert np.flatnonzero(kept).tolist() == [j - 1, j]
         assert [c.tolist() for c in calls] == [[grid[j]], [grid[j - 1]]]
@@ -366,9 +367,11 @@ class TestSettledMembers:
         j = 5 if case == "mispredicted" else dsp._predicted_peak(roll.params, grid)[0]
         b = critical_sweep(roll, grid[[j]]).values[0, 2]
         # A margin of 2 b puts b - m below zero; one of 1.0, the patched peak, skips the predicted member.
-        margin = {"level_at_zero": 2.0 * b, "margin_too_wide": 1.0}.get(case, bloch._ritz_margin(roll, grid))
+        margin = {"level_at_zero": lambda level: 2.0 * b, "margin_too_wide": lambda level: 1.0}.get(
+            case, bloch._ritz_margin(roll, grid)
+        )
         monkeypatch.setattr(dsp, "_predicted_peak", lambda params, sigmas: (j, 1.0))
-        monkeypatch.setattr(dsp, "_ritz_margin", lambda roll, sigmas: margin)
+        monkeypatch.setattr(dsp, "_ritz_margin", lambda roll, sigmas, symbols=None: margin)
         calls = self.solved(monkeypatch)
         assert dsp.classify_numerically(roll) == want
         swept = np.concatenate(calls)
@@ -378,13 +381,37 @@ class TestSettledMembers:
             unsettled = ~dsp._settled_members(roll, grid, 1.0, self.decay(grid))
             assert [c.tolist() for c in calls] == [grid[unsettled].tolist()]
             return
-        assert bool(b > 1e-10 + margin) is (case == "predicted")
-        level = b - margin if case == "predicted" else self.decay(grid)
+        assert bool(b - margin(b) > 1e-10) is (case == "predicted")
+        level = b - margin(b) if case == "predicted" else self.decay(grid)
         rest = ~dsp._settled_members(roll, grid, 1.0, level) & ~first
         if case == "mispredicted":
             assert not rest.any() and [c.tolist() for c in calls] == [[grid[j]]]
             return
         assert rest.any() and [c.tolist() for c in calls] == [[grid[j]], grid[rest].tolist()]
+
+    def test_sweep_counts_of_seeded_cells(self, monkeypatch):
+        # Cells at eps = 0.02, omega and s uniform over criterion 5's domain.
+        # A margin sized by the level settles the members near the witness at
+        # b - m: at M = 12, 36 of 400 cells take a second sweep (51 with the
+        # margin sized by ||H||), and at M = 32, where the margin is widest,
+        # 25 of the 45 unstable cells among 60 solve the predicted member first
+        # (none with it).
+        calls = self.solved(monkeypatch)
+        grid = dsp._default_sigma_grid(0.02)
+        counts = []
+        for n_modes, cells, seed in [(12, 400, 101), (32, 60, 106)]:
+            rng = np.random.default_rng(seed)
+            second = first = 0
+            for _ in range(cells):
+                omega, s = rng.uniform(-0.45, 0.45), rng.uniform(-1.5, 1.5)
+                roll = solve_roll(RollParameters(0.02, omega, s), SpectralGrid(n_modes))
+                calls.clear()
+                unstable = dsp.classify_numerically(roll).verdict is dsp.Stability.UNSTABLE
+                peak = dsp._predicted_peak(roll.params, grid)
+                second += len(calls) > 1
+                first += unstable and peak is not None and calls[0].tolist() == [grid[peak[0]]]
+            counts.append((second, first))
+        assert counts[0][0] == 36 and counts[1][1] == 25
 
     @pytest.mark.parametrize("omega, s", [(0.1, 0.5), (0.4, 0.0)], ids=["stable", "unstable"])
     def test_gap_errors_are_the_full_grid_sweeps(self, omega, s):
@@ -435,7 +462,7 @@ class TestNumericalClassifier:
 
         monkeypatch.setattr(dsp, "critical_sweep", flat_sweep)
         monkeypatch.setattr(
-            dsp, "_settled_members", lambda roll, sigmas, delta, level: np.zeros(sigmas.size, bool)
+            dsp, "_settled_members", lambda roll, sigmas, delta, level, symbols=None: np.zeros(sigmas.size, bool)
         )
         roll = solve_roll(RollParameters(0.02, 0.0, 0.0), SpectralGrid(12))
         assert dsp.classify_numerically(roll) == dsp.StabilityVerdict(dsp.Stability.BOUNDARY)
