@@ -16,9 +16,7 @@ critical eigenvalues come from a small Rayleigh-Ritz problem instead.
 A sweep is solved as one batch: :func:`_stacks` gathers its matrices into
 one ``(n_sigma, N, N)`` stack for each LAPACK call.  Stacked calls give the
 bits of one call per matrix, so one Bloch number is a sweep of one, and
-each distinct ``|sigma|`` is solved once (:func:`_lifted_sweep`); a sweep
-that is distinct, ascending and positive, as the classifier's grid, is
-recorded as solved, with no gather.  Its two
+each distinct ``|sigma|`` is solved once (:func:`_lifted_sweep`).  Its two
 ``N x N`` stacks, ``S`` and ``H``, live in a per-thread workspace kept
 between sweeps (:func:`_workspace_stacks`; see the README); nothing a sweep
 returns views it.  At M = 12 a sweep costs more in NumPy calls than in
@@ -631,12 +629,7 @@ def _lifted_sweep(roll: RollSolution, sigmas) -> BlochSweep:
     ``H`` at ``-sigma`` is ``H`` at ``sigma`` reversed in ``m``, bit for bit
     (the roll is even): each distinct ``|sigma|`` (zero within
     ``_SIGMA_ZERO_TOL``) is solved once; a member at ``-sigma`` takes its
-    twin's values and radii, its vectors reversed.  A sweep that is
-    distinct, ascending and positive (from ``_SIGMA_ZERO_TOL`` on), as the
-    classifier's grid and :func:`critical_modes` at ``sigma > 0``, is its
-    own set of magnitudes: its record holds the solved arrays, with no
-    gather.  Every other sweep, the empty one among them, is gathered: no
-    record views the roll's read-only zero member.
+    twin's values and radii, its vectors reversed.
 
     The whole pass runs on the members off zero, with the roll's ``T`` and
     masked ``|T|`` (:func:`_operator`).  The zero member is solved once per
@@ -645,12 +638,9 @@ def _lifted_sweep(roll: RollSolution, sigmas) -> BlochSweep:
     has the bits it would have in this sweep's stack.
     """
     sigmas = _checked_sigmas(sigmas, "sigma")
-    # twin None: the sweep is its own magnitudes, and its record the solved arrays.
-    mags, twin = sigmas, None
-    if not (sigmas.size and sigmas[0] >= _SIGMA_ZERO_TOL and (sigmas[1:] > sigmas[:-1]).all()):
-        mags = np.where(np.abs(sigmas) < _SIGMA_ZERO_TOL, 0.0, np.abs(sigmas))
-        # Distinct and ascending already (one member), they are what np.unique would return.
-        mags, twin = (mags, np.arange(mags.size)) if (mags[1:] > mags[:-1]).all() else np.unique(mags, return_inverse=True)
+    mags = np.where(np.abs(sigmas) < _SIGMA_ZERO_TOL, 0.0, np.abs(sigmas))
+    # Distinct and ascending already (one member, the classifier's grid), they are what np.unique would return.
+    mags, twin = (mags, np.arange(mags.size)) if (mags[1:] > mags[:-1]).all() else np.unique(mags, return_inverse=True)
     op, N = _operator(roll), 2 * roll.profile.grid.n_modes + 1
     block = _rows(N, _BLOCK_MODES)
     # A zero member is the first.  The others are solved whole, in one
@@ -677,8 +667,6 @@ def _lifted_sweep(roll: RollSolution, sigmas) -> BlochSweep:
         if bad.size:
             raise InvariantViolation(f"neither certificate holds for the triple {vals[bad[0]]} at |sigma| = {mags[bad[0]]}")
     solved = vals, radius, -rho4, gap_radius, Y[:, :, 1:]
-    if twin is None:
-        return BlochSweep(sigmas, *solved)
     *solved, vecs = (a[twin] for a in solved)
     neg = (sigmas <= -_SIGMA_ZERO_TOL).nonzero()[0]
     vecs[neg] = vecs[neg, ::-1]
@@ -691,13 +679,10 @@ def check_delta(delta: float) -> None:
         raise OutOfRange(f"delta must be positive and finite, got {delta}", param="delta")
 
 
-def _settled_members(
-    roll: RollSolution, sigmas: np.ndarray, delta: float, level: float | np.ndarray = 0.0, symbols: tuple | None = None
-) -> np.ndarray:
+def _settled_members(roll: RollSolution, sigmas: np.ndarray, delta: float, level: float | np.ndarray = 0.0) -> np.ndarray:
     """The members ``(n,)`` of a checked sweep whose ``H`` is proved to have ``lambda_1 < level`` and ``lambda_4 < -delta``.
 
     ``level`` is one value for every member or one per member, ``(n,)``.
-    ``symbols`` is the sweep's :func:`_symbols`, formed here if not given.
 
     Built from ``T`` and the diagonal ``d = diag(T) + sh(p)`` of ``S`` alone;
     no ``N x N`` matrix is formed.  A member is settled when all three hold:
@@ -732,7 +717,7 @@ def _settled_members(
     """
     check_delta(delta)
     op = _operator(roll)
-    p, sh = _symbols(op, sigmas) if symbols is None else symbols
+    p, sh = _symbols(op, sigmas)
     T, (n, N) = op.T, p.shape
     d, sq = T.diagonal() + sh, np.sqrt(p)
     off = np.abs(sigmas) >= _SIGMA_ZERO_TOL
@@ -752,7 +737,7 @@ def _settled_members(
     return off & definite & (np.maximum.reduce(top, axis=1) < -delta)
 
 
-def _ritz_margin(roll: RollSolution, sigmas: np.ndarray, symbols: tuple | None = None):
+def _ritz_margin(roll: RollSolution, sigmas: np.ndarray):
     """An a priori bound ``m(L)`` on how far the computed top Ritz value of a member of a checked sweep off zero, settled
     at level ``L``, can exceed ``L``: ``m(L) = (N + 1) eps (5 h + 12 |L|)`` (``_MARGIN_ULPS``, ``_LEVEL_ULPS``), ``h`` the
     largest Gershgorin row sum of ``|H|`` over the sweep, from ``|H_ii| = |d_i| p_i`` and ``|H_ij| <= sq_i sq_j |T_ij|``
@@ -769,11 +754,10 @@ def _ritz_margin(roll: RollSolution, sigmas: np.ndarray, symbols: tuple | None =
     ``lambda_1`` is of order ``eps^2 sigma^2``, far below ``h``.  So a member
     settled at ``L`` has a computed top Ritz value below ``L + m(L)``, and
     ``m`` grows with ``|L|``.  Known before any member is solved; ``h`` grows
-    with ``M^6``.  ``symbols`` is the sweep's :func:`_symbols`, formed here if
-    not given.
+    with ``M^6``.
     """
     op = _operator(roll)
-    p, sh = _symbols(op, sigmas) if symbols is None else symbols
+    p, sh = _symbols(op, sigmas)
     sq, N = np.sqrt(p), p.shape[1]
     rows = np.abs((op.T.diagonal() + sh) * p) + sq * (sq @ _outer_abs(op.T, slice(0, 0)))
     h = float(np.maximum.reduce(rows, axis=None, initial=0.0))

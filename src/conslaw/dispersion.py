@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _SIGMA_ZERO_TOL, _checked_sigmas, _operator, _ritz_margin, _settled_members, _symbols, critical_sweep
+from .bloch import _SIGMA_ZERO_TOL, _checked_sigmas, _ritz_margin, _settled_members, critical_sweep
 from .errors import GapViolation, InvariantViolation
 from .rolls import RollParameters, RollSolution, check_open_band, check_s
 
@@ -292,8 +292,7 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
     member's ``H`` has ``lambda_1 < level`` and ``lambda_4 < -delta``;
     ``bloch._ritz_margin`` bounds by ``m(L)`` how far the computed top Ritz
     value of a member settled at level ``L`` can exceed ``L``, and ``m``
-    grows with ``|L|``.  Both read the grid's symbols, formed once.  One
-    pass:
+    grows with ``|L|``.  One pass:
 
     - Where the leading reduced cubic predicts growth (:func:`_predicted_peak`)
       and its peak ``c`` clears ``1e-10 + m(c)``, the member of that peak is
@@ -341,9 +340,8 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
 
     # The products of a small roll's T underflow at M = 32, as the sweep's do.
     with np.errstate(under="ignore"):
-        symbols = _symbols(_operator(roll), sigmas)
         peak = _predicted_peak(roll.params, sigmas)
-        margin = None if peak is None else _ritz_margin(roll, sigmas, symbols)
+        margin = None if peak is None else _ritz_margin(roll, sigmas)
         level = decay
         if peak is not None and peak[1] - margin(peak[1]) > 1e-10:
             try:
@@ -353,7 +351,7 @@ def classify_numerically(roll: RollSolution, delta: float = 1.0) -> StabilityVer
                     level = b - margin(b)
             except GapViolation:
                 pass
-        settled = _settled_members(roll, sigmas, delta, level, symbols)
+        settled = _settled_members(roll, sigmas, delta, level)
     watch = ~settled | solved
     solve(watch)
     if watch.any():

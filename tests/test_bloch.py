@@ -574,51 +574,6 @@ class TestMirror:
         for i, j in [(0, 1), (6, 7)]:
             assert full[j].tobytes() == full[i].tobytes()
 
-    def test_a_distinct_ascending_positive_sweep_is_its_own_record(self):
-        # The classifier's grid is solved with no gather: its record has the
-        # bits of the same members gathered, descending and mirrored.
-        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
-        grid = _default_sigma_grid(0.05)
-        direct = sweep_arrays(bloch._lifted_sweep(roll, grid))
-        assert direct["sigmas"].tobytes() == grid.tobytes()
-        for sigmas, order, mirrored in [(grid[::-1], slice(None, None, -1), False), (-grid, slice(None), True)]:
-            got = bloch._lifted_sweep(roll, sigmas)
-            for name in ("values", "radius", "gaps", "gap_radius"):
-                assert getattr(got, name)[order].tobytes() == direct[name].tobytes()
-            vecs = got.vectors[order]
-            assert (vecs[:, ::-1] if mirrored else vecs).tobytes() == direct["vectors"].tobytes()
-
-    @pytest.mark.parametrize("sigmas", [[], [5e-14], [5e-14, 0.1], [0.1, 0.2, -0.3]], ids=["empty", "near_zero", "near_zero_first", "mirrored"])
-    def test_other_sweeps_keep_the_gather(self, sigmas):
-        # The empty sweep, a positive sigma below _SIGMA_ZERO_TOL, which is the
-        # roll's read-only zero member, and a mirrored sweep: each member is
-        # its magnitude's (zero's below the tolerance), and each record is
-        # gathered, writable, and shares no memory with the roll's record.
-        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
-        out = sweep_arrays(bloch._lifted_sweep(roll, sigmas))
-        assert out["values"].shape == (len(sigmas), 3) and out["vectors"].shape == (len(sigmas), 25, 3)
-        for i, sigma in enumerate(sigmas):
-            alone = bloch._lifted_sweep(roll, [abs(sigma) if abs(sigma) >= bloch._SIGMA_ZERO_TOL else 0.0])
-            assert out["values"][i].tobytes() == alone.values[0].tobytes()
-        op = bloch._operator(roll)
-        held = (op.T, op.outer, *(op.zero or ()))
-        assert all(a.flags.writeable for a in out.values())
-        assert not any(np.shares_memory(a, b) for a in out.values() for b in held)
-
-    @pytest.mark.parametrize("sigma", [1e-14, float(_default_sigma_grid(0.05)[20])], ids=["near_zero", "grid"])
-    def test_critical_modes_are_writable_and_share_nothing_with_the_record(self, sigma):
-        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
-        critical_sweep(roll, [0.0])
-        op = bloch._operator(roll)
-        held = (op.T, op.outer, *op.zero)
-        vals, vecs = critical_modes(roll, sigma)
-        want = vals.tobytes(), vecs.tobytes()
-        assert vals.flags.writeable and vecs.flags.writeable
-        assert not any(np.shares_memory(a, b) for a in (vals, vecs) for b in held)
-        vals[...], vecs[...] = 1.0, 1.0
-        again = critical_modes(roll, sigma)
-        assert (again[0].tobytes(), again[1].tobytes()) == want
-
 
 class TestWorkspace:
     """A sweep's two matrix stacks live in a per-thread workspace reused across sweeps."""
@@ -829,12 +784,15 @@ class TestOperatorRecord:
         assert not any(t.is_alive() for t in threads)
         assert results == [[want] * repeats] * 4
 
-    @pytest.mark.parametrize("sigmas", [[0.0], [0.1, 0.0, -0.2]], ids=["zero_alone", "through_zero"])
+    @pytest.mark.parametrize(
+        "sigmas", [[0.0], [0.1, 0.0, -0.2], [5e-14], [], [0.1, 0.2, -0.3]],
+        ids=["zero_alone", "through_zero", "near_zero", "empty", "mirrored"],
+    )
     def test_the_record_is_read_only(self, sigmas):
         roll = solve_roll(self.params, SpectralGrid(12))
         want = sweep_arrays(critical_sweep(roll, sigmas))
         op = bloch._operator(roll)
-        held = (op.T, op.outer, *op.zero)
+        held = (op.T, op.outer, *(op.zero or ()))
         assert not any(a.flags.writeable for a in held)
         with pytest.raises(ValueError, match="read-only"):
             op.T[0, 0] = 1.0
@@ -845,6 +803,20 @@ class TestOperatorRecord:
             a[...] = 1
         again = sweep_arrays(critical_sweep(roll, sigmas))
         assert {k: a.tobytes() for k, a in again.items()} == {k: a.tobytes() for k, a in want.items()}
+
+    @pytest.mark.parametrize("sigma", [1e-14, float(_default_sigma_grid(0.05)[20])], ids=["near_zero", "grid"])
+    def test_critical_modes_are_writable_and_share_nothing_with_the_record(self, sigma):
+        roll = solve_roll(RollParameters(0.05, 0.1, 0.8), SpectralGrid(12))
+        critical_sweep(roll, [0.0])
+        op = bloch._operator(roll)
+        held = (op.T, op.outer, *op.zero)
+        vals, vecs = critical_modes(roll, sigma)
+        want = vals.tobytes(), vecs.tobytes()
+        assert vals.flags.writeable and vecs.flags.writeable
+        assert not any(np.shares_memory(a, b) for a in (vals, vecs) for b in held)
+        vals[...], vecs[...] = 1.0, 1.0
+        again = critical_modes(roll, sigma)
+        assert (again[0].tobytes(), again[1].tobytes()) == want
 
 
 class TestCholeskyKernel:

@@ -297,7 +297,7 @@ class TestSettledMembers:
     def full_grid(roll, delta=1.0):
         """The verdict with no member settled at any level: every member of the grid solved."""
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(dsp, "_settled_members", lambda roll, sigmas, delta, level=0.0, symbols=None: np.zeros(sigmas.size, bool))
+            m.setattr(dsp, "_settled_members", lambda roll, sigmas, delta, level=0.0: np.zeros(sigmas.size, bool))
             return dsp.classify_numerically(roll, delta)
 
     @staticmethod
@@ -371,7 +371,7 @@ class TestSettledMembers:
             case, bloch._ritz_margin(roll, grid)
         )
         monkeypatch.setattr(dsp, "_predicted_peak", lambda params, sigmas: (j, 1.0))
-        monkeypatch.setattr(dsp, "_ritz_margin", lambda roll, sigmas, symbols=None: margin)
+        monkeypatch.setattr(dsp, "_ritz_margin", lambda roll, sigmas: margin)
         calls = self.solved(monkeypatch)
         assert dsp.classify_numerically(roll) == want
         swept = np.concatenate(calls)
@@ -392,25 +392,30 @@ class TestSettledMembers:
     def test_sweep_counts_of_seeded_cells(self, monkeypatch):
         # Cells at eps = 0.02, omega and s uniform over criterion 5's domain.
         # A margin sized by the level settles the members near the witness at
-        # b - m: at M = 12, 36 of 400 cells take a second sweep (51 with the
+        # b - m(b): at M = 12, 36 of 400 cells take a second sweep (51 with the
         # margin sized by ||H||), and at M = 32, where the margin is widest,
-        # 25 of the 45 unstable cells among 60 solve the predicted member first
-        # (none with it).
-        calls = self.solved(monkeypatch)
-        grid = dsp._default_sigma_grid(0.02)
+        # 25 of 60 cells settle their grid at b - m(b), one level for every
+        # member, in place of the decay level, one per member (none with it).
+        # It takes about 0.5 s (460 classifications).
+        calls, levels = self.solved(monkeypatch), []
+        settle = dsp._settled_members
+
+        def spy(roll, sigmas, delta, level=0.0):
+            levels.append(np.ndim(level))
+            return settle(roll, sigmas, delta, level)
+
+        monkeypatch.setattr(dsp, "_settled_members", spy)
         counts = []
         for n_modes, cells, seed in [(12, 400, 101), (32, 60, 106)]:
             rng = np.random.default_rng(seed)
-            second = first = 0
+            second = predicted = 0
             for _ in range(cells):
                 omega, s = rng.uniform(-0.45, 0.45), rng.uniform(-1.5, 1.5)
-                roll = solve_roll(RollParameters(0.02, omega, s), SpectralGrid(n_modes))
-                calls.clear()
-                unstable = dsp.classify_numerically(roll).verdict is dsp.Stability.UNSTABLE
-                peak = dsp._predicted_peak(roll.params, grid)
+                calls.clear(), levels.clear()
+                dsp.classify_numerically(solve_roll(RollParameters(0.02, omega, s), SpectralGrid(n_modes)))
                 second += len(calls) > 1
-                first += unstable and peak is not None and calls[0].tolist() == [grid[peak[0]]]
-            counts.append((second, first))
+                predicted += levels == [0]
+            counts.append((second, predicted))
         assert counts[0][0] == 36 and counts[1][1] == 25
 
     @pytest.mark.parametrize("omega, s", [(0.1, 0.5), (0.4, 0.0)], ids=["stable", "unstable"])
@@ -462,7 +467,7 @@ class TestNumericalClassifier:
 
         monkeypatch.setattr(dsp, "critical_sweep", flat_sweep)
         monkeypatch.setattr(
-            dsp, "_settled_members", lambda roll, sigmas, delta, level, symbols=None: np.zeros(sigmas.size, bool)
+            dsp, "_settled_members", lambda roll, sigmas, delta, level: np.zeros(sigmas.size, bool)
         )
         roll = solve_roll(RollParameters(0.02, 0.0, 0.0), SpectralGrid(12))
         assert dsp.classify_numerically(roll) == dsp.StabilityVerdict(dsp.Stability.BOUNDARY)
