@@ -52,8 +52,9 @@ computed top Ritz value of a member settled at level ``L`` can exceed
 certificate is the split again, proved by one kernel
 (:func:`_schur_certificate`): Gershgorin's theorem on the rest and one
 stacked Cholesky of a Schur-complement bound on the 9 x 9 block of
-``|m| <= 4``.  Here only the benchmark's adapter (:class:`BlochSpectrum`) runs
-an ``eigvalsh`` of ``H``, for the rest of a spectrum on read.
+``|m| <= 4``.  Nothing here runs a dense eigensolve of ``H``: a member is
+its certified triple and the gap below it.  The package's one dense Bloch
+eigensolve is criterion 7's (:func:`conslaw.acceptance.symmetry_properties`).
 """
 
 from __future__ import annotations
@@ -61,13 +62,13 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo, eigh_lo, qr_r_raw, qr_reduced
 
 from .errors import GapViolation, InvariantViolation, OutOfRange
-from .model import reaction_derivative, swift_hohenberg
+from .model import reaction_derivative, square, swift_hohenberg
 from .rolls import RollSolution
 
 __all__ = ["BlochSweep", "critical_sweep", "critical_modes", "BlochSpectrum", "critical_curves"]
@@ -149,42 +150,34 @@ _EPS = np.finfo(np.float64).eps
 
 @dataclass(frozen=True)
 class BlochSpectrum:
-    """Real spectrum at one Bloch number with the critical triple flagged: one member of :func:`critical_curves`.
+    """The certified top of the spectrum at one Bloch number: one member of :func:`critical_curves`.
 
     ``critical_values()`` returns a copy of the member's
     :attr:`BlochSweep.values`, and ``gap`` is its :attr:`BlochSweep.gaps`.
-    ``eigenvalues`` (descending) and ``critical`` (the triple's indices in
-    them) are computed on first read: the triple beside the rest of one
-    ``eigvalsh`` of ``H`` rebuilt from the roll at ``|sigma|`` (accurate to
-    ``eps max|w|``, with no radius); no matrix is kept.  Kept only for the
-    benchmark (``bench/workloads.py``), which reads them at ``sigma = 0``;
-    no module here does.  Its other readers are the six tests of this
-    adapter in ``tests/test_bloch.py``.  It goes, with :func:`critical_curves` and
+    ``eigenvalues`` are the four largest, descending: the triple, then
+    ``lambda_4 = -gap``, each within its radius; ``critical``, the
+    triple's indices in them, is ``(2, 1, 0)``.  The record holds no roll
+    and solves nothing on read.  Kept only for the benchmark
+    (``bench/workloads.py``), which reads them at ``sigma = 0``; no module
+    here does.  Its other readers are the tests of this adapter in
+    ``tests/test_bloch.py``.  It goes, with :func:`critical_curves` and
     those tests, at the next change to the benchmark (ROADMAP item 2).
     """
 
     sigma: float
     gap: float
     _triple: np.ndarray = field(repr=False)
-    _roll: RollSolution = field(repr=False)
 
     def critical_values(self) -> np.ndarray:
         return self._triple.copy()
 
-    @cached_property
-    def _full(self) -> tuple[np.ndarray, tuple[int, int, int]]:
-        w = np.linalg.eigvalsh(_stacks(self._roll, np.array([abs(self.sigma)]))[1])[0]
-        allvals = np.concatenate([self._triple, w[np.argsort(np.abs(w))[3:]]])
-        order = np.argsort(-allvals, kind="stable")
-        return allvals[order], tuple(int(j) for j in np.argsort(order)[:3])
-
     @property
     def eigenvalues(self) -> np.ndarray:
-        return self._full[0]
+        return np.append(self._triple[::-1], -self.gap)
 
     @property
     def critical(self) -> tuple[int, int, int]:
-        return self._full[1]
+        return (2, 1, 0)
 
 
 def _checked_sigmas(sigmas, param: str) -> np.ndarray:
@@ -265,7 +258,8 @@ def _operator(roll: RollSolution) -> _Operator:
         # Built under the record's own error state, not its first caller's:
         # a small roll's reaction underflows.
         with np.errstate(under="ignore"):
-            T = _toeplitz(reaction_derivative(roll.profile.coeffs, roll.params.s, roll.params.eps))
+            c = roll.profile.coeffs
+            T = _toeplitz(reaction_derivative(c, roll.params.s, roll.params.eps, square(c)))
             outer = _outer_abs(T, _rows(T.shape[0], _BLOCK_MODES))
         op = _operators.setdefault(roll, _Operator(roll.params.k**2, *_read_only(T, outer)))
     return op
@@ -679,7 +673,7 @@ def check_delta(delta: float) -> None:
         raise OutOfRange(f"delta must be positive and finite, got {delta}", param="delta")
 
 
-def _settled_members(roll: RollSolution, sigmas: np.ndarray, delta: float, level: float | np.ndarray = 0.0) -> np.ndarray:
+def _settled_members(roll: RollSolution, sigmas: np.ndarray, delta: float, level: float | np.ndarray) -> np.ndarray:
     """The members ``(n,)`` of a checked sweep whose ``H`` is proved to have ``lambda_1 < level`` and ``lambda_4 < -delta``.
 
     ``level`` is one value for every member or one per member, ``(n,)``.
@@ -822,13 +816,14 @@ def critical_modes(roll: RollSolution, sigma: float) -> tuple[np.ndarray, np.nda
 def critical_curves(roll: RollSolution, sigmas, delta: float = 1.0) -> list[BlochSpectrum]:
     """:func:`critical_sweep` as one :class:`BlochSpectrum` per member, with its ``sigma``, ``gap`` and triple.
 
-    Kept only for the benchmark (``bench/workloads.py``), which reads
-    ``eigenvalues`` and ``critical`` at ``sigma = 0``; no module here calls
-    it.  Its other callers are the tests of this adapter and three
-    one-line entry-point checks (a gap violation, a Bloch number out of
-    range, an empty sweep) in ``tests/test_bloch.py``.  It goes, with
+    The members are read from the sweep's record alone, so the list keeps
+    neither the roll nor its record in ``_operators`` alive.  Kept only for the benchmark (``bench/workloads.py``),
+    which reads ``eigenvalues`` and ``critical`` at ``sigma = 0``; no module
+    here calls it.  Its other callers are the tests of this adapter and
+    three one-line entry-point checks (a gap violation, a Bloch number out
+    of range, an empty sweep) in ``tests/test_bloch.py``.  It goes, with
     :class:`BlochSpectrum` and those tests, at the next change to the
     benchmark (ROADMAP item 2).
     """
     sweep = critical_sweep(roll, sigmas, delta)
-    return [BlochSpectrum(float(s), float(g), triple, roll) for s, g, triple in zip(sweep.sigmas, sweep.gaps, sweep.values)]
+    return [BlochSpectrum(float(s), float(g), triple) for s, g, triple in zip(sweep.sigmas, sweep.gaps, sweep.values)]

@@ -53,15 +53,13 @@ def reaction(c: np.ndarray, s: float, u2: np.ndarray) -> np.ndarray:
     return -s * u2[2 * M : 3 * M + 1] - np.correlate(u2[M:], c, "valid")
 
 
-def reaction_derivative(c: np.ndarray, s: float, eps: float, u2: np.ndarray | None = None) -> np.ndarray:
+def reaction_derivative(c: np.ndarray, s: float, eps: float, u2: np.ndarray) -> np.ndarray:
     """Centered coefficients of ``eps^2 - 2 s u - 3 u^2``, modes ``-2M .. 2M``.
 
-    ``u2``, :func:`square` of ``c``, is formed here unless the caller has it
-    already, as a Newton iterate does; the Bloch assembly does not.
+    ``u2`` is :func:`square` of ``c``, which a Newton iterate forms once for
+    this and :func:`reaction`.
     """
     M = c.size // 2
-    if u2 is None:
-        u2 = square(c)
     df = np.zeros(u2.size)
     df[M : 3 * M + 1] = c
     df *= -2.0 * s

@@ -7,7 +7,11 @@ row and column of ``H`` vanish, so they are dropped first and the exact zero
 is set beside the two values nearest zero of the rest.  Its accuracy is about
 ``eps ||G||`` off the zone edge; at ``sigma = +-1/2``, where the third and
 fourth eigenvalues nearly meet, it may be off by up to about 1e-12 and the
-40-digit oracle decides.
+40-digit oracle decides.  Near the translation zero at ``s = 0`` (a roll of
+odd harmonics only) inverse iteration may also settle off it: at
+``(eps, omega, s) = (0.070565, 0, 0)``, ``M = 32``, ``sigma = 1e-12`` the
+middle value comes out -3.8e-4, where the eigenvalue is -5.9e-12, and there
+too the oracle decides.
 
 :func:`full_certificate`: the inertia certificate on the whole ``N x N``
 matrix, one stacked Cholesky of ``A = c Y Y^T + tau I - H``, against which

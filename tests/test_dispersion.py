@@ -297,7 +297,7 @@ class TestSettledMembers:
     def full_grid(roll, delta=1.0):
         """The verdict with no member settled at any level: every member of the grid solved."""
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(dsp, "_settled_members", lambda roll, sigmas, delta, level=0.0: np.zeros(sigmas.size, bool))
+            m.setattr(dsp, "_settled_members", lambda roll, sigmas, delta, level: np.zeros(sigmas.size, bool))
             return dsp.classify_numerically(roll, delta)
 
     @staticmethod
@@ -400,7 +400,7 @@ class TestSettledMembers:
         calls, levels = self.solved(monkeypatch), []
         settle = dsp._settled_members
 
-        def spy(roll, sigmas, delta, level=0.0):
+        def spy(roll, sigmas, delta, level):
             levels.append(np.ndim(level))
             return settle(roll, sigmas, delta, level)
 

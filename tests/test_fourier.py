@@ -265,7 +265,7 @@ class TestReaction:
         u = random_field(grid, np.random.default_rng(seed), scale)
         vals = samples(u, 8 * n_modes + 1)
         want = self.project(eps**2 - 2.0 * s * vals - 3.0 * vals**2, 2 * n_modes)
-        got = reaction_derivative(u.coeffs, s, eps)
+        got = reaction_derivative(u.coeffs, s, eps, square(u.coeffs))
         assert got.shape == want.shape
         bound = 1e-13 * (eps**2 + (abs(s) + np.max(np.abs(vals))) * np.max(np.abs(vals)))
         assert np.max(np.abs(got - want)) <= bound
